@@ -25,7 +25,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo worker count for recovery-heavy experiments (0 = GOMAXPROCS, 1 = serial)")
+	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains in recovery-heavy experiments (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	logStreams := flag.Int("log-streams", 0, "per-core log append streams for every harness engine (0 = experiment default)")
 	absorb := flag.Bool("absorb", false, "absorb superseded hot writes in the volatile log window on every harness engine")
 	mixes := flag.String("mix", "", "comma-separated scenario mixes for the domain experiment E13 (default: all built-ins)")

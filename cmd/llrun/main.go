@@ -42,7 +42,7 @@ func main() {
 	physio := flag.Bool("physio", false, "use the physiological baseline configuration")
 	classicW := flag.Bool("w", false, "use the classic write graph W instead of rW")
 	vsi := flag.Bool("vsi", false, "use the classic vSI REDO test instead of generalized rSIs")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo worker count (0 = GOMAXPROCS, 1 = serial)")
+	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	logStreams := flag.Int("log-streams", 1, "per-core log append streams (commit fast lane; 1 = classic single lane)")
 	absorb := flag.Bool("absorb", false, "absorb superseded hot writes in the volatile log window")
 	faults := flag.String("faults", "", `fault plan token, e.g. "wal@17:torn=3+stable@4:eio" (see internal/fault)`)

@@ -43,7 +43,7 @@ func main() {
 	backend := flag.String("backend", "kv", "backend domain: kv, btree, or lsm")
 	walPath := flag.String("wal", "llserve.wal", "WAL file path (opened or created)")
 	inflight := flag.Int("inflight", 0, "max in-flight operations (0 = server default)")
-	redoWorkers := flag.Int("redo-workers", 0, "background redo worker count (0 = GOMAXPROCS)")
+	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	fullRecover := flag.Bool("full-recover", false, "recover fully before opening the listener (classic restart, for comparison)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, and /metrics on this address")
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot at exit")

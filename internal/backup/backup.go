@@ -90,7 +90,7 @@ func (b *Backup) RegisterRetention(l *wal.Log) (release func()) {
 
 // MediaRecover rebuilds a database from the backup plus the surviving log:
 // it restores the backup image into the engine's stable store and runs the
-// standard recovery machinery (analysis from the backup horizon, then redo).
+// standard redo pass (recovery.Redo) from the backup horizon.
 // The live stable store is assumed lost (that is the media failure).
 func MediaRecover(eng *core.Engine, b *Backup, opts recovery.Options) (*recovery.Result, error) {
 	if eng.Log().FirstLSN() > b.StartLSN {
@@ -101,59 +101,13 @@ func MediaRecover(eng *core.Engine, b *Backup, opts recovery.Options) (*recovery
 	// The dirty-object-table bookkeeping (checkpoints, install records)
 	// describes the *lost* stable state, not the backup image; analysis
 	// must therefore distrust it and scan from the backup horizon.  We do
-	// that by running the redo pass over [StartLSN, end) with the vSI
-	// test: each backed-up object's vSI makes replay exact per object.
+	// that by running the redo pass over [StartLSN, end) with an empty
+	// dirty table and the vSI test: each backed-up object's vSI makes
+	// replay exact per object.
 	mgr, err := cache.NewManager(opts.Cache, eng.Log(), eng.Store())
 	if err != nil {
 		return nil, err
 	}
-	res := &recovery.Result{Manager: mgr, RedoStart: b.StartLSN}
-	sc, err := eng.Log().Scan(b.StartLSN)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		rec, err := scanNext(sc)
-		if rec == nil || err != nil {
-			if err != nil {
-				return nil, err
-			}
-			break
-		}
-		if rec.Type != wal.RecOperation {
-			continue
-		}
-		res.ScannedOps++
-		o := rec.Op
-		installed := false
-		for _, x := range o.WriteSet {
-			if mgr.CurrentVSI(x) >= o.LSN {
-				installed = true
-				break
-			}
-		}
-		if installed {
-			res.SkippedInstalled++
-			continue
-		}
-		voided, err := mgr.TryApplyLogged(o.Clone())
-		if err != nil {
-			return nil, fmt.Errorf("backup: media redo of %s: %w", o, err)
-		}
-		if voided {
-			res.Voided++
-		} else {
-			res.Redone++
-		}
-	}
-	return res, nil
-}
-
-func scanNext(sc *wal.Scanner) (*wal.Record, error) {
-	rec, err := sc.Next()
-	if err != nil {
-		// io.EOF terminates the scan cleanly.
-		return nil, nil
-	}
-	return rec, err
+	opts.Test = recovery.TestVSI
+	return recovery.Redo(eng.Log(), mgr, nil, b.StartLSN, opts)
 }

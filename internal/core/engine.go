@@ -46,8 +46,10 @@ type Options struct {
 	// InstallTrace, when non-nil, observes every write-graph node install
 	// (debug and inspection use only).
 	InstallTrace func(view *writegraph.NodeView)
-	// RedoWorkers bounds the parallel redo pass's worker pool during
-	// Recover.  0 defaults to runtime.GOMAXPROCS(0); 1 forces serial redo.
+	// RedoWorkers is the number of goroutines replaying dependency chains
+	// during recovery.  0 defaults to runtime.GOMAXPROCS(0); 1 is one
+	// replaying goroutine (Recover's caller, or RecoverOnDemand's single
+	// background worker).
 	RedoWorkers int
 	// TransientRetries bounds retries of log forces and stable flushes
 	// that fail with a transient (retryable) I/O error, with capped
@@ -119,13 +121,12 @@ type Engine struct {
 	history []*op.Operation
 }
 
-// New builds an engine from options.
-func New(opts Options) (*Engine, error) {
+// newEngine normalises opts (default registry, retry budget) and builds the
+// engine shell over log and store, tuning the log from the options.  The
+// cache manager is attached by the caller: fresh (New) or recovered (Adopt).
+func newEngine(opts Options, log *wal.Log, store *stable.Store) *Engine {
 	if opts.Registry == nil {
 		opts.Registry = op.NewRegistry()
-	}
-	if opts.LogDevice == nil {
-		opts.LogDevice = wal.NewMemDevice()
 	}
 	switch {
 	case opts.TransientRetries == 0:
@@ -133,15 +134,23 @@ func New(opts Options) (*Engine, error) {
 	case opts.TransientRetries < 0:
 		opts.TransientRetries = 0
 	}
-	log, err := wal.New(opts.LogDevice)
-	if err != nil {
-		return nil, err
-	}
 	log.SetRetryPolicy(opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
 	log.SetObs(opts.Obs)
 	log.SetFlight(opts.Flight)
 	log.SetStreams(opts.LogStreams, opts.AbsorbWrites)
-	e := &Engine{opts: opts, reg: opts.Registry, log: log, store: stable.NewStore()}
+	return &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
+}
+
+// New builds an engine from options.
+func New(opts Options) (*Engine, error) {
+	if opts.LogDevice == nil {
+		opts.LogDevice = wal.NewMemDevice()
+	}
+	log, err := wal.New(opts.LogDevice)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(opts, log, stable.NewStore())
 	e.mgr, err = cache.NewManager(e.cacheConfig(), log, e.store)
 	if err != nil {
 		return nil, err
@@ -157,33 +166,25 @@ func New(opts Options) (*Engine, error) {
 // recovery result is returned alongside the engine; the engine's history
 // starts empty (it never saw the operations execute).
 func Adopt(opts Options, log *wal.Log, store *stable.Store) (*Engine, *recovery.Result, error) {
-	if opts.Registry == nil {
-		opts.Registry = op.NewRegistry()
-	}
-	switch {
-	case opts.TransientRetries == 0:
-		opts.TransientRetries = defaultTransientRetries
-	case opts.TransientRetries < 0:
-		opts.TransientRetries = 0
-	}
-	log.SetRetryPolicy(opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
-	log.SetObs(opts.Obs)
-	log.SetFlight(opts.Flight)
-	log.SetStreams(opts.LogStreams, opts.AbsorbWrites)
-	e := &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
-	res, err := recovery.Recover(log, store, recovery.Options{
-		Test:        opts.RedoTest,
-		Cache:       e.cacheConfig(),
-		RedoWorkers: opts.RedoWorkers,
-		Tracer:      opts.Tracer,
-		Obs:         opts.Obs,
-		Flight:      opts.Flight,
-	})
+	e := newEngine(opts, log, store)
+	res, err := recovery.Recover(log, store, e.recoveryOptions())
 	if err != nil {
 		return nil, nil, err
 	}
 	e.mgr = res.Manager
 	return e, res, nil
+}
+
+// recoveryOptions is the one place the engine's options become recovery's.
+func (e *Engine) recoveryOptions() recovery.Options {
+	return recovery.Options{
+		Test:        e.opts.RedoTest,
+		Cache:       e.cacheConfig(),
+		RedoWorkers: e.opts.RedoWorkers,
+		Tracer:      e.opts.Tracer,
+		Obs:         e.opts.Obs,
+		Flight:      e.opts.Flight,
+	}
 }
 
 func (e *Engine) cacheConfig() cache.Config {
@@ -463,14 +464,7 @@ func (e *Engine) Recover() (*recovery.Result, error) {
 		e.gate.Abort()
 		e.gate = nil
 	}
-	res, err := recovery.Recover(e.log, e.store, recovery.Options{
-		Test:        e.opts.RedoTest,
-		Cache:       e.cacheConfig(),
-		RedoWorkers: e.opts.RedoWorkers,
-		Tracer:      e.opts.Tracer,
-		Obs:         e.opts.Obs,
-		Flight:      e.opts.Flight,
-	})
+	res, err := recovery.Recover(e.log, e.store, e.recoveryOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -493,14 +487,7 @@ func (e *Engine) RecoverOnDemand() (*recovery.OnDemand, error) {
 		e.gate.Abort()
 		e.gate = nil
 	}
-	od, err := recovery.StartOnDemand(e.log, e.store, recovery.Options{
-		Test:        e.opts.RedoTest,
-		Cache:       e.cacheConfig(),
-		RedoWorkers: e.opts.RedoWorkers,
-		Tracer:      e.opts.Tracer,
-		Obs:         e.opts.Obs,
-		Flight:      e.opts.Flight,
-	})
+	od, err := recovery.StartOnDemand(e.log, e.store, e.recoveryOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,18 @@
-// On-demand redo: the instant-recovery entry point (Sauer & Härder's
-// REDO-only instant restart, PAPERS.md).  StartOnDemand runs the cheap
-// recovery phases — log restart, flush-txn repair, analysis — eagerly, then
-// partitions the redo suffix into the same conflict-disjoint dependency
-// chains the parallel redo pass uses, but instead of draining them before
-// returning it publishes a per-chain state table (pending / in-flight /
-// done) and returns immediately.  A caller about to serve a request drains
-// exactly the chains owning the objects the request touches (Require*);
-// background workers drain the remainder at lower priority.  Because every
-// operation touching a written object lives in the same chain as all of that
-// object's writers (parallel.go), replaying a chain to completion makes its
-// objects' recovered values final — so serving an object after its chain is
-// done observes exactly the state a full redo would have produced, and the
-// fully drained state is byte-identical to Recover's regardless of the order
-// demand and background replays interleave.
+// The chain scheduler: the one driver of the redo pass.  The redo suffix is
+// scanned into an operation list and partitioned into conflict-disjoint
+// dependency chains (parallel.go); a per-chain state table (pending /
+// in-flight / done) lets any goroutine claim a chain and replay it through
+// the redo step (step.go).  Recover and Redo start the scheduler and Wait:
+// ordinary restart is instant restart with no demand (Sauer & Härder,
+// PAPERS.md).  StartOnDemand returns once analysis is done: a caller about
+// to serve a request drains exactly the chains owning the objects the
+// request touches (Require*), and background workers drain the remainder at
+// lower priority.  Because every operation touching a written object lives
+// in the same chain as all of that object's writers, replaying a chain to
+// completion makes its objects' recovered values final — so serving an
+// object after its chain is done observes exactly the state a finished redo
+// would have produced, and the fully drained state is byte-identical
+// regardless of the order demand, background, and Wait replays interleave.
 //
 // Gating rules (what a request must wait for):
 //
@@ -64,9 +64,8 @@ var ErrAborted = errors.New("recovery: on-demand redo aborted")
 // chains the request needs are done, replaying pending ones on the calling
 // goroutine (demand has priority — it never queues behind background work).
 type OnDemand struct {
-	opts Options
-	mgr  *cache.Manager
-	dot  dirtyTable
+	step   *Step
+	tracer *obs.Tracer
 
 	mu            sync.Mutex
 	res           *Result
@@ -81,13 +80,13 @@ type OnDemand struct {
 	drained       chan struct{}
 	drainedClosed bool
 	aborted       bool
+	idleLanes     []*obs.Lane // span lanes no goroutine is replaying on
+	lanes         int         // span lanes allocated so far
 
-	stop     atomic.Bool // tells redoChain to bail between operations
+	stop     atomic.Bool // tells runChain to bail between operations
 	doneFlag atomic.Bool // fast path: drain complete and clean
 
-	traceMu    sync.Mutex
-	bg         sync.WaitGroup
-	demandLane *obs.Lane
+	bg sync.WaitGroup
 
 	mDemandChains *obs.Counter
 	mBgChains     *obs.Counter
@@ -107,12 +106,18 @@ type OnDemand struct {
 // and returns the full recovery Result, counter-identical to Recover's.
 func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, error) {
 	res := &Result{}
-	lane := opts.Tracer.Lane("recovery-ondemand")
+	lane := opts.Tracer.Lane("recovery")
 	dot, err := recoverPrologue(log, store, opts, res, lane)
 	if err != nil {
 		return nil, err
 	}
+	return startRedo(log, opts, res, dot, lane, resolveWorkers(opts.RedoWorkers))
+}
 
+// startRedo scans the operations logged from res.RedoStart, partitions them,
+// and starts the scheduler replaying them against res.Manager with
+// `background` goroutines of its own.  Redo counters accumulate in res.
+func startRedo(log *wal.Log, opts Options, res *Result, dot dirtyTable, lane *obs.Lane, background int) (*OnDemand, error) {
 	sp := lane.Begin("redo-scan")
 	sc, err := log.Scan(res.RedoStart)
 	if err != nil {
@@ -139,12 +144,14 @@ func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, 
 
 	sp = lane.Begin("redo-partition")
 	chains := partitionChains(ops)
-	sp.Arg("chains", len(chains)).End()
+	if background > len(chains) {
+		background = len(chains)
+	}
+	sp.Arg("chains", len(chains)).Arg("background", background).End()
 
 	od := &OnDemand{
-		opts:      opts,
-		mgr:       res.Manager,
-		dot:       dot,
+		step:      NewStep(opts, "recovery", res.Manager, dot),
+		tracer:    opts.Tracer,
 		res:       res,
 		chains:    chains,
 		state:     make([]ChainState, len(chains)),
@@ -162,9 +169,6 @@ func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, 
 		gPending:      opts.Obs.Gauge("recovery.ondemand.chains_pending"),
 		gDone:         opts.Obs.Gauge("recovery.ondemand.chains_done"),
 	}
-	if opts.Tracer != nil {
-		od.demandLane = opts.Tracer.Lane("ondemand-demand")
-	}
 	for ci, chain := range chains {
 		od.chainDone[ci] = make(chan struct{})
 		for _, o := range chain {
@@ -179,6 +183,7 @@ func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, 
 	}
 	if reg := opts.Obs; reg != nil {
 		reg.Gauge("recovery.redo.chains").Set(int64(len(chains)))
+		reg.Gauge("recovery.redo.workers").Set(int64(resolveWorkers(opts.RedoWorkers)))
 		h := reg.Histogram("recovery.redo.chain_ops")
 		for _, chain := range chains {
 			h.Observe(int64(len(chain)))
@@ -191,15 +196,13 @@ func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, 
 		od.mu.Lock()
 		od.signalDrained()
 		od.mu.Unlock()
-		return od, nil
 	}
-	workers := resolveWorkers(opts.RedoWorkers)
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < background; w++ {
 		od.bg.Add(1)
-		go od.background(w)
+		go func() {
+			defer od.bg.Done()
+			od.drain()
+		}()
 	}
 	return od, nil
 }
@@ -217,7 +220,7 @@ func (od *OnDemand) addTouch(x op.ObjectID, ci int) {
 
 // Manager returns the cache manager holding the recovering volatile state;
 // the engine resumes normal operation on it (gated by Require*).
-func (od *OnDemand) Manager() *cache.Manager { return od.mgr }
+func (od *OnDemand) Manager() *cache.Manager { return od.res.Manager }
 
 // Chains returns the number of dependency chains in the redo suffix.
 func (od *OnDemand) Chains() int { return len(od.chains) }
@@ -352,7 +355,9 @@ func (od *OnDemand) requireChain(ci int) error {
 	default:
 		od.state[ci] = ChainInFlight
 		od.mu.Unlock()
-		od.runChain(ci, od.demandLane, true)
+		lane := od.borrowLane()
+		od.runChain(ci, lane, true)
+		od.returnLane(lane)
 	}
 	od.mu.Lock()
 	err := od.failure
@@ -360,16 +365,13 @@ func (od *OnDemand) requireChain(ci int) error {
 	return err
 }
 
-// background is one low-priority drain worker: it claims pending chains in
-// partition order until none remain.  Demand callers never wait for a
-// worker to get around to their chain — they claim it directly; the only
-// demand wait is for a chain already mid-replay.
-func (od *OnDemand) background(w int) {
-	defer od.bg.Done()
-	var lane *obs.Lane
-	if od.opts.Tracer != nil {
-		lane = od.opts.Tracer.Lane(fmt.Sprintf("ondemand-worker-%02d", w))
-	}
+// drain claims pending chains in partition order and replays them on the
+// calling goroutine until none remain: the background workers' and Wait's
+// loop.  Demand callers never wait for it to reach their chain — they claim
+// it directly; the only demand wait is for a chain already mid-replay.
+func (od *OnDemand) drain() {
+	lane := od.borrowLane()
+	defer od.returnLane(lane)
 	for {
 		ci := od.claimNext()
 		if ci < 0 {
@@ -377,6 +379,34 @@ func (od *OnDemand) background(w int) {
 		}
 		od.runChain(ci, lane, false)
 	}
+}
+
+// borrowLane hands the calling goroutine a span lane no other goroutine is
+// using (an obs.Lane is single-owner), allocating "redo-worker-NN" lanes as
+// concurrent replayers appear.  Nil when tracing is off.
+func (od *OnDemand) borrowLane() *obs.Lane {
+	if od.tracer == nil {
+		return nil
+	}
+	od.mu.Lock()
+	defer od.mu.Unlock()
+	if n := len(od.idleLanes); n > 0 {
+		lane := od.idleLanes[n-1]
+		od.idleLanes = od.idleLanes[:n-1]
+		return lane
+	}
+	od.lanes++
+	return od.tracer.Lane(fmt.Sprintf("redo-worker-%02d", od.lanes-1))
+}
+
+// returnLane makes a borrowed lane available to the next replayer.
+func (od *OnDemand) returnLane(lane *obs.Lane) {
+	if lane == nil {
+		return
+	}
+	od.mu.Lock()
+	od.idleLanes = append(od.idleLanes, lane)
+	od.mu.Unlock()
 }
 
 // claimNext claims the next pending chain for a background worker, or -1
@@ -398,19 +428,36 @@ func (od *OnDemand) claimNext() int {
 	return ci
 }
 
-// runChain replays one claimed chain and retires it in the state table.
+// runChain replays one claimed chain serially in log order and retires it in
+// the state table.  stop is checked between operations so one chain's
+// failure (or an Abort) ends the others promptly.
 func (od *OnDemand) runChain(ci int, lane *obs.Lane, demand bool) {
-	c, err := redoChain(od.mgr, od.dot, od.opts, &od.traceMu, &od.stop, od.chains[ci], lane)
+	chain := od.chains[ci]
+	var c Result
+	var err error
+	sp := lane.Begin("chain")
+	for _, o := range chain {
+		if od.stop.Load() {
+			break
+		}
+		var out Outcome
+		if out, err = od.step.Apply(o); err != nil {
+			break
+		}
+		c.Count(out)
+	}
+	sp.Arg("ops", len(chain)).Arg("first_lsn", int64(chain[0].LSN)).
+		Arg("redone", c.Redone).Arg("voided", c.Voided).Arg("demand", demand).End()
 	if demand {
 		od.mDemandChains.Inc()
 	} else {
 		od.mBgChains.Inc()
 	}
 	od.mu.Lock()
-	od.res.Redone += c.redone
-	od.res.SkippedInstalled += c.skippedInstalled
-	od.res.SkippedUnexposed += c.skippedUnexposed
-	od.res.Voided += c.voided
+	od.res.Redone += c.Redone
+	od.res.SkippedInstalled += c.SkippedInstalled
+	od.res.SkippedUnexposed += c.SkippedUnexposed
+	od.res.Voided += c.Voided
 	od.state[ci] = ChainDone
 	close(od.chainDone[ci])
 	od.remaining--
@@ -445,13 +492,7 @@ func (od *OnDemand) signalDrained() {
 // per-operation decisions depend only on intra-chain state, so the totals
 // are independent of how demand, background, and Wait interleaved.
 func (od *OnDemand) Wait() (*Result, error) {
-	for {
-		ci := od.claimNext()
-		if ci < 0 {
-			break
-		}
-		od.runChain(ci, od.demandLane, false)
-	}
+	od.drain()
 	<-od.drained
 	od.bg.Wait()
 	od.mu.Lock()
@@ -463,7 +504,7 @@ func (od *OnDemand) Wait() (*Result, error) {
 // boundary, background workers exit, and every subsequent Require*/Wait
 // returns ErrAborted.  Used when the recovering engine crashes (the volatile
 // state is being discarded, so finishing the drain is wasted work) or when
-// a full Recover supersedes the on-demand one.  Blocks until the workers
+// another recovery supersedes this one.  Blocks until the workers
 // have exited, so the caller may discard the cache manager immediately after.
 func (od *OnDemand) Abort() {
 	od.mu.Lock()

@@ -1,6 +1,6 @@
-// Parallel redo: the redo stream is partitioned into conflict-disjoint
-// dependency chains and independent chains are replayed concurrently on a
-// bounded worker pool.
+// Dependency-chain partitioning: the redo stream is partitioned into
+// conflict-disjoint dependency chains, and the chain scheduler (ondemand.go)
+// replays independent chains concurrently.
 //
 // Operation B depends on operation A (earlier in the log) iff B reads or
 // writes an object A wrote.  Taking the symmetric closure — connected
@@ -10,25 +10,17 @@
 // chain serially in log order therefore preserves per-object replay order
 // exactly, and cross-chain object sharing is read-only (objects no chain
 // writes), so chains commute: the recovered state and every Result counter
-// are bit-identical to the serial pass regardless of worker count or
+// are bit-identical to a log-order replay regardless of worker count or
 // scheduling.  (DESIGN.md, "Dependency-chain partitioning".)
 package recovery
 
 import (
-	"errors"
-	"fmt"
-	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"logicallog/internal/cache"
-	"logicallog/internal/obs"
 	"logicallog/internal/op"
-	"logicallog/internal/wal"
 )
 
-// resolveWorkers maps the Options.RedoWorkers knob to a concrete pool size.
+// resolveWorkers maps the Options.RedoWorkers knob to a concrete goroutine count.
 func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -117,166 +109,4 @@ func partitionChains(ops []*op.Operation) [][]*op.Operation {
 		chains[ci] = append(chains[ci], o)
 	}
 	return chains
-}
-
-// redoCounters are the per-chain tallies merged into Result.  Each counter
-// is a sum of per-operation 0/1 decisions that depend only on intra-chain
-// state, so the merged totals are independent of chain scheduling.
-type redoCounters struct {
-	redone           int
-	skippedInstalled int
-	skippedUnexposed int
-	voided           int
-}
-
-func (c *redoCounters) add(d redoCounters) {
-	c.redone += d.redone
-	c.skippedInstalled += d.skippedInstalled
-	c.skippedUnexposed += d.skippedUnexposed
-	c.voided += d.voided
-}
-
-// redoChain replays one dependency chain serially in log order, exactly as
-// the serial redo loop would.  stop is checked between operations so one
-// chain's failure aborts the others promptly.  lane, when tracing, is the
-// executing worker's span lane; the chain span records the chain's length
-// and outcome counters.
-func redoChain(mgr *cache.Manager, dot dirtyTable, opts Options, traceMu *sync.Mutex, stop *atomic.Bool, chain []*op.Operation, lane *obs.Lane) (c redoCounters, err error) {
-	sp := lane.Begin("chain")
-	defer func() {
-		sp.Arg("ops", len(chain)).Arg("first_lsn", int64(chain[0].LSN)).
-			Arg("redone", c.redone).Arg("voided", c.voided).End()
-	}()
-	dc := newDecideCounters(opts.Obs)
-	for _, o := range chain {
-		if stop.Load() {
-			return c, nil
-		}
-		ex := DecideRedoExplain(opts.Test, mgr, dot, o)
-		if !ex.Redo {
-			if ex.InstalledWitness {
-				c.skippedInstalled++
-				traceLocked(opts, traceMu, o, "skip-installed")
-			} else {
-				c.skippedUnexposed++
-				traceLocked(opts, traceMu, o, "skip-unexposed")
-			}
-			dc.skip(opts.Flight, "recovery", o.LSN, ex)
-			continue
-		}
-		voided, err := mgr.TryApplyLogged(o.Clone())
-		if err != nil {
-			return c, fmt.Errorf("recovery: redo of %s: %w", o, err)
-		}
-		if voided {
-			c.voided++
-			traceLocked(opts, traceMu, o, "voided")
-		} else {
-			c.redone++
-			traceLocked(opts, traceMu, o, "redo")
-		}
-		dc.applied(opts.Flight, "recovery", o.LSN, ex, voided)
-	}
-	return c, nil
-}
-
-func traceLocked(opts Options, mu *sync.Mutex, o *op.Operation, decision string) {
-	if opts.Trace == nil {
-		return
-	}
-	mu.Lock()
-	opts.Trace(o, decision)
-	mu.Unlock()
-}
-
-// redoParallel runs the redo pass over the scanner with the given worker
-// count: it drains the scan, partitions the stream into dependency chains,
-// and dispatches whole chains onto the pool.  Counters land in res; lane
-// (nil-safe) carries the coordinator's scan/partition spans, and each
-// worker traces its chains into its own lane.
-func redoParallel(sc *wal.Scanner, mgr *cache.Manager, dot dirtyTable, opts Options, workers int, res *Result, lane *obs.Lane) error {
-	sp := lane.Begin("redo-scan")
-	var ops []*op.Operation
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			sp.End()
-			return err
-		}
-		if rec.Type != wal.RecOperation {
-			continue
-		}
-		ops = append(ops, rec.Op)
-	}
-	res.ScannedOps = len(ops)
-	sp.Arg("ops", len(ops)).End()
-
-	sp = lane.Begin("redo-partition")
-	chains := partitionChains(ops)
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	sp.Arg("chains", len(chains)).Arg("workers", workers).End()
-	if reg := opts.Obs; reg != nil {
-		reg.Gauge("recovery.redo.chains").Set(int64(len(chains)))
-		reg.Gauge("recovery.redo.workers").Set(int64(workers))
-		h := reg.Histogram("recovery.redo.chain_ops")
-		for _, chain := range chains {
-			h.Observe(int64(len(chain)))
-		}
-	}
-
-	var (
-		traceMu  sync.Mutex
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-		totalMu  sync.Mutex
-		total    redoCounters
-		wg       sync.WaitGroup
-	)
-	work := make(chan []*op.Operation)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var wl *obs.Lane
-			if opts.Tracer != nil {
-				wl = opts.Tracer.Lane(fmt.Sprintf("redo-worker-%02d", worker))
-			}
-			for chain := range work {
-				c, err := redoChain(mgr, dot, opts, &traceMu, &stop, chain, wl)
-				totalMu.Lock()
-				total.add(c)
-				totalMu.Unlock()
-				if err != nil {
-					stop.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}(w)
-	}
-	for _, chain := range chains {
-		if stop.Load() {
-			break
-		}
-		work <- chain
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	res.Redone = total.redone
-	res.SkippedInstalled = total.skippedInstalled
-	res.SkippedUnexposed = total.skippedUnexposed
-	res.Voided = total.voided
-	return nil
 }

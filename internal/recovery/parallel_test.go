@@ -1,15 +1,20 @@
-// Determinism tests for parallel redo: every crash/recover scenario must
-// yield bit-identical recovered state and Result counters at every worker
-// count.  The test lives in an external package so it can drive full engine
-// workloads (core + sim) against recovery directly.
+// Driver-equivalence tests: every crash/recover scenario must yield
+// bit-identical recovered state and Result counters however the chain
+// scheduler is driven — at every worker count, with demand calls racing the
+// background workers, and from backup.MediaRecover's own prologue.  The test
+// lives in an external package so it can drive full engine workloads (core +
+// sim) against recovery directly.
 package recovery_test
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"logicallog/internal/backup"
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/op"
@@ -61,10 +66,67 @@ type counters struct {
 	Repaired                                           bool
 }
 
+// recovered is everything a recovery run is held to: the counters, the
+// post-recovery stable snapshot, and each universe object's recovered
+// (cached) value ("" marks absent).
+type recovered struct {
+	c    counters
+	snap map[op.ObjectID]stable.Versioned
+	vals map[op.ObjectID]string
+}
+
+func collect(t *testing.T, res *recovery.Result, store *stable.Store, universe []op.ObjectID) recovered {
+	t.Helper()
+	r := recovered{
+		c: counters{
+			CheckpointLSN:    res.CheckpointLSN,
+			RedoStart:        res.RedoStart,
+			Analyzed:         res.AnalyzedRecords,
+			Scanned:          res.ScannedOps,
+			Redone:           res.Redone,
+			SkippedInstalled: res.SkippedInstalled,
+			SkippedUnexposed: res.SkippedUnexposed,
+			Voided:           res.Voided,
+			Repaired:         res.PendingFlushTxnRepaired,
+		},
+		snap: store.Snapshot(),
+		vals: make(map[op.ObjectID]string, len(universe)),
+	}
+	for _, x := range universe {
+		v, err := res.Manager.Get(x)
+		switch {
+		case err == nil:
+			r.vals[x] = string(v)
+		case errors.Is(err, cache.ErrNotFound):
+			r.vals[x] = ""
+		default:
+			t.Fatalf("Get(%s): %v", x, err)
+		}
+	}
+	return r
+}
+
+// requireSame holds got to base on every compared dimension.
+func requireSame(t *testing.T, label string, got, base recovered) {
+	t.Helper()
+	if got.c != base.c {
+		t.Errorf("%s: counters diverged:\n got %+v\nwant %+v", label, got.c, base.c)
+	}
+	if !sameSnap(got.snap, base.snap) {
+		t.Errorf("%s: stable snapshot diverged", label)
+	}
+	for x, want := range base.vals {
+		if got.vals[x] != want {
+			t.Errorf("%s: object %s diverged: got %q want %q", label, x, got.vals[x], want)
+		}
+	}
+}
+
 // recoverImage recovers an independent copy of the crash image with the
-// given worker count and returns the counters, the post-recovery stable
-// snapshot, and each universe object's recovered value ("" marks absent).
-func recoverImage(t *testing.T, img crashImage, test recovery.RedoTest, cfg cache.Config, workers int, universe []op.ObjectID) (counters, map[op.ObjectID]stable.Versioned, map[op.ObjectID]string) {
+// given worker count.  With demandSeed != 0 it goes through StartOnDemand
+// and races random RequireRead/RequireOp/RequireRange calls against the
+// background workers before Wait.
+func recoverImage(t *testing.T, img crashImage, test recovery.RedoTest, cfg cache.Config, workers int, universe []op.ObjectID, demandSeed int64) recovered {
 	t.Helper()
 	dev := wal.NewMemDevice()
 	if err := dev.Append(img.logBytes); err != nil {
@@ -76,38 +138,50 @@ func recoverImage(t *testing.T, img crashImage, test recovery.RedoTest, cfg cach
 	}
 	store := stable.NewStore()
 	store.Restore(img.snap)
-	res, err := recovery.Recover(log, store, recovery.Options{
-		Test:        test,
-		Cache:       cfg,
-		RedoWorkers: workers,
-	})
+	opts := recovery.Options{Test: test, Cache: cfg, RedoWorkers: workers}
+	if demandSeed == 0 {
+		res, err := recovery.Recover(log, store, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return collect(t, res, store, universe)
+	}
+	od, err := recovery.StartOnDemand(log, store, opts)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	c := counters{
-		CheckpointLSN:    res.CheckpointLSN,
-		RedoStart:        res.RedoStart,
-		Analyzed:         res.AnalyzedRecords,
-		Scanned:          res.ScannedOps,
-		Redone:           res.Redone,
-		SkippedInstalled: res.SkippedInstalled,
-		SkippedUnexposed: res.SkippedUnexposed,
-		Voided:           res.Voided,
-		Repaired:         res.PendingFlushTxnRepaired,
+	var wg sync.WaitGroup
+	for g := int64(0); g < 3; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			pick := func() op.ObjectID { return universe[rng.Intn(len(universe))] }
+			for i := 0; i < 8; i++ {
+				var err error
+				switch rng.Intn(3) {
+				case 0:
+					err = od.RequireRead(pick(), pick())
+				case 1:
+					err = od.RequireOp(&op.Operation{ReadSet: []op.ObjectID{pick()}, WriteSet: []op.ObjectID{pick()}})
+				default:
+					lo, hi := pick(), pick()
+					if hi < lo {
+						lo, hi = hi, lo
+					}
+					err = od.RequireRange(lo, hi)
+				}
+				if err != nil {
+					t.Errorf("workers=%d: demand: %v", workers, err)
+				}
+			}
+		}(rand.New(rand.NewSource(demandSeed + g)))
 	}
-	values := make(map[op.ObjectID]string, len(universe))
-	for _, x := range universe {
-		v, err := res.Manager.Get(x)
-		switch {
-		case err == nil:
-			values[x] = string(v)
-		case errors.Is(err, cache.ErrNotFound):
-			values[x] = ""
-		default:
-			t.Fatalf("workers=%d: Get(%s): %v", workers, x, err)
-		}
+	wg.Wait()
+	res, err := od.Wait()
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return c, store.Snapshot(), values
+	return collect(t, res, store, universe)
 }
 
 func sameSnap(a, b map[op.ObjectID]stable.Versioned) bool {
@@ -150,10 +224,12 @@ func parallelConfigs() map[string]core.Options {
 	}
 }
 
-var workerCounts = []int{1, 2, 8}
+var workerCounts = []int{1, 2, 4, 8}
 
-// checkScenario recovers one crash image at every worker count and requires
-// identical counters, stable snapshots, and recovered object values.
+// checkScenario recovers one crash image every way the scheduler can be
+// driven — Recover at every worker count, and StartOnDemand with racing
+// demand at every worker count — and requires identical counters, stable
+// snapshots, and recovered object values against the workers=1 Recover.
 func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 	t.Helper()
 	img, universe := capture(t, opts, sc)
@@ -163,25 +239,19 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 		LogInstalls: opts.LogInstalls,
 		Registry:    op.NewRegistry(),
 	}
-	baseC, baseSnap, baseVals := recoverImage(t, img, opts.RedoTest, cfg, workerCounts[0], universe)
-	for _, w := range workerCounts[1:] {
-		c, snap, vals := recoverImage(t, img, opts.RedoTest, cfg, w, universe)
-		if c != baseC {
-			t.Errorf("seed %d workers=%d: counters diverged:\n got %+v\nwant %+v", sc.Seed, w, c, baseC)
+	base := recoverImage(t, img, opts.RedoTest, cfg, workerCounts[0], universe, 0)
+	for _, w := range workerCounts {
+		if w != workerCounts[0] {
+			got := recoverImage(t, img, opts.RedoTest, cfg, w, universe, 0)
+			requireSame(t, fmt.Sprintf("seed %d workers=%d", sc.Seed, w), got, base)
 		}
-		if !sameSnap(snap, baseSnap) {
-			t.Errorf("seed %d workers=%d: stable snapshot diverged", sc.Seed, w)
-		}
-		for x, want := range baseVals {
-			if vals[x] != want {
-				t.Errorf("seed %d workers=%d: object %s diverged: got %q want %q", sc.Seed, w, x, vals[x], want)
-			}
-		}
+		got := recoverImage(t, img, opts.RedoTest, cfg, w, universe, sc.Seed*131+int64(w))
+		requireSame(t, fmt.Sprintf("seed %d workers=%d demand-interleaved", sc.Seed, w), got, base)
 	}
 }
 
 // TestParallelRedoMatrix runs the full configuration matrix over randomized
-// scenarios at worker counts {1, 2, 8}.
+// scenarios at worker counts {1, 2, 4, 8}, plain and demand-interleaved.
 func TestParallelRedoMatrix(t *testing.T) {
 	for name, opts := range parallelConfigs() {
 		opts := opts
@@ -228,5 +298,66 @@ func TestParallelRedoWideUniverse(t *testing.T) {
 		sc.Objects = 48
 		sc.Steps = 300
 		checkScenario(t, opts, sc)
+	}
+}
+
+// TestMediaRecoverDriverEquivalence is the matrix's media-recovery row: a
+// backup taken mid-workload, the stable store lost, and backup.MediaRecover
+// run at every worker count must agree with its workers=1 run — it hands its
+// own prologue's state to the same scheduler.
+func TestMediaRecoverDriverEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		eng, err := core.New(core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sim.DefaultScenario(seed)
+		sc.Objects = 12
+		sc.Steps = 160
+		var b *backup.Backup
+		sc.StepHook = func(step int) error {
+			if step != 50 {
+				return nil
+			}
+			var err error
+			if b, err = backup.Take(eng, nil); err == nil {
+				b.RegisterRetention(eng.Log())
+			}
+			return err
+		}
+		if err := sim.DriveWorkload(eng, sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Log().Force(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Crash()
+		universe := make([]op.ObjectID, sc.Objects)
+		for i := range universe {
+			universe[i] = op.ObjectID(fmt.Sprintf("obj%02d", i))
+		}
+		var base recovered
+		for _, w := range workerCounts {
+			eng.Store().Restore(nil) // the media failure
+			res, err := backup.MediaRecover(eng, b, recovery.Options{
+				Cache: cache.Config{
+					Policy: writegraph.PolicyRW, Strategy: cache.StrategyIdentityWrite,
+					LogInstalls: true, Registry: eng.Registry(),
+				},
+				RedoWorkers: w,
+			})
+			if err != nil {
+				t.Fatalf("seed %d workers=%d: %v", seed, w, err)
+			}
+			if res.Redone == 0 {
+				t.Fatalf("seed %d: media recovery redid nothing; the row is vacuous", seed)
+			}
+			got := collect(t, res, eng.Store(), universe)
+			if w == workerCounts[0] {
+				base = got
+				continue
+			}
+			requireSame(t, fmt.Sprintf("seed %d media workers=%d", seed, w), got, base)
+		}
 	}
 }

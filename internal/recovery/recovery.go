@@ -64,24 +64,27 @@ type Options struct {
 	// Cache configures the cache manager recovery rebuilds (policy,
 	// strategy, registry).  Registry is required.
 	Cache cache.Config
-	// RedoWorkers bounds the redo pass's worker pool.  0 (the default)
-	// resolves to runtime.GOMAXPROCS(0); 1 forces the streaming serial
-	// path.  Any value yields bit-identical recovered state and counters;
-	// see parallel.go for the dependency-chain argument.
+	// RedoWorkers is the number of goroutines replaying dependency chains;
+	// 0 (the default) resolves to runtime.GOMAXPROCS(0).  Recover's caller
+	// is one of them (1 = everything on the calling goroutine);
+	// StartOnDemand's caller leaves, so all run in the background.  Any
+	// value yields bit-identical recovered state and counters (parallel.go).
 	RedoWorkers int
 	// Trace, when non-nil, receives each redo-pass decision ("redo",
 	// "skip-installed", "skip-unexposed", "voided") as it is made.  Debug
 	// and inspection use only.
 	Trace func(o *op.Operation, decision string)
 	// Tracer, when non-nil, records the recovery pipeline's phase spans —
-	// restart, flush-txn repair, analysis, redo-chain partitioning, and one
-	// lane per redo worker with a span per replayed dependency chain.
+	// restart, flush-txn repair, analysis, redo scan and chain partitioning
+	// on the "recovery" lane, and one "redo-worker-NN" lane per replaying
+	// goroutine with a span per replayed dependency chain.
 	// Timing is observational only: it never feeds replay ordering, so
 	// traced runs recover bit-identical state.
 	Tracer *obs.Tracer
 	// Obs, when non-nil, receives recovery metrics: the dependency-chain
-	// count and per-chain operation-count distribution of the parallel redo
-	// partitioner, plus the recovery.decide.* decision family.
+	// count and per-chain operation-count distribution of the redo
+	// partitioner, the scheduler's recovery.ondemand.* family, and the
+	// recovery.decide.* decision family.
 	Obs *obs.Registry
 	// Flight, when non-nil, records every redo decision (with its witness
 	// or dirty-table reason) in the flight recorder for post-hoc forensics
@@ -124,11 +127,12 @@ type Result struct {
 type dirtyTable map[op.ObjectID]op.SI
 
 // Recover performs full crash recovery over the durable log and stable
-// store and returns the rebuilt volatile state.  It is idempotent: crashing
-// during recovery and recovering again yields the same stable state, because
-// recovery itself follows the same WAL and write-graph disciplines as normal
-// operation and never resets installed state (history is repeated, not
-// undone).
+// store and returns the rebuilt volatile state: the prologue, then the chain
+// scheduler drained with the caller as one of its replaying goroutines.  It
+// is idempotent: crashing during recovery and recovering again yields the
+// same stable state, because recovery itself follows the same WAL and
+// write-graph disciplines as normal operation and never resets installed
+// state (history is repeated, not undone).
 func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 	res := &Result{}
 	lane := opts.Tracer.Lane("recovery")
@@ -136,66 +140,25 @@ func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := res.Manager
+	return redo(log, opts, res, dot, lane)
+}
 
-	// Redo pass (Figure 2): scan from the start point, test, replay.
-	sc, err := log.Scan(res.RedoStart)
+// Redo runs the redo pass alone, for a caller with its own prologue
+// (backup.MediaRecover): it replays the operations logged at or after from
+// against mgr, deciding each with opts.Test and the dirty object table dot.
+func Redo(log *wal.Log, mgr *cache.Manager, dot map[op.ObjectID]op.SI, from op.SI, opts Options) (*Result, error) {
+	res := &Result{Manager: mgr, RedoStart: from}
+	return redo(log, opts, res, dot, opts.Tracer.Lane("recovery"))
+}
+
+// redo drains the whole redo suffix on the calling goroutine plus
+// opts.RedoWorkers-1 others, filling res's redo counters.
+func redo(log *wal.Log, opts Options, res *Result, dot dirtyTable, lane *obs.Lane) (*Result, error) {
+	od, err := startRedo(log, opts, res, dot, lane, resolveWorkers(opts.RedoWorkers)-1)
 	if err != nil {
 		return nil, err
 	}
-	if workers := resolveWorkers(opts.RedoWorkers); workers > 1 {
-		if err := redoParallel(sc, mgr, dot, opts, workers, res, lane); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	sp := lane.Begin("redo-serial")
-	defer func() {
-		sp.Arg("scanned", res.ScannedOps).Arg("redone", res.Redone).
-			Arg("skipped_installed", res.SkippedInstalled).
-			Arg("skipped_unexposed", res.SkippedUnexposed).
-			Arg("voided", res.Voided).End()
-	}()
-	dc := newDecideCounters(opts.Obs)
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec.Type != wal.RecOperation {
-			continue
-		}
-		res.ScannedOps++
-		o := rec.Op
-		ex := DecideRedoExplain(opts.Test, mgr, dot, o)
-		if !ex.Redo {
-			if ex.InstalledWitness {
-				res.SkippedInstalled++
-				trace(opts, o, "skip-installed")
-			} else {
-				res.SkippedUnexposed++
-				trace(opts, o, "skip-unexposed")
-			}
-			dc.skip(opts.Flight, "recovery", o.LSN, ex)
-			continue
-		}
-		voided, err := mgr.TryApplyLogged(o.Clone())
-		if err != nil {
-			return nil, fmt.Errorf("recovery: redo of %s: %w", o, err)
-		}
-		if voided {
-			res.Voided++
-			trace(opts, o, "voided")
-		} else {
-			res.Redone++
-			trace(opts, o, "redo")
-		}
-		dc.applied(opts.Flight, "recovery", o.LSN, ex, voided)
-	}
-	return res, nil
+	return od.Wait()
 }
 
 // recoverPrologue runs the recovery phases that precede redo: the log
@@ -203,7 +166,7 @@ func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 // repair, the cache-manager rebuild, the analysis pass, and the redo-start
 // computation.  Results land in res (Manager, CheckpointLSN, AnalyzedRecords,
 // RedoStart, PendingFlushTxnRepaired); the returned dirty table drives the
-// redo pass — full (Recover) or on-demand (StartOnDemand).
+// redo pass, whether Recover waits for it or StartOnDemand returns first.
 func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Result, lane *obs.Lane) (dirtyTable, error) {
 	// Restart the log over its device first, as a process restart would:
 	// trim the untrustworthy debris of a torn, bit-flipped, or reordered
@@ -255,48 +218,6 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	}
 	res.RedoStart = redoStart
 	return dot, nil
-}
-
-// decideCounters bundles the recovery.decide.* metric family with the
-// flight-recorder emission for one redo pass; handles are resolved once
-// per Recover (or standby) so the per-decision cost with observability
-// disabled stays a nil check.
-type decideCounters struct {
-	redo, skipInstalled, skipUnexposed, voided *obs.Counter
-}
-
-func newDecideCounters(reg *obs.Registry) decideCounters {
-	return decideCounters{
-		redo:          reg.Counter("recovery.decide.redo"),
-		skipInstalled: reg.Counter("recovery.decide.skip_installed"),
-		skipUnexposed: reg.Counter("recovery.decide.skip_unexposed"),
-		voided:        reg.Counter("recovery.decide.voided"),
-	}
-}
-
-// skip records a non-redo decision: the installed witness (object and its
-// current vSI) or the unexposed/clean verdict.
-func (dc decideCounters) skip(fl *flight.Recorder, actor string, lsn op.SI, ex RedoExplanation) {
-	if ex.InstalledWitness {
-		dc.skipInstalled.Inc()
-		fl.RedoDecision(actor, lsn, flight.DecSkipInstalled, ex.WitnessObject, ex.WitnessVSI)
-	} else {
-		dc.skipUnexposed.Inc()
-		fl.RedoDecision(actor, lsn, flight.DecSkipUnexposed, "", op.NilSI)
-	}
-}
-
-// applied records the outcome of an attempted redo: replayed, or voided
-// by the trial execution.  The dirty-table entry that exposed the record
-// rides along as the reason.
-func (dc decideCounters) applied(fl *flight.Recorder, actor string, lsn op.SI, ex RedoExplanation, voided bool) {
-	if voided {
-		dc.voided.Inc()
-		fl.RedoDecision(actor, lsn, flight.DecVoided, ex.DirtyObject, ex.DirtyRSI)
-	} else {
-		dc.redo.Inc()
-		fl.RedoDecision(actor, lsn, flight.DecRedo, ex.DirtyObject, ex.DirtyRSI)
-	}
 }
 
 // analyze reconstructs the dirty object table from the most recent
@@ -386,17 +307,6 @@ func UpdateDirtyTable(dot map[op.ObjectID]op.SI, rec *wal.Record, test RedoTest)
 	}
 }
 
-func trace(opts Options, o *op.Operation, decision string) {
-	if opts.Trace != nil {
-		opts.Trace(o, decision)
-	}
-}
-
-// redoDecision evaluates the REDO test for o against the recovering state.
-func redoDecision(test RedoTest, mgr *cache.Manager, dot dirtyTable, o *op.Operation) (redo, installedWitness bool) {
-	return DecideRedo(test, mgr, dot, o)
-}
-
 // RedoExplanation is a REDO decision with its evidence: the witness that
 // proved the operation installed, or the dirty-table entry that exposed
 // it.  It is what the flight recorder persists and `llinspect -explain`
@@ -418,19 +328,11 @@ type RedoExplanation struct {
 	DirtyRSI    op.SI
 }
 
-// DecideRedo evaluates the REDO test for o against the given state — the
-// recovering engine's during crash recovery, or a warm standby's as shipped
-// records arrive (replication is recovery that never stops).  It returns
-// whether to redo, and (when not redoing) whether the skip was justified by
-// an installed witness (vSI) as opposed to unexposed/clean reasoning (rSI).
-func DecideRedo(test RedoTest, mgr *cache.Manager, dot map[op.ObjectID]op.SI, o *op.Operation) (redo, installedWitness bool) {
-	ex := DecideRedoExplain(test, mgr, dot, o)
-	return ex.Redo, ex.InstalledWitness
-}
-
-// DecideRedoExplain is DecideRedo returning the full evidence for the
-// verdict.  Same predicate, same order of tests; DecideRedo delegates
-// here.
+// DecideRedoExplain evaluates the REDO test for o against the given state —
+// the recovering engine's during crash recovery, or a warm standby's as
+// shipped records arrive (replication is recovery that never stops) — and
+// returns the verdict with its evidence.  Step.Apply is its one replay-time
+// caller.
 func DecideRedoExplain(test RedoTest, mgr *cache.Manager, dot map[op.ObjectID]op.SI, o *op.Operation) RedoExplanation {
 	if test == TestRedoAll {
 		return RedoExplanation{Redo: true}

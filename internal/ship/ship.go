@@ -7,8 +7,8 @@
 // primary's durable log records — operations, installs, flushes, and
 // checkpoints — in acked batches over a Transport; a Standby applies them
 // incrementally with exactly the machinery crash recovery uses (the dirty
-// object table via recovery.UpdateDirtyTable, the REDO test via
-// recovery.DecideRedo, trial execution via cache.TryApplyLogged) and mirrors
+// object table via recovery.UpdateDirtyTable, the REDO test and trial
+// execution via the shared redo step, recovery.Step) and mirrors
 // the primary's installation schedule from its install/flush records
 // (cache.MirrorInstall/MirrorFlush), so the standby's stable state is kept
 // hot and its own log is a byte-equivalent prefix copy of the primary's.

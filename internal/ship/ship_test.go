@@ -3,6 +3,7 @@ package ship_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -358,6 +359,81 @@ func TestShipStandbyCrashRestart(t *testing.T) {
 				t.Fatal("crash step never ran")
 			}
 			finishAndPromote(t, eng, s, sb)
+		})
+	}
+}
+
+// applyState renders a standby's volatile apply state: every object's cached
+// value and vSI, the dirty count, and the write graph's node groupings (each
+// node's uninstalled operation LSNs and flush set, order-independent of node
+// ids).
+func applyState(sb *ship.Standby, objects []op.ObjectID) string {
+	mgr := sb.CacheForTest()
+	var b strings.Builder
+	for _, x := range objects {
+		v, err := mgr.Get(x)
+		fmt.Fprintf(&b, "%s=%x@%d (%v)\n", x, v, mgr.CurrentVSI(x), err)
+	}
+	fmt.Fprintf(&b, "dirty=%d\n", mgr.DirtyCount())
+	var nodes []string
+	for _, n := range mgr.WriteGraph().Nodes() {
+		var lsns []op.SI
+		for _, o := range n.Ops {
+			lsns = append(lsns, o.LSN)
+		}
+		nodes = append(nodes, fmt.Sprintf("ops=%v vars=%v notx=%v", lsns, n.Vars, n.Notx))
+	}
+	sort.Strings(nodes)
+	b.WriteString(strings.Join(nodes, "\n"))
+	return b.String()
+}
+
+// TestShipRestartMatchesUninterruptedApply feeds one primary's stream to two
+// standbys and crashes and restarts one of them mid-stream.  Restart replays
+// the durable log through the same per-record body live apply uses, so once
+// the resend catches the restarted standby up, its cached state and
+// write-graph groupings must equal the uninterrupted standby's.
+func TestShipRestartMatchesUninterruptedApply(t *testing.T) {
+	for _, cfg := range sim.ExplorerConfigs() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			eng, steady, s1 := newPair(t, cfg.Opts, nil, 4)
+			defer s1.Close()
+			bounced, err := ship.NewStandby(ship.StandbyConfig{Opts: cfg.Opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2 := ship.NewSender(eng.Log(), ship.NewLink(bounced, nil), 1, ship.SenderConfig{BatchRecords: 4})
+			defer s2.Close()
+			w := newWorkload(31, 6)
+			drive(t, eng, w, 70, func(step int) {
+				for _, s := range []*ship.Sender{s1, s2} {
+					if err := s.PumpAll(); err != nil {
+						t.Fatalf("pump: %v", err)
+					}
+				}
+				if step == 20 || step == 45 {
+					bounced.Crash()
+					if err := bounced.Restart(); err != nil {
+						t.Fatalf("restart: %v", err)
+					}
+				}
+			})
+			if err := eng.Log().Force(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*ship.Sender{s1, s2} {
+				if err := s.Sync(); err != nil {
+					t.Fatalf("sync: %v", err)
+				}
+			}
+			if steady.Applied() != bounced.Applied() {
+				t.Fatalf("applied horizons differ: %d vs %d", steady.Applied(), bounced.Applied())
+			}
+			if want, got := applyState(steady, w.objects), applyState(bounced, w.objects); got != want {
+				t.Errorf("restarted standby diverged from uninterrupted apply:\n--- uninterrupted\n%s\n--- restarted\n%s", want, got)
+			}
 		})
 	}
 }

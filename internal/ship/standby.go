@@ -69,6 +69,7 @@ type Standby struct {
 	store    *stable.Store
 	mgr      *cache.Manager
 	dot      map[op.ObjectID]op.SI
+	step     *recovery.Step
 	origin   op.SI // first LSN ever shipped here (backup StartLSN, or 1)
 	want     op.SI // next LSN to apply
 	applied  op.SI // highest LSN applied
@@ -94,7 +95,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 // Bootstrap builds a standby from a fuzzy backup image: the image becomes
 // its stable store and the stream is expected from the backup's StartLSN.
 // Each imaged object's vSI makes the replay skip exactly the operations the
-// image already reflects (the vSI witness in recovery.DecideRedo) — the same
+// image already reflects (the vSI witness in the REDO test) — the same
 // mechanism backup.MediaRecover uses.
 func Bootstrap(cfg StandbyConfig, b *backup.Backup) (*Standby, error) {
 	if b.StartLSN < 1 {
@@ -131,7 +132,6 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 		cfg:     cfg,
 		log:     log,
 		store:   stable.NewStore(),
-		dot:     make(map[op.ObjectID]op.SI),
 		origin:  origin,
 		want:    origin,
 		applied: origin - 1,
@@ -140,8 +140,7 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	if image != nil {
 		s.store.Restore(image)
 	}
-	s.mgr, err = cache.NewManager(s.cacheConfig(), s.log, s.store)
-	if err != nil {
+	if err := s.resetVolatileLocked(); err != nil {
 		return nil, err
 	}
 	r := cfg.Opts.Obs
@@ -262,13 +261,11 @@ func (s *Standby) ackLocked() Ack {
 	return Ack{Applied: s.applied, Durable: s.log.StableLSN(), Want: s.want}
 }
 
-// applyLocked runs one record through the continuous-redo pipeline: append
-// it to the standby's own log (keeping the log a byte-equivalent prefix copy
-// of the primary's), fold it into the incremental dirty object table, then
-// act by type — operations run the REDO test and trial execution exactly as
-// crash recovery would; install/flush records mirror the primary's
-// installation schedule against cached standby state; checkpoints force (and
-// optionally truncate) the standby log.
+// applyLocked runs one shipped record through the continuous-redo pipeline:
+// append it to the standby's own log (keeping the log a byte-equivalent
+// prefix copy of the primary's), force that log before anything the record
+// installs can reach the store, replay it (replayRecord), then account for
+// it — a checkpoint optionally truncates the standby log.
 func (s *Standby) applyLocked(rec *wal.Record) error {
 	var start time.Time
 	if s.applyNs.Enabled() {
@@ -277,57 +274,38 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 	if err := s.log.AppendShipped(rec); err != nil {
 		return err
 	}
-	test := s.cfg.Opts.RedoTest
-	recovery.UpdateDirtyTable(s.dot, rec, test)
 	switch rec.Type {
-	case wal.RecOperation:
-		ex := recovery.DecideRedoExplain(test, s.mgr, s.dot, rec.Op)
-		if !ex.Redo {
-			if ex.InstalledWitness {
-				s.stats.SkippedInstalled++
-				s.flight().RedoDecision("standby", rec.LSN, flight.DecSkipInstalled, ex.WitnessObject, ex.WitnessVSI)
-			} else {
-				s.stats.SkippedUnexposed++
-				s.flight().RedoDecision("standby", rec.LSN, flight.DecSkipUnexposed, "", op.NilSI)
-			}
-			break
-		}
-		voided, err := s.mgr.TryApplyLogged(rec.Op.Clone())
-		if err != nil {
-			return fmt.Errorf("ship: apply of %s: %w", rec.Op, err)
-		}
-		if voided {
-			s.stats.Voided++
-			s.flight().RedoDecision("standby", rec.LSN, flight.DecVoided, ex.DirtyObject, ex.DirtyRSI)
-		} else {
-			s.stats.Applied++
-			s.appliedC.Inc()
-			s.flight().RedoDecision("standby", rec.LSN, flight.DecRedo, ex.DirtyObject, ex.DirtyRSI)
-		}
-	case wal.RecInstall:
+	case wal.RecInstall, wal.RecFlush, wal.RecCheckpoint:
 		// WAL protocol: the flush must not outrun the standby's own
 		// durable log (the primary forced through these ops' LSNs too).
 		if err := s.log.ForceThrough(rec.LSN); err != nil {
 			return err
 		}
-		lsns, err := s.mgr.MirrorInstall(rec.Install)
-		if err != nil {
-			return err
+	}
+	out, installed, err := s.replayRecord(rec)
+	if err != nil {
+		return err
+	}
+	switch rec.Type {
+	case wal.RecOperation:
+		switch out {
+		case recovery.Redone:
+			s.stats.Applied++
+			s.appliedC.Inc()
+		case recovery.Voided:
+			s.stats.Voided++
+		case recovery.SkippedInstalled:
+			s.stats.SkippedInstalled++
+		case recovery.SkippedUnexposed:
+			s.stats.SkippedUnexposed++
 		}
-		s.noteInstall(lsns)
-	case wal.RecFlush:
-		if err := s.log.ForceThrough(rec.LSN); err != nil {
-			return err
+	case wal.RecInstall, wal.RecFlush:
+		s.stats.Installs++
+		s.installsC.Inc()
+		if s.cfg.InstallTrace != nil {
+			s.cfg.InstallTrace(installed)
 		}
-		lsns, err := s.mgr.MirrorFlush(rec.Flush)
-		if err != nil {
-			return err
-		}
-		s.noteInstall(lsns)
 	case wal.RecCheckpoint:
-		if err := s.log.ForceThrough(rec.LSN); err != nil {
-			return err
-		}
 		if s.cfg.TruncateOnCheckpoint {
 			if err := s.log.Truncate(rec.Checkpoint.RedoStart(rec.LSN)); err != nil {
 				return err
@@ -340,12 +318,31 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 	return nil
 }
 
-func (s *Standby) noteInstall(lsns []op.SI) {
-	s.stats.Installs++
-	s.installsC.Inc()
-	if s.cfg.InstallTrace != nil {
-		s.cfg.InstallTrace(lsns)
+// replayRecord is the per-record body of continuous redo, shared by live
+// apply and restart replay: fold the record into the incremental dirty
+// object table, then run an operation through the redo step (exactly as
+// crash recovery would) or mirror an install/flush record against cached
+// standby state.  It returns the operation's outcome or the operation LSNs
+// the mirrored record installed.  Records go through in strict log order,
+// never through the chain scheduler: the standby's write graph must regrow
+// with the primary's node groupings for the next install record to find
+// its node.
+func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, installed []op.SI, err error) {
+	recovery.UpdateDirtyTable(s.dot, rec, s.cfg.Opts.RedoTest)
+	switch rec.Type {
+	case wal.RecOperation:
+		out, err = s.step.Apply(rec.Op)
+	case wal.RecInstall:
+		//lint:ignore walorder live apply forces through rec.LSN before calling; restart replay reads the standby's own durable log, where every record was forced before it became scannable
+		installed, err = s.mgr.MirrorInstall(rec.Install)
+	case wal.RecFlush:
+		//lint:ignore walorder as for RecInstall: forced by applyLocked, or already durable when replayed at restart
+		installed, err = s.mgr.MirrorFlush(rec.Flush)
 	}
+	if err != nil {
+		err = fmt.Errorf("ship: replay of %s record %d: %w", rec.Type, rec.LSN, err)
+	}
+	return out, installed, err
 }
 
 // Crash simulates a standby crash: the unforced log tail and all volatile
@@ -398,27 +395,23 @@ func (s *Standby) Restart() error {
 // mirroring the primary's install records, which requires its write graph to
 // regrow with exactly the node groupings continuous apply had; an
 // analysis/redo pass rebuilds a fresh graph whose groupings can differ.
-// Replaying the same record sequence through the same per-record logic is
-// deterministic, so the rebuilt state is precisely what the apply loop had
-// produced for the durable prefix.  Second, when no install records are
+// Replaying the same record sequence through the same per-record body
+// (replayRecord) is deterministic, so the rebuilt state is precisely what the
+// apply loop had produced for the durable prefix.  Second, when no install records are
 // shipped the standby's store lags the shipped checkpoints' dirty tables
 // (they describe the *primary's* stable state), so those checkpoints cannot
 // seed an analysis pass — the same reason backup.MediaRecover distrusts
-// them.  The vSI witness in DecideRedo makes the replay skip exactly the
+// them.  The vSI witness in the REDO test makes the replay skip exactly the
 // operations the store already reflects, and MirrorInstall/MirrorFlush treat
 // the witnessed-away operations as bootstrap skips.
 func (s *Standby) replayLogLocked() error {
-	mgr, err := cache.NewManager(s.cacheConfig(), s.log, s.store)
-	if err != nil {
+	if err := s.resetVolatileLocked(); err != nil {
 		return err
 	}
-	s.mgr = mgr
-	s.dot = make(map[op.ObjectID]op.SI)
 	sc, err := s.log.Scan(s.log.FirstLSN())
 	if err != nil {
 		return err
 	}
-	test := s.cfg.Opts.RedoTest
 	for {
 		rec, err := sc.Next()
 		if errors.Is(err, io.EOF) {
@@ -427,30 +420,27 @@ func (s *Standby) replayLogLocked() error {
 		if err != nil {
 			return err
 		}
-		recovery.UpdateDirtyTable(s.dot, rec, test)
-		switch rec.Type {
-		case wal.RecOperation:
-			if redo, _ := recovery.DecideRedo(test, s.mgr, s.dot, rec.Op); !redo {
-				continue
-			}
-			if _, err := s.mgr.TryApplyLogged(rec.Op.Clone()); err != nil {
-				return fmt.Errorf("ship: restart replay of %s: %w", rec.Op, err)
-			}
-		case wal.RecInstall:
-			// Re-flushing is idempotent: a mirrored install flushes the
-			// replayed cached value, which replay determinism makes equal to
-			// what was flushed before the crash.
-			//lint:ignore walorder replaying the standby's own durable log: every record here was forced before it became scannable, so the write-ahead obligation is already discharged
-			if _, err := s.mgr.MirrorInstall(rec.Install); err != nil {
-				return fmt.Errorf("ship: restart replay of install %d: %w", rec.LSN, err)
-			}
-		case wal.RecFlush:
-			//lint:ignore walorder replaying the standby's own durable log: the flush record is durable, hence so is everything at or below its LSN
-			if _, err := s.mgr.MirrorFlush(rec.Flush); err != nil {
-				return fmt.Errorf("ship: restart replay of flush %d: %w", rec.LSN, err)
-			}
+		// Re-flushing is idempotent: a mirrored install flushes the replayed
+		// cached value, which replay determinism makes equal to what was
+		// flushed before the crash.
+		if _, _, err := s.replayRecord(rec); err != nil {
+			return err
 		}
 	}
+}
+
+// resetVolatileLocked gives the standby an empty cache manager and dirty
+// object table, and the redo step over them.
+func (s *Standby) resetVolatileLocked() error {
+	mgr, err := cache.NewManager(s.cacheConfig(), s.log, s.store)
+	if err != nil {
+		return err
+	}
+	s.mgr = mgr
+	s.dot = make(map[op.ObjectID]op.SI)
+	o := s.cfg.Opts
+	s.step = recovery.NewStep(recovery.Options{Test: o.RedoTest, Obs: o.Obs, Flight: o.Flight}, "standby", s.mgr, s.dot)
+	return nil
 }
 
 // Promote fails the standby over to primary: it forces the applied tail

@@ -126,7 +126,7 @@ func DefaultScenario(seed int64) Scenario {
 // divergence.
 func CrashTest(opts core.Options, sc Scenario) error {
 	if opts.RedoWorkers == 0 {
-		// Exercise serial and parallel redo alike.  A separate rng keeps the
+		// Exercise one and several replaying goroutines alike.  A separate rng keeps the
 		// workload stream (and thus every pinned-seed regression scenario)
 		// byte-identical to what it was before worker randomization existed.
 		workerRNG := rand.New(rand.NewSource(sc.Seed ^ 0x5ed0c0de))
