@@ -70,10 +70,6 @@ type Config struct {
 	// InstallTrace, when non-nil, receives a snapshot of every installed
 	// write-graph node (debug and inspection use only).
 	InstallTrace func(view *writegraph.NodeView)
-	// TransientRetries bounds how many times an install retries a stable
-	// batch that failed with a transient (retryable) I/O error — see
-	// wal.IsTransient.  Zero disables retry.
-	TransientRetries int
 	// Obs, when non-nil, receives the manager's hot-path metrics:
 	// atomic-flush-set and Notx size distributions, install latency,
 	// write-graph node/operation gauges, and transient-retry backoff.
@@ -88,7 +84,8 @@ type cacheObs struct {
 	flushSetSize *obs.Histogram
 	// notxSize is |Notx(n)| per installed node (installed without flushing).
 	notxSize *obs.Histogram
-	// installNs is the end-to-end InstallNode latency (force + flush + log).
+	// installNs is the installation step's latency (flush + graph removal +
+	// rSI advance), on a primary and a standby alike.
 	installNs *obs.Histogram
 	// wgNodes/wgOps track the live write graph after every AddOp.
 	wgNodes *obs.Gauge
@@ -113,13 +110,6 @@ func newCacheObs(r *obs.Registry) cacheObs {
 		retries:        r.Counter("cache.retry.attempts"),
 	}
 }
-
-// Transient-retry backoff bounds for stable-store batches.  The simulated
-// store has no real latency, so these only pace the retry loop.
-const (
-	transientRetryBase = 20 * time.Microsecond
-	transientRetryCap  = 500 * time.Microsecond
-)
 
 // Stats counts cache-manager activity.
 type Stats struct {
@@ -523,16 +513,13 @@ var ErrNothingToInstall = errors.New("cache: nothing to install")
 // the caller should pick a new minimal node.
 var errDeferred = errors.New("cache: node deferred by identity-write breakup")
 
-// InstallNode installs the write-graph node id: under the identity-write
-// strategy it first breaks multi-object flush sets apart with W_IP
-// operations; it forces the log (WAL), flushes vars(n) with the configured
-// atomicity mechanism, logs the installation record, and updates rSIs for
-// both flushed and unflushed (Notx) objects.
+// InstallNode installs the write-graph node id.  What is the primary's own
+// happens here: under the identity-write strategy it first breaks
+// multi-object flush sets apart with W_IP operations, it checks the node is
+// still minimal, forces the log (WAL), and — after the shared installation
+// step has flushed vars(n) and advanced the rSIs — logs the installation
+// record.
 func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
-	var installStart time.Time
-	if m.obs.installNs.Enabled() {
-		installStart = time.Now()
-	}
 	nv := m.wg.Node(id)
 	if nv == nil {
 		return nil, fmt.Errorf("cache: no write-graph node %d", id)
@@ -574,14 +561,7 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 	}
 	// Breakup may have added inverse write-read predecessors; those nodes
 	// must install first.
-	minimal := false
-	for _, min := range m.wg.Minimal() {
-		if min == id {
-			minimal = true
-			break
-		}
-	}
-	if !minimal {
+	if !m.wg.IsMinimal(id) {
 		return nil, errDeferred
 	}
 
@@ -610,101 +590,152 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		return nil, err
 	}
 
-	// Build the flush batch from cached state.  Invariant: for x in
-	// vars(n), the last writer of x is in ops(n) (later writers either
-	// merged in or removed x from vars), so the cached value is Lastw(n,x).
-	entries := make([]stable.Entry, 0, len(nv.Vars))
-	for _, x := range nv.Vars {
-		e, ok := m.lookup(x)
-		if !ok {
-			return nil, fmt.Errorf("cache: flush set object %q not in cache", x)
-		}
-		entries = append(entries, stable.Entry{
-			ID:     x,
-			Val:    e.val,
-			VSI:    nv.Lastw[x],
-			Delete: !e.exists,
-		})
+	if err := m.install([]graph.NodeID{id}, nv.Vars, nv.Notx); err != nil {
+		return nil, err
 	}
-	mode := stable.ModeSingle
-	if len(entries) > 1 {
-		switch m.cfg.Strategy {
-		case StrategyShadow:
-			mode = stable.ModeShadow
-		case StrategyFlushTxn:
-			mode = stable.ModeFlushTxn
-		default:
-			mode = stable.ModeShadow // identity strategy shouldn't get here
+
+	// Log the installation (lazily; no force needed — Section 5 notes the
+	// vSI check covers a lost install record).
+	if m.cfg.LogInstalls {
+		var rec *wal.Record
+		if len(nv.Vars) == 1 && len(nv.Notx) == 0 {
+			// Physiological special case: a plain flush record suffices.
+			rec = wal.NewFlushRecord(nv.Vars[0], nv.Lastw[nv.Vars[0]])
+		} else {
+			// Flushed objects came clean (rSI nil); a Notx object's rSI is
+			// the lSI of the blind write that made it unexposed.
+			flushed := make([]wal.ObjectRSI, len(nv.Vars))
+			for i, x := range nv.Vars {
+				flushed[i].ID = x
+			}
+			unflushed := make([]wal.ObjectRSI, len(nv.Notx))
+			for i, x := range nv.Notx {
+				rsi, _ := m.RSI(x)
+				unflushed[i] = wal.ObjectRSI{ID: x, RSI: rsi}
+			}
+			opLSNs := make([]op.SI, len(nv.Ops))
+			for i, o := range nv.Ops {
+				opLSNs[i] = o.LSN
+			}
+			rec = wal.NewInstallRecord(flushed, unflushed, opLSNs)
 		}
-		m.statsMu.Lock()
-		m.stats.MultiObjectFlushes++
-		m.statsMu.Unlock()
-	}
-	if len(entries) > 0 {
-		err := m.store.WriteBatch(entries, mode)
-		// Transient device errors retry the whole batch with capped
-		// backoff.  Re-running is safe in every mode: a failed attempt
-		// left either the old state (single/shadow, pre-commit flush-txn)
-		// or a committed pending repair that the retry's phase 1 simply
-		// re-logs; unsafe torn prefixes are overwritten by the identical
-		// values.
-		bo := wal.NewBackoff(transientRetryBase, transientRetryCap)
-		for attempt := 1; err != nil && attempt <= m.cfg.TransientRetries && wal.IsTransient(err); attempt++ {
-			backoff := bo.Next()
-			m.obs.retries.Inc()
-			m.obs.retryBackoffNs.ObserveDuration(backoff)
-			time.Sleep(backoff)
-			err = m.store.WriteBatch(entries, mode)
-		}
-		if err != nil {
+		if _, err := m.log.Append(rec); err != nil {
 			return nil, err
 		}
 	}
+	return nv.Vars, nil
+}
 
-	// Remove the node: its operations are installed.
-	view, err := m.wg.Remove(id)
-	if err != nil {
-		return nil, err
+// install is the installation step — Figure 4's PurgeCache with Section 5's
+// rSI advance — and the only code that writes the stable store.  The caller
+// says what to install: the write-graph nodes whose operations become
+// installed, the objects to flush atomically from cached state, and the Notx
+// objects installed without flushing.  The primary reads all three off the
+// node it chose (InstallNode); the standby derives them from the primary's
+// install or flush record (mirror.go).  The caller must have forced the log
+// through every operation involved (WAL protocol).
+//
+// The stable write comes first: when it fails, the write graph, the dirty
+// object table and the counters are untouched, so the install can be re-run.
+func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error {
+	var start time.Time
+	if m.obs.installNs.Enabled() {
+		start = time.Now()
 	}
+
+	// Build the flush batch from cached state.  Invariant: for x in
+	// vars(n), the last writer of x is in ops(n) (later writers either
+	// merged in or removed x from vars), so the cached value and its vSI
+	// are Lastw(n,x)'s.
+	entries := make([]stable.Entry, 0, len(flush))
+	for _, x := range flush {
+		e, ok := m.lookup(x)
+		if !ok {
+			return fmt.Errorf("cache: flush set object %q not in cache", x)
+		}
+		entries = append(entries, stable.Entry{ID: x, Val: e.val, VSI: e.vsi, Delete: !e.exists})
+	}
+	if len(entries) > 0 {
+		mode := stable.ModeSingle
+		if len(entries) > 1 {
+			mode = stable.ModeShadow
+			if m.cfg.Strategy == StrategyFlushTxn {
+				mode = stable.ModeFlushTxn
+			}
+		}
+		// Re-running the batch after a transient device error is safe in
+		// every mode: a failed attempt left either the old state
+		// (single/shadow, pre-commit flush-txn) or a committed pending
+		// repair that the retry's phase 1 simply re-logs; unsafe torn
+		// prefixes are overwritten by the identical values.
+		err := wal.RetryTransient(func() error { return m.store.WriteBatch(entries, mode) }, func(backoff time.Duration) {
+			m.obs.retries.Inc()
+			m.obs.retryBackoffNs.ObserveDuration(backoff)
+		})
+		if err != nil {
+			return err
+		}
+	}
+
+	// The installed operations leave the write graph, most-minimal node
+	// first (one node on the primary; a record's operations can span
+	// several on a standby whose bootstrap skipped some of them).
+	installed := make(map[op.SI]bool)
+	for len(nodes) > 0 {
+		var blocked []graph.NodeID
+		for _, id := range nodes {
+			if !m.wg.IsMinimal(id) {
+				blocked = append(blocked, id)
+				continue
+			}
+			view, err := m.wg.Remove(id)
+			if err != nil {
+				return err
+			}
+			for _, o := range view.Ops {
+				installed[o.LSN] = true
+			}
+			if m.cfg.InstallTrace != nil {
+				m.cfg.InstallTrace(view)
+			}
+		}
+		if len(blocked) == len(nodes) {
+			return fmt.Errorf("cache: %d installed nodes are not minimal", len(blocked))
+		}
+		nodes = blocked
+	}
+
 	m.statsMu.Lock()
 	m.stats.Installs++
-	m.stats.ObjectsFlushed += int64(len(view.Vars))
-	m.stats.InstalledNotFlushed += int64(len(view.Notx))
+	m.stats.ObjectsFlushed += int64(len(flush))
+	m.stats.InstalledNotFlushed += int64(len(notx))
+	if len(flush) > 1 {
+		m.stats.MultiObjectFlushes++
+	}
 	m.statsMu.Unlock()
-	m.obs.flushSetSize.Observe(int64(len(view.Vars)))
-	m.obs.notxSize.Observe(int64(len(view.Notx)))
+	m.obs.flushSetSize.Observe(int64(len(flush)))
+	m.obs.notxSize.Observe(int64(len(notx)))
 	if m.obs.wgNodes != nil {
 		m.obs.wgNodes.Set(int64(m.wg.Len()))
 		m.obs.wgOps.Set(int64(m.wg.OpCount()))
-	}
-	if m.cfg.InstallTrace != nil {
-		m.cfg.InstallTrace(view)
 	}
 
 	// Advance rSIs: "we advance the rSI of an object exactly when we
 	// install operations that write it, whether or not the object is
 	// flushed" (Section 5).
-	installed := make(map[op.SI]bool, len(view.Ops))
-	var opLSNs []op.SI
-	for _, o := range view.Ops {
-		installed[o.LSN] = true
-		opLSNs = append(opLSNs, o.LSN)
-	}
-	var flushed, unflushed []wal.ObjectRSI
-	for _, x := range view.Vars {
+	for _, x := range flush {
 		e, _ := m.lookup(x)
 		e.pending = prunePending(e.pending, installed)
 		if len(e.pending) != 0 {
-			return nil, fmt.Errorf("cache: flushed object %q still has uninstalled writes %v", x, e.pending)
+			return fmt.Errorf("cache: flushed object %q still has uninstalled writes %v", x, e.pending)
 		}
 		e.dirty = false
-		flushed = append(flushed, wal.ObjectRSI{ID: x, RSI: e.rsi()})
 		if !e.exists {
 			// Terminated objects leave the object table entirely.
 			m.remove(x)
 		}
 	}
-	for _, x := range view.Notx {
+	for _, x := range notx {
 		e, ok := m.lookup(x)
 		if !ok {
 			continue
@@ -714,25 +745,11 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		// blind write that made it unexposed, and that write is still
 		// uninstalled.  Its rSI is that write's lSI.
 		e.dirty = len(e.pending) > 0
-		unflushed = append(unflushed, wal.ObjectRSI{ID: x, RSI: e.rsi()})
-	}
-
-	// Log the installation (lazily; no force needed — Section 5 notes the
-	// vSI check covers a lost install record).
-	if m.cfg.LogInstalls {
-		rec := wal.NewInstallRecord(flushed, unflushed, opLSNs)
-		if len(view.Vars) == 1 && len(view.Notx) == 0 {
-			// Physiological special case: a plain flush record suffices.
-			rec = wal.NewFlushRecord(view.Vars[0], view.Lastw[view.Vars[0]])
-		}
-		if _, err := m.log.Append(rec); err != nil {
-			return nil, err
-		}
 	}
 	if m.obs.installNs.Enabled() {
-		m.obs.installNs.Since(installStart)
+		m.obs.installNs.Since(start)
 	}
-	return view.Vars, nil
+	return nil
 }
 
 // identityWrite logs and applies W_IP(x, val(x)) — Section 4's CM-initiated
@@ -838,19 +855,6 @@ func (m *Manager) TruncationPoint(checkpointLSN op.SI) op.SI {
 		}
 	})
 	return min
-}
-
-// CheckpointAndTruncate checkpoints and then truncates the durable log
-// before the truncation point.
-func (m *Manager) CheckpointAndTruncate() (op.SI, error) {
-	lsn, err := m.Checkpoint()
-	if err != nil {
-		return 0, err
-	}
-	if err := m.log.Truncate(m.TruncationPoint(lsn)); err != nil {
-		return 0, err
-	}
-	return lsn, nil
 }
 
 // Crash discards all volatile cache-manager state, simulating a crash.

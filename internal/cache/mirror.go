@@ -1,12 +1,8 @@
 package cache
 
 import (
-	"fmt"
-	"time"
-
 	"logicallog/internal/graph"
 	"logicallog/internal/op"
-	"logicallog/internal/stable"
 	"logicallog/internal/wal"
 )
 
@@ -28,187 +24,47 @@ import (
 // carried them, vSI witness) are simply absent from the cache and the write
 // graph; mirroring skips them — the stable store is already current.
 
-// MirrorInstall applies a primary install record to the standby: it flushes
-// the record's flushed objects from cached state with the configured
-// atomicity mechanism, removes the installed operations' write-graph nodes,
-// and advances rSIs for flushed and unflushed objects alike.  It returns the
-// LSNs of the operations installed (for tracing).  The caller must already
+// MirrorInstall applies a primary install record to the standby: it derives
+// the installation step's inputs from the record — the write-graph nodes
+// holding the record's operations, the flushed objects, the unflushed (Notx)
+// objects — and runs the same step the primary ran.  The caller must already
 // have forced the standby's log through the record's LSN (WAL protocol).
-func (m *Manager) MirrorInstall(rec *wal.InstallRecord) ([]op.SI, error) {
-	installed := make(map[op.SI]bool, len(rec.Ops))
+//
+// The nodes are minimal here whenever they were minimal on the primary: the
+// standby applied the same operation prefix, so every edge it derives also
+// exists on the primary (bootstrap skips can only remove edges).
+func (m *Manager) MirrorInstall(rec *wal.InstallRecord) error {
+	var nodes []graph.NodeID
+	seen := make(map[graph.NodeID]bool)
 	for _, lsn := range rec.Ops {
-		installed[lsn] = true
+		if id, ok := m.wg.NodeOfOp(lsn); ok && !seen[id] {
+			seen[id] = true
+			nodes = append(nodes, id)
+		}
 	}
-
-	// Flush batch from cached standby state.
-	entries := make([]stable.Entry, 0, len(rec.Flushed))
+	var flush []op.ObjectID
 	for _, f := range rec.Flushed {
-		e, ok := m.lookup(f.ID)
-		if !ok {
-			continue // bootstrap-skipped: stable store already current
-		}
-		entries = append(entries, stable.Entry{
-			ID:     f.ID,
-			Val:    e.val,
-			VSI:    e.vsi,
-			Delete: !e.exists,
-		})
-	}
-	if err := m.writeBatchRetry(entries); err != nil {
-		return nil, err
-	}
-
-	// The installed operations leave the write graph.  Their nodes are
-	// minimal here whenever they were minimal on the primary: the standby
-	// applied the same operation prefix, so every edge it derives also
-	// exists on the primary (bootstrap skips can only remove edges).
-	if err := m.removeInstalledNodes(rec.Ops); err != nil {
-		return nil, err
-	}
-
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed += int64(len(entries))
-	m.stats.InstalledNotFlushed += int64(len(rec.Unflushed))
-	if len(entries) > 1 {
-		m.stats.MultiObjectFlushes++
-	}
-	m.statsMu.Unlock()
-
-	// Advance rSIs exactly as the primary did (Section 5): flushed objects
-	// come clean, unflushed (Notx) objects stay dirty at the lSI of the
-	// blind write that made them unexposed.
-	for _, f := range rec.Flushed {
-		e, ok := m.lookup(f.ID)
-		if !ok {
-			continue
-		}
-		e.pending = prunePending(e.pending, installed)
-		if len(e.pending) != 0 {
-			return nil, fmt.Errorf("cache: mirror: flushed object %q still has uninstalled writes %v", f.ID, e.pending)
-		}
-		e.dirty = false
-		if !e.exists {
-			m.remove(f.ID)
+		if _, ok := m.lookup(f.ID); ok { // else bootstrap-skipped: stable store already current
+			flush = append(flush, f.ID)
 		}
 	}
-	for _, u := range rec.Unflushed {
-		e, ok := m.lookup(u.ID)
-		if !ok {
-			continue
-		}
-		e.pending = prunePending(e.pending, installed)
-		e.dirty = len(e.pending) > 0
+	notx := make([]op.ObjectID, len(rec.Unflushed))
+	for i, u := range rec.Unflushed {
+		notx[i] = u.ID
 	}
-	return append([]op.SI(nil), rec.Ops...), nil
+	return m.install(nodes, flush, notx)
 }
 
-// MirrorFlush applies a primary flush record — the single-object,
-// no-Notx special case of an install — to the standby.  It returns the LSNs
-// of the operations installed.
-func (m *Manager) MirrorFlush(rec *wal.FlushRecord) ([]op.SI, error) {
+// MirrorFlush applies a primary flush record — the single-object, no-Notx
+// special case of an install — to the standby.
+func (m *Manager) MirrorFlush(rec *wal.FlushRecord) error {
 	e, ok := m.lookup(rec.Object)
 	if !ok {
-		return nil, nil // bootstrap-skipped: stable store already current
+		return nil // bootstrap-skipped: stable store already current
 	}
 	id, ok := m.wg.NodeOfOp(e.vsi)
 	if !ok {
-		// All writers of the object were skipped at bootstrap.
-		return nil, nil
+		return nil // all writers of the object were skipped at bootstrap
 	}
-	view, err := m.wg.Remove(id)
-	if err != nil {
-		return nil, fmt.Errorf("cache: mirror: flush of %q: %w", rec.Object, err)
-	}
-	if m.obs.wgNodes != nil {
-		m.obs.wgNodes.Set(int64(m.wg.Len()))
-		m.obs.wgOps.Set(int64(m.wg.OpCount()))
-	}
-	entries := []stable.Entry{{
-		ID:     rec.Object,
-		Val:    e.val,
-		VSI:    e.vsi,
-		Delete: !e.exists,
-	}}
-	if err := m.writeBatchRetry(entries); err != nil {
-		return nil, err
-	}
-	installed := make(map[op.SI]bool, len(view.Ops))
-	var opLSNs []op.SI
-	for _, o := range view.Ops {
-		installed[o.LSN] = true
-		opLSNs = append(opLSNs, o.LSN)
-	}
-	e.pending = prunePending(e.pending, installed)
-	if len(e.pending) != 0 {
-		return nil, fmt.Errorf("cache: mirror: flushed object %q still has uninstalled writes %v", rec.Object, e.pending)
-	}
-	e.dirty = false
-	if !e.exists {
-		m.remove(rec.Object)
-	}
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed++
-	m.statsMu.Unlock()
-	return opLSNs, nil
-}
-
-// writeBatchRetry writes a flush batch with the strategy's atomicity mode
-// and the manager's transient-retry policy (see InstallNode).
-func (m *Manager) writeBatchRetry(entries []stable.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	mode := stable.ModeSingle
-	if len(entries) > 1 {
-		switch m.cfg.Strategy {
-		case StrategyFlushTxn:
-			mode = stable.ModeFlushTxn
-		default:
-			mode = stable.ModeShadow
-		}
-	}
-	err := m.store.WriteBatch(entries, mode)
-	for attempt := 1; err != nil && attempt <= m.cfg.TransientRetries && wal.IsTransient(err); attempt++ {
-		backoff := wal.TransientBackoff(attempt, transientRetryBase, transientRetryCap)
-		m.obs.retries.Inc()
-		m.obs.retryBackoffNs.ObserveDuration(backoff)
-		time.Sleep(backoff)
-		err = m.store.WriteBatch(entries, mode)
-	}
-	return err
-}
-
-// removeInstalledNodes removes the write-graph nodes holding the given
-// operations, most-minimal first.  Operations absent from the graph
-// (bootstrap-skipped) are ignored.
-func (m *Manager) removeInstalledNodes(lsns []op.SI) error {
-	ids := make(map[graph.NodeID]bool)
-	for _, lsn := range lsns {
-		if id, ok := m.wg.NodeOfOp(lsn); ok {
-			ids[id] = true
-		}
-	}
-	for len(ids) > 0 {
-		removed := false
-		for _, min := range m.wg.Minimal() {
-			if !ids[min] {
-				continue
-			}
-			if _, err := m.wg.Remove(min); err != nil {
-				return fmt.Errorf("cache: mirror: %w", err)
-			}
-			delete(ids, min)
-			removed = true
-		}
-		if !removed {
-			return fmt.Errorf("cache: mirror: %d installed nodes are not minimal", len(ids))
-		}
-	}
-	if m.obs.wgNodes != nil {
-		m.obs.wgNodes.Set(int64(m.wg.Len()))
-		m.obs.wgOps.Set(int64(m.wg.OpCount()))
-	}
-	return nil
+	return m.install([]graph.NodeID{id}, []op.ObjectID{rec.Object}, nil)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"logicallog/internal/cache"
 	"logicallog/internal/obs"
@@ -51,10 +50,6 @@ type Options struct {
 	// replaying goroutine (Recover's caller, or RecoverOnDemand's single
 	// background worker).
 	RedoWorkers int
-	// TransientRetries bounds retries of log forces and stable flushes
-	// that fail with a transient (retryable) I/O error, with capped
-	// exponential backoff.  0 defaults to 3; negative disables retry.
-	TransientRetries int
 	// LogStreams sets the WAL's per-lane append stream count (the commit
 	// fast lane): appenders contend per stream and the group-commit leader
 	// merges streams into LSN order at force time.  0 or 1 selects the
@@ -81,10 +76,6 @@ type Options struct {
 	// with llinspect -explain / -forensics.  Nil disables it at ~0 cost.
 	Flight *flight.Recorder
 }
-
-// defaultTransientRetries is the retry budget when Options leaves
-// TransientRetries zero.
-const defaultTransientRetries = 3
 
 // DefaultOptions returns the paper's recommended configuration: refined
 // write graph, identity-write flush breakup, generalized rSI REDO test, and
@@ -121,24 +112,37 @@ type Engine struct {
 	history []*op.Operation
 }
 
-// newEngine normalises opts (default registry, retry budget) and builds the
-// engine shell over log and store, tuning the log from the options.  The
-// cache manager is attached by the caller: fresh (New) or recovered (Adopt).
+// newEngine defaults the registry and builds the engine shell over log and
+// store, tuning the log from the options.  The cache manager is attached by
+// the caller: fresh (New) or recovered (Adopt).
 func newEngine(opts Options, log *wal.Log, store *stable.Store) *Engine {
 	if opts.Registry == nil {
 		opts.Registry = op.NewRegistry()
 	}
-	switch {
-	case opts.TransientRetries == 0:
-		opts.TransientRetries = defaultTransientRetries
-	case opts.TransientRetries < 0:
-		opts.TransientRetries = 0
-	}
-	log.SetRetryPolicy(opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
-	log.SetObs(opts.Obs)
-	log.SetFlight(opts.Flight)
-	log.SetStreams(opts.LogStreams, opts.AbsorbWrites)
+	opts.TuneLog(log)
 	return &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
+}
+
+// TuneLog applies the options' log settings — instrumentation, append
+// streams, absorption — to log.  The engine and the warm standby
+// (internal/ship) both configure their logs here.
+func (o Options) TuneLog(log *wal.Log) {
+	log.SetObs(o.Obs)
+	log.SetFlight(o.Flight)
+	log.SetStreams(o.LogStreams, o.AbsorbWrites)
+}
+
+// CacheConfig is the one place engine options become the cache manager's,
+// for the engine and the warm standby alike.
+func (o Options) CacheConfig() cache.Config {
+	return cache.Config{
+		Policy:       o.Policy,
+		Strategy:     o.Strategy,
+		LogInstalls:  o.LogInstalls,
+		Registry:     o.Registry,
+		InstallTrace: o.InstallTrace,
+		Obs:          o.Obs,
+	}
 }
 
 // New builds an engine from options.
@@ -151,7 +155,7 @@ func New(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := newEngine(opts, log, stable.NewStore())
-	e.mgr, err = cache.NewManager(e.cacheConfig(), log, e.store)
+	e.mgr, err = cache.NewManager(e.opts.CacheConfig(), log, e.store)
 	if err != nil {
 		return nil, err
 	}
@@ -179,23 +183,11 @@ func Adopt(opts Options, log *wal.Log, store *stable.Store) (*Engine, *recovery.
 func (e *Engine) recoveryOptions() recovery.Options {
 	return recovery.Options{
 		Test:        e.opts.RedoTest,
-		Cache:       e.cacheConfig(),
+		Cache:       e.opts.CacheConfig(),
 		RedoWorkers: e.opts.RedoWorkers,
 		Tracer:      e.opts.Tracer,
 		Obs:         e.opts.Obs,
 		Flight:      e.opts.Flight,
-	}
-}
-
-func (e *Engine) cacheConfig() cache.Config {
-	return cache.Config{
-		Policy:           e.opts.Policy,
-		Strategy:         e.opts.Strategy,
-		LogInstalls:      e.opts.LogInstalls,
-		Registry:         e.reg,
-		InstallTrace:     e.opts.InstallTrace,
-		TransientRetries: e.opts.TransientRetries,
-		Obs:              e.opts.Obs,
 	}
 }
 
@@ -396,22 +388,15 @@ func (e *Engine) FlushAll() error {
 	return e.mgr.PurgeAll()
 }
 
-// Checkpoint writes a checkpoint record and truncates the log.  The same
-// steps as cache.CheckpointAndTruncate, inlined so the flight recorder
-// sees both horizon moves: the checkpoint landing and the truncation
-// point the dirty table then justifies.
+// Checkpoint writes a checkpoint record and truncates the log at the
+// truncation point the dirty table then justifies; the flight recorder sees
+// both horizon moves.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.drainGate(); err != nil {
-		return err
-	}
-	lsn, err := e.mgr.Checkpoint()
+	lsn, err := e.checkpointLocked()
 	if err != nil {
 		return err
-	}
-	if e.opts.Flight != nil {
-		e.opts.Flight.Checkpoint(lsn, int64(len(e.mgr.DirtyTable())))
 	}
 	tp := e.mgr.TruncationPoint(lsn)
 	if err := e.log.Truncate(tp); err != nil {
@@ -427,17 +412,25 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) CheckpointOnly() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	_, err := e.checkpointLocked()
+	return err
+}
+
+// checkpointLocked is the checkpoint body: complete any on-demand drain (a
+// checkpoint is only correct against fully recovered state), write and force
+// the checkpoint record, and record where it landed.
+func (e *Engine) checkpointLocked() (op.SI, error) {
 	if err := e.drainGate(); err != nil {
-		return err
+		return 0, err
 	}
 	lsn, err := e.mgr.Checkpoint()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if e.opts.Flight != nil {
 		e.opts.Flight.Checkpoint(lsn, int64(len(e.mgr.DirtyTable())))
 	}
-	return nil
+	return lsn, nil
 }
 
 // Crash simulates a crash: the unforced log tail, the cache, and the write

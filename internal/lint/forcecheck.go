@@ -23,16 +23,15 @@ var ForceCheck = &Analyzer{
 // forceCriticalMethods are method names whose error return carries a
 // durability obligation anywhere in this codebase.
 var forceCriticalMethods = map[string]bool{
-	"Force":                 true,
-	"ForceThrough":          true,
-	"WriteBatch":            true,
-	"Flush":                 true,
-	"FlushAll":              true,
-	"FlushOne":              true,
-	"PurgeAll":              true,
-	"Sync":                  true,
-	"Truncate":              true,
-	"CheckpointAndTruncate": true,
+	"Force":        true,
+	"ForceThrough": true,
+	"WriteBatch":   true,
+	"Flush":        true,
+	"FlushAll":     true,
+	"FlushOne":     true,
+	"PurgeAll":     true,
+	"Sync":         true,
+	"Truncate":     true,
 }
 
 func runForceCheck(p *Pass) error {

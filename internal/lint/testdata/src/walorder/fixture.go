@@ -78,6 +78,21 @@ func badMirror(s *sub.Store) {
 	sub.MirrorInstall(s, nil) // want "call to MirrorInstall installs to the stable store"
 }
 
+// retry models the transient-retry helper: the install happens inside a
+// function literal handed to it, which inherits the forced state at the call.
+func retry(attempt func() error) error { return attempt() }
+
+func installInClosureForced(l *Log, s *Store) {
+	_ = l.Force()
+	_ = retry(func() error { return s.WriteBatch(nil) })
+}
+
+func installInClosureNaked(s *Store) {
+	_ = retry(func() error {
+		return s.WriteBatch(nil) // want "installInClosureNaked reaches Store.WriteBatch with no covering"
+	})
+}
+
 // installSuppressed shows the documented escape hatch.
 func installSuppressed(s *Store) {
 	//lint:ignore walorder fixture: the records are made durable by an out-of-band sync in this scenario

@@ -11,8 +11,8 @@
 // pseudo-key held raises an *obligation* on its enclosing function:
 //
 //   - obligations propagate silently through unexported functions — a private
-//     helper like writeBatchRetry is an implementation detail whose contract
-//     is whatever its callers make of it;
+//     helper like the cache manager's install step is an implementation
+//     detail whose contract is whatever its callers make of it;
 //   - at an exported obligation-carrying function (MirrorInstall: "the caller
 //     must already have forced"), every call site that has not forced is
 //     reported — the site, not the helper, is where the protocol breaks;
@@ -37,7 +37,7 @@ var WalOrder = &Analyzer{
 		"across core, cache, recovery, ship, and wal",
 	Match: matchSuffix(
 		"internal/core", "internal/cache", "internal/recovery",
-		"internal/ship", "internal/wal", "internal/baseline",
+		"internal/ship", "internal/wal",
 	),
 	Run: runWalOrder,
 }
@@ -174,11 +174,30 @@ func walWalk(p *Program, fi *FuncInfo) *walFuncFacts {
 		}
 		return nil
 	}
-	lw.onCall = func(call *ast.CallExpr, st *lwState, deferred bool) {
-		forced := st.held[forcedKey].count > 0
+	record := func(call *ast.CallExpr, forced bool) {
 		ff.siteForced[call] = forced
 		if _, ok := isInstallCall(info, call); ok && !forced {
 			ff.unforcedInstalls = append(ff.unforcedInstalls, call)
+		}
+	}
+	lw.onCall = func(call *ast.CallExpr, st *lwState, deferred bool) {
+		forced := st.held[forcedKey].count > 0
+		record(call, forced)
+		// The lock walker does not enter function literals.  One handed to
+		// (or invoked by) this call — the retry helper's attempt callback —
+		// cannot run before this point, and the forced state only grows, so
+		// the calls in its body inherit the state here.
+		for _, e := range append([]ast.Expr{call.Fun}, call.Args...) {
+			lit, ok := e.(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok {
+					record(c, forced)
+				}
+				return true
+			})
 		}
 	}
 	lw.walk()

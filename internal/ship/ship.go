@@ -10,8 +10,9 @@
 // object table via recovery.UpdateDirtyTable, the REDO test and trial
 // execution via the shared redo step, recovery.Step) and mirrors
 // the primary's installation schedule from its install/flush records
-// (cache.MirrorInstall/MirrorFlush), so the standby's stable state is kept
-// hot and its own log is a byte-equivalent prefix copy of the primary's.
+// (cache.MirrorInstall/MirrorFlush, which run the primary's own installation
+// step), so the standby's stable state is kept hot and its own log is a
+// byte-equivalent prefix copy of the primary's.
 // Failover promotion is therefore ordinary crash recovery over the
 // standby's log and store (core.Adopt).
 //
@@ -27,7 +28,6 @@ package ship
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"logicallog/internal/fault"
 	"logicallog/internal/obs"
@@ -81,9 +81,6 @@ type Transport interface {
 type SenderConfig struct {
 	// BatchRecords bounds records per batch (default 16).
 	BatchRecords int
-	// TransientRetries bounds resends of a batch whose Send failed with a
-	// transient error.  0 defaults to 3; negative disables retry.
-	TransientRetries int
 	// Obs, when non-nil, receives the shipping metrics: replication lag in
 	// LSNs and unshipped records (gauges), batch counts and sizes, resyncs.
 	Obs *obs.Registry
@@ -128,12 +125,6 @@ type Sender struct {
 func NewSender(log *wal.Log, tr Transport, startLSN op.SI, cfg SenderConfig) *Sender {
 	if cfg.BatchRecords <= 0 {
 		cfg.BatchRecords = 16
-	}
-	switch {
-	case cfg.TransientRetries == 0:
-		cfg.TransientRetries = 3
-	case cfg.TransientRetries < 0:
-		cfg.TransientRetries = 0
 	}
 	if startLSN < 1 {
 		startLSN = 1
@@ -285,11 +276,11 @@ func (s *Sender) send(b *Batch) error {
 		Arg("count", b.Count)
 	defer sp.End()
 
-	ack, err := s.tr.Send(b)
-	for attempt := 1; err != nil && attempt <= s.cfg.TransientRetries && wal.IsTransient(err); attempt++ {
-		time.Sleep(wal.TransientBackoff(attempt, 20*time.Microsecond, 500*time.Microsecond))
+	var ack Ack
+	err := wal.RetryTransient(func() (err error) {
 		ack, err = s.tr.Send(b)
-	}
+		return err
+	}, nil)
 	if err != nil {
 		if wal.IsTransient(err) {
 			// Out of retries: treat like a dropped batch; a later pump or

@@ -1,6 +1,7 @@
 package ship_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -361,6 +362,63 @@ func TestShipStandbyCrashRestart(t *testing.T) {
 			finishAndPromote(t, eng, s, sb)
 		})
 	}
+}
+
+// TestShipFailedMirroredInstallTakesStandbyDown fails the standby's stable
+// store permanently under a mirrored install.  The shipped record is already
+// in the standby's log by then, so the apply horizon can never take a resend;
+// the standby must go down — explicitly, with ErrDown on every redelivery —
+// and come back through Restart, which replays the durable log (that record
+// included) through the same installation step once the store has healed.
+func TestShipFailedMirroredInstallTakesStandbyDown(t *testing.T) {
+	eng, sb, s := newPair(t, core.DefaultOptions(), nil, 4)
+	defer s.Close()
+	w := newWorkload(53, 6)
+	drive(t, eng, w, 30, func(step int) {
+		if err := s.PumpAll(); err != nil {
+			t.Fatalf("pump at step %d: %v", step, err)
+		}
+	})
+
+	boom := errors.New("stable device gone")
+	sb.Store().SetWriteProbe(func() error { return boom })
+	var downErr error
+	drive(t, eng, w, 30, func(int) {
+		if downErr == nil {
+			downErr = s.PumpAll()
+		}
+	})
+	if !errors.Is(downErr, ship.ErrDown) || !errors.Is(downErr, boom) {
+		t.Fatalf("pump over a failing mirrored install = %v, want ErrDown wrapping the store failure", downErr)
+	}
+	if ack, err := sb.Deliver(&ship.Batch{}); !errors.Is(err, ship.ErrDown) || !ack.Lost {
+		t.Fatalf("redelivery to the downed standby = %+v, %v, want a lost ack and ErrDown", ack, err)
+	}
+	if err := s.Sync(); !errors.Is(err, ship.ErrDown) {
+		t.Fatalf("sync to the downed standby = %v, want ErrDown", err)
+	}
+	if _, _, err := sb.Promote(); err == nil {
+		t.Fatal("a downed standby must not promote")
+	}
+
+	// Restart while the store is still broken stays down; healed, it is the
+	// way back.
+	if err := sb.Restart(); !errors.Is(err, boom) {
+		t.Fatalf("restart over the broken store = %v, want the store failure", err)
+	}
+	if _, err := sb.Deliver(&ship.Batch{}); !errors.Is(err, ship.ErrDown) {
+		t.Fatalf("delivery after a failed restart = %v, want ErrDown", err)
+	}
+	sb.Store().SetWriteProbe(nil)
+	if err := sb.Restart(); err != nil {
+		t.Fatalf("restart after heal: %v", err)
+	}
+	drive(t, eng, w, 20, func(step int) {
+		if err := s.PumpAll(); err != nil {
+			t.Fatalf("pump after restart at step %d: %v", step, err)
+		}
+	})
+	finishAndPromote(t, eng, s, sb)
 }
 
 // applyState renders a standby's volatile apply state: every object's cached

@@ -23,18 +23,21 @@ type StandbyConfig struct {
 	// Opts is the engine configuration the standby mirrors and, at
 	// promotion, comes up as.  It must match the primary's policy, strategy,
 	// and REDO test; Registry must resolve every shipped operation kind.
-	// Obs/Tracer instrument the apply pipeline and the promoted engine.
+	// Obs/Tracer instrument the apply pipeline and the promoted engine;
+	// InstallTrace observes every mirrored install (and, being part of the
+	// options, the promoted engine's).
 	Opts core.Options
 	// TruncateOnCheckpoint makes the standby truncate its own log at each
 	// shipped checkpoint's redo horizon, as the primary did.  Off, the
 	// standby keeps its full log prefix (the crash explorer needs that for
 	// its explainability oracle).
 	TruncateOnCheckpoint bool
-	// InstallTrace, when non-nil, receives the operation LSNs installed by
-	// every mirrored install/flush record (the ship explorer's Theorem 3
-	// recorder).
-	InstallTrace func(lsns []op.SI)
 }
+
+// ErrDown is returned by Deliver while the standby is down — crashed, or
+// taken down by a record that failed to apply — and wraps the failure in the
+// delivery that took it down.  Restart brings the standby back.
+var ErrDown = errors.New("ship: standby is down (Restart first)")
 
 // StandbyStats counts what the standby did with the stream.
 type StandbyStats struct {
@@ -118,12 +121,6 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	if cfg.Opts.LogDevice == nil {
 		cfg.Opts.LogDevice = wal.NewMemDevice()
 	}
-	switch {
-	case cfg.Opts.TransientRetries == 0:
-		cfg.Opts.TransientRetries = 3
-	case cfg.Opts.TransientRetries < 0:
-		cfg.Opts.TransientRetries = 0
-	}
 	log, err := wal.New(cfg.Opts.LogDevice)
 	if err != nil {
 		return nil, err
@@ -136,7 +133,7 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 		want:    origin,
 		applied: origin - 1,
 	}
-	s.tuneLog()
+	s.cfg.Opts.TuneLog(s.log)
 	if image != nil {
 		s.store.Restore(image)
 	}
@@ -155,25 +152,8 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	return s, nil
 }
 
-func (s *Standby) tuneLog() {
-	s.log.SetRetryPolicy(s.cfg.Opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
-	s.log.SetObs(s.cfg.Opts.Obs)
-	s.log.SetFlight(s.cfg.Opts.Flight)
-}
-
 // flight is the standby's decision flight recorder handle (nil-safe).
 func (s *Standby) flight() *flight.Recorder { return s.cfg.Opts.Flight }
-
-func (s *Standby) cacheConfig() cache.Config {
-	return cache.Config{
-		Policy:           s.cfg.Opts.Policy,
-		Strategy:         s.cfg.Opts.Strategy,
-		LogInstalls:      s.cfg.Opts.LogInstalls,
-		Registry:         s.cfg.Opts.Registry,
-		TransientRetries: s.cfg.Opts.TransientRetries,
-		Obs:              s.cfg.Opts.Obs,
-	}
-}
 
 // Log exposes the standby's write-ahead log (a prefix copy of the primary's).
 func (s *Standby) Log() *wal.Log {
@@ -215,7 +195,7 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
-		return Ack{Lost: true}, fmt.Errorf("ship: standby is down (crashed; Restart first)")
+		return s.ackLocked(), ErrDown
 	}
 	if s.promoted {
 		return Ack{Lost: true}, fmt.Errorf("ship: standby was promoted; it is a primary now")
@@ -258,14 +238,19 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 }
 
 func (s *Standby) ackLocked() Ack {
+	if s.down {
+		return Ack{Lost: true} // horizons of discarded state mean nothing
+	}
 	return Ack{Applied: s.applied, Durable: s.log.StableLSN(), Want: s.want}
 }
 
 // applyLocked runs one shipped record through the continuous-redo pipeline:
 // append it to the standby's own log (keeping the log a byte-equivalent
-// prefix copy of the primary's), force that log before anything the record
-// installs can reach the store, replay it (replayRecord), then account for
-// it — a checkpoint optionally truncates the standby log.
+// prefix copy of the primary's), then applyAppendedLocked.  A failure once the
+// record is in the log takes the standby down: the log is a record ahead of
+// the apply horizon, so a resend could never land, and the cache may hold a
+// half-applied record.  Restart — which replays the durable log, that record
+// included if it was forced, through the same step — is the one way back.
 func (s *Standby) applyLocked(rec *wal.Record) error {
 	var start time.Time
 	if s.applyNs.Enabled() {
@@ -274,6 +259,20 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 	if err := s.log.AppendShipped(rec); err != nil {
 		return err
 	}
+	if err := s.applyAppendedLocked(rec); err != nil {
+		s.crashLocked()
+		return fmt.Errorf("%w: %w", ErrDown, err)
+	}
+	if s.applyNs.Enabled() {
+		s.applyNs.Since(start)
+	}
+	return nil
+}
+
+// applyAppendedLocked forces the standby's log before anything the record
+// installs can reach the store, replays the record (replayRecord), then
+// accounts for it — a checkpoint optionally truncates the standby log.
+func (s *Standby) applyAppendedLocked(rec *wal.Record) error {
 	switch rec.Type {
 	case wal.RecInstall, wal.RecFlush, wal.RecCheckpoint:
 		// WAL protocol: the flush must not outrun the standby's own
@@ -282,7 +281,7 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 			return err
 		}
 	}
-	out, installed, err := s.replayRecord(rec)
+	out, err := s.replayRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -302,18 +301,10 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 	case wal.RecInstall, wal.RecFlush:
 		s.stats.Installs++
 		s.installsC.Inc()
-		if s.cfg.InstallTrace != nil {
-			s.cfg.InstallTrace(installed)
-		}
 	case wal.RecCheckpoint:
 		if s.cfg.TruncateOnCheckpoint {
-			if err := s.log.Truncate(rec.Checkpoint.RedoStart(rec.LSN)); err != nil {
-				return err
-			}
+			return s.log.Truncate(rec.Checkpoint.RedoStart(rec.LSN))
 		}
-	}
-	if s.applyNs.Enabled() {
-		s.applyNs.Since(start)
 	}
 	return nil
 }
@@ -321,28 +312,27 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 // replayRecord is the per-record body of continuous redo, shared by live
 // apply and restart replay: fold the record into the incremental dirty
 // object table, then run an operation through the redo step (exactly as
-// crash recovery would) or mirror an install/flush record against cached
-// standby state.  It returns the operation's outcome or the operation LSNs
-// the mirrored record installed.  Records go through in strict log order,
-// never through the chain scheduler: the standby's write graph must regrow
-// with the primary's node groupings for the next install record to find
-// its node.
-func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, installed []op.SI, err error) {
+// crash recovery would) or mirror an install/flush record through the cache
+// manager's installation step.  It returns the operation's outcome.  Records
+// go through in strict log order, never through the chain scheduler: the
+// standby's write graph must regrow with the primary's node groupings for
+// the next install record to find its node.
+func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, err error) {
 	recovery.UpdateDirtyTable(s.dot, rec, s.cfg.Opts.RedoTest)
 	switch rec.Type {
 	case wal.RecOperation:
 		out, err = s.step.Apply(rec.Op)
 	case wal.RecInstall:
 		//lint:ignore walorder live apply forces through rec.LSN before calling; restart replay reads the standby's own durable log, where every record was forced before it became scannable
-		installed, err = s.mgr.MirrorInstall(rec.Install)
+		err = s.mgr.MirrorInstall(rec.Install)
 	case wal.RecFlush:
-		//lint:ignore walorder as for RecInstall: forced by applyLocked, or already durable when replayed at restart
-		installed, err = s.mgr.MirrorFlush(rec.Flush)
+		//lint:ignore walorder as for RecInstall: forced by applyAppendedLocked, or already durable when replayed at restart
+		err = s.mgr.MirrorFlush(rec.Flush)
 	}
 	if err != nil {
 		err = fmt.Errorf("ship: replay of %s record %d: %w", rec.Type, rec.LSN, err)
 	}
-	return out, installed, err
+	return out, err
 }
 
 // Crash simulates a standby crash: the unforced log tail and all volatile
@@ -350,6 +340,10 @@ func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, installed
 func (s *Standby) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.crashLocked()
+}
+
+func (s *Standby) crashLocked() {
 	s.log.Crash()
 	s.mgr.Crash()
 	s.down = true
@@ -376,7 +370,7 @@ func (s *Standby) Restart() error {
 		return err
 	}
 	s.log = log
-	s.tuneLog()
+	s.cfg.Opts.TuneLog(s.log)
 	if err := s.replayLogLocked(); err != nil {
 		return err
 	}
@@ -423,7 +417,7 @@ func (s *Standby) replayLogLocked() error {
 		// Re-flushing is idempotent: a mirrored install flushes the replayed
 		// cached value, which replay determinism makes equal to what was
 		// flushed before the crash.
-		if _, _, err := s.replayRecord(rec); err != nil {
+		if _, err := s.replayRecord(rec); err != nil {
 			return err
 		}
 	}
@@ -432,7 +426,7 @@ func (s *Standby) replayLogLocked() error {
 // resetVolatileLocked gives the standby an empty cache manager and dirty
 // object table, and the redo step over them.
 func (s *Standby) resetVolatileLocked() error {
-	mgr, err := cache.NewManager(s.cacheConfig(), s.log, s.store)
+	mgr, err := cache.NewManager(s.cfg.Opts.CacheConfig(), s.log, s.store)
 	if err != nil {
 		return err
 	}

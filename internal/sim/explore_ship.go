@@ -20,7 +20,6 @@ import (
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
 	"logicallog/internal/obs/flight"
-	"logicallog/internal/op"
 	"logicallog/internal/ship"
 	"logicallog/internal/wal"
 )
@@ -163,16 +162,6 @@ func ReplayShipSchedule(configName, schedule string) error {
 	return err
 }
 
-// traceLSNs feeds the recorder from the standby's mirrored installs (the
-// ship analogue of runRecorder.trace).
-func (r *runRecorder) traceLSNs(lsns []op.SI) {
-	if r.frozen {
-		return
-	}
-	r.installed = append(r.installed, lsns...)
-	r.marks = append(r.marks, len(r.installed))
-}
-
 // errShipBoundary marks the scripted run reaching its scheduled batch
 // boundary — a clean stop, not a failure.
 var errShipBoundary = errors.New("sim: ship boundary reached")
@@ -249,16 +238,18 @@ func runShipScheduleFlight(cfg NamedConfig, sched shipSchedule, script exploreSc
 	sopts := cfg.Opts
 	sopts.RedoWorkers = popts.RedoWorkers
 	sopts.Flight = fl
+	if cfg.Opts.LogInstalls {
+		// The Theorem 3 recorder watches the standby's mirrored installs: they
+		// run the cache manager's one installation step, so the engine's own
+		// trace hook sees them.
+		sopts.InstallTrace = rec.trace
+	}
 	// The standby keeps its whole log: the script emits non-clean
 	// checkpoints (CheckpointOnly mid-dirty), and truncating at their
 	// RedoStart would cut the log past the phase-0 snapshot that anchors the
 	// explainability check.  Re-deriving the base ops over that snapshot is
 	// the identity, so the full log explains fine.
-	scfg := ship.StandbyConfig{Opts: sopts}
-	if cfg.Opts.LogInstalls {
-		scfg.InstallTrace = rec.traceLSNs
-	}
-	sb, err := ship.NewStandby(scfg)
+	sb, err := ship.NewStandby(ship.StandbyConfig{Opts: sopts})
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", errHarness, err)
 	}

@@ -6,7 +6,6 @@ package wal_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"logicallog/internal/fault"
 	"logicallog/internal/op"
@@ -248,7 +247,7 @@ func TestReorderedFirstAppendWipesDevice(t *testing.T) {
 }
 
 // TestForceRetriesTransientFaults checks the capped-backoff retry absorbs
-// consecutive transient EIOs up to the policy bound, and gives up past it.
+// consecutive transient EIOs up to the fixed retry budget, and gives up past it.
 func TestForceRetriesTransientFaults(t *testing.T) {
 	plan := fault.NewPlan(fault.Point{
 		Chan: fault.ChanWAL, Index: 0, Kind: fault.KindTransient, Arg: 3,
@@ -258,7 +257,6 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetRetryPolicy(3, 10*time.Microsecond, 100*time.Microsecond)
 	mustAppendRec(t, l, wal.NewFlushRecord("A", 1))
 	if err := l.Force(); err != nil {
 		t.Fatalf("force with retry: %v", err)
@@ -278,7 +276,6 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.SetRetryPolicy(3, 10*time.Microsecond, 100*time.Microsecond)
 	mustAppendRec(t, l2, wal.NewFlushRecord("A", 1))
 	err = l2.Force()
 	if err == nil || !wal.IsTransient(err) {

@@ -75,11 +75,6 @@ type Log struct {
 	// stream-merge fault boundary (see SetMergeProbe).
 	mergeProbe func() error
 
-	// Transient-fault retry policy for device appends (see SetRetryPolicy).
-	retryMax  int
-	retryBase time.Duration
-	retryCap  time.Duration
-
 	stats Stats
 	obs   logObs
 
@@ -210,9 +205,8 @@ func IsTransient(err error) bool {
 }
 
 // Backoff is a capped exponential backoff sequence: base, 2·base, 4·base,
-// ..., clamped to max.  Unlike recomputing the delay from the attempt number
-// each iteration (the old TransientBackoff call pattern), the state is
-// advanced incrementally, so a retry loop does O(1) work per attempt.
+// ..., clamped to max.  The state is advanced incrementally, so a retry loop
+// does O(1) work per attempt.
 type Backoff struct {
 	next time.Duration
 	max  time.Duration
@@ -238,16 +232,34 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// TransientBackoff returns the capped exponential delay before the given
-// 1-based retry attempt.  Retry loops should prefer a Backoff value hoisted
-// out of the loop; this closed form is kept for one-shot queries.
-func TransientBackoff(attempt int, base, max time.Duration) time.Duration {
-	b := NewBackoff(base, max)
-	d := time.Duration(0)
-	for i := 0; i < attempt; i++ {
-		d = b.Next()
+// The transient-retry policy of every retrying layer — log force, stable
+// install, ship send.  Constants, not options: no workload or command ever
+// ran with other values.  The simulated devices have no real latency, so the
+// backoff only paces the loop.
+const (
+	transientRetries   = 3
+	transientRetryBase = 20 * time.Microsecond
+	transientRetryCap  = 500 * time.Microsecond
+)
+
+// RetryTransient runs attempt and, while it fails with a retryable error
+// (IsTransient), runs it again up to transientRetries more times, sleeping a
+// capped exponential backoff before each retry.  onRetry, when non-nil,
+// observes each backoff before it is slept.  The last attempt's error is
+// returned.  This is the module's only retry loop; attempt must be safe to
+// re-run after a failure.
+func RetryTransient(attempt func() error, onRetry func(backoff time.Duration)) error {
+	err := attempt()
+	bo := NewBackoff(transientRetryBase, transientRetryCap)
+	for n := 0; err != nil && n < transientRetries && IsTransient(err); n++ {
+		d := bo.Next()
+		if onRetry != nil {
+			onRetry(d)
+		}
+		time.Sleep(d)
+		err = attempt()
 	}
-	return d
+	return err
 }
 
 func newStats() Stats {
@@ -391,18 +403,6 @@ func (l *Log) SetMergeProbe(fn func() error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.mergeProbe = fn
-}
-
-// SetRetryPolicy configures transient-fault retry for device appends in
-// Force/ForceThrough: an append failing with a retryable error (see
-// IsTransient) is retried up to maxRetries times with capped exponential
-// backoff.  maxRetries <= 0 disables retry (the default).
-func (l *Log) SetRetryPolicy(maxRetries int, base, cap time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retryMax = maxRetries
-	l.retryBase = base
-	l.retryCap = cap
 }
 
 // Append assigns the next LSN to rec, encodes it into a volatile stream, and
@@ -568,23 +568,17 @@ func (l *Log) forceLocked(lsn op.SI) error {
 	last := l.mergedLast
 	gen := l.mergedGen
 	l.forcing = true
-	retryMax, retryBase, retryCap := l.retryMax, l.retryBase, l.retryCap
 	hooks := l.obs
 	l.mu.Unlock()
 	var deviceStart time.Time
 	if hooks.forceDeviceNs.Enabled() {
 		deviceStart = time.Now()
 	}
-	err := l.dev.Append(buf)
 	var retries int64
-	backoff := NewBackoff(retryBase, retryCap)
-	for attempt := 1; err != nil && attempt <= retryMax && IsTransient(err); attempt++ {
-		d := backoff.Next()
+	err := RetryTransient(func() error { return l.dev.Append(buf) }, func(d time.Duration) {
 		hooks.retryBackoffNs.ObserveDuration(d)
-		time.Sleep(d)
 		retries++
-		err = l.dev.Append(buf)
-	}
+	})
 	if hooks.forceDeviceNs.Enabled() {
 		hooks.forceDeviceNs.Since(deviceStart)
 		hooks.forceBatchRecords.Observe(int64(n))

@@ -193,8 +193,7 @@ func TestStreamConcurrentAppendsStayDense(t *testing.T) {
 }
 
 func TestBackoffCappedExponentialGrowth(t *testing.T) {
-	// Regression for the retry loop recomputing its delay from scratch every
-	// attempt: a hoisted Backoff must yield the capped doubling sequence.
+	// A hoisted Backoff must yield the capped doubling sequence.
 	b := NewBackoff(time.Millisecond, 8*time.Millisecond)
 	want := []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
@@ -209,15 +208,6 @@ func TestBackoffCappedExponentialGrowth(t *testing.T) {
 	z := NewBackoff(0, time.Second)
 	if got := z.Next(); got != 0 {
 		t.Errorf("zero-base Next() = %v", got)
-	}
-	// The stateless helper agrees with the stateful sequence.
-	for attempt := 1; attempt <= len(want); attempt++ {
-		if got := TransientBackoff(attempt, time.Millisecond, 8*time.Millisecond); got != want[attempt-1] {
-			t.Errorf("TransientBackoff(%d) = %v, want %v", attempt, got, want[attempt-1])
-		}
-	}
-	if got := TransientBackoff(0, time.Millisecond, 8*time.Millisecond); got != 0 {
-		t.Errorf("TransientBackoff(0) = %v, want 0", got)
 	}
 }
 

@@ -591,6 +591,12 @@ func (wg *Graph) Nodes() []*NodeView {
 // of PurgeCache.
 func (wg *Graph) Minimal() []graph.NodeID { return wg.g.Minimal() }
 
+// IsMinimal reports whether node id exists and has no predecessors.
+func (wg *Graph) IsMinimal(id graph.NodeID) bool {
+	_, ok := wg.nodes[id]
+	return ok && wg.g.InDegree(id) == 0
+}
+
 // NodeOf returns the id of the node holding x in its vars, if any.
 func (wg *Graph) NodeOf(x op.ObjectID) (graph.NodeID, bool) {
 	id, ok := wg.byVar[x]
