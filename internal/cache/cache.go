@@ -462,6 +462,7 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 	_, err := m.wg.AddOp(o)
 	if err == nil && m.obs.wgNodes != nil {
 		m.obs.wgNodes.Set(int64(m.wg.Len()))
+		m.obs.wgOps.Set(int64(m.wg.OpCount()))
 	}
 	m.wgMu.Unlock()
 	if err != nil {

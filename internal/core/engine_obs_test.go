@@ -49,6 +49,32 @@ func TestMetricsUnifiesStatsAndRegistry(t *testing.T) {
 	}
 }
 
+// TestWriteGraphGaugesTrackEveryAddOp: writegraph.nodes and writegraph.ops
+// follow the live write graph after each executed operation, not only after
+// installs.
+func TestWriteGraphGaugesTrackEveryAddOp(t *testing.T) {
+	eng, _ := obsEng(t, nil)
+	for i, id := range []op.ObjectID{"a", "b", "a", "c"} {
+		if err := eng.Execute(op.NewCreate(id, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+		wg := eng.Cache().WriteGraph()
+		m := eng.Metrics()
+		if got, want := m.Gauges["writegraph.nodes"], int64(wg.Len()); got != want {
+			t.Errorf("after op %d: writegraph.nodes = %d, want %d", i, got, want)
+		}
+		if got, want := m.Gauges["writegraph.ops"], int64(wg.OpCount()); got != want || want != int64(i+1) {
+			t.Errorf("after op %d: writegraph.ops = %d, graph holds %d, want %d", i, got, want, i+1)
+		}
+	}
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.Gauges["writegraph.nodes"] != 0 || m.Gauges["writegraph.ops"] != 0 {
+		t.Errorf("after FlushAll: nodes = %d, ops = %d, want 0, 0", m.Gauges["writegraph.nodes"], m.Gauges["writegraph.ops"])
+	}
+}
+
 func TestResetStatsResetsEverySource(t *testing.T) {
 	eng, reg := obsEng(t, nil)
 	if err := eng.Execute(op.NewCreate("x", []byte("v"))); err != nil {

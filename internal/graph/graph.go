@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,24 +21,28 @@ type NodeID int64
 
 // Digraph is a mutable directed graph.  The zero value is not usable; call
 // New.
+//
+// Each node's successors and predecessors are kept sorted ascending, so
+// adjacency is read in id order without sorting and an edge is found by
+// binary search.
 type Digraph struct {
-	succ map[NodeID]map[NodeID]struct{}
-	pred map[NodeID]map[NodeID]struct{}
+	succ map[NodeID]IDSet
+	pred map[NodeID]IDSet
 }
 
 // New returns an empty digraph.
 func New() *Digraph {
 	return &Digraph{
-		succ: make(map[NodeID]map[NodeID]struct{}),
-		pred: make(map[NodeID]map[NodeID]struct{}),
+		succ: make(map[NodeID]IDSet),
+		pred: make(map[NodeID]IDSet),
 	}
 }
 
 // AddNode ensures n exists.  Adding an existing node is a no-op.
 func (g *Digraph) AddNode(n NodeID) {
 	if _, ok := g.succ[n]; !ok {
-		g.succ[n] = make(map[NodeID]struct{})
-		g.pred[n] = make(map[NodeID]struct{})
+		g.succ[n] = nil
+		g.pred[n] = nil
 	}
 }
 
@@ -52,38 +57,36 @@ func (g *Digraph) HasNode(n NodeID) bool {
 func (g *Digraph) AddEdge(u, v NodeID) {
 	g.AddNode(u)
 	g.AddNode(v)
-	g.succ[u][v] = struct{}{}
-	g.pred[v][u] = struct{}{}
+	if g.succ[u].Has(v) {
+		return
+	}
+	g.succ[u] = g.succ[u].With(v)
+	g.pred[v] = g.pred[v].With(u)
 }
 
 // HasEdge reports whether the edge u -> v exists.
-func (g *Digraph) HasEdge(u, v NodeID) bool {
-	if s, ok := g.succ[u]; ok {
-		_, ok2 := s[v]
-		return ok2
-	}
-	return false
-}
+func (g *Digraph) HasEdge(u, v NodeID) bool { return g.succ[u].Has(v) }
 
 // RemoveEdge deletes u -> v if present.
 func (g *Digraph) RemoveEdge(u, v NodeID) {
-	if s, ok := g.succ[u]; ok {
-		delete(s, v)
+	if !g.HasEdge(u, v) {
+		return
 	}
-	if p, ok := g.pred[v]; ok {
-		delete(p, u)
-	}
+	g.succ[u] = g.succ[u].Without(v)
+	g.pred[v] = g.pred[v].Without(u)
 }
 
 // RemoveNode deletes n and all incident edges.
 func (g *Digraph) RemoveNode(n NodeID) {
-	//lint:ignore replaydeterminism independent per-edge deletes; final maps identical in any order
-	for v := range g.succ[n] {
-		delete(g.pred[v], n)
+	for _, v := range g.succ[n] {
+		if v != n {
+			g.pred[v] = g.pred[v].Without(n)
+		}
 	}
-	//lint:ignore replaydeterminism independent per-edge deletes; final maps identical in any order
-	for u := range g.pred[n] {
-		delete(g.succ[u], n)
+	for _, u := range g.pred[n] {
+		if u != n {
+			g.succ[u] = g.succ[u].Without(n)
+		}
 	}
 	delete(g.succ, n)
 	delete(g.pred, n)
@@ -114,10 +117,14 @@ func (g *Digraph) Nodes() []NodeID {
 }
 
 // Succ returns n's successors in ascending order.
-func (g *Digraph) Succ(n NodeID) []NodeID { return sortedKeys(g.succ[n]) }
+func (g *Digraph) Succ(n NodeID) []NodeID {
+	return append(make([]NodeID, 0, len(g.succ[n])), g.succ[n]...)
+}
 
 // Pred returns n's predecessors in ascending order.
-func (g *Digraph) Pred(n NodeID) []NodeID { return sortedKeys(g.pred[n]) }
+func (g *Digraph) Pred(n NodeID) []NodeID {
+	return append(make([]NodeID, 0, len(g.pred[n])), g.pred[n]...)
+}
 
 // InDegree returns the number of predecessors of n.
 func (g *Digraph) InDegree(n NodeID) int { return len(g.pred[n]) }
@@ -143,16 +150,10 @@ func (g *Digraph) Minimal() []NodeID {
 // Clone returns a deep copy of g.
 func (g *Digraph) Clone() *Digraph {
 	c := New()
-	//lint:ignore replaydeterminism set copy; resulting maps identical in any order
-	for n := range g.succ {
-		c.AddNode(n)
-	}
 	//lint:ignore replaydeterminism edge-set copy; resulting maps identical in any order
-	for u, s := range g.succ {
-		//lint:ignore replaydeterminism edge-set copy; resulting maps identical in any order
-		for v := range s {
-			c.AddEdge(u, v)
-		}
+	for n, s := range g.succ {
+		c.succ[n] = slices.Clone(s)
+		c.pred[n] = slices.Clone(g.pred[n])
 	}
 	return c
 }
@@ -170,8 +171,7 @@ func (g *Digraph) Reachable(u, v NodeID) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		//lint:ignore replaydeterminism visit order varies but the reachability answer does not
-		for s := range g.succ[n] {
+		for _, s := range g.succ[n] {
 			if s == v {
 				return true
 			}
@@ -203,10 +203,17 @@ func (g *Digraph) HasCycle() bool {
 // before the components it can reach... specifically Tarjan emits a
 // component only after all components it reaches), with node ids sorted
 // within each component.
-func (g *Digraph) SCC() [][]NodeID {
-	index := make(map[NodeID]int, len(g.succ))
-	low := make(map[NodeID]int, len(g.succ))
-	onStack := make(map[NodeID]bool, len(g.succ))
+func (g *Digraph) SCC() [][]NodeID { return g.SCCWithin(g.Nodes(), nil) }
+
+// SCCWithin is SCC restricted to the subgraph induced by the nodes in
+// reports true for (every node when in is nil): only edges between accepted
+// nodes are followed.  Exploration starts from roots in the given order, which
+// must list every accepted node; the cost is proportional to the accepted
+// nodes and their edges, not to g.
+func (g *Digraph) SCCWithin(roots []NodeID, in func(NodeID) bool) [][]NodeID {
+	index := make(map[NodeID]int, len(roots))
+	low := make(map[NodeID]int, len(roots))
+	onStack := make(map[NodeID]bool, len(roots))
 	var stack []NodeID
 	var comps [][]NodeID
 	next := 0
@@ -216,12 +223,25 @@ func (g *Digraph) SCC() [][]NodeID {
 		succs []NodeID
 		i     int
 	}
+	succs := func(n NodeID) []NodeID {
+		out := g.Succ(n)
+		if in == nil {
+			return out
+		}
+		kept := out[:0]
+		for _, s := range out {
+			if in(s) {
+				kept = append(kept, s)
+			}
+		}
+		return kept
+	}
 
-	for _, root := range g.Nodes() {
+	for _, root := range roots {
 		if _, seen := index[root]; seen {
 			continue
 		}
-		frames := []frame{{n: root, succs: g.Succ(root)}}
+		frames := []frame{{n: root, succs: succs(root)}}
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
@@ -237,7 +257,7 @@ func (g *Digraph) SCC() [][]NodeID {
 					next++
 					stack = append(stack, s)
 					onStack[s] = true
-					frames = append(frames, frame{n: s, succs: g.Succ(s)})
+					frames = append(frames, frame{n: s, succs: succs(s)})
 				} else if onStack[s] && index[s] < low[f.n] {
 					low[f.n] = index[s]
 				}
@@ -332,8 +352,7 @@ func (g *Digraph) Collapse(partition map[NodeID]NodeID) (*Digraph, error) {
 	//lint:ignore replaydeterminism edge-set construction; resulting maps identical in any order
 	for u, s := range g.succ {
 		cu := partition[u]
-		//lint:ignore replaydeterminism edge-set construction; resulting maps identical in any order
-		for v := range s {
+		for _, v := range s {
 			cv := partition[v]
 			if cu != cv {
 				out.AddEdge(cu, cv)
@@ -377,30 +396,35 @@ func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]
 	return part
 }
 
-// Validate checks structural invariants: pred/succ symmetry and absence of
-// dangling endpoints.  Used by tests and by the write-graph packages after
-// mutation-heavy phases.
+// Validate checks structural invariants: pred/succ symmetry, absence of
+// dangling endpoints, and strictly ascending adjacency.  Used by tests and
+// by the write-graph packages after mutation-heavy phases.
 func (g *Digraph) Validate() error {
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
 	for u, s := range g.succ {
-		//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-		for v := range s {
-			if _, ok := g.pred[v]; !ok {
+		if !sorted(s) {
+			return fmt.Errorf("graph: successors of %d not strictly ascending: %v", u, s)
+		}
+		for _, v := range s {
+			p, ok := g.pred[v]
+			if !ok {
 				return fmt.Errorf("graph: edge %d->%d has dangling head", u, v)
 			}
-			if _, ok := g.pred[v][u]; !ok {
+			if !p.Has(u) {
 				return fmt.Errorf("graph: edge %d->%d missing from pred index", u, v)
 			}
 		}
 	}
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
 	for v, p := range g.pred {
-		//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-		for u := range p {
+		if !sorted(p) {
+			return fmt.Errorf("graph: predecessors of %d not strictly ascending: %v", v, p)
+		}
+		for _, u := range p {
 			if _, ok := g.succ[u]; !ok {
 				return fmt.Errorf("graph: edge %d->%d has dangling tail", u, v)
 			}
-			if _, ok := g.succ[u][v]; !ok {
+			if !g.HasEdge(u, v) {
 				return fmt.Errorf("graph: edge %d->%d missing from succ index", u, v)
 			}
 		}
@@ -408,12 +432,38 @@ func (g *Digraph) Validate() error {
 	return nil
 }
 
-func sortedKeys(m map[NodeID]struct{}) []NodeID {
-	out := make([]NodeID, 0, len(m))
-	//lint:ignore replaydeterminism key collection is order-independent; sorted below
-	for n := range m {
-		out = append(out, n)
+func sorted(s []NodeID) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return true
+}
+
+// IDSet is a set of node ids kept in ascending order, so iterating it is
+// deterministic and membership is a binary search.  The nil IDSet is empty.
+type IDSet []NodeID
+
+// Has reports whether n is in s.
+func (s IDSet) Has(n NodeID) bool {
+	_, found := slices.BinarySearch(s, n)
+	return found
+}
+
+// With returns s plus n; s's backing array may be reused.
+func (s IDSet) With(n NodeID) IDSet {
+	i, found := slices.BinarySearch(s, n)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, n)
+}
+
+// Without returns s minus n; s's backing array may be reused.
+func (s IDSet) Without(n NodeID) IDSet {
+	if i, found := slices.BinarySearch(s, n); found {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }

@@ -313,14 +313,100 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2)
 	// Corrupt the pred index directly.
-	delete(g.pred[2], 1)
+	g.pred[2] = nil
 	if err := g.Validate(); err == nil {
 		t.Error("Validate missed pred corruption")
 	}
 	h := New()
 	h.AddEdge(1, 2)
-	delete(h.succ[1], 2)
+	h.succ[1] = nil
 	if err := h.Validate(); err == nil {
 		t.Error("Validate missed succ corruption")
+	}
+	u := New()
+	u.AddEdge(1, 2)
+	u.AddEdge(1, 3)
+	u.succ[1][0], u.succ[1][1] = 3, 2
+	if err := u.Validate(); err == nil {
+		t.Error("Validate missed unsorted adjacency")
+	}
+}
+
+// TestAdjacencyStaysSortedUnderChurn cross-checks the sorted adjacency lists
+// against a reference adjacency matrix through random inserts and removals.
+func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(5))
+	g := New()
+	var ref [n][n]bool
+	for i := 0; i < 4000; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		switch rng.Intn(5) {
+		case 0:
+			g.RemoveEdge(NodeID(u), NodeID(v))
+			ref[u][v] = false
+		case 1:
+			if rng.Intn(8) == 0 {
+				g.RemoveNode(NodeID(u))
+				for w := 0; w < n; w++ {
+					ref[u][w], ref[w][u] = false, false
+				}
+			}
+		default:
+			g.AddEdge(NodeID(u), NodeID(v))
+			ref[u][v] = true
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	edges := 0
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if ref[u][v] {
+				edges++
+			}
+			if g.HasEdge(NodeID(u), NodeID(v)) != ref[u][v] {
+				t.Fatalf("HasEdge(%d, %d) = %v, reference says %v", u, v, !ref[u][v], ref[u][v])
+			}
+		}
+	}
+	if g.EdgeCount() != edges {
+		t.Fatalf("EdgeCount = %d, reference has %d", g.EdgeCount(), edges)
+	}
+}
+
+func TestIDSet(t *testing.T) {
+	var s IDSet
+	for _, n := range []NodeID{5, 1, 3, 5, 1} {
+		s = s.With(n)
+	}
+	if !reflect.DeepEqual(s, IDSet{1, 3, 5}) {
+		t.Fatalf("With = %v, want [1 3 5]", s)
+	}
+	if !s.Has(3) || s.Has(4) {
+		t.Error("Has wrong")
+	}
+	s = s.Without(3).Without(4)
+	if !reflect.DeepEqual(s, IDSet{1, 5}) {
+		t.Errorf("Without = %v, want [1 5]", s)
+	}
+}
+
+// TestSCCWithinFollowsOnlyAcceptedNodes: a cycle through a rejected node is
+// not a component of the induced subgraph.
+func TestSCCWithinFollowsOnlyAcceptedNodes(t *testing.T) {
+	g := New()
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	g.AddEdge(3, 1)
+	g.AddEdge(2, 4)
+	g.AddEdge(4, 5)
+	g.AddEdge(5, 2)
+	in := func(n NodeID) bool { return n != 3 }
+	comps := g.SCCWithin([]NodeID{1, 2, 4, 5}, in)
+	want := [][]NodeID{{2, 4, 5}, {1}}
+	if !reflect.DeepEqual(comps, want) {
+		t.Errorf("SCCWithin = %v, want %v (reverse topological order)", comps, want)
 	}
 }

@@ -79,6 +79,9 @@ func driveModel(t *testing.T, eng *core.Engine, drv *workload.MixDriver, dom wor
 		if err == nil {
 			err = drv.Step(dom)
 		}
+		if err == nil {
+			err = checkWriteGraph(eng)
+		}
 		if err != nil {
 			if injected(err) {
 				return true
@@ -90,6 +93,7 @@ func driveModel(t *testing.T, eng *core.Engine, drv *workload.MixDriver, dom wor
 }
 
 func TestDomainModelDifferential(t *testing.T) {
+	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {

@@ -127,21 +127,36 @@ type ExploreReport struct {
 // reason other than its injected fault), as opposed to recovery bugs.
 var errHarness = errors.New("sim: explorer harness failure")
 
-// Explore runs the full crash-schedule exploration for one configuration:
-// a fault-free counting run, then one schedule per I/O boundary and fault
-// variant, stepping boundaries by stride (1 = exhaustive).  Schedule
-// failures are collected, not fatal; only a broken harness returns an error.
-func Explore(cfg NamedConfig, stride int, rogue RogueHook) (*ExploreReport, error) {
+// Stride selects the boundaries a sweep injects faults at: every Every-th
+// boundary, starting at Offset.  Stride{Every: 1} is exhaustive; a larger
+// Every with a seeded Offset is a sample that still reaches every boundary
+// across seeds.
+type Stride struct {
+	Every, Offset int
+}
+
+// boundaries returns the boundaries in [0, n) the stride selects.
+func (s Stride) boundaries(n int) []int {
+	every := max(s.Every, 1)
+	var out []int
+	for b := s.Offset % every; b < n; b += every {
+		out = append(out, b)
+	}
+	return out
+}
+
+// Explore runs the crash-schedule exploration for one configuration: a
+// fault-free counting run, then one schedule per I/O boundary the stride
+// selects and fault variant.  Schedule failures are collected, not fatal;
+// only a broken harness returns an error.
+func Explore(cfg NamedConfig, stride Stride, rogue RogueHook) (*ExploreReport, error) {
 	return exploreWith(cfg, stride, rogue, "", runExploreScript, nil)
 }
 
 // exploreWith is the exploration loop shared by the default script and the
 // scenario-mix sweeps; mix names the scenario for failure repro lines ("" =
 // default script) and post runs extra domain-level checks after recovery.
-func exploreWith(cfg NamedConfig, stride int, rogue RogueHook, mix string, script exploreScript, post func(*core.Engine) error) (*ExploreReport, error) {
-	if stride < 1 {
-		stride = 1
-	}
+func exploreWith(cfg NamedConfig, stride Stride, rogue RogueHook, mix string, script exploreScript, post func(*core.Engine) error) (*ExploreReport, error) {
 	rep := &ExploreReport{Config: cfg.Name}
 
 	// Counting run: no faults, full verification.  Its I/O counts define
@@ -166,7 +181,7 @@ func exploreWith(cfg NamedConfig, stride int, rogue RogueHook, mix string, scrip
 			rep.Failures = append(rep.Failures, ScheduleFailure{cfg.Name, mix, plan.Token(), err})
 		}
 	}
-	for b := 0; b < rep.WALBoundaries; b += stride {
+	for _, b := range stride.boundaries(rep.WALBoundaries) {
 		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindCrash})
 		// Torn tail: a short prefix of the append lands, and separately
 		// the whole append lands but the ack is lost.
@@ -176,14 +191,14 @@ func exploreWith(cfg NamedConfig, stride int, rogue RogueHook, mix string, scrip
 		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindReorder, Arg: b})
 		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTransient, Arg: 1})
 	}
-	for b := 0; b < rep.StableBoundaries; b += stride {
+	for _, b := range stride.boundaries(rep.StableBoundaries) {
 		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindCrash})
 		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindTransient, Arg: 2})
 	}
 	// Stream-merge boundaries: the leader has staged a merged batch that the
 	// device never saw.  Crashing there must lose exactly that batch and
 	// nothing durable — the schedule-equivalence proof for merged order.
-	for b := 0; b < rep.StreamBoundaries; b += stride {
+	for _, b := range stride.boundaries(rep.StreamBoundaries) {
 		run(fault.Point{Chan: fault.ChanWALStream, Index: b, Kind: fault.KindCrash})
 	}
 	return rep, nil
@@ -311,6 +326,9 @@ func runScheduleFlight(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, scrip
 	if _, err := eng.Recover(); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
+	if err := checkWriteGraph(eng); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
+	}
 	// The durable horizon is re-derived by recovery (a torn or reordered
 	// final append trims the log below the pre-crash acked horizon).
 	horizon := eng.Log().StableLSN()
@@ -331,6 +349,16 @@ func runScheduleFlight(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, scrip
 		return fmt.Errorf("post-recovery flush: %w", err)
 	}
 	return VerifyAgainstOracle(eng, horizon)
+}
+
+// checkWriteGraph runs the write graph's own invariant check — structure,
+// acyclicity, the per-object indexes and the maintained order, each rebuilt
+// from node contents — on a quiescent engine.
+func checkWriteGraph(eng *core.Engine) error {
+	if err := eng.Cache().WriteGraph().Validate(); err != nil {
+		return fmt.Errorf("write graph: %w", err)
+	}
+	return nil
 }
 
 // Scripted workload parameters.  The script is fully deterministic: the

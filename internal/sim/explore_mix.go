@@ -156,8 +156,14 @@ func mixExploreScript(mix workload.Mix) exploreScript {
 			if err := btDrv.Step(tree); err != nil {
 				return fmt.Errorf("btree step %d: %w", step, err)
 			}
+			if err := checkWriteGraph(eng); err != nil {
+				return fmt.Errorf("after btree step %d: %w", step, err)
+			}
 			if err := lsmDrv.Step(kv); err != nil {
 				return fmt.Errorf("lsm step %d: %w", step, err)
+			}
+			if err := checkWriteGraph(eng); err != nil {
+				return fmt.Errorf("after lsm step %d: %w", step, err)
 			}
 		}
 		if err := eng.Log().Force(); err != nil {
@@ -283,7 +289,7 @@ func VerifyMixDomains(eng *core.Engine) error { return checkMixDomains(eng) }
 // ExploreMix runs the crash-schedule exploration with a scenario mix
 // driving the B+tree and LSM domains.  mixName is a built-in mix name or a
 // custom spec (see workload.ParseMix).
-func ExploreMix(cfg NamedConfig, mixName string, stride int) (*ExploreReport, error) {
+func ExploreMix(cfg NamedConfig, mixName string, stride Stride) (*ExploreReport, error) {
 	mix, err := workload.ParseMix(mixName)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errHarness, err)
@@ -311,7 +317,7 @@ func ReplayMixSchedule(configName, mixName, token string) error {
 // ExploreShipMix runs the ship-schedule exploration with a scenario mix
 // driving the primary's domains.  The promoted standby gets the same
 // domain-level checks as the crash explorer.
-func ExploreShipMix(cfg NamedConfig, mixName string, stride int) (*ShipExploreReport, error) {
+func ExploreShipMix(cfg NamedConfig, mixName string, stride Stride) (*ShipExploreReport, error) {
 	mix, err := workload.ParseMix(mixName)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errHarness, err)

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"strings"
 	"testing"
-
-	"logicallog/internal/workload"
 )
 
 var (
@@ -13,31 +11,20 @@ var (
 	shipMixFlag  = flag.String("ship.mix", "", "scenario mix for TestShipScheduleReplay (empty = default script)")
 )
 
-// sweepMixes returns the scenario mixes the explorer sweeps in CI: the
-// acceptance floor is two, and the three built-ins stress different domain
-// paths (splits and merges vs flushes and compactions vs leaf-chain scans).
-func sweepMixes(t *testing.T) []string {
-	t.Helper()
-	if testing.Short() {
-		return []string{"point-lookup-heavy", "write-burst"}
-	}
-	return workload.MixNames()
-}
-
 // TestMixScheduleExplorer sweeps the crash-schedule space with the scenario
-// mixes driving the B+tree and LSM domains, for every engine configuration.
-// Beyond the oracle and explainability checks, every recovered state must
-// reopen both domains, pass their structural invariant checks, and scan
-// cleanly end to end.
+// mixes driving the B+tree and LSM domains, for every engine configuration;
+// the three built-in mixes stress different domain paths (splits and merges
+// vs flushes and compactions vs leaf-chain scans), and the exhaustive sweep
+// drives all three.  Beyond the oracle and explainability checks, every
+// recovered state must reopen both domains, pass their structural invariant
+// checks, and scan cleanly end to end.
 func TestMixScheduleExplorer(t *testing.T) {
-	stride := 5
-	if testing.Short() {
-		stride = 19
-	}
+	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
+			stride := sweepStride(t, 5)
 			for _, mixName := range sweepMixes(t) {
 				rep, err := ExploreMix(cfg, mixName, stride)
 				if err != nil {
@@ -63,14 +50,12 @@ func TestMixScheduleExplorer(t *testing.T) {
 // shipped-batch boundaries, then domain-level checks on the promoted
 // standby.
 func TestShipMixScheduleExplorer(t *testing.T) {
-	stride := 11
-	if testing.Short() {
-		stride = 43
-	}
+	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
+			stride := sweepStride(t, 11)
 			for _, mixName := range sweepMixes(t) {
 				rep, err := ExploreShipMix(cfg, mixName, stride)
 				if err != nil {

@@ -100,21 +100,18 @@ func parseShipSchedule(text string) (shipSchedule, error) {
 	return shipSchedule{kind: "fault", token: text}, nil
 }
 
-// ExploreShip runs the full ship-schedule exploration for one configuration:
-// a fault-free counting run, then — per shipped-batch boundary, stepping by
-// stride — a primary crash with failover, a standby crash with restart, and
+// ExploreShip runs the ship-schedule exploration for one configuration: a
+// fault-free counting run, then — per shipped-batch boundary the stride
+// selects — a primary crash with failover, a standby crash with restart, and
 // the four wire faults.  Schedule failures are collected, not fatal; only a
 // broken harness returns an error.
-func ExploreShip(cfg NamedConfig, stride int) (*ShipExploreReport, error) {
+func ExploreShip(cfg NamedConfig, stride Stride) (*ShipExploreReport, error) {
 	return exploreShipWith(cfg, stride, "", runExploreScript, nil)
 }
 
 // exploreShipWith is the ship-exploration loop shared by the default script
 // and the scenario-mix sweeps (see ExploreShipMix).
-func exploreShipWith(cfg NamedConfig, stride int, mix string, script exploreScript, post func(*core.Engine) error) (*ShipExploreReport, error) {
-	if stride < 1 {
-		stride = 1
-	}
+func exploreShipWith(cfg NamedConfig, stride Stride, mix string, script exploreScript, post func(*core.Engine) error) (*ShipExploreReport, error) {
 	rep := &ShipExploreReport{Config: cfg.Name}
 
 	sends, err := runShipScheduleWith(cfg, shipSchedule{kind: "count"}, script, post)
@@ -133,7 +130,7 @@ func exploreShipWith(cfg NamedConfig, stride int, mix string, script exploreScri
 			rep.Failures = append(rep.Failures, ShipScheduleFailure{cfg.Name, mix, sched.String(), err})
 		}
 	}
-	for b := 0; b < rep.Boundaries; b += stride {
+	for _, b := range stride.boundaries(rep.Boundaries) {
 		run(shipSchedule{kind: "primary-crash", boundary: b})
 		run(shipSchedule{kind: "standby-crash", boundary: b})
 		for _, tok := range []string{
@@ -307,6 +304,9 @@ func runShipScheduleFlight(cfg NamedConfig, sched shipSchedule, script exploreSc
 	promoted, _, err := sb.Promote()
 	if err != nil {
 		return bt.sends, fmt.Errorf("promote: %w", err)
+	}
+	if err := checkWriteGraph(promoted); err != nil {
+		return bt.sends, fmt.Errorf("after promotion: %w", err)
 	}
 	// Promotion may append past the applied horizon (CM identity writes from
 	// the pre-adoption purge), but never lose any of it.

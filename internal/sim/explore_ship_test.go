@@ -15,15 +15,12 @@ var (
 // four wire faults at shipped-batch boundaries.  Any failure prints a
 // one-line repro command.
 func TestShipCrashExplorer(t *testing.T) {
-	stride := 3
-	if testing.Short() {
-		stride = 29
-	}
+	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := ExploreShip(cfg, stride)
+			rep, err := ExploreShip(cfg, sweepStride(t, 3))
 			if err != nil {
 				t.Fatalf("harness: %v", err)
 			}

@@ -16,20 +16,18 @@ var (
 	faultToken  = flag.String("fault.token", "", "fault plan token for TestCrashScheduleReplay")
 )
 
-// TestCrashScheduleExplorer is the exhaustive crash-schedule sweep: for each
-// explorer configuration, count the scripted workload's I/O boundaries,
-// then crash (or tear, flip, reorder, EIO) at every one of them and demand
-// oracle equivalence and stable-state explainability after recovery.
+// TestCrashScheduleExplorer is the crash-schedule sweep: for each explorer
+// configuration, count the scripted workload's I/O boundaries, then crash
+// (or tear, flip, reorder, EIO) at each boundary the sweep selects — every
+// one under LL_EXPLORE=full — and demand oracle equivalence and stable-state
+// explainability after recovery.
 func TestCrashScheduleExplorer(t *testing.T) {
-	stride := 1
-	if testing.Short() {
-		stride = 7
-	}
+	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Explore(cfg, stride, nil)
+			rep, err := Explore(cfg, sweepStride(t, 1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,14 +89,12 @@ func buggyRogue(step int, eng *core.Engine) error {
 
 // TestExplorerCatchesBuggyPolicy is the explorer's self-test: planting a
 // flush-order violation in the workload must produce failing schedules, and
-// each failure's token must replay to the same failure.
+// each failure's token must replay to the same failure.  It is never
+// sampled: it crashes at every boundary whatever LL_EXPLORE says.
 func TestExplorerCatchesBuggyPolicy(t *testing.T) {
-	stride := 1
-	if testing.Short() {
-		stride = 3
-	}
+	t.Parallel()
 	cfg, _ := LookupConfig("rW-identity-rSI")
-	rep, err := Explore(cfg, stride, buggyRogue)
+	rep, err := Explore(cfg, Stride{Every: 1}, buggyRogue)
 	if err != nil {
 		t.Fatal(err)
 	}

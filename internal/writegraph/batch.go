@@ -57,17 +57,8 @@ func BuildW(history []*op.Operation) (*Graph, error) {
 		c := classOf(o.LSN)
 		nd, ok := byClass[c]
 		if !ok {
-			nd = &node{
-				id:     out.nextID,
-				vars:   make(map[op.ObjectID]struct{}),
-				reads:  make(map[op.ObjectID]struct{}),
-				writes: make(map[op.ObjectID]struct{}),
-				lastw:  make(map[op.ObjectID]op.SI),
-			}
-			out.nextID++
+			nd = out.newNode()
 			byClass[c] = nd
-			out.nodes[nd.id] = nd
-			out.g.AddNode(nd.id)
 		}
 		out.attachOp(nd, o, o.WriteSet)
 		out.trackReadsWrites(nd, o)
@@ -76,6 +67,14 @@ func BuildW(history []*op.Operation) (*Graph, error) {
 		for _, s := range w.Succ(u) {
 			out.g.AddEdge(byClass[u].id, byClass[s].id)
 		}
+	}
+	// Rank the nodes in a topological order of the collapsed graph.
+	order, err := out.g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range order {
+		out.nodes[id].rank = int64(i)
 	}
 	return out, nil
 }

@@ -18,6 +18,7 @@ package writegraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"logicallog/internal/graph"
@@ -54,8 +55,11 @@ func (p Policy) String() string {
 //	Writes(n)  union of writesets
 //	Notx(n)    Writes(n) − vars(n): the unexposed objects of n
 //	Lastw(n,X) last value (here: LSN of last write) of X written by ops(n)
+//
+// rank is n's position in the graph's maintained topological order.
 type node struct {
 	id     graph.NodeID
+	rank   int64
 	ops    []*op.Operation
 	vars   map[op.ObjectID]struct{}
 	reads  map[op.ObjectID]struct{}
@@ -78,12 +82,21 @@ func (n *node) notx() []op.ObjectID {
 // AddOp corresponds to the arrival of a logged operation at the cache
 // manager, Remove to PurgeCache installing a minimal node.
 //
+// Both do work proportional to what the operation touches — the nodes
+// indexed under the objects it reads or writes, and the stretch of the
+// maintained topological order its new edges reorder — never to the size of
+// the uninstalled backlog.
+//
 // Graph is not safe for concurrent use; the cache manager serializes access.
 type Graph struct {
 	policy Policy
 	g      *graph.Digraph
 	nodes  map[graph.NodeID]*node
 	nextID graph.NodeID
+	// nextRank is the rank a new node takes: the end of the order.
+	nextRank int64
+	// opCount is the number of operations across all nodes.
+	opCount int
 
 	// byVar maps an object to the unique node holding it in vars.  The
 	// paper: "each X is a member of only one vars(p) for all p".
@@ -91,23 +104,22 @@ type Graph struct {
 	// lastWriter maps an object to the node containing its latest
 	// (uninstalled) writer, used to resolve Lastw(p,X) readers.
 	lastWriter map[op.ObjectID]graph.NodeID
-	// readersOfLast maps an object X to the nodes containing operations
-	// that read the value written by X's latest writer (reset whenever X
-	// is rewritten).  These nodes get inverse write-read edges q -> p when
-	// X becomes unexposed in p.
-	readersOfLast map[op.ObjectID]map[graph.NodeID]struct{}
+	// readersOfLast maps an object X with a latest writer to the nodes
+	// containing operations that read the value that writer wrote (reset
+	// whenever X is rewritten).  These nodes get inverse write-read edges
+	// q -> p when X becomes unexposed in p.
+	readersOfLast map[op.ObjectID]graph.IDSet
+	// readersOf maps an object to the nodes whose Reads contain it: the
+	// read-write predecessors of any node that writes it.
+	readersOf map[op.ObjectID]graph.IDSet
 
-	// cycleRisk is set when the current AddOp adds an edge or merges two
-	// or more existing nodes — the only mutations that can turn the
-	// (invariantly acyclic) graph cyclic.  newEdges and mergedNodes record
-	// exactly which edges/survivors this AddOp introduced so that
-	// collapseCyclesAround can prove acyclicity with a bounded local
-	// reachability probe instead of a global SCC pass, keeping a long run
-	// of blind writes (and their redo replay) linear instead of quadratic
-	// in the graph size.
-	cycleRisk   bool
-	newEdges    [][2]graph.NodeID
-	mergedNodes []graph.NodeID
+	// disordered lists the edges the current AddOp inserted against the
+	// maintained order; settle repairs the order once they are all in.
+	disordered [][2]graph.NodeID
+	// visits counts the nodes and edges AddOp examines: indexed readers,
+	// inserted edges and the reorder search.  Tests use it to check the
+	// work per operation.
+	visits int
 
 	// stats
 	merges        int
@@ -123,7 +135,8 @@ func New(policy Policy) *Graph {
 		nextID:        1,
 		byVar:         make(map[op.ObjectID]graph.NodeID),
 		lastWriter:    make(map[op.ObjectID]graph.NodeID),
-		readersOfLast: make(map[op.ObjectID]map[graph.NodeID]struct{}),
+		readersOfLast: make(map[op.ObjectID]graph.IDSet),
+		readersOf:     make(map[op.ObjectID]graph.IDSet),
 	}
 }
 
@@ -134,14 +147,7 @@ func (wg *Graph) Policy() Policy { return wg.policy }
 func (wg *Graph) Len() int { return len(wg.nodes) }
 
 // OpCount returns the number of uninstalled operations across all nodes.
-func (wg *Graph) OpCount() int {
-	n := 0
-	//lint:ignore replaydeterminism commutative sum
-	for _, nd := range wg.nodes {
-		n += len(nd.ops)
-	}
-	return n
-}
+func (wg *Graph) OpCount() int { return wg.opCount }
 
 // Merges returns how many node merges have occurred (exp/writeset overlap).
 func (wg *Graph) Merges() int { return wg.merges }
@@ -175,17 +181,15 @@ func (wg *Graph) addOpW(o *op.Operation) (graph.NodeID, error) {
 	// this operation writes must be installed before it.
 	preds := wg.readWritePredecessors(o)
 
-	// Merge every node whose Writes overlaps writeset(o).
+	// Merge every node whose Writes overlaps writeset(o).  Under W, vars(n)
+	// = Writes(n) and each object is in one vars set, so byVar names it.
 	var mergeIDs []graph.NodeID
 	seen := map[graph.NodeID]struct{}{}
 	for _, x := range o.WriteSet {
-		//lint:ignore replaydeterminism collects a merge set; mergeInto sorts it before picking the survivor
-		for id, nd := range wg.nodes {
-			if _, ok := nd.writes[x]; ok {
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					mergeIDs = append(mergeIDs, id)
-				}
+		if id, ok := wg.byVar[x]; ok {
+			if _, dup := seen[id]; !dup {
+				seen[id] = struct{}{}
+				mergeIDs = append(mergeIDs, id)
 			}
 		}
 	}
@@ -193,7 +197,7 @@ func (wg *Graph) addOpW(o *op.Operation) (graph.NodeID, error) {
 	wg.attachOp(m, o, o.WriteSet /* vars gets full writeset */)
 	wg.addEdgesFrom(preds, m.id)
 	wg.trackReadsWrites(m, o)
-	return wg.collapseCyclesAround(m.id), nil
+	return wg.settle(m.id), nil
 }
 
 // addEdgesFrom adds edges p -> to for every p that still exists (a
@@ -206,9 +210,17 @@ func (wg *Graph) addEdgesFrom(preds []graph.NodeID, to graph.NodeID) {
 		if _, ok := wg.nodes[p]; !ok {
 			continue
 		}
-		wg.g.AddEdge(p, to)
-		wg.cycleRisk = true
-		wg.newEdges = append(wg.newEdges, [2]graph.NodeID{p, to})
+		wg.addEdge(p, to)
+	}
+}
+
+// addEdge inserts u -> v, listing it for settle when it runs against the
+// maintained order.
+func (wg *Graph) addEdge(u, v graph.NodeID) {
+	wg.visits++
+	wg.g.AddEdge(u, v)
+	if wg.nodes[u].rank > wg.nodes[v].rank {
+		wg.disordered = append(wg.disordered, [2]graph.NodeID{u, v})
 	}
 }
 
@@ -260,26 +272,23 @@ func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
 		}
 		delete(p.vars, x)
 		// attachOp already re-pointed byVar[x] to m.
-		wg.g.AddEdge(pid, m.id) // write-write: o ∈ must(op) for op ∈ ops(p)
-		wg.cycleRisk = true
-		wg.newEdges = append(wg.newEdges, [2]graph.NodeID{pid, m.id})
+		wg.addEdge(pid, m.id) // write-write: o ∈ must(op) for op ∈ ops(p)
 		// Inverse write-read edges: readers of the value p last wrote to x
 		// must install before p so that x is truly unexposed when p's vars
 		// are flushed without x.
 		if wg.lastWriter[x] == pid {
-			//lint:ignore replaydeterminism edge-set insertion; the digraph coalesces edges, so order cannot matter
-			for qid := range wg.readersOfLast[x] {
+			readers := wg.readersOfLast[x]
+			wg.visits += len(readers)
+			for _, qid := range readers {
 				if qid != pid && wg.g.HasNode(qid) {
-					wg.g.AddEdge(qid, pid)
-					wg.cycleRisk = true
-					wg.newEdges = append(wg.newEdges, [2]graph.NodeID{qid, pid})
+					wg.addEdge(qid, pid)
 				}
 			}
 		}
 	}
 
 	wg.trackReadsWrites(m, o)
-	return wg.collapseCyclesAround(m.id), nil
+	return wg.settle(m.id), nil
 }
 
 // readWritePredecessors returns ids of nodes containing operations that read
@@ -289,20 +298,29 @@ func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
 // into anything replay-visible.
 func (wg *Graph) readWritePredecessors(o *op.Operation) []graph.NodeID {
 	var out []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
 	for _, x := range o.WriteSet {
-		//lint:ignore replaydeterminism membership filter is order-independent; sorted below
-		for id, nd := range wg.nodes {
-			if _, ok := nd.reads[x]; ok {
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					out = append(out, id)
-				}
-			}
-		}
+		wg.visits += len(wg.readersOf[x])
+		out = append(out, wg.readersOf[x]...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Compact(out)
+}
+
+// newNode adds an empty node at the end of the maintained order.
+func (wg *Graph) newNode() *node {
+	nd := &node{
+		id:     wg.nextID,
+		rank:   wg.nextRank,
+		vars:   make(map[op.ObjectID]struct{}),
+		reads:  make(map[op.ObjectID]struct{}),
+		writes: make(map[op.ObjectID]struct{}),
+		lastw:  make(map[op.ObjectID]op.SI),
+	}
+	wg.nextID++
+	wg.nextRank++
+	wg.nodes[nd.id] = nd
+	wg.g.AddNode(nd.id)
+	return nd
 }
 
 // mergeInto merges the given nodes into one (creating a fresh node if the
@@ -310,26 +328,10 @@ func (wg *Graph) readWritePredecessors(o *op.Operation) []graph.NodeID {
 // are dropped.
 func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
 	if len(ids) == 0 {
-		nd := &node{
-			id:     wg.nextID,
-			vars:   make(map[op.ObjectID]struct{}),
-			reads:  make(map[op.ObjectID]struct{}),
-			writes: make(map[op.ObjectID]struct{}),
-			lastw:  make(map[op.ObjectID]op.SI),
-		}
-		wg.nextID++
-		wg.nodes[nd.id] = nd
-		wg.g.AddNode(nd.id)
-		return nd
+		return wg.newNode()
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	survivor := wg.nodes[ids[0]]
-	if len(ids) > 1 {
-		// Collapsing distinct nodes can close a cycle through any path
-		// that ran between them, even though no edge is added.
-		wg.cycleRisk = true
-		wg.mergedNodes = append(wg.mergedNodes, survivor.id)
-	}
 	for _, id := range ids[1:] {
 		wg.absorb(survivor, id)
 		wg.merges++
@@ -337,7 +339,9 @@ func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
 	return survivor
 }
 
-// absorb merges node id into survivor and deletes it.
+// absorb merges node id into survivor and deletes it.  Collapsing two nodes
+// joins every path that ran between them; the re-pointed edges that run
+// against the maintained order are listed for settle like any new edge.
 func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 	victim := wg.nodes[id]
 	survivor.ops = mergeOps(survivor.ops, victim.ops)
@@ -349,6 +353,14 @@ func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 	//lint:ignore replaydeterminism set union; resulting maps identical in any order
 	for x := range victim.reads {
 		survivor.reads[x] = struct{}{}
+		// Re-point the reader registries: both only ever hold nodes whose
+		// Reads contain the object.
+		dropID(wg.readersOf, x, id)
+		addID(wg.readersOf, x, survivor.id)
+		if wg.readersOfLast[x].Has(id) {
+			dropID(wg.readersOfLast, x, id)
+			addID(wg.readersOfLast, x, survivor.id)
+		}
 	}
 	//lint:ignore replaydeterminism set union; resulting maps identical in any order
 	for x := range victim.writes {
@@ -366,30 +378,23 @@ func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 	// Re-point edges.
 	for _, s := range wg.g.Succ(id) {
 		if s != survivor.id {
-			wg.g.AddEdge(survivor.id, s)
+			wg.addEdge(survivor.id, s)
 		}
 	}
 	for _, p := range wg.g.Pred(id) {
 		if p != survivor.id {
-			wg.g.AddEdge(p, survivor.id)
+			wg.addEdge(p, survivor.id)
 		}
 	}
 	wg.g.RemoveNode(id)
 	delete(wg.nodes, id)
-	// Re-point reader registries.
-	//lint:ignore replaydeterminism independent per-entry re-point; final maps identical in any order
-	for _, readers := range wg.readersOfLast {
-		if _, ok := readers[id]; ok {
-			delete(readers, id)
-			readers[survivor.id] = struct{}{}
-		}
-	}
 }
 
 // attachOp appends o to nd and adds varsToAdd into vars(nd), re-pointing the
 // byVar registry.
 func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 	nd.ops = append(nd.ops, o)
+	wg.opCount++
 	for _, x := range varsToAdd {
 		nd.vars[x] = struct{}{}
 		// Under rW an object may currently sit in another node's vars only
@@ -399,6 +404,7 @@ func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 	}
 	for _, x := range o.ReadSet {
 		nd.reads[x] = struct{}{}
+		addID(wg.readersOf, x, nd.id)
 	}
 	for _, x := range o.WriteSet {
 		nd.writes[x] = struct{}{}
@@ -407,48 +413,99 @@ func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 }
 
 // trackReadsWrites updates the Lastw reader registries for o, which now
-// lives in nd.  Reads happen before writes within an operation.
+// lives in nd.  Reads happen before writes within an operation.  A read of
+// an object with no uninstalled writer is not recorded: inverse write-read
+// edges only ever point into a node that last wrote the object.
 func (wg *Graph) trackReadsWrites(nd *node, o *op.Operation) {
 	for _, x := range o.ReadSet {
-		if _, ok := wg.readersOfLast[x]; !ok {
-			wg.readersOfLast[x] = make(map[graph.NodeID]struct{})
+		if _, ok := wg.lastWriter[x]; ok {
+			addID(wg.readersOfLast, x, nd.id)
 		}
-		wg.readersOfLast[x][nd.id] = struct{}{}
 	}
 	for _, x := range o.WriteSet {
 		wg.lastWriter[x] = nd.id
-		wg.readersOfLast[x] = make(map[graph.NodeID]struct{})
+		delete(wg.readersOfLast, x)
 	}
 }
 
-// collapseCyclesAround collapses every strongly connected component of size
-// greater than one (the second collapse of Figure 3, applied after each
-// incremental insertion) and returns the id of the node that now holds the
-// operations of start.  A global pass is needed: the write-write and inverse
-// write-read edges added by addop_rW can close cycles anywhere in the graph,
-// not only around the freshly inserted node.
-func (wg *Graph) collapseCyclesAround(start graph.NodeID) graph.NodeID {
-	// Fast path 1: if this insertion added no edges and merged at most one
-	// node, the graph was acyclic before and still is.
-	if !wg.cycleRisk {
+// settle restores the maintained topological order once all of an AddOp's
+// edges are in, collapsing every strongly connected component they closed
+// (the second collapse of Figure 3), and returns the id of the node that
+// now holds the operations of start.  It waits for the end of the AddOp
+// because addop_rW reads node membership and Lastw writers between its edge
+// insertions; collapsing mid-call would change what it reads.
+//
+// This is the batch form of Pearce & Kelly's dynamic topological sort.  Let
+// lo and hi be the lowest head rank and highest tail rank over the edges
+// that run against the order.  Every other edge agrees with the order, so
+// any cycle climbs through agreeing edges and must drop back through a
+// disordered one: all its nodes rank within [lo, hi], are reachable from a
+// head without leaving that window (F) and reach a tail without leaving it
+// (B).  Only F ∪ B needs new ranks, and it reuses its own: nodes only in B
+// keep their relative order and take the lowest ranks (never rising past a
+// successor outside the region), nodes only in F the highest (never
+// dropping below a predecessor outside it), and the condensation of F ∩ B,
+// in topological order, the ranks between.  These are exactly the
+// components a global SCC pass would collapse.
+func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
+	var heads, tails []graph.NodeID
+	var lo, hi int64
+	for _, e := range wg.disordered {
+		u, v := wg.nodes[e[0]], wg.nodes[e[1]]
+		if u == nil || v == nil || u.rank < v.rank {
+			// An endpoint was absorbed later in this AddOp; the edge that
+			// replaced it was listed on its own.
+			continue
+		}
+		if len(heads) == 0 || v.rank < lo {
+			lo = v.rank
+		}
+		if len(heads) == 0 || u.rank > hi {
+			hi = u.rank
+		}
+		heads = append(heads, v.id)
+		tails = append(tails, u.id)
+	}
+	wg.disordered = wg.disordered[:0]
+	if len(heads) == 0 {
 		return start
 	}
-	wg.cycleRisk = false
-	// Fast path 2: any new cycle must pass through a freshly added edge or
-	// a merge survivor; a bounded local reachability probe over just those
-	// proves acyclicity without the global SCC pass.  This is what keeps a
-	// long run of blind writes — and their redo replay, where the graph
-	// holds every uninstalled operation — linear instead of quadratic.
-	if !wg.maybeCyclic() {
-		return start
+	inF, fwd := wg.reach(heads, wg.g.Succ, func(n *node) bool { return n.rank <= hi })
+	inB, bwd := wg.reach(tails, wg.g.Pred, func(n *node) bool { return n.rank >= lo })
+
+	pool := make([]int64, 0, len(fwd)+len(bwd))
+	var onlyF, onlyB, both []*node
+	for _, n := range fwd {
+		pool = append(pool, n.rank)
+		if inB[n.id] {
+			both = append(both, n)
+		} else {
+			onlyF = append(onlyF, n)
+		}
 	}
-	for {
-		collapsed := false
-		for _, comp := range wg.g.SCC() {
-			if len(comp) <= 1 {
-				continue
-			}
-			collapsed = true
+	for _, n := range bwd {
+		if !inF[n.id] {
+			pool = append(pool, n.rank)
+			onlyB = append(onlyB, n)
+		}
+	}
+	byRank := func(ns []*node) []*node {
+		sort.Slice(ns, func(i, j int) bool { return ns[i].rank < ns[j].rank })
+		return ns
+	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
+	roots := make([]graph.NodeID, len(both))
+	for i, n := range byRank(both) {
+		roots[i] = n.id
+	}
+
+	// Tarjan emits components in reverse topological order.
+	wg.visits += len(roots)
+	comps := wg.g.SCCWithin(roots, func(id graph.NodeID) bool { return inF[id] && inB[id] })
+	middle := make([]graph.NodeID, 0, len(comps))
+	for i := len(comps) - 1; i >= 0; i-- {
+		comp := comps[i]
+		if len(comp) > 1 {
 			wg.cycleCollapse++
 			survivor := wg.nodes[comp[0]]
 			for _, id := range comp[1:] {
@@ -458,73 +515,52 @@ func (wg *Graph) collapseCyclesAround(start graph.NodeID) graph.NodeID {
 				wg.absorb(survivor, id)
 			}
 		}
-		if !collapsed {
-			return start
-		}
-		// Merging SCCs computed from a single snapshot yields the
-		// condensation, which is acyclic; the loop re-checks to defend
-		// against interaction between multiple merges in one pass.
+		middle = append(middle, comp[0])
 	}
+	// Every edge absorb re-pointed lies within the region being re-ranked.
+	wg.disordered = wg.disordered[:0]
+
+	next := 0
+	for _, n := range byRank(onlyB) {
+		n.rank = pool[next]
+		next++
+	}
+	for _, id := range middle {
+		wg.nodes[id].rank = pool[next]
+		next++
+	}
+	next = len(pool) - len(onlyF)
+	for _, n := range byRank(onlyF) {
+		n.rank = pool[next]
+		next++
+	}
+	return start
 }
 
-// cycleProbeBudget bounds the total nodes maybeCyclic may visit per AddOp;
-// past it the probe answers "maybe" and the full SCC pass decides.
-const cycleProbeBudget = 512
-
-// maybeCyclic reports whether this AddOp could have closed a cycle.  The
-// graph was acyclic before the insertion, so a new cycle must traverse a
-// fresh edge (u, v) — meaning u is reachable from v — or pass through a
-// merge survivor (collapsing two nodes joins every path that ran between
-// them).  False is definitive; true hands off to the SCC collapse.
-func (wg *Graph) maybeCyclic() bool {
-	defer func() {
-		wg.newEdges = wg.newEdges[:0]
-		wg.mergedNodes = wg.mergedNodes[:0]
-	}()
-	budget := cycleProbeBudget
-	for _, e := range wg.newEdges {
-		if !wg.g.HasNode(e[0]) || !wg.g.HasNode(e[1]) {
-			continue // endpoint absorbed by a later merge in the same AddOp
-		}
-		if wg.pathExists(e[1], e[0], make(map[graph.NodeID]bool), &budget) {
-			return true
-		}
-	}
-	for _, s := range wg.mergedNodes {
-		if !wg.g.HasNode(s) {
+// reach returns the nodes reachable from the given ones through edges
+// followed by step without leaving within (the start nodes must satisfy
+// it), as a membership set and in visit order.
+func (wg *Graph) reach(from []graph.NodeID, step func(graph.NodeID) []graph.NodeID, within func(*node) bool) (map[graph.NodeID]bool, []*node) {
+	in := make(map[graph.NodeID]bool)
+	var order []*node
+	stack := append([]graph.NodeID(nil), from...)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if in[id] {
 			continue
 		}
-		visited := make(map[graph.NodeID]bool)
-		for _, succ := range wg.g.Succ(s) {
-			if wg.pathExists(succ, s, visited, &budget) {
-				return true
+		in[id] = true
+		order = append(order, wg.nodes[id])
+		next := step(id)
+		wg.visits += 1 + len(next)
+		for _, s := range next {
+			if !in[s] && within(wg.nodes[s]) {
+				stack = append(stack, s)
 			}
 		}
 	}
-	return false
-}
-
-// pathExists reports whether target is reachable from from, decrementing
-// *budget per visited node; an exhausted budget answers true (conservative:
-// the caller falls back to the full SCC pass).
-func (wg *Graph) pathExists(from, target graph.NodeID, visited map[graph.NodeID]bool, budget *int) bool {
-	if from == target {
-		return true
-	}
-	if visited[from] {
-		return false
-	}
-	if *budget <= 0 {
-		return true
-	}
-	*budget--
-	visited[from] = true
-	for _, s := range wg.g.Succ(from) {
-		if wg.pathExists(s, target, visited, budget) {
-			return true
-		}
-	}
-	return false
+	return in, order
 }
 
 // ---------------------------------------------------------------------------
@@ -633,23 +669,22 @@ func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 		return nil, fmt.Errorf("writegraph: node %d is not minimal (in-degree %d)", id, wg.g.InDegree(id))
 	}
 	v := wg.view(nd)
-	//lint:ignore replaydeterminism independent per-key deletes; final maps identical in any order
-	for x := range nd.vars {
+	for _, x := range v.Vars {
 		if wg.byVar[x] == id {
 			delete(wg.byVar, x)
 		}
 	}
-	//lint:ignore replaydeterminism independent per-key deletes; final maps identical in any order
-	for x, w := range wg.lastWriter {
-		if w == id {
+	for _, x := range v.Writes {
+		if wg.lastWriter[x] == id {
 			delete(wg.lastWriter, x)
 			delete(wg.readersOfLast, x)
 		}
 	}
-	//lint:ignore replaydeterminism independent per-entry deletes; final maps identical in any order
-	for _, readers := range wg.readersOfLast {
-		delete(readers, id)
+	for _, x := range v.Reads {
+		dropID(wg.readersOf, x, id)
+		dropID(wg.readersOfLast, x, id)
 	}
+	wg.opCount -= len(nd.ops)
 	wg.g.RemoveNode(id)
 	delete(wg.nodes, id)
 	return v, nil
@@ -690,13 +725,23 @@ func (wg *Graph) IdentityBreakupPlan(id graph.NodeID) ([]op.ObjectID, error) {
 
 // Validate checks the graph's structural invariants: the underlying digraph
 // is consistent and acyclic, each object is in at most one vars set, byVar
-// agrees with node contents, and under W vars == Writes for every node.
+// agrees with node contents, and under W vars == Writes for every node.  It
+// also rebuilds every per-object index (readers, latest writers and their
+// readers) and the operation count from node contents and compares them
+// with the maintained ones, and checks that the maintained order ranks
+// every node uniquely with every edge pointing forward.
 func (wg *Graph) Validate() error {
 	if err := wg.g.Validate(); err != nil {
 		return err
 	}
 	if wg.g.HasCycle() {
 		return fmt.Errorf("writegraph: graph has a cycle after collapse")
+	}
+	if wg.g.Len() != len(wg.nodes) {
+		return fmt.Errorf("writegraph: digraph has %d nodes, write graph %d", wg.g.Len(), len(wg.nodes))
+	}
+	if err := wg.validateIndexes(); err != nil {
+		return err
 	}
 	seen := map[op.ObjectID]graph.NodeID{}
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
@@ -734,6 +779,100 @@ func (wg *Graph) Validate() error {
 	return nil
 }
 
+// validateIndexes is the part of Validate that rebuilds the maintained
+// indexes and order invariants from node contents.
+func (wg *Graph) validateIndexes() error {
+	views := wg.Nodes()
+	ranks := make(map[int64]graph.NodeID, len(views))
+	ops := 0
+	readers := map[op.ObjectID]graph.IDSet{}
+	var read []op.ObjectID
+	writer := map[op.ObjectID]*NodeView{}
+	var written []op.ObjectID
+	for _, nv := range views {
+		nd := wg.nodes[nv.ID]
+		if prev, dup := ranks[nd.rank]; dup {
+			return fmt.Errorf("writegraph: nodes %d and %d share rank %d", prev, nv.ID, nd.rank)
+		}
+		if nd.rank < 0 || nd.rank >= wg.nextRank {
+			return fmt.Errorf("writegraph: node %d has rank %d outside [0, %d)", nv.ID, nd.rank, wg.nextRank)
+		}
+		ranks[nd.rank] = nv.ID
+		for _, s := range wg.g.Succ(nv.ID) {
+			if wg.nodes[s].rank <= nd.rank {
+				return fmt.Errorf("writegraph: edge %d->%d runs against the maintained order (ranks %d, %d)", nv.ID, s, nd.rank, wg.nodes[s].rank)
+			}
+		}
+		ops += len(nv.Ops)
+		for _, x := range nv.Reads {
+			if len(readers[x]) == 0 {
+				read = append(read, x)
+			}
+			readers[x] = append(readers[x], nv.ID)
+		}
+		for _, x := range nv.Writes {
+			w, ok := writer[x]
+			if !ok {
+				written = append(written, x)
+			}
+			if !ok || nv.Lastw[x] > w.Lastw[x] {
+				writer[x] = nv
+			}
+		}
+	}
+	if ops != wg.opCount {
+		return fmt.Errorf("writegraph: nodes hold %d operations, OpCount says %d", ops, wg.opCount)
+	}
+	if len(wg.disordered) != 0 {
+		return fmt.Errorf("writegraph: %d disordered edges left unsettled", len(wg.disordered))
+	}
+	if err := sameIndex("readersOf", wg.readersOf, readers, read); err != nil {
+		return err
+	}
+	// Every other uninstalled writer of X precedes the one holding X's
+	// latest write, so that node is lastWriter[X] until it is installed.
+	if len(wg.lastWriter) != len(written) {
+		return fmt.Errorf("writegraph: lastWriter has %d objects, node contents write %d", len(wg.lastWriter), len(written))
+	}
+	lastReaders := map[op.ObjectID]graph.IDSet{}
+	var lastRead []op.ObjectID
+	for _, x := range written {
+		if got, ok := wg.lastWriter[x]; !ok || got != writer[x].ID {
+			return fmt.Errorf("writegraph: lastWriter[%q] = %d, latest write is in node %d", x, got, writer[x].ID)
+		}
+	}
+	for _, nv := range views {
+		for _, o := range nv.Ops {
+			for _, x := range o.ReadSet {
+				w, ok := writer[x]
+				if !ok || o.LSN <= w.Lastw[x] || lastReaders[x].Has(nv.ID) {
+					continue
+				}
+				if len(lastReaders[x]) == 0 {
+					lastRead = append(lastRead, x)
+				}
+				lastReaders[x] = lastReaders[x].With(nv.ID)
+			}
+		}
+	}
+	return sameIndex("readersOfLast", wg.readersOfLast, lastReaders, lastRead)
+}
+
+// sameIndex compares a maintained object -> node-set index with one rebuilt
+// from node contents, whose objects are keys.  Maintained indexes hold no
+// empty sets.
+func sameIndex(name string, live, want map[op.ObjectID]graph.IDSet, keys []op.ObjectID) error {
+	if len(live) != len(keys) {
+		return fmt.Errorf("writegraph: %s has %d objects, node contents give %d", name, len(live), len(keys))
+	}
+	for _, x := range keys {
+		if !slices.Equal(live[x], want[x]) {
+			return fmt.Errorf("writegraph: %s[%q] = %v, node contents give %v", name, x, live[x], want[x])
+		}
+	}
+	return nil
+}
+
 // FlushSetSizes returns the sorted multiset of |vars(n)| across nodes — the
 // statistic experiments E3/E4 report.
 func (wg *Graph) FlushSetSizes() []int {
@@ -746,6 +885,25 @@ func (wg *Graph) FlushSetSizes() []int {
 	return out
 }
 
+// mergeOps merges the conflict-ordered (LSN-ascending) list b into a, in
+// place from the back.  It costs len(b) plus the tail of a that b's
+// operations precede — only len(b) when b follows a — rather than copying a,
+// which grows with every merge into a long-lived node.
+func mergeOps(a, b []*op.Operation) []*op.Operation {
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i].LSN > b[j].LSN {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
+		}
+	}
+	return a
+}
+
 func setToSlice(m map[op.ObjectID]struct{}) []op.ObjectID {
 	out := make([]op.ObjectID, 0, len(m))
 	//lint:ignore replaydeterminism key collection is order-independent; canonicalized below
@@ -755,19 +913,20 @@ func setToSlice(m map[op.ObjectID]struct{}) []op.ObjectID {
 	return op.Canonicalize(out)
 }
 
-func mergeOps(a, b []*op.Operation) []*op.Operation {
-	out := make([]*op.Operation, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].LSN <= b[j].LSN {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
+// addID and dropID update one object's set in an index, which holds no
+// empty sets.
+func addID(index map[op.ObjectID]graph.IDSet, x op.ObjectID, id graph.NodeID) {
+	index[x] = index[x].With(id)
+}
+
+func dropID(index map[op.ObjectID]graph.IDSet, x op.ObjectID, id graph.NodeID) {
+	s, ok := index[x]
+	if !ok {
+		return
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	if s = s.Without(id); len(s) == 0 {
+		delete(index, x)
+	} else {
+		index[x] = s
+	}
 }

@@ -3,6 +3,8 @@ package writegraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"logicallog/internal/graph"
@@ -41,6 +43,34 @@ func varsOfOp(t *testing.T, wg *Graph, lsn op.SI) []op.ObjectID {
 func TestPolicyString(t *testing.T) {
 	if PolicyW.String() != "W" || PolicyRW.String() != "rW" || Policy(9).String() != "Policy(9)" {
 		t.Error("Policy.String wrong")
+	}
+}
+
+func TestMergeOpsKeepsConflictOrder(t *testing.T) {
+	lsns := func(ops []*op.Operation) []op.SI {
+		var out []op.SI
+		for _, o := range ops {
+			out = append(out, o.LSN)
+		}
+		return out
+	}
+	list := func(ls ...op.SI) []*op.Operation {
+		var out []*op.Operation
+		for _, l := range ls {
+			out = append(out, mkop(l, nil, nil))
+		}
+		return out
+	}
+	for _, c := range []struct{ a, b, want []op.SI }{
+		{[]op.SI{1, 2}, []op.SI{3, 4}, []op.SI{1, 2, 3, 4}},
+		{[]op.SI{3, 4}, []op.SI{1, 2}, []op.SI{1, 2, 3, 4}},
+		{[]op.SI{1, 4, 6}, []op.SI{2, 3, 5, 7}, []op.SI{1, 2, 3, 4, 5, 6, 7}},
+		{nil, []op.SI{2}, []op.SI{2}},
+		{[]op.SI{2}, nil, []op.SI{2}},
+	} {
+		if got := lsns(mergeOps(list(c.a...), list(c.b...))); !slices.Equal(got, c.want) {
+			t.Errorf("mergeOps(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -315,13 +345,14 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 // TestBatchAndIncrementalWAgree checks that the incremental W maintenance
-// produces the same node partition (as multisets of op LSNs) and flush-set
-// sizes as the literal Figure 3 batch construction, on random histories.
+// produces the same node partition (as multisets of op LSNs) and edges as
+// the literal Figure 3 batch construction, on random histories of up to 200
+// operations.
 func TestBatchAndIncrementalWAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	objects := []op.ObjectID{"a", "b", "c", "d", "e"}
+	objects := []op.ObjectID{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(12)
+		n := 1 + rng.Intn(200)
 		history := make([]*op.Operation, 0, n)
 		for i := 0; i < n; i++ {
 			history = append(history, randomSetOp(rng, objects, op.SI(i+1)))
@@ -347,7 +378,32 @@ func TestBatchAndIncrementalWAgree(t *testing.T) {
 		if !reflect.DeepEqual(bp, ip) {
 			t.Fatalf("trial %d: partitions differ\nbatch: %v\n inc:  %v", trial, bp, ip)
 		}
+		if be, ie := edgeSignature(batch), edgeSignature(inc); !reflect.DeepEqual(be, ie) {
+			t.Fatalf("trial %d (%d ops): edges differ\nbatch: %v\n inc:  %v", trial, n, be, ie)
+		}
 	}
+}
+
+// edgeSignature returns the graph's edges, each endpoint named by the first
+// LSN of its node, sorted.
+func edgeSignature(wg *Graph) [][2]op.SI {
+	head := map[graph.NodeID]op.SI{}
+	for _, nv := range wg.Nodes() {
+		head[nv.ID] = nv.Ops[0].LSN
+	}
+	var out [][2]op.SI
+	for _, nv := range wg.Nodes() {
+		for _, s := range wg.g.Succ(nv.ID) {
+			out = append(out, [2]op.SI{head[nv.ID], head[s]})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
 }
 
 // partitionSignature returns each node's sorted op LSNs, sorted by first LSN.
@@ -482,6 +538,42 @@ func TestEveryGraphDrains(t *testing.T) {
 		}
 		if installed != 60 {
 			t.Errorf("%v: installed %d ops, want 60", policy, installed)
+		}
+	}
+}
+
+// TestValidateCatchesStaleIndexes corrupts each maintained index and the
+// maintained order in turn; Validate must notice every one.
+func TestValidateCatchesStaleIndexes(t *testing.T) {
+	build := func() *Graph {
+		wg := New(PolicyRW)
+		addAll(t, wg,
+			mkop(1, nil, []op.ObjectID{"X", "Y"}),
+			mkop(2, []op.ObjectID{"X"}, []op.ObjectID{"Z"}),
+			mkop(3, nil, []op.ObjectID{"X"}),
+			mkop(4, []op.ObjectID{"X"}, []op.ObjectID{"W"}),
+		)
+		return wg
+	}
+	ra, _ := build().NodeOfOp(1)
+	rb, _ := build().NodeOfOp(2)
+	for _, c := range []struct {
+		name    string
+		corrupt func(wg *Graph)
+	}{
+		{"readersOf", func(wg *Graph) { wg.readersOf["X"] = wg.readersOf["X"].Without(rb) }},
+		{"readersOfLast", func(wg *Graph) { delete(wg.readersOfLast, "X") }},
+		{"lastWriter", func(wg *Graph) { wg.lastWriter["X"] = ra }},
+		{"opCount", func(wg *Graph) { wg.opCount++ }},
+		{"rank", func(wg *Graph) { wg.nodes[ra].rank, wg.nodes[rb].rank = wg.nodes[rb].rank, wg.nodes[ra].rank }},
+		{"duplicateRank", func(wg *Graph) { wg.nodes[ra].rank = wg.nodes[rb].rank }},
+	} {
+		wg := build()
+		c.corrupt(wg)
+		if err := wg.Validate(); err == nil {
+			t.Errorf("Validate missed corrupted %s", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
 		}
 	}
 }
