@@ -126,6 +126,10 @@ func (g *Digraph) Pred(n NodeID) []NodeID {
 	return append(make([]NodeID, 0, len(g.pred[n])), g.pred[n]...)
 }
 
+// PredSet returns n's predecessors without copying them: the set is the
+// graph's own, read-only, and valid until the graph next changes.
+func (g *Digraph) PredSet(n NodeID) IDSet { return g.pred[n] }
+
 // InDegree returns the number of predecessors of n.
 func (g *Digraph) InDegree(n NodeID) int { return len(g.pred[n]) }
 
@@ -199,17 +203,18 @@ func (g *Digraph) HasCycle() bool {
 
 // SCC returns the strongly connected components of g using Tarjan's
 // algorithm (iterative, so deep graphs cannot overflow the goroutine stack).
-// Components are returned in reverse topological order (a component appears
-// before the components it can reach... specifically Tarjan emits a
-// component only after all components it reaches), with node ids sorted
+// Components are returned in reverse topological order: Tarjan emits a
+// component only after every other component it can reach, so for each
+// edge u -> v between two components, v's comes first.  Node ids are sorted
 // within each component.
 func (g *Digraph) SCC() [][]NodeID { return g.SCCWithin(g.Nodes(), nil) }
 
-// SCCWithin is SCC restricted to the subgraph induced by the nodes in
-// reports true for (every node when in is nil): only edges between accepted
-// nodes are followed.  Exploration starts from roots in the given order, which
-// must list every accepted node; the cost is proportional to the accepted
-// nodes and their edges, not to g.
+// SCCWithin is SCC restricted to the subgraph induced by the nodes that in
+// accepts (every node when in is nil): only edges between accepted nodes are
+// followed, and the components come in reverse topological order of that
+// subgraph.  Exploration starts from roots in the given order, which must
+// list every accepted node; the cost is proportional to the accepted nodes
+// and their edges, not to g.
 func (g *Digraph) SCCWithin(roots []NodeID, in func(NodeID) bool) [][]NodeID {
 	index := make(map[NodeID]int, len(roots))
 	low := make(map[NodeID]int, len(roots))

@@ -393,6 +393,58 @@ func TestIDSet(t *testing.T) {
 	}
 }
 
+// TestSCCWithinReverseTopological pins the order the write graph's order
+// repair relies on: on random digraphs, with and without a node filter, for
+// every edge u -> v between two different components of the accepted
+// subgraph, v's component is emitted before u's.
+func TestSCCWithinReverseTopological(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		g := New()
+		n := 2 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			g.AddNode(NodeID(i))
+		}
+		for i, edges := 0, rng.Intn(3*n); i < edges; i++ {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		accept := func(NodeID) bool { return true }
+		var roots []NodeID
+		if trial%2 == 1 {
+			drop := map[NodeID]bool{}
+			for i := 0; i < n/4; i++ {
+				drop[NodeID(rng.Intn(n))] = true
+			}
+			accept = func(v NodeID) bool { return !drop[v] }
+		}
+		for _, i := range rng.Perm(n) {
+			if accept(NodeID(i)) {
+				roots = append(roots, NodeID(i))
+			}
+		}
+		pos := map[NodeID]int{}
+		for i, comp := range g.SCCWithin(roots, accept) {
+			for _, v := range comp {
+				if _, dup := pos[v]; dup {
+					t.Fatalf("trial %d: node %d in two components", trial, v)
+				}
+				pos[v] = i
+			}
+		}
+		if len(pos) != len(roots) {
+			t.Fatalf("trial %d: components cover %d of %d accepted nodes", trial, len(pos), len(roots))
+		}
+		for _, u := range roots {
+			for _, v := range g.Succ(u) {
+				if accept(v) && pos[v] > pos[u] {
+					t.Fatalf("trial %d: edge %d->%d, but %d's component is emitted at %d, after %d's at %d",
+						trial, u, v, v, pos[v], u, pos[u])
+				}
+			}
+		}
+	}
+}
+
 // TestSCCWithinFollowsOnlyAcceptedNodes: a cycle through a rejected node is
 // not a component of the induced subgraph.
 func TestSCCWithinFollowsOnlyAcceptedNodes(t *testing.T) {

@@ -68,13 +68,14 @@ func BuildW(history []*op.Operation) (*Graph, error) {
 			out.g.AddEdge(byClass[u].id, byClass[s].id)
 		}
 	}
-	// Rank the nodes in a topological order of the collapsed graph.
+	// Rebuild the order list in a topological order of the collapsed graph.
 	order, err := out.g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	for i, id := range order {
-		out.nodes[id].rank = int64(i)
+	out.first, out.last = nil, nil
+	for _, id := range order {
+		out.place(out.last, out.nodes[id])
 	}
 	return out, nil
 }

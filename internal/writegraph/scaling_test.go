@@ -85,6 +85,31 @@ func TestAddOpNeverVisitsWholeGraph(t *testing.T) {
 	}
 }
 
+// TestAddOpLogicalMeanVisits bounds the mean work per AddOp on the 8 000-op
+// logical traces under rW.  Repairing the order by searching backward only
+// from the new edges' tails keeps it near 40; a search that also walks
+// forward from their heads averages over 110.  The order's gaps must also
+// last: relabelling the whole list stays rare.
+func TestAddOpLogicalMeanVisits(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		ops := logicalOps(t, seed, 8000)
+		wg := New(PolicyRW)
+		for _, o := range ops {
+			if _, err := wg.AddOp(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mean := float64(wg.visits) / float64(len(ops))
+		t.Logf("seed %d: %.1f visits per AddOp, %d relabels", seed, mean, wg.relabels)
+		if mean > 50 {
+			t.Errorf("seed %d: %.1f visits per AddOp, want at most 50", seed, mean)
+		}
+		if wg.relabels > 9 {
+			t.Errorf("seed %d: %d relabels, want single digits", seed, wg.relabels)
+		}
+	}
+}
+
 func BenchmarkAddOpLogicalBacklog(b *testing.B) {
 	ops := logicalOps(b, 1, 8000)
 	b.ResetTimer()

@@ -17,7 +17,9 @@
 package writegraph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -56,10 +58,14 @@ func (p Policy) String() string {
 //	Notx(n)    Writes(n) − vars(n): the unexposed objects of n
 //	Lastw(n,X) last value (here: LSN of last write) of X written by ops(n)
 //
-// rank is n's position in the graph's maintained topological order.
+// prev and next link n into the list that holds the nodes in the graph's
+// maintained topological order; rank increases along that list, with gaps.
 type node struct {
-	id     graph.NodeID
-	rank   int64
+	id         graph.NodeID
+	rank       int64
+	prev, next *node
+	// mark is the epoch of the last order repair whose set B held n.
+	mark   uint64
 	ops    []*op.Operation
 	vars   map[op.ObjectID]struct{}
 	reads  map[op.ObjectID]struct{}
@@ -83,9 +89,9 @@ func (n *node) notx() []op.ObjectID {
 // manager, Remove to PurgeCache installing a minimal node.
 //
 // Both do work proportional to what the operation touches — the nodes
-// indexed under the objects it reads or writes, and the stretch of the
-// maintained topological order its new edges reorder — never to the size of
-// the uninstalled backlog.
+// indexed under the objects it reads or writes, and the nodes its new edges
+// move in the maintained topological order — never to the size of the
+// uninstalled backlog.
 //
 // Graph is not safe for concurrent use; the cache manager serializes access.
 type Graph struct {
@@ -93,8 +99,15 @@ type Graph struct {
 	g      *graph.Digraph
 	nodes  map[graph.NodeID]*node
 	nextID graph.NodeID
-	// nextRank is the rank a new node takes: the end of the order.
-	nextRank int64
+	// first and last are the ends of the order list.  Ranks leave gaps
+	// between neighbours, so settle moves nodes without renumbering the
+	// rest; relabels counts the times a gap ran out and the whole list was
+	// renumbered.
+	first, last *node
+	relabels    int
+	// epoch numbers settle's searches; a node is in the current one's set
+	// B when its mark equals it.
+	epoch uint64
 	// opCount is the number of operations across all nodes.
 	opCount int
 
@@ -117,8 +130,8 @@ type Graph struct {
 	// maintained order; settle repairs the order once they are all in.
 	disordered [][2]graph.NodeID
 	// visits counts the nodes and edges AddOp examines: indexed readers,
-	// inserted edges and the reorder search.  Tests use it to check the
-	// work per operation.
+	// inserted edges and the order repair.  Tests use it to check the work
+	// per operation.
 	visits int
 
 	// stats
@@ -310,17 +323,87 @@ func (wg *Graph) readWritePredecessors(o *op.Operation) []graph.NodeID {
 func (wg *Graph) newNode() *node {
 	nd := &node{
 		id:     wg.nextID,
-		rank:   wg.nextRank,
 		vars:   make(map[op.ObjectID]struct{}),
 		reads:  make(map[op.ObjectID]struct{}),
 		writes: make(map[op.ObjectID]struct{}),
 		lastw:  make(map[op.ObjectID]op.SI),
 	}
 	wg.nextID++
-	wg.nextRank++
+	wg.place(wg.last, nd)
 	wg.nodes[nd.id] = nd
 	wg.g.AddNode(nd.id)
 	return nd
+}
+
+// rankGap is the rank distance between neighbours after a relabel and
+// between the last node and one appended after it: room for 32 halvings of
+// one gap by settle before the list has to be relabelled.
+const rankGap = int64(1) << 32
+
+// place links run, in order, into the order list right after the node
+// after (at the front when after is nil) and ranks it evenly inside the gap
+// there.  Ranks stay positive.  When the gap is too small, or past the last
+// node a rank would overflow, the whole list is relabelled.
+func (wg *Graph) place(after *node, run ...*node) {
+	next, lower, upper := wg.first, int64(0), int64(math.MaxInt64)
+	if after != nil {
+		next, lower = after.next, after.rank
+	}
+	if next != nil {
+		upper = next.rank
+	}
+	for _, n := range run {
+		n.prev, n.next = after, next
+		if after == nil {
+			wg.first = n
+		} else {
+			after.next = n
+		}
+		after = n
+	}
+	if next == nil {
+		wg.last = after
+	} else {
+		next.prev = after
+	}
+	step := (upper - lower) / int64(len(run)+1)
+	if next == nil {
+		step = min(step, rankGap)
+	}
+	if step < 1 {
+		wg.relabel()
+		return
+	}
+	for i, n := range run {
+		n.rank = lower + int64(i+1)*step
+	}
+}
+
+// relabel renumbers the whole order list, rankGap apart (closer if the list
+// is too long for that to fit an int64).
+func (wg *Graph) relabel() {
+	wg.relabels++
+	step := min(rankGap, math.MaxInt64/int64(len(wg.nodes)+2))
+	r := int64(0)
+	for n := wg.first; n != nil; n = n.next {
+		r += step
+		n.rank = r
+	}
+}
+
+// unlink takes n out of the order list.
+func (wg *Graph) unlink(n *node) {
+	if n.prev == nil {
+		wg.first = n.next
+	} else {
+		n.prev.next = n.next
+	}
+	if n.next == nil {
+		wg.last = n.prev
+	} else {
+		n.next.prev = n.prev
+	}
+	n.prev, n.next = nil, nil
 }
 
 // mergeInto merges the given nodes into one (creating a fresh node if the
@@ -387,6 +470,7 @@ func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 		}
 	}
 	wg.g.RemoveNode(id)
+	wg.unlink(victim)
 	delete(wg.nodes, id)
 }
 
@@ -435,21 +519,25 @@ func (wg *Graph) trackReadsWrites(nd *node, o *op.Operation) {
 // because addop_rW reads node membership and Lastw writers between its edge
 // insertions; collapsing mid-call would change what it reads.
 //
-// This is the batch form of Pearce & Kelly's dynamic topological sort.  Let
-// lo and hi be the lowest head rank and highest tail rank over the edges
-// that run against the order.  Every other edge agrees with the order, so
-// any cycle climbs through agreeing edges and must drop back through a
-// disordered one: all its nodes rank within [lo, hi], are reachable from a
-// head without leaving that window (F) and reach a tail without leaving it
-// (B).  Only F ∪ B needs new ranks, and it reuses its own: nodes only in B
-// keep their relative order and take the lowest ranks (never rising past a
-// successor outside the region), nodes only in F the highest (never
-// dropping below a predecessor outside it), and the condensation of F ∩ B,
-// in topological order, the ranks between.  These are exactly the
-// components a global SCC pass would collapse.
+// The repair searches backward only.  Let lo be the lowest rank among the
+// heads of the edges that run against the order, and B the nodes that reach
+// one of their tails through nodes ranked at least lo.  Every other edge
+// agrees with the order, so on any cycle the lowest-ranked node is entered
+// by a disordered edge: it is a head, every node of the cycle ranks at
+// least lo and reaches that edge's tail along the cycle, and the cycle lies
+// in B.  Placing B, in a topological order of its own, just before the node
+// that ranked lo satisfies every edge: one entering B from outside starts
+// below lo (a node ranked lo or more with an edge into B is in B), and one
+// leaving B ends at or above lo (at a head, or above the node it leaves).
+// So no forward search is needed, and nothing outside B moves.  When no
+// head is in B, no disordered edge lies inside B and its rank order is
+// already topological.  Otherwise B's strongly connected components, taken
+// in reverse of the order Tarjan emits them, give that order; the
+// nontrivial ones — exactly the components a global SCC pass would
+// collapse — collapse into their minimum id.
 func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
-	var heads, tails []graph.NodeID
-	var lo, hi int64
+	var low *node
+	var heads, tails []*node
 	for _, e := range wg.disordered {
 		u, v := wg.nodes[e[0]], wg.nodes[e[1]]
 		if u == nil || v == nil || u.rank < v.rank {
@@ -457,110 +545,80 @@ func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
 			// replaced it was listed on its own.
 			continue
 		}
-		if len(heads) == 0 || v.rank < lo {
-			lo = v.rank
+		if low == nil || v.rank < low.rank {
+			low = v
 		}
-		if len(heads) == 0 || u.rank > hi {
-			hi = u.rank
-		}
-		heads = append(heads, v.id)
-		tails = append(tails, u.id)
+		heads = append(heads, v)
+		tails = append(tails, u)
 	}
 	wg.disordered = wg.disordered[:0]
-	if len(heads) == 0 {
+	if low == nil {
 		return start
 	}
-	inF, fwd := wg.reach(heads, wg.g.Succ, func(n *node) bool { return n.rank <= hi })
-	inB, bwd := wg.reach(tails, wg.g.Pred, func(n *node) bool { return n.rank >= lo })
+	// Everything ranked below lo stays put, low's predecessor included.
+	after := low.prev
+	moved := wg.ancestors(tails, low.rank)
+	inB := func(n *node) bool { return n.mark == wg.epoch }
 
-	pool := make([]int64, 0, len(fwd)+len(bwd))
-	var onlyF, onlyB, both []*node
-	for _, n := range fwd {
-		pool = append(pool, n.rank)
-		if inB[n.id] {
-			both = append(both, n)
-		} else {
-			onlyF = append(onlyF, n)
+	if !slices.ContainsFunc(heads, inB) {
+		slices.SortFunc(moved, func(a, b *node) int { return cmp.Compare(a.rank, b.rank) })
+	} else {
+		roots := make([]graph.NodeID, len(moved))
+		for i, n := range moved {
+			roots[i] = n.id
 		}
-	}
-	for _, n := range bwd {
-		if !inF[n.id] {
-			pool = append(pool, n.rank)
-			onlyB = append(onlyB, n)
-		}
-	}
-	byRank := func(ns []*node) []*node {
-		sort.Slice(ns, func(i, j int) bool { return ns[i].rank < ns[j].rank })
-		return ns
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-	roots := make([]graph.NodeID, len(both))
-	for i, n := range byRank(both) {
-		roots[i] = n.id
-	}
-
-	// Tarjan emits components in reverse topological order.
-	wg.visits += len(roots)
-	comps := wg.g.SCCWithin(roots, func(id graph.NodeID) bool { return inF[id] && inB[id] })
-	middle := make([]graph.NodeID, 0, len(comps))
-	for i := len(comps) - 1; i >= 0; i-- {
-		comp := comps[i]
-		if len(comp) > 1 {
-			wg.cycleCollapse++
+		wg.visits += len(roots)
+		comps := wg.g.SCCWithin(roots, func(id graph.NodeID) bool { return inB(wg.nodes[id]) })
+		moved = moved[:0]
+		for i := len(comps) - 1; i >= 0; i-- {
+			comp := comps[i]
 			survivor := wg.nodes[comp[0]]
-			for _, id := range comp[1:] {
-				if id == start {
-					start = survivor.id
+			if len(comp) > 1 {
+				wg.cycleCollapse++
+				for _, id := range comp[1:] {
+					if id == start {
+						start = survivor.id
+					}
+					wg.absorb(survivor, id)
 				}
-				wg.absorb(survivor, id)
 			}
+			moved = append(moved, survivor)
 		}
-		middle = append(middle, comp[0])
+		// absorb re-pointed edges within B or across its boundary, which
+		// the placement below satisfies like every other such edge.
+		wg.disordered = wg.disordered[:0]
 	}
-	// Every edge absorb re-pointed lies within the region being re-ranked.
-	wg.disordered = wg.disordered[:0]
-
-	next := 0
-	for _, n := range byRank(onlyB) {
-		n.rank = pool[next]
-		next++
+	for _, n := range moved {
+		wg.unlink(n)
 	}
-	for _, id := range middle {
-		wg.nodes[id].rank = pool[next]
-		next++
-	}
-	next = len(pool) - len(onlyF)
-	for _, n := range byRank(onlyF) {
-		n.rank = pool[next]
-		next++
-	}
+	wg.place(after, moved...)
 	return start
 }
 
-// reach returns the nodes reachable from the given ones through edges
-// followed by step without leaving within (the start nodes must satisfy
-// it), as a membership set and in visit order.
-func (wg *Graph) reach(from []graph.NodeID, step func(graph.NodeID) []graph.NodeID, within func(*node) bool) (map[graph.NodeID]bool, []*node) {
-	in := make(map[graph.NodeID]bool)
+// ancestors returns, in visit order, the nodes that reach one of tails
+// through nodes ranked at least lo (the tails must be), and stamps each with
+// a fresh epoch.  It takes over tails as its stack.
+func (wg *Graph) ancestors(tails []*node, lo int64) []*node {
+	wg.epoch++
 	var order []*node
-	stack := append([]graph.NodeID(nil), from...)
+	stack := tails
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if in[id] {
+		if n.mark == wg.epoch {
 			continue
 		}
-		in[id] = true
-		order = append(order, wg.nodes[id])
-		next := step(id)
-		wg.visits += 1 + len(next)
-		for _, s := range next {
-			if !in[s] && within(wg.nodes[s]) {
-				stack = append(stack, s)
+		n.mark = wg.epoch
+		order = append(order, n)
+		preds := wg.g.PredSet(n.id)
+		wg.visits += 1 + len(preds)
+		for _, id := range preds {
+			if p := wg.nodes[id]; p.rank >= lo && p.mark != wg.epoch {
+				stack = append(stack, p)
 			}
 		}
 	}
-	return in, order
+	return order
 }
 
 // ---------------------------------------------------------------------------
@@ -686,6 +744,7 @@ func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 	}
 	wg.opCount -= len(nd.ops)
 	wg.g.RemoveNode(id)
+	wg.unlink(nd)
 	delete(wg.nodes, id)
 	return v, nil
 }
@@ -728,8 +787,7 @@ func (wg *Graph) IdentityBreakupPlan(id graph.NodeID) ([]op.ObjectID, error) {
 // agrees with node contents, and under W vars == Writes for every node.  It
 // also rebuilds every per-object index (readers, latest writers and their
 // readers) and the operation count from node contents and compares them
-// with the maintained ones, and checks that the maintained order ranks
-// every node uniquely with every edge pointing forward.
+// with the maintained ones, and checks the maintained order (validateOrder).
 func (wg *Graph) Validate() error {
 	if err := wg.g.Validate(); err != nil {
 		return err
@@ -739,6 +797,9 @@ func (wg *Graph) Validate() error {
 	}
 	if wg.g.Len() != len(wg.nodes) {
 		return fmt.Errorf("writegraph: digraph has %d nodes, write graph %d", wg.g.Len(), len(wg.nodes))
+	}
+	if err := wg.validateOrder(); err != nil {
+		return err
 	}
 	if err := wg.validateIndexes(); err != nil {
 		return err
@@ -779,30 +840,54 @@ func (wg *Graph) Validate() error {
 	return nil
 }
 
+// validateOrder checks the order list: its links agree both ways, first and
+// last are its ends, it holds every node exactly once, ranks increase
+// strictly along it, and every edge points forward.
+func (wg *Graph) validateOrder() error {
+	if wg.first != nil && wg.first.prev != nil {
+		return fmt.Errorf("writegraph: order list's first node %d has a predecessor", wg.first.id)
+	}
+	var prev *node
+	count := 0
+	for n := wg.first; n != nil; n = n.next {
+		if count++; count > len(wg.nodes) {
+			return fmt.Errorf("writegraph: order list runs past the graph's %d nodes", len(wg.nodes))
+		}
+		if wg.nodes[n.id] != n {
+			return fmt.Errorf("writegraph: order list holds node %d, which is not in the graph", n.id)
+		}
+		if n.prev != prev {
+			return fmt.Errorf("writegraph: order list's back link at node %d is broken", n.id)
+		}
+		if prev != nil && n.rank <= prev.rank {
+			return fmt.Errorf("writegraph: ranks do not increase along the order list: node %d (%d) after node %d (%d)", n.id, n.rank, prev.id, prev.rank)
+		}
+		for _, s := range wg.g.Succ(n.id) {
+			if wg.nodes[s].rank <= n.rank {
+				return fmt.Errorf("writegraph: edge %d->%d runs against the maintained order (ranks %d, %d)", n.id, s, n.rank, wg.nodes[s].rank)
+			}
+		}
+		prev = n
+	}
+	if prev != wg.last {
+		return fmt.Errorf("writegraph: order list's last node is not its end")
+	}
+	if count != len(wg.nodes) {
+		return fmt.Errorf("writegraph: order list holds %d of the graph's %d nodes", count, len(wg.nodes))
+	}
+	return nil
+}
+
 // validateIndexes is the part of Validate that rebuilds the maintained
-// indexes and order invariants from node contents.
+// indexes from node contents.
 func (wg *Graph) validateIndexes() error {
 	views := wg.Nodes()
-	ranks := make(map[int64]graph.NodeID, len(views))
 	ops := 0
 	readers := map[op.ObjectID]graph.IDSet{}
 	var read []op.ObjectID
 	writer := map[op.ObjectID]*NodeView{}
 	var written []op.ObjectID
 	for _, nv := range views {
-		nd := wg.nodes[nv.ID]
-		if prev, dup := ranks[nd.rank]; dup {
-			return fmt.Errorf("writegraph: nodes %d and %d share rank %d", prev, nv.ID, nd.rank)
-		}
-		if nd.rank < 0 || nd.rank >= wg.nextRank {
-			return fmt.Errorf("writegraph: node %d has rank %d outside [0, %d)", nv.ID, nd.rank, wg.nextRank)
-		}
-		ranks[nd.rank] = nv.ID
-		for _, s := range wg.g.Succ(nv.ID) {
-			if wg.nodes[s].rank <= nd.rank {
-				return fmt.Errorf("writegraph: edge %d->%d runs against the maintained order (ranks %d, %d)", nv.ID, s, nd.rank, wg.nodes[s].rank)
-			}
-		}
 		ops += len(nv.Ops)
 		for _, x := range nv.Reads {
 			if len(readers[x]) == 0 {

@@ -567,6 +567,13 @@ func TestValidateCatchesStaleIndexes(t *testing.T) {
 		{"opCount", func(wg *Graph) { wg.opCount++ }},
 		{"rank", func(wg *Graph) { wg.nodes[ra].rank, wg.nodes[rb].rank = wg.nodes[rb].rank, wg.nodes[ra].rank }},
 		{"duplicateRank", func(wg *Graph) { wg.nodes[ra].rank = wg.nodes[rb].rank }},
+		{"nonIncreasingRanks", func(wg *Graph) { wg.last.rank = wg.last.prev.rank }},
+		{"backLink", func(wg *Graph) { wg.last.prev = wg.first }},
+		{"missingFromList", func(wg *Graph) {
+			n := wg.first.next
+			n.prev.next, n.next.prev = n.next, n.prev
+		}},
+		{"lastNotEnd", func(wg *Graph) { wg.last = wg.last.prev }},
 	} {
 		wg := build()
 		c.corrupt(wg)
