@@ -10,7 +10,6 @@ package logicallog
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -590,85 +589,6 @@ func BenchmarkE8ParallelRedo(b *testing.B) {
 		}
 		b.ReportMetric(float64(base.ScannedOps)*float64(b.N)/b.Elapsed().Seconds(), "redoops/sec")
 	})
-}
-
-// BenchmarkE12CommitStreams — E12: the commit-path fast lane.  Eight
-// committers drive a write-burst mix (3/4 blind hot-key writes — the
-// absorbable slice — and 1/4 cold per-committer writes, group commit every
-// 16 appends) against a wal.Log across the lane matrix.  The headline
-// comparison is the full fast lane (streams=4, absorption on) against the
-// single-lane baseline (streams=1, absorption off): ≥1.5x appends/sec on
-// this mix, with elidedB/op > 0 proving absorption fired.  The absorb=false
-// rows isolate pure stream scaling, which needs real cores to show — on a
-// single-CPU host the fast lane's whole win comes from absorption eliding
-// merge and device work, and the stream rows read as noise.
-func BenchmarkE12CommitStreams(b *testing.B) {
-	const (
-		committers = 8
-		hotKeys    = 4
-		coldKeys   = 64
-		valSize    = 256
-		forceEvery = 16
-	)
-	hot := make([]op.ObjectID, hotKeys)
-	for i := range hot {
-		hot[i] = op.ObjectID(fmt.Sprintf("hot%d", i))
-	}
-	for _, cfg := range []struct {
-		streams int
-		absorb  bool
-	}{{1, false}, {2, false}, {4, false}, {8, false}, {1, true}, {4, true}, {8, true}} {
-		b.Run(fmt.Sprintf("streams=%d/absorb=%v", cfg.streams, cfg.absorb), func(b *testing.B) {
-			l, err := wal.New(wal.NewMemDevice())
-			if err != nil {
-				b.Fatal(err)
-			}
-			l.SetStreams(cfg.streams, cfg.absorb)
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < committers; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					cold := make([]op.ObjectID, coldKeys)
-					for i := range cold {
-						cold[i] = op.ObjectID(fmt.Sprintf("g%d-c%d", c, i))
-					}
-					val := make([]byte, valSize)
-					var last op.SI
-					for i := 0; i < b.N; i++ {
-						key := hot[(i+c)%hotKeys]
-						if i%4 == 3 {
-							key = cold[i%coldKeys]
-						}
-						val[0], val[1] = byte(i), byte(c)
-						lsn, err := l.AppendOp(op.NewPhysicalWrite(key, val))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						last = lsn
-						if i%forceEvery == forceEvery-1 {
-							if err := l.ForceThrough(last); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			if err := l.Force(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := l.Stats()
-			total := float64(committers) * float64(b.N)
-			b.ReportMetric(total/b.Elapsed().Seconds(), "appends/sec")
-			b.ReportMetric(float64(st.BytesElided)/total, "elidedB/op")
-			b.ReportMetric(float64(st.Absorbed)/total, "absorbed-frac")
-		})
-	}
 }
 
 // BenchmarkAblationInstallLogging — A1: redo work with and without install

@@ -1,5 +1,5 @@
-// Command llbench runs the paper-reproduction experiments (E1–E14 and the
-// ablations; see DESIGN.md) and prints their tables.
+// Command llbench runs the paper-reproduction experiments (E1–E11, E13,
+// E14 and the ablations; see DESIGN.md) and prints their tables.
 //
 // Usage:
 //
@@ -26,8 +26,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains in recovery-heavy experiments (0 = GOMAXPROCS, 1 = one replaying goroutine)")
-	logStreams := flag.Int("log-streams", 0, "per-core log append streams for every harness engine (0 = experiment default)")
-	absorb := flag.Bool("absorb", false, "absorb superseded hot writes in the volatile log window on every harness engine")
 	mixes := flag.String("mix", "", "comma-separated scenario mixes for the domain experiment E13 (default: all built-ins)")
 	jsonOut := flag.String("json", "", `write the machine-readable llbench/v1 report to this path ("-" = stdout)`)
 	validateJSON := flag.String("validate-json", "", "validate a previously written report file and exit")
@@ -38,8 +36,6 @@ func main() {
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this path")
 	flag.Parse()
 	harness.DefaultRedoWorkers = *redoWorkers
-	harness.DefaultLogStreams = *logStreams
-	harness.DefaultAbsorbWrites = *absorb
 	if *mixes != "" {
 		for _, name := range strings.Split(*mixes, ",") {
 			name = strings.TrimSpace(name)

@@ -7,13 +7,13 @@
 // produced by llrun -trace-out (Chrome trace_event JSON).
 //
 // With -flight it also loads a flight-recorder spill file (llrun -flight):
-// record lines gain provenance annotations (canceled absorptions), -explain
-// reconstructs the full decision chain for one LSN, and -forensics renders
-// the post-crash forensic timeline (flight decisions merged with the trace).
+// -explain reconstructs the full decision chain for one LSN, and -forensics
+// renders the post-crash forensic timeline (flight decisions merged with the
+// trace).
 //
 // Usage:
 //
-//	llinspect [-from LSN] [-flight spill.bin] path/to/db.wal
+//	llinspect [-from LSN] path/to/db.wal
 //	llinspect -explain LSN [-flight spill.bin] path/to/db.wal
 //	llinspect -timeline trace.json
 //	llinspect -forensics -flight spill.bin [-timeline trace.json]
@@ -37,7 +37,7 @@ import (
 func main() {
 	from := flag.Uint64("from", 0, "first LSN to print")
 	timeline := flag.String("timeline", "", "render the recovery timeline of a Chrome trace_event JSON file (from llrun -trace-out)")
-	flightPath := flag.String("flight", "", "flight-recorder spill file (from llrun -flight); enables provenance annotations")
+	flightPath := flag.String("flight", "", "flight-recorder spill file (from llrun -flight) for -explain and -forensics")
 	explain := flag.Uint64("explain", 0, "explain the redo decision for this LSN instead of dumping the log")
 	renderForensics := flag.Bool("forensics", false, "render the forensic timeline from -flight (merged with -timeline when given)")
 	flag.Parse()
@@ -107,7 +107,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	canceled := canceledAbsorptions(events)
 	count := 0
 	for {
 		rec, err := sc.Next()
@@ -117,7 +116,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printRecord(rec, canceled)
+		printRecord(rec)
 		count++
 	}
 	fmt.Printf("-- %d records (stable LSN %d, first LSN %d)\n", count, log.StableLSN(), log.FirstLSN())
@@ -138,26 +137,7 @@ func readTrace(path string) ([]obs.Event, error) {
 	return obs.ReadChromeTrace(f)
 }
 
-// canceledAbsorptions collects, per LSN, the observer horizon that canceled
-// a pending absorption of that record.  A canceled absorption leaves the
-// record in the log as a normal operation — indistinguishable from one that
-// was never an elision candidate — so the annotation is the only place the
-// near-miss shows up.
-func canceledAbsorptions(events []flight.Event) map[op.SI]op.SI {
-	var m map[op.SI]op.SI
-	for _, ev := range events {
-		if ev.Kind != flight.KindAbsorbCancel {
-			continue
-		}
-		if m == nil {
-			m = make(map[op.SI]op.SI)
-		}
-		m[ev.LSN] = ev.Ref
-	}
-	return m
-}
-
-func printRecord(rec *wal.Record, canceled map[op.SI]op.SI) {
+func printRecord(rec *wal.Record) {
 	switch rec.Type {
 	case wal.RecOperation:
 		o := rec.Op
@@ -171,17 +151,12 @@ func printRecord(rec *wal.Record, canceled map[op.SI]op.SI) {
 			}
 			extra = " values{" + strings.Join(sizes, " ") + "}"
 		}
-		if observer, ok := canceled[rec.LSN]; ok {
-			extra += fmt.Sprintf(" [absorb-canceled: observer at LSN %d]", observer)
-		}
 		fmt.Printf("%8d  op     %s%s\n", rec.LSN, o, extra)
 	case wal.RecInstall:
 		fmt.Printf("%8d  install flushed=%s unflushed=%s ops=%v\n",
 			rec.LSN, rsis(rec.Install.Flushed), rsis(rec.Install.Unflushed), rec.Install.Ops)
 	case wal.RecFlush:
 		fmt.Printf("%8d  flush  %s vSI=%d\n", rec.LSN, rec.Flush.Object, rec.Flush.VSI)
-	case wal.RecAbsorbed:
-		fmt.Printf("%8d  absorb %s by=%d elided=%dB\n", rec.LSN, rec.Absorbed.Object, rec.Absorbed.By, rec.Absorbed.Elided)
 	case wal.RecCheckpoint:
 		var parts []string
 		for _, d := range rec.Checkpoint.Dirty {

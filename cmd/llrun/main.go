@@ -43,8 +43,6 @@ func main() {
 	classicW := flag.Bool("w", false, "use the classic write graph W instead of rW")
 	vsi := flag.Bool("vsi", false, "use the classic vSI REDO test instead of generalized rSIs")
 	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
-	logStreams := flag.Int("log-streams", 1, "per-core log append streams (commit fast lane; 1 = classic single lane)")
-	absorb := flag.Bool("absorb", false, "absorb superseded hot writes in the volatile log window")
 	faults := flag.String("faults", "", `fault plan token, e.g. "wal@17:torn=3+stable@4:eio" (see internal/fault)`)
 	standby := flag.Bool("standby", false, "ship the log to a warm standby during the run and promote it after the crash (llship is the full demo)")
 	shipBatch := flag.Int("ship-batch", 16, "ship batch size in records (with -standby)")
@@ -105,8 +103,6 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Physiological = *physio
 	opts.RedoWorkers = *redoWorkers
-	opts.LogStreams = *logStreams
-	opts.AbsorbWrites = *absorb
 	opts.Obs = reg
 	opts.Tracer = tracer
 	if *classicW {
@@ -151,7 +147,6 @@ func main() {
 		fatal(err)
 	}
 	eng.Store().SetWriteProbe(plan.StableProbe())
-	eng.Log().SetMergeProbe(plan.MergeProbe())
 	if *debugAddr != "" {
 		ln, err := obs.ServeDebug(*debugAddr, eng.Metrics)
 		if err != nil {

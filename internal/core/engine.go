@@ -50,16 +50,6 @@ type Options struct {
 	// replaying goroutine (Recover's caller, or RecoverOnDemand's single
 	// background worker).
 	RedoWorkers int
-	// LogStreams sets the WAL's per-lane append stream count (the commit
-	// fast lane): appenders contend per stream and the group-commit leader
-	// merges streams into LSN order at force time.  0 or 1 selects the
-	// single-stream path; the durable byte stream is identical at every
-	// stream count.
-	LogStreams int
-	// AbsorbWrites enables WAL log absorption: a blind full-object write
-	// superseded by a later blind write to the same object before either is
-	// forced is replaced by a tombstone in the durable log.  Off by default.
-	AbsorbWrites bool
 	// Obs, when non-nil, receives hot-path metrics from every layer (WAL
 	// append/force latency, group-commit batch sizes, flush-set sizes,
 	// write-graph gauges, redo-chain distributions).  Engine.Metrics()
@@ -70,8 +60,8 @@ type Options struct {
 	// for Chrome/Perfetto trace export and timeline rendering.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, is the decision flight recorder: every redo
-	// decision, absorption supersession/cancel, stream merge, ship batch
-	// outcome, and checkpoint/truncation horizon move is recorded (and
+	// decision, install-graph value resolution, ship batch outcome, and
+	// checkpoint/truncation horizon move is recorded (and
 	// optionally spilled to a crash-tolerant file) for post-hoc forensics
 	// with llinspect -explain / -forensics.  Nil disables it at ~0 cost.
 	Flight *flight.Recorder
@@ -113,23 +103,14 @@ type Engine struct {
 }
 
 // newEngine defaults the registry and builds the engine shell over log and
-// store, tuning the log from the options.  The cache manager is attached by
-// the caller: fresh (New) or recovered (Adopt).
+// store, wiring the log's metrics.  The cache manager is attached by the
+// caller: fresh (New) or recovered (Adopt).
 func newEngine(opts Options, log *wal.Log, store *stable.Store) *Engine {
 	if opts.Registry == nil {
 		opts.Registry = op.NewRegistry()
 	}
-	opts.TuneLog(log)
+	log.SetObs(opts.Obs)
 	return &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
-}
-
-// TuneLog applies the options' log settings — instrumentation, append
-// streams, absorption — to log.  The engine and the warm standby
-// (internal/ship) both configure their logs here.
-func (o Options) TuneLog(log *wal.Log) {
-	log.SetObs(o.Obs)
-	log.SetFlight(o.Flight)
-	log.SetStreams(o.LogStreams, o.AbsorbWrites)
 }
 
 // CacheConfig is the one place engine options become the cache manager's,
@@ -549,9 +530,6 @@ func mergeStats(s *obs.Snapshot, st Stats) {
 	c["wal.forces_coalesced"] = st.Log.ForcesCoalesced
 	c["wal.transient_retries"] = st.Log.TransientRetries
 	c["wal.truncations_clamped"] = st.Log.TruncationsClamped
-	c["wal.merges"] = st.Log.Merges
-	c["wal.absorbed"] = st.Log.Absorbed
-	c["wal.bytes_elided"] = st.Log.BytesElided
 	for t, n := range st.Log.Records {
 		c["wal.records."+t.String()] = n
 	}

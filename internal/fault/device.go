@@ -149,30 +149,6 @@ func (p *Plan) StableProbe() func() error {
 	}
 }
 
-// MergeProbe returns the stream-merge probe for this plan (see
-// wal.Log.SetMergeProbe).  The log consults it after the group-commit leader
-// merges the per-core streams into LSN order and before the merged bytes
-// reach the device; each consult counts one ChanWALStream I/O.  A fault here
-// models a machine dying with a fully staged but unwritten commit batch.
-func (p *Plan) MergeProbe() func() error {
-	return func() error {
-		pt, dead := p.advance(ChanWALStream)
-		if dead {
-			return deadErr()
-		}
-		switch pt.Kind {
-		case KindNone:
-			return nil
-		case KindTransient:
-			return &TransientError{Chan: ChanWALStream, Index: pt.Index}
-		default:
-			// The merge boundary is pre-device: there are no bytes to tear
-			// or flip yet, so any non-transient kind is a hard stop.
-			return pt.failure()
-		}
-	}
-}
-
 // FromSeed derives a small random schedule over a workload known to perform
 // walIOs WAL appends and stableIOs stable writes: up to two transient
 // points plus one terminal point, all replayable via Token.

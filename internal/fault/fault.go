@@ -35,12 +35,6 @@ const (
 	ChanStable
 	// ChanShip counts log-shipping batch sends (see internal/ship).
 	ChanShip
-	// ChanWALStream counts stream-merge boundaries: the instants at which
-	// the group-commit leader has merged the per-core log streams into
-	// global LSN order but not yet handed the bytes to the device (see
-	// wal.Log.SetMergeProbe).  Faulting here proves merged-order recovery
-	// is schedule-equivalent to single-stream operation.
-	ChanWALStream
 
 	numChannels
 )
@@ -53,8 +47,6 @@ func (c Channel) String() string {
 		return "stable"
 	case ChanShip:
 		return "ship"
-	case ChanWALStream:
-		return "stream"
 	}
 	return fmt.Sprintf("chan%d", uint8(c))
 }
@@ -67,8 +59,6 @@ func parseChannel(s string) (Channel, error) {
 		return ChanStable, nil
 	case "ship":
 		return ChanShip, nil
-	case "stream", "walstream":
-		return ChanWALStream, nil
 	}
 	return 0, fmt.Errorf("fault: unknown channel %q", s)
 }

@@ -3,9 +3,9 @@
 // write-ahead log itself and the flight recorder's spill file
 // (internal/obs/flight).  It answers the question "why was this record
 // redone (or skipped)?" with the concrete witness the redo predicate saw —
-// the installed version that beat it, the dirty-table entry that exposed it,
-// or the absorption that elided it — and renders compact forensic dumps and
-// merged timelines for the crash explorers and llinspect.
+// the installed version that beat it or the dirty-table entry that exposed
+// it — and renders compact forensic dumps and merged timelines for the crash
+// explorers and llinspect.
 //
 // Everything here is read-only and log-derived: Explain re-derives the dirty
 // object table by replaying analysis over the scanned records, so it works
@@ -63,8 +63,6 @@ func recordLabel(rec *wal.Record) string {
 		return fmt.Sprintf("install ops=%v", rec.Install.Ops)
 	case wal.RecFlush:
 		return fmt.Sprintf("flush %s vSI=%d", rec.Flush.Object, rec.Flush.VSI)
-	case wal.RecAbsorbed:
-		return fmt.Sprintf("absorbed %s", rec.Absorbed.Object)
 	case wal.RecCheckpoint:
 		return "checkpoint"
 	default:
@@ -77,8 +75,8 @@ func recordLabel(rec *wal.Record) string {
 // flight record (ring or spill), possibly empty.  The returned explanation
 // combines the flight-recorded decision (when one covers the LSN) with
 // provenance re-derived from the log alone: the dirty-object-table state the
-// analysis pass would have built just before the LSN, the install record
-// that installed the operation (if any), and absorption lineage.
+// analysis pass would have built just before the LSN and the install record
+// that installed the operation (if any).
 func Explain(recs []*wal.Record, events []flight.Event, lsn op.SI) (*Explanation, error) {
 	var target *wal.Record
 	for _, rec := range recs {
@@ -103,12 +101,9 @@ func Explain(recs []*wal.Record, events []flight.Event, lsn op.SI) (*Explanation
 		}
 	}
 
-	switch target.Type {
-	case wal.RecOperation:
+	if target.Type == wal.RecOperation {
 		explainOperation(x, recs, events)
-	case wal.RecAbsorbed:
-		explainAbsorbed(x, events)
-	default:
+	} else {
 		x.Lines = append(x.Lines,
 			fmt.Sprintf("bookkeeping record (%s): not subject to a redo decision", recordLabel(target)))
 	}
@@ -186,46 +181,19 @@ func explainOperation(x *Explanation, recs []*wal.Record, events []flight.Event)
 		}
 	}
 
-	// Absorption and install-graph lineage from the flight record.
+	// Install-graph and ship lineage from the flight record.
 	for i := range events {
 		ev := &events[i]
 		if ev.LSN != x.LSN {
 			continue
 		}
 		switch ev.Kind {
-		case flight.KindAbsorbRecord:
-			x.Lines = append(x.Lines, fmt.Sprintf(
-				"absorption: write to %s superseded by LSN %d (candidate for elision)", ev.Object, ev.Ref))
-		case flight.KindAbsorbCancel:
-			x.Lines = append(x.Lines, fmt.Sprintf(
-				"absorption canceled: observer at LSN %d read %s inside the elision interval", ev.Ref, ev.Object))
 		case flight.KindValueResolve:
 			x.Lines = append(x.Lines, fmt.Sprintf(
 				"install graph: oracle resolved %s from this record's value", ev.Object))
 		case flight.KindShipApply:
 			x.Lines = append(x.Lines, fmt.Sprintf(
 				"ship: standby %s (want=%d)", ev.Dec, ev.Ref))
-		}
-	}
-}
-
-func explainAbsorbed(x *Explanation, events []flight.Event) {
-	ab := x.Record.Absorbed
-	x.Lines = append(x.Lines, fmt.Sprintf(
-		"absorbed: write to %s superseded by the write at LSN %d before reaching the log (%dB of payload elided)",
-		ab.Object, ab.By, ab.Elided))
-	for i := range events {
-		ev := &events[i]
-		if ev.LSN != x.LSN {
-			continue
-		}
-		switch ev.Kind {
-		case flight.KindAbsorbRecord:
-			x.Lines = append(x.Lines, fmt.Sprintf(
-				"flight: absorption recorded at +%s (by LSN %d)", fmtAt(ev.At), ev.Ref))
-		case flight.KindAbsorbCommit:
-			x.Lines = append(x.Lines, fmt.Sprintf(
-				"flight: absorption committed to the merged log at +%s (tombstone substituted during merge)", fmtAt(ev.At)))
 		}
 	}
 }

@@ -174,26 +174,6 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 }
 
-func TestExplainAbsorbedRecord(t *testing.T) {
-	recs := []*wal.Record{
-		{LSN: 5, Type: wal.RecAbsorbed, Absorbed: &wal.AbsorbedRecord{Object: "x", Elided: 42, By: 9}},
-	}
-	events := []flight.Event{
-		{Seq: 0, Kind: flight.KindAbsorbRecord, LSN: 5, Ref: 9, Object: "x", Actor: "wal"},
-		{Seq: 1, Kind: flight.KindAbsorbCommit, LSN: 5, Ref: 9, Object: "x", N: 42, Actor: "wal"},
-	}
-	x, err := forensics.Explain(recs, events, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := x.String()
-	for _, want := range []string{"superseded by the write at LSN 9", "42B of payload elided", "absorption committed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("absorbed explanation missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestExplainUnknownLSN(t *testing.T) {
 	if _, err := forensics.Explain(nil, nil, 7); err == nil {
 		t.Fatal("want error for unknown LSN")
@@ -206,7 +186,7 @@ func TestDumpOrdersAndTruncates(t *testing.T) {
 		events = append(events, flight.Event{
 			Seq:  uint64(i),
 			At:   time.Duration(i) * time.Millisecond,
-			Kind: flight.KindMerge,
+			Kind: flight.KindCheckpoint,
 			LSN:  op.SI(10 + i),
 			N:    1,
 		})

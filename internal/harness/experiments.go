@@ -19,26 +19,9 @@ import (
 // engine the harness builds (cmd/llbench's -redo-workers flag).
 var DefaultRedoWorkers int
 
-// DefaultLogStreams and DefaultAbsorbWrites, when set, give every engine the
-// harness builds the commit fast lane (cmd/llbench's -log-streams and
-// -absorb flags).  Stream count alone never changes a result table — the
-// merged durable byte stream is identical at every lane count.  Absorption
-// is recovery-equivalent but can elide records, so it may shift log-byte and
-// redo counters; it is off unless explicitly requested.
-var (
-	DefaultLogStreams   int
-	DefaultAbsorbWrites bool
-)
-
 func newEngine(opts core.Options) (*core.Engine, error) {
 	if opts.RedoWorkers == 0 {
 		opts.RedoWorkers = DefaultRedoWorkers
-	}
-	if opts.LogStreams == 0 && DefaultLogStreams > 0 {
-		opts.LogStreams = DefaultLogStreams
-	}
-	if DefaultAbsorbWrites {
-		opts.AbsorbWrites = true
 	}
 	if opts.Obs == nil {
 		opts.Obs = DefaultObs

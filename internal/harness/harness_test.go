@@ -287,40 +287,6 @@ func TestE11Shape(t *testing.T) {
 	}
 }
 
-func TestE12Shape(t *testing.T) {
-	tbl := runExp(t, "E12")
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("want 5 configurations, got %d rows", len(tbl.Rows))
-	}
-	appends0 := cellInt(t, tbl, 0, 2)
-	if appends0 == 0 {
-		t.Fatal("no appends; experiment is vacuous")
-	}
-	for i := range tbl.Rows {
-		// Every configuration appends the same burst mix.
-		if got := cellInt(t, tbl, i, 2); got != appends0 {
-			t.Errorf("row %d: appends %d, want %d in every configuration", i, got, appends0)
-		}
-	}
-	// Row 0 is absorption-off: nothing may be elided.
-	if a := cellInt(t, tbl, 0, 4); a != 0 {
-		t.Errorf("absorb=false absorbed %d records", a)
-	}
-	if b := cellInt(t, tbl, 0, 5); b != 0 {
-		t.Errorf("absorb=false elided %d bytes", b)
-	}
-	// Every absorb-on row must elide something: the hot-key slice guarantees
-	// superseded writes inside each force window.
-	for i := 1; i < len(tbl.Rows); i++ {
-		if a := cellInt(t, tbl, i, 4); a <= 0 {
-			t.Errorf("row %d: absorbed = %d, want > 0", i, a)
-		}
-		if b := cellInt(t, tbl, i, 5); b <= 0 {
-			t.Errorf("row %d: bytes elided = %d, want > 0", i, b)
-		}
-	}
-}
-
 func TestA1Shape(t *testing.T) {
 	tbl := runExp(t, "A1")
 	if len(tbl.Rows) != 2 {

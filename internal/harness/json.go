@@ -145,11 +145,6 @@ func ValidateReport(r *Report) error {
 				return err
 			}
 		}
-		if e.ID == "E12" {
-			if err := validateCommitMetrics(e); err != nil {
-				return err
-			}
-		}
 		if e.ID == "E13" {
 			if err := validateDomainMetrics(e); err != nil {
 				return err
@@ -162,38 +157,6 @@ func ValidateReport(r *Report) error {
 		}
 		if err := validateFlightMetrics(e); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// validateCommitMetrics checks the commit fast-lane metrics consumers read
-// from an E12 snapshot.  A report produced without a metrics registry has an
-// empty snapshot, which stays valid; once any counter is present the commit
-// family must be complete and the absorption pass must have elided bytes.
-func validateCommitMetrics(e ExperimentResult) error {
-	if len(e.Metrics.Counters) == 0 {
-		return nil
-	}
-	for _, c := range []string{"commit.appends", "commit.forces", "commit.absorbed", "commit.bytes_elided",
-		"wal.absorb.hits", "wal.absorb.bytes_elided"} {
-		if _, ok := e.Metrics.Counters[c]; !ok {
-			return fmt.Errorf("harness: %s: metrics missing counter %q", e.ID, c)
-		}
-	}
-	if e.Metrics.Counters["commit.appends"] <= 0 {
-		return fmt.Errorf("harness: %s: commit.appends is zero", e.ID)
-	}
-	if e.Metrics.Counters["commit.bytes_elided"] <= 0 {
-		return fmt.Errorf("harness: %s: commit.bytes_elided is zero; absorption never fired", e.ID)
-	}
-	for _, h := range []string{"wal.merge.ns", "wal.merge.records"} {
-		hs, ok := e.Metrics.Histograms[h]
-		if !ok {
-			return fmt.Errorf("harness: %s: metrics missing histogram %q", e.ID, h)
-		}
-		if hs.Count == 0 {
-			return fmt.Errorf("harness: %s: histogram %q is empty", e.ID, h)
 		}
 	}
 	return nil

@@ -175,66 +175,6 @@ func TestValidateReportE11Metrics(t *testing.T) {
 	}
 }
 
-// TestValidateReportE12Metrics pins the commit-fast-lane metric contract: an
-// E12 snapshot with any counters must carry the full commit family, with a
-// non-zero absorption yield and populated merge histograms.
-func TestValidateReportE12Metrics(t *testing.T) {
-	commitMetrics := func() obs.Snapshot {
-		return obs.Snapshot{
-			Counters: map[string]int64{
-				"commit.appends":          16000,
-				"commit.forces":           800,
-				"commit.absorbed":         900,
-				"commit.bytes_elided":     90000,
-				"wal.absorb.hits":         900,
-				"wal.absorb.bytes_elided": 90000,
-			},
-			Histograms: map[string]obs.HistogramSnapshot{
-				"wal.merge.ns":      {Count: 800},
-				"wal.merge.records": {Count: 800},
-			},
-		}
-	}
-	good := func() *Report {
-		tbl := &Table{ID: "E12", Title: "commit", Columns: []string{"a"}}
-		tbl.AddRow(1)
-		return &Report{
-			Schema:    ReportSchema,
-			GoVersion: "go0.0",
-			Experiments: []ExperimentResult{{
-				ID: "E12", Name: "commit", Table: tableResult(tbl), Metrics: commitMetrics(),
-			}},
-		}
-	}
-	if err := ValidateReport(good()); err != nil {
-		t.Fatalf("complete commit metrics rejected: %v", err)
-	}
-	r := good()
-	r.Experiments[0].Metrics = obs.Snapshot{}
-	if err := ValidateReport(r); err != nil {
-		t.Errorf("empty snapshot rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*obs.Snapshot)
-		want   string
-	}{
-		{"missing counter", func(s *obs.Snapshot) { delete(s.Counters, "commit.forces") }, "commit.forces"},
-		{"zero appends", func(s *obs.Snapshot) { s.Counters["commit.appends"] = 0 }, "commit.appends"},
-		{"zero elision", func(s *obs.Snapshot) { s.Counters["commit.bytes_elided"] = 0 }, "commit.bytes_elided"},
-		{"missing histogram", func(s *obs.Snapshot) { delete(s.Histograms, "wal.merge.ns") }, "wal.merge.ns"},
-		{"empty histogram", func(s *obs.Snapshot) { s.Histograms["wal.merge.records"] = obs.HistogramSnapshot{} }, "wal.merge.records"},
-	}
-	for _, c := range cases {
-		r := good()
-		c.mutate(&r.Experiments[0].Metrics)
-		err := ValidateReport(r)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
-		}
-	}
-}
-
 // TestRunReportRealExperiment smoke-tests the collector against one real
 // (cheap) experiment end to end.
 func TestRunReportRealExperiment(t *testing.T) {

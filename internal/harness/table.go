@@ -1,5 +1,5 @@
-// Package harness runs the paper-reproduction experiments (E1–E14 of
-// DESIGN.md) and renders their results as text tables.  Every experiment is
+// Package harness runs the paper-reproduction experiments (E1–E11, E13 and
+// E14 of DESIGN.md) and renders their results as text tables.  Every experiment is
 // deterministic given its built-in seeds, so EXPERIMENTS.md can record
 // exact expected shapes.
 package harness
@@ -109,7 +109,6 @@ func All() []Experiment {
 		{ID: "E9", Name: "B-tree split logging cost (Section 1)", Run: E9BtreeSplit},
 		{ID: "E10", Name: "checkpoints, install logging, and redo scan length (Section 5)", Run: E10ScanLength},
 		{ID: "E11", Name: "log shipping: replication lag and failover vs batch size", Run: E11ShipLag},
-		{ID: "E12", Name: "commit fast lane: per-core log streams and absorption", Run: E12CommitStreams},
 		{ID: "E13", Name: "recoverable domains: B+tree and LSM under scenario mixes", Run: E13DomainMixes},
 		{ID: "E14", Name: "instant recovery: serving during redo vs full-redo restart", Run: E14InstantRecovery},
 		{ID: "A1", Name: "ablation: install-record logging on/off", Run: A1InstallLogging},

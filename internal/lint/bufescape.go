@@ -2,12 +2,12 @@
 // byte memory the engine recycles underneath its callers.
 //
 // Inside the wal package ("lane mode"), arena frames and the carrier values
-// that hold them (streamRec, chunk) alias recyclable arena chunks: they are
-// valid only inside the lane lock region and until the k-way merge copies
-// them (mergeRecord).  Any function outside the small stream API that retains
-// such memory — stores it into a field, global, map, or channel, directly or
-// by passing it to a callee whose summary says it stores its parameter — is
-// reported.
+// that hold them (laneRec, chunk) alias recyclable arena chunks: they are
+// valid only inside the lane lock region and until the force path copies
+// them into the staging buffer (stageThrough).  Any function outside the
+// small lane API that retains such memory — stores it into a field, global,
+// map, or channel, directly or by passing it to a callee whose summary says
+// it stores its parameter — is reported.
 //
 // Everywhere else ("record mode"), memory reached through a decoded
 // wal.Record (rec.Op, rec.Payload, recs[i]...) aliases the scanner's
@@ -28,27 +28,20 @@ import (
 var BufEscape = &Analyzer{
 	Name: "bufescape",
 	Doc: "proves arena/lane byte slices never escape the lane lock region or " +
-		"merge boundary, and decoded wal.Record memory is never mutated through " +
+		"staging copy, and decoded wal.Record memory is never mutated through " +
 		"helper calls or local aliases",
 	Run: runBufEscape,
 }
 
 // laneAPI names the wal functions that legitimately hold or recycle
-// arena-backed memory: the stream append path, the merge (which copies), the
-// shipping copy, and the arena itself.
+// arena-backed memory: the lane append, the staging cut (which copies), and
+// the arena itself.
 var laneAPI = map[string]bool{
-	"append":            true, // logStream.append: the lane buffer itself
-	"appendFrame":       true, // arena: produces frames
-	"grab":              true, // arena chunk management
-	"release":           true,
-	"reset":             true,
-	"drop":              true, // logStream teardown
-	"mergeThrough":      true, // the merge: consumes lane runs under all locks
-	"mergeRecord":       true, // the copy boundary
-	"noteShippedLocked": true, // copies into the shipped ring
-	"AppendShipped":     true, // standby log copy
-	"Crash":             true,
-	"SetStreams":        true,
+	"appendFrame":  true, // arena: produces frames
+	"grab":         true, // arena chunk management
+	"release":      true,
+	"bufferLocked": true, // Log: the lane buffer itself
+	"stageThrough": true, // Log: the copy boundary into the staging buffer
 }
 
 func runBufEscape(p *Pass) error {
@@ -102,7 +95,7 @@ func checkLaneEscape(p *Pass, prog *Program, fi *FuncInfo) {
 	tw.sourceAny = func(e ast.Expr) bool {
 		return isLaneCarrier(info.TypeOf(e))
 	}
-	// Seed lane-carrier parameters too: a helper handed a streamRec holds
+	// Seed lane-carrier parameters too: a helper handed a laneRec holds
 	// arena memory just as surely as one that minted it.
 	for _, pv := range paramVars(fi) {
 		if pv != nil && isLaneCarrier(pv.Type()) {
@@ -112,19 +105,19 @@ func checkLaneEscape(p *Pass, prog *Program, fi *FuncInfo) {
 	tw.walk()
 	for _, at := range sortedSites(tw.storeSites) {
 		p.Reportf(at.Pos(),
-			"arena-backed lane memory (a frame, streamRec, or chunk) is retained here; "+
+			"arena-backed lane memory (a frame, laneRec, or chunk) is retained here; "+
 				"frames alias recyclable arena chunks and are invalid past the lane lock "+
-				"region — copy the bytes (as mergeRecord does) before storing")
+				"region — copy the bytes (as stageThrough does) before storing")
 	}
 	for _, at := range sortedSites(tw.mutateCallSites) {
 		p.Reportf(at.Pos(),
-			"this call writes through arena-backed lane memory outside the stream API; "+
+			"this call writes through arena-backed lane memory outside the lane API; "+
 				"encoded frames are immutable once appended")
 	}
 }
 
 // isLaneCarrier matches the wal types whose values hold arena-aliased
-// memory: streamRec, chunk, and slices/pointers thereof.
+// memory: laneRec, chunk, and slices/pointers thereof.
 func isLaneCarrier(t types.Type) bool {
 	if t == nil {
 		return false
@@ -137,7 +130,7 @@ func isLaneCarrier(t types.Type) bool {
 		return false
 	}
 	switch n.Obj().Name() {
-	case "streamRec", "chunk":
+	case "laneRec", "chunk":
 		return true
 	}
 	return false
@@ -171,8 +164,8 @@ func checkDecodedRecordMutation(p *Pass, prog *Program, fi *FuncInfo) {
 	for _, at := range sortedSites(tw.mutateCallSites) {
 		p.Reportf(at.Pos(),
 			"this call mutates memory reached through a decoded wal.Record; decoded "+
-				"records alias the scanner's snapshot (and, with absorption, other "+
-				"readers' views) — Clone the record or copy the bytes before writing")
+				"records alias the scanner's snapshot — Clone the record or copy the "+
+				"bytes before writing")
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"go/ast"
 )
 
-// CritSection proves critical sections close: every mutex or lane-lock
-// acquisition reaches a matching release on all paths out of the function —
+// CritSection proves critical sections close: every mutex acquisition
+// reaches a matching release on all paths out of the function —
 // early returns, fallthrough, and explicit panics included — with defers
 // recognized as covering every later exit.  The check is interprocedural
-// through acquire/release helper pairs (the striped-lock helpers
-// lockAllStreams/unlockAllStreams): a function whose every exit holds the
+// through acquire/release helper pairs (striped-lock helpers such as a
+// lockAll/unlockAll sweep): a function whose every exit holds the
 // same non-empty lock set is classified as an acquire helper and checked at
 // its call sites instead, where the matching release helper must appear on
 // all paths.
@@ -24,7 +24,7 @@ import (
 //     into the caller's walk, so the leak surfaces in the caller).
 var CritSection = &Analyzer{
 	Name: "critsection",
-	Doc: "verifies every mutex/lane acquisition reaches a release on all paths " +
+	Doc: "verifies every mutex acquisition reaches a release on all paths " +
 		"(early returns and panics included, defer-aware), interprocedurally " +
 		"through acquire/release helper pairs",
 	Run: runCritSection,

@@ -77,10 +77,10 @@ type Summary struct {
 	// flows through the call.
 	ReturnsParam []bool
 	// NetAcquires are ranked-or-field lock keys held at every exit (an
-	// acquire helper: lockAllStreams).  Empty for balanced functions.
+	// acquire helper, e.g. a lockAll sweep).  Empty for balanced functions.
 	NetAcquires map[string]bool
 	// NetReleases are lock keys released without a matching acquire in the
-	// function (a release helper: unlockAllStreams).
+	// function (a release helper, e.g. unlockAll).
 	NetReleases map[string]bool
 }
 
@@ -914,7 +914,7 @@ func intersectState(a, b lwState) lwState {
 // possible, so normally only locks held on both the skip path and the
 // full-body path survive (under-approximation).  The one exception is the
 // lock-sweep idiom — a body whose only lock effect is acquisitions, as in
-// lockAllStreams ranging over the lane set — which is treated as executing:
+// a lockAll ranging over a striped lock set — which is treated as executing:
 // the sweep is all-or-nothing and collapsing it to "maybe nothing" would
 // hide the acquire-helper classification the critsection analyzer depends
 // on at the helper's call sites.

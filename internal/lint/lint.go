@@ -98,7 +98,6 @@ func Analyzers() []*Analyzer {
 		AtomicMix,
 		LogRecPurity,
 		SpanEnd,
-		StreamPurity,
 		WalOrder,
 		BufEscape,
 		CritSection,

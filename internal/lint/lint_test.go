@@ -93,7 +93,6 @@ func TestForceCheckFixture(t *testing.T)   { runFixture(t, ForceCheck, "forceche
 func TestAtomicMixFixture(t *testing.T)    { runFixture(t, AtomicMix, "atomicmix") }
 func TestLogRecPurityFixture(t *testing.T) { runFixture(t, LogRecPurity, "logrecpurity") }
 func TestSpanEndFixture(t *testing.T)      { runFixture(t, SpanEnd, "spanend") }
-func TestStreamPurityFixture(t *testing.T) { runFixture(t, StreamPurity, "streampurity") }
 func TestWalOrderFixture(t *testing.T)     { runFixture(t, WalOrder, "walorder") }
 func TestBufEscapeFixture(t *testing.T)    { runFixture(t, BufEscape, "bufescape") }
 func TestCritSectionFixture(t *testing.T)  { runFixture(t, CritSection, "critsection") }
@@ -149,7 +148,7 @@ func TestMalformedDirective(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	names := []string{
 		"replaydeterminism", "lockorder", "forcecheck", "atomicmix",
-		"logrecpurity", "spanend", "streampurity",
+		"logrecpurity", "spanend",
 		"walorder", "bufescape", "critsection",
 	}
 	as := Analyzers()

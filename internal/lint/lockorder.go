@@ -8,7 +8,7 @@ import (
 
 // LockOrder enforces the documented lock acquisition order between the
 // engine mutex facade, the cache manager's locks, the cache/stable stripe
-// locks, and the WAL mutex, and requires every Lock/RLock in a function to
+// locks, and the WAL mutexes, and requires every Lock/RLock in a function to
 // have a matching (usually deferred) Unlock/RUnlock somewhere in the same
 // function.
 //
@@ -23,6 +23,7 @@ import (
 //  6. stable.storeShard.mu    — stable stripe locks
 //  7. stable.Store.statsMu    — stable counters
 //  8. wal.Log.mu              — log mutex
+//  9. wal.Log.laneMu          — WAL append lane
 //
 // The check is intraprocedural and statement-ordered: it sees acquisitions
 // nested within one function body, which is where ordering bugs between the
@@ -56,6 +57,7 @@ var lockRanks = []lockClass{
 	{"storeShard", "mu", 6, "stable.storeShard.mu (stable stripe)"},
 	{"Store", "statsMu", 7, "stable.Store.statsMu"},
 	{"Log", "mu", 8, "wal.Log.mu"},
+	{"Log", "laneMu", 9, "wal.Log.laneMu (append lane)"},
 }
 
 func classOf(typeName, fieldName string) *lockClass {
@@ -151,7 +153,7 @@ func collectLockEvents(p *Pass, body *ast.BlockStmt) []lockEvent {
 // checkPairing reports Lock/RLock calls with no matching Unlock/RUnlock on
 // the same receiver expression anywhere in the function.  A function the
 // interprocedural layer classifies as an acquire helper for that lock
-// (lockAllStreams: every exit deliberately holds the lane locks) is exempt —
+// (a lockAll sweep: every exit deliberately holds the striped locks) is exempt —
 // the critsection analyzer enforces the matching release at its call sites.
 func checkPairing(p *Pass, fd *ast.FuncDecl, events []lockEvent) {
 	var sum Summary

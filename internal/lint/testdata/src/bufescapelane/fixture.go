@@ -1,10 +1,10 @@
 // Package wal is the lane half of the bufescape fixture: the analyzer
-// switches to lane mode on the package name and matches the arena/stream
-// types (arena, chunk, streamRec) by name, so the fixture needs no imports
+// switches to lane mode on the package name and matches the arena/lane
+// types (arena, chunk, laneRec) by name, so the fixture needs no imports
 // from the real module.
 package wal
 
-// chunk and streamRec stand in for the arena chunk and per-stream record.
+// chunk and laneRec stand in for the arena chunk and lane record.
 type chunk struct {
 	buf []byte
 }
@@ -22,7 +22,7 @@ func (a *arena) appendFrame(n int) []byte {
 	return a.cur.buf[off:]
 }
 
-type streamRec struct {
+type laneRec struct {
 	lsn   uint64
 	frame []byte
 }
@@ -30,7 +30,7 @@ type streamRec struct {
 // Log models the structure a leak would retain into.
 type Log struct {
 	stash  [][]byte
-	recent []streamRec
+	recent []laneRec
 }
 
 // keepFrame is a private helper whose summary says it stores its
@@ -53,9 +53,9 @@ func (l *Log) retainViaHelper(a *arena) {
 	l.keepFrame(fr) // want "arena-backed lane memory .* is retained here"
 }
 
-// retainRec stores a streamRec carrier whole; the frame inside aliases the
+// retainRec stores a laneRec carrier whole; the frame inside aliases the
 // arena just the same.
-func (l *Log) retainRec(sr streamRec) {
+func (l *Log) retainRec(sr laneRec) {
 	l.recent = append(l.recent, sr) // want "arena-backed lane memory .* is retained here"
 }
 
@@ -65,14 +65,14 @@ func (l *Log) retainChunk(c *chunk) {
 }
 
 // copyRec is the sanctioned pattern: an ellipsis append copies the bytes,
-// breaking the alias (this is what mergeRecord does).
-func (l *Log) copyRec(sr streamRec) []byte {
+// breaking the alias (this is what stageThrough does).
+func (l *Log) copyRec(sr laneRec) []byte {
 	return append([]byte(nil), sr.frame...)
 }
 
 // statRec reads only scalars out of the carrier; copying sr.lsn retains
 // nothing.
-func statRec(sr streamRec) uint64 {
+func statRec(sr laneRec) uint64 {
 	return sr.lsn
 }
 
@@ -85,7 +85,7 @@ func scrubFrame(p []byte) {
 
 // redactRec mutates an appended frame through a helper: encoded frames are
 // immutable once appended.
-func redactRec(sr streamRec) {
+func redactRec(sr laneRec) {
 	scrubFrame(sr.frame) // want "writes through arena-backed lane memory"
 }
 

@@ -1,9 +1,8 @@
 // Package flight is the recovery flight recorder: a lock-free, bounded
 // ring of structured decision events recording *why* the engine did what
 // it did — redo apply/skip with the dirty-table reason, install-graph
-// ValueAfter resolutions, absorption record/cancel/commit with observer
-// horizons, ship batch send/Lost/rewind and standby accept/dup/gap, and
-// checkpoint / truncation horizon moves.
+// ValueAfter resolutions, ship batch send/Lost/rewind and standby
+// accept/dup/gap, and checkpoint / truncation horizon moves.
 //
 // Like the rest of internal/obs, every handle is nil-safe: methods on a
 // nil *Recorder are no-ops, so instrumented code pays one pointer test
@@ -11,7 +10,7 @@
 // allocation and one atomic pointer swap; writers never block each other
 // (the ring is a []atomic.Pointer[Event] indexed by an atomic sequence
 // counter), so emission is safe from any goroutine including code running
-// under WAL stream and shard mutexes.
+// under foreign mutexes.
 //
 // A recorder can spill events to a crash-tolerant file (see spill.go):
 // length-prefixed, checksummed frames whose torn tail is trimmed on
@@ -42,19 +41,13 @@ const (
 	// replay chose the value written at LSN as object Object's installed
 	// value.
 	KindValueResolve
-	// KindAbsorbRecord is the absorption index superseding the write at
-	// LSN by the later write Ref to the same object.
-	KindAbsorbRecord
-	// KindAbsorbCancel is an observer horizon (a read at LSN Ref) landing
-	// inside the elision interval of the absorption recorded at LSN,
-	// cancelling it.
-	KindAbsorbCancel
-	// KindAbsorbCommit is the merge substituting the tombstone for the
-	// absorbed write at LSN (absorber Ref, N elided payload bytes).
-	KindAbsorbCommit
-	// KindMerge is a per-core stream merge: N records merged through
-	// force target LSN.
-	KindMerge
+	// Retired kinds 3–6 (log absorption and stream merges) keep their
+	// numbers so spill files written before their removal still decode to
+	// the same kinds after them.
+	_
+	_
+	_
+	_
 	// KindShipBatch is a sender-side batch outcome (Dec sent/lost/rewind)
 	// for the batch [LSN, Ref]; on rewind Ref is the ack's Want cursor.
 	KindShipBatch
@@ -75,14 +68,6 @@ func (k Kind) String() string {
 		return "redo-decision"
 	case KindValueResolve:
 		return "value-resolve"
-	case KindAbsorbRecord:
-		return "absorb-record"
-	case KindAbsorbCancel:
-		return "absorb-cancel"
-	case KindAbsorbCommit:
-		return "absorb-commit"
-	case KindMerge:
-		return "merge"
 	case KindShipBatch:
 		return "ship-batch"
 	case KindShipApply:
@@ -277,30 +262,6 @@ func (r *Recorder) RedoDecision(actor string, lsn op.SI, dec Decision, obj op.Ob
 // installed value.
 func (r *Recorder) ValueResolve(lsn op.SI, obj op.ObjectID) {
 	r.emit(Event{Kind: KindValueResolve, LSN: lsn, Object: obj, Actor: "installgraph"})
-}
-
-// AbsorbRecord records the write at lsn being superseded by the write at
-// `by` to the same object.
-func (r *Recorder) AbsorbRecord(obj op.ObjectID, lsn, by op.SI) {
-	r.emit(Event{Kind: KindAbsorbRecord, LSN: lsn, Ref: by, Object: obj, Actor: "wal"})
-}
-
-// AbsorbCancel records an observer at `observer` landing inside the
-// elision interval of the absorption at lsn, cancelling it.
-func (r *Recorder) AbsorbCancel(obj op.ObjectID, lsn, observer op.SI) {
-	r.emit(Event{Kind: KindAbsorbCancel, LSN: lsn, Ref: observer, Object: obj, Actor: "wal"})
-}
-
-// AbsorbCommit records the merge substituting a tombstone for the
-// absorbed write at lsn (absorber `by`, `elided` payload bytes saved).
-func (r *Recorder) AbsorbCommit(obj op.ObjectID, lsn, by op.SI, elided int64) {
-	r.emit(Event{Kind: KindAbsorbCommit, LSN: lsn, Ref: by, Object: obj, N: elided, Actor: "wal"})
-}
-
-// Merge records a per-core stream merge of n records through the force
-// target LSN.
-func (r *Recorder) Merge(target op.SI, n int64) {
-	r.emit(Event{Kind: KindMerge, LSN: target, N: n, Actor: "wal"})
 }
 
 // ShipBatch records a sender-side batch outcome for [first, last]; on

@@ -13,10 +13,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.RedoDecision("recovery", 1, DecRedo, "x", 2)
 	r.ValueResolve(3, "y")
-	r.AbsorbRecord("x", 4, 5)
-	r.AbsorbCancel("x", 4, 5)
-	r.AbsorbCommit("x", 4, 5, 6)
-	r.Merge(7, 2)
 	r.ShipBatch(DecSent, 1, 3, 3)
 	r.ShipApply(DecAccept, 1, 1)
 	r.Checkpoint(9, 1)
@@ -95,7 +91,7 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatalf("fresh spill recovered %d events", len(prior))
 	}
 	r.RedoDecision("recovery", 12, DecSkipInstalled, "page3", 17)
-	r.AbsorbCommit("hot", 4, 9, 128)
+	r.ShipBatch(DecLost, 4, 9, 128)
 	r.Truncate(40)
 	if err := r.Sync(); err != nil {
 		t.Fatal(err)
@@ -116,8 +112,8 @@ func TestSpillRoundTrip(t *testing.T) {
 	if back[0] != want {
 		t.Errorf("round-trip event = %+v, want %+v", back[0], want)
 	}
-	if back[1].N != 128 || back[1].Object != "hot" || back[1].Ref != 9 {
-		t.Errorf("absorb-commit round-trip = %+v", back[1])
+	if back[1].Kind != KindShipBatch || back[1].Dec != DecLost || back[1].N != 128 || back[1].Ref != 9 {
+		t.Errorf("ship-batch round-trip = %+v", back[1])
 	}
 }
 
@@ -159,7 +155,7 @@ func TestSpillTornTailTrimmedOnReopen(t *testing.T) {
 		}
 	}
 	// Sequence numbers continue after the survivors.
-	r2.Merge(99, 1)
+	r2.Checkpoint(99, 1)
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +166,8 @@ func TestSpillTornTailTrimmedOnReopen(t *testing.T) {
 	if len(all) != 5 {
 		t.Fatalf("after reopen+append spill holds %d events, want 5", len(all))
 	}
-	if last := all[4]; last.Kind != KindMerge || last.Seq != prior[3].Seq+1 {
-		t.Errorf("appended event = %+v, want merge with seq %d", last, prior[3].Seq+1)
+	if last := all[4]; last.Kind != KindCheckpoint || last.Seq != prior[3].Seq+1 {
+		t.Errorf("appended event = %+v, want checkpoint with seq %d", last, prior[3].Seq+1)
 	}
 	// The file itself was physically trimmed back to the good prefix.
 	trimmed, err := os.ReadFile(path)
@@ -248,5 +244,17 @@ func TestEventString(t *testing.T) {
 	want := "#7 redo-decision skip-installed lsn=12 ref=17 obj=p3 actor=recovery"
 	if got := ev.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+	// Kind numbers are the spill format: the surviving kinds keep theirs,
+	// and the retired absorption/merge numbers 3–6 render as unknown.
+	kinds := map[Kind]string{
+		1: "redo-decision", 2: "value-resolve",
+		3: "kind(3)", 4: "kind(4)", 5: "kind(5)", 6: "kind(6)",
+		7: "ship-batch", 8: "ship-apply", 9: "checkpoint", 10: "truncate",
+	}
+	for k, name := range kinds {
+		if got := k.String(); got != name {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, name)
+		}
 	}
 }

@@ -133,7 +133,7 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 		want:    origin,
 		applied: origin - 1,
 	}
-	s.cfg.Opts.TuneLog(s.log)
+	s.log.SetObs(s.cfg.Opts.Obs)
 	if image != nil {
 		s.store.Restore(image)
 	}
@@ -370,7 +370,7 @@ func (s *Standby) Restart() error {
 		return err
 	}
 	s.log = log
-	s.cfg.Opts.TuneLog(s.log)
+	s.log.SetObs(s.cfg.Opts.Obs)
 	if err := s.replayLogLocked(); err != nil {
 		return err
 	}

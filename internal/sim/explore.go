@@ -36,16 +36,11 @@ type NamedConfig struct {
 	Opts core.Options
 }
 
-// ExplorerConfigs returns the six configurations the crash-schedule
+// ExplorerConfigs returns the five configurations the crash-schedule
 // explorer covers: the paper's recommended setup, the classic-W baseline,
-// the flush-transaction strategy, installation logging disabled, the
-// physiological logging baseline, and the recommended setup on the
-// multi-stream commit fast lane with absorption (whose merge boundaries the
-// walstream channel faults).
+// the flush-transaction strategy, installation logging disabled, and the
+// physiological logging baseline.
 func ExplorerConfigs() []NamedConfig {
-	streamed := core.DefaultOptions()
-	streamed.LogStreams = 4
-	streamed.AbsorbWrites = true
 	return []NamedConfig{
 		{"rW-identity-rSI", core.DefaultOptions()},
 		{"W-shadow-vSI", core.Options{
@@ -64,7 +59,6 @@ func ExplorerConfigs() []NamedConfig {
 			Policy: writegraph.PolicyRW, Strategy: cache.StrategyIdentityWrite,
 			RedoTest: recovery.TestVSI, LogInstalls: true, Physiological: true,
 		}},
-		{"rW-identity-rSI-streams4", streamed},
 	}
 }
 
@@ -112,11 +106,9 @@ func (f ScheduleFailure) String() string {
 // ExploreReport summarizes one configuration's exploration.
 type ExploreReport struct {
 	Config string
-	// WALBoundaries, StableBoundaries, and StreamBoundaries count the I/O
-	// boundaries of the fault-free scripted run (the boundary after I/O k is
-	// fault index k).  StreamBoundaries counts stream-merge instants — the
-	// staged-but-unwritten commit batches the walstream channel can crash.
-	WALBoundaries, StableBoundaries, StreamBoundaries int
+	// WALBoundaries and StableBoundaries count the I/O boundaries of the
+	// fault-free scripted run (the boundary after I/O k is fault index k).
+	WALBoundaries, StableBoundaries int
 	// Schedules counts fault schedules executed (the fault-free counting
 	// run included).
 	Schedules int
@@ -172,7 +164,6 @@ func exploreWith(cfg NamedConfig, stride Stride, rogue RogueHook, mix string, sc
 	}
 	rep.WALBoundaries = counting.Count(fault.ChanWAL)
 	rep.StableBoundaries = counting.Count(fault.ChanStable)
-	rep.StreamBoundaries = counting.Count(fault.ChanWALStream)
 
 	run := func(pt fault.Point) {
 		plan := fault.NewPlan(pt)
@@ -194,12 +185,6 @@ func exploreWith(cfg NamedConfig, stride Stride, rogue RogueHook, mix string, sc
 	for _, b := range stride.boundaries(rep.StableBoundaries) {
 		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindCrash})
 		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindTransient, Arg: 2})
-	}
-	// Stream-merge boundaries: the leader has staged a merged batch that the
-	// device never saw.  Crashing there must lose exactly that batch and
-	// nothing durable — the schedule-equivalence proof for merged order.
-	for _, b := range stride.boundaries(rep.StreamBoundaries) {
-		run(fault.Point{Chan: fault.ChanWALStream, Index: b, Kind: fault.KindCrash})
 	}
 	return rep, nil
 }
@@ -305,7 +290,6 @@ func runScheduleFlight(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, scrip
 		return fmt.Errorf("%w: %v", errHarness, err)
 	}
 	eng.Store().SetWriteProbe(plan.StableProbe())
-	eng.Log().SetMergeProbe(plan.MergeProbe())
 
 	scriptErr := script(eng, rec, rogue)
 	rec.frozen = true

@@ -35,8 +35,8 @@ func TestMixScheduleExplorer(t *testing.T) {
 					t.Errorf("%s: only %d I/O boundaries (%d WAL + %d stable); the mix no longer exercises the fault space",
 						mixName, total, rep.WALBoundaries, rep.StableBoundaries)
 				}
-				t.Logf("%s/%s: %d schedules over %d WAL + %d stable + %d stream boundaries",
-					cfg.Name, mixName, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries, rep.StreamBoundaries)
+				t.Logf("%s/%s: %d schedules over %d WAL + %d stable boundaries",
+					cfg.Name, mixName, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries)
 				for _, f := range rep.Failures {
 					t.Errorf("schedule failed: %v", f)
 				}

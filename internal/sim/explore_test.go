@@ -36,11 +36,8 @@ func TestCrashScheduleExplorer(t *testing.T) {
 				t.Errorf("only %d I/O boundaries (%d WAL + %d stable); the script no longer exercises the fault space",
 					total, rep.WALBoundaries, rep.StableBoundaries)
 			}
-			t.Logf("%s: %d schedules over %d WAL + %d stable + %d stream boundaries",
-				cfg.Name, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries, rep.StreamBoundaries)
-			if rep.StreamBoundaries <= 0 {
-				t.Error("no stream-merge boundaries counted; the walstream channel is not wired")
-			}
+			t.Logf("%s: %d schedules over %d WAL + %d stable boundaries",
+				cfg.Name, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries)
 			for _, f := range rep.Failures {
 				t.Errorf("schedule failed: %v", f)
 			}

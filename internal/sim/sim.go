@@ -10,14 +10,11 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"logicallog/internal/core"
 	"logicallog/internal/op"
-	"logicallog/internal/wal"
 )
 
 // Oracle replays operations against a pure in-memory state.
@@ -193,20 +190,9 @@ func VerifyHistory(reg *op.Registry, hist []*op.Operation, eng *core.Engine, hor
 			lastIdx[o.LSN] = i
 		}
 	}
-	// Log absorption elides a blind write into a later one, leaving a
-	// valueless tombstone at its LSN.  Tombstone and absorber become durable
-	// in one force batch, but a horizon can still land between them — a
-	// shipped prefix sliced mid-batch, a bit-flipped or torn batch write cut
-	// between their frames.  At such horizons the durable log simply does not
-	// contain the absorbed operation, so log-prefix replay (what eng
-	// recovered) omits it; the execution-history oracle must omit it too.
-	elided, err := danglingAbsorbed(eng.Log(), horizon)
-	if err != nil {
-		return fmt.Errorf("sim: oracle elision scan: %w", err)
-	}
 	oracle := NewOracle(reg)
 	for i, o := range hist {
-		if o.LSN == op.NilSI || o.LSN > horizon || lastIdx[o.LSN] != i || elided[o.LSN] {
+		if o.LSN == op.NilSI || o.LSN > horizon || lastIdx[o.LSN] != i {
 			continue
 		}
 		if err := oracle.Apply(o); err != nil {
@@ -224,49 +210,6 @@ func VerifyHistory(reg *op.Registry, hist []*op.Operation, eng *core.Engine, hor
 		}
 	}
 	return nil
-}
-
-// danglingAbsorbed scans eng's durable log and returns the LSNs of
-// absorption tombstones at or below horizon whose absorbing write lies
-// beyond it.  Absorption legality guarantees no record inside the elision
-// interval touches the object, so the only record that could resupply the
-// absorbed value by horizon is a later write of that object; when none
-// exists, the operation is unrecoverable from the log prefix by design and
-// the oracle replay must skip it.
-func danglingAbsorbed(l *wal.Log, horizon op.SI) (map[op.SI]bool, error) {
-	sc, err := l.Scan(0)
-	if err != nil {
-		return nil, err
-	}
-	tombs := make(map[op.SI]op.ObjectID)
-	rewritten := make(map[op.ObjectID]op.SI) // highest write LSN <= horizon
-	for {
-		r, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if r.LSN > horizon {
-			break
-		}
-		switch r.Type {
-		case wal.RecAbsorbed:
-			tombs[r.LSN] = r.Absorbed.Object
-		case wal.RecOperation:
-			for _, w := range r.Op.WriteSet {
-				rewritten[w] = r.LSN
-			}
-		}
-	}
-	elided := make(map[op.SI]bool)
-	for lsn, obj := range tombs {
-		if rewritten[obj] <= lsn {
-			elided[lsn] = true
-		}
-	}
-	return elided, nil
 }
 
 // DriveWorkload executes the scenario's random workload against eng (without

@@ -1,10 +1,10 @@
 package wal
 
 // The write-side analogue of the aliasing scan decoder: instead of giving
-// every appended record a fresh heap allocation for its frame, each stream
-// encodes records in place into reusable fixed-capacity chunks.  A chunk is
-// recycled once every frame it holds has been consumed by a stream merge, so
-// steady-state append is allocation-flat.
+// every appended record a fresh heap allocation for its frame, the append
+// lane encodes records in place into reusable fixed-capacity chunks.  A
+// chunk is recycled once every frame it holds has been staged for the
+// device, so steady-state append is allocation-flat.
 
 const (
 	// arenaChunkSize is the capacity of one encode chunk.
@@ -12,20 +12,20 @@ const (
 	// arenaMinSpare rotates to a fresh chunk when less spare capacity than
 	// this remains, so frames rarely straddle a chunk boundary.
 	arenaMinSpare = 8 << 10
-	// arenaFreeMax bounds the recycled-chunk freelist per stream.
+	// arenaFreeMax bounds the recycled-chunk freelist.
 	arenaFreeMax = 4
 )
 
 // chunk is one fixed-capacity encode buffer.  len(buf) is the used prefix;
-// live counts the frames inside it that a merge has not yet consumed.
+// live counts the frames inside it that have not yet been staged.
 type chunk struct {
 	buf  []byte
 	live int
 }
 
 // arena hands out chunk space for frame encoding and recycles chunks whose
-// frames have all been merged.  It is owned by one logStream and guarded by
-// that stream's mutex.
+// frames have all been staged.  It is owned by the Log's append lane and
+// guarded by the lane mutex.
 type arena struct {
 	cur  *chunk
 	free []*chunk
@@ -67,7 +67,7 @@ func (a *arena) grab() *chunk {
 	return c
 }
 
-// release records that one frame of c has been consumed by a merge.  When a
+// release records that one frame of c has been staged.  When a
 // chunk's last frame is consumed its space is reclaimed: the current chunk
 // rewinds in place, a retired chunk returns to the freelist.
 func (a *arena) release(c *chunk) {

@@ -200,10 +200,6 @@ func encodePayload(e *encoder, r *Record) {
 			e.str(string(d.ID))
 			e.uvarint(uint64(d.RSI))
 		}
-	case RecAbsorbed:
-		e.str(string(r.Absorbed.Object))
-		e.uvarint(uint64(r.Absorbed.Elided))
-		e.uvarint(uint64(r.Absorbed.By))
 	}
 }
 
@@ -280,12 +276,18 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		if nv > uint64(len(d.buf)) { // each value costs ≥2 bytes; reject absurd counts
+			return nil, errCorrupt
+		}
 		if nv > 0 {
 			o.Values = make(map[op.ObjectID][]byte, nv)
 			for i := uint64(0); i < nv; i++ {
 				x, err := d.str()
 				if err != nil {
 					return nil, err
+				}
+				if !o.Writes(op.ObjectID(x)) { // the encoder logs values of writeset objects only
+					return nil, errCorrupt
 				}
 				v, err := d.bytes()
 				if err != nil {
@@ -349,20 +351,6 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 			cr.Dirty = append(cr.Dirty, DirtyEntry{ID: op.ObjectID(x), RSI: op.SI(rsi)})
 		}
 		r.Checkpoint = cr
-	case RecAbsorbed:
-		x, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		elided, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		by, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Absorbed = &AbsorbedRecord{Object: op.ObjectID(x), Elided: int64(elided), By: op.SI(by)}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", t)
 	}

@@ -283,24 +283,21 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 	}
 }
 
-// TestStreamMergeBoundaryCrash arms the walstream channel: the group-commit
-// leader merges the per-core streams into a staged batch, the machine dies
-// before the batch reaches the device, and recovery must see exactly the
-// previously forced prefix — the staged batch is volatile, so merged-order
-// operation is schedule-equivalent to single-stream operation.
-func TestStreamMergeBoundaryCrash(t *testing.T) {
+// TestStagedBatchCrash crashes the second device append: the group-commit
+// leader has staged its batch, the machine dies before any of it reaches the
+// device, and recovery must see exactly the previously forced prefix and
+// reuse the lost LSNs.
+func TestStagedBatchCrash(t *testing.T) {
 	plan := fault.NewPlan(fault.Point{
-		Chan: fault.ChanWALStream, Index: 1, Kind: fault.KindCrash,
+		Chan: fault.ChanWAL, Index: 1, Kind: fault.KindCrash,
 	})
 	dev := plan.WrapDevice(wal.NewMemDevice())
 	l, err := wal.New(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetStreams(4, true)
-	l.SetMergeProbe(plan.MergeProbe())
 
-	// First batch merges and forces cleanly (stream boundary 0).
+	// First batch is staged and forced cleanly (WAL boundary 0).
 	mustAppendRec(t, l, wal.NewOpRecord(op.NewPhysicalWrite("X", []byte("v1"))))
 	if err := l.Force(); err != nil {
 		t.Fatalf("clean force: %v", err)
@@ -313,12 +310,14 @@ func TestStreamMergeBoundaryCrash(t *testing.T) {
 		t.Fatalf("force error = %v, want injected fault", err)
 	}
 	if l.StableLSN() != 1 {
-		t.Errorf("StableLSN = %d, want 1 after merge-boundary crash", l.StableLSN())
+		t.Errorf("StableLSN = %d, want 1 after the staged batch was lost", l.StableLSN())
 	}
 
 	// The machine stopped: recovery reopens the device and must find only
 	// the forced prefix, with no trace of the staged batch.
-	l.Crash()
+	if lost := l.Crash(); lost != 2 {
+		t.Errorf("Crash lost %d records, want the 2 staged ones", lost)
+	}
 	plan.Heal()
 	l2, err := wal.New(dev)
 	if err != nil {

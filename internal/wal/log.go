@@ -4,90 +4,84 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"logicallog/internal/obs"
-	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 )
 
-// Log is the write-ahead log.  Appended records first land in volatile
-// per-lane stream buffers (the commit fast lane; see stream.go); Force (or
-// ForceThrough) merges the streams into global LSN order and makes the
-// records durable on the Device.  A crash loses everything volatile.  LSNs
-// are assigned densely starting at 1 and double as state identifiers (SIs)
-// throughout the system.
+// Log is the write-ahead log.  Appended records first land in one volatile,
+// LSN-ascending append lane; Force (or ForceThrough) moves a prefix of the
+// lane into a staging buffer and makes it durable on the Device.  A crash
+// loses everything volatile.  LSNs are assigned densely starting at 1 and
+// double as state identifiers (SIs) throughout the system.
 //
-// Log is safe for concurrent use.  Appenders contend only on their stream's
-// mutex plus one atomic LSN claim, not on the log mutex.  Concurrent forcers
-// group-commit: while one caller (the leader) is writing the merged batch to
-// the device, later callers whose records are covered by that in-flight
-// write wait on it instead of issuing their own device write
-// (leader/follower coalescing).  The device write itself happens outside the
-// log mutex, so appenders keep running while a force is in flight.
+// Log is safe for concurrent use.  Appenders take only the lane mutex, not
+// the log mutex: an append claims its LSN and encodes its frame inside that
+// one critical section, so the lane holds every claimed LSN in order and
+// any prefix of it is gap-free.  Concurrent forcers group-commit: while one
+// caller (the leader) is writing the staged batch to the device, later
+// callers whose records are covered by that in-flight write wait on it
+// instead of issuing their own device write (leader/follower coalescing).
+// The device write itself happens outside both mutexes, so appenders keep
+// running while a force is in flight.
+//
+// Lock order: l.mu before laneMu.
 type Log struct {
 	mu        sync.Mutex
 	forceDone *sync.Cond // broadcast when an in-flight force completes
 	forcing   bool       // a leader is writing to the device
 	// pendingForce accumulates the highest LSN requested by forcers that
 	// arrived while a leader's write was in flight; the next leader
-	// absorbs all of them in one device write.
+	// covers all of them in one device write.
 	pendingForce op.SI
 	dev          Device
 
-	// nextLSN is the next LSN to assign.  Claims happen while a stream
-	// mutex is held, which is what makes the merged prefix provably dense
-	// (see stream.go).
+	// nextLSN is the next LSN to assign.  It only moves under laneMu;
+	// NextLSN reads it without locks.
 	nextLSN atomic.Uint64
 
 	stableLSN op.SI
 	firstLSN  op.SI // first LSN still on the device (post truncation)
 
-	// lanes is the active stream configuration; Append reads it without
-	// locks, SetStreams swaps it under l.mu.
-	lanes atomic.Pointer[streamSet]
+	// The append lane: volatile records not yet staged, LSN-ascending,
+	// their frames encoded into arena chunks.  Guarded by laneMu.
+	laneMu sync.Mutex
+	lane   []laneRec
+	arena  arena
 
-	// shipped buffers records appended via AppendShipped.  Shipped records
-	// bypass the streams (and with them the absorption index): a standby's
-	// log must stay a byte-exact prefix copy of its primary's.
-	shipped []streamRec
-
-	// absorbIdx is the cross-stream absorption index, sharded by object so
-	// concurrent appenders contend only when they touch objects hashing to
-	// the same shard (see stream.go).
-	absorbIdx [absorbShardCount]absorbShard
-
-	// Merged staging: records collected out of the streams in LSN order,
+	// Staging: the lane prefix the group-commit leader cut at force time,
 	// framed, not yet acknowledged by the device.  Kept across a failed
 	// device write so a retrying leader re-sends the same bytes; dropped by
-	// Crash (mergedGen tells an in-flight leader its batch was crashed away).
-	mergedBuf   []byte
-	mergedCount int
-	mergedLast  op.SI
-	mergedGen   uint64
-	mergeRuns   [][]streamRec
+	// Crash (stagedGen tells an in-flight leader its batch was crashed
+	// away).  Guarded by l.mu.
+	stagedBuf   []byte
+	stagedCount int
+	stagedLast  op.SI
+	stagedGen   uint64
 
-	// mergeProbe, when set, is consulted by the group-commit leader each
-	// time it is about to write a freshly merged non-empty batch — the
-	// stream-merge fault boundary (see SetMergeProbe).
-	mergeProbe func() error
-
+	// stats: the append-side fields (Records, PayloadBytes, OpPayloadBytes,
+	// ValueBytes, BytesAppended) are guarded by laneMu, the force-side
+	// counters by l.mu; snapshots hold both.
 	stats Stats
-	obs   logObs
-
-	// flight is the optional decision flight recorder (see SetFlight).
-	// Held as an atomic pointer because absorption-index updates read it
-	// under stream/shard mutexes without l.mu.
-	flight atomic.Pointer[flight.Recorder]
+	// obs is written under both l.mu and laneMu, so either suffices to
+	// read it.
+	obs logObs
 
 	// Retention hooks, under their own mutex so hook queries never nest
 	// inside l.mu (see RegisterRetention).
 	retainMu  sync.Mutex
 	retainSeq int
 	retain    map[int]retentionHook
+}
+
+// laneRec is one volatile record buffered in the append lane.
+type laneRec struct {
+	lsn   op.SI
+	frame []byte
+	chunk *chunk // arena chunk backing frame; nil when heap-backed
 }
 
 // retentionHook is one registered truncation horizon (see RegisterRetention).
@@ -111,47 +105,25 @@ type logObs struct {
 	forceBatchBytes *obs.Histogram
 	// retryBackoffNs is the transient-retry backoff slept per attempt.
 	retryBackoffNs *obs.Histogram
-	// mergeNs is the stream-merge latency per force, in ns.
-	mergeNs *obs.Histogram
-	// mergeRecords is the records merged per stream merge.
-	mergeRecords *obs.Histogram
-	// absorbHits counts records elided by log absorption.
-	absorbHits *obs.Counter
-	// absorbBytesElided counts durable bytes saved by log absorption.
-	absorbBytesElided *obs.Counter
 }
 
 // SetObs wires the log's hot-path metrics into r; nil disables them.
 func (l *Log) SetObs(r *obs.Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r == nil {
-		l.obs = logObs{}
-	} else {
-		l.obs = logObs{
+	var o logObs
+	if r != nil {
+		o = logObs{
 			appendNs:          r.Histogram("wal.append.ns"),
 			forceDeviceNs:     r.Histogram("wal.force.device_ns"),
 			forceBatchRecords: r.Histogram("wal.force.batch_records"),
 			forceBatchBytes:   r.Histogram("wal.force.batch_bytes"),
 			retryBackoffNs:    r.Histogram("wal.retry.backoff_ns"),
-			mergeNs:           r.Histogram("wal.merge.ns"),
-			mergeRecords:      r.Histogram("wal.merge.records"),
-			absorbHits:        r.Counter("wal.absorb.hits"),
-			absorbBytesElided: r.Counter("wal.absorb.bytes_elided"),
 		}
 	}
-	ss := l.lockAllStreams()
-	for _, s := range ss {
-		s.obs = l.obs
-	}
-	l.unlockAllStreams(ss)
-}
-
-// SetFlight wires the decision flight recorder; nil disables it.  The
-// log records absorption decisions (record/cancel/commit) and stream
-// merges; all emission is nil-safe and observational only.
-func (l *Log) SetFlight(r *flight.Recorder) {
-	l.flight.Store(r)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	l.obs = o
 }
 
 // Stats aggregates the logging-cost accounting the experiments report.
@@ -166,8 +138,7 @@ type Stats struct {
 	// ValueBytes counts bytes of logged data values (the part logical
 	// operations avoid).
 	ValueBytes int64
-	// BytesAppended is the total framed bytes appended (pre-absorption:
-	// absorbed records count at their original size).
+	// BytesAppended is the total framed bytes appended.
 	BytesAppended int64
 	// Forces counts Force calls that actually wrote to the device.
 	Forces int64
@@ -181,14 +152,6 @@ type Stats struct {
 	// less far than requested because a registered retention horizon
 	// (backup image, lagging standby) still needed earlier records.
 	TruncationsClamped int64
-	// Merges counts stream merges that moved at least one record.
-	Merges int64
-	// Absorbed counts records elided by log absorption (replaced by a
-	// RecAbsorbed tombstone in the durable log).
-	Absorbed int64
-	// BytesElided is the durable bytes saved by absorption: original frame
-	// size minus tombstone frame size, summed over absorbed records.
-	BytesElided int64
 }
 
 // transient matches errors that mark themselves retryable, such as the
@@ -290,29 +253,6 @@ func (s Stats) clone() Stats {
 	return c
 }
 
-// add folds another snapshot's counts into s (used to aggregate the
-// per-stream append-side stats into one view).
-func (s *Stats) add(o Stats) {
-	for k, v := range o.Records {
-		s.Records[k] += v
-	}
-	for k, v := range o.PayloadBytes {
-		s.PayloadBytes[k] += v
-	}
-	for k, v := range o.OpPayloadBytes {
-		s.OpPayloadBytes[k] += v
-	}
-	s.ValueBytes += o.ValueBytes
-	s.BytesAppended += o.BytesAppended
-	s.Forces += o.Forces
-	s.ForcesCoalesced += o.ForcesCoalesced
-	s.TransientRetries += o.TransientRetries
-	s.TruncationsClamped += o.TruncationsClamped
-	s.Merges += o.Merges
-	s.Absorbed += o.Absorbed
-	s.BytesElided += o.BytesElided
-}
-
 // TotalOpPayloadBytes sums operation payload bytes across kinds.
 func (s Stats) TotalOpPayloadBytes() int64 {
 	var t int64
@@ -324,15 +264,10 @@ func (s Stats) TotalOpPayloadBytes() int64 {
 
 // New creates a Log over dev.  If dev already holds records (restart after
 // crash), the log resumes LSN assignment after the highest durable record.
-// The log starts with a single stream and absorption off; see SetStreams.
 func New(dev Device) (*Log, error) {
 	l := &Log{dev: dev, firstLSN: 1, stats: newStats()}
 	l.nextLSN.Store(1)
 	l.forceDone = sync.NewCond(&l.mu)
-	l.lanes.Store(&streamSet{streams: []*logStream{{stats: newStats()}}})
-	for i := range l.absorbIdx {
-		l.absorbIdx[i].reset()
-	}
 	// Recover LSN horizon from existing contents.
 	data, err := dev.ReadAll()
 	if err != nil {
@@ -361,51 +296,7 @@ func New(dev Device) (*Log, error) {
 	return l, nil
 }
 
-// SetStreams configures the commit fast lane: n per-lane append streams
-// (clamped to [1, 64]) and whether log absorption is enabled.  Any records
-// already buffered are re-homed, so reconfiguration is safe at any quiesced
-// point; the durable byte stream is identical at every stream count.
-func (l *Log) SetStreams(n int, absorb bool) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxLogStreams {
-		n = maxLogStreams
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	old := l.lockAllStreams()
-	var carry []streamRec
-	for _, s := range old {
-		carry = append(carry, s.recs...)
-		s.recs = nil
-	}
-	sort.Slice(carry, func(i, j int) bool { return carry[i].lsn < carry[j].lsn })
-	streams := make([]*logStream, n)
-	for i := range streams {
-		streams[i] = &logStream{stats: newStats(), obs: l.obs}
-	}
-	streams[0].recs = carry
-	// Fold the retired streams' append accounting into the log-level stats
-	// so Stats snapshots lose nothing across a reconfiguration.
-	for _, s := range old {
-		l.stats.add(s.stats)
-	}
-	l.lanes.Store(&streamSet{streams: streams, absorb: absorb})
-	l.unlockAllStreams(old)
-}
-
-// SetMergeProbe installs a hook the group-commit leader calls each time it
-// has merged a non-empty batch and is about to write it to the device — the
-// stream-merge fault boundary.  A non-nil error aborts the force before the
-// device write; the merged records stay volatile.  nil removes the hook.
-func (l *Log) SetMergeProbe(fn func() error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mergeProbe = fn
-}
-
-// Append assigns the next LSN to rec, encodes it into a volatile stream, and
+// Append assigns the next LSN to rec, encodes it into the append lane, and
 // returns the LSN.  For operation records the operation's LSN field is set,
 // binding the operation's lSI.  Append does NOT force; the WAL protocol's
 // forcing happens before installation (see ForceThrough).
@@ -413,32 +304,23 @@ func (l *Log) Append(rec *Record) (op.SI, error) {
 	if err := rec.Validate(); err != nil {
 		return 0, err
 	}
-	set := l.lanes.Load()
-	var obj op.ObjectID
-	if set.absorb {
-		obj, _ = absorbTarget(rec)
-	}
-	s := set.pick()
-	s.mu.Lock()
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
 	var appendStart time.Time
-	if s.obs.appendNs.Enabled() {
+	if l.obs.appendNs.Enabled() {
 		appendStart = time.Now()
 	}
-	// The claim happens inside the stream critical section: that is the
-	// density invariant the merge relies on (see stream.go).
+	// Claim and buffer in one lane critical section: every LSN below
+	// nextLSN is in the lane (or already staged), in order.
 	lsn := op.SI(l.nextLSN.Add(1) - 1)
 	rec.LSN = lsn
 	if rec.Op != nil {
 		rec.Op.LSN = lsn
 	}
-	sr := s.append(rec, lsn, obj)
-	if set.absorb {
-		l.noteAbsorb(rec, sr)
+	l.bufferLocked(rec)
+	if l.obs.appendNs.Enabled() {
+		l.obs.appendNs.Since(appendStart)
 	}
-	if s.obs.appendNs.Enabled() {
-		s.obs.appendNs.Since(appendStart)
-	}
-	s.mu.Unlock()
 	return lsn, nil
 }
 
@@ -450,51 +332,46 @@ func (l *Log) AppendOp(o *op.Operation) (op.SI, error) { return l.Append(NewOpRe
 // gap-free prefix copy of the primary's, so the record has to land exactly
 // at the next LSN; the one exception is a completely fresh log (bootstrap
 // from a backup image), which adopts the stream's first LSN as its origin.
-// Shipped records bypass the streams and the absorption index entirely:
-// they are buffered in arrival (= LSN) order and are never elided, keeping
-// the standby log byte-identical to the primary's.  Like Append,
+// Shipped records share the append lane with local ones.  Like Append,
 // AppendShipped does not force.
 func (l *Log) AppendShipped(rec *Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if rec.LSN == 0 {
 		return fmt.Errorf("wal: shipped record has no LSN")
 	}
-	if l.stableLSN == 0 {
-		// Fresh log: adopt the stream origin (backup StartLSN).  nextLSN
-		// still at 1 means nothing was ever appended or merged, so no
-		// volatile record can exist either.
-		if l.nextLSN.CompareAndSwap(1, uint64(rec.LSN)) {
-			l.firstLSN = rec.LSN
-		}
-	}
-	if !l.nextLSN.CompareAndSwap(uint64(rec.LSN), uint64(rec.LSN)+1) {
-		return fmt.Errorf("wal: shipped record LSN %d, want %d", rec.LSN, l.nextLSN.Load())
-	}
-	payload, err := EncodeRecord(rec)
-	if err != nil {
-		// Give the claimed LSN back; the caller's record never landed.  CAS,
-		// not Store: nothing stops a caller from mixing local Appends with
-		// shipped records, and a concurrent Append may have claimed the next
-		// LSN already — rewinding over it would reissue a claimed LSN.  If
-		// the CAS loses, the claimed LSN is simply left as a gap at the
-		// durable tail, which Scan and recovery already treat as end-of-log.
-		l.nextLSN.CompareAndSwap(uint64(rec.LSN)+1, uint64(rec.LSN))
+	if err := rec.Validate(); err != nil {
 		return err
 	}
-	frame := Frame(payload)
-	l.shipped = append(l.shipped, streamRec{lsn: rec.LSN, frame: frame})
-	l.noteShippedLocked(rec, payload, frame)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	next := op.SI(l.nextLSN.Load())
+	if l.stableLSN == 0 && next == 1 {
+		// Fresh log: adopt the stream origin (backup StartLSN).  Nothing
+		// was ever appended, so no volatile record can exist either.
+		next = rec.LSN
+		l.firstLSN = rec.LSN
+		l.nextLSN.Store(uint64(next))
+	}
+	if rec.LSN != next {
+		return fmt.Errorf("wal: shipped record LSN %d, want %d", rec.LSN, next)
+	}
+	l.nextLSN.Store(uint64(next) + 1)
+	l.bufferLocked(rec)
 	return nil
 }
 
-// noteShippedLocked updates the append statistics for one shipped record.
-func (l *Log) noteShippedLocked(rec *Record, payload, frame []byte) {
+// bufferLocked encodes rec (validated, LSN assigned) into the lane and
+// updates the append statistics.  Caller holds laneMu.
+func (l *Log) bufferLocked(rec *Record) {
+	frame, ch := l.arena.appendFrame(rec)
+	l.lane = append(l.lane, laneRec{lsn: rec.LSN, frame: frame, chunk: ch})
+	payloadLen := int64(len(frame) - frameOverhead)
 	l.stats.Records[rec.Type]++
-	l.stats.PayloadBytes[rec.Type] += int64(len(payload))
+	l.stats.PayloadBytes[rec.Type] += payloadLen
 	l.stats.BytesAppended += int64(len(frame))
 	if rec.Type == RecOperation {
-		l.stats.OpPayloadBytes[rec.Op.Kind] += int64(len(payload))
+		l.stats.OpPayloadBytes[rec.Op.Kind] += payloadLen
 		for _, v := range rec.Op.Values {
 			l.stats.ValueBytes += int64(len(v))
 		}
@@ -524,12 +401,12 @@ func (l *Log) ForceThrough(lsn op.SI) error {
 // pendingForce and waits as a follower: when the leader finishes, a
 // follower whose lsn the write covered returns without touching the device
 // (counted in ForcesCoalesced).  A caller that finds no force in flight
-// becomes the leader: it merges every stream's records covering its own
-// target and every target accumulated in pendingForce into the staging
-// buffer (absorption tombstones are substituted here; see mergeThrough) and
-// writes the staged batch in one device append — coalescing concurrent
-// committers without forcing records nobody asked for (the unforced suffix
-// stays crash-losable, which the simulator's crash model depends on).
+// becomes the leader: it moves the lane prefix covering its own target and
+// every target accumulated in pendingForce into the staging buffer (see
+// stageThrough) and writes the staged batch in one device append —
+// coalescing concurrent committers without forcing records nobody asked for
+// (the unforced suffix stays crash-losable, which the simulator's crash
+// model depends on).
 func (l *Log) forceLocked(lsn op.SI) error {
 	joined := false
 	for {
@@ -554,19 +431,14 @@ func (l *Log) forceLocked(lsn op.SI) error {
 		target = l.pendingForce
 	}
 	l.pendingForce = 0
-	l.mergeThrough(target)
-	if l.mergedCount == 0 {
+	l.stageThrough(target)
+	if l.stagedCount == 0 {
 		return nil
 	}
-	if l.mergeProbe != nil {
-		if err := l.mergeProbe(); err != nil {
-			return fmt.Errorf("wal: force: %w", err)
-		}
-	}
-	buf := l.mergedBuf
-	n := l.mergedCount
-	last := l.mergedLast
-	gen := l.mergedGen
+	buf := l.stagedBuf
+	n := l.stagedCount
+	last := l.stagedLast
+	gen := l.stagedGen
 	l.forcing = true
 	hooks := l.obs
 	l.mu.Unlock()
@@ -592,11 +464,11 @@ func (l *Log) forceLocked(lsn op.SI) error {
 			l.stableLSN = last
 		}
 		// Drop exactly the staged batch written.  Crash may have reset the
-		// staging buffer meanwhile (mergedGen moved); the device write still
+		// staging buffer meanwhile (stagedGen moved); the device write still
 		// happened, so stableLSN stands either way.
-		if l.mergedGen == gen {
-			l.mergedBuf = nil
-			l.mergedCount = 0
+		if l.stagedGen == gen {
+			l.stagedBuf = nil
+			l.stagedCount = 0
 		}
 		l.stats.Forces++
 	}
@@ -605,6 +477,27 @@ func (l *Log) forceLocked(lsn op.SI) error {
 		return fmt.Errorf("wal: force: %w", err)
 	}
 	return nil
+}
+
+// stageThrough moves every lane record with LSN <= target into the staging
+// buffer.  The lane is LSN-ascending, so this is a prefix cut.  Caller holds
+// l.mu; the staging buffer survives a failed device write so a retrying
+// leader re-sends the same bytes.
+func (l *Log) stageThrough(target op.SI) {
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	n := 0
+	for _, r := range l.lane {
+		if r.lsn > target {
+			break
+		}
+		l.stagedBuf = append(l.stagedBuf, r.frame...)
+		l.stagedLast = r.lsn
+		l.arena.release(r.chunk)
+		n++
+	}
+	l.stagedCount += n
+	l.lane = l.lane[n:]
 }
 
 // StableLSN returns the highest durable LSN.
@@ -626,39 +519,21 @@ func (l *Log) FirstLSN() op.SI {
 	return l.firstLSN
 }
 
-// volatileCountLocked counts buffered records not yet acknowledged by the
-// device.  Caller holds l.mu and every stream mutex.
-func (l *Log) volatileCountLocked(ss []*logStream) int {
-	n := l.mergedCount + len(l.shipped)
-	for _, s := range ss {
-		n += s.volatileCount()
-	}
-	return n
-}
-
-// Crash drops every volatile record (stream buffers, shipped tail, and the
-// merged staging buffer), simulating a crash; it returns the number of
-// records lost.  The device (stable log) is untouched.
+// Crash drops every volatile record (the append lane and the staging
+// buffer), simulating a crash; it returns the number of records lost.  The
+// device (stable log) is untouched.
 func (l *Log) Crash() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ss := l.lockAllStreams()
-	n := l.mergedCount + len(l.shipped)
-	for _, s := range ss {
-		n += s.drop()
-	}
-	l.shipped = nil
-	l.mergedBuf = nil
-	l.mergedCount = 0
-	l.mergedLast = 0
-	l.mergedGen++
-	for i := range l.absorbIdx {
-		sh := &l.absorbIdx[i]
-		sh.mu.Lock()
-		sh.reset()
-		sh.mu.Unlock()
-	}
-	l.unlockAllStreams(ss)
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	n := l.stagedCount + len(l.lane)
+	l.lane = nil
+	l.arena = arena{}
+	l.stagedBuf = nil
+	l.stagedCount = 0
+	l.stagedLast = 0
+	l.stagedGen++
 	// LSN assignment continues monotonically after recovery; recovery
 	// itself may log fresh records.
 	return n
@@ -751,9 +626,9 @@ func (l *Log) Restart() error {
 	if _, err := l.trimTornTailLocked(); err != nil {
 		return fmt.Errorf("wal: restart: %w", err)
 	}
-	ss := l.lockAllStreams()
-	defer l.unlockAllStreams(ss)
-	if l.volatileCountLocked(ss) != 0 {
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	if l.stagedCount+len(l.lane) != 0 {
 		return nil
 	}
 	data, err := l.dev.ReadAll()
@@ -976,28 +851,20 @@ func (l *Log) LastCheckpoint() (*Record, error) {
 	}
 }
 
-// Stats returns a snapshot of the logging statistics, aggregated across the
-// log-level counters and every stream's append-side accounting.
+// Stats returns a snapshot of the logging statistics.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := l.stats.clone()
-	ss := l.lockAllStreams()
-	for _, s := range ss {
-		out.add(s.stats)
-	}
-	l.unlockAllStreams(ss)
-	return out
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	return l.stats.clone()
 }
 
 // ResetStats zeroes the statistics (benchmarks use this between phases).
 func (l *Log) ResetStats() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
 	l.stats = newStats()
-	ss := l.lockAllStreams()
-	for _, s := range ss {
-		s.stats = newStats()
-	}
-	l.unlockAllStreams(ss)
 }

@@ -38,14 +38,6 @@ const (
 	RecFlush
 	// RecCheckpoint carries a dirty-object-table snapshot.
 	RecCheckpoint
-	// RecAbsorbed is the tombstone of a log-absorbed operation: a blind
-	// full-object write superseded, while still volatile, by a later blind
-	// write to the same object in the same force batch.  The marker keeps
-	// the durable LSN sequence dense (gap detection, ship contiguity, and
-	// torn-tail trimming all rely on density) while eliding the superseded
-	// value bytes.  Recovery and the standby skip it like any non-operation
-	// record; replaying the surviving later write yields the same state.
-	RecAbsorbed
 )
 
 func (t RecordType) String() string {
@@ -58,8 +50,6 @@ func (t RecordType) String() string {
 		return "flush"
 	case RecCheckpoint:
 		return "checkpoint"
-	case RecAbsorbed:
-		return "absorbed"
 	}
 	return fmt.Sprintf("RecordType(%d)", uint8(t))
 }
@@ -109,18 +99,6 @@ type CheckpointRecord struct {
 	Dirty []DirtyEntry
 }
 
-// AbsorbedRecord is the payload of a RecAbsorbed tombstone.
-type AbsorbedRecord struct {
-	// Object is the object the absorbed write targeted.
-	Object op.ObjectID
-	// Elided is the payload length, in bytes, of the absorbed record.
-	Elided int64
-	// By is the LSN of the later write that superseded the absorbed one —
-	// the provenance a durable tombstone carries so llinspect can name its
-	// absorber (a committed absorption; canceled ones never reach the log).
-	By op.SI
-}
-
 // RedoStart returns the earliest rSI among dirty entries, or fallback if the
 // table is empty — the redo scan start point.
 func (c *CheckpointRecord) RedoStart(fallback op.SI) op.SI {
@@ -145,7 +123,6 @@ type Record struct {
 	Install    *InstallRecord
 	Flush      *FlushRecord
 	Checkpoint *CheckpointRecord
-	Absorbed   *AbsorbedRecord
 }
 
 // Validate checks that the record's payload matches its type.
@@ -161,9 +138,6 @@ func (r *Record) Validate() error {
 		set++
 	}
 	if r.Checkpoint != nil {
-		set++
-	}
-	if r.Absorbed != nil {
 		set++
 	}
 	if set != 1 {
@@ -186,13 +160,6 @@ func (r *Record) Validate() error {
 	case RecCheckpoint:
 		if r.Checkpoint == nil {
 			return fmt.Errorf("wal: checkpoint record without payload")
-		}
-	case RecAbsorbed:
-		if r.Absorbed == nil {
-			return fmt.Errorf("wal: absorbed record without payload")
-		}
-		if r.Absorbed.Object == "" {
-			return fmt.Errorf("wal: absorbed record without object")
 		}
 	default:
 		return fmt.Errorf("wal: invalid record type %v", r.Type)
@@ -218,12 +185,6 @@ func NewInstallRecord(flushed, unflushed []ObjectRSI, ops []op.SI) *Record {
 // NewFlushRecord builds a single-object flush record.
 func NewFlushRecord(x op.ObjectID, vsi op.SI) *Record {
 	return &Record{Type: RecFlush, Flush: &FlushRecord{Object: x, VSI: vsi}}
-}
-
-// NewAbsorbedRecord builds the tombstone substituted for an absorbed
-// write; by is the superseding write's LSN.
-func NewAbsorbedRecord(x op.ObjectID, elided int64, by op.SI) *Record {
-	return &Record{Type: RecAbsorbed, Absorbed: &AbsorbedRecord{Object: x, Elided: elided, By: by}}
 }
 
 // NewCheckpointRecord builds a checkpoint record with canonical ordering.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"logicallog/internal/op"
 )
@@ -133,6 +134,112 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRecord([]byte{99, 1}); err == nil {
 		t.Error("unknown type accepted")
+	}
+}
+
+func TestDecodeRejectsAbsurdValueCount(t *testing.T) {
+	// A payload claiming 2^27 logged values must be rejected before the
+	// decoder sizes a map for them (a few bytes would otherwise reserve
+	// gigabytes).
+	e := &encoder{}
+	e.u8(uint8(RecOperation))
+	e.uvarint(1)
+	e.u8(uint8(op.KindPhysicalWrite))
+	e.str("")
+	e.bytes(nil)
+	e.ids(nil)
+	e.ids([]op.ObjectID{"X"})
+	e.ids(nil)
+	e.uvarint(1 << 27)
+	e.str("X")
+	e.bytes([]byte("v"))
+	if _, err := DecodeRecord(e.buf); err == nil {
+		t.Fatal("decoded a record claiming 2^27 values")
+	}
+}
+
+func TestDecodeRejectsValueOutsideWriteSet(t *testing.T) {
+	// The encoder logs values of writeset objects only, so a payload carrying
+	// another object's value is corrupt.  Accepting it would let a standby
+	// re-encode the record into a frame whose value count no longer matches
+	// its entries.
+	e := &encoder{}
+	e.u8(uint8(RecOperation))
+	e.uvarint(1)
+	e.u8(uint8(op.KindPhysicalWrite))
+	e.str("")
+	e.bytes(nil)
+	e.ids(nil)
+	e.ids([]op.ObjectID{"X"})
+	e.ids(nil)
+	e.uvarint(2)
+	e.str("X")
+	e.bytes([]byte("v"))
+	e.str("Y")
+	e.bytes([]byte("w"))
+	if _, err := DecodeRecord(e.buf); err == nil {
+		t.Fatal("decoded a value for an object outside the writeset")
+	}
+}
+
+// FuzzDecodeRecord feeds arbitrary payloads to the record decoder the redo
+// scan and the standby both run on untrusted bytes.  Property: it never
+// panics, and an accepted record re-encodes to bytes that decode equal.
+func FuzzDecodeRecord(f *testing.F) {
+	seeds := []*Record{
+		NewOpRecord(op.NewLogical(op.FuncXor, op.EncodeParams([]byte("a"), []byte("b")),
+			[]op.ObjectID{"a", "b"}, []op.ObjectID{"b"})),
+		NewOpRecord(op.NewPhysicalWrite("x", []byte("value"))),
+		NewInstallRecord([]ObjectRSI{{ID: "x", RSI: 4}}, []ObjectRSI{{ID: "y", RSI: 9}}, []op.SI{1, 2}),
+		NewFlushRecord("x", 3),
+		NewCheckpointRecord([]DirtyEntry{{ID: "x", RSI: 2}}),
+	}
+	for i, rec := range seeds {
+		rec.LSN = op.SI(i + 1)
+		if rec.Op != nil {
+			rec.Op.LSN = rec.LSN
+		}
+		payload, err := EncodeRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return
+		}
+		again, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		back, err := DecodeRecord(again)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(rec, back) {
+			t.Fatalf("round trip changed the record:\n first  %+v\n second %+v", rec, back)
+		}
+	})
+}
+
+func TestBackoffCappedExponentialGrowth(t *testing.T) {
+	// A hoisted Backoff must yield the capped doubling sequence.
+	b := NewBackoff(time.Millisecond, 8*time.Millisecond)
+	want := []time.Duration{
+		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
+		8 * time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond,
+	}
+	for i, w := range want {
+		if got := b.Next(); got != w {
+			t.Errorf("Next() #%d = %v, want %v", i, got, w)
+		}
+	}
+	// Zero base never sleeps.
+	z := NewBackoff(0, time.Second)
+	if got := z.Next(); got != 0 {
+		t.Errorf("zero-base Next() = %v", got)
 	}
 }
 
