@@ -8,14 +8,11 @@
 //
 // Usage:
 //
-//	go run ./cmd/lllint [-list] [-only name[,name]] [-json] [-summary-cache file] [packages]
+//	go run ./cmd/lllint [-list] [-only name[,name]] [-json] [packages]
 //
 // With no packages it lints ./...; any finding makes it exit 1.  -json
 // emits machine-readable findings (file/line/col/analyzer/message), one
-// array on stdout.  -summary-cache persists the interprocedural function
-// summaries keyed on a hash of sources and dependency export data, so
-// repeated runs over an unchanged tree skip the fixed-point resolution.
-// Intentional findings are silenced in source with
+// array on stdout.  Intentional findings are silenced in source with
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -45,14 +42,13 @@ type jsonDiagnostic struct {
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "print the analyzer suite and exit")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array instead of text")
-		sumCache = flag.String("summary-cache", "", "file caching interprocedural summaries between runs")
+		list    = flag.Bool("list", false, "print the analyzer suite and exit")
+		only    = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		jsonOut = flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: lllint [-list] [-only name[,name]] [-json] [-summary-cache file] [packages]\n\n")
+			"usage: lllint [-list] [-only name[,name]] [-json] [packages]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -88,27 +84,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	prog := lint.BuildProgram(pkgs)
-	cacheKey, cacheHit := "", false
-	if *sumCache != "" {
-		cacheKey, err = lint.CacheKey(pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lllint: summary cache disabled:", err)
-		} else if sums, ok := lint.LoadSummaryCache(*sumCache, cacheKey); ok {
-			cacheHit = prog.InstallSummaries(sums)
-		}
-	}
-
-	diags, err := lint.LintWithProgram(pkgs, analyzers, prog)
+	diags, err := lint.Lint(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lllint:", err)
 		os.Exit(2)
-	}
-
-	if *sumCache != "" && cacheKey != "" && !cacheHit {
-		if err := lint.SaveSummaryCache(*sumCache, cacheKey, prog.Summaries()); err != nil {
-			fmt.Fprintln(os.Stderr, "lllint: writing summary cache:", err)
-		}
 	}
 
 	if *jsonOut {

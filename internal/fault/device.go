@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/wal"
 )
 
@@ -97,7 +98,7 @@ func splitFrames(p []byte) [][]byte {
 	var out [][]byte
 	rest := p
 	for len(rest) > 0 {
-		if _, n, err := wal.Unframe(rest); err == nil {
+		if _, n, ok := frame.Next(rest); ok {
 			out = append(out, rest[:n])
 			rest = rest[n:]
 			continue

@@ -210,25 +210,6 @@ func (p *Program) Resolve() {
 	}
 }
 
-// InstallSummaries replaces every function's summary from a cache (see
-// SummaryCache) and marks the program resolved, skipping the fixed point.
-func (p *Program) InstallSummaries(sums map[FuncKey]Summary) bool {
-	// Refuse a cache that does not cover this program exactly.
-	if len(sums) != len(p.Funcs) {
-		return false
-	}
-	for k := range p.Funcs {
-		if _, ok := sums[k]; !ok {
-			return false
-		}
-	}
-	for k, fi := range p.Funcs {
-		fi.Sum = sums[k]
-	}
-	p.resolved = true
-	return true
-}
-
 // HasReleaseHelper reports whether some function in the program net-releases
 // key — the matching half that makes an acquire helper a deliberate pattern
 // rather than a leak on every path.
@@ -239,16 +220,6 @@ func (p *Program) HasReleaseHelper(key string) bool {
 		}
 	}
 	return false
-}
-
-// Summaries snapshots every function's resolved summary.
-func (p *Program) Summaries() map[FuncKey]Summary {
-	p.Resolve()
-	out := make(map[FuncKey]Summary, len(p.Funcs))
-	for k, fi := range p.Funcs {
-		out[k] = fi.Sum
-	}
-	return out
 }
 
 // summarize recomputes one function's summary against the current state of

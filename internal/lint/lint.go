@@ -120,12 +120,7 @@ func AnalyzerByName(name string) *Analyzer {
 // suppressed nothing — are reported as findings of the pseudo-analyzer
 // "directive".
 func Lint(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return LintWithProgram(pkgs, analyzers, BuildProgram(pkgs))
-}
-
-// LintWithProgram is Lint with a caller-supplied interprocedural Program
-// (cmd/lllint passes one preloaded from the summary cache).
-func LintWithProgram(pkgs []*Package, analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
+	prog := BuildProgram(pkgs)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup, bad := collectDirectives(pkg.Fset, pkg.Files)

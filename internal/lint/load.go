@@ -38,9 +38,6 @@ type Package struct {
 	// Pkg and Info are the type-checker's output.
 	Pkg  *types.Package
 	Info *types.Info
-	// DepExports are the export-data files the load consulted (shared by
-	// every package of one Load); the summary cache hashes them.
-	DepExports []string
 }
 
 // listPkg mirrors the `go list -json` fields the loader consumes.
@@ -102,12 +99,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	depExports := make([]string, 0, len(exports))
-	for _, e := range exports {
-		depExports = append(depExports, e)
-	}
-	sort.Strings(depExports)
-
 	fset := token.NewFileSet()
 	var out []*Package
 	for _, base := range sortedKeys(targets) {
@@ -115,7 +106,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.DepExports = depExports
 		out = append(out, p)
 	}
 	return out, nil

@@ -3,32 +3,24 @@ package flight
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/op"
 )
 
-// Spill-file format: a sequence of independent frames, each
-//
-//	u32le payload length | u32le CRC32-C of payload | payload
-//
-// with the payload a varint encoding of one Event (seq, at-ns, kind,
-// dec, lsn, ref, object, n, actor).  Frames are self-delimiting and
-// checksummed so a reopen can apply the WAL's torn-tail rule: scan
-// frames from the start, stop at the first incomplete frame, checksum
-// mismatch, or undecodable payload, and truncate the file back to the
-// last good frame.  Everything before the torn tail survives the crash.
-
-const spillFrameOverhead = 8
+// Spill-file format: a sequence of internal/frame frames, each payload a
+// varint encoding of one Event (seq, at-ns, kind, dec, lsn, ref, object,
+// n, actor).  A reopen applies the WAL's torn-tail rule: scan frames from
+// the start, stop at the first incomplete frame, checksum mismatch, or
+// undecodable payload, and truncate the file back to the last good frame.
+// Everything before the torn tail survives the crash.
 
 // spillFlushThreshold bounds the pending-encode buffer; emission under
 // foreign mutexes only pays a file write when a batch has accumulated.
 const spillFlushThreshold = 32 << 10
-
-var spillCRC = crc32.MakeTable(crc32.Castagnoli)
 
 type spillFile struct {
 	f   *os.File
@@ -47,9 +39,7 @@ func appendSpillFrame(dst []byte, ev *Event) []byte {
 	p = binary.AppendVarint(p, ev.N)
 	p = binary.AppendUvarint(p, uint64(len(ev.Actor)))
 	p = append(p, ev.Actor...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(p, spillCRC))
-	return append(dst, p...)
+	return frame.Append(dst, p)
 }
 
 // decodeSpillEvent decodes one frame payload; any leftover or truncated
@@ -120,17 +110,8 @@ func scanSpill(data []byte) ([]Event, int) {
 	var out []Event
 	off := 0
 	for {
-		rest := data[off:]
-		if len(rest) < spillFrameOverhead {
-			return out, off
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if len(rest) < spillFrameOverhead+plen {
-			return out, off
-		}
-		payload := rest[spillFrameOverhead : spillFrameOverhead+plen]
-		if crc32.Checksum(payload, spillCRC) != sum {
+		payload, n, ok := frame.Next(data[off:])
+		if !ok {
 			return out, off
 		}
 		ev, err := decodeSpillEvent(payload)
@@ -138,7 +119,7 @@ func scanSpill(data []byte) ([]Event, int) {
 			return out, off
 		}
 		out = append(out, ev)
-		off += spillFrameOverhead + plen
+		off += n
 	}
 }
 

@@ -220,29 +220,19 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	return dot, nil
 }
 
-// analyze reconstructs the dirty object table from the most recent
-// checkpoint (if any) forward, applying the Section 5 update rules:
-// operation records dirty their written objects; flush records clean their
-// object; installation records clean flushed objects and — only under the
-// generalized TestRSI — advance rSIs of unflushed (unexposed) objects.  A
+// analyze reconstructs the dirty object table in one scan of the durable
+// log, applying the Section 5 update rules: operation records dirty their
+// written objects; flush records clean their object; installation records
+// clean flushed objects and — only under the generalized TestRSI — advance
+// rSIs of unflushed (unexposed) objects; a checkpoint record restates the
+// whole table, so the result is the last checkpoint's table rolled forward,
+// and CheckpointLSN and AnalyzedRecords count from that checkpoint.  A
 // traditional vSI recovery has no notion of installed-without-flushing, so
 // under TestVSI/TestRedoAll those objects stay dirty at their first-update
 // rSI and the redo scan is correspondingly longer.
 func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, error) {
 	dot := make(dirtyTable)
-	scanFrom := log.FirstLSN()
-	cp, err := log.LastCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	if cp != nil {
-		res.CheckpointLSN = cp.LSN
-		scanFrom = cp.LSN
-		for _, d := range cp.Checkpoint.Dirty {
-			dot[d.ID] = d.RSI
-		}
-	}
-	sc, err := log.Scan(scanFrom)
+	sc, err := log.Scan(log.FirstLSN())
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +243,10 @@ func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if rec.Type == wal.RecCheckpoint {
+			res.CheckpointLSN = rec.LSN
+			res.AnalyzedRecords = 0
 		}
 		res.AnalyzedRecords++
 		UpdateDirtyTable(dot, rec, test)

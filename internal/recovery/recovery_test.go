@@ -405,3 +405,95 @@ func TestRecoveryIdempotent(t *testing.T) {
 		t.Errorf("idempotence broken: %q vs %q", v1, v2)
 	}
 }
+
+// TestAnalysisUsesTheLaterCheckpoint: analysis is one scan of the whole
+// log, and a later checkpoint restates the dirty table.  Object A is dirty
+// in the first checkpoint's table and absent from the second's (it was
+// installed without a logged install record in between), so redo must
+// start at B's rSI, not A's, and the checkpoint and record counts are those
+// of the second checkpoint.
+func TestAnalysisUsesTheLaterCheckpoint(t *testing.T) {
+	log, err := wal.New(wal.NewMemDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*wal.Record{
+		wal.NewOpRecord(op.NewCreate("A", []byte("a"))),                     // 1
+		wal.NewCheckpointRecord([]wal.DirtyEntry{{ID: "A", RSI: 1}}),        // 2
+		wal.NewOpRecord(op.NewCreate("B", []byte("b"))),                     // 3
+		wal.NewCheckpointRecord([]wal.DirtyEntry{{ID: "B", RSI: 3}}),        // 4
+		wal.NewOpRecord(op.NewPhysioWrite("B", op.FuncAppend, []byte("+"))), // 5
+	} {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Force(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Recover(log, stable.NewStore(), Options{
+		Test:  TestRSI,
+		Cache: cache.Config{Policy: writegraph.PolicyRW, Registry: op.NewRegistry(), LogInstalls: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CheckpointLSN != 4 || res.AnalyzedRecords != 2 || res.RedoStart != 3 {
+		t.Errorf("CheckpointLSN %d, AnalyzedRecords %d, RedoStart %d; want 4, 2, 3",
+			res.CheckpointLSN, res.AnalyzedRecords, res.RedoStart)
+	}
+	if res.ScannedOps != 2 || res.Redone != 2 {
+		t.Errorf("ScannedOps %d, Redone %d; want 2, 2 (B's create and append)", res.ScannedOps, res.Redone)
+	}
+}
+
+// countingDevice counts full-device reads.
+type countingDevice struct {
+	wal.Device
+	reads int
+}
+
+func (d *countingDevice) ReadAll() ([]byte, error) {
+	d.reads++
+	return d.Device.ReadAll()
+}
+
+// TestRecoverReadsLogThreeTimes: a restart reads the device once to trim
+// its torn tail and learn the LSN range, once for analysis and once for the
+// redo scan.
+func TestRecoverReadsLogThreeTimes(t *testing.T) {
+	dev := &countingDevice{Device: wal.NewMemDevice()}
+	log, err := wal.New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*op.Operation{
+		op.NewCreate("X", []byte("x")),
+		op.NewPhysioWrite("X", op.FuncAppend, []byte("+")),
+	} {
+		if _, err := log.AppendOp(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := log.Append(wal.NewCheckpointRecord([]wal.DirtyEntry{{ID: "X", RSI: 1}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Force(); err != nil {
+		t.Fatal(err)
+	}
+	log.Crash()
+	dev.reads = 0
+	res, err := Recover(log, stable.NewStore(), Options{
+		Test:  TestRSI,
+		Cache: cache.Config{Policy: writegraph.PolicyRW, Registry: op.NewRegistry(), LogInstalls: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.reads != 3 {
+		t.Errorf("Recover read the device %d times, want 3", dev.reads)
+	}
+	if res.Redone != 2 {
+		t.Errorf("Redone = %d, want 2", res.Redone)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"logicallog/internal/frame"
 )
 
 // Client is a pipelined connection to a Server.  It satisfies
@@ -56,7 +58,7 @@ func (c *Client) Close() error {
 // demux routes response frames to their waiters until the connection dies.
 func (c *Client) demux() {
 	for {
-		payload, err := readFrame(c.conn)
+		payload, err := frame.Read(c.conn, MaxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("server: connection lost: %w", err))
 			return
@@ -107,7 +109,7 @@ func (c *Client) call(req *Request) (response, error) {
 	payload, err := EncodeRequest(req)
 	if err == nil {
 		c.writeMu.Lock()
-		err = writeFrame(c.conn, payload)
+		err = frame.Write(c.conn, payload, MaxFrame)
 		c.writeMu.Unlock()
 	}
 	if err != nil {

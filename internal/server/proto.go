@@ -1,3 +1,11 @@
+// Package server is the network front-end over core.Engine: a concurrent
+// TCP server speaking a length-prefixed CRC-framed binary protocol, with
+// biscuit-style admission control (a bounded token channel brackets every
+// operation, Op_begin/Op_end), pipelined clients, graceful drain on
+// shutdown, and — the headline — instant recovery: after a crash the
+// listener opens while redo is still running, each request drains exactly
+// the dependency chains its objects need (Engine gating over
+// recovery.OnDemand), and background workers finish the rest.
 package server
 
 import (
@@ -6,7 +14,14 @@ import (
 	"fmt"
 )
 
-// Wire protocol, inside the CRC framing (frame.go):
+// MaxFrame bounds a frame's payload in both directions, so a corrupt or
+// hostile length prefix cannot balloon allocation.
+const MaxFrame = 1 << 20
+
+// Wire protocol, one internal/frame frame per message: a frame whose
+// checksum does not match or whose length is over MaxFrame kills the
+// connection, and a frame cut short by the connection dying is torn and
+// never acted on.
 //
 //	request  payload: u64le reqID | u8 opcode | body
 //	response payload: u64le reqID | u8 status | body

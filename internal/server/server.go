@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/obs"
 	"logicallog/internal/recovery"
 	"logicallog/internal/workload"
@@ -237,14 +238,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	respond := func(payload []byte) {
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		if err := writeFrame(conn, payload); err != nil {
+		if err := frame.Write(conn, payload, MaxFrame); err != nil {
 			s.mErrors.Inc()
 		} else {
 			s.mResponses.Inc()
 		}
 	}
 	for {
-		payload, err := readFrame(conn)
+		payload, err := frame.Read(conn, MaxFrame)
 		if err != nil {
 			// EOF: client done.  Torn frame / corrupt frame / dead socket:
 			// drop the connection; the WAL torn-tail rule applies — a

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"logicallog/internal/core"
+	"logicallog/internal/frame"
 	"logicallog/internal/obs"
 	"logicallog/internal/workload"
 )
@@ -324,10 +325,10 @@ func TestSlowAndHostileClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr bytes.Buffer
-	if err := writeFrame(&hdr, bytes.Repeat([]byte("x"), 100)); err != nil {
+	if err := frame.Write(&hdr, bytes.Repeat([]byte("x"), 100), MaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := torn.Write(hdr.Bytes()[:frameHeaderSize+3]); err != nil {
+	if _, err := torn.Write(hdr.Bytes()[:frame.Overhead+3]); err != nil {
 		t.Fatal(err)
 	}
 	_ = torn.Close()
@@ -338,7 +339,7 @@ func TestSlowAndHostileClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := hdr.Bytes()
-	bad[frameHeaderSize] ^= 0xff
+	bad[frame.Overhead] ^= 0xff
 	if _, err := corrupt.Write(bad); err != nil {
 		t.Fatal(err)
 	}

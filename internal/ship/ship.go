@@ -48,7 +48,8 @@ type Batch struct {
 	FirstLSN op.SI
 	LastLSN  op.SI
 	Count    int
-	// Frames is the records' WAL framing, concatenated.
+	// Frames is the records' frames as they lie on the primary's device,
+	// concatenated.
 	Frames []byte
 }
 
@@ -231,7 +232,8 @@ func (s *Sender) Pump() (bool, error) {
 	return true, nil
 }
 
-// buildBatch re-frames up to BatchRecords durable records starting at cursor.
+// buildBatch copies up to BatchRecords durable records starting at cursor,
+// each as the frame that lies on the device.
 func (s *Sender) buildBatch(cursor, stable op.SI) (*Batch, error) {
 	sc, err := s.log.Scan(cursor)
 	if err != nil {
@@ -239,22 +241,15 @@ func (s *Sender) buildBatch(cursor, stable op.SI) (*Batch, error) {
 	}
 	b := &Batch{FirstLSN: cursor}
 	for b.Count < s.cfg.BatchRecords {
-		rec, err := scanNext(sc)
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil || rec.LSN > stable {
-			break
+		rec, err := sc.Next()
+		if err != nil || rec.LSN > stable {
+			break // io.EOF: end of the durable log
 		}
 		want := cursor + op.SI(b.Count)
 		if rec.LSN != want {
 			return nil, fmt.Errorf("ship: log gap at LSN %d (scan yielded %d)", want, rec.LSN)
 		}
-		payload, err := wal.EncodeRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("ship: re-encoding LSN %d: %w", rec.LSN, err)
-		}
-		b.Frames = append(b.Frames, wal.Frame(payload)...)
+		b.Frames = append(b.Frames, sc.Frame()...)
 		b.LastLSN = rec.LSN
 		b.Count++
 	}
@@ -406,14 +401,6 @@ func (s *Sender) Sync() error {
 			return fmt.Errorf("ship: sync stalled at acked %d / stable %d (link down?)", acked, stable)
 		}
 	}
-}
-
-func scanNext(sc *wal.Scanner) (*wal.Record, error) {
-	rec, err := sc.Next()
-	if err != nil {
-		return nil, nil // io.EOF: end of durable log
-	}
-	return rec, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package ship_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"logicallog/internal/op"
 	"logicallog/internal/ship"
 	"logicallog/internal/sim"
+	"logicallog/internal/wal"
 )
 
 // workload is a deterministic random op stream, tracking liveness so every
@@ -128,6 +130,14 @@ func finishAndPromote(t *testing.T, eng *core.Engine, s *ship.Sender, sb *ship.S
 	if got := sb.Applied(); got != horizon {
 		t.Fatalf("standby applied %d, primary stable %d", got, horizon)
 	}
+	// The sender ships the frames on the primary's device verbatim, so over
+	// the range both logs hold durably, the standby's device bytes are the
+	// primary's.
+	from := max(eng.Log().FirstLSN(), sb.Log().FirstLSN())
+	primary, standby := durableFrames(t, eng.Log(), from), durableFrames(t, sb.Log(), from)
+	if len(standby) == 0 || !bytes.HasPrefix(primary, standby) {
+		t.Fatalf("standby log (%d bytes) is not a prefix of the primary's (%d bytes) from LSN %d", len(standby), len(primary), from)
+	}
 	hist := eng.History()
 	eng.Crash()
 	promoted, res, err := sb.Promote()
@@ -141,6 +151,23 @@ func finishAndPromote(t *testing.T, eng *core.Engine, s *ship.Sender, sb *ship.S
 		t.Fatalf("promoted standby diverged from primary history: %v", err)
 	}
 	return promoted
+}
+
+// durableFrames returns the frames of log's durable records with LSN >= from,
+// as they lie on its device.
+func durableFrames(t *testing.T, log *wal.Log, from op.SI) []byte {
+	t.Helper()
+	sc, err := log.Scan(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for {
+		if _, err := sc.Next(); err != nil {
+			return out
+		}
+		out = append(out, sc.Frame()...)
+	}
 }
 
 func newPair(t *testing.T, opts core.Options, plan *fault.Plan, batch int) (*core.Engine, *ship.Standby, *ship.Sender) {

@@ -10,6 +10,7 @@ import (
 	"logicallog/internal/backup"
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
+	"logicallog/internal/frame"
 	"logicallog/internal/obs"
 	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
@@ -206,9 +207,9 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 	s.stats.Batches++
 	data := b.Frames
 	for len(data) > 0 {
-		payload, n, err := wal.Unframe(data)
-		if err != nil {
-			return s.ackLocked(), fmt.Errorf("ship: corrupt frame in batch %d: %w", b.Seq, err)
+		payload, n, ok := frame.Next(data)
+		if !ok {
+			return s.ackLocked(), fmt.Errorf("ship: corrupt frame in batch %d", b.Seq)
 		}
 		rec, err := wal.DecodeRecord(payload)
 		if err != nil {

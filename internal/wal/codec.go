@@ -3,35 +3,24 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/op"
 )
 
-// On-device framing: every record is
-//
-//	[4-byte little-endian payload length][4-byte CRC32C of payload][payload]
-//
-// A scan stops cleanly at a torn tail (truncated frame or CRC mismatch in
-// the final frame position), which is how real WALs discover the end of log
-// after a crash.
-//
-// Payload:
+// On the device every record is one internal/frame frame whose payload is
 //
 //	type   uint8
 //	lsn    uvarint
 //	body   (per type)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// frameOverhead is the per-record framing cost in bytes.
-const frameOverhead = 8
+//
+// Scanner.step decides where the durable log ends.
 
 // MaxRecordHeader bounds the bytes of a frame before any record body: the
 // framing plus the payload's type byte and worst-case LSN varint.  A torn
 // append of fewer than MaxRecordHeader bytes can cut anywhere inside this
 // prefix; the exhaustive torn-tail tests cover every such length.
-const MaxRecordHeader = frameOverhead + 1 + binary.MaxVarintLen64
+const MaxRecordHeader = frame.Overhead + 1 + binary.MaxVarintLen64
 
 type encoder struct {
 	buf []byte
@@ -205,20 +194,17 @@ func encodePayload(e *encoder, r *Record) {
 
 // AppendFrame appends the framed encoding of a validated record to buf and
 // returns the extended slice.  When buf has enough spare capacity (an arena
-// chunk) the frame is built in place with no allocation: the 8 framing bytes
-// are reserved, the payload is encoded after them, and length + CRC are
-// backfilled.  The caller must have validated r; the byte layout matches
-// Frame(EncodeRecord(r)) exactly.
+// chunk) the frame is built in place with no allocation: the framing bytes
+// are reserved, the payload is encoded after them, and frame.Seal fills them
+// in.  The caller must have validated r; the bytes equal
+// frame.Append(nil, EncodeRecord(r)).
 func AppendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
-	var hdr [frameOverhead]byte
+	var hdr [frame.Overhead]byte
 	e := &encoder{buf: append(buf, hdr[:]...)}
 	encodePayload(e, r)
-	out := e.buf
-	payload := out[start+frameOverhead:]
-	binary.LittleEndian.PutUint32(out[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[start+4:start+8], crc32.Checksum(payload, crcTable))
-	return out
+	frame.Seal(e.buf, start)
+	return e.buf
 }
 
 // DecodeRecord parses a record payload produced by EncodeRecord.  The
@@ -362,33 +348,3 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 	}
 	return r, nil
 }
-
-// Frame wraps an encoded payload with length + CRC framing.
-func Frame(payload []byte) []byte {
-	out := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, crcTable))
-	copy(out[frameOverhead:], payload)
-	return out
-}
-
-// Unframe extracts the next payload from data.  It returns the payload, the
-// number of bytes consumed, and an error.  A truncated or corrupt frame
-// returns errTornTail, which scanners treat as end-of-log.
-func Unframe(data []byte) ([]byte, int, error) {
-	if len(data) < frameOverhead {
-		return nil, 0, errTornTail
-	}
-	l := binary.LittleEndian.Uint32(data[0:4])
-	want := binary.LittleEndian.Uint32(data[4:8])
-	if uint32(len(data)-frameOverhead) < l {
-		return nil, 0, errTornTail
-	}
-	payload := data[frameOverhead : frameOverhead+int(l)]
-	if crc32.Checksum(payload, crcTable) != want {
-		return nil, 0, errTornTail
-	}
-	return payload, frameOverhead + int(l), nil
-}
-
-var errTornTail = fmt.Errorf("wal: torn or corrupt frame (end of log)")

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -112,26 +113,44 @@ func (d *FileDevice) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// Rewrite implements Device.
+// Rewrite implements Device.  The new contents go to a temporary file that
+// is synced and renamed over the log, and the directory is synced, so a
+// crash at any point leaves the old log or the new one, whole.  A failure
+// before the rename removes the temporary file and keeps the old file open;
+// once renamed, the new file is the log and Appends go to it.
 func (d *FileDevice) Rewrite(p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tmp := d.path + ".tmp"
-	if err := os.WriteFile(tmp, p, 0o644); err != nil {
-		return err
-	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(d.path, os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
+	if _, err = f.Write(p); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, d.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	err = syncDir(filepath.Dir(d.path))
+	d.f.Close() // superseded by the rename; nothing of it is read again
 	d.f = f
-	return nil
+	return err
+}
+
+// syncDir makes the entries of dir, such as a rename into it, durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
 }
 
 // Close implements Device.

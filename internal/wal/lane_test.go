@@ -199,7 +199,13 @@ func TestStreamConcurrentAppendsStayDense(t *testing.T) {
 	if err := l.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if lsn := mustAppend(t, l, NewFlushRecord("shared", 1)); lsn != stable+1 {
-		t.Errorf("post-crash LSN = %d, want %d", lsn, stable+1)
+	// The lost LSNs are reused — unless the forcer never got to run before
+	// the appenders finished: an empty device keeps the horizon (Restart).
+	want := stable + 1
+	if stable == 0 {
+		want = goroutines*perG + 1
+	}
+	if lsn := mustAppend(t, l, NewFlushRecord("shared", 1)); lsn != want {
+		t.Errorf("post-crash LSN = %d, want %d", lsn, want)
 	}
 }

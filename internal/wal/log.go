@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/obs"
 	"logicallog/internal/op"
 )
@@ -268,31 +269,18 @@ func New(dev Device) (*Log, error) {
 	l := &Log{dev: dev, firstLSN: 1, stats: newStats()}
 	l.nextLSN.Store(1)
 	l.forceDone = sync.NewCond(&l.mu)
-	// Recover LSN horizon from existing contents.
-	data, err := dev.ReadAll()
+	// Recover the LSN horizon from the durable prefix.
+	sc, err := l.Scan(0)
 	if err != nil {
 		return nil, err
 	}
-	first := true
-	for len(data) > 0 {
-		payload, n, err := Unframe(data)
-		if err != nil {
-			break // torn tail: ignore, as recovery would
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			break
-		}
-		if first {
+	for rec := sc.step(); rec != nil; rec = sc.step() {
+		if l.stableLSN == 0 {
 			l.firstLSN = rec.LSN
-			first = false
-		} else if rec.LSN != l.stableLSN+1 {
-			break // LSN gap: a lost write; the log ends at the gap
 		}
 		l.stableLSN = rec.LSN
-		l.nextLSN.Store(uint64(rec.LSN) + 1)
-		data = data[n:]
 	}
+	l.nextLSN.Store(uint64(l.stableLSN) + 1)
 	return l, nil
 }
 
@@ -364,12 +352,12 @@ func (l *Log) AppendShipped(rec *Record) error {
 // bufferLocked encodes rec (validated, LSN assigned) into the lane and
 // updates the append statistics.  Caller holds laneMu.
 func (l *Log) bufferLocked(rec *Record) {
-	frame, ch := l.arena.appendFrame(rec)
-	l.lane = append(l.lane, laneRec{lsn: rec.LSN, frame: frame, chunk: ch})
-	payloadLen := int64(len(frame) - frameOverhead)
+	f, ch := l.arena.appendFrame(rec)
+	l.lane = append(l.lane, laneRec{lsn: rec.LSN, frame: f, chunk: ch})
+	payloadLen := int64(len(f) - frame.Overhead)
 	l.stats.Records[rec.Type]++
 	l.stats.PayloadBytes[rec.Type] += payloadLen
-	l.stats.BytesAppended += int64(len(frame))
+	l.stats.BytesAppended += int64(len(f))
 	if rec.Type == RecOperation {
 		l.stats.OpPayloadBytes[rec.Op.Kind] += payloadLen
 		for _, v := range rec.Op.Values {
@@ -540,42 +528,31 @@ func (l *Log) Crash() int {
 }
 
 // TrimTornTail rewrites the device down to its trustworthy prefix and
-// returns the bytes discarded.  A record is trustworthy when it frames and
-// decodes cleanly, extends the previous record's LSN by one, and — if it
-// lies beyond the acked horizon (stableLSN) with nothing acked before it —
-// starts exactly where the log would have appended.  Everything from the
-// first violation on is the debris of a torn, bit-flipped, or reordered
-// final append.
+// returns the bytes discarded.  That prefix is the durable log as
+// Scanner.step defines it, with one more rule: if its first record lies
+// beyond the acked horizon (stableLSN), it must start exactly where the log
+// would have appended.  Everything from the first violation on is the debris
+// of a torn, bit-flipped, or reordered final append.
 func (l *Log) TrimTornTail() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.forcing {
 		l.forceDone.Wait()
 	}
-	return l.trimTornTailLocked()
+	trimmed, _, _, err := l.trimTornTailLocked()
+	return trimmed, err
 }
 
-func (l *Log) trimTornTailLocked() (int, error) {
-	data, err := l.dev.ReadAll()
+// trimTornTailLocked is TrimTornTail under l.mu; it also returns the first
+// and last LSN of the surviving prefix (0, 0 when the device is left empty).
+func (l *Log) trimTornTailLocked() (trimmed int, first, last op.SI, err error) {
+	sc, err := l.Scan(0)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	good := 0
-	last := op.SI(0)
-	rest := data
-	for len(rest) > 0 {
-		payload, n, err := Unframe(rest)
-		if err != nil {
-			break
-		}
-		rec, err := decodeRecordAliased(payload)
-		if err != nil {
-			break
-		}
-		if last != 0 && rec.LSN != last+1 {
-			break // interior gap: a dropped frame in a reordered batch
-		}
-		if last == 0 && rec.LSN > l.stableLSN {
+	for rec := sc.step(); rec != nil; rec = sc.step() {
+		if first == 0 && rec.LSN > l.stableLSN {
 			// The device's very first record was never acked, so nothing
 			// vouches for it unless it sits exactly where the next append
 			// would have landed: after the acked horizon, or at the log's
@@ -589,22 +566,24 @@ func (l *Log) trimTornTailLocked() (int, error) {
 				break
 			}
 		}
+		if first == 0 {
+			first = rec.LSN
+		}
 		last = rec.LSN
-		good += n
-		rest = rest[n:]
+		good = sc.off
 	}
-	if good == len(data) {
-		return 0, nil
+	if good == len(sc.data) {
+		return 0, first, last, nil
 	}
-	if err := l.dev.Rewrite(data[:good]); err != nil {
-		return 0, err
+	if err := l.dev.Rewrite(sc.data[:good]); err != nil {
+		return 0, 0, 0, err
 	}
 	if last < l.stableLSN {
 		// Only possible outside the crash model (acked data lost); keep
 		// the horizon consistent with the device regardless.
 		l.stableLSN = last
 	}
-	return len(data) - good, nil
+	return len(sc.data) - good, first, last, nil
 }
 
 // Restart re-synchronizes the log with its device at recovery time, as a
@@ -623,34 +602,14 @@ func (l *Log) Restart() error {
 	for l.forcing {
 		l.forceDone.Wait()
 	}
-	if _, err := l.trimTornTailLocked(); err != nil {
+	_, first, last, err := l.trimTornTailLocked()
+	if err != nil {
 		return fmt.Errorf("wal: restart: %w", err)
 	}
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
 	if l.stagedCount+len(l.lane) != 0 {
 		return nil
-	}
-	data, err := l.dev.ReadAll()
-	if err != nil {
-		return fmt.Errorf("wal: restart: %w", err)
-	}
-	first := op.SI(0)
-	last := op.SI(0)
-	for len(data) > 0 {
-		payload, n, err := Unframe(data)
-		if err != nil {
-			return fmt.Errorf("wal: restart: device still torn after trim")
-		}
-		rec, err := decodeRecordAliased(payload)
-		if err != nil {
-			return fmt.Errorf("wal: restart: device still torn after trim")
-		}
-		if first == 0 {
-			first = rec.LSN
-		}
-		last = rec.LSN
-		data = data[n:]
 	}
 	if last == 0 {
 		return nil // empty device: keep the horizon (see doc comment)
@@ -728,39 +687,23 @@ func (l *Log) Truncate(before op.SI) error {
 	for l.forcing {
 		l.forceDone.Wait()
 	}
-	data, err := l.dev.ReadAll()
+	// Keep the durable log from the first record at or after before: one
+	// slice of the snapshot, already framed.
+	sc, err := l.Scan(before)
 	if err != nil {
 		return err
 	}
 	var keep []byte
-	newFirst := op.SI(0)
-	last := op.SI(0)
-	for len(data) > 0 {
-		payload, n, err := Unframe(data)
-		if err != nil {
-			break
+	newFirst := before
+	if rec, err := sc.Next(); err == nil {
+		newFirst = rec.LSN
+		cut := sc.off - len(sc.frame)
+		for sc.step() != nil { // to the end of the durable log
 		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			break
-		}
-		if last != 0 && rec.LSN != last+1 {
-			break // LSN gap: the durable log ends here
-		}
-		last = rec.LSN
-		if rec.LSN >= before {
-			if newFirst == 0 {
-				newFirst = rec.LSN
-			}
-			keep = append(keep, data[:n]...)
-		}
-		data = data[n:]
+		keep = sc.data[cut:sc.off]
 	}
 	if err := l.dev.Rewrite(keep); err != nil {
 		return err
-	}
-	if newFirst == 0 {
-		newFirst = before
 	}
 	l.firstLSN = newFirst
 	return nil
@@ -773,9 +716,11 @@ func (l *Log) Truncate(before op.SI) error {
 // treat them as read-only (recovery clones operations before applying them).
 // This keeps the redo scan free of per-record payload copies.
 type Scanner struct {
-	data []byte
-	from op.SI
-	last op.SI // LSN of the last record decoded, for gap detection
+	data  []byte // the device snapshot
+	off   int    // offset of the next frame in data
+	from  op.SI
+	last  op.SI  // LSN of the last record accepted
+	frame []byte // the last accepted record's frame, aliasing data
 }
 
 // Scan returns a Scanner positioned at the first durable record with
@@ -789,30 +734,42 @@ func (l *Log) Scan(from op.SI) (*Scanner, error) {
 	return &Scanner{data: data, from: from}, nil
 }
 
-// Next returns the next record, or io.EOF at end of log (including at a
-// torn tail, which terminates the log exactly as after a crash, and at an
-// LSN gap, which marks a lost write inside a reordered batch).
+// step accepts the record at the scanner's offset if it extends the durable
+// log, and returns nil where the log ends.  This is the end-of-log rule, and
+// every reader of the device — New, Restart's trim, Truncate, Next — applies
+// it through here: the frame is whole and its checksum matches, its payload
+// decodes, and its LSN is the previous record's plus one.  A torn or
+// bit-flipped final append fails the first two; a reordered batch whose
+// middle frame never landed fails the third.
+func (s *Scanner) step() *Record {
+	payload, n, ok := frame.Next(s.data[s.off:])
+	if !ok {
+		return nil
+	}
+	rec, err := decodeRecordAliased(payload)
+	if err != nil || (s.last != 0 && rec.LSN != s.last+1) {
+		return nil
+	}
+	s.frame = s.data[s.off : s.off+n : s.off+n]
+	s.off += n
+	s.last = rec.LSN
+	return rec
+}
+
+// Next returns the next record with LSN >= from, or io.EOF at the end of the
+// durable log (see step).
 func (s *Scanner) Next() (*Record, error) {
-	for len(s.data) > 0 {
-		payload, n, err := Unframe(s.data)
-		if err != nil {
-			return nil, io.EOF
-		}
-		rec, err := decodeRecordAliased(payload)
-		if err != nil {
-			return nil, io.EOF
-		}
-		if s.last != 0 && rec.LSN != s.last+1 {
-			return nil, io.EOF
-		}
-		s.last = rec.LSN
-		s.data = s.data[n:]
+	for rec := s.step(); rec != nil; rec = s.step() {
 		if rec.LSN >= s.from {
 			return rec, nil
 		}
 	}
 	return nil, io.EOF
 }
+
+// Frame returns the frame of the record Next last returned, exactly as it
+// lies on the device.  It aliases the snapshot: read-only.
+func (s *Scanner) Frame() []byte { return s.frame }
 
 // All drains the scanner into a slice.
 func (s *Scanner) All() ([]*Record, error) {
@@ -826,28 +783,6 @@ func (s *Scanner) All() ([]*Record, error) {
 			return nil, err
 		}
 		out = append(out, rec)
-	}
-}
-
-// LastCheckpoint scans the durable log and returns the most recent
-// checkpoint record, or nil if none exists.
-func (l *Log) LastCheckpoint() (*Record, error) {
-	sc, err := l.Scan(0)
-	if err != nil {
-		return nil, err
-	}
-	var last *Record
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			return last, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec.Type == RecCheckpoint {
-			last = rec
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"logicallog/internal/frame"
 	"logicallog/internal/op"
 )
 
@@ -243,27 +244,8 @@ func TestBackoffCappedExponentialGrowth(t *testing.T) {
 	}
 }
 
-func TestFrameUnframe(t *testing.T) {
-	payload := []byte("some payload")
-	frame := Frame(payload)
-	got, n, err := Unframe(frame)
-	if err != nil || n != len(frame) || string(got) != string(payload) {
-		t.Fatalf("Unframe = %q, %d, %v", got, n, err)
-	}
-	// CRC mismatch.
-	bad := append([]byte(nil), frame...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, _, err := Unframe(bad); err == nil {
-		t.Error("corrupt frame accepted")
-	}
-	// Short frame.
-	if _, _, err := Unframe(frame[:5]); err == nil {
-		t.Error("short frame accepted")
-	}
-	if _, _, err := Unframe(frame[:len(frame)-1]); err == nil {
-		t.Error("truncated frame accepted")
-	}
-}
+// Frame frames payload as the device stores it.
+func Frame(payload []byte) []byte { return frame.Append(nil, payload) }
 
 func TestAppendForceScan(t *testing.T) {
 	l, err := New(NewMemDevice())
@@ -391,29 +373,6 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestLastCheckpoint(t *testing.T) {
-	l, _ := New(NewMemDevice())
-	if cp, err := l.LastCheckpoint(); err != nil || cp != nil {
-		t.Errorf("empty log checkpoint = %v, %v", cp, err)
-	}
-	mustAppend(t, l, NewCheckpointRecord([]DirtyEntry{{ID: "a", RSI: 1}}))
-	mustAppend(t, l, NewFlushRecord("a", 1))
-	second := mustAppend(t, l, NewCheckpointRecord([]DirtyEntry{{ID: "b", RSI: 2}}))
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := l.LastCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil || cp.LSN != second {
-		t.Errorf("LastCheckpoint = %+v, want LSN %d", cp, second)
-	}
-	if cp.Checkpoint.Dirty[0].ID != "b" {
-		t.Error("wrong checkpoint returned")
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	l, _ := New(NewMemDevice())
 	big := make([]byte, 4096)
@@ -447,7 +406,8 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestFileDevice(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "test.wal")
 	dev, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatal(err)
@@ -462,6 +422,15 @@ func TestFileDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := l.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	// The rewrite leaves no temporary file behind, and the device appends
+	// to the rewritten file, after the kept record.
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(names) != 0 {
+		t.Errorf("Truncate left %v", names)
+	}
+	mustAppend(t, l, NewFlushRecord("C", 3))
+	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.Close(); err != nil {
@@ -480,7 +449,7 @@ func TestFileDevice(t *testing.T) {
 	}
 	sc, _ := l2.Scan(0)
 	recs, _ := sc.All()
-	if len(recs) != 1 || recs[0].LSN != 2 {
+	if len(recs) != 2 || recs[0].LSN != 2 || recs[1].LSN != 3 || recs[1].Flush.Object != "C" {
 		t.Errorf("file device reopen: %v", recs)
 	}
 	sz, err := dev2.Size()
