@@ -2,8 +2,101 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
+
+	"logicallog/internal/frame"
 )
+
+// The wire framing is internal/frame bounded by MaxFrame; these tests pin
+// what a connection sees of it.
+func writeFrame(w io.Writer, payload []byte) error { return frame.Write(w, payload, MaxFrame) }
+func readFrame(r io.Reader) ([]byte, error)        { return frame.Read(r, MaxFrame) }
+
+func TestFrameRoundTrip(t *testing.T) {
+	payloads := [][]byte{
+		nil,
+		{},
+		[]byte("x"),
+		bytes.Repeat([]byte("abc"), 1000),
+		make([]byte, MaxFrame),
+	}
+	var buf bytes.Buffer
+	for _, p := range payloads {
+		if err := writeFrame(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range payloads {
+		got, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: %d bytes, want %d", i, len(got), len(p))
+		}
+	}
+	if _, err := readFrame(&buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("after last frame: %v, want EOF", err)
+	}
+}
+
+func TestFrameTooLarge(t *testing.T) {
+	if err := writeFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("write oversized: %v", err)
+	}
+	// A hostile length prefix is rejected before allocation.
+	raw := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("read oversized: %v", err)
+	}
+}
+
+// TestFrameTornTail mirrors the WAL torn-tail rule: a frame cut at any
+// point before its last byte yields io.ErrUnexpectedEOF (no partial payload
+// is ever surfaced); a cut at a frame boundary is a clean EOF.
+func TestFrameTornTail(t *testing.T) {
+	var buf bytes.Buffer
+	payload := []byte("the torn frame carries no information")
+	if err := writeFrame(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		_, err := readFrame(bytes.NewReader(full[:cut]))
+		switch {
+		case cut == 0:
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("cut %d: %v, want EOF", cut, err)
+			}
+		default:
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut %d: %v, want ErrUnexpectedEOF", cut, err)
+			}
+		}
+	}
+}
+
+// TestFrameCorruption: every single-byte flip anywhere in the frame is
+// detected — the payload is never silently misread.
+func TestFrameCorruption(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, []byte("checksummed payload")); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for i := range full {
+		for _, flip := range []byte{0x01, 0x80} {
+			mut := append([]byte(nil), full...)
+			mut[i] ^= flip
+			got, err := readFrame(bytes.NewReader(mut))
+			if err == nil {
+				t.Fatalf("flip byte %d (%#x): corrupted frame read back as %q", i, flip, got)
+			}
+		}
+	}
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{

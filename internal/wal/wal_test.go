@@ -247,6 +247,43 @@ func TestBackoffCappedExponentialGrowth(t *testing.T) {
 // Frame frames payload as the device stores it.
 func Frame(payload []byte) []byte { return frame.Append(nil, payload) }
 
+// TestFrameUnframe: a record framed in place by AppendFrame is the device
+// frame of its encoding, and reads back through the scanner's decode step;
+// a checksum mismatch, a short frame and a truncated frame are refused.
+func TestFrameUnframe(t *testing.T) {
+	rec := NewOpRecord(op.NewPhysicalWrite("X", []byte("some payload")))
+	rec.LSN = 7
+	enc, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := AppendFrame(nil, rec)
+	if string(framed) != string(Frame(enc)) {
+		t.Fatal("AppendFrame differs from the frame of EncodeRecord")
+	}
+	payload, n, ok := frame.Next(framed)
+	if !ok || n != len(framed) || string(payload) != string(enc) {
+		t.Fatalf("Next = %q, %d, %v", payload, n, ok)
+	}
+	got, err := DecodeRecord(payload)
+	if err != nil || got.LSN != 7 || got.Type != RecOperation {
+		t.Fatalf("DecodeRecord = %+v, %v", got, err)
+	}
+	// CRC mismatch.
+	bad := append([]byte(nil), framed...)
+	bad[len(bad)-1] ^= 0xFF
+	if _, _, ok := frame.Next(bad); ok {
+		t.Error("corrupt frame accepted")
+	}
+	// Short frame.
+	if _, _, ok := frame.Next(framed[:5]); ok {
+		t.Error("short frame accepted")
+	}
+	if _, _, ok := frame.Next(framed[:len(framed)-1]); ok {
+		t.Error("truncated frame accepted")
+	}
+}
+
 func TestAppendForceScan(t *testing.T) {
 	l, err := New(NewMemDevice())
 	if err != nil {
