@@ -1,10 +1,9 @@
 // Command lllint is the logical-logging lint driver: a multichecker hosting
-// the analyzers in internal/lint, which mechanically enforce the
+// the six analyzers in internal/lint, which mechanically enforce the
 // recovery-critical invariants documented in DESIGN.md (deterministic redo
 // replay, the engine/cache/stable/wal lock order, the force-error
-// discipline, atomic-access consistency, log-record immutability, the obs
-// span discipline, and the whole-program protocol checks: write-ahead
-// ordering, arena/record escape, and critical-section closure).
+// discipline, atomic-access consistency, log-record immutability, and the
+// obs span discipline).
 //
 // Usage:
 //
@@ -16,7 +15,9 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the offending line or the line above it.
+// on the offending line or the line above it.  A directive that suppresses
+// nothing, names no analyzer of the suite, or names one that never runs on
+// its package is itself a finding, whatever -only selects.
 package main
 
 import (

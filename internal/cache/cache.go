@@ -517,9 +517,8 @@ var errDeferred = errors.New("cache: node deferred by identity-write breakup")
 // InstallNode installs the write-graph node id.  What is the primary's own
 // happens here: under the identity-write strategy it first breaks
 // multi-object flush sets apart with W_IP operations, it checks the node is
-// still minimal, forces the log (WAL), and — after the shared installation
-// step has flushed vars(n) and advanced the rSIs — logs the installation
-// record.
+// still minimal, and — after the shared installation step has forced the
+// log, flushed vars(n) and advanced the rSIs — logs the installation record.
 func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 	nv := m.wg.Node(id)
 	if nv == nil {
@@ -566,31 +565,6 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		return nil, errDeferred
 	}
 
-	// WAL protocol: every operation being installed must be on the stable
-	// log before its effects reach the stable database.  Additionally, the
-	// very legitimacy of installing a Notx object *without flushing it*
-	// rests on the later blind-write records that made it unexposed —
-	// after this flush, those records are the object's only recovery
-	// source, so they must be durable too.  (This is the paper's
-	// "subsequent values for the objects in Notx(n) ... can be recovered
-	// from the log": they can only be recovered from the *stable* log.)
-	var maxLSN op.SI
-	for _, o := range nv.Ops {
-		if o.LSN > maxLSN {
-			maxLSN = o.LSN
-		}
-	}
-	for _, x := range nv.Notx {
-		if e, ok := m.lookup(x); ok && len(e.pending) > 0 {
-			if last := e.pending[len(e.pending)-1]; last > maxLSN {
-				maxLSN = last
-			}
-		}
-	}
-	if err := m.log.ForceThrough(maxLSN); err != nil {
-		return nil, err
-	}
-
 	if err := m.install([]graph.NodeID{id}, nv.Vars, nv.Notx); err != nil {
 		return nil, err
 	}
@@ -633,11 +607,11 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 // installed, the objects to flush atomically from cached state, and the Notx
 // objects installed without flushing.  The primary reads all three off the
 // node it chose (InstallNode); the standby derives them from the primary's
-// install or flush record (mirror.go).  The caller must have forced the log
-// through every operation involved (WAL protocol).
+// install or flush record (mirror.go).
 //
-// The stable write comes first: when it fails, the write graph, the dirty
-// object table and the counters are untouched, so the install can be re-run.
+// The log force comes first (WAL protocol), then the stable write: when
+// either fails, the write graph, the dirty object table and the counters are
+// untouched, so the install can be re-run.
 func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error {
 	var start time.Time
 	if m.obs.installNs.Enabled() {
@@ -649,12 +623,36 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 	// merged in or removed x from vars), so the cached value and its vSI
 	// are Lastw(n,x)'s.
 	entries := make([]stable.Entry, 0, len(flush))
+	var through op.SI
 	for _, x := range flush {
 		e, ok := m.lookup(x)
 		if !ok {
 			return fmt.Errorf("cache: flush set object %q not in cache", x)
 		}
 		entries = append(entries, stable.Entry{ID: x, Val: e.val, VSI: e.vsi, Delete: !e.exists})
+		through = max(through, e.vsi)
+	}
+	// WAL protocol: every operation being installed must be on the stable
+	// log before its effects reach the stable database.  Additionally, the
+	// very legitimacy of installing a Notx object *without flushing it*
+	// rests on the later blind-write records that made it unexposed —
+	// after this install, those records are the object's only recovery
+	// source, so they must be durable too.  (This is the paper's
+	// "subsequent values for the objects in Notx(n) ... can be recovered
+	// from the log": they can only be recovered from the *stable* log.)
+	// By the invariant above, every installed operation writes a flushed
+	// object (whose vSI is at least the operation's LSN) or a Notx object
+	// (whose last pending writer is), so the largest of those bounds every
+	// installed LSN.  On a standby the log is already durable that far: it
+	// forced through the install record before mirroring it, and restart
+	// replays only durable records.
+	for _, x := range notx {
+		if e, ok := m.lookup(x); ok && len(e.pending) > 0 {
+			through = max(through, e.pending[len(e.pending)-1])
+		}
+	}
+	if err := m.log.ForceThrough(through); err != nil {
+		return err
 	}
 	if len(entries) > 0 {
 		mode := stable.ModeSingle

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -375,5 +376,72 @@ func TestInstallRetriesTransientAlikeOnPrimaryAndMirror(t *testing.T) {
 	objs := []op.ObjectID{"A", "B"}
 	if got, want := twin.state(objs), primary.state(objs); got != want {
 		t.Errorf("final state\n--- twin\n%s\n--- primary\n%s", got, want)
+	}
+}
+
+// TestInstallForcesTheLog mirrors a primary's install and flush records on a
+// twin whose log holds the shipped records unforced: the installation step
+// itself must force that log through every operation it installs and every
+// Notx object's last pending writer, with no force from the caller, and do
+// it before the stable write (WAL protocol).
+func TestInstallForcesTheLog(t *testing.T) {
+	for _, strategy := range []FlushStrategy{StrategyIdentityWrite, StrategyShadow, StrategyFlushTxn} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			primary, twin := newInstallRig(t, strategy), newInstallRig(t, strategy)
+			mustExec(t, primary.m, op.NewCreate("A", []byte("a")))
+			mustExec(t, primary.m, op.NewPhysioWrite("A", op.FuncAppend, []byte("+")))
+			xyz := &op.Operation{Kind: op.KindPhysicalWrite, WriteSet: []op.ObjectID{"X", "Y", "Z"},
+				Values: map[op.ObjectID][]byte{"X": []byte("x"), "Y": []byte("y"), "Z": []byte("z")}}
+			mustExec(t, primary.m, xyz)
+			mustExec(t, primary.m, op.NewPhysicalWrite("X", []byte("x2"))) // blind: X joins Notx
+			if err := primary.m.PurgeAll(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The store's write probe sees the twin's log as the stable write
+			// starts.
+			var atWrite op.SI
+			twin.store.SetWriteProbe(func() error {
+				atWrite = twin.log.StableLSN()
+				return nil
+			})
+			var installs, notx int
+			for _, rec := range recordsFrom(t, primary.log, 1) {
+				if err := twin.log.AppendShipped(rec); err != nil {
+					t.Fatal(err)
+				}
+				var want op.SI
+				switch rec.Type {
+				case wal.RecInstall:
+					want = slices.Max(rec.Install.Ops)
+					for _, u := range rec.Install.Unflushed {
+						if e, ok := twin.m.lookup(u.ID); ok && len(e.pending) > 0 {
+							want = max(want, e.pending[len(e.pending)-1])
+							notx++
+						}
+					}
+				case wal.RecFlush:
+					e, _ := twin.m.lookup(rec.Flush.Object)
+					id, _ := twin.m.wg.NodeOfOp(e.vsi)
+					for _, o := range twin.m.wg.Node(id).Ops {
+						want = max(want, o.LSN)
+					}
+				}
+				atWrite = 0
+				if err := twin.mirror(rec); err != nil {
+					t.Fatalf("mirroring %s record %d: %v", rec.Type, rec.LSN, err)
+				}
+				if want == 0 {
+					continue
+				}
+				installs++
+				if atWrite < want {
+					t.Errorf("mirroring %s record %d wrote the store at stable LSN %d, want at least %d", rec.Type, rec.LSN, atWrite, want)
+				}
+			}
+			if installs == 0 || notx == 0 {
+				t.Fatalf("mirrored %d installs with %d Notx objects; the case needs both", installs, notx)
+			}
+		})
 	}
 }

@@ -27,8 +27,7 @@ import (
 // MirrorInstall applies a primary install record to the standby: it derives
 // the installation step's inputs from the record — the write-graph nodes
 // holding the record's operations, the flushed objects, the unflushed (Notx)
-// objects — and runs the same step the primary ran.  The caller must already
-// have forced the standby's log through the record's LSN (WAL protocol).
+// objects — and runs the same step the primary ran, log force included.
 //
 // The nodes are minimal here whenever they were minimal on the primary: the
 // standby applied the same operation prefix, so every edge it derives also

@@ -1,10 +1,14 @@
-// Package lint hosts lllint, a suite of static analyzers that mechanically
-// enforce the recovery-critical invariants this engine's correctness rests
-// on: deterministic redo replay (bit-identical at any worker count),
-// map-iteration order never leaking into installation-graph edge order or
-// flush-set construction, WAL/stable force errors always observed, counters
-// accessed atomically everywhere or nowhere, and decoded log records treated
-// as immutable snapshots.
+// Package lint hosts lllint, a suite of six static analyzers that
+// mechanically enforce the recovery-critical invariants this engine's
+// correctness rests on: deterministic redo replay (bit-identical at any
+// worker count; map-iteration order never leaking into installation-graph
+// edge order or flush-set construction), the engine/cache/stable/wal lock
+// order, WAL/stable force errors always observed, counters accessed
+// atomically everywhere or nowhere, decoded log records treated as
+// immutable snapshots, and obs spans always ended.  Every analyzer looks at
+// one package at a time.  The write-ahead rule is not a lint: the cache
+// manager's installation step, the one writer of the stable store, forces
+// the log itself before it writes.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Reportf, analysistest-style fixtures) but is
@@ -18,7 +22,8 @@
 //
 // placed either at the end of the offending line or on the line directly
 // above it.  The reason is mandatory; a directive without one is itself
-// reported.
+// reported, as is one that can never suppress anything (see
+// suppressions.stale).
 package lint
 
 import (
@@ -63,21 +68,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	pkgRef *Package
-	prog   *Program
-	diags  []Diagnostic
-}
-
-// pkg returns the loaded package under analysis.
-func (p *Pass) pkg() *Package { return p.pkgRef }
-
-// program returns the module-wide interprocedural view shared by every pass
-// of one Lint run (built over just this package when run standalone).
-func (p *Pass) program() *Program {
-	if p.prog == nil {
-		p.prog = BuildProgram([]*Package{p.pkgRef})
-	}
-	return p.prog
+	diags []Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -98,9 +89,6 @@ func Analyzers() []*Analyzer {
 		AtomicMix,
 		LogRecPurity,
 		SpanEnd,
-		WalOrder,
-		BufEscape,
-		CritSection,
 	}
 }
 
@@ -116,11 +104,9 @@ func AnalyzerByName(name string) *Analyzer {
 
 // Lint runs every analyzer that matches each package, applies suppression
 // directives, and returns the surviving findings sorted by position.
-// Malformed directives — and stale ones, whose every named analyzer ran yet
-// suppressed nothing — are reported as findings of the pseudo-analyzer
-// "directive".
+// Malformed and stale directives are reported as findings of the
+// pseudo-analyzer "directive" (see suppressions.stale).
 func Lint(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := BuildProgram(pkgs)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup, bad := collectDirectives(pkg.Fset, pkg.Files)
@@ -131,13 +117,13 @@ func Lint(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				continue
 			}
 			ran[a.Name] = true
-			diags, err := runOne(a, pkg, prog)
+			diags, err := runOne(a, pkg)
 			if err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
 			out = append(out, sup.filter(diags)...)
 		}
-		out = append(out, sup.stale(ran)...)
+		out = append(out, sup.stale(pkg.ImportPath, ran)...)
 	}
 	sortDiagnostics(out)
 	return out, nil
@@ -147,38 +133,24 @@ func Lint(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // predicate (fixture tests exercise analyzers on testdata packages whose
 // import paths would never match).  Suppression directives still apply.
 func RunUnfiltered(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunUnfilteredAll(a, []*Package{pkg})
-}
-
-// RunUnfilteredAll runs one analyzer across a set of packages sharing one
-// interprocedural Program — multi-package fixture trees use this so
-// cross-package facts resolve.
-func RunUnfilteredAll(a *Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	prog := BuildProgram(pkgs)
-	var out []Diagnostic
-	for _, pkg := range pkgs {
-		sup, bad := collectDirectives(pkg.Fset, pkg.Files)
-		out = append(out, bad...)
-		diags, err := runOne(a, pkg, prog)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sup.filter(diags)...)
-		out = append(out, sup.stale(map[string]bool{a.Name: true})...)
+	sup, out := collectDirectives(pkg.Fset, pkg.Files)
+	diags, err := runOne(a, pkg)
+	if err != nil {
+		return nil, err
 	}
+	out = append(out, sup.filter(diags)...)
+	out = append(out, sup.stale(pkg.ImportPath, map[string]bool{a.Name: true})...)
 	sortDiagnostics(out)
 	return out, nil
 }
 
-func runOne(a *Analyzer, pkg *Package, prog *Program) ([]Diagnostic, error) {
+func runOne(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Pkg,
 		Info:     pkg.Info,
-		pkgRef:   pkg,
-		prog:     prog,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, err
@@ -285,12 +257,24 @@ func (s *suppressions) filter(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// stale reports directives whose every named analyzer ran on the package yet
-// none suppressed a finding — dead weight that hides future regressions.
-// Directives naming an analyzer that did not run are not judged.
-func (s *suppressions) stale(ran map[string]bool) []Diagnostic {
+// stale reports directives that suppress nothing in package pkgPath.  A
+// directive naming an analyzer outside the suite, or one that did not run
+// and whose Match excludes the package, can never apply — judged on Match,
+// not on which analyzers this run selected.  A directive whose every named
+// analyzer ran yet none suppressed a finding is dead weight that hides
+// future regressions.  Any other directive naming an analyzer that did not
+// run is not judged.
+func (s *suppressions) stale(pkgPath string, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
+	report := func(d *directive, format string, args ...any) {
+		out = append(out, Diagnostic{Pos: d.pos, Message: fmt.Sprintf(format, args...), Analyzer: "directive"})
+	}
 	for _, d := range s.all {
+		names := strings.Join(d.names, ",")
+		if why := cannotApply(d.names, pkgPath, ran); why != "" {
+			report(d, "stale //lint:ignore %s: %s (delete the directive)", names, why)
+			continue
+		}
 		judgeable, usedAny := true, false
 		for _, n := range d.names {
 			if !ran[n] {
@@ -301,17 +285,26 @@ func (s *suppressions) stale(ran map[string]bool) []Diagnostic {
 				usedAny = true
 			}
 		}
-		if !judgeable || usedAny {
-			continue
+		if judgeable && !usedAny {
+			report(d, "stale //lint:ignore %s: it suppresses nothing here (delete the directive)", names)
 		}
-		out = append(out, Diagnostic{
-			Pos: d.pos,
-			Message: fmt.Sprintf("stale //lint:ignore %s: it suppresses nothing here (delete the directive)",
-				strings.Join(d.names, ",")),
-			Analyzer: "directive",
-		})
 	}
 	return out
+}
+
+// cannotApply says why a directive naming names can never suppress a finding
+// in package pkgPath, or returns "" when it can.
+func cannotApply(names []string, pkgPath string, ran map[string]bool) string {
+	for _, n := range names {
+		a := AnalyzerByName(n)
+		switch {
+		case a == nil:
+			return fmt.Sprintf("%q is not an lllint analyzer", n)
+		case !ran[n] && a.Match != nil && !a.Match(pkgPath):
+			return fmt.Sprintf("%s never runs on %s", n, pkgPath)
+		}
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------------

@@ -30,32 +30,30 @@ type expectation struct {
 // be matched by a diagnostic and every diagnostic must be claimed by a want.
 func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pkgs, err := LoadFixtureTree(filepath.Join("testdata", "src", dir), fixturePatterns...)
+	pkg, err := LoadFixture(filepath.Join("testdata", "src", dir), fixturePatterns...)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := RunUnfilteredAll(a, pkgs)
+	diags, err := RunUnfiltered(a, pkg)
 	if err != nil {
 		t.Fatalf("running %s on fixture %s: %v", a.Name, dir, err)
 	}
 
 	var wants []expectation
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if strings.HasPrefix(c.Text, directivePrefix) && !strings.Contains(c.Text, "// want") {
-						continue // a directive's reason text is not an expectation,
-						// unless the stale-directive fixture embeds one explicitly
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, directivePrefix) && !strings.Contains(c.Text, "// want") {
+					continue // a directive's reason text is not an expectation,
+					// unless the stale-directive fixture embeds one explicitly
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[1], err)
 					}
-					pos := pkg.Fset.Position(c.Pos())
-					for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
-						re, err := regexp.Compile(m[1])
-						if err != nil {
-							t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[1], err)
-						}
-						wants = append(wants, expectation{pos.Filename, pos.Line, re})
-					}
+					wants = append(wants, expectation{pos.Filename, pos.Line, re})
 				}
 			}
 		}
@@ -93,17 +91,11 @@ func TestForceCheckFixture(t *testing.T)   { runFixture(t, ForceCheck, "forceche
 func TestAtomicMixFixture(t *testing.T)    { runFixture(t, AtomicMix, "atomicmix") }
 func TestLogRecPurityFixture(t *testing.T) { runFixture(t, LogRecPurity, "logrecpurity") }
 func TestSpanEndFixture(t *testing.T)      { runFixture(t, SpanEnd, "spanend") }
-func TestWalOrderFixture(t *testing.T)     { runFixture(t, WalOrder, "walorder") }
-func TestBufEscapeFixture(t *testing.T)    { runFixture(t, BufEscape, "bufescape") }
-func TestCritSectionFixture(t *testing.T)  { runFixture(t, CritSection, "critsection") }
-
-// TestBufEscapeLaneFixture exercises bufescape's lane mode: the fixture
-// declares `package wal`, which is what switches the analyzer to arena/lane
-// escape checking.
-func TestBufEscapeLaneFixture(t *testing.T) { runFixture(t, BufEscape, "bufescapelane") }
 
 // TestStaleDirective checks that an ignore suppressing nothing is itself
-// reported once its analyzer has run.
+// reported once its analyzer has run, and that one naming an unknown
+// analyzer, or one whose Match excludes the package, is reported whether or
+// not it ran.
 func TestStaleDirective(t *testing.T) { runFixture(t, ForceCheck, "staledirective") }
 
 // TestSuppression exercises //lint:ignore in both placements (leading line
@@ -149,7 +141,6 @@ func TestAnalyzerRegistry(t *testing.T) {
 	names := []string{
 		"replaydeterminism", "lockorder", "forcecheck", "atomicmix",
 		"logrecpurity", "spanend",
-		"walorder", "bufescape", "critsection",
 	}
 	as := Analyzers()
 	if len(as) != len(names) {

@@ -102,7 +102,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	var out []*Package
 	for _, base := range sortedKeys(targets) {
-		p, err := check(fset, targets[base], base, exports, nil)
+		p, err := check(fset, targets[base], base, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -138,101 +138,7 @@ func LoadFixture(dir string, patterns ...string) (*Package, error) {
 	}
 	fset := token.NewFileSet()
 	lp := listPkg{Dir: "", GoFiles: names}
-	return check(fset, lp, "fixture/"+filepath.Base(dir), exports, nil)
-}
-
-// LoadFixtureTree loads a fixture directory together with its
-// subdirectories, each a package importable by the others as
-// "fixture/<root-basename>/<subpath>".  Cross-package analyzer fixtures use
-// this; packages type-check in dependency order and resolve their fixture
-// imports in memory.
-func LoadFixtureTree(root string, patterns ...string) ([]*Package, error) {
-	entries, err := goList(".", false, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(entries))
-	for _, e := range entries {
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
-
-	base := filepath.Dir(root) // testdata/src
-	type fixDir struct {
-		path  string // fixture import path
-		files []string
-		deps  []string // fixture imports
-	}
-	var dirs []fixDir
-	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		names, err := filepath.Glob(filepath.Join(p, "*.go"))
-		if err != nil || len(names) == 0 {
-			return err
-		}
-		rel, err := filepath.Rel(base, p)
-		if err != nil {
-			return err
-		}
-		fd := fixDir{path: "fixture/" + filepath.ToSlash(rel), files: names}
-		importFset := token.NewFileSet()
-		for _, name := range names {
-			f, err := parser.ParseFile(importFset, name, nil, parser.ImportsOnly)
-			if err != nil {
-				return fmt.Errorf("lint: parse %s: %w", name, err)
-			}
-			for _, imp := range f.Imports {
-				ip := strings.Trim(imp.Path.Value, `"`)
-				if strings.HasPrefix(ip, "fixture/") {
-					fd.deps = append(fd.deps, ip)
-				}
-			}
-		}
-		dirs = append(dirs, fd)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("lint: no fixture files under %s", root)
-	}
-
-	fset := token.NewFileSet()
-	mem := make(map[string]*types.Package)
-	var out []*Package
-	for len(dirs) > 0 {
-		progress := false
-		var deferred []fixDir
-		for _, fd := range dirs {
-			ready := true
-			for _, dep := range fd.deps {
-				if _, ok := mem[dep]; !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				deferred = append(deferred, fd)
-				continue
-			}
-			pkg, err := check(fset, listPkg{GoFiles: fd.files}, fd.path, exports, mem)
-			if err != nil {
-				return nil, err
-			}
-			mem[fd.path] = pkg.Pkg
-			out = append(out, pkg)
-			progress = true
-		}
-		if !progress {
-			return nil, fmt.Errorf("lint: import cycle among fixture packages under %s", root)
-		}
-		dirs = deferred
-	}
-	return out, nil
+	return check(fset, lp, "fixture/"+filepath.Base(dir), exports)
 }
 
 func goList(dir string, test bool, patterns []string) ([]listPkg, error) {
@@ -272,25 +178,10 @@ func goList(dir string, test bool, patterns []string) ([]listPkg, error) {
 	return entries, nil
 }
 
-// memImporter serves already-checked fixture packages ahead of the
-// export-data importer.
-type memImporter struct {
-	mem      map[string]*types.Package
-	fallback types.Importer
-}
-
-func (m memImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.mem[path]; ok {
-		return p, nil
-	}
-	return m.fallback.Import(path)
-}
-
 // check parses and type-checks one target.  forTest resolution: an external
 // test package imports the test variant of its package under test, so the
-// importer first tries the variant key.  mem, when non-nil, resolves
-// fixture-tree imports checked earlier in the same load.
-func check(fset *token.FileSet, lp listPkg, path string, exports map[string]string, mem map[string]*types.Package) (*Package, error) {
+// importer first tries the variant key.
+func check(fset *token.FileSet, lp listPkg, path string, exports map[string]string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		full := name
@@ -326,11 +217,7 @@ func check(fset *token.FileSet, lp listPkg, path string, exports map[string]stri
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	var imp types.Importer = importer.ForCompiler(fset, "gc", lookup)
-	if mem != nil {
-		imp = memImporter{mem: mem, fallback: imp}
-	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)

@@ -73,7 +73,6 @@ func classOf(typeName, fieldName string) *lockClass {
 // lockEvent is one mutex operation in source order within a function.
 type lockEvent struct {
 	recv     string // receiver expression, e.g. "e.mu" or "sh.mu"
-	key      string // canonical lock key ("Type.field"), for summary lookups
 	method   string // Lock, RLock, Unlock, RUnlock
 	pos      ast.Node
 	class    *lockClass // nil when the mutex is not a ranked class
@@ -120,10 +119,8 @@ func collectLockEvents(p *Pass, body *ast.BlockStmt) []lockEvent {
 		if !isSyncMutex(p.Info.TypeOf(sel.X)) {
 			return
 		}
-		key, _ := lockKeyFor(p.Info, p.Pkg, sel.X)
 		ev := lockEvent{
 			recv:     types.ExprString(sel.X),
-			key:      key,
 			method:   method,
 			pos:      call,
 			deferred: deferred,
@@ -151,16 +148,8 @@ func collectLockEvents(p *Pass, body *ast.BlockStmt) []lockEvent {
 }
 
 // checkPairing reports Lock/RLock calls with no matching Unlock/RUnlock on
-// the same receiver expression anywhere in the function.  A function the
-// interprocedural layer classifies as an acquire helper for that lock
-// (a lockAll sweep: every exit deliberately holds the striped locks) is exempt —
-// the critsection analyzer enforces the matching release at its call sites.
+// the same receiver expression anywhere in the function.
 func checkPairing(p *Pass, fd *ast.FuncDecl, events []lockEvent) {
-	var sum Summary
-	p.program().Resolve()
-	if fi := p.program().funcInfoForDecl(p.pkg(), fd); fi != nil {
-		sum = fi.Sum
-	}
 	releasedBy := map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
 	for _, acq := range events {
 		rel, isAcquire := releasedBy[acq.method]
@@ -173,10 +162,6 @@ func checkPairing(p *Pass, fd *ast.FuncDecl, events []lockEvent) {
 				paired = true
 				break
 			}
-		}
-		if !paired && sum.NetAcquires[acq.key] && p.program().HasReleaseHelper(acq.key) {
-			continue // acquire helper with a matching release helper: the
-			// critsection analyzer enforces the release at call sites
 		}
 		if !paired {
 			p.Reportf(acq.pos.Pos(),
@@ -223,7 +208,7 @@ func checkOrdering(p *Pass, events []lockEvent) {
 					p.Reportf(e.pos.Pos(),
 						"acquiring %s (rank %d) while holding %s (rank %d) violates the "+
 							"documented lock order %s",
-						e.class.desc, e.class.rank, h.class.desc, h.class.rank, orderSummary())
+						e.class.desc, e.class.rank, h.class.desc, h.class.rank, documentedOrder())
 				}
 			}
 			holding = append(holding, held{recv: e.recv, class: e.class})
@@ -242,7 +227,7 @@ func isSyncMutex(t types.Type) bool {
 	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
 }
 
-func orderSummary() string {
+func documentedOrder() string {
 	s := ""
 	for i, c := range lockRanks {
 		if i > 0 {

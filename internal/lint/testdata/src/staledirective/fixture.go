@@ -1,6 +1,7 @@
-// Package staledirective carries one live, one dead, and one unjudged
-// //lint:ignore so the stale-directive report can be exercised: the dead
-// one names an analyzer that runs here yet suppresses nothing.
+// Package staledirective carries live, stale and unjudged //lint:ignore
+// directives so the stale-directive report can be exercised: a stale one
+// names an analyzer that runs here yet suppresses nothing, an analyzer not
+// in the suite, or one whose Match excludes this package.
 package staledirective
 
 type Log struct{}
@@ -26,4 +27,24 @@ func forceTight(l *Log) error {
 func idle(l *Log) error {
 	//lint:ignore lockorder fixture: this analyzer does not run here
 	return l.Force()
+}
+
+// unknown: no analyzer of that name is in the suite, so the directive can
+// never suppress anything.
+func unknown(l *Log) error {
+	//lint:ignore walorder fixture: no such analyzer // want "stale //lint:ignore walorder: \"walorder\" is not an lllint analyzer"
+	return l.Force()
+}
+
+// excluded: replaydeterminism's Match rejects this package, so the
+// directive is dead even though that analyzer did not run here.
+func excluded(l *Log) error {
+	//lint:ignore replaydeterminism fixture: never runs on this package // want "stale //lint:ignore replaydeterminism: replaydeterminism never runs on fixture/staledirective"
+	return l.Force()
+}
+
+// mixed: one dead name condemns the directive even beside a live one.
+func mixed(l *Log) {
+	//lint:ignore forcecheck,nosuch fixture: one name is not an analyzer // want "stale //lint:ignore forcecheck,nosuch: \"nosuch\" is not an lllint analyzer"
+	l.Force()
 }

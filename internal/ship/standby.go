@@ -324,10 +324,8 @@ func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, err error
 	case wal.RecOperation:
 		out, err = s.step.Apply(rec.Op)
 	case wal.RecInstall:
-		//lint:ignore walorder live apply forces through rec.LSN before calling; restart replay reads the standby's own durable log, where every record was forced before it became scannable
 		err = s.mgr.MirrorInstall(rec.Install)
 	case wal.RecFlush:
-		//lint:ignore walorder as for RecInstall: forced by applyAppendedLocked, or already durable when replayed at restart
 		err = s.mgr.MirrorFlush(rec.Flush)
 	}
 	if err != nil {

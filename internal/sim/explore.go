@@ -558,7 +558,6 @@ func checkExplainableState(eng *core.Engine, rec *runRecorder, fl *flight.Record
 	}
 	snap := eng.Store().Snapshot()
 	S := make(map[op.ObjectID][]byte)
-	//lint:ignore replaydeterminism map copy; resulting map identical in any order
 	for id, v := range snap {
 		S[id] = v.Val
 	}

@@ -652,7 +652,6 @@ func (l *Log) RegisterRetention(name string, fn func() op.SI) (release func()) {
 func (l *Log) retentionFloor() op.SI {
 	l.retainMu.Lock()
 	hooks := make([]retentionHook, 0, len(l.retain))
-	//lint:ignore replaydeterminism commutative min-fold over hooks
 	for _, h := range l.retain {
 		hooks = append(hooks, h)
 	}
