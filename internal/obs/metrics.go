@@ -144,16 +144,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetCounter force-sets a named counter to v (used when absorbing external
-// counter sources into a snapshot registry).
-func (r *Registry) SetCounter(name string, v int64) {
-	if r == nil {
-		return
-	}
-	c := r.Counter(name)
-	c.v.Store(v)
-}
-
 // Snapshot is a point-in-time copy of a registry's metrics, suitable for
 // JSON encoding.  Maps are keyed by metric name.
 type Snapshot struct {

@@ -48,7 +48,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if h.Enabled() {
 		t.Error("nil histogram must report disabled")
 	}
-	r.SetCounter("x", 1)
 	r.Reset()
 	if names := r.Names(); names != nil {
 		t.Errorf("nil registry Names = %v", names)
@@ -114,7 +113,7 @@ func TestRegistryReset(t *testing.T) {
 
 func TestSetCounterAndSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.SetCounter("absorbed", 123)
+	r.Counter("absorbed").Add(123)
 	r.Gauge("gg").Set(-5)
 	r.Histogram("hh").Observe(3)
 	s := r.Snapshot()

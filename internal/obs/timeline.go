@@ -105,23 +105,29 @@ func RenderTimeline(w io.Writer, events []Event) {
 }
 
 // renderBar places the event on a fixed-width gutter scaled to the whole
-// trace: '=' runs for spans, '|' for instants.
+// trace: '=' runs for spans, '!' for instants.  Columns are scaled in
+// float64 and clamped, so a trace file with absurd timestamps or negative
+// durations still renders inside the gutter.
 func renderBar(ev Event, start, total time.Duration, width int) string {
-	col := int(int64(ev.Start-start) * int64(width) / int64(total))
-	if col >= width {
-		col = width - 1
-	}
+	col := gutterCols(float64(ev.Start)-float64(start), total, width, 0, width-1)
 	if ev.Phase != "X" {
 		return strings.Repeat(" ", col) + "!" + strings.Repeat(" ", width-col-1)
 	}
-	span := int(int64(ev.Dur) * int64(width) / int64(total))
-	if span < 1 {
-		span = 1
-	}
-	if col+span > width {
-		span = width - col
-	}
+	span := gutterCols(float64(ev.Dur), total, width, 1, width-col)
 	return strings.Repeat(" ", col) + strings.Repeat("=", span) + strings.Repeat(" ", width-col-span)
+}
+
+// gutterCols converts d nanoseconds of a total-long trace into columns of
+// a width-column gutter, clamped to [lo, hi].
+func gutterCols(d float64, total time.Duration, width, lo, hi int) int {
+	c := d * float64(width) / float64(total)
+	if c < float64(lo) {
+		return lo
+	}
+	if c > float64(hi) {
+		return hi
+	}
+	return int(c)
 }
 
 func fmtDur(d time.Duration) string {

@@ -1,0 +1,82 @@
+package recovery_test
+
+import (
+	"fmt"
+	"testing"
+
+	"logicallog/internal/cache"
+	"logicallog/internal/op"
+	"logicallog/internal/recovery"
+	"logicallog/internal/stable"
+	"logicallog/internal/wal"
+	"logicallog/internal/writegraph"
+)
+
+// BenchmarkRedo times full redo of a log nothing has been installed from:
+// 512 independent chains of 20 physiological FuncAppend writes each
+// (10 240 ops), appended round-robin so the chains interleave in log order
+// the way concurrent writers leave them.  The store is in memory and reads
+// at memory speed, so the benchmark measures the redo step's CPU and
+// allocations only.  Each worker count must reproduce the one-worker Result
+// counters.  Run with -benchmem; redoops/s is the headline.
+func BenchmarkRedo(b *testing.B) {
+	const (
+		chains   = 512
+		perChain = 20
+		valSize  = 256
+	)
+	log, err := wal.New(wal.NewMemDevice())
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := make(map[op.ObjectID]stable.Versioned, chains)
+	val := make([]byte, valSize)
+	for j := 0; j < chains; j++ {
+		snap[op.ObjectID(fmt.Sprintf("chain%03d", j))] = stable.Versioned{Val: val}
+	}
+	for i := 0; i < perChain; i++ {
+		for j := 0; j < chains; j++ {
+			x := op.ObjectID(fmt.Sprintf("chain%03d", j))
+			if _, err := log.AppendOp(op.NewPhysioWrite(x, op.FuncAppend, []byte{byte(i), byte(j)})); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := log.Force(); err != nil {
+		b.Fatal(err)
+	}
+	store := stable.NewStore()
+	store.Restore(snap) // redo never writes the store, so one instance serves every run
+	recoverOnce := func(workers int) counters {
+		res, err := recovery.Recover(log, store, recovery.Options{
+			Test: recovery.TestRSI,
+			Cache: cache.Config{
+				Policy:      writegraph.PolicyRW,
+				Strategy:    cache.StrategyIdentityWrite,
+				LogInstalls: true,
+				Registry:    op.NewRegistry(),
+			},
+			RedoWorkers: workers,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return countersOf(res)
+	}
+	base := recoverOnce(1)
+	if base.Redone != chains*perChain {
+		b.Fatalf("one worker redid %d ops, want %d", base.Redone, chains*perChain)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			if got := recoverOnce(workers); got != base {
+				b.Fatalf("counters diverged from one worker:\n got %+v\nwant %+v", got, base)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recoverOnce(workers)
+			}
+			b.ReportMetric(float64(base.Redone)*float64(b.N)/b.Elapsed().Seconds(), "redoops/s")
+		})
+	}
+}

@@ -17,6 +17,8 @@ import (
 	"logicallog/internal/backup"
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
 	"logicallog/internal/sim"
@@ -75,20 +77,24 @@ type recovered struct {
 	vals map[op.ObjectID]string
 }
 
+func countersOf(res *recovery.Result) counters {
+	return counters{
+		CheckpointLSN:    res.CheckpointLSN,
+		RedoStart:        res.RedoStart,
+		Analyzed:         res.AnalyzedRecords,
+		Scanned:          res.ScannedOps,
+		Redone:           res.Redone,
+		SkippedInstalled: res.SkippedInstalled,
+		SkippedUnexposed: res.SkippedUnexposed,
+		Voided:           res.Voided,
+		Repaired:         res.PendingFlushTxnRepaired,
+	}
+}
+
 func collect(t *testing.T, res *recovery.Result, store *stable.Store, universe []op.ObjectID) recovered {
 	t.Helper()
 	r := recovered{
-		c: counters{
-			CheckpointLSN:    res.CheckpointLSN,
-			RedoStart:        res.RedoStart,
-			Analyzed:         res.AnalyzedRecords,
-			Scanned:          res.ScannedOps,
-			Redone:           res.Redone,
-			SkippedInstalled: res.SkippedInstalled,
-			SkippedUnexposed: res.SkippedUnexposed,
-			Voided:           res.Voided,
-			Repaired:         res.PendingFlushTxnRepaired,
-		},
+		c:    countersOf(res),
 		snap: store.Snapshot(),
 		vals: make(map[op.ObjectID]string, len(universe)),
 	}
@@ -122,12 +128,13 @@ func requireSame(t *testing.T, label string, got, base recovered) {
 	}
 }
 
-// recoverImage recovers an independent copy of the crash image with the
-// given worker count.  With demandSeed != 0 it goes through StartOnDemand
-// and races random RequireRead/RequireOp/RequireRange calls against the
-// background workers before Wait.
-func recoverImage(t *testing.T, img crashImage, test recovery.RedoTest, cfg cache.Config, workers int, universe []op.ObjectID, demandSeed int64) recovered {
+// recoverImage recovers an independent copy of the crash image under opts.
+// With demandSeed != 0 it goes through StartOnDemand and races random
+// RequireRead/RequireOp/RequireRange calls against the background workers
+// before Wait.
+func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe []op.ObjectID, demandSeed int64) recovered {
 	t.Helper()
+	workers := opts.RedoWorkers
 	dev := wal.NewMemDevice()
 	if err := dev.Append(img.logBytes); err != nil {
 		t.Fatal(err)
@@ -138,7 +145,6 @@ func recoverImage(t *testing.T, img crashImage, test recovery.RedoTest, cfg cach
 	}
 	store := stable.NewStore()
 	store.Restore(img.snap)
-	opts := recovery.Options{Test: test, Cache: cfg, RedoWorkers: workers}
 	if demandSeed == 0 {
 		res, err := recovery.Recover(log, store, opts)
 		if err != nil {
@@ -227,9 +233,12 @@ func parallelConfigs() map[string]core.Options {
 var workerCounts = []int{1, 2, 4, 8}
 
 // checkScenario recovers one crash image every way the scheduler can be
-// driven — Recover at every worker count, and StartOnDemand with racing
-// demand at every worker count — and requires identical counters, stable
+// driven — Recover at every worker count, StartOnDemand with racing demand
+// at every worker count, and Recover with a metrics registry, span tracer
+// and flight recorder attached — and requires identical counters, stable
 // snapshots, and recovered object values against the workers=1 Recover.
+// The instrumented run's decision counters must also equal the Result's
+// tallies, and its recorder and tracer must have seen the run.
 func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 	t.Helper()
 	img, universe := capture(t, opts, sc)
@@ -239,14 +248,34 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 		LogInstalls: opts.LogInstalls,
 		Registry:    op.NewRegistry(),
 	}
-	base := recoverImage(t, img, opts.RedoTest, cfg, workerCounts[0], universe, 0)
+	ropts := func(workers int) recovery.Options {
+		return recovery.Options{Test: opts.RedoTest, Cache: cfg, RedoWorkers: workers}
+	}
+	base := recoverImage(t, img, ropts(workerCounts[0]), universe, 0)
 	for _, w := range workerCounts {
 		if w != workerCounts[0] {
-			got := recoverImage(t, img, opts.RedoTest, cfg, w, universe, 0)
+			got := recoverImage(t, img, ropts(w), universe, 0)
 			requireSame(t, fmt.Sprintf("seed %d workers=%d", sc.Seed, w), got, base)
 		}
-		got := recoverImage(t, img, opts.RedoTest, cfg, w, universe, sc.Seed*131+int64(w))
+		got := recoverImage(t, img, ropts(w), universe, sc.Seed*131+int64(w))
 		requireSame(t, fmt.Sprintf("seed %d workers=%d demand-interleaved", sc.Seed, w), got, base)
+	}
+
+	reg, tracer := obs.NewRegistry(), obs.NewTracer()
+	fl := flight.NewRecorder(flight.DefaultRingSize)
+	inst := ropts(workerCounts[len(workerCounts)-1])
+	inst.Cache.Obs, inst.Obs, inst.Tracer, inst.Flight = reg, reg, tracer, fl
+	label := fmt.Sprintf("seed %d instrumented", sc.Seed)
+	requireSame(t, label, recoverImage(t, img, inst, universe, 0), base)
+	c := reg.Snapshot().Counters
+	if c["recovery.decide.redo"] != int64(base.c.Redone) ||
+		c["recovery.decide.skip_installed"] != int64(base.c.SkippedInstalled) ||
+		c["recovery.decide.skip_unexposed"] != int64(base.c.SkippedUnexposed) ||
+		c["recovery.decide.voided"] != int64(base.c.Voided) {
+		t.Errorf("%s: decide counters %v disagree with %+v", label, c, base.c)
+	}
+	if events, _, _ := fl.Counters(); base.c.Scanned > 0 && (events == 0 || len(tracer.Events()) == 0) {
+		t.Errorf("%s: %d flight events, %d trace events", label, events, len(tracer.Events()))
 	}
 }
 

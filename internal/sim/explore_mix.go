@@ -42,12 +42,13 @@ const mixReadyID = op.ObjectID("mix/ready")
 
 func mixLSMOptions() lsm.Options { return lsm.Options{FlushThreshold: 6, Fanout: 3} }
 
-// mixSeed derives a per-mix, per-domain driver seed.  FNV keeps it stable
-// across runs and distinct across mixes, which is all determinism needs.
-func mixSeed(mixName string, domain int) int64 {
+// mixSeed derives a per-mix driver seed: the B+tree driver uses it, the
+// LSM driver the next integer.  FNV keeps it stable across runs and
+// distinct across mixes, which is all determinism needs.
+func mixSeed(mixName string) int64 {
 	h := fnv.New32a()
 	h.Write([]byte(mixName))
-	return mixSeedBase + int64(h.Sum32()%100000)*2 + int64(domain)
+	return mixSeedBase + int64(h.Sum32()%100000)*2
 }
 
 // registerDomains installs the B+tree and LSM transforms if absent (the
@@ -79,92 +80,115 @@ func withDomainRegistry(cfg NamedConfig) NamedConfig {
 	return cfg
 }
 
-// mixExploreScript returns the pre-crash script driving both domains
-// through the mix.  Structure mirrors runExploreScript: a bootstrap phase
-// flushed and truncated off the log (anchoring the explainability check),
-// then interleaved driver steps with periodic forces, minimal installs,
-// non-truncating checkpoints, and full purges.
-func mixExploreScript(mix workload.Mix) exploreScript {
-	return func(eng *core.Engine, rec *runRecorder, rogue RogueHook) error {
-		registerDomains(eng.Registry())
-		tree, err := btree.New(eng, mixTreeName, mixTreeOrder)
-		if err != nil {
-			return fmt.Errorf("btree new: %w", err)
-		}
-		kv, err := lsm.New(eng, mixTreeName, mixLSMOptions())
-		if err != nil {
-			return fmt.Errorf("lsm new: %w", err)
-		}
-		btDrv, err := workload.NewMixDriver(mix, mixSeed(mix.Name, 0))
-		if err != nil {
-			return fmt.Errorf("btree driver: %w", err)
-		}
-		lsmDrv, err := workload.NewMixDriver(mix, mixSeed(mix.Name, 1))
-		if err != nil {
-			return fmt.Errorf("lsm driver: %w", err)
-		}
+// driveMix drives a leaf-linked B+tree (driver seed seed) and an LSM tree
+// (seed+1) on eng through mix.  A bootstrap phase populates both, writes
+// the ready marker, then flushes and checkpoints so the initial domain
+// state exists only in the stable database; if rec is non-nil it records
+// that stable snapshot.  Then steps interleaved driver steps run, each
+// preceded by the periodic schedule: forces, minimal installs,
+// non-truncating checkpoints, and full purges, every one whose period
+// matches.  before (may be nil) runs ahead of each step's schedule; check
+// (may be nil) runs after each domain step.  The tail is not forced.
+func driveMix(eng *core.Engine, mix workload.Mix, seed int64, steps int, rec *runRecorder,
+	before func(step int) error, check func(*core.Engine) error) error {
+	registerDomains(eng.Registry())
+	tree, err := btree.New(eng, mixTreeName, mixTreeOrder)
+	if err != nil {
+		return fmt.Errorf("btree new: %w", err)
+	}
+	kv, err := lsm.New(eng, mixTreeName, mixLSMOptions())
+	if err != nil {
+		return fmt.Errorf("lsm new: %w", err)
+	}
+	btDrv, err := workload.NewMixDriver(mix, seed)
+	if err != nil {
+		return fmt.Errorf("btree driver: %w", err)
+	}
+	lsmDrv, err := workload.NewMixDriver(mix, seed+1)
+	if err != nil {
+		return fmt.Errorf("lsm driver: %w", err)
+	}
 
-		// Phase 0: base population, then flush and truncate so the initial
-		// domain state exists only in the stable database.
-		if err := btDrv.Steps(tree, mixBootSteps); err != nil {
-			return fmt.Errorf("btree bootstrap: %w", err)
-		}
-		if err := lsmDrv.Steps(kv, mixBootSteps); err != nil {
-			return fmt.Errorf("lsm bootstrap: %w", err)
-		}
-		if err := eng.Execute(op.NewCreate(mixReadyID, []byte{1})); err != nil {
-			return fmt.Errorf("ready marker: %w", err)
-		}
-		if err := eng.FlushAll(); err != nil {
-			return fmt.Errorf("base flush: %w", err)
-		}
-		if err := eng.Checkpoint(); err != nil {
-			return fmt.Errorf("base checkpoint: %w", err)
-		}
+	if err := btDrv.Steps(tree, mixBootSteps); err != nil {
+		return fmt.Errorf("btree bootstrap: %w", err)
+	}
+	if err := lsmDrv.Steps(kv, mixBootSteps); err != nil {
+		return fmt.Errorf("lsm bootstrap: %w", err)
+	}
+	if err := eng.Execute(op.NewCreate(mixReadyID, []byte{1})); err != nil {
+		return fmt.Errorf("ready marker: %w", err)
+	}
+	if err := eng.FlushAll(); err != nil {
+		return fmt.Errorf("base flush: %w", err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		return fmt.Errorf("base checkpoint: %w", err)
+	}
+	if rec != nil {
 		initial := make(map[op.ObjectID][]byte)
 		for id, v := range eng.Store().Snapshot() {
 			initial[id] = append([]byte(nil), v.Val...)
 		}
 		rec.initial = initial
+	}
 
-		for step := 0; step < mixSteps; step++ {
-			if rogue != nil {
-				if err := rogue(step, eng); err != nil {
-					return fmt.Errorf("rogue hook at step %d: %w", step, err)
-				}
+	for step := 0; step < steps; step++ {
+		if before != nil {
+			if err := before(step); err != nil {
+				return fmt.Errorf("hook at step %d: %w", step, err)
 			}
-			if step%3 == 1 {
-				if err := eng.Log().Force(); err != nil {
-					return fmt.Errorf("force at step %d: %w", step, err)
-				}
+		}
+		if step%3 == 1 {
+			if err := eng.Log().Force(); err != nil {
+				return fmt.Errorf("force at step %d: %w", step, err)
 			}
-			if step%4 == 2 {
-				if err := eng.InstallOne(); err != nil {
-					return fmt.Errorf("install at step %d: %w", step, err)
-				}
+		}
+		if step%4 == 2 {
+			if err := eng.InstallOne(); err != nil {
+				return fmt.Errorf("install at step %d: %w", step, err)
 			}
-			if step%17 == 11 {
-				if err := eng.CheckpointOnly(); err != nil {
-					return fmt.Errorf("checkpoint at step %d: %w", step, err)
-				}
+		}
+		if step%17 == 11 {
+			if err := eng.CheckpointOnly(); err != nil {
+				return fmt.Errorf("checkpoint at step %d: %w", step, err)
 			}
-			if step%23 == 19 {
-				if err := eng.FlushAll(); err != nil {
-					return fmt.Errorf("purge at step %d: %w", step, err)
-				}
+		}
+		if step%23 == 19 {
+			if err := eng.FlushAll(); err != nil {
+				return fmt.Errorf("purge at step %d: %w", step, err)
 			}
-			if err := btDrv.Step(tree); err != nil {
-				return fmt.Errorf("btree step %d: %w", step, err)
-			}
-			if err := checkWriteGraph(eng); err != nil {
+		}
+		if err := btDrv.Step(tree); err != nil {
+			return fmt.Errorf("btree step %d: %w", step, err)
+		}
+		if check != nil {
+			if err := check(eng); err != nil {
 				return fmt.Errorf("after btree step %d: %w", step, err)
 			}
-			if err := lsmDrv.Step(kv); err != nil {
-				return fmt.Errorf("lsm step %d: %w", step, err)
-			}
-			if err := checkWriteGraph(eng); err != nil {
+		}
+		if err := lsmDrv.Step(kv); err != nil {
+			return fmt.Errorf("lsm step %d: %w", step, err)
+		}
+		if check != nil {
+			if err := check(eng); err != nil {
 				return fmt.Errorf("after lsm step %d: %w", step, err)
 			}
+		}
+	}
+	return nil
+}
+
+// mixExploreScript returns the pre-crash script driving both domains
+// through the mix: driveMix under the rogue hook with the write graph
+// checked after every domain step, then a final force.
+func mixExploreScript(mix workload.Mix) exploreScript {
+	return func(eng *core.Engine, rec *runRecorder, rogue RogueHook) error {
+		var before func(int) error
+		if rogue != nil {
+			before = func(step int) error { return rogue(step, eng) }
+		}
+		if err := driveMix(eng, mix, mixSeed(mix.Name), mixSteps, rec, before, checkWriteGraph); err != nil {
+			return err
 		}
 		if err := eng.Log().Force(); err != nil {
 			return fmt.Errorf("final force: %w", err)
@@ -173,15 +197,16 @@ func mixExploreScript(mix workload.Mix) exploreScript {
 	}
 }
 
-// checkMixDomains is the post-recovery domain pass: if the bootstrap marker
-// survived (so both domains are fully present in the recovered prefix),
-// reopen each, check its structural invariants, and scan it end to end.
-// It runs after oracle verification, so a failure here means the recovered
-// object values are right but the domain built atop them is not — a torn
-// leaf chain, a manifest naming a lost table.  The check never mutates
-// state: the post-check flush re-verification still sees the recovered
-// image.
-func checkMixDomains(eng *core.Engine) error {
+// VerifyMixDomains is the post-recovery domain pass: if the bootstrap
+// marker survived (so both domains are fully present in the recovered
+// prefix), reopen each, check its structural invariants, and scan it end
+// to end.  It runs after oracle verification, so a failure here means the
+// recovered object values are right but the domain built atop them is not
+// — a torn leaf chain, a manifest naming a lost table.  The check never
+// mutates state: the post-check flush re-verification still sees the
+// recovered image.  llrun -scenario runs it on a recovered or promoted
+// engine.
+func VerifyMixDomains(eng *core.Engine) error {
 	if _, err := eng.Get(mixReadyID); err != nil {
 		return nil // crashed mid-bootstrap; no complete domain to check
 	}
@@ -208,83 +233,18 @@ func checkMixDomains(eng *core.Engine) error {
 	return nil
 }
 
-// DriveMixWorkload is the llrun -scenario entry point: it drives the named
-// scenario mix against a leaf-linked B+tree and an LSM tree on eng, with
-// the same bootstrap-then-interleave shape the explorer uses.  hook (may be
-// nil) runs before every step — llrun's standby pump.  Like DriveWorkload,
-// it does not force the tail: a crash afterwards loses unforced steps,
-// which is the demo's point.  VerifyMixDomains checks the recovered state.
+// DriveMixWorkload is the llrun -scenario entry point: driveMix over the
+// named scenario mix, with hook (may be nil) ahead of every step — llrun's
+// standby pump.  Like DriveWorkload, it does not force the tail: a crash
+// afterwards loses unforced steps.  VerifyMixDomains checks the recovered
+// state.
 func DriveMixWorkload(eng *core.Engine, mixName string, seed int64, steps int, hook func(step int) error) error {
 	mix, err := workload.ParseMix(mixName)
 	if err != nil {
 		return err
 	}
-	registerDomains(eng.Registry())
-	tree, err := btree.New(eng, mixTreeName, mixTreeOrder)
-	if err != nil {
-		return fmt.Errorf("btree new: %w", err)
-	}
-	kv, err := lsm.New(eng, mixTreeName, mixLSMOptions())
-	if err != nil {
-		return fmt.Errorf("lsm new: %w", err)
-	}
-	btDrv, err := workload.NewMixDriver(mix, seed)
-	if err != nil {
-		return err
-	}
-	lsmDrv, err := workload.NewMixDriver(mix, seed+1)
-	if err != nil {
-		return err
-	}
-	if err := btDrv.Steps(tree, mixBootSteps); err != nil {
-		return fmt.Errorf("btree bootstrap: %w", err)
-	}
-	if err := lsmDrv.Steps(kv, mixBootSteps); err != nil {
-		return fmt.Errorf("lsm bootstrap: %w", err)
-	}
-	if err := eng.Execute(op.NewCreate(mixReadyID, []byte{1})); err != nil {
-		return fmt.Errorf("ready marker: %w", err)
-	}
-	if err := eng.FlushAll(); err != nil {
-		return fmt.Errorf("base flush: %w", err)
-	}
-	if err := eng.Checkpoint(); err != nil {
-		return fmt.Errorf("base checkpoint: %w", err)
-	}
-	for step := 0; step < steps; step++ {
-		if hook != nil {
-			if err := hook(step); err != nil {
-				return fmt.Errorf("step hook at %d: %w", step, err)
-			}
-		}
-		var err error
-		switch {
-		case step%3 == 1:
-			err = eng.Log().Force()
-		case step%4 == 2:
-			err = eng.InstallOne()
-		case step%17 == 11:
-			err = eng.CheckpointOnly()
-		case step%23 == 19:
-			err = eng.FlushAll()
-		}
-		if err == nil {
-			err = btDrv.Step(tree)
-		}
-		if err == nil {
-			err = lsmDrv.Step(kv)
-		}
-		if err != nil {
-			return fmt.Errorf("step %d: %w", step, err)
-		}
-	}
-	return nil
+	return driveMix(eng, mix, seed, steps, nil, hook, nil)
 }
-
-// VerifyMixDomains reopens both recoverable domains on a recovered (or
-// promoted) engine and runs their structural and scan checks; it is a no-op
-// when the crash predates the bootstrap marker.
-func VerifyMixDomains(eng *core.Engine) error { return checkMixDomains(eng) }
 
 // ExploreMix runs the crash-schedule exploration with a scenario mix
 // driving the B+tree and LSM domains.  mixName is a built-in mix name or a
@@ -294,7 +254,7 @@ func ExploreMix(cfg NamedConfig, mixName string, stride Stride) (*ExploreReport,
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errHarness, err)
 	}
-	return exploreWith(cfg, stride, nil, mixName, mixExploreScript(mix), checkMixDomains)
+	return exploreWith(cfg, stride, nil, mixName, mixExploreScript(mix), VerifyMixDomains)
 }
 
 // ReplayMixSchedule re-runs one mix crash schedule from its repro token.
@@ -311,7 +271,7 @@ func ReplayMixSchedule(configName, mixName, token string) error {
 	if err != nil {
 		return err
 	}
-	return runScheduleWith(cfg, fault.NewPlan(pts...), nil, mixExploreScript(mix), checkMixDomains)
+	return runScheduleWith(cfg, fault.NewPlan(pts...), nil, mixExploreScript(mix), VerifyMixDomains)
 }
 
 // ExploreShipMix runs the ship-schedule exploration with a scenario mix
@@ -322,7 +282,7 @@ func ExploreShipMix(cfg NamedConfig, mixName string, stride Stride) (*ShipExplor
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errHarness, err)
 	}
-	return exploreShipWith(withDomainRegistry(cfg), stride, mixName, mixExploreScript(mix), checkMixDomains)
+	return exploreShipWith(withDomainRegistry(cfg), stride, mixName, mixExploreScript(mix), VerifyMixDomains)
 }
 
 // ReplayShipMixSchedule re-runs one mix ship schedule from its repro text.
@@ -339,6 +299,6 @@ func ReplayShipMixSchedule(configName, mixName, schedule string) error {
 	if err != nil {
 		return err
 	}
-	_, err = runShipScheduleWith(withDomainRegistry(cfg), sched, mixExploreScript(mix), checkMixDomains)
+	_, err = runShipScheduleWith(withDomainRegistry(cfg), sched, mixExploreScript(mix), VerifyMixDomains)
 	return err
 }

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"logicallog/internal/op"
 )
@@ -147,11 +146,6 @@ type Store struct {
 	statsMu sync.Mutex
 	batches map[BatchMode]int64
 
-	// readDelayNS, when > 0, adds that much simulated device latency to
-	// every Read — the disk-resident-store regime parallel redo overlaps.
-	// Benchmarks only; nanoseconds, accessed atomically.
-	readDelayNS atomic.Int64
-
 	// probe, when non-nil, is consulted before every simulated device
 	// write a batch performs; a non-nil error injects a failure at exactly
 	// that write boundary (see SetWriteProbe).  Guarded by batchMu.
@@ -178,17 +172,8 @@ func (s *Store) shard(x op.ObjectID) *storeShard {
 	return &s.shards[maphash.String(shardSeed, string(x))&(storeShards-1)]
 }
 
-// SetReadDelay models per-read device latency (a disk-backed store) for
-// benchmarks; zero (the default) reads at memory speed.
-func (s *Store) SetReadDelay(d time.Duration) {
-	s.readDelayNS.Store(int64(d))
-}
-
 // Read fetches an object.  The returned value aliases nothing.
 func (s *Store) Read(x op.ObjectID) (Versioned, error) {
-	if d := s.readDelayNS.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
 	sh := s.shard(x)
 	sh.mu.RLock()
 	v, ok := sh.objects[x]
