@@ -313,6 +313,19 @@ func (m *Manager) DirtyCount() int {
 // on a miss.  Deleted objects and objects absent everywhere return
 // ErrNotFound.
 func (m *Manager) Get(x op.ObjectID) ([]byte, error) {
+	v, err := m.Borrow(x)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// Borrow is Get without the copy, for transform inputs: it returns the
+// cached slice itself, capped at its length so an append by the borrower
+// reallocates instead of writing into the entry's spare capacity.  The
+// caller must not modify it.  Cached values are never changed in place —
+// a write replaces the slice — so a borrowed value stays valid.
+func (m *Manager) Borrow(x op.ObjectID) ([]byte, error) {
 	e, err := m.fault(x)
 	if err != nil {
 		return nil, err
@@ -320,7 +333,7 @@ func (m *Manager) Get(x op.ObjectID) ([]byte, error) {
 	if !e.exists {
 		return nil, fmt.Errorf("%w: %q (deleted)", ErrNotFound, x)
 	}
-	return append([]byte(nil), e.val...), nil
+	return e.val[:len(e.val):len(e.val)], nil
 }
 
 // VSI returns the cached object's state identifier (for tests/inspection).
@@ -412,6 +425,11 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 		return false, fmt.Errorf("cache: TryApplyLogged requires a logged operation")
 	}
 	writes, cerr := m.computeWrites(o)
+	if errors.Is(cerr, op.ErrUnknownFunc) {
+		// Not inapplicable state: the registry lacks the operation's
+		// domain, and voiding would silently drop its writes.
+		return false, cerr
+	}
 	if cerr != nil {
 		// Case (b)/(c) of Section 5: writeset violation or execution
 		// exception against inapplicable state voids the redo.
@@ -420,10 +438,12 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 	return false, m.applyLogged(o, writes)
 }
 
+// computeWrites runs o's transformation over borrowed reads: the
+// TransformFunc contract makes them read-only, so no read is copied.
 func (m *Manager) computeWrites(o *op.Operation) (map[op.ObjectID][]byte, error) {
 	reads := make(map[op.ObjectID][]byte, len(o.ReadSet))
 	for _, x := range o.ReadSet {
-		v, err := m.Get(x)
+		v, err := m.Borrow(x)
 		if err != nil {
 			return nil, fmt.Errorf("cache: %s reads %q: %w", o, x, err)
 		}

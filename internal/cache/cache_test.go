@@ -460,6 +460,39 @@ func TestTryApplyLoggedVoidsBadRedo(t *testing.T) {
 	}
 }
 
+// TestBorrowedReadsAreCapped: transforms receive the cached value itself,
+// not a copy, so the borrowed slice must be capped at its length.  X is
+// given spare capacity; two operations then each write append(X, b) for
+// their own b.  Uncapped, both appends would write into X's one spare byte
+// and the first result would end in the second's byte.
+func TestBorrowedReadsAreCapped(t *testing.T) {
+	reg := op.NewRegistry()
+	reg.Register("test.spare", func(_ []byte, _ map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+		v := make([]byte, 3, 64)
+		copy(v, "abc")
+		return map[op.ObjectID][]byte{"X": v}, nil
+	})
+	reg.Register("test.append", func(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+		fields, err := op.DecodeParams(params)
+		if err != nil || len(fields) != 2 {
+			return nil, errors.New("test.append: want (target, byte) params")
+		}
+		return map[op.ObjectID][]byte{op.ObjectID(fields[0]): append(reads["X"], fields[1]...)}, nil
+	})
+	cfg := rwIdentityCfg()
+	cfg.Registry = reg
+	m, _, _ := newTestManager(t, cfg)
+	mustExec(t, m, op.NewLogical("test.spare", nil, nil, []op.ObjectID{"X"}))
+	for _, y := range []string{"1", "2"} {
+		mustExec(t, m, op.NewLogical("test.append", op.EncodeParams([]byte("Y"+y), []byte(y)), []op.ObjectID{"X"}, []op.ObjectID{op.ObjectID("Y" + y)}))
+	}
+	for x, want := range map[op.ObjectID]string{"X": "abc", "Y1": "abc1", "Y2": "abc2"} {
+		if got, err := m.Get(x); err != nil || string(got) != want {
+			t.Errorf("%s = %q, %v; want %q", x, got, err, want)
+		}
+	}
+}
+
 // TestRandomWorkloadMatchesOracle drives random logical/physiological
 // operation mixes with interleaved installs and verifies that after
 // PurgeAll the stable store equals a straight in-memory replay of the

@@ -283,9 +283,10 @@ func (e *Engine) lowerPhysiological(o *op.Operation) (*op.Operation, error) {
 		return o, nil
 	}
 	// Compute the writes against current state and log them physically.
+	// The reads are borrowed, as in the cache's own transform calls.
 	reads := make(map[op.ObjectID][]byte, len(o.ReadSet))
 	for _, x := range o.ReadSet {
-		v, err := e.mgr.Get(x)
+		v, err := e.mgr.Borrow(x)
 		if err != nil {
 			return nil, fmt.Errorf("core: lowering %s: %w", o, err)
 		}

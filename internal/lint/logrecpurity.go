@@ -11,8 +11,10 @@ import (
 // any mutation of a decoded record (or of the operation and byte slices
 // hanging off it) corrupts what the rest of recovery believes is the
 // durable history.  Outside package wal itself, every assignment whose
-// left-hand side reaches through a wal.Record is reported; consumers must
-// Clone() before mutating (as the redo pass does).
+// left-hand side reaches through a wal.Record is reported.  The redo pass
+// replays decoded operations as they are, relying on this check and on
+// the transforms' read-only contract; a consumer that must change an
+// operation clones it first.
 var LogRecPurity = &Analyzer{
 	Name: "logrecpurity",
 	Doc: "flags mutation of decoded wal.Record values outside package wal; " +
@@ -54,7 +56,7 @@ func checkRecordMutation(p *Pass, lhs ast.Expr) {
 	if chainContainsRecord(p.Info, lhs) {
 		p.Reportf(lhs.Pos(),
 			"mutation through a wal.Record; decoded records alias the scanner's "+
-				"immutable device snapshot — Clone() the operation before changing it")
+				"immutable device snapshot, which redo replays uncopied — change a Clone() instead")
 	}
 }
 

@@ -211,7 +211,7 @@ func fnFlush(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byt
 	return map[op.ObjectID][]byte{
 		manID: encodeManifest(man),
 		memID: encodeTable(nil),
-		sstID: memRaw,
+		sstID: append([]byte(nil), memRaw...), // outputs never alias reads
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package op
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -151,8 +152,9 @@ func builtinXor(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, 
 	}
 	out := append([]byte(nil), sv...)
 	if len(ov) > 0 {
-		for i := range out {
-			out[i] ^= ov[i%len(ov)]
+		// One word-wide XOR per repetition of other; the last may be short.
+		for i := 0; i < len(out); i += len(ov) {
+			subtle.XORBytes(out[i:], out[i:], ov)
 		}
 	}
 	return map[ObjectID][]byte{self: out}, nil

@@ -1,6 +1,7 @@
 package op
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -217,8 +218,8 @@ func TestRegistryApplyLogical(t *testing.T) {
 	}
 	// Unknown func.
 	u := NewLogical("no.such.func", nil, []ObjectID{"Y"}, []ObjectID{"X"})
-	if _, err := r.Apply(u, map[ObjectID][]byte{"Y": nil}); err == nil {
-		t.Error("expected error for unknown FuncID")
+	if _, err := r.Apply(u, map[ObjectID][]byte{"Y": nil}); !errors.Is(err, ErrUnknownFunc) {
+		t.Errorf("unknown FuncID: err = %v, want ErrUnknownFunc", err)
 	}
 }
 

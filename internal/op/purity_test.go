@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"logicallog/internal/apprec"
 	"logicallog/internal/btree"
@@ -17,10 +18,13 @@ import (
 
 // TestTransformsLeaveInputsUntouched wraps every registered TransformFunc —
 // the builtins and the btree, lsm, fsim and apprec functions — so each call
-// compares params and every read value byte for byte before and after, then
-// drives each domain's workload through execution, installs, a crash and
-// recovery.  A transform that writes into its inputs corrupts the logged
-// parameters or the cached values that later operations and redo read.
+// compares params and every read value byte for byte before and after, and
+// requires every output to share no memory with them, then drives each
+// domain's workload through execution, installs, a crash and recovery.
+// Inputs are borrowed, not copied: a transform that writes into them
+// corrupts the logged parameters or the cached values that later operations
+// and redo read, and an output aliasing one would become cached state
+// sharing the log's or another object's bytes.
 func TestTransformsLeaveInputsUntouched(t *testing.T) {
 	reg := op.NewRegistry()
 	btree.Register(reg)
@@ -46,6 +50,16 @@ func TestTransformsLeaveInputsUntouched(t *testing.T) {
 			for x, v := range readsBefore {
 				if !bytes.Equal(reads[x], v) {
 					t.Errorf("%s changed its read of %s", id, x)
+				}
+			}
+			for y, w := range out {
+				if sharesMemory(w, params) {
+					t.Errorf("%s output %s aliases its params", id, y)
+				}
+				for x, v := range reads {
+					if sharesMemory(w, v) {
+						t.Errorf("%s output %s aliases its read of %s", id, y, x)
+					}
 				}
 			}
 			mu.Lock()
@@ -150,6 +164,17 @@ func TestTransformsLeaveInputsUntouched(t *testing.T) {
 			t.Errorf("no workload called %s", id)
 		}
 	}
+}
+
+// sharesMemory reports whether the backing arrays of a and b overlap
+// anywhere within their capacities.
+func sharesMemory(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b)) && b0 < a0+uintptr(cap(a))
 }
 
 func total(calls map[op.FuncID]int) (n int) {

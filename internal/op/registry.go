@@ -3,6 +3,7 @@ package op
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -17,10 +18,21 @@ type FuncID string
 
 // TransformFunc is a deterministic transformation.  It receives the logged
 // parameters and the current values of the operation's readset and must
-// return the new values for the operation's writeset.  It must not mutate
-// the input slices and must be a pure function of (params, reads) — replay
-// correctness depends on it.
+// return the new values for the operation's writeset.  It must be a pure
+// function of (params, reads) — replay correctness depends on it.
+//
+// The inputs are borrowed, not copied: params may alias the log, and each
+// read value is the cache's own slice, capped at its length so an append
+// reallocates instead of writing into another value's spare capacity.  Both
+// are read-only.  The returned values become cached state, so they must be
+// freshly allocated, never the input slices themselves.
 type TransformFunc func(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error)
+
+// ErrUnknownFunc reports an operation whose FuncID no registered function
+// answers to.  Unlike a transform failing against inapplicable state, it
+// is a configuration error — the registry lacks a domain — so recovery
+// fails on it instead of voiding the operation.
+var ErrUnknownFunc = errors.New("op: unknown FuncID")
 
 // Registry maps FuncIDs to transformation functions.  A Registry is safe for
 // concurrent use.  Engines share one Registry between normal execution and
@@ -108,7 +120,7 @@ func (r *Registry) Apply(o *Operation, reads map[ObjectID][]byte) (map[ObjectID]
 	}
 	fn, ok := r.Lookup(o.Func)
 	if !ok {
-		return nil, fmt.Errorf("op: unknown FuncID %q in %s", o.Func, o)
+		return nil, fmt.Errorf("%w %q in %s", ErrUnknownFunc, o.Func, o)
 	}
 	in := make(map[ObjectID][]byte, len(o.ReadSet))
 	for _, x := range o.ReadSet {

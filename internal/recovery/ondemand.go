@@ -1,18 +1,19 @@
-// The chain scheduler: the one driver of the redo pass.  The redo suffix is
-// scanned into an operation list and partitioned into conflict-disjoint
-// dependency chains (parallel.go); a per-chain state table (pending /
-// in-flight / done) lets any goroutine claim a chain and replay it through
-// the redo step (step.go).  Recover and Redo start the scheduler and Wait:
-// ordinary restart is instant restart with no demand (Sauer & Härder,
-// PAPERS.md).  StartOnDemand returns once analysis is done: a caller about
-// to serve a request drains exactly the chains owning the objects the
-// request touches (Require*), and background workers drain the remainder at
-// lower priority.  Because every operation touching a written object lives
-// in the same chain as all of that object's writers, replaying a chain to
-// completion makes its objects' recovered values final — so serving an
-// object after its chain is done observes exactly the state a finished redo
-// would have produced, and the fully drained state is byte-identical
-// regardless of the order demand, background, and Wait replays interleave.
+// The chain scheduler: the one driver of the redo pass.  The redo suffix —
+// the operations logged from the redo start on, as analysis decoded them — is
+// partitioned into conflict-disjoint dependency chains (parallel.go); a
+// per-chain state table (pending / in-flight / done) lets any goroutine claim
+// a chain and replay it through the redo step (step.go).  Recover and Redo
+// start the scheduler and Wait: ordinary restart is instant restart with no
+// demand (Sauer & Härder, PAPERS.md).  StartOnDemand returns once analysis is
+// done: a caller about to serve a request drains exactly the chains owning
+// the objects the request touches (Require*), and background workers drain
+// the remainder at lower priority.  Because every operation touching a
+// written object lives in the same chain as all of that object's writers,
+// replaying a chain to completion makes its objects' recovered values final —
+// so serving an object after its chain is done observes exactly the state a
+// finished redo would have produced, and the fully drained state is
+// byte-identical regardless of the order demand, background, and Wait replays
+// interleave.
 //
 // Gating rules (what a request must wait for):
 //
@@ -29,7 +30,6 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,42 +107,20 @@ type OnDemand struct {
 func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, error) {
 	res := &Result{}
 	lane := opts.Tracer.Lane("recovery")
-	dot, err := recoverPrologue(log, store, opts, res, lane)
+	dot, ops, err := recoverPrologue(log, store, opts, res, lane)
 	if err != nil {
 		return nil, err
 	}
-	return startRedo(log, opts, res, dot, lane, resolveWorkers(opts.RedoWorkers))
+	return startRedo(opts, res, dot, ops, lane, resolveWorkers(opts.RedoWorkers)), nil
 }
 
-// startRedo scans the operations logged from res.RedoStart, partitions them,
-// and starts the scheduler replaying them against res.Manager with
-// `background` goroutines of its own.  Redo counters accumulate in res.
-func startRedo(log *wal.Log, opts Options, res *Result, dot dirtyTable, lane *obs.Lane, background int) (*OnDemand, error) {
-	sp := lane.Begin("redo-scan")
-	sc, err := log.Scan(res.RedoStart)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	var ops []*op.Operation
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		if rec.Type != wal.RecOperation {
-			continue
-		}
-		ops = append(ops, rec.Op)
-	}
+// startRedo partitions the redo suffix ops (the operations logged from
+// res.RedoStart, in LSN order) and starts the scheduler replaying them
+// against res.Manager with `background` goroutines of its own.  Redo
+// counters accumulate in res.
+func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, lane *obs.Lane, background int) *OnDemand {
 	res.ScannedOps = len(ops)
-	sp.Arg("ops", len(ops)).End()
-
-	sp = lane.Begin("redo-partition")
+	sp := lane.Begin("redo-partition")
 	chains := partitionChains(ops)
 	if background > len(chains) {
 		background = len(chains)
@@ -204,7 +182,7 @@ func startRedo(log *wal.Log, opts Options, res *Result, dot dirtyTable, lane *ob
 			od.drain()
 		}()
 	}
-	return od, nil
+	return od
 }
 
 // addTouch appends ci to touch[x] unless it is already the last entry (one

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"logicallog/internal/cache"
 	"logicallog/internal/obs"
@@ -136,11 +137,11 @@ type dirtyTable map[op.ObjectID]op.SI
 func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 	res := &Result{}
 	lane := opts.Tracer.Lane("recovery")
-	dot, err := recoverPrologue(log, store, opts, res, lane)
+	dot, ops, err := recoverPrologue(log, store, opts, res, lane)
 	if err != nil {
 		return nil, err
 	}
-	return redo(log, opts, res, dot, lane)
+	return redo(opts, res, dot, ops, lane)
 }
 
 // Redo runs the redo pass alone, for a caller with its own prologue
@@ -148,26 +149,52 @@ func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 // against mgr, deciding each with opts.Test and the dirty object table dot.
 func Redo(log *wal.Log, mgr *cache.Manager, dot map[op.ObjectID]op.SI, from op.SI, opts Options) (*Result, error) {
 	res := &Result{Manager: mgr, RedoStart: from}
-	return redo(log, opts, res, dot, opts.Tracer.Lane("recovery"))
-}
-
-// redo drains the whole redo suffix on the calling goroutine plus
-// opts.RedoWorkers-1 others, filling res's redo counters.
-func redo(log *wal.Log, opts Options, res *Result, dot dirtyTable, lane *obs.Lane) (*Result, error) {
-	od, err := startRedo(log, opts, res, dot, lane, resolveWorkers(opts.RedoWorkers)-1)
+	lane := opts.Tracer.Lane("recovery")
+	sp := lane.Begin("redo-scan")
+	ops, err := scanOps(log, from)
+	sp.Arg("ops", len(ops)).End()
 	if err != nil {
 		return nil, err
 	}
-	return od.Wait()
+	return redo(opts, res, dot, ops, lane)
+}
+
+// scanOps decodes the operation records logged at or after from, in LSN
+// order.
+func scanOps(log *wal.Log, from op.SI) ([]*op.Operation, error) {
+	sc, err := log.Scan(from)
+	if err != nil {
+		return nil, err
+	}
+	var ops []*op.Operation
+	for {
+		rec, err := sc.Next()
+		if errors.Is(err, io.EOF) {
+			return ops, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rec.Type == wal.RecOperation {
+			ops = append(ops, rec.Op)
+		}
+	}
+}
+
+// redo drains the redo suffix ops on the calling goroutine plus
+// opts.RedoWorkers-1 others, filling res's redo counters.
+func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, lane *obs.Lane) (*Result, error) {
+	return startRedo(opts, res, dot, ops, lane, resolveWorkers(opts.RedoWorkers)-1).Wait()
 }
 
 // recoverPrologue runs the recovery phases that precede redo: the log
 // restart (torn-tail trim, LSN horizon re-derivation), the flush-transaction
 // repair, the cache-manager rebuild, the analysis pass, and the redo-start
 // computation.  Results land in res (Manager, CheckpointLSN, AnalyzedRecords,
-// RedoStart, PendingFlushTxnRepaired); the returned dirty table drives the
-// redo pass, whether Recover waits for it or StartOnDemand returns first.
-func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Result, lane *obs.Lane) (dirtyTable, error) {
+// RedoStart, PendingFlushTxnRepaired); the returned dirty table and redo
+// suffix (the operations logged from RedoStart on) drive the redo pass,
+// whether Recover waits for it or StartOnDemand returns first.
+func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Result, lane *obs.Lane) (dirtyTable, []*op.Operation, error) {
 	// Restart the log over its device first, as a process restart would:
 	// trim the untrustworthy debris of a torn, bit-flipped, or reordered
 	// final append, and re-derive the LSN horizon from the durable log so
@@ -175,7 +202,7 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	sp := lane.Begin("restart")
 	if err := log.Restart(); err != nil {
 		sp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	sp.End()
 
@@ -190,16 +217,16 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 
 	mgr, err := cache.NewManager(opts.Cache, log, store)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Manager = mgr
 
 	// Analysis pass.
 	sp = lane.Begin("analysis")
-	dot, err := analyze(log, res, opts.Test)
+	dot, ops, err := analyze(log, res, opts.Test)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	sp.Arg("analyzed_records", res.AnalyzedRecords).
 		Arg("dirty_objects", len(dot)).
@@ -217,7 +244,13 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 		}
 	}
 	res.RedoStart = redoStart
-	return dot, nil
+
+	// The redo suffix is a tail of the operations analysis decoded, so the
+	// log is not scanned again.
+	sp = lane.Begin("redo-scan")
+	i := sort.Search(len(ops), func(i int) bool { return ops[i].LSN >= redoStart })
+	sp.Arg("ops", len(ops)-i).End()
+	return dot, ops[i:], nil
 }
 
 // analyze reconstructs the dirty object table in one scan of the durable
@@ -229,22 +262,28 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 // and CheckpointLSN and AnalyzedRecords count from that checkpoint.  A
 // traditional vSI recovery has no notion of installed-without-flushing, so
 // under TestVSI/TestRedoAll those objects stay dirty at their first-update
-// rSI and the redo scan is correspondingly longer.
-func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, error) {
+// rSI and the redo scan is correspondingly longer.  analyze also returns
+// every operation record it decoded, in LSN order, so that the redo pass
+// can take its suffix without decoding the log a second time.
+func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, []*op.Operation, error) {
 	dot := make(dirtyTable)
 	sc, err := log.Scan(log.FirstLSN())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var ops []*op.Operation
 	for {
 		rec, err := sc.Next()
 		if errors.Is(err, io.EOF) {
-			return dot, nil
+			return dot, ops, nil
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if rec.Type == wal.RecCheckpoint {
+		switch rec.Type {
+		case wal.RecOperation:
+			ops = append(ops, rec.Op)
+		case wal.RecCheckpoint:
 			res.CheckpointLSN = rec.LSN
 			res.AnalyzedRecords = 0
 		}

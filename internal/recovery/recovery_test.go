@@ -1,6 +1,8 @@
 package recovery_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"logicallog/internal/cache"
@@ -333,6 +335,40 @@ func TestVoidedTrialExecution(t *testing.T) {
 	}
 }
 
+// TestRecoverUnknownFuncFails: an operation whose FuncID the recovering
+// registry lacks is a configuration error, not inapplicable state.  Voiding
+// it would drop the domain's writes and report success, so recovery fails,
+// naming the FuncID and the record's LSN.
+func TestRecoverUnknownFuncFails(t *testing.T) {
+	log, err := wal.New(wal.NewMemDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*op.Operation{
+		op.NewCreate("X", []byte("x")),
+		op.NewPhysioWrite("X", "domain.notregistered", []byte("p")),
+	} {
+		if _, err := log.AppendOp(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Force(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Recover(log, stable.NewStore(), Options{
+		Test:  TestRSI,
+		Cache: cache.Config{Policy: writegraph.PolicyRW, Registry: op.NewRegistry(), LogInstalls: true},
+	})
+	if !errors.Is(err, op.ErrUnknownFunc) {
+		t.Fatalf("Recover = %+v, %v; want op.ErrUnknownFunc", res, err)
+	}
+	for _, want := range []string{`"domain.notregistered"`, "@2 "} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 func TestRecoverRepairsPendingFlushTxn(t *testing.T) {
 	eng := newEngine(t, core.Options{
 		Policy:      writegraph.PolicyRW,
@@ -458,10 +494,11 @@ func (d *countingDevice) ReadAll() ([]byte, error) {
 	return d.Device.ReadAll()
 }
 
-// TestRecoverReadsLogThreeTimes: a restart reads the device once to trim
-// its torn tail and learn the LSN range, once for analysis and once for the
-// redo scan.
-func TestRecoverReadsLogThreeTimes(t *testing.T) {
+// TestRecoverReadsLogTwice: a restart reads the device once to trim its
+// torn tail and learn the LSN range, and once for analysis, which keeps the
+// operation records it decodes so the redo pass takes its suffix from them
+// instead of scanning again.
+func TestRecoverReadsLogTwice(t *testing.T) {
 	dev := &countingDevice{Device: wal.NewMemDevice()}
 	log, err := wal.New(dev)
 	if err != nil {
@@ -490,8 +527,8 @@ func TestRecoverReadsLogThreeTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev.reads != 3 {
-		t.Errorf("Recover read the device %d times, want 3", dev.reads)
+	if dev.reads != 2 {
+		t.Errorf("Recover read the device %d times, want 2", dev.reads)
 	}
 	if res.Redone != 2 {
 		t.Errorf("Redone = %d, want 2", res.Redone)

@@ -83,13 +83,16 @@ func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID
 // Apply runs one logged operation through the REDO test and, if it says so,
 // the trial execution, then records the outcome in every sink: counter,
 // flight event (with the witness or dirty-table entry as evidence), Trace.
+// o is replayed as decoded, without a copy: nothing on the replay path
+// writes to an operation, and transforms treat params as read-only, so a
+// record aliasing the log scanner's immutable snapshot stays intact.
 func (s *Step) Apply(o *op.Operation) (Outcome, error) {
 	ex := DecideRedoExplain(s.test, s.mgr, s.dot, o)
 	var out Outcome
 	obj, ref := ex.DirtyObject, ex.DirtyRSI
 	switch {
 	case ex.Redo:
-		voided, err := s.mgr.TryApplyLogged(o.Clone())
+		voided, err := s.mgr.TryApplyLogged(o)
 		if err != nil {
 			return 0, fmt.Errorf("recovery: redo of %s: %w", o, err)
 		}

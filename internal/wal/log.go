@@ -712,8 +712,9 @@ func (l *Log) Truncate(before op.SI) error {
 //
 // Returned records' byte fields (operation params and values) alias the
 // scanner's private snapshot of the device, which is immutable; callers must
-// treat them as read-only (recovery clones operations before applying them).
-// This keeps the redo scan free of per-record payload copies.
+// treat them as read-only.  Recovery replays the operations its analysis
+// scan decoded, without copying them, so the redo pass neither decodes the
+// log again nor copies a record's payload.
 type Scanner struct {
 	data  []byte // the device snapshot
 	off   int    // offset of the next frame in data
