@@ -511,14 +511,14 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 func (m *Manager) InstallMinimal() ([]op.ObjectID, error) {
 	maxAttempts := 2*m.wg.OpCount() + m.wg.Len() + 16
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		mins := m.wg.Minimal()
-		if len(mins) == 0 {
+		id, ok := m.wg.FirstMinimal()
+		if !ok {
 			if m.wg.Len() != 0 {
 				return nil, fmt.Errorf("cache: write graph has %d nodes but no minimal node", m.wg.Len())
 			}
 			return nil, ErrNothingToInstall
 		}
-		vars, err := m.InstallNode(mins[0])
+		vars, err := m.InstallNode(id)
 		if errors.Is(err, errDeferred) {
 			continue
 		}
@@ -539,9 +539,11 @@ var errDeferred = errors.New("cache: node deferred by identity-write breakup")
 // multi-object flush sets apart with W_IP operations, it checks the node is
 // still minimal, and — after the shared installation step has forced the
 // log, flushed vars(n) and advanced the rSIs — logs the installation record.
+// Until the install it reads only the node's flush set; the record is built
+// from the snapshot the write graph hands back as it removes the node.
 func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
-	nv := m.wg.Node(id)
-	if nv == nil {
+	vars, notx, ok := m.wg.FlushSet(id)
+	if !ok {
 		return nil, fmt.Errorf("cache: no write-graph node %d", id)
 	}
 
@@ -549,7 +551,7 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 	// flush set one W_IP at a time.  Each W_IP is a normal logged physical
 	// operation; under rW it lands in its own node and removes its object
 	// from vars(n).
-	if m.cfg.Strategy == StrategyIdentityWrite && len(nv.Vars) > 1 {
+	if m.cfg.Strategy == StrategyIdentityWrite && len(vars) > 1 {
 		if m.cfg.Policy != writegraph.PolicyRW {
 			return nil, fmt.Errorf("cache: identity-write breakup requires the refined write graph (W flush sets never shrink)")
 		}
@@ -557,18 +559,18 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		// inverse write-read edges a peel adds can close a cycle whose
 		// collapse merges another node (and its vars) into this one, so a
 		// plan computed up front can go stale.
-		maxPeels := 2*m.wg.OpCount() + len(nv.Writes) + 16
+		maxPeels := 2*m.wg.OpCount() + len(vars) + len(notx) + 16
 		for peel := 0; ; peel++ {
-			nv = m.wg.Node(id)
-			if nv == nil {
+			vars, notx, ok = m.wg.FlushSet(id)
+			if !ok {
 				// A cycle collapse absorbed the node elsewhere.
 				return nil, errDeferred
 			}
-			if len(nv.Vars) <= 1 {
+			if len(vars) <= 1 {
 				break
 			}
 			if peel >= maxPeels {
-				return nil, fmt.Errorf("cache: identity-write breakup of node %d made no progress (vars %v)", id, nv.Vars)
+				return nil, fmt.Errorf("cache: identity-write breakup of node %d made no progress (vars %v)", id, vars)
 			}
 			plan, err := m.wg.IdentityBreakupPlan(id)
 			if err != nil {
@@ -585,9 +587,11 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		return nil, errDeferred
 	}
 
-	if err := m.install([]graph.NodeID{id}, nv.Vars, nv.Notx); err != nil {
+	views, err := m.install([]graph.NodeID{id}, vars, notx)
+	if err != nil {
 		return nil, err
 	}
+	nv := views[0]
 
 	// Log the installation (lazily; no force needed — Section 5 notes the
 	// vSI check covers a lost install record).
@@ -631,8 +635,9 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 //
 // The log force comes first (WAL protocol), then the stable write: when
 // either fails, the write graph, the dirty object table and the counters are
-// untouched, so the install can be re-run.
-func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error {
+// untouched, so the install can be re-run.  It returns the snapshots of the
+// removed nodes, in removal order.
+func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) ([]*writegraph.NodeView, error) {
 	var start time.Time
 	if m.obs.installNs.Enabled() {
 		start = time.Now()
@@ -647,7 +652,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 	for _, x := range flush {
 		e, ok := m.lookup(x)
 		if !ok {
-			return fmt.Errorf("cache: flush set object %q not in cache", x)
+			return nil, fmt.Errorf("cache: flush set object %q not in cache", x)
 		}
 		entries = append(entries, stable.Entry{ID: x, Val: e.val, VSI: e.vsi, Delete: !e.exists})
 		through = max(through, e.vsi)
@@ -672,7 +677,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 		}
 	}
 	if err := m.log.ForceThrough(through); err != nil {
-		return err
+		return nil, err
 	}
 	if len(entries) > 0 {
 		mode := stable.ModeSingle
@@ -692,7 +697,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 			m.obs.retryBackoffNs.ObserveDuration(backoff)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -700,6 +705,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 	// first (one node on the primary; a record's operations can span
 	// several on a standby whose bootstrap skipped some of them).
 	installed := make(map[op.SI]bool)
+	views := make([]*writegraph.NodeView, 0, len(nodes))
 	for len(nodes) > 0 {
 		var blocked []graph.NodeID
 		for _, id := range nodes {
@@ -709,8 +715,9 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 			}
 			view, err := m.wg.Remove(id)
 			if err != nil {
-				return err
+				return nil, err
 			}
+			views = append(views, view)
 			for _, o := range view.Ops {
 				installed[o.LSN] = true
 			}
@@ -719,7 +726,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 			}
 		}
 		if len(blocked) == len(nodes) {
-			return fmt.Errorf("cache: %d installed nodes are not minimal", len(blocked))
+			return nil, fmt.Errorf("cache: %d installed nodes are not minimal", len(blocked))
 		}
 		nodes = blocked
 	}
@@ -746,7 +753,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 		e, _ := m.lookup(x)
 		e.pending = prunePending(e.pending, installed)
 		if len(e.pending) != 0 {
-			return fmt.Errorf("cache: flushed object %q still has uninstalled writes %v", x, e.pending)
+			return nil, fmt.Errorf("cache: flushed object %q still has uninstalled writes %v", x, e.pending)
 		}
 		e.dirty = false
 		if !e.exists {
@@ -768,7 +775,7 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) error
 	if m.obs.installNs.Enabled() {
 		m.obs.installNs.Since(start)
 	}
-	return nil
+	return views, nil
 }
 
 // identityWrite logs and applies W_IP(x, val(x)) — Section 4's CM-initiated

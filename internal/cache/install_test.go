@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -444,4 +446,180 @@ func TestInstallForcesTheLog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInstallRecordMatchesRemovedNode checks, install by install, that the
+// record InstallNode appends names exactly the node snapshot InstallTrace
+// received: a flush record for a single flushed object with nothing
+// unexposed, otherwise an install record with the node's operation LSNs, its
+// flushed vars and its Notx objects, each Notx object with the LSN of its
+// earliest write still in the write graph as rSI.  It runs every strategy
+// over multi-object nodes, blind writes that leave objects unexposed, and
+// logical operations whose inverse write-read edges make identity-write
+// breakup defer a node.
+func TestInstallRecordMatchesRemovedNode(t *testing.T) {
+	objects := []op.ObjectID{"o0", "o1", "o2", "o3", "o4"}
+	multi := func(rng *rand.Rand) *op.Operation {
+		o := &op.Operation{Kind: op.KindPhysicalWrite, Values: map[op.ObjectID][]byte{}}
+		for _, x := range objects {
+			if rng.Intn(2) == 0 {
+				o.WriteSet = append(o.WriteSet, x)
+				o.Values[x] = []byte{byte(rng.Intn(256))}
+			}
+		}
+		if len(o.WriteSet) < 2 {
+			o.WriteSet = objects[:2]
+			o.Values = map[op.ObjectID][]byte{objects[0]: {1}, objects[1]: {2}}
+		}
+		return o
+	}
+	for _, strategy := range []FlushStrategy{StrategyIdentityWrite, StrategyShadow, StrategyFlushTxn} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			var views []*writegraph.NodeView
+			m, log, _ := newTestManager(t, Config{
+				Policy:      writegraph.PolicyRW,
+				Strategy:    strategy,
+				LogInstalls: true,
+				// Keep the view as traced, whatever happens to it later.
+				InstallTrace: func(v *writegraph.NodeView) {
+					c := *v
+					c.Ops, c.Vars, c.Notx = slices.Clone(v.Ops), slices.Clone(v.Vars), slices.Clone(v.Notx)
+					c.Lastw = maps.Clone(v.Lastw)
+					views = append(views, &c)
+				},
+			})
+			next := op.SI(1)
+			var flushes, multiFlushed, unflushed, deferred int
+			install := func() bool {
+				t.Helper()
+				first, ok := m.wg.FirstMinimal()
+				views = views[:0]
+				_, err := m.InstallMinimal()
+				if errors.Is(err, ErrNothingToInstall) {
+					return false
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := recordsFrom(t, log, next)
+				next = recs[len(recs)-1].LSN + 1
+				if len(views) != 1 {
+					t.Fatalf("one install traced %d nodes", len(views))
+				}
+				v := views[0]
+				if !ok || v.ID != first {
+					deferred++
+				}
+				for _, rec := range recs[:len(recs)-1] {
+					if rec.Type != wal.RecOperation {
+						t.Fatalf("install appended a %s record before its own", rec.Type)
+					}
+				}
+				rec := recs[len(recs)-1]
+				if len(v.Vars) == 1 && len(v.Notx) == 0 {
+					if rec.Type != wal.RecFlush {
+						t.Fatalf("node %d flushes only %v: logged a %s record, want a flush record", v.ID, v.Vars, rec.Type)
+					}
+					if rec.Flush.Object != v.Vars[0] || rec.Flush.VSI != v.Lastw[v.Vars[0]] {
+						t.Errorf("flush record %+v, node %d flushed %s at %d", rec.Flush, v.ID, v.Vars[0], v.Lastw[v.Vars[0]])
+					}
+					flushes++
+					return true
+				}
+				if rec.Type != wal.RecInstall {
+					t.Fatalf("node %d (vars %v notx %v) logged a %s record, want an install record", v.ID, v.Vars, v.Notx, rec.Type)
+				}
+				var lsns []op.SI
+				for _, o := range v.Ops {
+					lsns = append(lsns, o.LSN)
+					if _, ok := m.wg.NodeOfOp(o.LSN); ok {
+						t.Errorf("installed operation %d is still in the write graph", o.LSN)
+					}
+				}
+				if !slices.Equal(rec.Install.Ops, lsns) {
+					t.Errorf("install record ops %v, node %d ops %v", rec.Install.Ops, v.ID, lsns)
+				}
+				want := make([]wal.ObjectRSI, len(v.Vars))
+				for i, x := range v.Vars {
+					want[i].ID = x
+				}
+				if !slices.Equal(rec.Install.Flushed, want) {
+					t.Errorf("install record flushed %v, node %d vars %v", rec.Install.Flushed, v.ID, v.Vars)
+				}
+				want = make([]wal.ObjectRSI, len(v.Notx))
+				for i, x := range v.Notx {
+					want[i] = wal.ObjectRSI{ID: x, RSI: earliestPendingWrite(m.wg, x)}
+				}
+				if !slices.Equal(rec.Install.Unflushed, want) {
+					t.Errorf("install record unflushed %v, node %d Notx with rSIs %v", rec.Install.Unflushed, v.ID, want)
+				}
+				if len(v.Vars) > 1 {
+					multiFlushed++
+				}
+				if len(v.Notx) > 0 {
+					unflushed++
+				}
+				return true
+			}
+
+			rng := rand.New(rand.NewSource(29))
+			for trial := 0; trial < 20; trial++ {
+				for _, x := range objects {
+					mustExec(t, m, op.NewCreate(x, []byte{byte(trial)}))
+				}
+				for install() {
+				}
+				// A node with vars {o0, o1} whose o1 was written last, so
+				// breakup keeps o1 and identity-writes o0; the copy read
+				// the o0 that node wrote, and the inverse write-read edge
+				// the identity write adds defers the node behind it.
+				mustExec(t, m, &op.Operation{Kind: op.KindPhysicalWrite, WriteSet: objects[:2],
+					Values: map[op.ObjectID][]byte{objects[0]: {1}, objects[1]: {2}}})
+				mustExec(t, m, op.NewLogical(op.FuncCopy, []byte(objects[2]), objects[:1], objects[2:3]))
+				mustExec(t, m, op.NewPhysioWrite(objects[1], op.FuncAppend, []byte{3}))
+				install()
+				for step := 0; step < 40; step++ {
+					switch r := rng.Intn(10); {
+					case r < 2:
+						install()
+					case r < 4:
+						mustExec(t, m, multi(rng))
+					default:
+						mustExec(t, m, randomWorkloadOp(rng, objects))
+					}
+				}
+				for install() {
+				}
+				for _, x := range objects {
+					mustExec(t, m, op.NewDelete(x))
+				}
+				for install() {
+				}
+			}
+			if flushes == 0 || unflushed == 0 {
+				t.Errorf("%d flush records, %d install records with Notx objects; the case needs both", flushes, unflushed)
+			}
+			if strategy == StrategyIdentityWrite {
+				if m.Stats().IdentityWrites == 0 || deferred == 0 {
+					t.Errorf("%d identity writes, %d deferred nodes; breakup needs both", m.Stats().IdentityWrites, deferred)
+				}
+			} else if multiFlushed == 0 {
+				t.Error("no install flushed more than one object")
+			}
+		})
+	}
+}
+
+// earliestPendingWrite is the LSN of the first operation still in wg that
+// writes x: the rSI an install must give x when it leaves x unexposed.
+func earliestPendingWrite(wg *writegraph.Graph, x op.ObjectID) op.SI {
+	rsi := op.NilSI
+	for _, v := range wg.Nodes() {
+		for _, o := range v.Ops {
+			if slices.Contains(o.WriteSet, x) && (rsi == op.NilSI || o.LSN < rsi) {
+				rsi = o.LSN
+			}
+		}
+	}
+	return rsi
 }

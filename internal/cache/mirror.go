@@ -51,7 +51,8 @@ func (m *Manager) MirrorInstall(rec *wal.InstallRecord) error {
 	for i, u := range rec.Unflushed {
 		notx[i] = u.ID
 	}
-	return m.install(nodes, flush, notx)
+	_, err := m.install(nodes, flush, notx)
+	return err
 }
 
 // MirrorFlush applies a primary flush record — the single-object, no-Notx
@@ -65,5 +66,6 @@ func (m *Manager) MirrorFlush(rec *wal.FlushRecord) error {
 	if !ok {
 		return nil // all writers of the object were skipped at bootstrap
 	}
-	return m.install([]graph.NodeID{id}, []op.ObjectID{rec.Object}, nil)
+	_, err := m.install([]graph.NodeID{id}, []op.ObjectID{rec.Object}, nil)
+	return err
 }

@@ -24,10 +24,14 @@ type NodeID int64
 //
 // Each node's successors and predecessors are kept sorted ascending, so
 // adjacency is read in id order without sorting and an edge is found by
-// binary search.
+// binary search.  The nodes with no predecessors are kept as a set too,
+// updated wherever an in-degree reaches or leaves zero, so the first
+// minimal node is read without scanning the graph.
 type Digraph struct {
 	succ map[NodeID]IDSet
 	pred map[NodeID]IDSet
+	// minimal holds the nodes of in-degree zero, ascending.
+	minimal IDSet
 }
 
 // New returns an empty digraph.
@@ -43,6 +47,7 @@ func (g *Digraph) AddNode(n NodeID) {
 	if _, ok := g.succ[n]; !ok {
 		g.succ[n] = nil
 		g.pred[n] = nil
+		g.minimal = g.minimal.With(n)
 	}
 }
 
@@ -61,6 +66,9 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 		return
 	}
 	g.succ[u] = g.succ[u].With(v)
+	if len(g.pred[v]) == 0 {
+		g.minimal = g.minimal.Without(v)
+	}
 	g.pred[v] = g.pred[v].With(u)
 }
 
@@ -74,13 +82,31 @@ func (g *Digraph) RemoveEdge(u, v NodeID) {
 	}
 	g.succ[u] = g.succ[u].Without(v)
 	g.pred[v] = g.pred[v].Without(u)
+	if len(g.pred[v]) == 0 {
+		g.minimal = g.minimal.With(v)
+	}
 }
 
-// RemoveNode deletes n and all incident edges.
+// RemoveNode deletes n and all incident edges; successors left without
+// predecessors become minimal.
 func (g *Digraph) RemoveNode(n NodeID) {
+	if _, ok := g.succ[n]; !ok {
+		return
+	}
+	if len(g.pred[n]) == 0 {
+		// Draining installs the first minimal node over and over:
+		// reslicing keeps that O(1) where a delete would move the rest.
+		if g.minimal[0] == n {
+			g.minimal = g.minimal[1:]
+		} else {
+			g.minimal = g.minimal.Without(n)
+		}
+	}
 	for _, v := range g.succ[n] {
 		if v != n {
-			g.pred[v] = g.pred[v].Without(n)
+			if g.pred[v] = g.pred[v].Without(n); len(g.pred[v]) == 0 {
+				g.minimal = g.minimal.With(v)
+			}
 		}
 	}
 	for _, u := range g.pred[n] {
@@ -140,15 +166,19 @@ func (g *Digraph) OutDegree(n NodeID) int { return len(g.succ[n]) }
 // write-graph nodes whose flush installs their operations (Figure 4's
 // "choose a minimal node v in W").
 func (g *Digraph) Minimal() []NodeID {
-	var out []NodeID
-	//lint:ignore replaydeterminism membership filter is order-independent; sorted below
-	for n, p := range g.pred {
-		if len(p) == 0 {
-			out = append(out, n)
-		}
+	if len(g.minimal) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(g.minimal)
+}
+
+// FirstMinimal returns the smallest node with no predecessors, or false
+// when there is none.  It costs O(1).
+func (g *Digraph) FirstMinimal() (NodeID, bool) {
+	if len(g.minimal) == 0 {
+		return 0, false
+	}
+	return g.minimal[0], true
 }
 
 // Clone returns a deep copy of g.
@@ -159,6 +189,7 @@ func (g *Digraph) Clone() *Digraph {
 		c.succ[n] = slices.Clone(s)
 		c.pred[n] = slices.Clone(g.pred[n])
 	}
+	c.minimal = slices.Clone(g.minimal)
 	return c
 }
 
@@ -305,29 +336,20 @@ func (g *Digraph) TopoOrder() ([]NodeID, error) {
 	for n := range g.succ {
 		indeg[n] = len(g.pred[n])
 	}
-	var ready []NodeID
-	//lint:ignore replaydeterminism membership filter is order-independent; sorted below
-	for n, d := range indeg {
-		if d == 0 {
-			ready = append(ready, n)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	// The ready list is an IDSet, so it stays sorted as nodes join it and
+	// the smallest ready node is always first.
+	ready := slices.Clone(g.minimal)
 	var order []NodeID
 	for len(ready) > 0 {
 		n := ready[0]
 		ready = ready[1:]
 		order = append(order, n)
-		newly := []NodeID{}
-		for _, s := range g.Succ(n) {
+		for _, s := range g.succ[n] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				newly = append(newly, s)
+				ready = ready.With(s)
 			}
 		}
-		// Keep the ready list sorted for determinism.
-		ready = append(ready, newly...)
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 	}
 	if len(order) != len(g.succ) {
 		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), len(g.succ))
@@ -402,9 +424,26 @@ func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]
 }
 
 // Validate checks structural invariants: pred/succ symmetry, absence of
-// dangling endpoints, and strictly ascending adjacency.  Used by tests and
-// by the write-graph packages after mutation-heavy phases.
+// dangling endpoints, strictly ascending adjacency, and a minimal set that
+// holds exactly the nodes of in-degree zero.  Used by tests and by the
+// write-graph packages after mutation-heavy phases.
 func (g *Digraph) Validate() error {
+	if !sorted(g.minimal) {
+		return fmt.Errorf("graph: minimal set not strictly ascending: %v", g.minimal)
+	}
+	zero := 0
+	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+	for n, p := range g.pred {
+		if (len(p) == 0) != g.minimal.Has(n) {
+			return fmt.Errorf("graph: node %d has in-degree %d but minimal-set membership %v", n, len(p), g.minimal.Has(n))
+		}
+		if len(p) == 0 {
+			zero++
+		}
+	}
+	if zero != len(g.minimal) {
+		return fmt.Errorf("graph: minimal set %v holds nodes not in the graph", g.minimal)
+	}
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
 	for u, s := range g.succ {
 		if !sorted(s) {

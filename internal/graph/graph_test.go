@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -373,6 +374,107 @@ func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
 	}
 	if g.EdgeCount() != edges {
 		t.Fatalf("EdgeCount = %d, reference has %d", g.EdgeCount(), edges)
+	}
+}
+
+// TestMinimalSetUnderChurn checks the maintained minimal set against a scan
+// of every predecessor set after each step of a random walk of AddNode,
+// AddEdge (self-loops included), RemoveEdge and RemoveNode, with Clone and
+// Collapse mixed in, and that Validate notices a stale set.
+func TestMinimalSetUnderChurn(t *testing.T) {
+	scan := func(g *Digraph) []NodeID {
+		var out []NodeID
+		for _, n := range g.Nodes() {
+			if g.InDegree(n) == 0 {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	check := func(g *Digraph, seed int64, step int, what string) {
+		t.Helper()
+		want := scan(g)
+		if got := g.Minimal(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d (%s): Minimal = %v, scan gives %v", seed, step, what, got, want)
+		}
+		first, ok := g.FirstMinimal()
+		if ok != (len(want) > 0) || ok && first != want[0] {
+			t.Fatalf("seed %d step %d (%s): FirstMinimal = %d, %v; scan gives %v", seed, step, what, first, ok, want)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
+		}
+	}
+	const ids = 24
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		for step := 0; step < 500; step++ {
+			u, v := NodeID(rng.Intn(ids)), NodeID(rng.Intn(ids))
+			var what string
+			switch r := rng.Intn(20); {
+			case r < 3:
+				what = fmt.Sprintf("AddNode(%d)", u)
+				g.AddNode(u)
+			case r < 10:
+				if rng.Intn(6) == 0 {
+					v = u
+				}
+				what = fmt.Sprintf("AddEdge(%d, %d)", u, v)
+				g.AddEdge(u, v)
+			case r < 14:
+				if succ := g.Succ(u); len(succ) > 0 {
+					v = succ[rng.Intn(len(succ))]
+				}
+				what = fmt.Sprintf("RemoveEdge(%d, %d)", u, v)
+				g.RemoveEdge(u, v)
+			case r < 18:
+				// Half the time remove the first minimal node, the way an
+				// install drain does.
+				if first, ok := g.FirstMinimal(); ok && rng.Intn(2) == 0 {
+					u = first
+				}
+				what = fmt.Sprintf("RemoveNode(%d)", u)
+				g.RemoveNode(u)
+			case r < 19:
+				what = "Clone"
+				c := g.Clone()
+				check(c, seed, step, "clone")
+				// The copy's set is its own: draining it leaves g's alone.
+				for {
+					first, ok := c.FirstMinimal()
+					if !ok {
+						break
+					}
+					c.RemoveNode(first)
+				}
+				check(c, seed, step, "drained clone")
+				check(g, seed, step, "original after draining its clone")
+				g = g.Clone()
+			default:
+				k := NodeID(2 + rng.Intn(3))
+				what = fmt.Sprintf("Collapse(n / %d)", k)
+				part := map[NodeID]NodeID{}
+				for _, n := range g.Nodes() {
+					part[n] = n / k
+				}
+				c, err := g.Collapse(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g = c
+			}
+			check(g, seed, step, what)
+		}
+	}
+
+	for _, stale := range []IDSet{{2}, {1, 2}, {1, 9}, {}, {2, 1}} {
+		g := New()
+		g.AddEdge(1, 2)
+		g.minimal = stale
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted minimal set %v for the graph 1 -> 2", stale)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package writegraph
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -649,21 +650,27 @@ func (wg *Graph) Node(id graph.NodeID) *NodeView {
 	return wg.view(nd)
 }
 
+// view snapshots nd; the snapshot shares no memory with the graph.
 func (wg *Graph) view(nd *node) *NodeView {
-	v := &NodeView{
+	v := wg.detach(nd)
+	v.Ops = slices.Clone(nd.ops)
+	v.Lastw = maps.Clone(nd.lastw)
+	return v
+}
+
+// detach is view for a node leaving the graph: nothing will change nd
+// again, so the snapshot takes over its operation list and Lastw map
+// instead of copying them.
+func (wg *Graph) detach(nd *node) *NodeView {
+	return &NodeView{
 		ID:     nd.id,
-		Ops:    append([]*op.Operation(nil), nd.ops...),
+		Ops:    nd.ops,
 		Vars:   setToSlice(nd.vars),
 		Notx:   nd.notx(),
 		Reads:  setToSlice(nd.reads),
 		Writes: setToSlice(nd.writes),
-		Lastw:  make(map[op.ObjectID]op.SI, len(nd.lastw)),
+		Lastw:  nd.lastw,
 	}
-	//lint:ignore replaydeterminism map copy; resulting map identical in any order
-	for x, l := range nd.lastw {
-		v.Lastw[x] = l
-	}
-	return v
 }
 
 // Nodes returns snapshots of all nodes, ordered by id.
@@ -684,6 +691,22 @@ func (wg *Graph) Nodes() []*NodeView {
 // Minimal returns ids of nodes with no predecessors — the flush candidates
 // of PurgeCache.
 func (wg *Graph) Minimal() []graph.NodeID { return wg.g.Minimal() }
+
+// FirstMinimal returns the smallest-id node with no predecessors — the
+// flush candidate PurgeCache chooses — without scanning the graph.
+func (wg *Graph) FirstMinimal() (graph.NodeID, bool) { return wg.g.FirstMinimal() }
+
+// FlushSet returns what installing node id flushes, vars(n), and what it
+// installs without flushing, Notx(n), both in canonical order; ok is false
+// when there is no such node.  It is the part of Node the installer needs
+// before it commits to an install.
+func (wg *Graph) FlushSet(id graph.NodeID) (vars, notx []op.ObjectID, ok bool) {
+	nd, ok := wg.nodes[id]
+	if !ok {
+		return nil, nil, false
+	}
+	return setToSlice(nd.vars), nd.notx(), true
+}
 
 // IsMinimal reports whether node id exists and has no predecessors.
 func (wg *Graph) IsMinimal(id graph.NodeID) bool {
@@ -717,7 +740,8 @@ func (wg *Graph) HasEdge(u, v graph.NodeID) bool { return wg.g.HasEdge(u, v) }
 // Remove installs node id: it must be minimal (no predecessors).  It returns
 // a snapshot of the removed node (whose Vars the caller must have flushed
 // atomically and whose Notx objects are installed without flushing) and
-// detaches it from the graph.  Per the paper, removal never creates cycles.
+// detaches it from the graph; the snapshot owns the node's operation list
+// and Lastw map.  Per the paper, removal never creates cycles.
 func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 	nd, ok := wg.nodes[id]
 	if !ok {
@@ -726,7 +750,7 @@ func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 	if wg.g.InDegree(id) != 0 {
 		return nil, fmt.Errorf("writegraph: node %d is not minimal (in-degree %d)", id, wg.g.InDegree(id))
 	}
-	v := wg.view(nd)
+	v := wg.detach(nd)
 	for _, x := range v.Vars {
 		if wg.byVar[x] == id {
 			delete(wg.byVar, x)
