@@ -85,7 +85,7 @@ func (b *Backup) MinRetainLSN() op.SI { return b.StartLSN }
 // (see wal.Log.RegisterRetention) so a checkpoint can never strand the
 // backup.  Call the returned release once the backup is superseded.
 func (b *Backup) RegisterRetention(l *wal.Log) (release func()) {
-	return l.RegisterRetention("backup", b.MinRetainLSN)
+	return l.RegisterRetention(b.MinRetainLSN)
 }
 
 // MediaRecover rebuilds a database from the backup plus the surviving log:

@@ -147,7 +147,7 @@ func NewSender(log *wal.Log, tr Transport, startLSN op.SI, cfg SenderConfig) *Se
 	s.batchRecs = cfg.Obs.Histogram("ship.batch.records")
 	s.batchBytes = cfg.Obs.Histogram("ship.batch.bytes")
 	s.lane = cfg.Tracer.Lane("ship-sender")
-	s.unregister = log.RegisterRetention("standby", s.retainHorizon)
+	s.unregister = log.RegisterRetention(s.retainHorizon)
 	return s
 }
 

@@ -151,9 +151,9 @@ func EncodeRecord(r *Record) ([]byte, error) {
 }
 
 // encodePayload serializes a validated record into e.  It is the single
-// source of the payload byte layout: the heap path (EncodeRecord) and the
-// arena path (AppendFrame) both route through it, so the durable format is
-// byte-identical no matter which encoder produced it.
+// source of the payload byte layout: EncodeRecord and the framed encoder the
+// log's tail uses (AppendFrame) both route through it, so the durable format
+// is byte-identical no matter which encoder produced it.
 func encodePayload(e *encoder, r *Record) {
 	e.u8(uint8(r.Type))
 	e.uvarint(uint64(r.LSN))
@@ -193,11 +193,11 @@ func encodePayload(e *encoder, r *Record) {
 }
 
 // AppendFrame appends the framed encoding of a validated record to buf and
-// returns the extended slice.  When buf has enough spare capacity (an arena
-// chunk) the frame is built in place with no allocation: the framing bytes
-// are reserved, the payload is encoded after them, and frame.Seal fills them
-// in.  The caller must have validated r; the bytes equal
-// frame.Append(nil, EncodeRecord(r)).
+// returns the extended slice.  When buf has enough spare capacity (the log's
+// tail in steady state) the frame is built in place with no allocation: the
+// framing bytes are reserved, the payload is encoded after them, and
+// frame.Seal fills them in.  The caller must have validated r; the bytes
+// equal frame.Append(nil, EncodeRecord(r)).
 func AppendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
 	var hdr [frame.Overhead]byte

@@ -11,7 +11,9 @@ import (
 // durable in the simulator's crash model; the Log's volatile tail models the
 // unforced buffer that a crash loses.
 type Device interface {
-	// Append durably appends p.
+	// Append durably appends p.  p is a slice of the Log's tail buffer,
+	// which the Log compacts once Append returns: an implementation must
+	// not keep p, or any slice of it, after the call.
 	Append(p []byte) error
 	// ReadAll returns the device's full contents.
 	ReadAll() ([]byte, error)

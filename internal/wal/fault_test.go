@@ -4,6 +4,7 @@
 package wal_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -280,6 +281,51 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 	err = l2.Force()
 	if err == nil || !wal.IsTransient(err) {
 		t.Fatalf("force error = %v, want transient failure after retries exhausted", err)
+	}
+}
+
+// TestRetryAfterFailedForceResendsPrefix fails a Force with more transient
+// errors than the retry budget, then forces a lower target.  The failed
+// prefix stays in the tail, so the second force must re-send all of it —
+// and nothing appended after the failure.
+func TestRetryAfterFailedForceResendsPrefix(t *testing.T) {
+	plan := fault.NewPlan(fault.Point{
+		Chan: fault.ChanWAL, Index: 0, Kind: fault.KindTransient, Arg: 4,
+	})
+	dev := wal.NewMemDevice()
+	l, err := wal.New(plan.WrapDevice(dev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	appendRec := func(v byte) {
+		rec := wal.NewOpRecord(op.NewPhysicalWrite("X", []byte{v}))
+		mustAppendRec(t, l, rec)
+		want = wal.AppendFrame(want, rec)
+	}
+	for i := 0; i < 5; i++ {
+		appendRec(byte(i))
+	}
+	if err := l.Force(); err == nil || !wal.IsTransient(err) {
+		t.Fatalf("force error = %v, want transient failure after retries exhausted", err)
+	}
+	failed := want
+	appendRec(5)
+
+	if err := l.ForceThrough(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.StableLSN(); got != 5 {
+		t.Errorf("StableLSN = %d, want 5: the whole failed prefix", got)
+	}
+	if got, _ := dev.ReadAll(); !bytes.Equal(got, failed) {
+		t.Fatalf("device holds %d bytes, want the failed prefix's %d", len(got), len(failed))
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dev.ReadAll(); !bytes.Equal(got, want) {
+		t.Fatalf("device holds %d bytes, want every frame's %d", len(got), len(want))
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -106,6 +107,88 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		if rec.LSN != op.SI(i+1) {
 			t.Fatalf("record %d has LSN %d", i, rec.LSN)
 		}
+	}
+}
+
+// TestAppendsDuringInFlightWrite grows the tail far past its capacity while
+// a leader is writing a prefix of it from the tail in place: the leader's
+// bytes must not move or change under it, and once the rest is forced the
+// device must hold every frame exactly once, in LSN order.
+func TestAppendsDuringInFlightWrite(t *testing.T) {
+	dev := newGatedDevice()
+	l, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	appendRec := func(rec *Record) op.SI {
+		lsn := mustAppend(t, l, rec)
+		want = AppendFrame(want, rec)
+		return lsn
+	}
+	lsn := appendRec(NewOpRecord(op.NewPhysicalWrite("x", []byte("v0"))))
+	done := make(chan error, 1)
+	go func() { done <- l.ForceThrough(lsn) }()
+	<-dev.started // the leader is inside the device write
+
+	const records = 64
+	for i := 0; i < records; i++ {
+		appendRec(NewOpRecord(op.NewPhysicalWrite("x", bytes.Repeat([]byte{byte(i)}, 4<<10))))
+	}
+	close(dev.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.StableLSN(); got != lsn+records {
+		t.Fatalf("StableLSN = %d, want %d", got, lsn+records)
+	}
+	got, err := dev.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("device holds %d bytes that differ from the %d appended", len(got), len(want))
+	}
+}
+
+// TestCrashDuringInFlightWrite crashes the log while a leader is writing a
+// prefix of the tail and appends into the emptied tail before the write
+// returns.  The leader must still write the bytes it cut, and must not drop
+// the record appended after the crash from the new tail.
+func TestCrashDuringInFlightWrite(t *testing.T) {
+	dev := newGatedDevice()
+	l, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := NewOpRecord(op.NewPhysicalWrite("x", []byte("before")))
+	lsn := mustAppend(t, l, before)
+	want := AppendFrame(nil, before)
+	done := make(chan error, 1)
+	go func() { done <- l.ForceThrough(lsn) }()
+	<-dev.started
+
+	if lost := l.Crash(); lost != 1 {
+		t.Fatalf("Crash lost %d records, want 1", lost)
+	}
+	after := NewOpRecord(op.NewPhysicalWrite("y", []byte("after!")))
+	mustAppend(t, l, after)
+	close(dev.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dev.ReadAll(); !bytes.Equal(got, want) {
+		t.Fatalf("in-flight write landed %q, want %q", got, want)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	want = AppendFrame(want, after)
+	if got, _ := dev.ReadAll(); !bytes.Equal(got, want) {
+		t.Fatalf("device holds %d bytes, want %d: the post-crash record was lost", len(got), len(want))
 	}
 }
 

@@ -209,3 +209,49 @@ func TestStreamConcurrentAppendsStayDense(t *testing.T) {
 		t.Errorf("post-crash LSN = %d, want %d", lsn, want)
 	}
 }
+
+// discardDevice acknowledges every append and keeps nothing, so an
+// allocation count sees only the log's own work.
+type discardDevice struct{ *MemDevice }
+
+func (discardDevice) Append([]byte) error { return nil }
+
+func TestSteadyStateAppendAllocatesNothing(t *testing.T) {
+	// Once the tail has grown to its working size, appending records and
+	// forcing them allocates nothing: frames are encoded in place and the
+	// device writes straight from the tail.  The partial ForceThrough
+	// leaves half of every round in the tail, so the copy-down is covered.
+	recs := make([]*Record, 8)
+	for i := range recs {
+		recs[i] = NewOpRecord(op.NewPhysicalWrite(op.ObjectID(fmt.Sprintf("k%d", i)), make([]byte, 100)))
+	}
+	for _, tc := range []struct {
+		name  string
+		force func(l *Log, first op.SI) error
+	}{
+		{"Force", func(l *Log, _ op.SI) error { return l.Force() }},
+		{"partial ForceThrough", func(l *Log, first op.SI) error { return l.ForceThrough(first + 3) }},
+	} {
+		l, err := New(discardDevice{NewMemDevice()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			first := l.NextLSN()
+			for _, rec := range recs {
+				if _, err := l.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.force(l, first); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("%s: %v allocations per round of %d appends, want 0", tc.name, n, len(recs))
+		}
+	}
+}

@@ -13,21 +13,22 @@ import (
 	"logicallog/internal/op"
 )
 
-// Log is the write-ahead log.  Appended records first land in one volatile,
-// LSN-ascending append lane; Force (or ForceThrough) moves a prefix of the
-// lane into a staging buffer and makes it durable on the Device.  A crash
-// loses everything volatile.  LSNs are assigned densely starting at 1 and
-// double as state identifiers (SIs) throughout the system.
+// Log is the write-ahead log.  Appended records land, framed and in LSN
+// order, in one volatile tail buffer; Force (or ForceThrough) writes a
+// prefix of the tail to the Device and drops it once the device has
+// acknowledged it.  A crash loses everything volatile.  LSNs are assigned
+// densely starting at 1 and double as state identifiers (SIs) throughout
+// the system.
 //
 // Log is safe for concurrent use.  Appenders take only the lane mutex, not
 // the log mutex: an append claims its LSN and encodes its frame inside that
-// one critical section, so the lane holds every claimed LSN in order and
+// one critical section, so the tail holds every claimed LSN in order and
 // any prefix of it is gap-free.  Concurrent forcers group-commit: while one
-// caller (the leader) is writing the staged batch to the device, later
-// callers whose records are covered by that in-flight write wait on it
-// instead of issuing their own device write (leader/follower coalescing).
-// The device write itself happens outside both mutexes, so appenders keep
-// running while a force is in flight.
+// caller (the leader) is writing a tail prefix to the device, later callers
+// whose records are covered by that in-flight write wait on it instead of
+// issuing their own device write (leader/follower coalescing).  The device
+// write itself happens outside both mutexes, so appenders keep running
+// while a force is in flight.
 //
 // Lock order: l.mu before laneMu.
 type Log struct {
@@ -47,21 +48,21 @@ type Log struct {
 	stableLSN op.SI
 	firstLSN  op.SI // first LSN still on the device (post truncation)
 
-	// The append lane: volatile records not yet staged, LSN-ascending,
-	// their frames encoded into arena chunks.  Guarded by laneMu.
+	// The volatile tail: the frames of every appended record the device
+	// has not acknowledged, in LSN order; ends[i] is the end offset of the
+	// i-th frame, so the tail's first LSN is nextLSN - len(ends).  Appends
+	// only extend tail, so a prefix the leader is writing never moves
+	// under it.  Guarded by laneMu.
 	laneMu sync.Mutex
-	lane   []laneRec
-	arena  arena
+	tail   []byte
+	ends   []int
 
-	// Staging: the lane prefix the group-commit leader cut at force time,
-	// framed, not yet acknowledged by the device.  Kept across a failed
-	// device write so a retrying leader re-sends the same bytes; dropped by
-	// Crash (stagedGen tells an in-flight leader its batch was crashed
-	// away).  Guarded by l.mu.
-	stagedBuf   []byte
-	stagedCount int
-	stagedLast  op.SI
-	stagedGen   uint64
+	// cut is the record count of a failed device write: the next leader
+	// re-sends at least that prefix.  gen counts crashes, telling an
+	// in-flight leader that Crash dropped the tail it wrote from.  Guarded
+	// by l.mu.
+	cut int
+	gen uint64
 
 	// stats: the append-side fields (Records, PayloadBytes, OpPayloadBytes,
 	// ValueBytes, BytesAppended) are guarded by laneMu, the force-side
@@ -75,20 +76,7 @@ type Log struct {
 	// inside l.mu (see RegisterRetention).
 	retainMu  sync.Mutex
 	retainSeq int
-	retain    map[int]retentionHook
-}
-
-// laneRec is one volatile record buffered in the append lane.
-type laneRec struct {
-	lsn   op.SI
-	frame []byte
-	chunk *chunk // arena chunk backing frame; nil when heap-backed
-}
-
-// retentionHook is one registered truncation horizon (see RegisterRetention).
-type retentionHook struct {
-	name string
-	fn   func() op.SI
+	retain    map[int]func() op.SI
 }
 
 // logObs holds the log's optional hot-path metrics (see SetObs).  All
@@ -284,7 +272,7 @@ func New(dev Device) (*Log, error) {
 	return l, nil
 }
 
-// Append assigns the next LSN to rec, encodes it into the append lane, and
+// Append assigns the next LSN to rec, encodes it into the tail, and
 // returns the LSN.  For operation records the operation's LSN field is set,
 // binding the operation's lSI.  Append does NOT force; the WAL protocol's
 // forcing happens before installation (see ForceThrough).
@@ -299,7 +287,7 @@ func (l *Log) Append(rec *Record) (op.SI, error) {
 		appendStart = time.Now()
 	}
 	// Claim and buffer in one lane critical section: every LSN below
-	// nextLSN is in the lane (or already staged), in order.
+	// nextLSN is in the tail (or already on the device), in order.
 	lsn := op.SI(l.nextLSN.Add(1) - 1)
 	rec.LSN = lsn
 	if rec.Op != nil {
@@ -320,7 +308,7 @@ func (l *Log) AppendOp(o *op.Operation) (op.SI, error) { return l.Append(NewOpRe
 // gap-free prefix copy of the primary's, so the record has to land exactly
 // at the next LSN; the one exception is a completely fresh log (bootstrap
 // from a backup image), which adopts the stream's first LSN as its origin.
-// Shipped records share the append lane with local ones.  Like Append,
+// Shipped records share the tail with local ones.  Like Append,
 // AppendShipped does not force.
 func (l *Log) AppendShipped(rec *Record) error {
 	if rec.LSN == 0 {
@@ -349,15 +337,17 @@ func (l *Log) AppendShipped(rec *Record) error {
 	return nil
 }
 
-// bufferLocked encodes rec (validated, LSN assigned) into the lane and
+// bufferLocked encodes rec (validated, LSN assigned) onto the tail and
 // updates the append statistics.  Caller holds laneMu.
 func (l *Log) bufferLocked(rec *Record) {
-	f, ch := l.arena.appendFrame(rec)
-	l.lane = append(l.lane, laneRec{lsn: rec.LSN, frame: f, chunk: ch})
-	payloadLen := int64(len(f) - frame.Overhead)
+	start := len(l.tail)
+	l.tail = AppendFrame(l.tail, rec)
+	l.ends = append(l.ends, len(l.tail))
+	size := int64(len(l.tail) - start)
+	payloadLen := size - frame.Overhead
 	l.stats.Records[rec.Type]++
 	l.stats.PayloadBytes[rec.Type] += payloadLen
-	l.stats.BytesAppended += int64(len(f))
+	l.stats.BytesAppended += size
 	if rec.Type == RecOperation {
 		l.stats.OpPayloadBytes[rec.Op.Kind] += payloadLen
 		for _, v := range rec.Op.Values {
@@ -389,12 +379,13 @@ func (l *Log) ForceThrough(lsn op.SI) error {
 // pendingForce and waits as a follower: when the leader finishes, a
 // follower whose lsn the write covered returns without touching the device
 // (counted in ForcesCoalesced).  A caller that finds no force in flight
-// becomes the leader: it moves the lane prefix covering its own target and
-// every target accumulated in pendingForce into the staging buffer (see
-// stageThrough) and writes the staged batch in one device append —
-// coalescing concurrent committers without forcing records nobody asked for
-// (the unforced suffix stays crash-losable, which the simulator's crash
-// model depends on).
+// becomes the leader: it writes the tail prefix covering its own target and
+// every target accumulated in pendingForce (see cutThrough) in one device
+// append, straight from the tail — coalescing concurrent committers without
+// forcing records nobody asked for (the unforced suffix stays crash-losable,
+// which the simulator's crash model depends on).  The written prefix is
+// dropped from the tail once the device acknowledges it; after a failed
+// write it stays, and the next leader re-sends it.
 func (l *Log) forceLocked(lsn op.SI) error {
 	joined := false
 	for {
@@ -419,14 +410,11 @@ func (l *Log) forceLocked(lsn op.SI) error {
 		target = l.pendingForce
 	}
 	l.pendingForce = 0
-	l.stageThrough(target)
-	if l.stagedCount == 0 {
+	buf, n, last := l.cutThrough(target)
+	if n == 0 {
 		return nil
 	}
-	buf := l.stagedBuf
-	n := l.stagedCount
-	last := l.stagedLast
-	gen := l.stagedGen
+	gen := l.gen
 	l.forcing = true
 	hooks := l.obs
 	l.mu.Unlock()
@@ -447,18 +435,18 @@ func (l *Log) forceLocked(lsn op.SI) error {
 	l.mu.Lock()
 	l.forcing = false
 	l.stats.TransientRetries += retries
+	// Crash may have dropped the tail meanwhile (gen moved); a successful
+	// device write still happened, so stableLSN stands either way.
 	if err == nil {
 		if last > l.stableLSN {
 			l.stableLSN = last
 		}
-		// Drop exactly the staged batch written.  Crash may have reset the
-		// staging buffer meanwhile (stagedGen moved); the device write still
-		// happened, so stableLSN stands either way.
-		if l.stagedGen == gen {
-			l.stagedBuf = nil
-			l.stagedCount = 0
+		if l.gen == gen {
+			l.dropPrefix(n)
 		}
 		l.stats.Forces++
+	} else if l.gen == gen {
+		l.cut = n
 	}
 	l.forceDone.Broadcast()
 	if err != nil {
@@ -467,25 +455,41 @@ func (l *Log) forceLocked(lsn op.SI) error {
 	return nil
 }
 
-// stageThrough moves every lane record with LSN <= target into the staging
-// buffer.  The lane is LSN-ascending, so this is a prefix cut.  Caller holds
-// l.mu; the staging buffer survives a failed device write so a retrying
-// leader re-sends the same bytes.
-func (l *Log) stageThrough(target op.SI) {
+// cutThrough returns the tail prefix holding every record with LSN <=
+// target, but never fewer records than a failed earlier write covered (cut),
+// with its record count and last LSN.  The slice is capped at its length, so
+// a device that appends to it reallocates instead of overwriting the records
+// behind it.  Caller holds l.mu.
+func (l *Log) cutThrough(target op.SI) (buf []byte, n int, last op.SI) {
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	n := 0
-	for _, r := range l.lane {
-		if r.lsn > target {
-			break
-		}
-		l.stagedBuf = append(l.stagedBuf, r.frame...)
-		l.stagedLast = r.lsn
-		l.arena.release(r.chunk)
-		n++
+	first := op.SI(l.nextLSN.Load()) - op.SI(len(l.ends))
+	n = len(l.ends)
+	if target < first {
+		n = 0
+	} else if target-first < op.SI(n) {
+		n = int(target-first) + 1
 	}
-	l.stagedCount += n
-	l.lane = l.lane[n:]
+	n = max(n, l.cut)
+	if n == 0 {
+		return nil, 0, 0
+	}
+	end := l.ends[n-1]
+	return l.tail[:end:end], n, first + op.SI(n) - 1
+}
+
+// dropPrefix discards the first n records of the tail, which the device has
+// acknowledged, copying the rest down.  Caller holds l.mu.
+func (l *Log) dropPrefix(n int) {
+	l.laneMu.Lock()
+	defer l.laneMu.Unlock()
+	off := l.ends[n-1]
+	l.tail = l.tail[:copy(l.tail, l.tail[off:])]
+	l.ends = l.ends[:copy(l.ends, l.ends[n:])]
+	for i := range l.ends {
+		l.ends[i] -= off
+	}
+	l.cut = 0
 }
 
 // StableLSN returns the highest durable LSN.
@@ -507,21 +511,21 @@ func (l *Log) FirstLSN() op.SI {
 	return l.firstLSN
 }
 
-// Crash drops every volatile record (the append lane and the staging
-// buffer), simulating a crash; it returns the number of records lost.  The
-// device (stable log) is untouched.
+// Crash drops every volatile record (the whole tail, including a prefix a
+// leader may still be writing), simulating a crash; it returns the number of
+// records lost.  The device (stable log) is untouched.
 func (l *Log) Crash() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	n := l.stagedCount + len(l.lane)
-	l.lane = nil
-	l.arena = arena{}
-	l.stagedBuf = nil
-	l.stagedCount = 0
-	l.stagedLast = 0
-	l.stagedGen++
+	n := len(l.ends)
+	// A fresh buffer, not tail[:0]: an in-flight leader may still be
+	// writing from the old one.
+	l.tail = nil
+	l.ends = nil
+	l.cut = 0
+	l.gen++
 	// LSN assignment continues monotonically after recovery; recovery
 	// itself may log fresh records.
 	return n
@@ -608,7 +612,7 @@ func (l *Log) Restart() error {
 	}
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	if l.stagedCount+len(l.lane) != 0 {
+	if len(l.ends) != 0 {
 		return nil
 	}
 	if last == 0 {
@@ -628,18 +632,16 @@ func (l *Log) Restart() error {
 // discard records with LSN >= the hook's returned value, no matter what cut
 // point the caller asks for.  A hook returning NilSI (0) abstains for that
 // truncation.  Hooks are consulted outside the log mutex and must not call
-// back into the Log.  The returned release function unregisters the hook;
-// name appears in no output today but keeps hooks identifiable under a
-// debugger.
-func (l *Log) RegisterRetention(name string, fn func() op.SI) (release func()) {
+// back into the Log.  The returned release function unregisters the hook.
+func (l *Log) RegisterRetention(fn func() op.SI) (release func()) {
 	l.retainMu.Lock()
 	defer l.retainMu.Unlock()
 	if l.retain == nil {
-		l.retain = make(map[int]retentionHook)
+		l.retain = make(map[int]func() op.SI)
 	}
 	id := l.retainSeq
 	l.retainSeq++
-	l.retain[id] = retentionHook{name: name, fn: fn}
+	l.retain[id] = fn
 	return func() {
 		l.retainMu.Lock()
 		defer l.retainMu.Unlock()
@@ -651,14 +653,14 @@ func (l *Log) RegisterRetention(name string, fn func() op.SI) (release func()) {
 // non-zero horizon, or 0 when no hook constrains truncation.
 func (l *Log) retentionFloor() op.SI {
 	l.retainMu.Lock()
-	hooks := make([]retentionHook, 0, len(l.retain))
+	hooks := make([]func() op.SI, 0, len(l.retain))
 	for _, h := range l.retain {
 		hooks = append(hooks, h)
 	}
 	l.retainMu.Unlock()
 	floor := op.SI(0)
 	for _, h := range hooks {
-		if lsn := h.fn(); lsn != 0 && (floor == 0 || lsn < floor) {
+		if lsn := h(); lsn != 0 && (floor == 0 || lsn < floor) {
 			floor = lsn
 		}
 	}

@@ -25,7 +25,7 @@ func TestRetentionClampsTruncate(t *testing.T) {
 	}
 
 	horizon := op.SI(4)
-	release := l.RegisterRetention("standby", func() op.SI { return horizon })
+	release := l.RegisterRetention(func() op.SI { return horizon })
 
 	if err := l.Truncate(8); err != nil {
 		t.Fatal(err)
@@ -66,8 +66,8 @@ func TestRetentionMinOverHooks(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	relA := l.RegisterRetention("backup", func() op.SI { return 6 })
-	relB := l.RegisterRetention("standby", func() op.SI { return 3 })
+	relA := l.RegisterRetention(func() op.SI { return 6 })
+	relB := l.RegisterRetention(func() op.SI { return 3 })
 	defer relA()
 	defer relB()
 	if err := l.Truncate(9); err != nil {
@@ -77,7 +77,7 @@ func TestRetentionMinOverHooks(t *testing.T) {
 		t.Errorf("FirstLSN = %d, want the min hook horizon 3", got)
 	}
 	// A zero horizon means "no constraint", not "retain everything".
-	relC := l.RegisterRetention("idle", func() op.SI { return 0 })
+	relC := l.RegisterRetention(func() op.SI { return 0 })
 	defer relC()
 	if err := l.Truncate(5); err != nil {
 		t.Fatal(err)
