@@ -14,9 +14,9 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"logicallog/internal/graph"
@@ -154,18 +154,6 @@ func (e *entry) rsi() op.SI {
 	return e.pending[0]
 }
 
-// tableShards stripes the dirty object table: parallel redo workers fault
-// and apply against disjoint objects, so per-object (striped) locking lets
-// them proceed without contending on one map mutex.  Power of two.
-const tableShards = 32
-
-var tableSeed = maphash.MakeSeed()
-
-type tableShard struct {
-	mu sync.RWMutex
-	m  map[op.ObjectID]*entry
-}
-
 // Manager is the cache manager.
 //
 // Normal operation is engine-serialized (the paper's concerns are recovery
@@ -173,19 +161,29 @@ type tableShard struct {
 // TryApplyLogged — is additionally safe for concurrent use by recovery's
 // parallel redo workers under one invariant the redo scheduler guarantees:
 // two operations that conflict (one writes an object the other reads or
-// writes) are never replayed concurrently.  The striped table locks below
-// protect the map structure; entry *contents* need no locks because every
-// entry is only ever mutated by the single chain that owns its object.
+// writes) are never replayed concurrently.  tableMu protects only the
+// dirty object table's map structure; entry *contents* need no lock because
+// every entry is only ever mutated by the single chain that owns its object.
 type Manager struct {
-	cfg    Config
-	log    *wal.Log
-	store  *stable.Store
-	wg     *writegraph.Graph
-	wgMu   sync.Mutex // guards wg.AddOp from concurrent redo workers
-	shards [tableShards]tableShard
+	cfg   Config
+	log   *wal.Log
+	store *stable.Store
+	wg    *writegraph.Graph
+	wgMu  sync.Mutex // guards wg.AddOp from concurrent redo workers
 
-	statsMu sync.Mutex
-	stats   Stats
+	tableMu sync.RWMutex
+	table   map[op.ObjectID]*entry
+
+	// Counters behind Stats, updated atomically because redo workers
+	// apply operations concurrently.
+	opsExecuted         atomic.Int64
+	installs            atomic.Int64
+	identityWrites      atomic.Int64
+	multiObjectFlushes  atomic.Int64
+	objectsFlushed      atomic.Int64
+	installedNotFlushed atomic.Int64
+	evictions           atomic.Int64
+	checkpoints         atomic.Int64
 
 	obs cacheObs
 }
@@ -200,24 +198,17 @@ func NewManager(cfg Config, log *wal.Log, store *stable.Store) (*Manager, error)
 		log:   log,
 		store: store,
 		wg:    writegraph.New(cfg.Policy),
+		table: make(map[op.ObjectID]*entry),
 		obs:   newCacheObs(cfg.Obs),
-	}
-	for i := range m.shards {
-		m.shards[i].m = make(map[op.ObjectID]*entry)
 	}
 	return m, nil
 }
 
-func (m *Manager) shard(x op.ObjectID) *tableShard {
-	return &m.shards[maphash.String(tableSeed, string(x))&(tableShards-1)]
-}
-
 // lookup returns the cached entry for x, if any.
 func (m *Manager) lookup(x op.ObjectID) (*entry, bool) {
-	sh := m.shard(x)
-	sh.mu.RLock()
-	e, ok := sh.m[x]
-	sh.mu.RUnlock()
+	m.tableMu.RLock()
+	e, ok := m.table[x]
+	m.tableMu.RUnlock()
 	return e, ok
 }
 
@@ -225,32 +216,27 @@ func (m *Manager) lookup(x op.ObjectID) (*entry, bool) {
 // read-faulting the same never-written object), in which case the existing
 // entry wins.
 func (m *Manager) insert(x op.ObjectID, e *entry) *entry {
-	sh := m.shard(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.m[x]; ok {
+	m.tableMu.Lock()
+	defer m.tableMu.Unlock()
+	if cur, ok := m.table[x]; ok {
 		return cur
 	}
-	sh.m[x] = e
+	m.table[x] = e
 	return e
 }
 
 func (m *Manager) remove(x op.ObjectID) {
-	sh := m.shard(x)
-	sh.mu.Lock()
-	delete(sh.m, x)
-	sh.mu.Unlock()
+	m.tableMu.Lock()
+	delete(m.table, x)
+	m.tableMu.Unlock()
 }
 
 // forEach visits every cached entry (engine-serialized callers only).
 func (m *Manager) forEach(fn func(x op.ObjectID, e *entry)) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for x, e := range sh.m {
-			fn(x, e)
-		}
-		sh.mu.RUnlock()
+	m.tableMu.RLock()
+	defer m.tableMu.RUnlock()
+	for x, e := range m.table {
+		fn(x, e)
 	}
 }
 
@@ -261,38 +247,47 @@ func (m *Manager) forEach(fn func(x op.ObjectID, e *entry)) {
 // filter is applied before any entry field is read, and an in-range entry's
 // contents are only mutated by the chains that touch it — which the caller
 // must have drained (Engine gates enumeration on RequireRange).  Visit order
-// is shard order, not key order; callers wanting sorted output must sort.
+// is map order, not key order; callers wanting sorted output must sort.
 func (m *Manager) RangeLive(lo, hi op.ObjectID, fn func(x op.ObjectID, exists bool) bool) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for x, e := range sh.m {
-			if x < lo || (hi != "" && x >= hi) {
-				continue
-			}
-			if !fn(x, e.exists) {
-				sh.mu.RUnlock()
-				return
-			}
+	m.tableMu.RLock()
+	defer m.tableMu.RUnlock()
+	for x, e := range m.table {
+		if x < lo || (hi != "" && x >= hi) {
+			continue
 		}
-		sh.mu.RUnlock()
+		if !fn(x, e.exists) {
+			return
+		}
 	}
 }
 
-// Stats returns a snapshot of the manager's counters.
+// Stats returns a snapshot of the manager's counters.  Each counter is read
+// atomically; Engine.Stats makes the set coherent under the engine mutex.
 func (m *Manager) Stats() Stats {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	return m.stats
+	return Stats{
+		OpsExecuted:         m.opsExecuted.Load(),
+		Installs:            m.installs.Load(),
+		IdentityWrites:      m.identityWrites.Load(),
+		MultiObjectFlushes:  m.multiObjectFlushes.Load(),
+		ObjectsFlushed:      m.objectsFlushed.Load(),
+		InstalledNotFlushed: m.installedNotFlushed.Load(),
+		Evictions:           m.evictions.Load(),
+		Checkpoints:         m.checkpoints.Load(),
+	}
 }
 
 // ResetStats zeroes the manager's counters (benchmark phases; Engine's
 // coherent ResetStats resets the WAL, store, cache, and obs registry
 // together under the engine mutex).
 func (m *Manager) ResetStats() {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	m.stats = Stats{}
+	m.opsExecuted.Store(0)
+	m.installs.Store(0)
+	m.identityWrites.Store(0)
+	m.multiObjectFlushes.Store(0)
+	m.objectsFlushed.Store(0)
+	m.installedNotFlushed.Store(0)
+	m.evictions.Store(0)
+	m.checkpoints.Store(0)
 }
 
 // WriteGraph exposes the manager's write graph for inspection.
@@ -488,9 +483,7 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 	if err != nil {
 		return err
 	}
-	m.statsMu.Lock()
-	m.stats.OpsExecuted++
-	m.statsMu.Unlock()
+	m.opsExecuted.Add(1)
 	return nil
 }
 
@@ -731,14 +724,12 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) ([]*w
 		nodes = blocked
 	}
 
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed += int64(len(flush))
-	m.stats.InstalledNotFlushed += int64(len(notx))
+	m.installs.Add(1)
+	m.objectsFlushed.Add(int64(len(flush)))
+	m.installedNotFlushed.Add(int64(len(notx)))
 	if len(flush) > 1 {
-		m.stats.MultiObjectFlushes++
+		m.multiObjectFlushes.Add(1)
 	}
-	m.statsMu.Unlock()
 	m.obs.flushSetSize.Observe(int64(len(flush)))
 	m.obs.notxSize.Observe(int64(len(notx)))
 	if m.obs.wgNodes != nil {
@@ -798,9 +789,7 @@ func (m *Manager) identityWrite(x op.ObjectID) error {
 	if err := m.Execute(o); err != nil {
 		return err
 	}
-	m.statsMu.Lock()
-	m.stats.IdentityWrites++
-	m.statsMu.Unlock()
+	m.identityWrites.Add(1)
 	return nil
 }
 
@@ -830,9 +819,7 @@ func (m *Manager) EvictClean(x op.ObjectID) error {
 		return fmt.Errorf("cache: cannot evict dirty object %q (rSI %d)", x, e.rsi())
 	}
 	m.remove(x)
-	m.statsMu.Lock()
-	m.stats.Evictions++
-	m.statsMu.Unlock()
+	m.evictions.Add(1)
 	return nil
 }
 
@@ -864,9 +851,7 @@ func (m *Manager) Checkpoint() (op.SI, error) {
 	if err := m.log.Force(); err != nil {
 		return 0, err
 	}
-	m.statsMu.Lock()
-	m.stats.Checkpoints++
-	m.statsMu.Unlock()
+	m.checkpoints.Add(1)
 	return lsn, nil
 }
 
@@ -885,12 +870,9 @@ func (m *Manager) TruncationPoint(checkpointLSN op.SI) op.SI {
 
 // Crash discards all volatile cache-manager state, simulating a crash.
 func (m *Manager) Crash() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[op.ObjectID]*entry)
-		sh.mu.Unlock()
-	}
+	m.tableMu.Lock()
+	m.table = make(map[op.ObjectID]*entry)
+	m.tableMu.Unlock()
 	m.wg = writegraph.New(m.cfg.Policy)
 	m.obs.wgNodes.Set(0)
 	m.obs.wgOps.Set(0)

@@ -7,7 +7,7 @@ import (
 )
 
 // LockOrder enforces the documented lock acquisition order between the
-// engine mutex facade, the cache manager's locks, the cache/stable stripe
+// engine mutex facade, the cache manager's locks, the cache and stable table
 // locks, and the WAL mutexes, and requires every Lock/RLock in a function to
 // have a matching (usually deferred) Unlock/RUnlock somewhere in the same
 // function.
@@ -17,17 +17,15 @@ import (
 //
 //  1. core.Engine.mu          — engine mutex facade
 //  2. cache.Manager.wgMu      — write-graph guard
-//  3. cache.tableShard.mu     — cache stripe locks
-//  4. cache.Manager.statsMu   — cache counters
-//  5. stable.Store.batchMu    — stable batch serialization
-//  6. stable.storeShard.mu    — stable stripe locks
-//  7. stable.Store.statsMu    — stable counters
-//  8. wal.Log.mu              — log mutex
-//  9. wal.Log.laneMu          — WAL append lane
+//  3. cache.Manager.tableMu   — dirty object table
+//  4. stable.Store.batchMu    — stable batch serialization
+//  5. stable.Store.mu         — stable object map
+//  6. wal.Log.mu              — log mutex
+//  7. wal.Log.laneMu          — WAL append lane
 //
 // The check is intraprocedural and statement-ordered: it sees acquisitions
 // nested within one function body, which is where ordering bugs between the
-// striped locks and the facades can actually be written.  Cross-function
+// table locks and the facades can actually be written.  Cross-function
 // holding is covered by the ranks' package layering (core calls cache calls
 // stable/wal, never backwards).
 var LockOrder = &Analyzer{
@@ -51,13 +49,11 @@ type lockClass struct {
 var lockRanks = []lockClass{
 	{"Engine", "mu", 1, "core.Engine.mu (engine mutex facade)"},
 	{"Manager", "wgMu", 2, "cache.Manager.wgMu"},
-	{"tableShard", "mu", 3, "cache.tableShard.mu (cache stripe)"},
-	{"Manager", "statsMu", 4, "cache.Manager.statsMu"},
-	{"Store", "batchMu", 5, "stable.Store.batchMu"},
-	{"storeShard", "mu", 6, "stable.storeShard.mu (stable stripe)"},
-	{"Store", "statsMu", 7, "stable.Store.statsMu"},
-	{"Log", "mu", 8, "wal.Log.mu"},
-	{"Log", "laneMu", 9, "wal.Log.laneMu (append lane)"},
+	{"Manager", "tableMu", 3, "cache.Manager.tableMu (dirty object table)"},
+	{"Store", "batchMu", 4, "stable.Store.batchMu"},
+	{"Store", "mu", 5, "stable.Store.mu (object map)"},
+	{"Log", "mu", 6, "wal.Log.mu"},
+	{"Log", "laneMu", 7, "wal.Log.laneMu (append lane)"},
 }
 
 func classOf(typeName, fieldName string) *lockClass {

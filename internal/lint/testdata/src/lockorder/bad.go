@@ -1,6 +1,6 @@
 package lockorder
 
-// BackwardOrder takes the log mutex before the engine facade: rank 8 is
+// BackwardOrder takes the log mutex before the engine facade: rank 6 is
 // held while rank 1 is acquired.
 func BackwardOrder(l *Log, e *Engine) {
 	l.mu.Lock()
@@ -9,13 +9,22 @@ func BackwardOrder(l *Log, e *Engine) {
 	defer e.mu.Unlock()
 }
 
-// ShardBeforeGuard grabs a cache stripe lock and then the write-graph
+// TableBeforeGuard grabs the cache table lock and then the write-graph
 // guard that is documented to come first.
-func ShardBeforeGuard(sh *tableShard, m *Manager) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+func TableBeforeGuard(m *Manager) {
+	m.tableMu.Lock()
+	defer m.tableMu.Unlock()
 	m.wgMu.Lock() // want "violates the documented lock order"
 	defer m.wgMu.Unlock()
+}
+
+// MapBeforeBatch holds the stable object map and then takes the batch
+// lock, which WriteBatch holds while it installs into the map.
+func MapBeforeBatch(s *Store) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.batchMu.Lock() // want "violates the documented lock order"
+	defer s.batchMu.Unlock()
 }
 
 // Leak never releases the lock it takes.
@@ -24,6 +33,6 @@ func Leak(e *Engine) { // leaks on any early return
 }
 
 // ReadLeak never releases a read lock.
-func ReadLeak(sh *tableShard) {
-	sh.mu.RLock() // want "no matching RUnlock"
+func ReadLeak(m *Manager) {
+	m.tableMu.RLock() // want "no matching RUnlock"
 }

@@ -8,9 +8,12 @@ type Engine struct{ mu sync.Mutex }
 
 type Manager struct {
 	wgMu    sync.Mutex
-	statsMu sync.Mutex
+	tableMu sync.RWMutex
 }
 
-type tableShard struct{ mu sync.RWMutex }
+type Store struct {
+	batchMu sync.Mutex
+	mu      sync.RWMutex
+}
 
 type Log struct{ mu sync.Mutex }

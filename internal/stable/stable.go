@@ -23,7 +23,6 @@ package stable
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,6 +50,8 @@ const (
 	// atomicity mechanism.  A crash mid-batch leaves a torn multi-object
 	// state — the failure the write-graph discipline exists to prevent.
 	ModeUnsafe
+
+	numBatchModes = iota
 )
 
 func (m BatchMode) String() string {
@@ -110,41 +111,27 @@ type IOStats struct {
 // ErrNotFound is returned by Read for absent objects.
 var ErrNotFound = errors.New("stable: object not found")
 
-// storeShards stripes the object map so concurrent readers (parallel redo
-// workers faulting objects in) never contend on one mutex.  Power of two.
-const storeShards = 32
-
-var shardSeed = maphash.MakeSeed()
-
-type storeShard struct {
+// Store is the simulated stable database.  Safe for concurrent use: reads
+// take mu's read lock plus atomic counters, so parallel redo workers fault
+// objects in side by side; batch writes (and their crash-injection state)
+// serialize on batchMu, preserving the single-writer atomicity semantics each
+// flush mechanism models, and take mu only to install each entry.
+type Store struct {
 	mu      sync.RWMutex
 	objects map[op.ObjectID]Versioned
-}
-
-// Store is the simulated stable database.  Safe for concurrent use: reads
-// take only the owning shard's read lock plus atomic counters, so parallel
-// redo scales; batch writes (and their crash-injection state) serialize on
-// batchMu, preserving the single-writer atomicity semantics each flush
-// mechanism models.
-type Store struct {
-	shards [storeShards]storeShard
 
 	// batchMu serializes WriteBatch, failure injection, and the pending
 	// flush transaction.
 	batchMu sync.Mutex
 
-	// Hot I/O counters, updated atomically (reads happen outside any
-	// global lock).
+	// I/O counters, updated atomically (reads happen outside batchMu).
 	objectReads       atomic.Int64
 	objectWrites      atomic.Int64
 	objectWriteBytes  atomic.Int64
 	pointerSwings     atomic.Int64
 	flushTxnLogWrites atomic.Int64
 	flushTxnLogBytes  atomic.Int64
-
-	// batches is only touched under batchMu (plus Stats's snapshot).
-	statsMu sync.Mutex
-	batches map[BatchMode]int64
+	batches           [numBatchModes]atomic.Int64
 
 	// probe, when non-nil, is consulted before every simulated device
 	// write a batch performs; a non-nil error injects a failure at exactly
@@ -159,29 +146,18 @@ type Store struct {
 
 // NewStore returns an empty stable store.
 func NewStore() *Store {
-	s := &Store{
-		batches: make(map[BatchMode]int64),
-	}
-	for i := range s.shards {
-		s.shards[i].objects = make(map[op.ObjectID]Versioned)
-	}
-	return s
-}
-
-func (s *Store) shard(x op.ObjectID) *storeShard {
-	return &s.shards[maphash.String(shardSeed, string(x))&(storeShards-1)]
+	return &Store{objects: make(map[op.ObjectID]Versioned)}
 }
 
 // Read fetches an object.  The returned value aliases nothing.
 func (s *Store) Read(x op.ObjectID) (Versioned, error) {
-	sh := s.shard(x)
-	sh.mu.RLock()
-	v, ok := sh.objects[x]
+	s.mu.RLock()
+	v, ok := s.objects[x]
 	var val []byte
 	if ok {
 		val = append([]byte(nil), v.Val...)
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	if !ok {
 		return Versioned{}, fmt.Errorf("%w: %q", ErrNotFound, x)
 	}
@@ -191,37 +167,28 @@ func (s *Store) Read(x op.ObjectID) (Versioned, error) {
 
 // Contains reports whether x exists without counting an I/O.
 func (s *Store) Contains(x op.ObjectID) bool {
-	sh := s.shard(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.objects[x]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.objects[x]
 	return ok
 }
 
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.objects)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.objects)
 }
 
 // IDs returns all object ids in ascending order (no I/O accounting; this is
 // a catalog operation).
 func (s *Store) IDs() []op.ObjectID {
-	var out []op.ObjectID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for x := range sh.objects {
-			out = append(out, x)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]op.ObjectID, 0, len(s.objects))
+	for x := range s.objects {
+		out = append(out, x)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -265,9 +232,10 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 	if mode == ModeSingle && len(entries) != 1 {
 		return fmt.Errorf("stable: ModeSingle batch has %d entries", len(entries))
 	}
-	s.statsMu.Lock()
-	s.batches[mode]++
-	s.statsMu.Unlock()
+	if mode >= numBatchModes {
+		return fmt.Errorf("stable: unknown batch mode %v", mode)
+	}
+	s.batches[mode].Add(1)
 	switch mode {
 	case ModeSingle:
 		if err := s.probeErr(); err != nil {
@@ -348,14 +316,13 @@ func (s *Store) applyEntry(e Entry) {
 
 // installEntry mutates state without I/O accounting (shadow swing phase).
 func (s *Store) installEntry(e Entry) {
-	sh := s.shard(e.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e.Delete {
-		delete(sh.objects, e.ID)
+		delete(s.objects, e.ID)
 		return
 	}
-	sh.objects[e.ID] = Versioned{Val: append([]byte(nil), e.Val...), VSI: e.VSI}
+	s.objects[e.ID] = Versioned{Val: append([]byte(nil), e.Val...), VSI: e.VSI}
 }
 
 // HasPending reports whether a committed flush transaction awaits repair.
@@ -393,11 +360,11 @@ func (s *Store) Stats() IOStats {
 		FlushTxnLogBytes:  s.flushTxnLogBytes.Load(),
 		Batches:           make(map[BatchMode]int64),
 	}
-	s.statsMu.Lock()
-	for k, v := range s.batches {
-		st.Batches[k] = v
+	for m := range s.batches {
+		if n := s.batches[m].Load(); n != 0 {
+			st.Batches[BatchMode(m)] = n
+		}
 	}
-	s.statsMu.Unlock()
 	return st
 }
 
@@ -409,21 +376,18 @@ func (s *Store) ResetStats() {
 	s.pointerSwings.Store(0)
 	s.flushTxnLogWrites.Store(0)
 	s.flushTxnLogBytes.Store(0)
-	s.statsMu.Lock()
-	s.batches = make(map[BatchMode]int64)
-	s.statsMu.Unlock()
+	for m := range s.batches {
+		s.batches[m].Store(0)
+	}
 }
 
 // Snapshot returns a deep copy of the stored state (test oracle use).
 func (s *Store) Snapshot() map[op.ObjectID]Versioned {
-	out := make(map[op.ObjectID]Versioned)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for x, v := range sh.objects {
-			out[x] = Versioned{Val: append([]byte(nil), v.Val...), VSI: v.VSI}
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[op.ObjectID]Versioned, len(s.objects))
+	for x, v := range s.objects {
+		out[x] = Versioned{Val: append([]byte(nil), v.Val...), VSI: v.VSI}
 	}
 	return out
 }
@@ -433,15 +397,13 @@ func (s *Store) Snapshot() map[op.ObjectID]Versioned {
 func (s *Store) Restore(snap map[op.ObjectID]Versioned) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.objects = make(map[op.ObjectID]Versioned)
-		sh.mu.Unlock()
-	}
+	objects := make(map[op.ObjectID]Versioned, len(snap))
 	for x, v := range snap {
-		s.installEntry(Entry{ID: x, Val: v.Val, VSI: v.VSI})
+		objects[x] = Versioned{Val: append([]byte(nil), v.Val...), VSI: v.VSI}
 	}
+	s.mu.Lock()
+	s.objects = objects
+	s.mu.Unlock()
 	s.pending = nil
 }
 

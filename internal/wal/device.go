@@ -72,10 +72,33 @@ func (m *MemDevice) Close() error { return nil }
 
 // FileDevice is a file-backed Device so logs can be inspected offline with
 // cmd/llinspect and survive real process restarts.
+//
+// It is fail-stop.  A write or fsync that fails may still leave bytes on the
+// file (a short write, or pages whose fsync reported an error), and a retry
+// that appended after them would strand every later frame behind a torn one.
+// So a failed Append truncates the file back to its durable size and fsyncs
+// before it returns the error, and the Log's retry appends to a clean end.
+// A failed fsync is never retried into a success: the retry writes the bytes
+// again.  If the truncation fails too, the device is dead, and every later
+// call errors until it is reopened.
 type FileDevice struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	f    file
+	// size is the file's durable length: set at open, and after each
+	// successful Append and Rewrite.
+	size int64
+	// dead, once set, is returned by every later call.
+	dead error
+}
+
+// file is the part of *os.File a FileDevice uses; in-package tests
+// substitute one that fails on cue.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // OpenFileDevice opens (creating if needed) a file-backed device.
@@ -84,23 +107,54 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return &FileDevice{path: path, f: f}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	return &FileDevice{path: path, f: f, size: st.Size()}, nil
 }
 
 // Append implements Device.
 func (d *FileDevice) Append(p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, err := d.f.Write(p); err != nil {
-		return err
+	if d.dead != nil {
+		return d.dead
 	}
-	return d.f.Sync()
+	_, err := d.f.Write(p)
+	if err == nil {
+		err = d.f.Sync()
+	}
+	if err != nil {
+		return d.rollback(err)
+	}
+	d.size += int64(len(p))
+	return nil
+}
+
+// rollback cuts the file back to its durable size after a failed Append and
+// returns cause; if the cut cannot be made durable, the device dies.
+func (d *FileDevice) rollback(cause error) error {
+	err := d.f.Truncate(d.size)
+	if err == nil {
+		err = d.f.Sync()
+	}
+	if err != nil {
+		d.dead = fmt.Errorf("wal: %s is dead until reopened: append failed (%v) and truncating back to %d bytes failed: %w",
+			d.path, cause, d.size, err)
+		return d.dead
+	}
+	return cause
 }
 
 // ReadAll implements Device.
 func (d *FileDevice) ReadAll() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.dead != nil {
+		return nil, d.dead
+	}
 	return os.ReadFile(d.path)
 }
 
@@ -108,11 +162,10 @@ func (d *FileDevice) ReadAll() ([]byte, error) {
 func (d *FileDevice) Size() (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, err := d.f.Stat()
-	if err != nil {
-		return 0, err
+	if d.dead != nil {
+		return 0, d.dead
 	}
-	return st.Size(), nil
+	return d.size, nil
 }
 
 // Rewrite implements Device.  The new contents go to a temporary file that
@@ -123,6 +176,9 @@ func (d *FileDevice) Size() (int64, error) {
 func (d *FileDevice) Rewrite(p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.dead != nil {
+		return d.dead
+	}
 	tmp := d.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -142,6 +198,7 @@ func (d *FileDevice) Rewrite(p []byte) error {
 	err = syncDir(filepath.Dir(d.path))
 	d.f.Close() // superseded by the rename; nothing of it is read again
 	d.f = f
+	d.size = int64(len(p))
 	return err
 }
 
