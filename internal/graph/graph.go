@@ -1,8 +1,11 @@
-// Package graph provides the directed-graph machinery the recovery framework
-// is built on: successor/predecessor tracking, Tarjan strongly-connected
-// components, collapse-by-partition (used twice by the paper's WriteGraph
-// construction, Figure 3), topological ordering, reachability, and minimal
-// (predecessor-free) node enumeration.
+// Package graph provides the batch directed-graph kit: successor/predecessor
+// tracking, Tarjan strongly-connected components, collapse-by-partition
+// (used twice by the paper's WriteGraph construction, Figure 3),
+// topological ordering, reachability, and minimal (predecessor-free) node
+// enumeration.  The installation graph and the batch write graph BuildW are
+// built with it, and the incremental write graph's Validate rebuilds its
+// edges as a Digraph to check them; the incremental write graph itself keeps
+// its edges on its own nodes.
 //
 // Nodes are opaque int64 ids chosen by the caller.  The graph is a simple
 // digraph: parallel edges are coalesced and self-loops are representable but
@@ -24,14 +27,10 @@ type NodeID int64
 //
 // Each node's successors and predecessors are kept sorted ascending, so
 // adjacency is read in id order without sorting and an edge is found by
-// binary search.  The nodes with no predecessors are kept as a set too,
-// updated wherever an in-degree reaches or leaves zero, so the first
-// minimal node is read without scanning the graph.
+// binary search.
 type Digraph struct {
 	succ map[NodeID]IDSet
 	pred map[NodeID]IDSet
-	// minimal holds the nodes of in-degree zero, ascending.
-	minimal IDSet
 }
 
 // New returns an empty digraph.
@@ -47,7 +46,6 @@ func (g *Digraph) AddNode(n NodeID) {
 	if _, ok := g.succ[n]; !ok {
 		g.succ[n] = nil
 		g.pred[n] = nil
-		g.minimal = g.minimal.With(n)
 	}
 }
 
@@ -66,9 +64,6 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 		return
 	}
 	g.succ[u] = g.succ[u].With(v)
-	if len(g.pred[v]) == 0 {
-		g.minimal = g.minimal.Without(v)
-	}
 	g.pred[v] = g.pred[v].With(u)
 }
 
@@ -82,31 +77,16 @@ func (g *Digraph) RemoveEdge(u, v NodeID) {
 	}
 	g.succ[u] = g.succ[u].Without(v)
 	g.pred[v] = g.pred[v].Without(u)
-	if len(g.pred[v]) == 0 {
-		g.minimal = g.minimal.With(v)
-	}
 }
 
-// RemoveNode deletes n and all incident edges; successors left without
-// predecessors become minimal.
+// RemoveNode deletes n and all incident edges.
 func (g *Digraph) RemoveNode(n NodeID) {
 	if _, ok := g.succ[n]; !ok {
 		return
 	}
-	if len(g.pred[n]) == 0 {
-		// Draining installs the first minimal node over and over:
-		// reslicing keeps that O(1) where a delete would move the rest.
-		if g.minimal[0] == n {
-			g.minimal = g.minimal[1:]
-		} else {
-			g.minimal = g.minimal.Without(n)
-		}
-	}
 	for _, v := range g.succ[n] {
 		if v != n {
-			if g.pred[v] = g.pred[v].Without(n); len(g.pred[v]) == 0 {
-				g.minimal = g.minimal.With(v)
-			}
+			g.pred[v] = g.pred[v].Without(n)
 		}
 	}
 	for _, u := range g.pred[n] {
@@ -152,10 +132,6 @@ func (g *Digraph) Pred(n NodeID) []NodeID {
 	return append(make([]NodeID, 0, len(g.pred[n])), g.pred[n]...)
 }
 
-// PredSet returns n's predecessors without copying them: the set is the
-// graph's own, read-only, and valid until the graph next changes.
-func (g *Digraph) PredSet(n NodeID) IDSet { return g.pred[n] }
-
 // InDegree returns the number of predecessors of n.
 func (g *Digraph) InDegree(n NodeID) int { return len(g.pred[n]) }
 
@@ -166,19 +142,13 @@ func (g *Digraph) OutDegree(n NodeID) int { return len(g.succ[n]) }
 // write-graph nodes whose flush installs their operations (Figure 4's
 // "choose a minimal node v in W").
 func (g *Digraph) Minimal() []NodeID {
-	if len(g.minimal) == 0 {
-		return nil
+	var out []NodeID
+	for _, n := range g.Nodes() {
+		if len(g.pred[n]) == 0 {
+			out = append(out, n)
+		}
 	}
-	return slices.Clone(g.minimal)
-}
-
-// FirstMinimal returns the smallest node with no predecessors, or false
-// when there is none.  It costs O(1).
-func (g *Digraph) FirstMinimal() (NodeID, bool) {
-	if len(g.minimal) == 0 {
-		return 0, false
-	}
-	return g.minimal[0], true
+	return out
 }
 
 // Clone returns a deep copy of g.
@@ -189,7 +159,6 @@ func (g *Digraph) Clone() *Digraph {
 		c.succ[n] = slices.Clone(s)
 		c.pred[n] = slices.Clone(g.pred[n])
 	}
-	c.minimal = slices.Clone(g.minimal)
 	return c
 }
 
@@ -238,46 +207,25 @@ func (g *Digraph) HasCycle() bool {
 // component only after every other component it can reach, so for each
 // edge u -> v between two components, v's comes first.  Node ids are sorted
 // within each component.
-func (g *Digraph) SCC() [][]NodeID { return g.SCCWithin(g.Nodes(), nil) }
-
-// SCCWithin is SCC restricted to the subgraph induced by the nodes that in
-// accepts (every node when in is nil): only edges between accepted nodes are
-// followed, and the components come in reverse topological order of that
-// subgraph.  Exploration starts from roots in the given order, which must
-// list every accepted node; the cost is proportional to the accepted nodes
-// and their edges, not to g.
-func (g *Digraph) SCCWithin(roots []NodeID, in func(NodeID) bool) [][]NodeID {
-	index := make(map[NodeID]int, len(roots))
-	low := make(map[NodeID]int, len(roots))
-	onStack := make(map[NodeID]bool, len(roots))
+func (g *Digraph) SCC() [][]NodeID {
+	nodes := g.Nodes()
+	index := make(map[NodeID]int, len(nodes))
+	low := make(map[NodeID]int, len(nodes))
+	onStack := make(map[NodeID]bool, len(nodes))
 	var stack []NodeID
 	var comps [][]NodeID
 	next := 0
 
 	type frame struct {
 		n     NodeID
-		succs []NodeID
+		succs IDSet
 		i     int
 	}
-	succs := func(n NodeID) []NodeID {
-		out := g.Succ(n)
-		if in == nil {
-			return out
-		}
-		kept := out[:0]
-		for _, s := range out {
-			if in(s) {
-				kept = append(kept, s)
-			}
-		}
-		return kept
-	}
-
-	for _, root := range roots {
+	for _, root := range nodes {
 		if _, seen := index[root]; seen {
 			continue
 		}
-		frames := []frame{{n: root, succs: succs(root)}}
+		frames := []frame{{n: root, succs: g.succ[root]}}
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
@@ -293,7 +241,7 @@ func (g *Digraph) SCCWithin(roots []NodeID, in func(NodeID) bool) [][]NodeID {
 					next++
 					stack = append(stack, s)
 					onStack[s] = true
-					frames = append(frames, frame{n: s, succs: succs(s)})
+					frames = append(frames, frame{n: s, succs: g.succ[s]})
 				} else if onStack[s] && index[s] < low[f.n] {
 					low[f.n] = index[s]
 				}
@@ -338,7 +286,7 @@ func (g *Digraph) TopoOrder() ([]NodeID, error) {
 	}
 	// The ready list is an IDSet, so it stays sorted as nodes join it and
 	// the smallest ready node is always first.
-	ready := slices.Clone(g.minimal)
+	ready := IDSet(g.Minimal())
 	var order []NodeID
 	for len(ready) > 0 {
 		n := ready[0]
@@ -424,26 +372,9 @@ func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]
 }
 
 // Validate checks structural invariants: pred/succ symmetry, absence of
-// dangling endpoints, strictly ascending adjacency, and a minimal set that
-// holds exactly the nodes of in-degree zero.  Used by tests and by the
-// write-graph packages after mutation-heavy phases.
+// dangling endpoints and strictly ascending adjacency.  Used by tests and by
+// the write-graph packages after mutation-heavy phases.
 func (g *Digraph) Validate() error {
-	if !sorted(g.minimal) {
-		return fmt.Errorf("graph: minimal set not strictly ascending: %v", g.minimal)
-	}
-	zero := 0
-	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-	for n, p := range g.pred {
-		if (len(p) == 0) != g.minimal.Has(n) {
-			return fmt.Errorf("graph: node %d has in-degree %d but minimal-set membership %v", n, len(p), g.minimal.Has(n))
-		}
-		if len(p) == 0 {
-			zero++
-		}
-	}
-	if zero != len(g.minimal) {
-		return fmt.Errorf("graph: minimal set %v holds nodes not in the graph", g.minimal)
-	}
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
 	for u, s := range g.succ {
 		if !sorted(s) {

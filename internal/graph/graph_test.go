@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -377,107 +376,6 @@ func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestMinimalSetUnderChurn checks the maintained minimal set against a scan
-// of every predecessor set after each step of a random walk of AddNode,
-// AddEdge (self-loops included), RemoveEdge and RemoveNode, with Clone and
-// Collapse mixed in, and that Validate notices a stale set.
-func TestMinimalSetUnderChurn(t *testing.T) {
-	scan := func(g *Digraph) []NodeID {
-		var out []NodeID
-		for _, n := range g.Nodes() {
-			if g.InDegree(n) == 0 {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	check := func(g *Digraph, seed int64, step int, what string) {
-		t.Helper()
-		want := scan(g)
-		if got := g.Minimal(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d step %d (%s): Minimal = %v, scan gives %v", seed, step, what, got, want)
-		}
-		first, ok := g.FirstMinimal()
-		if ok != (len(want) > 0) || ok && first != want[0] {
-			t.Fatalf("seed %d step %d (%s): FirstMinimal = %d, %v; scan gives %v", seed, step, what, first, ok, want)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
-		}
-	}
-	const ids = 24
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := New()
-		for step := 0; step < 500; step++ {
-			u, v := NodeID(rng.Intn(ids)), NodeID(rng.Intn(ids))
-			var what string
-			switch r := rng.Intn(20); {
-			case r < 3:
-				what = fmt.Sprintf("AddNode(%d)", u)
-				g.AddNode(u)
-			case r < 10:
-				if rng.Intn(6) == 0 {
-					v = u
-				}
-				what = fmt.Sprintf("AddEdge(%d, %d)", u, v)
-				g.AddEdge(u, v)
-			case r < 14:
-				if succ := g.Succ(u); len(succ) > 0 {
-					v = succ[rng.Intn(len(succ))]
-				}
-				what = fmt.Sprintf("RemoveEdge(%d, %d)", u, v)
-				g.RemoveEdge(u, v)
-			case r < 18:
-				// Half the time remove the first minimal node, the way an
-				// install drain does.
-				if first, ok := g.FirstMinimal(); ok && rng.Intn(2) == 0 {
-					u = first
-				}
-				what = fmt.Sprintf("RemoveNode(%d)", u)
-				g.RemoveNode(u)
-			case r < 19:
-				what = "Clone"
-				c := g.Clone()
-				check(c, seed, step, "clone")
-				// The copy's set is its own: draining it leaves g's alone.
-				for {
-					first, ok := c.FirstMinimal()
-					if !ok {
-						break
-					}
-					c.RemoveNode(first)
-				}
-				check(c, seed, step, "drained clone")
-				check(g, seed, step, "original after draining its clone")
-				g = g.Clone()
-			default:
-				k := NodeID(2 + rng.Intn(3))
-				what = fmt.Sprintf("Collapse(n / %d)", k)
-				part := map[NodeID]NodeID{}
-				for _, n := range g.Nodes() {
-					part[n] = n / k
-				}
-				c, err := g.Collapse(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g = c
-			}
-			check(g, seed, step, what)
-		}
-	}
-
-	for _, stale := range []IDSet{{2}, {1, 2}, {1, 9}, {}, {2, 1}} {
-		g := New()
-		g.AddEdge(1, 2)
-		g.minimal = stale
-		if err := g.Validate(); err == nil {
-			t.Errorf("Validate accepted minimal set %v for the graph 1 -> 2", stale)
-		}
-	}
-}
-
 func TestIDSet(t *testing.T) {
 	var s IDSet
 	for _, n := range []NodeID{5, 1, 3, 5, 1} {
@@ -492,75 +390,5 @@ func TestIDSet(t *testing.T) {
 	s = s.Without(3).Without(4)
 	if !reflect.DeepEqual(s, IDSet{1, 5}) {
 		t.Errorf("Without = %v, want [1 5]", s)
-	}
-}
-
-// TestSCCWithinReverseTopological pins the order the write graph's order
-// repair relies on: on random digraphs, with and without a node filter, for
-// every edge u -> v between two different components of the accepted
-// subgraph, v's component is emitted before u's.
-func TestSCCWithinReverseTopological(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		g := New()
-		n := 2 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			g.AddNode(NodeID(i))
-		}
-		for i, edges := 0, rng.Intn(3*n); i < edges; i++ {
-			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-		}
-		accept := func(NodeID) bool { return true }
-		var roots []NodeID
-		if trial%2 == 1 {
-			drop := map[NodeID]bool{}
-			for i := 0; i < n/4; i++ {
-				drop[NodeID(rng.Intn(n))] = true
-			}
-			accept = func(v NodeID) bool { return !drop[v] }
-		}
-		for _, i := range rng.Perm(n) {
-			if accept(NodeID(i)) {
-				roots = append(roots, NodeID(i))
-			}
-		}
-		pos := map[NodeID]int{}
-		for i, comp := range g.SCCWithin(roots, accept) {
-			for _, v := range comp {
-				if _, dup := pos[v]; dup {
-					t.Fatalf("trial %d: node %d in two components", trial, v)
-				}
-				pos[v] = i
-			}
-		}
-		if len(pos) != len(roots) {
-			t.Fatalf("trial %d: components cover %d of %d accepted nodes", trial, len(pos), len(roots))
-		}
-		for _, u := range roots {
-			for _, v := range g.Succ(u) {
-				if accept(v) && pos[v] > pos[u] {
-					t.Fatalf("trial %d: edge %d->%d, but %d's component is emitted at %d, after %d's at %d",
-						trial, u, v, v, pos[v], u, pos[u])
-				}
-			}
-		}
-	}
-}
-
-// TestSCCWithinFollowsOnlyAcceptedNodes: a cycle through a rejected node is
-// not a component of the induced subgraph.
-func TestSCCWithinFollowsOnlyAcceptedNodes(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1)
-	g.AddEdge(2, 4)
-	g.AddEdge(4, 5)
-	g.AddEdge(5, 2)
-	in := func(n NodeID) bool { return n != 3 }
-	comps := g.SCCWithin([]NodeID{1, 2, 4, 5}, in)
-	want := [][]NodeID{{2, 4, 5}, {1}}
-	if !reflect.DeepEqual(comps, want) {
-		t.Errorf("SCCWithin = %v, want %v (reverse topological order)", comps, want)
 	}
 }

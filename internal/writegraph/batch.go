@@ -60,22 +60,23 @@ func BuildW(history []*op.Operation) (*Graph, error) {
 			nd = out.newNode()
 			byClass[c] = nd
 		}
-		out.attachOp(nd, o, o.WriteSet)
-		out.trackReadsWrites(nd, o)
+		out.resolve(o)
+		out.attachOp(nd, o)
+		out.trackReadsWrites(nd)
 	}
 	for _, u := range w.Nodes() {
 		for _, s := range w.Succ(u) {
-			out.g.AddEdge(byClass[u].id, byClass[s].id)
+			out.link(byClass[u], byClass[s])
 		}
 	}
 	// Rebuild the order list in a topological order of the collapsed graph.
-	order, err := out.g.TopoOrder()
+	order, err := out.digraph().TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	out.first, out.last = nil, nil
 	for _, id := range order {
-		out.place(out.last, out.nodes[id])
+		out.place(out.last, out.node(id))
 	}
 	return out, nil
 }

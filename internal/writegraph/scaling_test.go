@@ -66,7 +66,7 @@ func TestAddOpNeverVisitsWholeGraph(t *testing.T) {
 		wg := New(policy)
 		worst := 0.0
 		for _, o := range logicalOps(t, 1, 8000) {
-			before, size := wg.visits, wg.Len()+wg.g.EdgeCount()
+			before, size := wg.visits, wg.Len()+wg.edgeCount()
 			if _, err := wg.AddOp(o); err != nil {
 				t.Fatal(err)
 			}

@@ -19,10 +19,8 @@ package writegraph
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"logicallog/internal/graph"
 	"logicallog/internal/op"
@@ -59,30 +57,76 @@ func (p Policy) String() string {
 //	Notx(n)    Writes(n) − vars(n): the unexposed objects of n
 //	Lastw(n,X) last value (here: LSN of last write) of X written by ops(n)
 //
-// prev and next link n into the list that holds the nodes in the graph's
-// maintained topological order; rank increases along that list, with gaps.
+// The last five are one entry per object in objs.  prev and next link n
+// into the list that holds the nodes in the graph's maintained topological
+// order; rank increases along that list, with gaps.
 type node struct {
 	id         graph.NodeID
 	rank       int64
 	prev, next *node
-	// mark is the epoch of the last order repair whose set B held n.
-	mark   uint64
-	ops    []*op.Operation
-	vars   map[op.ObjectID]struct{}
-	reads  map[op.ObjectID]struct{}
-	writes map[op.ObjectID]struct{}
-	lastw  map[op.ObjectID]op.SI
+	// succ and pred are n's edges, each sorted by id.
+	succ, pred []*node
+	// mark is the epoch of the last order repair whose set B held n; index,
+	// low and onStack are Tarjan's state in that repair's pass over B.
+	mark       uint64
+	index, low int
+	onStack    bool
+	// gone is set when n is absorbed into another node or removed.
+	gone bool
+	// ops is in conflict (LSN) order unless unsorted is set: absorb appends
+	// the victim's operations and leaves sorting to the next reader.
+	ops      []*op.Operation
+	unsorted bool
+	// objs holds n's objects, sorted by ObjectID.
+	objs []entry
+	// edges and op are where a new node's first edges and operation go,
+	// so that most nodes need no allocation besides themselves and objs.
+	edges [4]*node
+	op    [1]*op.Operation
 }
 
-func (n *node) notx() []op.ObjectID {
-	var out []op.ObjectID
-	//lint:ignore replaydeterminism membership filter is order-independent; canonicalized below
-	for x := range n.writes {
-		if _, ok := n.vars[x]; !ok {
-			out = append(out, x)
-		}
-	}
-	return op.Canonicalize(out)
+// entry is one object of a node: which of vars(n), Reads(n) and Writes(n)
+// hold it, and Lastw(n,X) when Writes(n) does.  obj is the object's record.
+type entry struct {
+	x     op.ObjectID
+	obj   *object
+	flags uint8
+	lastw op.SI
+}
+
+// Entry flags.
+const (
+	inVars uint8 = 1 << iota
+	inReads
+	inWrites
+)
+
+// object is the graph's record of one object X with uninstalled operations.
+type object struct {
+	// holder is the unique node holding X in vars.  The paper: "each X is a
+	// member of only one vars(p) for all p".
+	holder *node
+	// lastWriter is the node containing X's latest (uninstalled) writer,
+	// used to resolve Lastw(p,X) readers.
+	lastWriter *node
+	// readers are the nodes whose Reads contain X, sorted by id: the
+	// read-write predecessors of any node that writes X.
+	readers []*node
+	// lastReaders are the nodes containing operations that read the value
+	// lastWriter wrote, sorted by id (reset whenever X is rewritten).  They
+	// get inverse write-read edges q -> p when X becomes unexposed in p.
+	lastReaders []*node
+}
+
+func (r *object) empty() bool {
+	return r.holder == nil && r.lastWriter == nil && len(r.readers) == 0 && len(r.lastReaders) == 0
+}
+
+// frame is one node on Tarjan's explicit call stack; i is the position of
+// the next successor to look at.
+type frame struct {
+	n *node
+	i int
 }
 
 // Graph is a write graph under a policy.  It is maintained incrementally:
@@ -90,16 +134,25 @@ func (n *node) notx() []op.ObjectID {
 // manager, Remove to PurgeCache installing a minimal node.
 //
 // Both do work proportional to what the operation touches — the nodes
-// indexed under the objects it reads or writes, and the nodes its new edges
-// move in the maintained topological order — never to the size of the
-// uninstalled backlog.
+// recorded under the objects it reads or writes, and the nodes its new
+// edges move in the maintained topological order — never to the size of
+// the uninstalled backlog.  The graph lives on its nodes: each holds its
+// edges and objects, and each object has one record naming the nodes that
+// hold, last wrote or read it.  AddOp hashes each object it touches once,
+// to find that record; nothing else on its path is a map.
 //
 // Graph is not safe for concurrent use; the cache manager serializes access.
 type Graph struct {
 	policy Policy
-	g      *graph.Digraph
-	nodes  map[graph.NodeID]*node
+	// nodes holds the nodes ascending by id, so an id is found by binary
+	// search.  Absorbed and removed nodes stay in it, marked gone, until
+	// they outnumber the live ones.
+	nodes  []*node
+	live   int
 	nextID graph.NodeID
+	// minimal holds the nodes with no predecessors, ascending by id.
+	minimal []*node
+	objects map[op.ObjectID]*object
 	// first and last are the ends of the order list.  Ranks leave gaps
 	// between neighbours, so settle moves nodes without renumbering the
 	// rest; relabels counts the times a gap ran out and the whole list was
@@ -112,28 +165,27 @@ type Graph struct {
 	// opCount is the number of operations across all nodes.
 	opCount int
 
-	// byVar maps an object to the unique node holding it in vars.  The
-	// paper: "each X is a member of only one vars(p) for all p".
-	byVar map[op.ObjectID]graph.NodeID
-	// lastWriter maps an object to the node containing its latest
-	// (uninstalled) writer, used to resolve Lastw(p,X) readers.
-	lastWriter map[op.ObjectID]graph.NodeID
-	// readersOfLast maps an object X with a latest writer to the nodes
-	// containing operations that read the value that writer wrote (reset
-	// whenever X is rewritten).  These nodes get inverse write-read edges
-	// q -> p when X becomes unexposed in p.
-	readersOfLast map[op.ObjectID]graph.IDSet
-	// readersOf maps an object to the nodes whose Reads contain it: the
-	// read-write predecessors of any node that writes it.
-	readersOf map[op.ObjectID]graph.IDSet
-
 	// disordered lists the edges the current AddOp inserted against the
 	// maintained order; settle repairs the order once they are all in.
-	disordered [][2]graph.NodeID
-	// visits counts the nodes and edges AddOp examines: indexed readers,
+	disordered [][2]*node
+	// visits counts the nodes and edges AddOp examines: recorded readers,
 	// inserted edges and the order repair.  Tests use it to check the work
 	// per operation.
 	visits int
+
+	// Scratch reused across calls.  rrecs and wrecs are the records of the
+	// current operation's ReadSet and WriteSet, exposed marks its writes
+	// that it also reads; prevHolder is, per write, the node that held it
+	// in vars before the merge (nil for an exposed one).
+	rrecs, wrecs        []*object
+	exposed             []bool
+	preds, merge        []*node
+	prevHolder          []*node
+	heads, tails, order []*node
+	frames              []frame
+	tarjan, comps       []*node
+	compEnds            []int
+	objBuf              []entry
 
 	// stats
 	merges        int
@@ -143,14 +195,9 @@ type Graph struct {
 // New returns an empty write graph under the given policy.
 func New(policy Policy) *Graph {
 	return &Graph{
-		policy:        policy,
-		g:             graph.New(),
-		nodes:         make(map[graph.NodeID]*node),
-		nextID:        1,
-		byVar:         make(map[op.ObjectID]graph.NodeID),
-		lastWriter:    make(map[op.ObjectID]graph.NodeID),
-		readersOfLast: make(map[op.ObjectID]graph.IDSet),
-		readersOf:     make(map[op.ObjectID]graph.IDSet),
+		policy:  policy,
+		nextID:  1,
+		objects: make(map[op.ObjectID]*object),
 	}
 }
 
@@ -158,7 +205,7 @@ func New(policy Policy) *Graph {
 func (wg *Graph) Policy() Policy { return wg.policy }
 
 // Len returns the number of nodes.
-func (wg *Graph) Len() int { return len(wg.nodes) }
+func (wg *Graph) Len() int { return wg.live }
 
 // OpCount returns the number of uninstalled operations across all nodes.
 func (wg *Graph) OpCount() int { return wg.opCount }
@@ -179,9 +226,9 @@ func (wg *Graph) AddOp(o *op.Operation) (graph.NodeID, error) {
 	}
 	switch wg.policy {
 	case PolicyW:
-		return wg.addOpW(o)
+		return wg.addOpW(o), nil
 	case PolicyRW:
-		return wg.addOpRW(o)
+		return wg.addOpRW(o), nil
 	}
 	return 0, fmt.Errorf("writegraph: unknown policy %v", wg.policy)
 }
@@ -190,150 +237,218 @@ func (wg *Graph) AddOp(o *op.Operation) (graph.NodeID, error) {
 // nodes whose writesets intersect merge (transitive closure of writeset
 // overlap), vars(n) = Writes(n), and installation read-write edges order
 // nodes.  Cycles collapse (second collapse of Figure 3).
-func (wg *Graph) addOpW(o *op.Operation) (graph.NodeID, error) {
+func (wg *Graph) addOpW(o *op.Operation) graph.NodeID {
+	wg.resolve(o)
 	// Record read-write edges first: nodes that previously read an object
 	// this operation writes must be installed before it.
-	preds := wg.readWritePredecessors(o)
+	preds := wg.readWritePredecessors()
 
 	// Merge every node whose Writes overlaps writeset(o).  Under W, vars(n)
-	// = Writes(n) and each object is in one vars set, so byVar names it.
-	var mergeIDs []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
-	for _, x := range o.WriteSet {
-		if id, ok := wg.byVar[x]; ok {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				mergeIDs = append(mergeIDs, id)
-			}
+	// = Writes(n) and each object is in one vars set, so its holder names
+	// it.
+	wg.merge = wg.merge[:0]
+	for _, rec := range wg.wrecs {
+		if rec.holder != nil {
+			wg.merge = append(wg.merge, rec.holder)
 		}
 	}
-	m := wg.mergeInto(mergeIDs)
-	wg.attachOp(m, o, o.WriteSet /* vars gets full writeset */)
-	wg.addEdgesFrom(preds, m.id)
-	wg.trackReadsWrites(m, o)
-	return wg.settle(m.id), nil
-}
-
-// addEdgesFrom adds edges p -> to for every p that still exists (a
-// predecessor recorded before a merge may have been absorbed).
-func (wg *Graph) addEdgesFrom(preds []graph.NodeID, to graph.NodeID) {
-	for _, p := range preds {
-		if p == to {
-			continue
-		}
-		if _, ok := wg.nodes[p]; !ok {
-			continue
-		}
-		wg.addEdge(p, to)
-	}
-}
-
-// addEdge inserts u -> v, listing it for settle when it runs against the
-// maintained order.
-func (wg *Graph) addEdge(u, v graph.NodeID) {
-	wg.visits++
-	wg.g.AddEdge(u, v)
-	if wg.nodes[u].rank > wg.nodes[v].rank {
-		wg.disordered = append(wg.disordered, [2]graph.NodeID{u, v})
-	}
+	m := wg.mergeInto(wg.merge)
+	wg.attachOp(m, o)
+	wg.addEdgesFrom(preds, m)
+	wg.trackReadsWrites(m)
+	return wg.settle(m).id
 }
 
 // addOpRW implements procedure addop_rW of Figure 6.
-func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
-	exp := o.Exp()
-	notexp := o.NotExp()
-
+func (wg *Graph) addOpRW(o *op.Operation) graph.NodeID {
+	wg.resolve(o)
 	// Read-write edges: nodes p with Reads(p) ∩ writeset(o) ≠ ∅ precede m.
-	preds := wg.readWritePredecessors(o)
+	preds := wg.readWritePredecessors()
 
-	// Record, before any merging re-points byVar, which node currently
-	// holds each not-exposed object in its vars.
-	prevHolder := make(map[op.ObjectID]graph.NodeID, len(notexp))
-	for _, x := range notexp {
-		if id, ok := wg.byVar[x]; ok {
-			prevHolder[x] = id
-		}
-	}
-
-	// Merge nodes n with vars(n) ∩ exp(o) ≠ ∅ into m.
-	var mergeIDs []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
-	for _, x := range exp {
-		if id, ok := wg.byVar[x]; ok {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				mergeIDs = append(mergeIDs, id)
+	// Record, before any merging re-points holders, which node currently
+	// holds each not-exposed object in its vars, and collect the nodes n
+	// with vars(n) ∩ exp(o) ≠ ∅, which merge into m.
+	wg.merge, wg.prevHolder = wg.merge[:0], wg.prevHolder[:0]
+	for i, rec := range wg.wrecs {
+		h := rec.holder
+		if wg.exposed[i] {
+			if h != nil {
+				wg.merge = append(wg.merge, h)
 			}
+			h = nil
 		}
+		wg.prevHolder = append(wg.prevHolder, h)
 	}
-	m := wg.mergeInto(mergeIDs)
-	wg.attachOp(m, o, o.WriteSet)
-	wg.addEdgesFrom(preds, m.id)
+	m := wg.mergeInto(wg.merge)
+	wg.attachOp(m, o)
+	wg.addEdgesFrom(preds, m)
 
 	// For each p ≠ m with vars(p) ∩ notexp(o) ≠ ∅: remove the not-exposed
 	// objects from vars(p); add write-write edge p -> m; and add inverse
 	// write-read edges q -> p for nodes q reading Lastw(p,X).
-	for _, x := range notexp {
-		pid, ok := prevHolder[x]
-		if !ok || pid == m.id {
+	for i, p := range wg.prevHolder {
+		if p == nil || p == m || p.gone {
+			// A gone holder was absorbed into m by the exp merge; the
+			// object legitimately stays in vars(m).
 			continue
 		}
-		p, alive := wg.nodes[pid]
-		if !alive {
-			// The holder was absorbed into m by the exp merge; the object
-			// legitimately stays in vars(m).
-			continue
-		}
-		delete(p.vars, x)
-		// attachOp already re-pointed byVar[x] to m.
-		wg.addEdge(pid, m.id) // write-write: o ∈ must(op) for op ∈ ops(p)
+		p.find(o.WriteSet[i]).flags &^= inVars
+		// attachOp already made m the object's holder.
+		wg.addEdge(p, m) // write-write: o ∈ must(op) for op ∈ ops(p)
 		// Inverse write-read edges: readers of the value p last wrote to x
 		// must install before p so that x is truly unexposed when p's vars
 		// are flushed without x.
-		if wg.lastWriter[x] == pid {
-			readers := wg.readersOfLast[x]
-			wg.visits += len(readers)
-			for _, qid := range readers {
-				if qid != pid && wg.g.HasNode(qid) {
-					wg.addEdge(qid, pid)
+		if rec := wg.wrecs[i]; rec.lastWriter == p {
+			wg.visits += len(rec.lastReaders)
+			for _, q := range rec.lastReaders {
+				if q != p && !q.gone {
+					wg.addEdge(q, p)
 				}
 			}
 		}
 	}
 
-	wg.trackReadsWrites(m, o)
-	return wg.settle(m.id), nil
+	wg.trackReadsWrites(m)
+	return wg.settle(m).id
 }
 
-// readWritePredecessors returns ids of nodes containing operations that read
-// any object o writes — installation read-write edges point from them to
-// o's node.  The result is sorted: downstream consumers only build edge
-// sets today, but the predecessor list must not leak map-iteration order
-// into anything replay-visible.
-func (wg *Graph) readWritePredecessors(o *op.Operation) []graph.NodeID {
-	var out []graph.NodeID
-	for _, x := range o.WriteSet {
-		wg.visits += len(wg.readersOf[x])
-		out = append(out, wg.readersOf[x]...)
+// resolve looks up, creating them as needed, the records of the objects o
+// reads and writes: one hash per object, whichever sets hold it.
+func (wg *Graph) resolve(o *op.Operation) {
+	wg.rrecs = wg.rrecs[:0]
+	for _, x := range o.ReadSet {
+		wg.rrecs = append(wg.rrecs, wg.object(x))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return slices.Compact(out)
+	wg.wrecs, wg.exposed = wg.wrecs[:0], wg.exposed[:0]
+	for _, x := range o.WriteSet {
+		// exp(o) = writeset ∩ readset; the sets are canonical (sorted).
+		var rec *object
+		i, exp := slices.BinarySearch(o.ReadSet, x)
+		if exp {
+			rec = wg.rrecs[i]
+		} else {
+			rec = wg.object(x)
+		}
+		wg.wrecs = append(wg.wrecs, rec)
+		wg.exposed = append(wg.exposed, exp)
+	}
+}
+
+// object returns x's record, creating it if x has none.
+func (wg *Graph) object(x op.ObjectID) *object {
+	rec := wg.objects[x]
+	if rec == nil {
+		rec = &object{}
+		wg.objects[x] = rec
+	}
+	return rec
+}
+
+// readWritePredecessors returns the nodes containing operations that read
+// any object the resolved operation writes — installation read-write edges
+// point from them to its node — ascending by id.  The result is scratch,
+// valid until the next call.
+func (wg *Graph) readWritePredecessors() []*node {
+	out := wg.preds[:0]
+	for _, rec := range wg.wrecs {
+		wg.visits += len(rec.readers)
+		out = append(out, rec.readers...)
+	}
+	slices.SortFunc(out, byID)
+	wg.preds = slices.Compact(out)
+	return wg.preds
+}
+
+// addEdgesFrom adds edges p -> to for every p that still exists (a
+// predecessor recorded before a merge may have been absorbed).
+func (wg *Graph) addEdgesFrom(preds []*node, to *node) {
+	for _, p := range preds {
+		if p != to && !p.gone {
+			wg.addEdge(p, to)
+		}
+	}
+}
+
+// addEdge inserts u -> v, listing it for settle when it runs against the
+// maintained order.
+func (wg *Graph) addEdge(u, v *node) {
+	wg.visits++
+	wg.link(u, v)
+	if u.rank > v.rank {
+		wg.disordered = append(wg.disordered, [2]*node{u, v})
+	}
+}
+
+// link inserts u -> v into both nodes' edge lists unless it is there, and
+// takes v out of the minimal set when it gains its first predecessor.
+func (wg *Graph) link(u, v *node) {
+	i, found := searchID(u.succ, v.id)
+	if found {
+		return
+	}
+	u.succ = slices.Insert(u.succ, i, v)
+	if len(v.pred) == 0 {
+		wg.minimal = without(wg.minimal, v)
+	}
+	v.pred = with(v.pred, u)
+}
+
+// unlinkAll drops every edge of n.  Successors left without predecessors
+// become minimal, and so does nothing else: n itself is leaving.
+func (wg *Graph) unlinkAll(n *node) {
+	if len(n.pred) == 0 {
+		// Draining installs the first minimal node over and over:
+		// reslicing keeps that O(1) where a delete would move the rest.
+		if wg.minimal[0] == n {
+			wg.minimal[0] = nil
+			wg.minimal = wg.minimal[1:]
+		} else {
+			wg.minimal = without(wg.minimal, n)
+		}
+	}
+	for _, v := range n.succ {
+		if v.pred = without(v.pred, n); len(v.pred) == 0 {
+			wg.minimal = with(wg.minimal, v)
+		}
+	}
+	for _, u := range n.pred {
+		u.succ = without(u.succ, n)
+	}
+	// Clearing edges too keeps a gone node from holding on to others.
+	n.succ, n.pred, n.edges = nil, nil, [4]*node{}
 }
 
 // newNode adds an empty node at the end of the maintained order.
 func (wg *Graph) newNode() *node {
-	nd := &node{
-		id:     wg.nextID,
-		vars:   make(map[op.ObjectID]struct{}),
-		reads:  make(map[op.ObjectID]struct{}),
-		writes: make(map[op.ObjectID]struct{}),
-		lastw:  make(map[op.ObjectID]op.SI),
-	}
+	nd := &node{id: wg.nextID}
+	nd.succ, nd.pred, nd.ops = nd.edges[0:0:2], nd.edges[2:2:4], nd.op[:0]
 	wg.nextID++
 	wg.place(wg.last, nd)
-	wg.nodes[nd.id] = nd
-	wg.g.AddNode(nd.id)
+	wg.nodes = append(wg.nodes, nd)
+	wg.live++
+	// The new id is the largest, so it goes last in the minimal set.
+	wg.minimal = append(wg.minimal, nd)
 	return nd
+}
+
+// retire marks n gone once it has left the graph and drops what it holds;
+// the id table sheds gone nodes when they outnumber the live ones.
+func (wg *Graph) retire(n *node) {
+	n.gone = true
+	n.ops, n.objs = nil, nil
+	wg.live--
+	if len(wg.nodes) > 2*wg.live+32 {
+		wg.nodes = slices.DeleteFunc(wg.nodes, func(n *node) bool { return n.gone })
+	}
+}
+
+// node returns the node with the given id, or nil.
+func (wg *Graph) node(id graph.NodeID) *node {
+	i, found := searchID(wg.nodes, id)
+	if !found || wg.nodes[i].gone {
+		return nil
+	}
+	return wg.nodes[i]
 }
 
 // rankGap is the rank distance between neighbours after a relabel and
@@ -384,7 +499,7 @@ func (wg *Graph) place(after *node, run ...*node) {
 // is too long for that to fit an int64).
 func (wg *Graph) relabel() {
 	wg.relabels++
-	step := min(rankGap, math.MaxInt64/int64(len(wg.nodes)+2))
+	step := min(rankGap, math.MaxInt64/int64(wg.live+2))
 	r := int64(0)
 	for n := wg.first; n != nil; n = n.next {
 		r += step
@@ -408,116 +523,184 @@ func (wg *Graph) unlink(n *node) {
 }
 
 // mergeInto merges the given nodes into one (creating a fresh node if the
-// list is empty) and returns the survivor.  Edges are re-pointed; self-edges
-// are dropped.
-func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
-	if len(ids) == 0 {
+// list is empty) and returns the survivor, the one with the smallest id.
+// Edges are re-pointed; self-edges are dropped.  It sorts list in place.
+func (wg *Graph) mergeInto(list []*node) *node {
+	if len(list) == 0 {
 		return wg.newNode()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	survivor := wg.nodes[ids[0]]
-	for _, id := range ids[1:] {
-		wg.absorb(survivor, id)
+	slices.SortFunc(list, byID)
+	list = slices.Compact(list)
+	survivor := list[0]
+	for _, victim := range list[1:] {
+		wg.absorb(survivor, victim)
 		wg.merges++
 	}
 	return survivor
 }
 
-// absorb merges node id into survivor and deletes it.  Collapsing two nodes
+// absorb merges victim into survivor and deletes it.  Collapsing two nodes
 // joins every path that ran between them; the re-pointed edges that run
 // against the maintained order are listed for settle like any new edge.
-func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
-	victim := wg.nodes[id]
-	survivor.ops = mergeOps(survivor.ops, victim.ops)
-	//lint:ignore replaydeterminism set union; resulting maps identical in any order
-	for x := range victim.vars {
-		survivor.vars[x] = struct{}{}
-		wg.byVar[x] = survivor.id
-	}
-	//lint:ignore replaydeterminism set union; resulting maps identical in any order
-	for x := range victim.reads {
-		survivor.reads[x] = struct{}{}
-		// Re-point the reader registries: both only ever hold nodes whose
-		// Reads contain the object.
-		dropID(wg.readersOf, x, id)
-		addID(wg.readersOf, x, survivor.id)
-		if wg.readersOfLast[x].Has(id) {
-			dropID(wg.readersOfLast, x, id)
-			addID(wg.readersOfLast, x, survivor.id)
+func (wg *Graph) absorb(survivor, victim *node) {
+	if len(victim.ops) > 0 {
+		if victim.unsorted || len(survivor.ops) > 0 && victim.ops[0].LSN < survivor.ops[len(survivor.ops)-1].LSN {
+			survivor.unsorted = true
 		}
+		survivor.ops = append(survivor.ops, victim.ops...)
 	}
-	//lint:ignore replaydeterminism set union; resulting maps identical in any order
-	for x := range victim.writes {
-		survivor.writes[x] = struct{}{}
-		if wg.lastWriter[x] == id {
-			wg.lastWriter[x] = survivor.id
-		}
-	}
-	//lint:ignore replaydeterminism commutative max-fold per key
-	for x, l := range victim.lastw {
-		if l > survivor.lastw[x] {
-			survivor.lastw[x] = l
-		}
-	}
+	wg.mergeObjects(survivor, victim)
 	// Re-point edges.
-	for _, s := range wg.g.Succ(id) {
-		if s != survivor.id {
-			wg.addEdge(survivor.id, s)
+	for _, s := range victim.succ {
+		if s != survivor {
+			wg.addEdge(survivor, s)
 		}
 	}
-	for _, p := range wg.g.Pred(id) {
-		if p != survivor.id {
-			wg.addEdge(p, survivor.id)
+	for _, p := range victim.pred {
+		if p != survivor {
+			wg.addEdge(p, survivor)
 		}
 	}
-	wg.g.RemoveNode(id)
+	wg.unlinkAll(victim)
 	wg.unlink(victim)
-	delete(wg.nodes, id)
+	wg.retire(victim)
 }
 
-// attachOp appends o to nd and adds varsToAdd into vars(nd), re-pointing the
-// byVar registry.
-func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
+// mergeObjects folds victim's object entries into survivor's and re-points
+// the records of victim's objects to survivor.  When survivor already has
+// every one of victim's objects the entries fold in place; otherwise the
+// two sorted lists merge into the scratch list, which then trades places
+// with survivor's.
+func (wg *Graph) mergeObjects(survivor, victim *node) {
+	for _, ve := range victim.objs {
+		wg.repoint(ve, survivor, victim)
+	}
+	missing := false
+	for _, ve := range victim.objs {
+		if e := survivor.find(ve.x); e != nil {
+			e.flags |= ve.flags
+			e.lastw = max(e.lastw, ve.lastw)
+		} else {
+			missing = true
+		}
+	}
+	if !missing {
+		return
+	}
+	merged := wg.objBuf[:0]
+	s, v := survivor.objs, victim.objs
+	for len(s) > 0 || len(v) > 0 {
+		switch {
+		case len(v) == 0 || len(s) > 0 && s[0].x <= v[0].x:
+			// Shared objects were folded into survivor's entry above.
+			if len(v) > 0 && s[0].x == v[0].x {
+				v = v[1:]
+			}
+			merged = append(merged, s[0])
+			s = s[1:]
+		default:
+			merged = append(merged, v[0])
+			v = v[1:]
+		}
+	}
+	wg.objBuf = survivor.objs[:0]
+	survivor.objs = merged
+}
+
+// repoint moves the record of victim's entry ve over to survivor: both
+// reader sets only ever hold nodes whose Reads contain the object.
+func (wg *Graph) repoint(ve entry, survivor, victim *node) {
+	rec := ve.obj
+	if ve.flags&inVars != 0 {
+		rec.holder = survivor
+	}
+	if ve.flags&inReads != 0 {
+		rec.readers = with(without(rec.readers, victim), survivor)
+		if has(rec.lastReaders, victim) {
+			rec.lastReaders = with(without(rec.lastReaders, victim), survivor)
+		}
+	}
+	if ve.flags&inWrites != 0 && rec.lastWriter == victim {
+		rec.lastWriter = survivor
+	}
+}
+
+// attachOp appends the resolved operation o to nd and adds its writeset to
+// vars(nd), making nd each written object's holder.
+func (wg *Graph) attachOp(nd *node, o *op.Operation) {
 	nd.ops = append(nd.ops, o)
 	wg.opCount++
-	for _, x := range varsToAdd {
-		nd.vars[x] = struct{}{}
+	if nd.objs == nil {
+		nd.objs = make([]entry, 0, len(o.ReadSet)+len(o.WriteSet))
+	}
+	for i, x := range o.ReadSet {
+		rec := wg.rrecs[i]
+		nd.ensure(x, rec).flags |= inReads
+		rec.readers = with(rec.readers, nd)
+	}
+	for i, x := range o.WriteSet {
+		rec := wg.wrecs[i]
+		e := nd.ensure(x, rec)
+		e.flags |= inVars | inWrites
+		e.lastw = o.LSN
 		// Under rW an object may currently sit in another node's vars only
-		// if x ∈ exp(o) — but then that node was merged into nd.  Under W
-		// the overlap merge guarantees the same.  So this re-point is safe.
-		wg.byVar[x] = nd.id
-	}
-	for _, x := range o.ReadSet {
-		nd.reads[x] = struct{}{}
-		addID(wg.readersOf, x, nd.id)
-	}
-	for _, x := range o.WriteSet {
-		nd.writes[x] = struct{}{}
-		nd.lastw[x] = o.LSN
+		// if x ∉ exp(o), and addOpRW takes it out of there; if x ∈ exp(o)
+		// that node was merged into nd.  Under W the overlap merge
+		// guarantees the same.  So this re-point is safe.
+		rec.holder = nd
 	}
 }
 
-// trackReadsWrites updates the Lastw reader registries for o, which now
-// lives in nd.  Reads happen before writes within an operation.  A read of
-// an object with no uninstalled writer is not recorded: inverse write-read
-// edges only ever point into a node that last wrote the object.
-func (wg *Graph) trackReadsWrites(nd *node, o *op.Operation) {
-	for _, x := range o.ReadSet {
-		if _, ok := wg.lastWriter[x]; ok {
-			addID(wg.readersOfLast, x, nd.id)
+// trackReadsWrites updates the Lastw reader records for the resolved
+// operation, which now lives in nd.  Reads happen before writes within an
+// operation.  A read of an object with no uninstalled writer is not
+// recorded: inverse write-read edges only ever point into a node that last
+// wrote the object.
+func (wg *Graph) trackReadsWrites(nd *node) {
+	for _, rec := range wg.rrecs {
+		if rec.lastWriter != nil {
+			rec.lastReaders = with(rec.lastReaders, nd)
 		}
 	}
-	for _, x := range o.WriteSet {
-		wg.lastWriter[x] = nd.id
-		delete(wg.readersOfLast, x)
+	for _, rec := range wg.wrecs {
+		rec.lastWriter = nd
+		clear(rec.lastReaders)
+		rec.lastReaders = rec.lastReaders[:0]
+	}
+}
+
+// find returns n's entry for x, or nil.
+func (n *node) find(x op.ObjectID) *entry {
+	if i, found := n.search(x); found {
+		return &n.objs[i]
+	}
+	return nil
+}
+
+// ensure returns n's entry for x, adding an empty one for the record rec
+// if n has none.  The pointer is valid until n's entries next change.
+func (n *node) ensure(x op.ObjectID, rec *object) *entry {
+	i, found := n.search(x)
+	if !found {
+		n.objs = slices.Insert(n.objs, i, entry{x: x, obj: rec})
+	}
+	return &n.objs[i]
+}
+
+// sortOps puts n's operations back in conflict order after absorb appended
+// out of it.
+func (n *node) sortOps() {
+	if n.unsorted {
+		slices.SortFunc(n.ops, func(a, b *op.Operation) int { return cmp.Compare(a.LSN, b.LSN) })
+		n.unsorted = false
 	}
 }
 
 // settle restores the maintained topological order once all of an AddOp's
 // edges are in, collapsing every strongly connected component they closed
-// (the second collapse of Figure 3), and returns the id of the node that
-// now holds the operations of start.  It waits for the end of the AddOp
-// because addop_rW reads node membership and Lastw writers between its edge
+// (the second collapse of Figure 3), and returns the node that now holds
+// the operations of start.  It waits for the end of the AddOp because
+// addop_rW reads node membership and Lastw writers between its edge
 // insertions; collapsing mid-call would change what it reads.
 //
 // The repair searches backward only.  Let lo be the lowest rank among the
@@ -536,12 +719,12 @@ func (wg *Graph) trackReadsWrites(nd *node, o *op.Operation) {
 // in reverse of the order Tarjan emits them, give that order; the
 // nontrivial ones — exactly the components a global SCC pass would
 // collapse — collapse into their minimum id.
-func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
+func (wg *Graph) settle(start *node) *node {
 	var low *node
-	var heads, tails []*node
+	heads, tails := wg.heads[:0], wg.tails[:0]
 	for _, e := range wg.disordered {
-		u, v := wg.nodes[e[0]], wg.nodes[e[1]]
-		if u == nil || v == nil || u.rank < v.rank {
+		u, v := e[0], e[1]
+		if u.gone || v.gone || u.rank < v.rank {
 			// An endpoint was absorbed later in this AddOp; the edge that
 			// replaced it was listed on its own.
 			continue
@@ -552,7 +735,9 @@ func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
 		heads = append(heads, v)
 		tails = append(tails, u)
 	}
+	clear(wg.disordered)
 	wg.disordered = wg.disordered[:0]
+	wg.heads, wg.tails = heads, tails
 	if low == nil {
 		return start
 	}
@@ -564,29 +749,30 @@ func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
 	if !slices.ContainsFunc(heads, inB) {
 		slices.SortFunc(moved, func(a, b *node) int { return cmp.Compare(a.rank, b.rank) })
 	} else {
-		roots := make([]graph.NodeID, len(moved))
-		for i, n := range moved {
-			roots[i] = n.id
-		}
-		wg.visits += len(roots)
-		comps := wg.g.SCCWithin(roots, func(id graph.NodeID) bool { return inB(wg.nodes[id]) })
+		wg.visits += len(moved)
+		wg.components(moved)
 		moved = moved[:0]
-		for i := len(comps) - 1; i >= 0; i-- {
-			comp := comps[i]
-			survivor := wg.nodes[comp[0]]
+		for k := len(wg.compEnds) - 1; k >= 0; k-- {
+			begin := 0
+			if k > 0 {
+				begin = wg.compEnds[k-1]
+			}
+			comp := wg.comps[begin:wg.compEnds[k]]
+			survivor := comp[0]
 			if len(comp) > 1 {
 				wg.cycleCollapse++
-				for _, id := range comp[1:] {
-					if id == start {
-						start = survivor.id
+				for _, n := range comp[1:] {
+					if n == start {
+						start = survivor
 					}
-					wg.absorb(survivor, id)
+					wg.absorb(survivor, n)
 				}
 			}
 			moved = append(moved, survivor)
 		}
 		// absorb re-pointed edges within B or across its boundary, which
 		// the placement below satisfies like every other such edge.
+		clear(wg.disordered)
 		wg.disordered = wg.disordered[:0]
 	}
 	for _, n := range moved {
@@ -598,10 +784,11 @@ func (wg *Graph) settle(start graph.NodeID) graph.NodeID {
 
 // ancestors returns, in visit order, the nodes that reach one of tails
 // through nodes ranked at least lo (the tails must be), and stamps each with
-// a fresh epoch.  It takes over tails as its stack.
+// a fresh epoch.  It takes over tails as its stack.  The result is scratch,
+// valid until the next call.
 func (wg *Graph) ancestors(tails []*node, lo int64) []*node {
 	wg.epoch++
-	var order []*node
+	order := wg.order[:0]
 	stack := tails
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -611,15 +798,83 @@ func (wg *Graph) ancestors(tails []*node, lo int64) []*node {
 		}
 		n.mark = wg.epoch
 		order = append(order, n)
-		preds := wg.g.PredSet(n.id)
-		wg.visits += 1 + len(preds)
-		for _, id := range preds {
-			if p := wg.nodes[id]; p.rank >= lo && p.mark != wg.epoch {
+		wg.visits += 1 + len(n.pred)
+		for _, p := range n.pred {
+			if p.rank >= lo && p.mark != wg.epoch {
 				stack = append(stack, p)
 			}
 		}
 	}
+	wg.tails, wg.order = stack, order
 	return order
+}
+
+// components runs Tarjan's algorithm (iterative, so a deep B cannot
+// overflow the goroutine stack) over the subgraph induced by the current
+// set B, exploring from roots in order; roots must list all of B.  It
+// follows only edges between nodes of B.  The components, each sorted by
+// id, go to comps, the end of each to compEnds, in reverse topological
+// order: Tarjan emits a component only after every other one it can reach,
+// so for each edge u -> v between two components, v's comes first.
+func (wg *Graph) components(roots []*node) {
+	for _, n := range roots {
+		n.index, n.onStack = 0, false
+	}
+	wg.comps, wg.compEnds = wg.comps[:0], wg.compEnds[:0]
+	stack, frames := wg.tarjan[:0], wg.frames[:0]
+	next := 0
+	visit := func(n *node) {
+		next++
+		n.index, n.low = next, next
+		n.onStack = true
+		stack = append(stack, n)
+		frames = append(frames, frame{n: n})
+	}
+	for _, root := range roots {
+		if root.index != 0 {
+			continue
+		}
+		visit(root)
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			n := f.n
+			for f.i < len(n.succ) && n.succ[f.i].mark != wg.epoch {
+				f.i++
+			}
+			if f.i < len(n.succ) {
+				s := n.succ[f.i]
+				f.i++
+				if s.index == 0 {
+					visit(s)
+				} else if s.onStack && s.index < n.low {
+					n.low = s.index
+				}
+				continue
+			}
+			// All successors explored: maybe emit a component.
+			if n.low == n.index {
+				begin := len(wg.comps)
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					w.onStack = false
+					wg.comps = append(wg.comps, w)
+					if w == n {
+						break
+					}
+				}
+				slices.SortFunc(wg.comps[begin:], byID)
+				wg.compEnds = append(wg.compEnds, len(wg.comps))
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := frames[len(frames)-1].n; n.low < p.low {
+					p.low = n.low
+				}
+			}
+		}
+	}
+	wg.tarjan, wg.frames = stack, frames
 }
 
 // ---------------------------------------------------------------------------
@@ -643,91 +898,149 @@ type NodeView struct {
 
 // Node returns a snapshot of the node with the given id, or nil.
 func (wg *Graph) Node(id graph.NodeID) *NodeView {
-	nd, ok := wg.nodes[id]
-	if !ok {
+	nd := wg.node(id)
+	if nd == nil {
 		return nil
 	}
-	return wg.view(nd)
+	return view(nd)
 }
 
 // view snapshots nd; the snapshot shares no memory with the graph.
-func (wg *Graph) view(nd *node) *NodeView {
-	v := wg.detach(nd)
-	v.Ops = slices.Clone(nd.ops)
-	v.Lastw = maps.Clone(nd.lastw)
+func view(nd *node) *NodeView {
+	v := detach(nd)
+	v.Ops = slices.Clone(v.Ops)
 	return v
 }
 
 // detach is view for a node leaving the graph: nothing will change nd
-// again, so the snapshot takes over its operation list and Lastw map
-// instead of copying them.
-func (wg *Graph) detach(nd *node) *NodeView {
-	return &NodeView{
+// again, so the snapshot takes over its operation list instead of copying
+// it.  The object lists come out in canonical order because the entries
+// are kept in it, and share one backing array.
+func detach(nd *node) *NodeView {
+	nd.sortOps()
+	var nvars, nnotx, nreads, nwrites int
+	for _, e := range nd.objs {
+		if e.flags&inVars != 0 {
+			nvars++
+		} else if e.flags&inWrites != 0 {
+			nnotx++
+		}
+		if e.flags&inReads != 0 {
+			nreads++
+		}
+		if e.flags&inWrites != 0 {
+			nwrites++
+		}
+	}
+	buf := make([]op.ObjectID, 0, nvars+nnotx+nreads+nwrites)
+	carve := func(n int) []op.ObjectID {
+		s := buf[len(buf) : len(buf) : len(buf)+n]
+		buf = buf[:len(buf)+n]
+		return s
+	}
+	v := &NodeView{
 		ID:     nd.id,
 		Ops:    nd.ops,
-		Vars:   setToSlice(nd.vars),
-		Notx:   nd.notx(),
-		Reads:  setToSlice(nd.reads),
-		Writes: setToSlice(nd.writes),
-		Lastw:  nd.lastw,
+		Vars:   carve(nvars),
+		Reads:  carve(nreads),
+		Writes: carve(nwrites),
+		Lastw:  make(map[op.ObjectID]op.SI, nwrites),
 	}
+	if nnotx > 0 {
+		v.Notx = carve(nnotx)
+	}
+	for _, e := range nd.objs {
+		if e.flags&inVars != 0 {
+			v.Vars = append(v.Vars, e.x)
+		} else if e.flags&inWrites != 0 {
+			v.Notx = append(v.Notx, e.x)
+		}
+		if e.flags&inReads != 0 {
+			v.Reads = append(v.Reads, e.x)
+		}
+		if e.flags&inWrites != 0 {
+			v.Writes = append(v.Writes, e.x)
+			v.Lastw[e.x] = e.lastw
+		}
+	}
+	return v
 }
 
 // Nodes returns snapshots of all nodes, ordered by id.
 func (wg *Graph) Nodes() []*NodeView {
-	ids := make([]graph.NodeID, 0, len(wg.nodes))
-	//lint:ignore replaydeterminism key collection is order-independent; sorted below
-	for id := range wg.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*NodeView, len(ids))
-	for i, id := range ids {
-		out[i] = wg.view(wg.nodes[id])
+	out := make([]*NodeView, 0, wg.live)
+	for _, n := range wg.nodes {
+		if !n.gone {
+			out = append(out, view(n))
+		}
 	}
 	return out
 }
 
 // Minimal returns ids of nodes with no predecessors — the flush candidates
 // of PurgeCache.
-func (wg *Graph) Minimal() []graph.NodeID { return wg.g.Minimal() }
+func (wg *Graph) Minimal() []graph.NodeID {
+	if len(wg.minimal) == 0 {
+		return nil
+	}
+	out := make([]graph.NodeID, len(wg.minimal))
+	for i, n := range wg.minimal {
+		out[i] = n.id
+	}
+	return out
+}
 
 // FirstMinimal returns the smallest-id node with no predecessors — the
 // flush candidate PurgeCache chooses — without scanning the graph.
-func (wg *Graph) FirstMinimal() (graph.NodeID, bool) { return wg.g.FirstMinimal() }
+func (wg *Graph) FirstMinimal() (graph.NodeID, bool) {
+	if len(wg.minimal) == 0 {
+		return 0, false
+	}
+	return wg.minimal[0].id, true
+}
 
 // FlushSet returns what installing node id flushes, vars(n), and what it
 // installs without flushing, Notx(n), both in canonical order; ok is false
 // when there is no such node.  It is the part of Node the installer needs
 // before it commits to an install.
 func (wg *Graph) FlushSet(id graph.NodeID) (vars, notx []op.ObjectID, ok bool) {
-	nd, ok := wg.nodes[id]
-	if !ok {
+	nd := wg.node(id)
+	if nd == nil {
 		return nil, nil, false
 	}
-	return setToSlice(nd.vars), nd.notx(), true
+	vars = []op.ObjectID{}
+	for _, e := range nd.objs {
+		if e.flags&inVars != 0 {
+			vars = append(vars, e.x)
+		} else if e.flags&inWrites != 0 {
+			notx = append(notx, e.x)
+		}
+	}
+	return vars, notx, true
 }
 
 // IsMinimal reports whether node id exists and has no predecessors.
 func (wg *Graph) IsMinimal(id graph.NodeID) bool {
-	_, ok := wg.nodes[id]
-	return ok && wg.g.InDegree(id) == 0
+	nd := wg.node(id)
+	return nd != nil && len(nd.pred) == 0
 }
 
 // NodeOf returns the id of the node holding x in its vars, if any.
 func (wg *Graph) NodeOf(x op.ObjectID) (graph.NodeID, bool) {
-	id, ok := wg.byVar[x]
-	return id, ok
+	if rec := wg.objects[x]; rec != nil && rec.holder != nil {
+		return rec.holder.id, true
+	}
+	return 0, false
 }
 
 // NodeOfOp returns the id of the node containing the operation with the
-// given LSN, if any.
+// given LSN, if any.  It walks the whole graph: a standby mirroring an
+// install record calls it, and tests do.
 func (wg *Graph) NodeOfOp(lsn op.SI) (graph.NodeID, bool) {
-	//lint:ignore replaydeterminism an LSN lives in exactly one node, so at most one iteration matches
-	for id, nd := range wg.nodes {
-		for _, o := range nd.ops {
+	for n := wg.first; n != nil; n = n.next {
+		for _, o := range n.ops {
 			if o.LSN == lsn {
-				return id, true
+				return n.id, true
 			}
 		}
 	}
@@ -735,41 +1048,51 @@ func (wg *Graph) NodeOfOp(lsn op.SI) (graph.NodeID, bool) {
 }
 
 // HasEdge reports whether the write graph orders u before v.
-func (wg *Graph) HasEdge(u, v graph.NodeID) bool { return wg.g.HasEdge(u, v) }
+func (wg *Graph) HasEdge(u, v graph.NodeID) bool {
+	nu := wg.node(u)
+	if nu == nil {
+		return false
+	}
+	_, found := searchID(nu.succ, v)
+	return found
+}
 
 // Remove installs node id: it must be minimal (no predecessors).  It returns
 // a snapshot of the removed node (whose Vars the caller must have flushed
 // atomically and whose Notx objects are installed without flushing) and
-// detaches it from the graph; the snapshot owns the node's operation list
-// and Lastw map.  Per the paper, removal never creates cycles.
+// detaches it from the graph; the snapshot owns the node's operation list.
+// Per the paper, removal never creates cycles.
 func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
-	nd, ok := wg.nodes[id]
-	if !ok {
+	nd := wg.node(id)
+	if nd == nil {
 		return nil, fmt.Errorf("writegraph: no node %d", id)
 	}
-	if wg.g.InDegree(id) != 0 {
-		return nil, fmt.Errorf("writegraph: node %d is not minimal (in-degree %d)", id, wg.g.InDegree(id))
+	if len(nd.pred) != 0 {
+		return nil, fmt.Errorf("writegraph: node %d is not minimal (in-degree %d)", id, len(nd.pred))
 	}
-	v := wg.detach(nd)
-	for _, x := range v.Vars {
-		if wg.byVar[x] == id {
-			delete(wg.byVar, x)
+	v := detach(nd)
+	for _, e := range nd.objs {
+		rec := e.obj
+		if rec.holder == nd {
+			rec.holder = nil
 		}
-	}
-	for _, x := range v.Writes {
-		if wg.lastWriter[x] == id {
-			delete(wg.lastWriter, x)
-			delete(wg.readersOfLast, x)
+		if rec.lastWriter == nd {
+			rec.lastWriter = nil
+			clear(rec.lastReaders)
+			rec.lastReaders = rec.lastReaders[:0]
 		}
-	}
-	for _, x := range v.Reads {
-		dropID(wg.readersOf, x, id)
-		dropID(wg.readersOfLast, x, id)
+		if e.flags&inReads != 0 {
+			rec.readers = without(rec.readers, nd)
+			rec.lastReaders = without(rec.lastReaders, nd)
+		}
+		if rec.empty() {
+			delete(wg.objects, e.x)
+		}
 	}
 	wg.opCount -= len(nd.ops)
-	wg.g.RemoveNode(id)
+	wg.unlinkAll(nd)
 	wg.unlink(nd)
-	delete(wg.nodes, id)
+	wg.retire(nd)
 	return v, nil
 }
 
@@ -782,260 +1105,108 @@ func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 // back through AddOp; under rW each identity write removes its object from
 // vars(n).
 func (wg *Graph) IdentityBreakupPlan(id graph.NodeID) ([]op.ObjectID, error) {
-	nd, ok := wg.nodes[id]
-	if !ok {
+	nd := wg.node(id)
+	if nd == nil {
 		return nil, fmt.Errorf("writegraph: no node %d", id)
 	}
-	if len(nd.vars) <= 1 {
-		return nil, nil
-	}
-	vars := setToSlice(nd.vars)
-	// Retain the var with the max Lastw; identity-write the rest.
-	keep := vars[0]
-	for _, x := range vars[1:] {
-		if nd.lastw[x] > nd.lastw[keep] {
-			keep = x
+	// Retain the var with the max Lastw (the first in canonical order on a
+	// tie); identity-write the rest.
+	var keep *entry
+	nvars := 0
+	for i := range nd.objs {
+		if e := &nd.objs[i]; e.flags&inVars != 0 {
+			nvars++
+			if keep == nil || e.lastw > keep.lastw {
+				keep = e
+			}
 		}
 	}
-	var plan []op.ObjectID
-	for _, x := range vars {
-		if x != keep {
-			plan = append(plan, x)
+	if nvars <= 1 {
+		return nil, nil
+	}
+	plan := make([]op.ObjectID, 0, nvars-1)
+	for i := range nd.objs {
+		if e := &nd.objs[i]; e.flags&inVars != 0 && e != keep {
+			plan = append(plan, e.x)
 		}
 	}
 	return plan, nil
 }
 
-// Validate checks the graph's structural invariants: the underlying digraph
-// is consistent and acyclic, each object is in at most one vars set, byVar
-// agrees with node contents, and under W vars == Writes for every node.  It
-// also rebuilds every per-object index (readers, latest writers and their
-// readers) and the operation count from node contents and compares them
-// with the maintained ones, and checks the maintained order (validateOrder).
-func (wg *Graph) Validate() error {
-	if err := wg.g.Validate(); err != nil {
-		return err
-	}
-	if wg.g.HasCycle() {
-		return fmt.Errorf("writegraph: graph has a cycle after collapse")
-	}
-	if wg.g.Len() != len(wg.nodes) {
-		return fmt.Errorf("writegraph: digraph has %d nodes, write graph %d", wg.g.Len(), len(wg.nodes))
-	}
-	if err := wg.validateOrder(); err != nil {
-		return err
-	}
-	if err := wg.validateIndexes(); err != nil {
-		return err
-	}
-	seen := map[op.ObjectID]graph.NodeID{}
-	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-	for id, nd := range wg.nodes {
-		if !wg.g.HasNode(id) {
-			return fmt.Errorf("writegraph: node %d missing from digraph", id)
-		}
-		//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-		for x := range nd.vars {
-			if prev, dup := seen[x]; dup {
-				return fmt.Errorf("writegraph: object %q in vars of nodes %d and %d", x, prev, id)
-			}
-			seen[x] = id
-			if wg.byVar[x] != id {
-				return fmt.Errorf("writegraph: byVar[%q]=%d but object in node %d", x, wg.byVar[x], id)
-			}
-			if _, ok := nd.writes[x]; !ok {
-				return fmt.Errorf("writegraph: node %d has var %q not in Writes", id, x)
-			}
-		}
-		if wg.policy == PolicyW && len(nd.vars) != len(nd.writes) {
-			return fmt.Errorf("writegraph: W node %d has vars ⊂ Writes (%d < %d)", id, len(nd.vars), len(nd.writes))
-		}
-	}
-	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
-	for x, id := range wg.byVar {
-		nd, ok := wg.nodes[id]
-		if !ok {
-			return fmt.Errorf("writegraph: byVar[%q] -> missing node %d", x, id)
-		}
-		if _, ok := nd.vars[x]; !ok {
-			return fmt.Errorf("writegraph: byVar[%q] -> node %d lacking the var", x, id)
-		}
-	}
-	return nil
-}
-
-// validateOrder checks the order list: its links agree both ways, first and
-// last are its ends, it holds every node exactly once, ranks increase
-// strictly along it, and every edge points forward.
-func (wg *Graph) validateOrder() error {
-	if wg.first != nil && wg.first.prev != nil {
-		return fmt.Errorf("writegraph: order list's first node %d has a predecessor", wg.first.id)
-	}
-	var prev *node
-	count := 0
-	for n := wg.first; n != nil; n = n.next {
-		if count++; count > len(wg.nodes) {
-			return fmt.Errorf("writegraph: order list runs past the graph's %d nodes", len(wg.nodes))
-		}
-		if wg.nodes[n.id] != n {
-			return fmt.Errorf("writegraph: order list holds node %d, which is not in the graph", n.id)
-		}
-		if n.prev != prev {
-			return fmt.Errorf("writegraph: order list's back link at node %d is broken", n.id)
-		}
-		if prev != nil && n.rank <= prev.rank {
-			return fmt.Errorf("writegraph: ranks do not increase along the order list: node %d (%d) after node %d (%d)", n.id, n.rank, prev.id, prev.rank)
-		}
-		for _, s := range wg.g.Succ(n.id) {
-			if wg.nodes[s].rank <= n.rank {
-				return fmt.Errorf("writegraph: edge %d->%d runs against the maintained order (ranks %d, %d)", n.id, s, n.rank, wg.nodes[s].rank)
-			}
-		}
-		prev = n
-	}
-	if prev != wg.last {
-		return fmt.Errorf("writegraph: order list's last node is not its end")
-	}
-	if count != len(wg.nodes) {
-		return fmt.Errorf("writegraph: order list holds %d of the graph's %d nodes", count, len(wg.nodes))
-	}
-	return nil
-}
-
-// validateIndexes is the part of Validate that rebuilds the maintained
-// indexes from node contents.
-func (wg *Graph) validateIndexes() error {
-	views := wg.Nodes()
-	ops := 0
-	readers := map[op.ObjectID]graph.IDSet{}
-	var read []op.ObjectID
-	writer := map[op.ObjectID]*NodeView{}
-	var written []op.ObjectID
-	for _, nv := range views {
-		ops += len(nv.Ops)
-		for _, x := range nv.Reads {
-			if len(readers[x]) == 0 {
-				read = append(read, x)
-			}
-			readers[x] = append(readers[x], nv.ID)
-		}
-		for _, x := range nv.Writes {
-			w, ok := writer[x]
-			if !ok {
-				written = append(written, x)
-			}
-			if !ok || nv.Lastw[x] > w.Lastw[x] {
-				writer[x] = nv
-			}
-		}
-	}
-	if ops != wg.opCount {
-		return fmt.Errorf("writegraph: nodes hold %d operations, OpCount says %d", ops, wg.opCount)
-	}
-	if len(wg.disordered) != 0 {
-		return fmt.Errorf("writegraph: %d disordered edges left unsettled", len(wg.disordered))
-	}
-	if err := sameIndex("readersOf", wg.readersOf, readers, read); err != nil {
-		return err
-	}
-	// Every other uninstalled writer of X precedes the one holding X's
-	// latest write, so that node is lastWriter[X] until it is installed.
-	if len(wg.lastWriter) != len(written) {
-		return fmt.Errorf("writegraph: lastWriter has %d objects, node contents write %d", len(wg.lastWriter), len(written))
-	}
-	lastReaders := map[op.ObjectID]graph.IDSet{}
-	var lastRead []op.ObjectID
-	for _, x := range written {
-		if got, ok := wg.lastWriter[x]; !ok || got != writer[x].ID {
-			return fmt.Errorf("writegraph: lastWriter[%q] = %d, latest write is in node %d", x, got, writer[x].ID)
-		}
-	}
-	for _, nv := range views {
-		for _, o := range nv.Ops {
-			for _, x := range o.ReadSet {
-				w, ok := writer[x]
-				if !ok || o.LSN <= w.Lastw[x] || lastReaders[x].Has(nv.ID) {
-					continue
-				}
-				if len(lastReaders[x]) == 0 {
-					lastRead = append(lastRead, x)
-				}
-				lastReaders[x] = lastReaders[x].With(nv.ID)
-			}
-		}
-	}
-	return sameIndex("readersOfLast", wg.readersOfLast, lastReaders, lastRead)
-}
-
-// sameIndex compares a maintained object -> node-set index with one rebuilt
-// from node contents, whose objects are keys.  Maintained indexes hold no
-// empty sets.
-func sameIndex(name string, live, want map[op.ObjectID]graph.IDSet, keys []op.ObjectID) error {
-	if len(live) != len(keys) {
-		return fmt.Errorf("writegraph: %s has %d objects, node contents give %d", name, len(live), len(keys))
-	}
-	for _, x := range keys {
-		if !slices.Equal(live[x], want[x]) {
-			return fmt.Errorf("writegraph: %s[%q] = %v, node contents give %v", name, x, live[x], want[x])
-		}
-	}
-	return nil
-}
-
 // FlushSetSizes returns the sorted multiset of |vars(n)| across nodes — the
 // statistic experiments E3/E4 report.
 func (wg *Graph) FlushSetSizes() []int {
-	out := make([]int, 0, len(wg.nodes))
-	//lint:ignore replaydeterminism size collection is order-independent; sorted below
-	for _, nd := range wg.nodes {
-		out = append(out, len(nd.vars))
+	out := make([]int, 0, wg.live)
+	for _, n := range wg.nodes {
+		if n.gone {
+			continue
+		}
+		size := 0
+		for _, e := range n.objs {
+			if e.flags&inVars != 0 {
+				size++
+			}
+		}
+		out = append(out, size)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// mergeOps merges the conflict-ordered (LSN-ascending) list b into a, in
-// place from the back.  It costs len(b) plus the tail of a that b's
-// operations precede — only len(b) when b follows a — rather than copying a,
-// which grows with every merge into a long-lived node.
-func mergeOps(a, b []*op.Operation) []*op.Operation {
-	i, j := len(a)-1, len(b)-1
-	a = append(a, b...)
-	for k := len(a) - 1; j >= 0; k-- {
-		if i >= 0 && a[i].LSN > b[j].LSN {
-			a[k] = a[i]
-			i--
+// byID orders nodes by id.
+func byID(a, b *node) int { return cmp.Compare(a.id, b.id) }
+
+// searchID returns the position of id in the id-sorted s, or where it would
+// be inserted, and whether it is there.  The loop is written out rather than
+// left to slices.BinarySearchFunc: it runs on every edge and record update,
+// and the callback costs as much as the comparison.
+func searchID(s []*node, id graph.NodeID) (int, bool) {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m].id < id {
+			lo = m + 1
 		} else {
-			a[k] = b[j]
-			j--
+			hi = m
 		}
 	}
-	return a
+	return lo, lo < len(s) && s[lo].id == id
 }
 
-func setToSlice(m map[op.ObjectID]struct{}) []op.ObjectID {
-	out := make([]op.ObjectID, 0, len(m))
-	//lint:ignore replaydeterminism key collection is order-independent; canonicalized below
-	for x := range m {
-		out = append(out, x)
+// search is searchID for n's entries, by object.
+func (n *node) search(x op.ObjectID) (int, bool) {
+	lo, hi := 0, len(n.objs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.objs[m].x < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return op.Canonicalize(out)
+	return lo, lo < len(n.objs) && n.objs[lo].x == x
 }
 
-// addID and dropID update one object's set in an index, which holds no
-// empty sets.
-func addID(index map[op.ObjectID]graph.IDSet, x op.ObjectID, id graph.NodeID) {
-	index[x] = index[x].With(id)
+// with returns the id-sorted set s plus n; s's backing array may be reused.
+func with(s []*node, n *node) []*node {
+	i, found := searchID(s, n.id)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, n)
 }
 
-func dropID(index map[op.ObjectID]graph.IDSet, x op.ObjectID, id graph.NodeID) {
-	s, ok := index[x]
-	if !ok {
-		return
+// without returns the id-sorted set s minus n; s's backing array may be
+// reused.
+func without(s []*node, n *node) []*node {
+	if i, found := searchID(s, n.id); found {
+		return slices.Delete(s, i, i+1)
 	}
-	if s = s.Without(id); len(s) == 0 {
-		delete(index, x)
-	} else {
-		index[x] = s
-	}
+	return s
+}
+
+// has reports whether the id-sorted set s holds n.
+func has(s []*node, n *node) bool {
+	_, found := searchID(s, n.id)
+	return found
 }

@@ -3,7 +3,6 @@ package writegraph
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -43,34 +42,6 @@ func varsOfOp(t *testing.T, wg *Graph, lsn op.SI) []op.ObjectID {
 func TestPolicyString(t *testing.T) {
 	if PolicyW.String() != "W" || PolicyRW.String() != "rW" || Policy(9).String() != "Policy(9)" {
 		t.Error("Policy.String wrong")
-	}
-}
-
-func TestMergeOpsKeepsConflictOrder(t *testing.T) {
-	lsns := func(ops []*op.Operation) []op.SI {
-		var out []op.SI
-		for _, o := range ops {
-			out = append(out, o.LSN)
-		}
-		return out
-	}
-	list := func(ls ...op.SI) []*op.Operation {
-		var out []*op.Operation
-		for _, l := range ls {
-			out = append(out, mkop(l, nil, nil))
-		}
-		return out
-	}
-	for _, c := range []struct{ a, b, want []op.SI }{
-		{[]op.SI{1, 2}, []op.SI{3, 4}, []op.SI{1, 2, 3, 4}},
-		{[]op.SI{3, 4}, []op.SI{1, 2}, []op.SI{1, 2, 3, 4}},
-		{[]op.SI{1, 4, 6}, []op.SI{2, 3, 5, 7}, []op.SI{1, 2, 3, 4, 5, 6, 7}},
-		{nil, []op.SI{2}, []op.SI{2}},
-		{[]op.SI{2}, nil, []op.SI{2}},
-	} {
-		if got := lsns(mergeOps(list(c.a...), list(c.b...))); !slices.Equal(got, c.want) {
-			t.Errorf("mergeOps(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
 	}
 }
 
@@ -393,7 +364,7 @@ func edgeSignature(wg *Graph) [][2]op.SI {
 	}
 	var out [][2]op.SI
 	for _, nv := range wg.Nodes() {
-		for _, s := range wg.g.Succ(nv.ID) {
+		for _, s := range wg.Successors(nv.ID) {
 			out = append(out, [2]op.SI{head[nv.ID], head[s]})
 		}
 	}
@@ -561,12 +532,24 @@ func TestValidateCatchesStaleIndexes(t *testing.T) {
 		name    string
 		corrupt func(wg *Graph)
 	}{
-		{"readersOf", func(wg *Graph) { wg.readersOf["X"] = wg.readersOf["X"].Without(rb) }},
-		{"readersOfLast", func(wg *Graph) { delete(wg.readersOfLast, "X") }},
-		{"lastWriter", func(wg *Graph) { wg.lastWriter["X"] = ra }},
+		{"readers", func(wg *Graph) { wg.objects["X"].readers = without(wg.objects["X"].readers, wg.node(rb)) }},
+		{"lastReaders", func(wg *Graph) { wg.objects["X"].lastReaders = nil }},
+		{"lastWriter", func(wg *Graph) { wg.objects["X"].lastWriter = wg.node(ra) }},
+		{"holder", func(wg *Graph) { wg.objects["Y"].holder = nil }},
+		{"emptyRecord", func(wg *Graph) { wg.objects["Q"] = &object{} }},
+		{"staleRecord", func(wg *Graph) { wg.objects["Y"] = &object{holder: wg.node(ra), lastWriter: wg.node(ra)} }},
+		{"entryFlags", func(wg *Graph) { wg.node(ra).find("Y").flags &^= inWrites }},
+		{"entryLastw", func(wg *Graph) { wg.node(ra).find("Y").lastw++ }},
+		{"entryOrder", func(wg *Graph) { n := wg.node(ra); n.objs[0], n.objs[1] = n.objs[1], n.objs[0] }},
+		{"opOrder", func(wg *Graph) { n := wg.node(ra); n.ops = append(n.ops, n.ops[0]); wg.opCount++ }},
+		{"minimalMissing", func(wg *Graph) { wg.minimal = wg.minimal[1:] }},
+		{"minimalExtra", func(wg *Graph) { wg.minimal = with(wg.minimal, wg.node(ra)) }},
+		{"predMissing", func(wg *Graph) { n := wg.node(ra); n.pred = n.pred[:0] }},
+		{"succMissing", func(wg *Graph) { n := wg.node(rb); n.succ = n.succ[:0] }},
+		{"cycle", func(wg *Graph) { wg.link(wg.node(ra), wg.node(rb)) }},
 		{"opCount", func(wg *Graph) { wg.opCount++ }},
-		{"rank", func(wg *Graph) { wg.nodes[ra].rank, wg.nodes[rb].rank = wg.nodes[rb].rank, wg.nodes[ra].rank }},
-		{"duplicateRank", func(wg *Graph) { wg.nodes[ra].rank = wg.nodes[rb].rank }},
+		{"rank", func(wg *Graph) { wg.node(ra).rank, wg.node(rb).rank = wg.node(rb).rank, wg.node(ra).rank }},
+		{"duplicateRank", func(wg *Graph) { wg.node(ra).rank = wg.node(rb).rank }},
 		{"nonIncreasingRanks", func(wg *Graph) { wg.last.rank = wg.last.prev.rank }},
 		{"backLink", func(wg *Graph) { wg.last.prev = wg.first }},
 		{"missingFromList", func(wg *Graph) {
