@@ -91,7 +91,11 @@ func main() {
 	}
 
 	if *explain != 0 {
-		recs, err := forensics.ScanAll(log, log.FirstLSN())
+		sc, err := log.Scan(log.FirstLSN())
+		if err != nil {
+			fatal(err)
+		}
+		recs, err := sc.All()
 		if err != nil {
 			fatal(err)
 		}

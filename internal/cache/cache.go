@@ -131,6 +131,18 @@ type Stats struct {
 	Checkpoints int64
 }
 
+// AddTo sets the manager's counters in c under their metric names.
+func (s Stats) AddTo(c map[string]int64) {
+	c["cache.ops_executed"] = s.OpsExecuted
+	c["cache.installs"] = s.Installs
+	c["cache.identity_writes"] = s.IdentityWrites
+	c["cache.multi_object_flushes"] = s.MultiObjectFlushes
+	c["cache.objects_flushed"] = s.ObjectsFlushed
+	c["cache.installed_not_flushed"] = s.InstalledNotFlushed
+	c["cache.evictions"] = s.Evictions
+	c["cache.checkpoints"] = s.Checkpoints
+}
+
 // ErrNotFound is returned when an object is in neither cache nor stable
 // store (or has been deleted).
 var ErrNotFound = errors.New("cache: object not found")

@@ -53,7 +53,7 @@ type Options struct {
 	// Obs, when non-nil, receives hot-path metrics from every layer (WAL
 	// append/force latency, group-commit batch sizes, flush-set sizes,
 	// write-graph gauges, redo-chain distributions).  Engine.Metrics()
-	// merges its snapshot with the legacy Stats counters.  Nil disables
+	// adds the per-package Stats counters to its snapshot.  Nil disables
 	// instrumentation at ~0 cost.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records phase spans of the recovery pipeline
@@ -167,7 +167,6 @@ func (e *Engine) recoveryOptions() recovery.Options {
 		Cache:       e.opts.CacheConfig(),
 		RedoWorkers: e.opts.RedoWorkers,
 		Tracer:      e.opts.Tracer,
-		Obs:         e.opts.Obs,
 		Flight:      e.opts.Flight,
 	}
 }
@@ -492,9 +491,11 @@ type Stats struct {
 	Cache cache.Stats
 }
 
-// Stats returns a snapshot of all counters.  It is coherent: every engine
-// mutator holds e.mu, so the log, store, and cache counters are read at a
-// single quiescent point with no torn cross-source reads.
+// Stats returns a snapshot of all counters, read under e.mu.  Every engine
+// mutator holds e.mu, so the snapshot is one cut of their work.  An on-demand
+// drain's background workers (RecoverOnDemand) count cache work and store
+// reads without e.mu, so while a drain runs those counters may move between
+// the reads.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -502,16 +503,17 @@ func (e *Engine) Stats() Stats {
 }
 
 // Metrics returns the unified observability view: the obs registry's
-// counters, gauges, and histograms (empty when Options.Obs is nil) merged
-// with the legacy per-package Stats counters under stable dotted names
-// ("wal.forces", "cache.installs", "stable.object_writes", ...).  Like
-// Stats, the snapshot is taken under e.mu and therefore coherent.
+// counters, gauges, and histograms (empty when Options.Obs is nil) plus the
+// log's, store's and cache manager's counters, each named by the package that
+// counts it (wal.Stats, stable.IOStats and cache.Stats AddTo).  Like Stats,
+// it is read under e.mu.
 func (e *Engine) Metrics() obs.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.opts.Obs.Snapshot()
-	st := Stats{Log: e.log.Stats(), Store: e.store.Stats(), Cache: e.mgr.Stats()}
-	mergeStats(&s, st)
+	e.log.Stats().AddTo(s.Counters)
+	e.store.Stats().AddTo(s.Counters)
+	e.mgr.Stats().AddTo(s.Counters)
 	if e.opts.Flight != nil {
 		events, drops, spilled := e.opts.Flight.Counters()
 		s.Counters["flight.events"] = events
@@ -519,44 +521,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 		s.Counters["flight.spill_bytes"] = spilled
 	}
 	return s
-}
-
-// mergeStats folds the legacy Stats counters into a metrics snapshot under
-// dotted names, so one view covers both metric sources.
-func mergeStats(s *obs.Snapshot, st Stats) {
-	c := s.Counters
-	c["wal.bytes_appended"] = st.Log.BytesAppended
-	c["wal.value_bytes"] = st.Log.ValueBytes
-	c["wal.forces"] = st.Log.Forces
-	c["wal.forces_coalesced"] = st.Log.ForcesCoalesced
-	c["wal.transient_retries"] = st.Log.TransientRetries
-	c["wal.truncations_clamped"] = st.Log.TruncationsClamped
-	for t, n := range st.Log.Records {
-		c["wal.records."+t.String()] = n
-	}
-	for t, n := range st.Log.PayloadBytes {
-		c["wal.payload_bytes."+t.String()] = n
-	}
-	for k, n := range st.Log.OpPayloadBytes {
-		c["wal.op_payload_bytes."+k.String()] = n
-	}
-	c["stable.object_reads"] = st.Store.ObjectReads
-	c["stable.object_writes"] = st.Store.ObjectWrites
-	c["stable.object_write_bytes"] = st.Store.ObjectWriteBytes
-	c["stable.pointer_swings"] = st.Store.PointerSwings
-	c["stable.flushtxn_log_writes"] = st.Store.FlushTxnLogWrites
-	c["stable.flushtxn_log_bytes"] = st.Store.FlushTxnLogBytes
-	for m, n := range st.Store.Batches {
-		c["stable.batches."+m.String()] = n
-	}
-	c["cache.ops_executed"] = st.Cache.OpsExecuted
-	c["cache.installs"] = st.Cache.Installs
-	c["cache.identity_writes"] = st.Cache.IdentityWrites
-	c["cache.multi_object_flushes"] = st.Cache.MultiObjectFlushes
-	c["cache.objects_flushed"] = st.Cache.ObjectsFlushed
-	c["cache.installed_not_flushed"] = st.Cache.InstalledNotFlushed
-	c["cache.evictions"] = st.Cache.Evictions
-	c["cache.checkpoints"] = st.Cache.Checkpoints
 }
 
 // ResetStats zeroes every counter source — log, store, cache, and the obs

@@ -15,9 +15,7 @@
 package forensics
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -269,25 +267,6 @@ func MergeTimeline(fl []flight.Event, trace []obs.Event) []obs.Event {
 		})
 	}
 	return out
-}
-
-// ScanAll drains a scanner into a record slice, the form Explain consumes.
-func ScanAll(log *wal.Log, from op.SI) ([]*wal.Record, error) {
-	sc, err := log.Scan(from)
-	if err != nil {
-		return nil, err
-	}
-	var recs []*wal.Record
-	for {
-		rec, err := sc.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, nil
-			}
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
 }
 
 func fmtAt(d time.Duration) string {

@@ -120,7 +120,11 @@ func TestExplainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := forensics.ScanAll(eng.Log(), eng.Log().FirstLSN())
+	sc, err := eng.Log().Scan(eng.Log().FirstLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := sc.All()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package graph provides the batch directed-graph kit: successor/predecessor
 // tracking, Tarjan strongly-connected components, collapse-by-partition
-// (used twice by the paper's WriteGraph construction, Figure 3),
-// topological ordering, reachability, and minimal (predecessor-free) node
-// enumeration.  The installation graph and the batch write graph BuildW are
+// (used twice by the paper's WriteGraph construction, Figure 3), topological
+// ordering, minimal (predecessor-free) node enumeration, and union-find over
+// dense indices.  The installation graph and the batch write graph BuildW are
 // built with it, and the incremental write graph's Validate rebuilds its
 // edges as a Digraph to check them; the incremental write graph itself keeps
 // its edges on its own nodes.
@@ -49,12 +49,6 @@ func (g *Digraph) AddNode(n NodeID) {
 	}
 }
 
-// HasNode reports whether n exists.
-func (g *Digraph) HasNode(n NodeID) bool {
-	_, ok := g.succ[n]
-	return ok
-}
-
 // AddEdge inserts the edge u -> v, creating the endpoints as needed.
 // Parallel edges coalesce.
 func (g *Digraph) AddEdge(u, v NodeID) {
@@ -70,46 +64,8 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 // HasEdge reports whether the edge u -> v exists.
 func (g *Digraph) HasEdge(u, v NodeID) bool { return g.succ[u].Has(v) }
 
-// RemoveEdge deletes u -> v if present.
-func (g *Digraph) RemoveEdge(u, v NodeID) {
-	if !g.HasEdge(u, v) {
-		return
-	}
-	g.succ[u] = g.succ[u].Without(v)
-	g.pred[v] = g.pred[v].Without(u)
-}
-
-// RemoveNode deletes n and all incident edges.
-func (g *Digraph) RemoveNode(n NodeID) {
-	if _, ok := g.succ[n]; !ok {
-		return
-	}
-	for _, v := range g.succ[n] {
-		if v != n {
-			g.pred[v] = g.pred[v].Without(n)
-		}
-	}
-	for _, u := range g.pred[n] {
-		if u != n {
-			g.succ[u] = g.succ[u].Without(n)
-		}
-	}
-	delete(g.succ, n)
-	delete(g.pred, n)
-}
-
 // Len returns the number of nodes.
 func (g *Digraph) Len() int { return len(g.succ) }
-
-// EdgeCount returns the number of edges.
-func (g *Digraph) EdgeCount() int {
-	n := 0
-	//lint:ignore replaydeterminism commutative sum
-	for _, s := range g.succ {
-		n += len(s)
-	}
-	return n
-}
 
 // Nodes returns all node ids in ascending order.
 func (g *Digraph) Nodes() []NodeID {
@@ -131,12 +87,6 @@ func (g *Digraph) Succ(n NodeID) []NodeID {
 func (g *Digraph) Pred(n NodeID) []NodeID {
 	return append(make([]NodeID, 0, len(g.pred[n])), g.pred[n]...)
 }
-
-// InDegree returns the number of predecessors of n.
-func (g *Digraph) InDegree(n NodeID) int { return len(g.pred[n]) }
-
-// OutDegree returns the number of successors of n.
-func (g *Digraph) OutDegree(n NodeID) int { return len(g.succ[n]) }
 
 // Minimal returns the nodes with no predecessors, ascending.  These are the
 // write-graph nodes whose flush installs their operations (Figure 4's
@@ -160,32 +110,6 @@ func (g *Digraph) Clone() *Digraph {
 		c.pred[n] = slices.Clone(g.pred[n])
 	}
 	return c
-}
-
-// Reachable reports whether v is reachable from u (u itself counts).
-func (g *Digraph) Reachable(u, v NodeID) bool {
-	if !g.HasNode(u) || !g.HasNode(v) {
-		return false
-	}
-	if u == v {
-		return true
-	}
-	seen := map[NodeID]struct{}{u: {}}
-	stack := []NodeID{u}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[n] {
-			if s == v {
-				return true
-			}
-			if _, ok := seen[s]; !ok {
-				seen[s] = struct{}{}
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }
 
 // HasCycle reports whether g contains a directed cycle (self-loops count).
@@ -355,18 +279,21 @@ func (g *Digraph) CondensationPartition() map[NodeID]NodeID {
 // TransitiveClosurePartition computes the partition induced by the
 // transitive closure of a symmetric "related" relation over nodes — the
 // first collapse of Figure 3, where O ~ P iff writeset(O) ∩ writeset(P) ≠ ∅.
-// It is implemented as union-find over the provided related pairs.
+// It is implemented as union-find over the nodes' positions, so each class
+// is represented by its first member in nodes.  Every related pair must name
+// members of nodes.
 func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]NodeID {
-	uf := NewUnionFind()
-	for _, n := range nodes {
-		uf.Add(n)
+	index := make(map[NodeID]int, len(nodes))
+	for i, n := range nodes {
+		index[n] = i
 	}
+	uf := NewUnionFind(len(nodes))
 	for _, pair := range related {
-		uf.Union(pair[0], pair[1])
+		uf.Union(index[pair[0]], index[pair[1]])
 	}
 	part := make(map[NodeID]NodeID, len(nodes))
-	for _, n := range nodes {
-		part[n] = uf.Find(n)
+	for i, n := range nodes {
+		part[n] = nodes[uf.Find(i)]
 	}
 	return part
 }
@@ -433,12 +360,4 @@ func (s IDSet) With(n NodeID) IDSet {
 		return s
 	}
 	return slices.Insert(s, i, n)
-}
-
-// Without returns s minus n; s's backing array may be reused.
-func (s IDSet) Without(n NodeID) IDSet {
-	if i, found := slices.BinarySearch(s, n); found {
-		return slices.Delete(s, i, i+1)
-	}
-	return s
 }

@@ -6,33 +6,30 @@ import (
 	"testing"
 )
 
-func TestAddRemoveBasics(t *testing.T) {
+// edgeCount counts g's edges through Succ.
+func edgeCount(g *Digraph) int {
+	n := 0
+	for _, u := range g.Nodes() {
+		n += len(g.Succ(u))
+	}
+	return n
+}
+
+func TestAddBasics(t *testing.T) {
 	g := New()
 	g.AddNode(1)
 	g.AddNode(1)
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 2) // parallel edges coalesce
 	g.AddEdge(2, 3)
-	if g.Len() != 3 || g.EdgeCount() != 2 {
-		t.Fatalf("Len=%d EdgeCount=%d", g.Len(), g.EdgeCount())
+	if g.Len() != 3 || edgeCount(g) != 2 {
+		t.Fatalf("Len=%d edges=%d", g.Len(), edgeCount(g))
 	}
 	if !g.HasEdge(1, 2) || g.HasEdge(2, 1) {
 		t.Error("HasEdge wrong")
 	}
 	if !reflect.DeepEqual(g.Succ(1), []NodeID{2}) || !reflect.DeepEqual(g.Pred(3), []NodeID{2}) {
 		t.Error("Succ/Pred wrong")
-	}
-	if g.InDegree(2) != 1 || g.OutDegree(2) != 1 {
-		t.Error("degrees wrong")
-	}
-	g.RemoveEdge(1, 2)
-	if g.HasEdge(1, 2) || g.EdgeCount() != 1 {
-		t.Error("RemoveEdge failed")
-	}
-	g.AddEdge(1, 2)
-	g.RemoveNode(2)
-	if g.HasNode(2) || g.EdgeCount() != 0 || g.Len() != 2 {
-		t.Error("RemoveNode failed to clean incident edges")
 	}
 	if err := g.Validate(); err != nil {
 		t.Error(err)
@@ -47,27 +44,9 @@ func TestMinimal(t *testing.T) {
 	if got := g.Minimal(); !reflect.DeepEqual(got, []NodeID{1, 2, 4}) {
 		t.Errorf("Minimal = %v", got)
 	}
-	g.RemoveNode(1)
-	g.RemoveNode(2)
-	if got := g.Minimal(); !reflect.DeepEqual(got, []NodeID{3, 4}) {
-		t.Errorf("Minimal after removal = %v", got)
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1) // cycle
-	g.AddNode(9)
-	if !g.Reachable(1, 3) || !g.Reachable(3, 2) || !g.Reachable(1, 1) {
-		t.Error("Reachable within cycle failed")
-	}
-	if g.Reachable(1, 9) || g.Reachable(9, 1) {
-		t.Error("Reachable to isolated node")
-	}
-	if g.Reachable(1, 100) || g.Reachable(100, 1) {
-		t.Error("Reachable with missing node")
+	g.AddEdge(4, 1)
+	if got := g.Minimal(); !reflect.DeepEqual(got, []NodeID{2, 4}) {
+		t.Errorf("Minimal after AddEdge(4, 1) = %v", got)
 	}
 }
 
@@ -243,7 +222,7 @@ func TestClone(t *testing.T) {
 	g.AddEdge(1, 2)
 	c := g.Clone()
 	c.AddEdge(2, 3)
-	if g.HasNode(3) || g.EdgeCount() != 1 {
+	if g.Len() != 2 || edgeCount(g) != 1 {
 		t.Error("Clone aliased the original")
 	}
 	if !c.HasEdge(1, 2) || !c.HasEdge(2, 3) {
@@ -267,44 +246,27 @@ func TestTransitiveClosurePartition(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind()
-	uf.Add(1)
-	uf.Add(1)
-	if !uf.Has(1) || uf.Has(2) {
-		t.Error("Has wrong")
-	}
+	uf := NewUnionFind(6)
+	uf.Union(4, 5)
 	uf.Union(1, 2)
-	uf.Union(3, 4)
-	if !uf.Same(1, 2) || uf.Same(1, 3) {
-		t.Error("Union/Same wrong")
-	}
-	if uf.SetSize(1) != 2 || uf.SetSize(3) != 2 {
-		t.Errorf("SetSize = %d, %d", uf.SetSize(1), uf.SetSize(3))
-	}
-	uf.Union(2, 3)
-	if !uf.Same(1, 4) || uf.SetSize(4) != 4 {
-		t.Error("transitive union failed")
-	}
-	// Union of already-united elements is a no-op.
-	r := uf.Union(1, 4)
-	if r != uf.Find(1) {
-		t.Error("Union of same set changed representative")
+	uf.Union(2, 4) // transitive: {1, 2, 4, 5}
+	uf.Union(5, 1) // already joined: a no-op
+	for i, want := range []int{0, 1, 1, 3, 1, 1} {
+		if got := uf.Find(i); got != want {
+			t.Errorf("Find(%d) = %d, want %d (the smallest member)", i, got, want)
+		}
 	}
 }
 
 func TestUnionFindManyElements(t *testing.T) {
-	uf := NewUnionFind()
 	const n = 10000
+	uf := NewUnionFind(n)
 	for i := 0; i < n; i++ {
-		uf.Union(NodeID(i), NodeID((i+1)%n))
+		uf.Union(i, (i+1)%n)
 	}
-	if uf.SetSize(0) != n {
-		t.Errorf("SetSize = %d, want %d", uf.SetSize(0), n)
-	}
-	rep := uf.Find(0)
-	for i := 1; i < n; i += 997 {
-		if uf.Find(NodeID(i)) != rep {
-			t.Fatalf("element %d has different representative", i)
+	for i := 0; i < n; i++ {
+		if got := uf.Find(i); got != 0 {
+			t.Fatalf("Find(%d) = %d, want 0: the ring is one set rooted at its smallest member", i, got)
 		}
 	}
 }
@@ -333,7 +295,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 // TestAdjacencyStaysSortedUnderChurn cross-checks the sorted adjacency lists
-// against a reference adjacency matrix through random inserts and removals.
+// against a reference adjacency matrix through a churn of random, often
+// repeated, edge inserts.
 func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
 	const n = 40
 	rng := rand.New(rand.NewSource(5))
@@ -341,21 +304,8 @@ func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
 	var ref [n][n]bool
 	for i := 0; i < 4000; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		switch rng.Intn(5) {
-		case 0:
-			g.RemoveEdge(NodeID(u), NodeID(v))
-			ref[u][v] = false
-		case 1:
-			if rng.Intn(8) == 0 {
-				g.RemoveNode(NodeID(u))
-				for w := 0; w < n; w++ {
-					ref[u][w], ref[w][u] = false, false
-				}
-			}
-		default:
-			g.AddEdge(NodeID(u), NodeID(v))
-			ref[u][v] = true
-		}
+		g.AddEdge(NodeID(u), NodeID(v))
+		ref[u][v] = true
 		if err := g.Validate(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -371,8 +321,8 @@ func TestAdjacencyStaysSortedUnderChurn(t *testing.T) {
 			}
 		}
 	}
-	if g.EdgeCount() != edges {
-		t.Fatalf("EdgeCount = %d, reference has %d", g.EdgeCount(), edges)
+	if got := edgeCount(g); got != edges {
+		t.Fatalf("edge count = %d, reference has %d", got, edges)
 	}
 }
 
@@ -386,9 +336,5 @@ func TestIDSet(t *testing.T) {
 	}
 	if !s.Has(3) || s.Has(4) {
 		t.Error("Has wrong")
-	}
-	s = s.Without(3).Without(4)
-	if !reflect.DeepEqual(s, IDSet{1, 5}) {
-		t.Errorf("Without = %v, want [1 5]", s)
 	}
 }

@@ -1,70 +1,40 @@
 package graph
 
-// UnionFind is a disjoint-set forest with union by rank and path compression.
-// It backs the transitive-closure collapse of Figure 3 (operations related by
-// writeset overlap) and the rW node-merge of Figure 6.
+// UnionFind is a disjoint-set forest over the dense indices 0..n-1 with path
+// halving.  A set's root is its smallest member, so representatives, and any
+// numbering derived from them, are deterministic.  It backs the
+// transitive-closure collapse of Figure 3 and the partition of the redo
+// stream into dependency chains.
 type UnionFind struct {
-	parent map[NodeID]NodeID
-	rank   map[NodeID]int
-	size   map[NodeID]int
+	parent []int
 }
 
-// NewUnionFind returns an empty forest.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{
-		parent: make(map[NodeID]NodeID),
-		rank:   make(map[NodeID]int),
-		size:   make(map[NodeID]int),
+// NewUnionFind returns n singleton sets.
+func NewUnionFind(n int) *UnionFind {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
 	}
+	return &UnionFind{parent: p}
 }
 
-// Add ensures n exists as a singleton set.  Adding an existing element is a
-// no-op.
-func (u *UnionFind) Add(n NodeID) {
-	if _, ok := u.parent[n]; !ok {
-		u.parent[n] = n
-		u.size[n] = 1
+// Find returns the root of i's set: its smallest member.
+func (u *UnionFind) Find(i int) int {
+	for u.parent[i] != i {
+		u.parent[i] = u.parent[u.parent[i]]
+		i = u.parent[i]
 	}
+	return i
 }
 
-// Has reports whether n has been added.
-func (u *UnionFind) Has(n NodeID) bool {
-	_, ok := u.parent[n]
-	return ok
-}
-
-// Find returns the representative of n's set, adding n if absent.
-func (u *UnionFind) Find(n NodeID) NodeID {
-	u.Add(n)
-	root := n
-	for u.parent[root] != root {
-		root = u.parent[root]
-	}
-	for u.parent[n] != root {
-		n, u.parent[n] = u.parent[n], root
-	}
-	return root
-}
-
-// Union merges the sets of a and b and returns the new representative.
-func (u *UnionFind) Union(a, b NodeID) NodeID {
+// Union merges the sets of a and b.
+func (u *UnionFind) Union(a, b int) {
 	ra, rb := u.Find(a), u.Find(b)
 	if ra == rb {
-		return ra
+		return
 	}
-	if u.rank[ra] < u.rank[rb] {
+	if ra > rb {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	return ra
 }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b NodeID) bool { return u.Find(a) == u.Find(b) }
-
-// SetSize returns the size of n's set.
-func (u *UnionFind) SetSize(n NodeID) int { return u.size[u.Find(n)] }

@@ -78,9 +78,12 @@ const (
 	// value; like a physical write but flagged so substrates can
 	// distinguish allocation.
 	KindCreate
+
+	// NumKinds bounds the kinds: arrays indexed by Kind have this length.
+	NumKinds = iota
 )
 
-var kindNames = [...]string{
+var kindNames = [NumKinds]string{
 	KindInvalid:       "invalid",
 	KindExecute:       "Ex",
 	KindRead:          "R",

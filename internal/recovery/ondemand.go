@@ -127,6 +127,7 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, l
 	}
 	sp.Arg("chains", len(chains)).Arg("background", background).End()
 
+	reg := opts.Cache.Obs
 	od := &OnDemand{
 		step:      NewStep(opts, "recovery", res.Manager, dot),
 		tracer:    opts.Tracer,
@@ -139,13 +140,13 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, l
 		remaining: len(chains),
 		drained:   make(chan struct{}),
 
-		mDemandChains: opts.Obs.Counter("recovery.ondemand.demand_chains"),
-		mBgChains:     opts.Obs.Counter("recovery.ondemand.background_chains"),
-		mRequires:     opts.Obs.Counter("recovery.ondemand.requires"),
-		mWaits:        opts.Obs.Counter("recovery.ondemand.demand_waits"),
-		mWaitNs:       opts.Obs.Histogram("recovery.ondemand.demand_wait_ns"),
-		gPending:      opts.Obs.Gauge("recovery.ondemand.chains_pending"),
-		gDone:         opts.Obs.Gauge("recovery.ondemand.chains_done"),
+		mDemandChains: reg.Counter("recovery.ondemand.demand_chains"),
+		mBgChains:     reg.Counter("recovery.ondemand.background_chains"),
+		mRequires:     reg.Counter("recovery.ondemand.requires"),
+		mWaits:        reg.Counter("recovery.ondemand.demand_waits"),
+		mWaitNs:       reg.Histogram("recovery.ondemand.demand_wait_ns"),
+		gPending:      reg.Gauge("recovery.ondemand.chains_pending"),
+		gDone:         reg.Gauge("recovery.ondemand.chains_done"),
 	}
 	for ci, chain := range chains {
 		od.chainDone[ci] = make(chan struct{})
@@ -159,7 +160,7 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, l
 			}
 		}
 	}
-	if reg := opts.Obs; reg != nil {
+	if reg != nil {
 		reg.Gauge("recovery.redo.chains").Set(int64(len(chains)))
 		reg.Gauge("recovery.redo.workers").Set(int64(resolveWorkers(opts.RedoWorkers)))
 		h := reg.Histogram("recovery.redo.chain_ops")

@@ -17,6 +17,7 @@ package recovery
 import (
 	"runtime"
 
+	"logicallog/internal/graph"
 	"logicallog/internal/op"
 )
 
@@ -28,39 +29,6 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// unionFind is a path-halving union-find over operation indices.  Roots are
-// kept at the smallest member index so chain numbering is deterministic.
-type unionFind struct {
-	parent []int
-}
-
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(i int) int {
-	for u.parent[i] != i {
-		u.parent[i] = u.parent[u.parent[i]]
-		i = u.parent[i]
-	}
-	return i
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if ra > rb {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-}
-
 // partitionChains splits the scanned operation stream into dependency
 // chains.  Two operations land in the same chain iff they are connected by
 // conflicts: a writer of x merges with every earlier writer and every
@@ -68,7 +36,7 @@ func (u *unionFind) union(a, b int) {
 // earlier writers.  Read-read sharing does not merge.  Each chain lists its
 // operations in log order; chains are ordered by their first operation.
 func partitionChains(ops []*op.Operation) [][]*op.Operation {
-	uf := newUnionFind(len(ops))
+	uf := graph.NewUnionFind(len(ops))
 	// written maps an object with at least one writer so far to any member
 	// of the (single) component holding all its writers; readers collects
 	// reads of objects not yet written, which merge lazily if a writer
@@ -78,11 +46,11 @@ func partitionChains(ops []*op.Operation) [][]*op.Operation {
 	for i, o := range ops {
 		for _, x := range o.WriteSet {
 			if w, ok := written[x]; ok {
-				uf.union(i, w)
+				uf.Union(i, w)
 			}
 			if rs := readers[x]; len(rs) > 0 {
 				for _, r := range rs {
-					uf.union(i, r)
+					uf.Union(i, r)
 				}
 				delete(readers, x)
 			}
@@ -90,7 +58,7 @@ func partitionChains(ops []*op.Operation) [][]*op.Operation {
 		}
 		for _, x := range o.ReadSet {
 			if w, ok := written[x]; ok {
-				uf.union(i, w)
+				uf.Union(i, w)
 			} else {
 				readers[x] = append(readers[x], i)
 			}
@@ -99,7 +67,7 @@ func partitionChains(ops []*op.Operation) [][]*op.Operation {
 	chainOf := make(map[int]int)
 	var chains [][]*op.Operation
 	for i, o := range ops {
-		root := uf.find(i)
+		root := uf.Find(i)
 		ci, ok := chainOf[root]
 		if !ok {
 			ci = len(chains)

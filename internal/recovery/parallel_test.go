@@ -264,7 +264,7 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 	reg, tracer := obs.NewRegistry(), obs.NewTracer()
 	fl := flight.NewRecorder(flight.DefaultRingSize)
 	inst := ropts(workerCounts[len(workerCounts)-1])
-	inst.Cache.Obs, inst.Obs, inst.Tracer, inst.Flight = reg, reg, tracer, fl
+	inst.Cache.Obs, inst.Tracer, inst.Flight = reg, tracer, fl
 	label := fmt.Sprintf("seed %d instrumented", sc.Seed)
 	requireSame(t, label, recoverImage(t, img, inst, universe, 0), base)
 	c := reg.Snapshot().Counters

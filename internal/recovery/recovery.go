@@ -63,7 +63,11 @@ type Options struct {
 	// Test selects the REDO predicate (default TestRSI).
 	Test RedoTest
 	// Cache configures the cache manager recovery rebuilds (policy,
-	// strategy, registry).  Registry is required.
+	// strategy, registry).  Registry is required.  Its Obs registry, when
+	// non-nil, also receives recovery's metrics: the dependency-chain count
+	// and per-chain operation-count distribution of the redo partitioner,
+	// the scheduler's recovery.ondemand.* family, and the recovery.decide.*
+	// decision family.
 	Cache cache.Config
 	// RedoWorkers is the number of goroutines replaying dependency chains;
 	// 0 (the default) resolves to runtime.GOMAXPROCS(0).  Recover's caller
@@ -82,11 +86,6 @@ type Options struct {
 	// Timing is observational only: it never feeds replay ordering, so
 	// traced runs recover bit-identical state.
 	Tracer *obs.Tracer
-	// Obs, when non-nil, receives recovery metrics: the dependency-chain
-	// count and per-chain operation-count distribution of the redo
-	// partitioner, the scheduler's recovery.ondemand.* family, and the
-	// recovery.decide.* decision family.
-	Obs *obs.Registry
 	// Flight, when non-nil, records every redo decision (with its witness
 	// or dirty-table reason) in the flight recorder for post-hoc forensics
 	// (llinspect -explain).  Observational only; never feeds replay.

@@ -70,12 +70,12 @@ type Step struct {
 
 // NewStep builds the redo step over mgr and the dirty object table dot (read
 // at each Apply, so a standby may keep updating it between calls).  Of opts
-// it uses Test, Obs, Flight and Trace; actor names the replayer in flight
+// it uses Test, Cache.Obs, Flight and Trace; actor names the replayer in flight
 // events ("recovery", "standby").
 func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI) *Step {
 	s := &Step{test: opts.Test, mgr: mgr, dot: dot, actor: actor, flight: opts.Flight, trace: opts.Trace}
 	for out := range s.counters {
-		s.counters[out] = opts.Obs.Counter(outcomes[out].metric)
+		s.counters[out] = opts.Cache.Obs.Counter(outcomes[out].metric)
 	}
 	return s
 }

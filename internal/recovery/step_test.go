@@ -120,7 +120,7 @@ func TestStepOutcomeSinksAgree(t *testing.T) {
 					fl := flight.NewRecorder(16)
 					var traced []string
 					step := recovery.NewStep(recovery.Options{
-						Test: test, Obs: reg, Flight: fl,
+						Test: test, Cache: cache.Config{Obs: reg}, Flight: fl,
 						Trace: func(o *op.Operation, decision string) {
 							traced = append(traced, fmt.Sprintf("%d:%s", o.LSN, decision))
 						},

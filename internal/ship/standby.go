@@ -425,14 +425,15 @@ func (s *Standby) replayLogLocked() error {
 // resetVolatileLocked gives the standby an empty cache manager and dirty
 // object table, and the redo step over them.
 func (s *Standby) resetVolatileLocked() error {
-	mgr, err := cache.NewManager(s.cfg.Opts.CacheConfig(), s.log, s.store)
+	o := s.cfg.Opts
+	cfg := o.CacheConfig()
+	mgr, err := cache.NewManager(cfg, s.log, s.store)
 	if err != nil {
 		return err
 	}
 	s.mgr = mgr
 	s.dot = make(map[op.ObjectID]op.SI)
-	o := s.cfg.Opts
-	s.step = recovery.NewStep(recovery.Options{Test: o.RedoTest, Obs: o.Obs, Flight: o.Flight}, "standby", s.mgr, s.dot)
+	s.step = recovery.NewStep(recovery.Options{Test: o.RedoTest, Cache: cfg, Flight: o.Flight}, "standby", s.mgr, s.dot)
 	return nil
 }
 

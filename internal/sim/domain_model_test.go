@@ -119,7 +119,11 @@ func modelForensics(eng *core.Engine, fl *flight.Recorder, verifyErr error) stri
 	events := fl.Events()
 	var b strings.Builder
 	if key := divergentKey(verifyErr); key != "" {
-		recs, err := forensics.ScanAll(eng.Log(), eng.Log().FirstLSN())
+		sc, err := eng.Log().Scan(eng.Log().FirstLSN())
+		var recs []*wal.Record
+		if err == nil {
+			recs, err = sc.All()
+		}
 		if err == nil {
 			explained := 0
 			for _, rec := range recs {

@@ -105,7 +105,23 @@ type IOStats struct {
 	// FlushTxnLogBytes totals flush-transaction log bytes.
 	FlushTxnLogBytes int64
 	// Batches counts batch operations by mode.
-	Batches map[BatchMode]int64
+	Batches [numBatchModes]int64
+}
+
+// AddTo sets the store's counters in c under their metric names.  A mode's
+// batch count is named only once that mode has been used.
+func (s IOStats) AddTo(c map[string]int64) {
+	c["stable.object_reads"] = s.ObjectReads
+	c["stable.object_writes"] = s.ObjectWrites
+	c["stable.object_write_bytes"] = s.ObjectWriteBytes
+	c["stable.pointer_swings"] = s.PointerSwings
+	c["stable.flushtxn_log_writes"] = s.FlushTxnLogWrites
+	c["stable.flushtxn_log_bytes"] = s.FlushTxnLogBytes
+	for m, n := range s.Batches {
+		if n != 0 {
+			c["stable.batches."+BatchMode(m).String()] = n
+		}
+	}
 }
 
 // ErrNotFound is returned by Read for absent objects.
@@ -358,12 +374,9 @@ func (s *Store) Stats() IOStats {
 		PointerSwings:     s.pointerSwings.Load(),
 		FlushTxnLogWrites: s.flushTxnLogWrites.Load(),
 		FlushTxnLogBytes:  s.flushTxnLogBytes.Load(),
-		Batches:           make(map[BatchMode]int64),
 	}
 	for m := range s.batches {
-		if n := s.batches[m].Load(); n != 0 {
-			st.Batches[BatchMode(m)] = n
-		}
+		st.Batches[m] = s.batches[m].Load()
 	}
 	return st
 }

@@ -118,12 +118,12 @@ func (l *Log) SetObs(r *obs.Registry) {
 // Stats aggregates the logging-cost accounting the experiments report.
 type Stats struct {
 	// Records counts appended records by type.
-	Records map[RecordType]int64
+	Records [numRecordTypes]int64
 	// PayloadBytes counts payload bytes by record type (framing excluded).
-	PayloadBytes map[RecordType]int64
+	PayloadBytes [numRecordTypes]int64
 	// OpPayloadBytes counts operation payload bytes by operation kind —
 	// this is the logical-vs-physical logging cost (Figure 1 / E1).
-	OpPayloadBytes map[op.Kind]int64
+	OpPayloadBytes [op.NumKinds]int64
 	// ValueBytes counts bytes of logged data values (the part logical
 	// operations avoid).
 	ValueBytes int64
@@ -141,6 +141,32 @@ type Stats struct {
 	// less far than requested because a registered retention horizon
 	// (backup image, lagging standby) still needed earlier records.
 	TruncationsClamped int64
+}
+
+// AddTo sets the log's counters in c under their metric names.  A per-type
+// or per-kind slot is named only once it has counted something.
+func (s Stats) AddTo(c map[string]int64) {
+	c["wal.bytes_appended"] = s.BytesAppended
+	c["wal.value_bytes"] = s.ValueBytes
+	c["wal.forces"] = s.Forces
+	c["wal.forces_coalesced"] = s.ForcesCoalesced
+	c["wal.transient_retries"] = s.TransientRetries
+	c["wal.truncations_clamped"] = s.TruncationsClamped
+	for t, n := range s.Records {
+		if n != 0 {
+			c["wal.records."+RecordType(t).String()] = n
+		}
+	}
+	for t, n := range s.PayloadBytes {
+		if n != 0 {
+			c["wal.payload_bytes."+RecordType(t).String()] = n
+		}
+	}
+	for k, n := range s.OpPayloadBytes {
+		if n != 0 {
+			c["wal.op_payload_bytes."+op.Kind(k).String()] = n
+		}
+	}
 }
 
 // transient matches errors that mark themselves retryable, such as the
@@ -214,34 +240,6 @@ func RetryTransient(attempt func() error, onRetry func(backoff time.Duration)) e
 	return err
 }
 
-func newStats() Stats {
-	return Stats{
-		Records:        make(map[RecordType]int64),
-		PayloadBytes:   make(map[RecordType]int64),
-		OpPayloadBytes: make(map[op.Kind]int64),
-	}
-}
-
-// clone returns a deep copy: the scalar fields by value and every map
-// rebuilt, so a snapshot handed to a concurrent reader shares nothing with
-// the maps appenders keep mutating under the log mutex.
-func (s Stats) clone() Stats {
-	c := s // scalars
-	c.Records = make(map[RecordType]int64, len(s.Records))
-	for k, v := range s.Records {
-		c.Records[k] = v
-	}
-	c.PayloadBytes = make(map[RecordType]int64, len(s.PayloadBytes))
-	for k, v := range s.PayloadBytes {
-		c.PayloadBytes[k] = v
-	}
-	c.OpPayloadBytes = make(map[op.Kind]int64, len(s.OpPayloadBytes))
-	for k, v := range s.OpPayloadBytes {
-		c.OpPayloadBytes[k] = v
-	}
-	return c
-}
-
 // TotalOpPayloadBytes sums operation payload bytes across kinds.
 func (s Stats) TotalOpPayloadBytes() int64 {
 	var t int64
@@ -254,7 +252,7 @@ func (s Stats) TotalOpPayloadBytes() int64 {
 // New creates a Log over dev.  If dev already holds records (restart after
 // crash), the log resumes LSN assignment after the highest durable record.
 func New(dev Device) (*Log, error) {
-	l := &Log{dev: dev, firstLSN: 1, stats: newStats()}
+	l := &Log{dev: dev, firstLSN: 1}
 	l.nextLSN.Store(1)
 	l.forceDone = sync.NewCond(&l.mu)
 	// Recover the LSN horizon from the durable prefix.
@@ -794,7 +792,7 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	return l.stats.clone()
+	return l.stats
 }
 
 // ResetStats zeroes the statistics (benchmarks use this between phases).
@@ -803,5 +801,5 @@ func (l *Log) ResetStats() {
 	defer l.mu.Unlock()
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	l.stats = newStats()
+	l.stats = Stats{}
 }

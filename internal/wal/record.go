@@ -38,6 +38,9 @@ const (
 	RecFlush
 	// RecCheckpoint carries a dirty-object-table snapshot.
 	RecCheckpoint
+
+	// numRecordTypes bounds the types: arrays indexed by RecordType.
+	numRecordTypes = iota
 )
 
 func (t RecordType) String() string {
