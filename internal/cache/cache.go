@@ -169,7 +169,7 @@ func (e *entry) rsi() op.SI {
 // Manager is the cache manager.
 //
 // Normal operation is engine-serialized (the paper's concerns are recovery
-// ordering, not latching).  The replay path — Get, CurrentVSI, ApplyLogged,
+// ordering, not latching).  The replay path — Get, CurrentVSI,
 // TryApplyLogged — is additionally safe for concurrent use by recovery's
 // parallel redo workers under one invariant the redo scheduler guarantees:
 // two operations that conflict (one writes an object the other reads or
@@ -405,19 +405,6 @@ func (m *Manager) Execute(o *op.Operation) error {
 		return err
 	}
 	if _, err := m.log.AppendOp(o); err != nil {
-		return err
-	}
-	return m.applyLogged(o, writes)
-}
-
-// ApplyLogged re-applies an already-logged operation during recovery's redo
-// pass.  The operation keeps its original LSN; no log record is written.
-func (m *Manager) ApplyLogged(o *op.Operation) error {
-	if o.LSN == op.NilSI {
-		return fmt.Errorf("cache: ApplyLogged requires a logged operation")
-	}
-	writes, err := m.computeWrites(o)
-	if err != nil {
 		return err
 	}
 	return m.applyLogged(o, writes)

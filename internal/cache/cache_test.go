@@ -455,9 +455,6 @@ func TestTryApplyLoggedVoidsBadRedo(t *testing.T) {
 	if _, err := m.TryApplyLogged(op.NewCreate("Y", nil)); err == nil {
 		t.Error("un-logged op accepted")
 	}
-	if err := m.ApplyLogged(op.NewCreate("Y", nil)); err == nil {
-		t.Error("ApplyLogged of un-logged op accepted")
-	}
 }
 
 // TestBorrowedReadsAreCapped: transforms receive the cached value itself,

@@ -66,8 +66,8 @@ func TestConcurrentReplayOnOneTable(t *testing.T) {
 		all = append(all, ops[0][i], ops[1][i])
 	}
 	for _, o := range all {
-		if err := serial.ApplyLogged(o); err != nil {
-			t.Fatalf("serial ApplyLogged(%s): %v", o, err)
+		if voided, err := serial.TryApplyLogged(o); err != nil || voided {
+			t.Fatalf("serial TryApplyLogged(%s) = voided %v, %v", o, voided, err)
 		}
 	}
 

@@ -113,7 +113,11 @@ func recordsFrom(t *testing.T, log *wal.Log, from op.SI) []*wal.Record {
 func (r *installRig) mirror(rec *wal.Record) error {
 	switch rec.Type {
 	case wal.RecOperation:
-		return r.m.ApplyLogged(rec.Op)
+		voided, err := r.m.TryApplyLogged(rec.Op)
+		if err == nil && voided {
+			err = fmt.Errorf("replay of %s voided", rec.Op)
+		}
+		return err
 	case wal.RecInstall:
 		return r.m.MirrorInstall(rec.Install)
 	case wal.RecFlush:

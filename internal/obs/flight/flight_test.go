@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -290,4 +291,115 @@ func FuzzScanSpill(f *testing.F) {
 			t.Fatalf("re-encoded events do not decode equal:\n first  %+v\n second %+v", evs, back)
 		}
 	})
+}
+
+var (
+	errShortWrite = errors.New("short write")
+	errTruncate   = errors.New("truncate failed")
+)
+
+// faultyFile wraps a spill file and fails on cue: a short write lands half
+// the batch and errors, a failed truncate cuts nothing.
+type faultyFile struct {
+	file
+	shortWrites, failTruncates int
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		n, _ := f.file.Write(p[:len(p)/2])
+		return n, errShortWrite
+	}
+	return f.file.Write(p)
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncates > 0 {
+		f.failTruncates--
+		return errTruncate
+	}
+	return f.file.Truncate(size)
+}
+
+// spillLSNs emits one checkpoint per LSN and flushes them as one batch.
+func spillLSNs(t *testing.T, r *Recorder, lsns ...op.SI) {
+	t.Helper()
+	for _, l := range lsns {
+		r.Checkpoint(l, 0)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func reopenLSNs(t *testing.T, path string) []op.SI {
+	t.Helper()
+	r, prior, err := OpenSpill(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out []op.SI
+	for _, ev := range prior {
+		out = append(out, ev.LSN)
+	}
+	return out
+}
+
+// TestSpillShortWriteKeepsLaterEvents: a short write drops its own batch,
+// but the partial frame it left must not strand the batches written after
+// it — the file is cut back to its good prefix before the next write, and
+// spill_bytes counts only whole frames.
+func TestSpillShortWriteKeepsLaterEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.spill")
+	r, _, err := OpenSpill(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillLSNs(t, r, 1, 2, 3)
+	r.spill.f = &faultyFile{file: r.spill.f, shortWrites: 1}
+	spillLSNs(t, r, 4)
+	spillLSNs(t, r, 5, 6)
+	_, _, spilled := r.Counters()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, good := scanSpill(data); spilled != int64(good) || good != len(data) {
+		t.Errorf("spill_bytes = %d, readable prefix = %d, file = %d bytes", spilled, good, len(data))
+	}
+	if got, want := reopenLSNs(t, path), []op.SI{1, 2, 3, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened spill holds %v, want %v", got, want)
+	}
+}
+
+// TestSpillStopsWhenRollbackFails: if the cut back to the good prefix
+// fails too, the recorder stops spilling instead of appending behind the
+// torn frame; the ring keeps recording.
+func TestSpillStopsWhenRollbackFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.spill")
+	r, _, err := OpenSpill(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillLSNs(t, r, 1, 2)
+	r.spill.f = &faultyFile{file: r.spill.f, shortWrites: 1, failTruncates: 1}
+	spillLSNs(t, r, 3)
+	_, _, before := r.Counters()
+	spillLSNs(t, r, 4)
+	if events, _, after := r.Counters(); after != before || events != 4 {
+		t.Errorf("after a failed rollback: %d events, spill_bytes %d -> %d", events, before, after)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reopenLSNs(t, path), []op.SI{1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened spill holds %v, want %v", got, want)
+	}
 }

@@ -23,8 +23,21 @@ import (
 const spillFlushThreshold = 32 << 10
 
 type spillFile struct {
-	f   *os.File
+	f   file
 	buf []byte
+	// size is the length of the file's good prefix: every byte below it
+	// belongs to a whole frame.
+	size int64
+}
+
+// file is the part of *os.File a spill uses; in-package tests substitute
+// one that fails on cue.
+type file interface {
+	Write(p []byte) (int, error)
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Sync() error
+	Close() error
 }
 
 func appendSpillFrame(dst []byte, ev *Event) []byte {
@@ -149,7 +162,7 @@ func OpenSpill(path string, ringSize int) (*Recorder, []Event, error) {
 		return nil, nil, fmt.Errorf("flight: seek spill: %w", err)
 	}
 	r := NewRecorder(ringSize)
-	r.spill = &spillFile{f: f}
+	r.spill = &spillFile{f: f, size: int64(good)}
 	r.spillOn.Store(true)
 	r.spillBytes.Store(int64(good))
 	if n := len(prior); n > 0 {
@@ -185,21 +198,35 @@ func (r *Recorder) spillAppend(ev *Event) {
 
 // flushLocked writes the pending buffer; spillMu held.  Write errors
 // drop the batch rather than wedging emitters — the recorder observes,
-// it must never fail the flight it is recording.
+// it must never fail the flight it is recording.  A failed or short write
+// may still leave part of a frame on the file, and a later batch appended
+// after it would sit behind a torn frame that a reopen trims away.  So the
+// file is cut back to its good prefix first; if that fails, spilling stops
+// (the rule wal.FileDevice follows).
 func (r *Recorder) flushLocked() {
-	if len(r.spill.buf) == 0 {
+	sp := r.spill
+	if len(sp.buf) == 0 {
 		return
 	}
-	n, err := r.spill.f.Write(r.spill.buf)
-	if err != nil {
-		// A partial frame at the tail is exactly what the torn-tail
-		// trim handles on reopen.
+	n, err := sp.f.Write(sp.buf)
+	if err == nil && n < len(sp.buf) {
+		err = io.ErrShortWrite
+	}
+	sp.buf = sp.buf[:0]
+	if err == nil {
+		sp.size += int64(n)
 		r.spillBytes.Add(int64(n))
-		r.spill.buf = r.spill.buf[:0]
 		return
 	}
-	r.spillBytes.Add(int64(n))
-	r.spill.buf = r.spill.buf[:0]
+	err = sp.f.Truncate(sp.size)
+	if err == nil {
+		_, err = sp.f.Seek(sp.size, io.SeekStart)
+	}
+	if err != nil {
+		r.spillOn.Store(false)
+		sp.f.Close()
+		r.spill = nil
+	}
 }
 
 // Sync flushes buffered frames and forces them to stable storage.
@@ -213,6 +240,9 @@ func (r *Recorder) Sync() error {
 		return nil
 	}
 	r.flushLocked()
+	if r.spill == nil {
+		return nil
+	}
 	return r.spill.f.Sync()
 }
 
@@ -228,6 +258,9 @@ func (r *Recorder) Close() error {
 		return nil
 	}
 	r.flushLocked()
+	if r.spill == nil {
+		return nil
+	}
 	err := r.spill.f.Close()
 	r.spill = nil
 	return err

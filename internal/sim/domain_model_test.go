@@ -189,12 +189,12 @@ func runDomainModel(t *testing.T, cfg NamedConfig,
 	opts := cfg.Opts
 	opts.LogDevice = plan.WrapDevice(wal.NewMemDevice())
 	opts.Flight = fl
+	opts.Registry = NewDomainRegistry()
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Store().SetWriteProbe(plan.StableProbe())
-	registerDomains(eng.Registry())
 
 	dom, err := fresh(eng)
 	if err != nil {

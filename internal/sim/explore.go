@@ -3,8 +3,9 @@
 // injected exactly there — a hard crash, a torn or bit-flipped append, a
 // reordered batch write, a transient EIO — recover, and check the recovered
 // state against the re-execution oracle and (where anchored) the paper's
-// explainable-state predicate.  Every failure carries a replayable repro
-// token (see fault.Plan).
+// explainable-state predicate.  One Target names what a sweep runs —
+// configuration, workload, crash or ship schedules — and every failure
+// carries a repro token that Replay re-runs (see ScheduleFailure.Token).
 package sim
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"logicallog/internal/cache"
@@ -26,11 +28,12 @@ import (
 	"logicallog/internal/recovery"
 	"logicallog/internal/stable"
 	"logicallog/internal/wal"
+	"logicallog/internal/workload"
 	"logicallog/internal/writegraph"
 )
 
 // NamedConfig pairs an engine configuration with a stable name usable in
-// repro tokens and -fault.config flags.
+// repro tokens.
 type NamedConfig struct {
 	Name string
 	Opts core.Options
@@ -72,47 +75,112 @@ func LookupConfig(name string) (NamedConfig, bool) {
 	return NamedConfig{}, false
 }
 
-// RogueHook lets a test inject behavior into the scripted workload at a
-// given step — the explorer self-test uses it to plant a deliberately buggy
-// flush the explorer must catch.  A nil hook is a no-op.
-type RogueHook func(step int, eng *core.Engine) error
-
-// ScheduleFailure is one failed crash schedule.  Mix is empty for the
-// default scripted workload; otherwise it names the scenario mix that drove
-// the run.
-type ScheduleFailure struct {
-	Config string
-	Mix    string
-	Token  string
-	Err    error
+// Target is what one exploration sweeps: an engine configuration, the
+// workload — the flat script, or a scenario mix driving the B+tree and LSM
+// domains — and the failure space: crashes and I/O faults at every WAL and
+// stable-store boundary, or failures at every shipped-batch boundary of a
+// primary streaming to a warm standby.
+type Target struct {
+	Config NamedConfig
+	// Mix names a built-in scenario mix or a custom spec (see
+	// workload.ParseMix); empty runs the flat script.
+	Mix string
+	// Ship selects the ship-schedule space (see explore_ship.go).
+	Ship bool
+	// rogue, when set, runs ahead of every step of a crash target's flat
+	// script; the explorer self-test plants a flush-order bug with it.  A
+	// repro token does not carry it.
+	rogue func(step int, eng *core.Engine) error
 }
+
+// String names the target as its repro tokens begin: kind, config and —
+// for a mix target — the mix, joined by "/".
+func (tg Target) String() string {
+	s := "crash/" + tg.Config.Name
+	if tg.Ship {
+		s = "ship/" + tg.Config.Name
+	}
+	if tg.Mix != "" {
+		s += "/" + tg.Mix
+	}
+	return s
+}
+
+// workload returns the target's pre-crash script and its post-recovery
+// domain check (nil for the flat script).
+func (tg Target) workload() (exploreScript, func(*core.Engine) error, error) {
+	if tg.Mix == "" {
+		return runExploreScript, nil, nil
+	}
+	mix, err := workload.ParseMix(tg.Mix)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", errHarness, err)
+	}
+	return mixExploreScript(mix), VerifyMixDomains, nil
+}
+
+// options returns the engine options every engine of one schedule starts
+// from.  A mix target's engines share one registry with both storage
+// domains registered, so a standby resolves domain functions before the
+// primary's first record arrives.
+func (tg Target) options() core.Options {
+	opts := tg.Config.Opts
+	if tg.Mix != "" {
+		opts.Registry = NewDomainRegistry()
+	}
+	return opts
+}
+
+// ScheduleFailure is one failed schedule of a target.
+type ScheduleFailure struct {
+	Target Target
+	// Schedule is the fault token (see fault.Plan.Token), a ship target's
+	// machine crash ("primary-crash@N", "standby-crash@N"), or "none" for
+	// the fault-free counting run.
+	Schedule string
+	Err      error
+}
+
+// Token returns the failure's repro token — the target and the schedule,
+// e.g. "crash/rW-identity-rSI/write-burst/wal@25:torn=3" — which Replay
+// re-runs.
+func (f ScheduleFailure) Token() string { return f.Target.String() + "/" + f.Schedule }
 
 // Repro returns a shell command replaying exactly this schedule.
 func (f ScheduleFailure) Repro() string {
-	if f.Mix != "" {
-		return fmt.Sprintf("go test ./internal/sim -run TestCrashScheduleReplay -fault.config %q -fault.mix %q -fault.token %q", f.Config, f.Mix, f.Token)
+	test := "TestCrashScheduleReplay"
+	if f.Target.Ship {
+		test = "TestShipScheduleReplay"
 	}
-	return fmt.Sprintf("go test ./internal/sim -run TestCrashScheduleReplay -fault.config %q -fault.token %q", f.Config, f.Token)
+	return fmt.Sprintf("go test ./internal/sim -run %s -explore.repro '%s'", test, f.Token())
 }
 
 func (f ScheduleFailure) String() string {
-	name := f.Config
-	if f.Mix != "" {
-		name += "/" + f.Mix
-	}
-	return fmt.Sprintf("[%s @ %s] %v\n    repro: %s", name, f.Token, f.Err, f.Repro())
+	return fmt.Sprintf("[%s] %v\n    repro: %s", f.Token(), f.Err, f.Repro())
 }
 
-// ExploreReport summarizes one configuration's exploration.
+// Boundaries counts a fault-free run's I/O boundaries per channel (the
+// boundary after I/O k is fault index k): WAL appends and stable writes
+// for a crash target, shipped batches for a ship target.
+type Boundaries struct {
+	WAL, Stable, Ship int
+}
+
+// ExploreReport summarizes one target's exploration.
 type ExploreReport struct {
-	Config string
-	// WALBoundaries and StableBoundaries count the I/O boundaries of the
-	// fault-free scripted run (the boundary after I/O k is fault index k).
-	WALBoundaries, StableBoundaries int
-	// Schedules counts fault schedules executed (the fault-free counting
-	// run included).
+	Target     Target
+	Boundaries Boundaries
+	// Schedules counts schedules executed (the counting run included).
 	Schedules int
 	Failures  []ScheduleFailure
+}
+
+// note records one executed schedule and its outcome.
+func (rep *ExploreReport) note(s schedule, err error) {
+	rep.Schedules++
+	if err != nil {
+		rep.Failures = append(rep.Failures, ScheduleFailure{rep.Target, s.String(), err})
+	}
 }
 
 // errHarness marks explorer-infrastructure failures (the script died for a
@@ -137,69 +205,158 @@ func (s Stride) boundaries(n int) []int {
 	return out
 }
 
-// Explore runs the crash-schedule exploration for one configuration: a
-// fault-free counting run, then one schedule per I/O boundary the stride
-// selects and fault variant.  Schedule failures are collected, not fatal;
-// only a broken harness returns an error.
-func Explore(cfg NamedConfig, stride Stride, rogue RogueHook) (*ExploreReport, error) {
-	return exploreWith(cfg, stride, rogue, "", runExploreScript, nil)
-}
-
-// exploreWith is the exploration loop shared by the default script and the
-// scenario-mix sweeps; mix names the scenario for failure repro lines ("" =
-// default script) and post runs extra domain-level checks after recovery.
-func exploreWith(cfg NamedConfig, stride Stride, rogue RogueHook, mix string, script exploreScript, post func(*core.Engine) error) (*ExploreReport, error) {
-	rep := &ExploreReport{Config: cfg.Name}
-
-	// Counting run: no faults, full verification.  Its I/O counts define
-	// the boundary space the variants below enumerate.
-	counting := fault.NewPlan()
-	err := runScheduleWith(cfg, counting, rogue, script, post)
-	rep.Schedules++
+// Explore runs one target's exploration: a fault-free counting run, then
+// one schedule per boundary the stride selects and failure variant.
+// Schedule failures are collected, not fatal; only a broken harness
+// returns an error.
+func Explore(tg Target, stride Stride) (*ExploreReport, error) {
+	rep := &ExploreReport{Target: tg}
+	counting := schedule{kind: "count"}
+	n, err := tg.run(counting)
 	if errors.Is(err, errHarness) {
 		return nil, err
 	}
-	if err != nil {
-		rep.Failures = append(rep.Failures, ScheduleFailure{cfg.Name, mix, counting.Token(), err})
-	}
-	rep.WALBoundaries = counting.Count(fault.ChanWAL)
-	rep.StableBoundaries = counting.Count(fault.ChanStable)
-
-	run := func(pt fault.Point) {
-		plan := fault.NewPlan(pt)
-		rep.Schedules++
-		if err := runScheduleWith(cfg, plan, rogue, script, post); err != nil {
-			rep.Failures = append(rep.Failures, ScheduleFailure{cfg.Name, mix, plan.Token(), err})
-		}
-	}
-	for _, b := range stride.boundaries(rep.WALBoundaries) {
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindCrash})
-		// Torn tail: a short prefix of the append lands, and separately
-		// the whole append lands but the ack is lost.
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTorn, Arg: 3})
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTorn, Arg: 1 << 20})
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindBitFlip, Arg: 13*b + 7})
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindReorder, Arg: b})
-		run(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTransient, Arg: 1})
-	}
-	for _, b := range stride.boundaries(rep.StableBoundaries) {
-		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindCrash})
-		run(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindTransient, Arg: 2})
+	rep.Boundaries = n
+	rep.note(counting, err)
+	for _, s := range tg.schedules(n, stride) {
+		_, err := tg.run(s)
+		rep.note(s, err)
 	}
 	return rep, nil
 }
 
-// ReplaySchedule re-runs one schedule from its repro token.
-func ReplaySchedule(configName, token string) error {
-	cfg, ok := LookupConfig(configName)
-	if !ok {
-		return fmt.Errorf("sim: unknown explorer config %q", configName)
+// schedules lists, in sweep order, the schedules the stride selects over
+// the counting run's boundaries.
+func (tg Target) schedules(n Boundaries, stride Stride) []schedule {
+	var out []schedule
+	if tg.Ship {
+		// A primary crash with failover, a standby crash with restart, and
+		// the four wire faults.
+		for _, b := range stride.boundaries(n.Ship) {
+			out = append(out, schedule{kind: "primary-crash", boundary: b}, schedule{kind: "standby-crash", boundary: b})
+			for _, f := range []string{"drop", "dup", "reorder=0", "eio"} {
+				out = append(out, schedule{kind: "fault", token: fmt.Sprintf("ship@%d:%s", b, f)})
+			}
+		}
+		return out
 	}
-	pts, err := fault.ParseToken(token)
+	at := func(pt fault.Point) { out = append(out, schedule{kind: "fault", token: pt.String()}) }
+	for _, b := range stride.boundaries(n.WAL) {
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindCrash})
+		// Torn tail: a short prefix of the append lands, and separately
+		// the whole append lands but the ack is lost.
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTorn, Arg: 3})
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTorn, Arg: 1 << 20})
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindBitFlip, Arg: 13*b + 7})
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindReorder, Arg: b})
+		at(fault.Point{Chan: fault.ChanWAL, Index: b, Kind: fault.KindTransient, Arg: 1})
+	}
+	for _, b := range stride.boundaries(n.Stable) {
+		at(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindCrash})
+		at(fault.Point{Chan: fault.ChanStable, Index: b, Kind: fault.KindTransient, Arg: 2})
+	}
+	return out
+}
+
+// run executes one schedule of the target and returns the run's boundary
+// counts.
+func (tg Target) run(s schedule) (Boundaries, error) {
+	if tg.Ship {
+		return runShip(tg, s)
+	}
+	pts, err := fault.ParseToken(s.token)
+	if err != nil {
+		return Boundaries{}, fmt.Errorf("%w: %v", errHarness, err)
+	}
+	return runCrash(tg, fault.NewPlan(pts...))
+}
+
+// Replay re-runs one schedule from a failure's repro token (see
+// ScheduleFailure.Token).
+func Replay(repro string) error {
+	tg, s, err := parseRepro(repro)
 	if err != nil {
 		return err
 	}
-	return runSchedule(cfg, fault.NewPlan(pts...), nil)
+	_, err = tg.run(s)
+	return err
+}
+
+// parseRepro splits a repro token — kind/config[/mix]/schedule — into its
+// target and schedule.
+func parseRepro(repro string) (Target, schedule, error) {
+	parts := strings.Split(strings.TrimSpace(repro), "/")
+	if len(parts) != 3 && len(parts) != 4 {
+		return Target{}, schedule{}, fmt.Errorf("sim: malformed repro token %q (want kind/config[/mix]/schedule)", repro)
+	}
+	var tg Target
+	switch parts[0] {
+	case "crash":
+	case "ship":
+		tg.Ship = true
+	default:
+		return Target{}, schedule{}, fmt.Errorf("sim: repro token %q: unknown kind %q", repro, parts[0])
+	}
+	cfg, ok := LookupConfig(parts[1])
+	if !ok {
+		return Target{}, schedule{}, fmt.Errorf("sim: unknown explorer config %q", parts[1])
+	}
+	tg.Config = cfg
+	if len(parts) == 4 {
+		if _, err := workload.ParseMix(parts[2]); err != nil {
+			return Target{}, schedule{}, err
+		}
+		tg.Mix = parts[2]
+	}
+	s, err := parseSchedule(parts[len(parts)-1], tg.Ship)
+	if err != nil {
+		return Target{}, schedule{}, err
+	}
+	return tg, s, nil
+}
+
+// schedule is one run of a target: the fault-free counting run, a fault
+// plan, or — for a ship target — a machine crash at a shipped-batch
+// boundary.
+type schedule struct {
+	kind     string // "count", "fault", "primary-crash", "standby-crash"
+	boundary int
+	token    string // the fault plan's token
+}
+
+func (s schedule) String() string {
+	switch s.kind {
+	case "primary-crash", "standby-crash":
+		return fmt.Sprintf("%s@%d", s.kind, s.boundary)
+	case "fault":
+		return s.token
+	default:
+		return "none"
+	}
+}
+
+// parseSchedule parses one schedule of a crash or (ship) a ship target.
+func parseSchedule(text string, ship bool) (schedule, error) {
+	text = strings.TrimSpace(text)
+	if text == "" || text == "none" {
+		return schedule{kind: "count"}, nil
+	}
+	for _, k := range []string{"primary-crash", "standby-crash"} {
+		if rest, ok := strings.CutPrefix(text, k+"@"); ok {
+			if !ship {
+				return schedule{}, fmt.Errorf("sim: %q is a ship schedule", text)
+			}
+			b, err := strconv.Atoi(rest)
+			if err != nil || b < 0 {
+				return schedule{}, fmt.Errorf("sim: malformed ship schedule %q", text)
+			}
+			return schedule{kind: k, boundary: b}, nil
+		}
+	}
+	if _, err := fault.ParseToken(text); err != nil {
+		return schedule{}, fmt.Errorf("sim: schedule %q: %w", text, err)
+	}
+	return schedule{kind: "fault", token: text}, nil
 }
 
 // runRecorder observes the scripted run: the initial stable snapshot that
@@ -222,38 +379,23 @@ func (r *runRecorder) trace(view *writegraph.NodeView) {
 	r.marks = append(r.marks, len(r.installed))
 }
 
-// exploreScript is the workload a schedule runs before the crash.  The
-// default is runExploreScript; the scenario-mix sweeps substitute a script
-// that drives the B+tree and LSM domains (see explore_mix.go).
-type exploreScript func(eng *core.Engine, rec *runRecorder, rogue RogueHook) error
-
-// runSchedule executes the scripted workload under plan, crashes, heals the
-// plan, recovers, and verifies oracle equivalence plus (when the run got far
-// enough to anchor it) stable-state explainability.
-func runSchedule(cfg NamedConfig, plan *fault.Plan, rogue RogueHook) error {
-	return runScheduleWith(cfg, plan, rogue, runExploreScript, nil)
-}
-
-// runScheduleWith is runSchedule parameterized by the pre-crash script and
-// an optional post-recovery domain check (run after oracle verification, so
-// a domain-level failure always implicates the domain, not the engine).
-func runScheduleWith(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, script exploreScript, post func(*core.Engine) error) error {
-	fl := flight.NewRecorder(1 << 10)
-	err := runScheduleFlight(cfg, plan, rogue, script, post, fl)
-	if err != nil && !errors.Is(err, errHarness) {
-		err = attachForensics(err, fl, plan.Token())
-	}
-	return err
-}
+// exploreScript is the workload a schedule runs before the crash: the flat
+// script (runExploreScript) or a scenario mix (see explore_mix.go).  before
+// (may be nil) runs ahead of each step.
+type exploreScript func(eng *core.Engine, rec *runRecorder, before func(step int) error) error
 
 // attachForensics appends a compact flight dump to a schedule failure so the
 // repro output carries the decision chain that led to the bad state.  When
 // LL_FORENSICS_DIR is set (the CI sweeps set it), the full dump is also
-// written to a file named after the repro token for artifact upload.
-func attachForensics(err error, fl *flight.Recorder, token string) error {
+// written to a file named after the failure's repro token for artifact
+// upload.  Harness errors and successes pass through unchanged.
+func attachForensics(err error, fl *flight.Recorder, f ScheduleFailure) error {
+	if err == nil || errors.Is(err, errHarness) {
+		return err
+	}
 	events := fl.Events()
 	if dir := os.Getenv("LL_FORENSICS_DIR"); dir != "" {
-		name := sanitizeToken(token) + ".flight.txt"
+		name := sanitizeToken(f.Token()) + ".flight.txt"
 		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
 			_ = os.WriteFile(filepath.Join(dir, name), []byte(forensics.Dump(events, 0)), 0o644)
 		}
@@ -261,11 +403,8 @@ func attachForensics(err error, fl *flight.Recorder, token string) error {
 	return fmt.Errorf("%w\n%s", err, forensics.Dump(events, 24))
 }
 
-// sanitizeToken maps a fault token to a safe file name.
+// sanitizeToken maps a repro token to a safe file name.
 func sanitizeToken(token string) string {
-	if token == "" {
-		return "fault-free"
-	}
 	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
@@ -276,63 +415,81 @@ func sanitizeToken(token string) string {
 	}, token)
 }
 
-func runScheduleFlight(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, script exploreScript, post func(*core.Engine) error, fl *flight.Recorder) error {
-	opts := cfg.Opts
+// runCrash executes the target's script under plan, crashes, heals the
+// plan, recovers, and verifies oracle equivalence plus (when the run got
+// far enough to anchor it) stable-state explainability.  It returns the
+// plan's I/O counts, which the counting run uses as the boundary space.
+func runCrash(tg Target, plan *fault.Plan) (n Boundaries, err error) {
+	token := plan.Token()
+	fl := flight.NewRecorder(1 << 10)
+	defer func() {
+		n = Boundaries{WAL: plan.Count(fault.ChanWAL), Stable: plan.Count(fault.ChanStable)}
+		err = attachForensics(err, fl, ScheduleFailure{Target: tg, Schedule: token})
+	}()
+	script, post, err := tg.workload()
+	if err != nil {
+		return n, err
+	}
+	opts := tg.options()
 	opts.LogDevice = plan.WrapDevice(wal.NewMemDevice())
 	opts.Flight = fl
 	// Deterministic per-schedule worker count: vary parallel redo across
 	// the schedule space without a nondeterministic seed.
-	opts.RedoWorkers = 1 + len(plan.Token())%4
+	opts.RedoWorkers = 1 + len(token)%4
 	rec := &runRecorder{}
 	opts.InstallTrace = rec.trace
 	eng, err := core.New(opts)
 	if err != nil {
-		return fmt.Errorf("%w: %v", errHarness, err)
+		return n, fmt.Errorf("%w: %v", errHarness, err)
 	}
 	eng.Store().SetWriteProbe(plan.StableProbe())
 
-	scriptErr := script(eng, rec, rogue)
+	var before func(int) error
+	if tg.rogue != nil {
+		before = func(step int) error { return tg.rogue(step, eng) }
+	}
+	scriptErr := script(eng, rec, before)
 	rec.frozen = true
 	// Transient EIOs are normally absorbed by the retry loops, but a script
 	// path without one (e.g. a rogue hook's raw store write) may surface the
 	// fault itself — that is still the injected fault, not a harness bug.
 	if scriptErr != nil && !errors.Is(scriptErr, fault.ErrInjected) && !wal.IsTransient(scriptErr) {
-		return fmt.Errorf("%w: script died without an injected fault: %v", errHarness, scriptErr)
+		return n, fmt.Errorf("%w: script died without an injected fault: %v", errHarness, scriptErr)
 	}
 	if scriptErr == nil {
 		if un := plan.Unfired(); len(un) > 0 {
-			return fmt.Errorf("%w: script completed but points never fired: %v", errHarness, un)
+			return n, fmt.Errorf("%w: script completed but points never fired: %v", errHarness, un)
 		}
 	}
 
 	eng.Crash()
 	plan.Heal()
 	if _, err := eng.Recover(); err != nil {
-		return fmt.Errorf("recover: %w", err)
+		return n, fmt.Errorf("recover: %w", err)
 	}
 	if err := checkWriteGraph(eng); err != nil {
-		return fmt.Errorf("after recovery: %w", err)
+		return n, fmt.Errorf("after recovery: %w", err)
 	}
 	// The durable horizon is re-derived by recovery (a torn or reordered
 	// final append trims the log below the pre-crash acked horizon).
 	horizon := eng.Log().StableLSN()
 	if err := VerifyAgainstOracle(eng, horizon); err != nil {
-		return err
+		return n, err
 	}
 	if rec.initial != nil {
 		if err := checkExplainableState(eng, rec, fl); err != nil {
-			return err
+			return n, err
 		}
 	}
 	if post != nil {
 		if err := post(eng); err != nil {
-			return err
+			return n, err
 		}
 	}
 	if err := eng.FlushAll(); err != nil {
-		return fmt.Errorf("post-recovery flush: %w", err)
+		return n, fmt.Errorf("post-recovery flush: %w", err)
 	}
-	return VerifyAgainstOracle(eng, horizon)
+	return n, VerifyAgainstOracle(eng, horizon)
 }
 
 // checkWriteGraph runs the write graph's own invariant check — structure,
@@ -359,7 +516,7 @@ const (
 // explainability check), then interleave logical/physiological/physical
 // operations with forces, minimal installs, non-truncating checkpoints,
 // deletes, and re-creates.
-func runExploreScript(eng *core.Engine, rec *runRecorder, rogue RogueHook) error {
+func runExploreScript(eng *core.Engine, rec *runRecorder, before func(step int) error) error {
 	rng := rand.New(rand.NewSource(exploreSeed))
 	objects := make([]op.ObjectID, exploreObjects)
 	for i := range objects {
@@ -391,9 +548,9 @@ func runExploreScript(eng *core.Engine, rec *runRecorder, rogue RogueHook) error
 	rec.initial = initial
 
 	for step := 0; step < exploreSteps; step++ {
-		if rogue != nil {
-			if err := rogue(step, eng); err != nil {
-				return fmt.Errorf("rogue hook at step %d: %w", step, err)
+		if before != nil {
+			if err := before(step); err != nil {
+				return fmt.Errorf("hook at step %d: %w", step, err)
 			}
 		}
 		if step%3 == 1 {

@@ -16,7 +16,6 @@ import (
 
 	"logicallog/internal/btree"
 	"logicallog/internal/core"
-	"logicallog/internal/fault"
 	"logicallog/internal/lsm"
 	"logicallog/internal/op"
 	"logicallog/internal/workload"
@@ -51,47 +50,30 @@ func mixSeed(mixName string) int64 {
 	return mixSeedBase + int64(h.Sum32()%100000)*2
 }
 
-// registerDomains installs the B+tree and LSM transforms if absent (the
-// ship path pre-registers them on a shared primary/standby registry, the
-// crash path registers on the engine's fresh one).
-func registerDomains(reg *op.Registry) {
-	if _, ok := reg.Lookup(btree.FuncInsertLeaf); !ok {
-		btree.Register(reg)
-	}
-	if _, ok := reg.Lookup(lsm.FuncMemPut); !ok {
-		lsm.Register(reg)
-	}
-}
-
 // NewDomainRegistry returns a transform registry with both storage domains
-// pre-registered.  llrun -scenario installs it on the primary's options so
-// a -standby engine shares the domain FuncIDs before any record arrives.
+// registered.  Every engine that drives the domains runs on one: a mix
+// target's engines (see Target.options) and llrun -scenario's primary and
+// -standby, which must resolve the domain FuncIDs before any record
+// arrives.
 func NewDomainRegistry() *op.Registry {
 	reg := op.NewRegistry()
-	registerDomains(reg)
+	btree.Register(reg)
+	lsm.Register(reg)
 	return reg
 }
 
-// withDomainRegistry returns cfg with a pre-registered transform registry,
-// shared by every engine the schedule builds — the ship standby must be
-// able to resolve domain FuncIDs before the primary's script ever runs.
-func withDomainRegistry(cfg NamedConfig) NamedConfig {
-	cfg.Opts.Registry = NewDomainRegistry()
-	return cfg
-}
-
 // driveMix drives a leaf-linked B+tree (driver seed seed) and an LSM tree
-// (seed+1) on eng through mix.  A bootstrap phase populates both, writes
-// the ready marker, then flushes and checkpoints so the initial domain
-// state exists only in the stable database; if rec is non-nil it records
-// that stable snapshot.  Then steps interleaved driver steps run, each
+// (seed+1) through mix on eng, whose registry came from NewDomainRegistry.
+// A bootstrap phase populates both, writes the ready marker, then flushes
+// and checkpoints so the initial domain state exists only in the stable
+// database; if rec is non-nil it records that stable snapshot.  Then
+// steps interleaved driver steps run, each
 // preceded by the periodic schedule: forces, minimal installs,
 // non-truncating checkpoints, and full purges, every one whose period
 // matches.  before (may be nil) runs ahead of each step's schedule; check
 // (may be nil) runs after each domain step.  The tail is not forced.
 func driveMix(eng *core.Engine, mix workload.Mix, seed int64, steps int, rec *runRecorder,
 	before func(step int) error, check func(*core.Engine) error) error {
-	registerDomains(eng.Registry())
 	tree, err := btree.New(eng, mixTreeName, mixTreeOrder)
 	if err != nil {
 		return fmt.Errorf("btree new: %w", err)
@@ -179,14 +161,10 @@ func driveMix(eng *core.Engine, mix workload.Mix, seed int64, steps int, rec *ru
 }
 
 // mixExploreScript returns the pre-crash script driving both domains
-// through the mix: driveMix under the rogue hook with the write graph
-// checked after every domain step, then a final force.
+// through the mix: driveMix with the write graph checked after every
+// domain step, then a final force.
 func mixExploreScript(mix workload.Mix) exploreScript {
-	return func(eng *core.Engine, rec *runRecorder, rogue RogueHook) error {
-		var before func(int) error
-		if rogue != nil {
-			before = func(step int) error { return rogue(step, eng) }
-		}
+	return func(eng *core.Engine, rec *runRecorder, before func(step int) error) error {
 		if err := driveMix(eng, mix, mixSeed(mix.Name), mixSteps, rec, before, checkWriteGraph); err != nil {
 			return err
 		}
@@ -234,8 +212,8 @@ func VerifyMixDomains(eng *core.Engine) error {
 }
 
 // DriveMixWorkload is the llrun -scenario entry point: driveMix over the
-// named scenario mix, with hook (may be nil) ahead of every step — llrun's
-// standby pump.  Like DriveWorkload, it does not force the tail: a crash
+// named scenario mix on an engine built with NewDomainRegistry, with hook
+// (may be nil) ahead of every step — llrun's standby pump.  Like DriveWorkload, it does not force the tail: a crash
 // afterwards loses unforced steps.  VerifyMixDomains checks the recovered
 // state.
 func DriveMixWorkload(eng *core.Engine, mixName string, seed int64, steps int, hook func(step int) error) error {
@@ -244,61 +222,4 @@ func DriveMixWorkload(eng *core.Engine, mixName string, seed int64, steps int, h
 		return err
 	}
 	return driveMix(eng, mix, seed, steps, nil, hook, nil)
-}
-
-// ExploreMix runs the crash-schedule exploration with a scenario mix
-// driving the B+tree and LSM domains.  mixName is a built-in mix name or a
-// custom spec (see workload.ParseMix).
-func ExploreMix(cfg NamedConfig, mixName string, stride Stride) (*ExploreReport, error) {
-	mix, err := workload.ParseMix(mixName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errHarness, err)
-	}
-	return exploreWith(cfg, stride, nil, mixName, mixExploreScript(mix), VerifyMixDomains)
-}
-
-// ReplayMixSchedule re-runs one mix crash schedule from its repro token.
-func ReplayMixSchedule(configName, mixName, token string) error {
-	cfg, ok := LookupConfig(configName)
-	if !ok {
-		return fmt.Errorf("sim: unknown explorer config %q", configName)
-	}
-	mix, err := workload.ParseMix(mixName)
-	if err != nil {
-		return err
-	}
-	pts, err := fault.ParseToken(token)
-	if err != nil {
-		return err
-	}
-	return runScheduleWith(cfg, fault.NewPlan(pts...), nil, mixExploreScript(mix), VerifyMixDomains)
-}
-
-// ExploreShipMix runs the ship-schedule exploration with a scenario mix
-// driving the primary's domains.  The promoted standby gets the same
-// domain-level checks as the crash explorer.
-func ExploreShipMix(cfg NamedConfig, mixName string, stride Stride) (*ShipExploreReport, error) {
-	mix, err := workload.ParseMix(mixName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errHarness, err)
-	}
-	return exploreShipWith(withDomainRegistry(cfg), stride, mixName, mixExploreScript(mix), VerifyMixDomains)
-}
-
-// ReplayShipMixSchedule re-runs one mix ship schedule from its repro text.
-func ReplayShipMixSchedule(configName, mixName, schedule string) error {
-	cfg, ok := LookupConfig(configName)
-	if !ok {
-		return fmt.Errorf("sim: unknown explorer config %q", configName)
-	}
-	mix, err := workload.ParseMix(mixName)
-	if err != nil {
-		return err
-	}
-	sched, err := parseShipSchedule(schedule)
-	if err != nil {
-		return err
-	}
-	_, err = runShipScheduleWith(withDomainRegistry(cfg), sched, mixExploreScript(mix), VerifyMixDomains)
-	return err
 }

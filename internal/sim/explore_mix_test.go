@@ -1,14 +1,8 @@
 package sim
 
 import (
-	"flag"
 	"strings"
 	"testing"
-)
-
-var (
-	faultMixFlag = flag.String("fault.mix", "", "scenario mix for TestCrashScheduleReplay (empty = default script)")
-	shipMixFlag  = flag.String("ship.mix", "", "scenario mix for TestShipScheduleReplay (empty = default script)")
 )
 
 // TestMixScheduleExplorer sweeps the crash-schedule space with the scenario
@@ -21,25 +15,11 @@ var (
 func TestMixScheduleExplorer(t *testing.T) {
 	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
-		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
 			stride := sweepStride(t, 5)
-			for _, mixName := range sweepMixes(t) {
-				rep, err := ExploreMix(cfg, mixName, stride)
-				if err != nil {
-					t.Fatalf("%s: harness: %v", mixName, err)
-				}
-				total := rep.WALBoundaries + rep.StableBoundaries
-				if total <= 100 {
-					t.Errorf("%s: only %d I/O boundaries (%d WAL + %d stable); the mix no longer exercises the fault space",
-						mixName, total, rep.WALBoundaries, rep.StableBoundaries)
-				}
-				t.Logf("%s/%s: %d schedules over %d WAL + %d stable boundaries",
-					cfg.Name, mixName, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries)
-				for _, f := range rep.Failures {
-					t.Errorf("schedule failed: %v", f)
-				}
+			for _, mix := range sweepMixes(t) {
+				sweep(t, Target{Config: cfg, Mix: mix}, stride)
 			}
 		})
 	}
@@ -52,61 +32,68 @@ func TestMixScheduleExplorer(t *testing.T) {
 func TestShipMixScheduleExplorer(t *testing.T) {
 	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
-		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
 			stride := sweepStride(t, 11)
-			for _, mixName := range sweepMixes(t) {
-				rep, err := ExploreShipMix(cfg, mixName, stride)
-				if err != nil {
-					t.Fatalf("%s: harness: %v", mixName, err)
-				}
-				t.Logf("%s/%s: %d batch boundaries, %d schedules", cfg.Name, mixName, rep.Boundaries, rep.Schedules)
-				if rep.Boundaries < 20 {
-					t.Errorf("%s: only %d batch boundaries — the mix should ship far more", mixName, rep.Boundaries)
-				}
-				for _, f := range rep.Failures {
-					t.Errorf("%s", f)
-				}
+			for _, mix := range sweepMixes(t) {
+				sweep(t, Target{Config: cfg, Mix: mix, Ship: true}, stride)
 			}
 		})
 	}
 }
 
-// TestMixFailureRepro pins the repro-line format: a mix failure's command
-// must name the mix so the replay test reconstructs the same schedule.
+// TestMixFailureRepro pins the repro line: for every schedule kind the
+// explorer runs, on the flat script and on a mix, a failure's command must
+// name the replay test of its kind and quote a token that parses back to
+// the same target and schedule.
 func TestMixFailureRepro(t *testing.T) {
-	f := ScheduleFailure{Config: "rW-identity-rSI", Mix: "write-burst", Token: "wal@3:torn=3"}
-	for _, want := range []string{"-fault.config", "-fault.mix", "-fault.token", "write-burst", "wal@3:torn=3"} {
-		if !strings.Contains(f.Repro(), want) {
-			t.Errorf("crash repro %q lacks %q", f.Repro(), want)
+	cfg, _ := LookupConfig("physio-vSI")
+	for _, ship := range []bool{false, true} {
+		for _, mix := range []string{"", "write-burst", "lookup=40,scan=10,insert=30,update=10,delete=10"} {
+			tg := Target{Config: cfg, Mix: mix, Ship: ship}
+			// One boundary of every channel: every schedule kind the
+			// sweep runs, after the counting run.
+			scheds := append([]schedule{{kind: "count"}},
+				tg.schedules(Boundaries{WAL: 18, Stable: 18, Ship: 18}, Stride{Every: 100, Offset: 17})...)
+			if want := map[bool]int{false: 1 + 6 + 2, true: 1 + 2 + 4}[ship]; len(scheds) != want {
+				t.Errorf("%s: %d schedule kinds, want %d", tg, len(scheds), want)
+			}
+			test := map[bool]string{false: "-run TestCrashScheduleReplay ", true: "-run TestShipScheduleReplay "}[ship]
+			for _, s := range scheds {
+				f := ScheduleFailure{Target: tg, Schedule: s.String()}
+				repro := f.Repro()
+				if !strings.Contains(repro, test+"-explore.repro '"+f.Token()+"'") {
+					t.Errorf("repro %q does not replay %q through %s", repro, f.Token(), test)
+				}
+				back, bs, err := parseRepro(f.Token())
+				if err != nil {
+					t.Errorf("parseRepro(%q): %v", f.Token(), err)
+					continue
+				}
+				if back.String() != tg.String() || back.Config.Name != cfg.Name || back.Mix != mix || back.Ship != ship || bs != s {
+					t.Errorf("%q parsed back as %s / %+v, want %s / %+v", f.Token(), back, bs, tg, s)
+				}
+			}
 		}
-	}
-	sf := ShipScheduleFailure{Config: "physio-vSI", Mix: "scan-heavy", Schedule: "primary-crash@4"}
-	for _, want := range []string{"-ship.config", "-ship.mix", "-ship.schedule", "scan-heavy", "primary-crash@4"} {
-		if !strings.Contains(sf.Repro(), want) {
-			t.Errorf("ship repro %q lacks %q", sf.Repro(), want)
-		}
-	}
-	// Default-script failures keep the old two-flag form.
-	plain := ScheduleFailure{Config: "rW-identity-rSI", Token: "wal@3:crash"}
-	if strings.Contains(plain.Repro(), "-fault.mix") {
-		t.Errorf("default-script repro %q names a mix", plain.Repro())
 	}
 }
 
-// TestMixReplayRoundTrip replays single mix schedules through the public
-// replay entry points (the targets of the repro lines), including a
-// fault-free counting run and one injected fault per channel.
+// TestMixReplayRoundTrip replays single mix schedules through Replay (the
+// target of the repro lines), including a fault-free counting run and one
+// injected fault per channel.
 func TestMixReplayRoundTrip(t *testing.T) {
-	for _, token := range []string{"", "wal@40:crash", "wal@25:torn=3", "stable@2:crash"} {
-		if err := ReplayMixSchedule("rW-identity-rSI", "write-burst", token); err != nil {
-			t.Errorf("ReplayMixSchedule(%q): %v", token, err)
-		}
-	}
-	for _, sched := range []string{"none", "primary-crash@2", "standby-crash@1", "ship@1:drop"} {
-		if err := ReplayShipMixSchedule("rW-identity-rSI", "point-lookup-heavy", sched); err != nil {
-			t.Errorf("ReplayShipMixSchedule(%q): %v", sched, err)
+	for _, repro := range []string{
+		"crash/rW-identity-rSI/write-burst/none",
+		"crash/rW-identity-rSI/write-burst/wal@40:crash",
+		"crash/rW-identity-rSI/write-burst/wal@25:torn=3",
+		"crash/rW-identity-rSI/write-burst/stable@2:crash",
+		"ship/rW-identity-rSI/point-lookup-heavy/none",
+		"ship/rW-identity-rSI/point-lookup-heavy/primary-crash@2",
+		"ship/rW-identity-rSI/point-lookup-heavy/standby-crash@1",
+		"ship/rW-identity-rSI/point-lookup-heavy/ship@1:drop",
+	} {
+		if err := Replay(repro); err != nil {
+			t.Errorf("Replay(%q): %v", repro, err)
 		}
 	}
 }

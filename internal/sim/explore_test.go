@@ -2,6 +2,8 @@ package sim
 
 import (
 	"flag"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,10 +13,7 @@ import (
 	"logicallog/internal/stable"
 )
 
-var (
-	faultConfig = flag.String("fault.config", "", "explorer config name for TestCrashScheduleReplay")
-	faultToken  = flag.String("fault.token", "", "fault plan token for TestCrashScheduleReplay")
-)
+var reproFlag = flag.String("explore.repro", "", "repro token of one explorer schedule, for TestCrashScheduleReplay and TestShipScheduleReplay")
 
 // TestCrashScheduleExplorer is the crash-schedule sweep: for each explorer
 // configuration, count the scripted workload's I/O boundaries, then crash
@@ -24,24 +23,40 @@ var (
 func TestCrashScheduleExplorer(t *testing.T) {
 	t.Parallel()
 	for _, cfg := range ExplorerConfigs() {
-		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Explore(cfg, sweepStride(t, 1), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := rep.WALBoundaries + rep.StableBoundaries
-			if total <= 100 {
-				t.Errorf("only %d I/O boundaries (%d WAL + %d stable); the script no longer exercises the fault space",
-					total, rep.WALBoundaries, rep.StableBoundaries)
-			}
-			t.Logf("%s: %d schedules over %d WAL + %d stable boundaries",
-				cfg.Name, rep.Schedules, rep.WALBoundaries, rep.StableBoundaries)
-			for _, f := range rep.Failures {
-				t.Errorf("schedule failed: %v", f)
-			}
+			sweep(t, Target{Config: cfg}, sweepStride(t, 1))
 		})
+	}
+}
+
+// sweep explores tg, logs its schedule and boundary counts, checks the
+// workload still reaches enough boundaries, and reports every failing
+// schedule with its repro line.
+func sweep(t *testing.T, tg Target, stride Stride) {
+	t.Helper()
+	rep, err := Explore(tg, stride)
+	if err != nil {
+		t.Fatalf("%s: harness: %v", tg, err)
+	}
+	name, n := tg.Config.Name, rep.Boundaries
+	if tg.Mix != "" {
+		name += "/" + tg.Mix
+	}
+	if tg.Ship {
+		t.Logf("%s: %d batch boundaries, %d schedules", name, n.Ship, rep.Schedules)
+		if n.Ship < 20 {
+			t.Errorf("%s: only %d batch boundaries — the workload should ship far more", name, n.Ship)
+		}
+	} else {
+		t.Logf("%s: %d schedules over %d WAL + %d stable boundaries", name, rep.Schedules, n.WAL, n.Stable)
+		if total := n.WAL + n.Stable; total <= 100 {
+			t.Errorf("%s: only %d I/O boundaries (%d WAL + %d stable); the workload no longer exercises the fault space",
+				name, total, n.WAL, n.Stable)
+		}
+	}
+	for _, f := range rep.Failures {
+		t.Errorf("schedule failed: %v", f)
 	}
 }
 
@@ -91,7 +106,7 @@ func buggyRogue(step int, eng *core.Engine) error {
 func TestExplorerCatchesBuggyPolicy(t *testing.T) {
 	t.Parallel()
 	cfg, _ := LookupConfig("rW-identity-rSI")
-	rep, err := Explore(cfg, Stride{Every: 1}, buggyRogue)
+	rep, err := Explore(Target{Config: cfg, rogue: buggyRogue}, Stride{Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +115,7 @@ func TestExplorerCatchesBuggyPolicy(t *testing.T) {
 	}
 	var withFault *ScheduleFailure
 	for i := range rep.Failures {
-		if rep.Failures[i].Token != "none" {
+		if rep.Failures[i].Schedule != "none" {
 			withFault = &rep.Failures[i]
 			break
 		}
@@ -108,18 +123,19 @@ func TestExplorerCatchesBuggyPolicy(t *testing.T) {
 	if withFault == nil {
 		t.Fatalf("no failing schedule carries a fault token: %v", rep.Failures)
 	}
-	if !strings.Contains(withFault.Repro(), withFault.Token) {
+	if !strings.Contains(withFault.Repro(), withFault.Token()) {
 		t.Errorf("repro line %q does not embed the token", withFault.Repro())
 	}
 	t.Logf("caught at %d schedules, e.g. %v", len(rep.Failures), *withFault)
 
-	// Replay the failing schedule (rogue included) from its token alone.
-	pts, err := fault.ParseToken(withFault.Token)
+	// Replay the failing schedule from its repro token, rogue included.
+	tg, s, err := parseRepro(withFault.Token())
 	if err != nil {
-		t.Fatalf("failure token %q does not parse: %v", withFault.Token, err)
+		t.Fatalf("repro token %q does not parse: %v", withFault.Token(), err)
 	}
-	if err := runSchedule(cfg, fault.NewPlan(pts...), buggyRogue); err == nil {
-		t.Errorf("token %q did not replay to a failure", withFault.Token)
+	tg.rogue = buggyRogue
+	if _, err := tg.run(s); err == nil {
+		t.Errorf("%q did not replay to a failure", withFault.Token())
 	}
 }
 
@@ -139,7 +155,7 @@ func TestDBTransientFaultRetry(t *testing.T) {
 		fault.Point{Chan: fault.ChanStable, Index: 3, Kind: fault.KindTransient, Arg: 3},
 		fault.Point{Chan: fault.ChanStable, Index: 20, Kind: fault.KindTransient, Arg: 2},
 	)
-	if err := runSchedule(cfg, plan, nil); err != nil {
+	if _, err := runCrash(Target{Config: cfg}, plan); err != nil {
 		t.Fatalf("transient faults were not absorbed by the retry loops: %v", err)
 	}
 	// Arg=n re-arms on the next n-1 retries, so 4 points fire 3+1+3+2 times.
@@ -148,21 +164,56 @@ func TestDBTransientFaultRetry(t *testing.T) {
 	}
 }
 
-// TestCrashScheduleReplay replays one schedule from a repro token:
+// TestCrashScheduleReplay replays one crash schedule from the repro token a
+// failure printed:
 //
 //	go test ./internal/sim -run TestCrashScheduleReplay \
-//	    -fault.config "rW-identity-rSI" -fault.token "wal@17:torn=3"
-func TestCrashScheduleReplay(t *testing.T) {
-	if *faultToken == "" && *faultConfig == "" {
-		t.Skip("no -fault.token/-fault.config given")
+//	    -explore.repro 'crash/rW-identity-rSI/wal@17:torn=3'
+func TestCrashScheduleReplay(t *testing.T) { replayRepro(t, false) }
+
+// replayRepro replays the -explore.repro token if it names a target of the
+// calling test's kind.
+func replayRepro(t *testing.T, ship bool) {
+	if *reproFlag == "" {
+		t.Skip("no -explore.repro given; this test replays an explorer failure's repro token")
 	}
-	if *faultMixFlag != "" {
-		if err := ReplayMixSchedule(*faultConfig, *faultMixFlag, *faultToken); err != nil {
-			t.Fatalf("schedule %q (mix %q) on %q failed: %v", *faultToken, *faultMixFlag, *faultConfig, err)
+	tg, _, err := parseRepro(*reproFlag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tg.Ship != ship {
+		t.Skipf("%q is replayed by the other schedule replay test", *reproFlag)
+	}
+	if err := Replay(*reproFlag); err != nil {
+		t.Fatalf("%s: %v", *reproFlag, err)
+	}
+}
+
+// TestForensicDumpsNamedByTarget: two failures that share a fault token but
+// not a target must leave two flight dumps under LL_FORENSICS_DIR, each
+// named after its failure's repro token.
+func TestForensicDumpsNamedByTarget(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("LL_FORENSICS_DIR", dir)
+	s := schedule{kind: "fault", token: "wal@34:crash"}
+	want := map[string]bool{}
+	for _, name := range []string{"rW-identity-rSI", "rW-flushtxn-vSI"} {
+		cfg, _ := LookupConfig(name)
+		tg := Target{Config: cfg, rogue: buggyRogue}
+		if _, err := tg.run(s); err == nil {
+			t.Fatalf("%s/%s: the planted flush-order violation did not fail", tg, s)
 		}
-		return
+		want[sanitizeToken(ScheduleFailure{Target: tg, Schedule: s.String()}.Token())+".flight.txt"] = true
 	}
-	if err := ReplaySchedule(*faultConfig, *faultToken); err != nil {
-		t.Fatalf("schedule %q on %q failed: %v", *faultToken, *faultConfig, err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range entries {
+		got[e.Name()] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("forensic dumps %v, want %v", got, want)
 	}
 }

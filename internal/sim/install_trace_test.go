@@ -89,22 +89,22 @@ func TestInstallTraceDigests(t *testing.T) {
 // recovers and drains it, and returns the digest of every install.
 func installTraceDigest(t *testing.T, cfg NamedConfig, mix string) string {
 	t.Helper()
+	tg := Target{Config: cfg}
+	if mix != "default" {
+		tg.Mix = mix
+	}
+	script, _, err := tg.workload()
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
-	opts := cfg.Opts
+	opts := tg.options()
 	opts.LogDevice = wal.NewMemDevice()
 	opts.RedoWorkers = 1
 	opts.InstallTrace = func(v *writegraph.NodeView) { foldInstall(h, v) }
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	script := runExploreScript
-	if mix != "default" {
-		m, err := workload.ParseMix(mix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		script = mixExploreScript(m)
 	}
 	if err := script(eng, &runRecorder{}, nil); err != nil {
 		t.Fatalf("%s/%s: %v", cfg.Name, mix, err)
