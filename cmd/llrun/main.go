@@ -38,7 +38,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	scenario := flag.String("scenario", "", `drive the recoverable domains (B+tree + LSM) with this scenario mix instead of the flat workload: point-lookup-heavy, scan-heavy, write-burst, or a custom "lookup=40,scan=10,insert=30,update=15,delete=5" spec`)
 	connect := flag.String("connect", "", "drive the scenario mix against a running llserve at this address instead of a local engine (works mid-recovery: the server redoes what each request needs)")
-	walPath := flag.String("wal", "", "WAL file path (default: temp file)")
+	walPath := flag.String("wal", "", "WAL file path (default: a new temp file, kept after exit)")
 	physio := flag.Bool("physio", false, "use the physiological baseline configuration")
 	classicW := flag.Bool("w", false, "use the classic write graph W instead of rW")
 	vsi := flag.Bool("vsi", false, "use the classic vSI REDO test instead of generalized rSIs")
@@ -115,7 +115,6 @@ func main() {
 	path := *walPath
 	if path == "" {
 		path = filepath.Join(os.TempDir(), fmt.Sprintf("llrun-%d.wal", os.Getpid()))
-		defer os.Remove(path)
 	}
 	dev, err := wal.OpenFileDevice(path)
 	if err != nil {

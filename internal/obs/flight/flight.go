@@ -210,15 +210,18 @@ func NewRecorder(size int) *Recorder {
 
 // emit stamps and publishes one event.  Lock-free on the ring; when a
 // spill file is attached the encoded frame is buffered under spillMu
-// (still safe under foreign mutexes — spillMu is a leaf lock).
+// (still safe under foreign mutexes — spillMu is a leaf lock).  The
+// event is copied to the heap only after the nil check, so a nil
+// recorder allocates nothing.
 func (r *Recorder) emit(ev Event) {
 	if r == nil {
 		return
 	}
-	ev.Seq = r.seq.Add(1) - 1
-	ev.At = r.clock()
-	p := &ev
-	if old := r.slots[ev.Seq&r.mask].Swap(p); old != nil {
+	p := new(Event)
+	*p = ev
+	p.Seq = r.seq.Add(1) - 1
+	p.At = r.clock()
+	if old := r.slots[p.Seq&r.mask].Swap(p); old != nil {
 		r.drops.Add(1)
 	}
 	r.events.Add(1)

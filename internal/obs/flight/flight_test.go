@@ -34,6 +34,27 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
+// TestNilRecorderAllocatesNothing: every emitter on a nil recorder returns
+// before its event reaches the heap, so an unobserved engine pays no
+// allocation per decision.
+func TestNilRecorderAllocatesNothing(t *testing.T) {
+	var r *Recorder
+	obj := op.ObjectID("x")
+	emitters := map[string]func(){
+		"RedoDecision": func() { r.RedoDecision("recovery", 1, DecRedo, obj, 2) },
+		"ValueResolve": func() { r.ValueResolve(3, obj) },
+		"ShipBatch":    func() { r.ShipBatch(DecSent, 1, 3, 3) },
+		"ShipApply":    func() { r.ShipApply(DecAccept, 1, 1) },
+		"Checkpoint":   func() { r.Checkpoint(9, 1) },
+		"Truncate":     func() { r.Truncate(2) },
+	}
+	for name, emit := range emitters {
+		if got := testing.AllocsPerRun(100, emit); got != 0 {
+			t.Errorf("nil recorder %s allocates %.0f per call, want 0", name, got)
+		}
+	}
+}
+
 func TestRingOrderAndEviction(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 1; i <= 20; i++ {

@@ -360,13 +360,12 @@ func parseSchedule(text string, ship bool) (schedule, error) {
 }
 
 // runRecorder observes the scripted run: the initial stable snapshot that
-// anchors the explainability check, and the cumulative installed-LSN sets
-// traced from the cache manager (the natural explanation candidates).
+// anchors the explainability check, and the LSNs the cache manager traced as
+// installed (half of the check's witness).
 type runRecorder struct {
 	frozen    bool
 	initial   map[op.ObjectID][]byte
 	installed []op.SI // all LSNs installed so far, in trace order
-	marks     []int   // len(installed) after each install event
 }
 
 func (r *runRecorder) trace(view *writegraph.NodeView) {
@@ -376,7 +375,6 @@ func (r *runRecorder) trace(view *writegraph.NodeView) {
 	for _, o := range view.Ops {
 		r.installed = append(r.installed, o.LSN)
 	}
-	r.marks = append(r.marks, len(r.installed))
 }
 
 // exploreScript is the workload a schedule runs before the crash: the flat
@@ -473,13 +471,14 @@ func runCrash(tg Target, plan *fault.Plan) (n Boundaries, err error) {
 	// The durable horizon is re-derived by recovery (a torn or reordered
 	// final append trims the log below the pre-crash acked horizon).
 	horizon := eng.Log().StableLSN()
-	if err := VerifyAgainstOracle(eng, horizon); err != nil {
-		return n, err
-	}
+	// Both nets run on every schedule, so a failure names each that caught it.
+	oracleErr := VerifyAgainstOracle(eng, horizon)
+	var explainErr error
 	if rec.initial != nil {
-		if err := checkExplainableState(eng, rec, fl); err != nil {
-			return n, err
-		}
+		explainErr = checkExplainableState(eng, rec, fl)
+	}
+	if err := errors.Join(oracleErr, explainErr); err != nil {
+		return n, err
 	}
 	if post != nil {
 		if err := post(eng); err != nil {
@@ -675,17 +674,22 @@ func pickIndex(rng *rand.Rand, live []bool, want bool, min int) int {
 	return cand[rng.Intn(len(cand))]
 }
 
+// errUnexplained marks a Theorem 3 violation: the run's witness prefix set
+// does not explain the stable state.
+var errUnexplained = errors.New("sim: stable state not explained by the run's witness prefix set")
+
 // checkExplainableState checks the paper's Theorem 3 against the recovered
 // run: the stable database must be explainable — some prefix set I of the
 // durable history's installation graph gives every object exposed by I
 // exactly its value after the last operation of I.
 //
-// Exhaustive prefix-set search is infeasible at this history size, so the
-// candidates come from the run itself: the cumulative installed sets traced
-// from the cache manager, newest first (the stable state normally *is* the
-// latest installed set), each BFS-extended a few installs deep to absorb
-// flushes whose trace was lost to the crash (a flush-transaction repaired
-// by recovery, a torn batch, a swing racing the fault).
+// The run names its own witness, so nothing is searched: I is the
+// operations the stable store's stamps cover (stampCandidate) together with
+// every durable operation the cache manager traced as installed.  The
+// stamps carry installs whose trace a crash cut off (a flush transaction
+// repaired by recovery, a torn batch); the trace carries deleters, whose
+// objects keep no stamp.  One evaluation decides: a witness that does not
+// explain the state is a violation.
 func checkExplainableState(eng *core.Engine, rec *runRecorder, fl *flight.Recorder) error {
 	sc, err := eng.Log().Scan(0)
 	if err != nil {
@@ -708,93 +712,71 @@ func checkExplainableState(eng *core.Engine, rec *runRecorder, fl *flight.Record
 	if err != nil {
 		return fmt.Errorf("explainability graph: %w", err)
 	}
-	ig.SetFlight(fl)
-	inGraph := make(map[op.SI]bool, len(history))
-	for _, o := range history {
-		inGraph[o.LSN] = true
-	}
 	snap := eng.Store().Snapshot()
-	S := make(map[op.ObjectID][]byte)
+	I := stampCandidate(ig, history, snap)
+	// Installed operations truncated off the log are not in the graph; the
+	// initial snapshot already carries their effects.
+	for _, lsn := range rec.installed {
+		if ig.Op(lsn) != nil {
+			I[lsn] = true
+		}
+	}
+	S := make(map[op.ObjectID][]byte, len(snap))
 	for id, v := range snap {
 		S[id] = v.Val
 	}
 	objects := ig.TouchedObjects()
-
-	budget := 500
-	explains := func(I installgraph.PrefixSet) (bool, error) {
-		if budget <= 0 {
-			return false, nil
-		}
-		budget--
-		if !ig.IsPrefixSet(I) {
-			return false, nil
-		}
-		return ig.Explains(eng.Registry(), I, S, rec.initial, objects)
+	ig.SetFlight(fl)
+	ok, err := ig.Explains(eng.Registry(), I, S, rec.initial, objects)
+	ig.SetFlight(nil) // whyUnexplained replays again; the dump shows one evaluation
+	if err != nil {
+		return fmt.Errorf("explainability check: %w", err)
 	}
-
-	// Candidate prefix sets: the empty set plus the cumulative installed
-	// set after each traced install event, newest first.  LSNs whose log
-	// records were lost to the crash cannot appear — installation forces
-	// the log first — but a truncating checkpoint is absent here, so the
-	// filter is a cheap safety net.
-	candidates := []installgraph.PrefixSet{installgraph.NewPrefixSet()}
-	for _, mark := range rec.marks {
-		I := installgraph.NewPrefixSet()
-		for _, lsn := range rec.installed[:mark] {
-			if inGraph[lsn] {
-				I[lsn] = true
-			}
-		}
-		candidates = append(candidates, I)
-	}
-	// The stable store stamps every installed page with the lSI of the last
-	// operation whose effect it carries, so the stamps themselves name a
-	// candidate: every operation whose writeset is fully covered by the
-	// stamps, closed downward under installation edges.  For a correctly
-	// ordered run this is the explanation outright — crucial for domain
-	// workloads, where one flush transaction installs more pages than the
-	// BFS around a traced mark could ever bridge.  For a run that violated
-	// flush order the stamps are incoherent and the closure fails Explains,
-	// so the rogue self-tests still catch their planted bugs.  Appended
-	// last: the search below walks candidates newest-first.
-	candidates = append(candidates, stampCandidate(ig, history, snap))
-	for i := len(candidates) - 1; i >= 0 && budget > 0; i-- {
-		base := candidates[i]
-		ok, err := explains(base)
-		if err != nil {
-			return fmt.Errorf("explainability check: %w", err)
-		}
-		if ok {
-			return nil
-		}
-		if ok, err := extendExplains(ig, explains, base, 6, &budget); err != nil {
-			return fmt.Errorf("explainability check: %w", err)
-		} else if ok {
-			return nil
-		}
-	}
-	// An exhausted budget proves nothing: the identity-write strategy
-	// installs the objects of a multi-page operation (a B+tree split, an LSM
-	// compaction) separately, and a state cut between those installs has no
-	// explanation at this graph's whole-operation granularity even though
-	// recovery handles it exactly (the identity-write records refine the
-	// graph per object; the oracle check above is the correctness net).
-	// Only a completed search that found no explanation is a violation.
-	if budget <= 0 {
+	if ok {
 		return nil
 	}
-	return fmt.Errorf("sim: stable state is not explainable by any traced prefix set (history %d ops, %d install events, budget left %d)",
-		len(history), len(rec.marks), budget)
+	return fmt.Errorf("%w (history %d ops, witness %d ops): %s",
+		errUnexplained, len(history), len(I), whyUnexplained(eng.Registry(), ig, I, snap, rec.initial, objects))
 }
 
-// stampCandidate derives a candidate prefix set from the stable store's
-// version stamps: an operation is included when every object it writes
+// whyUnexplained names what a witness that failed Explains gets wrong: a
+// predecessor edge it does not close over, or each exposed object whose
+// stable value differs from its value after the witness.
+func whyUnexplained(reg *op.Registry, ig *installgraph.Graph, I installgraph.PrefixSet,
+	snap map[op.ObjectID]stable.Versioned, initial map[op.ObjectID][]byte, objects []op.ObjectID) string {
+	for _, l := range I.Sorted() {
+		for _, p := range ig.Predecessors(l) {
+			if !I[p] {
+				return fmt.Sprintf("not a prefix set: holds %d but not its predecessor %d (%s edge)", l, p, ig.EdgeKindOf(p, l))
+			}
+		}
+	}
+	want, err := ig.ValueAfter(reg, I, initial)
+	if err != nil {
+		return err.Error()
+	}
+	var diffs []string
+	for _, x := range objects {
+		if !ig.Exposed(I, x) || op.Equal(snap[x].Val, want[x]) {
+			continue
+		}
+		stamp := "absent from the store"
+		if v, ok := snap[x]; ok {
+			stamp = fmt.Sprintf("stable vSI %d", v.VSI)
+		}
+		diffs = append(diffs, fmt.Sprintf("%s (%s, last writer in witness %d)", x, stamp, ig.LastWriter(I, x)))
+	}
+	return "exposed objects differ from their value after the witness: " + strings.Join(diffs, ", ")
+}
+
+// stampCandidate derives the stamp half of the Theorem 3 witness from the
+// stable store's version stamps: an operation is included when every object it writes
 // carries a stamp at or beyond the operation's LSN (a later stamp means a
 // later installed writer superseded it, which installation order permits),
 // and the set is then closed downward under installation edges so
 // IsPrefixSet holds by construction whenever the graph is acyclic along
 // the added paths.  Deleted objects carry no stamp, so their deleters are
-// left out; the BFS extension absorbs that slack.
+// left out; the traced install set supplies them.
 func stampCandidate(ig *installgraph.Graph, history []*op.Operation, snap map[op.ObjectID]stable.Versioned) installgraph.PrefixSet {
 	I := installgraph.NewPrefixSet()
 	for _, o := range history {
@@ -821,46 +803,4 @@ func stampCandidate(ig *installgraph.Graph, history []*op.Operation, snap map[op
 		}
 	}
 	return I
-}
-
-// extendExplains breadth-first extends base by up to depth minimal
-// uninstalled operations, testing each extension.
-func extendExplains(ig *installgraph.Graph, explains func(installgraph.PrefixSet) (bool, error), base installgraph.PrefixSet, depth int, budget *int) (bool, error) {
-	frontier := []installgraph.PrefixSet{base}
-	seen := map[string]bool{prefixKey(base): true}
-	for d := 0; d < depth && len(frontier) > 0 && *budget > 0; d++ {
-		var next []installgraph.PrefixSet
-		for _, I := range frontier {
-			for _, m := range ig.MinimalUninstalled(I) {
-				J := ig.Extend(I, m)
-				k := prefixKey(J)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				ok, err := explains(J)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					return true, nil
-				}
-				if *budget <= 0 {
-					return false, nil
-				}
-				next = append(next, J)
-			}
-		}
-		frontier = next
-	}
-	return false, nil
-}
-
-func prefixKey(I installgraph.PrefixSet) string {
-	lsns := I.Sorted()
-	b := make([]byte, 0, len(lsns)*3)
-	for _, l := range lsns {
-		b = append(b, fmt.Sprintf("%d,", l)...)
-	}
-	return string(b)
 }

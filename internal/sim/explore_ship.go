@@ -169,13 +169,13 @@ func runShip(tg Target, sched schedule) (n Boundaries, err error) {
 	if got := promoted.Log().StableLSN(); got < horizon {
 		return n, fmt.Errorf("promoted durable horizon %d below standby applied %d", got, horizon)
 	}
-	if err := VerifyHistory(promoted.Registry(), hist, promoted, horizon); err != nil {
-		return n, err
-	}
+	oracleErr := VerifyHistory(promoted.Registry(), hist, promoted, horizon)
+	var explainErr error
 	if base.LogInstalls && rec.initial != nil {
-		if err := checkExplainableState(promoted, rec, fl); err != nil {
-			return n, err
-		}
+		explainErr = checkExplainableState(promoted, rec, fl)
+	}
+	if err := errors.Join(oracleErr, explainErr); err != nil {
+		return n, err
 	}
 	if post != nil {
 		if err := post(promoted); err != nil {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -99,43 +101,112 @@ func buggyRogue(step int, eng *core.Engine) error {
 	return eng.Store().WriteBatch([]stable.Entry{{ID: "rogue0", Val: v, VSI: b.LSN}}, stable.ModeSingle)
 }
 
-// TestExplorerCatchesBuggyPolicy is the explorer's self-test: planting a
-// flush-order violation in the workload must produce failing schedules, and
-// each failure's token must replay to the same failure.  It is never
-// sampled: it crashes at every boundary whatever LL_EXPLORE says.
+// funcRogueSwap is identityWriteRogue's two-output operation:
+// (a, b) <- (b, a), reading and writing both.  The rogue registers it on
+// its engine's registry, which recovery and both oracles share.
+const funcRogueSwap op.FuncID = "sim.rogue.swap"
+
+func rogueSwap(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+	ids, err := op.DecodeParams(params)
+	if err != nil || len(ids) != 2 {
+		return nil, fmt.Errorf("rogue swap: want (a, b) params: %v", err)
+	}
+	a, b := op.ObjectID(ids[0]), op.ObjectID(ids[1])
+	return map[op.ObjectID][]byte{
+		a: append([]byte(nil), reads[b]...),
+		b: append([]byte(nil), reads[a]...),
+	}, nil
+}
+
+// identityWriteRogue misuses Section 4's identity write at step 60.  On two
+// private objects it logs O: (rogue2, rogue3) <- swap(rogue2, rogue3), then
+// the identity write W_IP(rogue2) that lets rogue2 leave O's flush set, and
+// writes W_IP(rogue2)'s value to the stable store stamped with its LSN —
+// while O's other output rogue3 is still exposed and unflushed (no
+// W_IP(rogue3) peeled it out).  A prefix set without O exposes rogue2 at its
+// old value; one with O exposes rogue3 at O's value: no prefix set explains
+// a crash in that window.
+func identityWriteRogue(step int, eng *core.Engine) error {
+	if step != 60 {
+		return nil
+	}
+	eng.Registry().Register(funcRogueSwap, rogueSwap)
+	if err := eng.Execute(op.NewCreate("rogue2", []byte{0x22})); err != nil {
+		return err
+	}
+	if err := eng.Execute(op.NewCreate("rogue3", []byte{0x33, 0x44})); err != nil {
+		return err
+	}
+	pair := []op.ObjectID{"rogue2", "rogue3"}
+	if err := eng.Execute(op.NewLogical(funcRogueSwap, op.EncodeParams([]byte("rogue2"), []byte("rogue3")), pair, pair)); err != nil {
+		return err
+	}
+	v, err := eng.Get("rogue2")
+	if err != nil {
+		return err
+	}
+	w := op.NewIdentityWrite("rogue2", v)
+	if err := eng.Execute(w); err != nil {
+		return err
+	}
+	if err := eng.Log().Force(); err != nil {
+		return err
+	}
+	return eng.Store().WriteBatch([]stable.Entry{{ID: "rogue2", Val: v, VSI: w.LSN}}, stable.ModeSingle)
+}
+
+// TestExplorerCatchesBuggyPolicy is the explorer's self-test: each planted
+// bug must produce at least its pinned number of failing schedules, the
+// Theorem 3 check itself must report every one of them (not only oracle
+// equivalence), and a failure's token must replay to a failure.  It is
+// never sampled: it crashes at every boundary whatever LL_EXPLORE says.
 func TestExplorerCatchesBuggyPolicy(t *testing.T) {
 	t.Parallel()
-	cfg, _ := LookupConfig("rW-identity-rSI")
-	rep, err := Explore(Target{Config: cfg, rogue: buggyRogue}, Stride{Every: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Failures) == 0 {
-		t.Fatal("explorer did not catch the planted flush-order violation")
-	}
-	var withFault *ScheduleFailure
-	for i := range rep.Failures {
-		if rep.Failures[i].Schedule != "none" {
-			withFault = &rep.Failures[i]
-			break
-		}
-	}
-	if withFault == nil {
-		t.Fatalf("no failing schedule carries a fault token: %v", rep.Failures)
-	}
-	if !strings.Contains(withFault.Repro(), withFault.Token()) {
-		t.Errorf("repro line %q does not embed the token", withFault.Repro())
-	}
-	t.Logf("caught at %d schedules, e.g. %v", len(rep.Failures), *withFault)
+	for _, tc := range []struct {
+		name  string
+		rogue func(step int, eng *core.Engine) error
+		min   int
+	}{
+		{"flush-order", buggyRogue, 52},
+		{"identity-write", identityWriteRogue, 52},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg, _ := LookupConfig("rW-identity-rSI")
+			rep, err := Explore(Target{Config: cfg, rogue: tc.rogue}, Stride{Every: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Failures) < tc.min {
+				t.Fatalf("explorer caught the planted bug at %d schedules, want at least %d", len(rep.Failures), tc.min)
+			}
+			var withFault *ScheduleFailure
+			for i, f := range rep.Failures {
+				if !errors.Is(f.Err, errUnexplained) {
+					t.Errorf("[%s] not reported by the Theorem 3 check: %v", f.Token(), f.Err)
+				}
+				if withFault == nil && f.Schedule != "none" {
+					withFault = &rep.Failures[i]
+				}
+			}
+			if withFault == nil {
+				t.Fatalf("no failing schedule carries a fault token: %v", rep.Failures)
+			}
+			if !strings.Contains(withFault.Repro(), withFault.Token()) {
+				t.Errorf("repro line %q does not embed the token", withFault.Repro())
+			}
+			t.Logf("caught at %d schedules, e.g. %v", len(rep.Failures), *withFault)
 
-	// Replay the failing schedule from its repro token, rogue included.
-	tg, s, err := parseRepro(withFault.Token())
-	if err != nil {
-		t.Fatalf("repro token %q does not parse: %v", withFault.Token(), err)
-	}
-	tg.rogue = buggyRogue
-	if _, err := tg.run(s); err == nil {
-		t.Errorf("%q did not replay to a failure", withFault.Token())
+			// Replay the failing schedule from its repro token, rogue included.
+			tg, s, err := parseRepro(withFault.Token())
+			if err != nil {
+				t.Fatalf("repro token %q does not parse: %v", withFault.Token(), err)
+			}
+			tg.rogue = tc.rogue
+			if _, err := tg.run(s); !errors.Is(err, errUnexplained) {
+				t.Errorf("%q did not replay to a Theorem 3 failure: %v", withFault.Token(), err)
+			}
+		})
 	}
 }
 

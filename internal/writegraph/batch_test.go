@@ -15,9 +15,9 @@ import (
 //	W <- collapse V with respect to S   (making W acyclic)
 //
 // The result is returned as an incremental Graph (PolicyW) with equivalent
-// node contents, so the same inspection API applies.  BuildW exists both as
-// the reference implementation the incremental path is tested against and
-// for harness use.
+// node contents, so the same inspection API applies.  BuildW is the
+// reference implementation the incremental path is tested against; it lives
+// in a test file so the engine never imports the installgraph oracle.
 func BuildW(history []*op.Operation) (*Graph, error) {
 	in, err := installgraph.Build(history)
 	if err != nil {
