@@ -8,8 +8,8 @@
 //
 // With -flight it also loads a flight-recorder spill file (llrun -flight):
 // -explain reconstructs the full decision chain for one LSN, and -forensics
-// renders the post-crash forensic timeline (flight decisions merged with the
-// trace).
+// renders the post-crash forensic timeline (the recorded phases as spans and
+// decisions as instants, merged with -timeline's trace when given).
 //
 // Usage:
 //

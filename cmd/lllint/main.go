@@ -1,9 +1,8 @@
 // Command lllint is the logical-logging lint driver: a multichecker hosting
-// the six analyzers in internal/lint, which mechanically enforce the
+// the five analyzers in internal/lint, which mechanically enforce the
 // recovery-critical invariants documented in DESIGN.md (deterministic redo
 // replay, the engine/cache/stable/wal lock order, the force-error
-// discipline, atomic-access consistency, log-record immutability, and the
-// obs span discipline).
+// discipline, atomic-access consistency, and log-record immutability).
 //
 // Usage:
 //

@@ -22,6 +22,7 @@ import (
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
+	"logicallog/internal/forensics"
 	"logicallog/internal/obs"
 	"logicallog/internal/obs/flight"
 	"logicallog/internal/recovery"
@@ -46,7 +47,7 @@ func main() {
 	faults := flag.String("faults", "", `fault plan token, e.g. "wal@17:torn=3+stable@4:eio" (see internal/fault)`)
 	standby := flag.Bool("standby", false, "ship the log to a warm standby during the run and promote it after the crash (llship is the full demo)")
 	shipBatch := flag.Int("ship-batch", 16, "ship batch size in records (with -standby)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the recovery pipeline to this path")
+	traceOut := flag.String("trace-out", "", "write the flight recorder's recovery phases and decisions as Chrome trace_event JSON to this path")
 	flightOut := flag.String("flight", "", "record decision provenance to this crash-surviving flight spill file (inspect with llinspect -flight)")
 	metrics := flag.Bool("metrics", false, "print the unified metrics snapshot (and recovery timeline) after the run")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, and /metrics on this address")
@@ -88,23 +89,16 @@ func main() {
 	}
 	plan := fault.NewPlan(points...)
 
-	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
-	)
+	var reg *obs.Registry
 	if *metrics || *debugAddr != "" {
 		reg = obs.NewRegistry()
 		plan.SetObs(reg)
-	}
-	if *traceOut != "" || *metrics {
-		tracer = obs.NewTracer()
 	}
 
 	opts := core.DefaultOptions()
 	opts.Physiological = *physio
 	opts.RedoWorkers = *redoWorkers
 	opts.Obs = reg
-	opts.Tracer = tracer
 	if *classicW {
 		opts.Policy = writegraph.PolicyW
 		opts.Strategy = cache.StrategyShadow // identity breakup needs rW
@@ -122,7 +116,10 @@ func main() {
 	}
 	defer dev.Close()
 	opts.LogDevice = plan.WrapDevice(dev)
-	var flightRec *flight.Recorder
+	var (
+		flightRec *flight.Recorder
+		resumed   int // spilled events from earlier runs
+	)
 	if *flightOut != "" {
 		var recovered []flight.Event
 		flightRec, recovered, err = flight.OpenSpill(*flightOut, flight.DefaultRingSize)
@@ -130,11 +127,13 @@ func main() {
 			fatal(err)
 		}
 		defer flightRec.Close()
-		if len(recovered) > 0 {
-			fmt.Printf("flight recorder resumed after %d spilled events (torn tail trimmed if any)\n", len(recovered))
+		if resumed = len(recovered); resumed > 0 {
+			fmt.Printf("flight recorder resumed after %d spilled events (torn tail trimmed if any)\n", resumed)
 		}
-		opts.Flight = flightRec
+	} else if *traceOut != "" || *metrics {
+		flightRec = flight.NewRecorder(0)
 	}
+	opts.Flight = flightRec
 	if *scenario != "" {
 		// The shared registry lets a -standby engine resolve the domain
 		// transforms before the first shipped record arrives.
@@ -169,7 +168,7 @@ func main() {
 			fatal(err)
 		}
 		// The link shares the fault plan, so ship@N tokens hit the wire.
-		sender = ship.NewSender(eng.Log(), ship.NewLink(sb, plan), 1, ship.SenderConfig{BatchRecords: *shipBatch, Obs: reg, Tracer: tracer, Flight: flightRec})
+		sender = ship.NewSender(eng.Log(), ship.NewLink(sb, plan), 1, ship.SenderConfig{BatchRecords: *shipBatch, Obs: reg, Flight: flightRec})
 		defer sender.Close()
 		sc.StepHook = func(int) error { return sender.PumpAll() }
 	}
@@ -258,12 +257,18 @@ func main() {
 		}
 	}
 
+	var timeline []obs.Event
+	if *traceOut != "" || *metrics {
+		if timeline, err = runTimeline(flightRec, *flightOut, resumed); err != nil {
+			fatal(err)
+		}
+	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
+		if err := obs.WriteChromeTraceEvents(f, timeline); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -279,15 +284,35 @@ func main() {
 		if err := enc.Encode(eng.Metrics()); err != nil {
 			fatal(err)
 		}
-		obs.RenderTimeline(os.Stdout, tracer.Events())
+		obs.RenderTimeline(os.Stdout, timeline)
 	}
-	if flightRec != nil {
+	if *flightOut != "" {
 		if err := flightRec.Sync(); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("flight spill left at %s (explain a decision: llinspect -flight %s -explain LSN %s)\n", *flightOut, *flightOut, path)
 	}
 	fmt.Printf("WAL left at %s (inspect with llinspect)\n", path)
+}
+
+// runTimeline renders this run's flight events as timeline events.  With a
+// spill file it reads the file back, so the ring's limit cannot drop the
+// early phases; the first `resumed` spilled events belong to earlier runs.
+func runTimeline(rec *flight.Recorder, spill string, resumed int) ([]obs.Event, error) {
+	events := rec.Events()
+	if spill != "" {
+		if err := rec.Sync(); err != nil {
+			return nil, err
+		}
+		all, err := flight.ReadSpill(spill)
+		if err != nil {
+			return nil, err
+		}
+		events = all[min(resumed, len(all)):]
+	} else if _, drops, _ := rec.Counters(); drops > 0 {
+		fmt.Printf("flight ring dropped its %d oldest events; pass -flight to keep them\n", drops)
+	}
+	return forensics.MergeTimeline(events, nil), nil
 }
 
 // runRemote drives a scenario mix over the wire against a running llserve:

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	llserve [-addr host:port] [-backend kv|btree|lsm] [-wal path]
-//	        [-inflight N] [-redo-workers N] [-full-recover]
+//	        [-inflight N] [-redo-workers N]
 //	        [-debug-addr host:port] [-metrics]
 package main
 
@@ -33,17 +33,16 @@ func main() {
 	walPath := flag.String("wal", "llserve.wal", "WAL file path (opened or created)")
 	inflight := flag.Int("inflight", 0, "max in-flight operations (0 = server default)")
 	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
-	fullRecover := flag.Bool("full-recover", false, "recover fully before opening the listener (classic restart, for comparison)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, and /metrics on this address")
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot at exit")
 	flag.Parse()
 
-	if err := serve(*addr, *backend, *walPath, *inflight, *redoWorkers, *fullRecover, *debugAddr, *metrics); err != nil {
+	if err := serve(*addr, *backend, *walPath, *inflight, *redoWorkers, *debugAddr, *metrics); err != nil {
 		fatal(err)
 	}
 }
 
-func serve(addr, backend, walPath string, inflight, redoWorkers int, fullRecover bool, debugAddr string, metrics bool) error {
+func serve(addr, backend, walPath string, inflight, redoWorkers int, debugAddr string, metrics bool) error {
 	// A log that already has bytes means a prior incarnation: recover it.
 	// A fresh (or absent) file means a new store: create the backend.
 	fresh := true
@@ -71,23 +70,13 @@ func serve(addr, backend, walPath string, inflight, redoWorkers int, fullRecover
 
 	var drain *recovery.OnDemand
 	if !fresh {
-		if fullRecover {
-			start := time.Now()
-			res, err := eng.Recover()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("full recovery in %v: scanned %d ops, redone %d\n",
-				time.Since(start), res.ScannedOps, res.Redone)
-		} else {
-			start := time.Now()
-			drain, err = eng.RecoverOnDemand()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("analysis done in %v: %d dependency chains; opening for business while redo drains\n",
-				time.Since(start), drain.Chains())
+		start := time.Now()
+		drain, err = eng.RecoverOnDemand()
+		if err != nil {
+			return err
 		}
+		fmt.Printf("analysis done in %v: %d dependency chains; opening for business while redo drains\n",
+			time.Since(start), drain.Chains())
 	}
 
 	dom, err := server.OpenBackend(eng, backend, fresh)

@@ -24,7 +24,9 @@ import (
 	"logicallog/internal/backup"
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
+	"logicallog/internal/forensics"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/recovery"
 	"logicallog/internal/ship"
 	"logicallog/internal/sim"
@@ -37,7 +39,7 @@ func main() {
 	bootstrapAt := flag.Int("bootstrap-at", 150, "step at which the second standby bootstraps from a fuzzy backup (0 = never)")
 	faults := flag.String("faults", "", `ship fault plan token, e.g. "ship@4:drop+ship@9:reorder=0"`)
 	vsi := flag.Bool("vsi", false, "use the classic vSI REDO test instead of generalized rSIs")
-	metrics := flag.Bool("metrics", false, "print the promoted standby's metrics snapshot and span timeline")
+	metrics := flag.Bool("metrics", false, "print the promoted standby's metrics snapshot and the flight recorder's timeline")
 	flag.Parse()
 
 	points, err := fault.ParseToken(*faults)
@@ -47,17 +49,17 @@ func main() {
 	plan := fault.NewPlan(points...)
 
 	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
+		reg *obs.Registry
+		fl  *flight.Recorder
 	)
 	if *metrics {
 		reg = obs.NewRegistry()
-		tracer = obs.NewTracer()
+		fl = flight.NewRecorder(0)
 	}
 
 	opts := core.DefaultOptions()
 	opts.Obs = reg
-	opts.Tracer = tracer
+	opts.Flight = fl
 	if *vsi {
 		opts.RedoTest = recovery.TestVSI
 	}
@@ -73,7 +75,7 @@ func main() {
 		fatal(err)
 	}
 	linkA := ship.NewLink(sbA, plan)
-	sendA := ship.NewSender(eng.Log(), linkA, 1, ship.SenderConfig{BatchRecords: *batch, Obs: reg, Tracer: tracer})
+	sendA := ship.NewSender(eng.Log(), linkA, 1, ship.SenderConfig{BatchRecords: *batch, Obs: reg, Flight: fl})
 	defer sendA.Close()
 
 	var (
@@ -102,7 +104,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			sendB = ship.NewSender(eng.Log(), ship.NewLink(sbB, nil), b.StartLSN, ship.SenderConfig{BatchRecords: *batch, Obs: reg, Tracer: tracer})
+			sendB = ship.NewSender(eng.Log(), ship.NewLink(sbB, nil), b.StartLSN, ship.SenderConfig{BatchRecords: *batch, Obs: reg, Flight: fl})
 			fmt.Printf("step %d: standby B bootstrapped from fuzzy backup (%d objects, replay from LSN %d)\n",
 				step, len(b.Objects), b.StartLSN)
 		}
@@ -169,7 +171,10 @@ func main() {
 			if err := enc.Encode(promoted.Metrics()); err != nil {
 				fatal(err)
 			}
-			obs.RenderTimeline(os.Stdout, tracer.Events())
+			if _, drops, _ := fl.Counters(); drops > 0 {
+				fmt.Printf("flight ring dropped its %d oldest events\n", drops)
+			}
+			obs.RenderTimeline(os.Stdout, forensics.MergeTimeline(fl.Events(), nil))
 		}
 	}
 }

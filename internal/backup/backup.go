@@ -21,7 +21,6 @@ package backup
 import (
 	"fmt"
 
-	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
@@ -89,25 +88,15 @@ func (b *Backup) RegisterRetention(l *wal.Log) (release func()) {
 }
 
 // MediaRecover rebuilds a database from the backup plus the surviving log:
-// it restores the backup image into the engine's stable store and runs the
-// standard redo pass (recovery.Redo) from the backup horizon.
+// it restores the backup image into the engine's stable store and has the
+// engine redo the log from the backup horizon over it
+// (core.Engine.RecoverMedia), so the engine serves the recovered state.
 // The live stable store is assumed lost (that is the media failure).
-func MediaRecover(eng *core.Engine, b *Backup, opts recovery.Options) (*recovery.Result, error) {
+func MediaRecover(eng *core.Engine, b *Backup) (*recovery.Result, error) {
 	if eng.Log().FirstLSN() > b.StartLSN {
 		return nil, fmt.Errorf("backup: log truncated to %d, backup needs %d",
 			eng.Log().FirstLSN(), b.StartLSN)
 	}
 	eng.Store().Restore(b.Objects)
-	// The dirty-object-table bookkeeping (checkpoints, install records)
-	// describes the *lost* stable state, not the backup image; analysis
-	// must therefore distrust it and scan from the backup horizon.  We do
-	// that by running the redo pass over [StartLSN, end) with an empty
-	// dirty table and the vSI test: each backed-up object's vSI makes
-	// replay exact per object.
-	mgr, err := cache.NewManager(opts.Cache, eng.Log(), eng.Store())
-	if err != nil {
-		return nil, err
-	}
-	opts.Test = recovery.TestVSI
-	return recovery.Redo(eng.Log(), mgr, nil, b.StartLSN, opts)
+	return eng.RecoverMedia(b.StartLSN)
 }

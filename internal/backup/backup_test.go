@@ -5,25 +5,10 @@ import (
 	"testing"
 
 	"logicallog/internal/backup"
-	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/op"
-	"logicallog/internal/recovery"
 	"logicallog/internal/sim"
-	"logicallog/internal/writegraph"
 )
-
-func recOpts(eng *core.Engine) recovery.Options {
-	return recovery.Options{
-		Test: recovery.TestVSI,
-		Cache: cache.Config{
-			Policy:      writegraph.PolicyRW,
-			Strategy:    cache.StrategyIdentityWrite,
-			LogInstalls: true,
-			Registry:    eng.Registry(),
-		},
-	}
-}
 
 func TestBackupRestoreQuiescent(t *testing.T) {
 	eng, err := core.New(core.DefaultOptions())
@@ -52,7 +37,7 @@ func TestBackupRestoreQuiescent(t *testing.T) {
 	// Media failure: nuke the stable store, recover from backup + log.
 	eng.Store().Restore(nil)
 	eng.Crash()
-	res, err := backup.MediaRecover(eng, b, recOpts(eng))
+	res, err := backup.MediaRecover(eng, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +117,7 @@ func TestFuzzyBackupMediaRecovery(t *testing.T) {
 	// Media failure + media recovery from the fuzzy backup.
 	eng.Store().Restore(nil)
 	eng.Crash()
-	res, err := backup.MediaRecover(eng, b, recOpts(eng))
+	res, err := backup.MediaRecover(eng, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +163,7 @@ func TestMediaRecoverRejectsTruncatedLog(t *testing.T) {
 	if eng.Log().FirstLSN() <= b.MinRetainLSN() {
 		t.Skip("truncation did not pass the backup horizon")
 	}
-	if _, err := backup.MediaRecover(eng, b, recOpts(eng)); err == nil {
+	if _, err := backup.MediaRecover(eng, b); err == nil {
 		t.Error("media recovery with a truncated log must fail loudly")
 	}
 }
@@ -215,7 +200,7 @@ func TestBackupSkipsVanishedObjects(t *testing.T) {
 	}
 	eng.Store().Restore(nil)
 	eng.Crash()
-	res, err := backup.MediaRecover(eng, b, recOpts(eng))
+	res, err := backup.MediaRecover(eng, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +209,52 @@ func TestBackupSkipsVanishedObjects(t *testing.T) {
 	}
 	if v, err := res.Manager.Get("stays"); err != nil || string(v) != "s" {
 		t.Errorf("stays = %q, %v", v, err)
+	}
+}
+
+// TestMediaRecoverEngineServes: after media recovery the engine itself
+// serves the recovered state, not the restored backup image beneath it, and
+// keeps executing on it.
+func TestMediaRecoverEngineServes(t *testing.T) {
+	eng, err := core.New(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Execute(op.NewCreate("a", []byte{1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := backup.Take(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Execute(op.NewPhysicalWrite("a", []byte{2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Store().Restore(nil) // the media failure
+	eng.Crash()
+	res, err := backup.MediaRecover(eng, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := res.Manager.Get("a"); err != nil || string(v) != "\x02" {
+		t.Fatalf("recovered manager: a = %v, %v", v, err)
+	}
+	if v, err := eng.Get("a"); err != nil || string(v) != "\x02" {
+		t.Fatalf("engine after media recovery: a = %v, %v; want [2]", v, err)
+	}
+	if err := eng.Execute(op.NewPhysicalWrite("a", []byte{3})); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := eng.Store().Read("a"); err != nil || string(v.Val) != "\x03" {
+		t.Fatalf("stable a after a post-recovery write = %v, %v", v, err)
 	}
 }

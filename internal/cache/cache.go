@@ -151,13 +151,15 @@ var ErrNotFound = errors.New("cache: object not found")
 type entry struct {
 	val    []byte
 	exists bool // false after delete
-	dirty  bool
 	// vsi is the SI of the last operation applied to the cached value.
 	vsi op.SI
 	// pending lists the LSNs of uninstalled operations that wrote this
 	// object, ascending.  rSI = pending[0]; dirty ⇔ len(pending) > 0.
 	pending []op.SI
 }
+
+// dirty reports whether the object has an uninstalled write.
+func (e *entry) dirty() bool { return len(e.pending) > 0 }
 
 func (e *entry) rsi() op.SI {
 	if len(e.pending) == 0 {
@@ -309,7 +311,7 @@ func (m *Manager) WriteGraph() *writegraph.Graph { return m.wg }
 func (m *Manager) DirtyCount() int {
 	n := 0
 	m.forEach(func(_ op.ObjectID, e *entry) {
-		if e.dirty {
+		if e.dirty() {
 			n++
 		}
 	})
@@ -469,7 +471,6 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 			e.val = v
 		}
 		e.vsi = o.LSN
-		e.dirty = true
 		e.pending = append(e.pending, o.LSN)
 	}
 	m.wgMu.Lock()
@@ -745,7 +746,6 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) ([]*w
 		if len(e.pending) != 0 {
 			return nil, fmt.Errorf("cache: flushed object %q still has uninstalled writes %v", x, e.pending)
 		}
-		e.dirty = false
 		if !e.exists {
 			// Terminated objects leave the object table entirely.
 			m.remove(x)
@@ -760,7 +760,6 @@ func (m *Manager) install(nodes []graph.NodeID, flush, notx []op.ObjectID) ([]*w
 		// The object stays dirty: its cached value comes from the later
 		// blind write that made it unexposed, and that write is still
 		// uninstalled.  Its rSI is that write's lSI.
-		e.dirty = len(e.pending) > 0
 	}
 	if m.obs.installNs.Enabled() {
 		m.obs.installNs.Since(start)
@@ -814,7 +813,7 @@ func (m *Manager) EvictClean(x op.ObjectID) error {
 	if !ok {
 		return nil
 	}
-	if e.dirty {
+	if e.dirty() {
 		return fmt.Errorf("cache: cannot evict dirty object %q (rSI %d)", x, e.rsi())
 	}
 	m.remove(x)
@@ -831,7 +830,7 @@ func (m *Manager) EvictClean(x op.ObjectID) error {
 func (m *Manager) DirtyTable() []wal.DirtyEntry {
 	var out []wal.DirtyEntry
 	m.forEach(func(x op.ObjectID, e *entry) {
-		if e.dirty {
+		if e.dirty() {
 			out = append(out, wal.DirtyEntry{ID: x, RSI: e.rsi()})
 		}
 	})
@@ -860,7 +859,7 @@ func (m *Manager) Checkpoint() (op.SI, error) {
 func (m *Manager) TruncationPoint(checkpointLSN op.SI) op.SI {
 	min := checkpointLSN
 	m.forEach(func(_ op.ObjectID, e *entry) {
-		if e.dirty && e.rsi() < min {
+		if e.dirty() && e.rsi() < min {
 			min = e.rsi()
 		}
 	})

@@ -67,7 +67,7 @@ func (r *installRig) state(objects []op.ObjectID) string {
 	for _, x := range objects {
 		if e, ok := r.m.lookup(x); ok {
 			fmt.Fprintf(&b, "cached %s=%q exists=%v dirty=%v vsi=%d rsi=%d pending=%v\n",
-				x, e.val, e.exists, e.dirty, e.vsi, e.rsi(), e.pending)
+				x, e.val, e.exists, e.dirty(), e.vsi, e.rsi(), e.pending)
 		} else {
 			fmt.Fprintf(&b, "cached %s absent\n", x)
 		}
@@ -201,7 +201,7 @@ func TestInstallStepEquivalence(t *testing.T) {
 			},
 			shape: func(m *Manager) bool {
 				e, ok := m.lookup("D")
-				return ok && !e.exists && e.dirty
+				return ok && !e.exists && e.dirty()
 			},
 		},
 	}
@@ -290,8 +290,8 @@ func TestMirroredFlushFailureLeavesInstallRerunnable(t *testing.T) {
 	if _, ok := twin.m.wg.NodeOfOp(2); !ok {
 		t.Error("failed mirrored flush removed the write-graph node")
 	}
-	if e, _ := twin.m.lookup("A"); len(e.pending) != 2 || !e.dirty {
-		t.Errorf("failed mirrored flush touched the dirty table: pending %v dirty %v", e.pending, e.dirty)
+	if e, _ := twin.m.lookup("A"); len(e.pending) != 2 || !e.dirty() {
+		t.Errorf("failed mirrored flush touched the dirty table: pending %v dirty %v", e.pending, e.dirty())
 	}
 	if got := twin.state([]op.ObjectID{"A"}); got != before {
 		t.Errorf("failed mirrored flush changed state\n--- after\n%s\n--- before\n%s", got, before)

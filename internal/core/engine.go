@@ -56,14 +56,12 @@ type Options struct {
 	// adds the per-package Stats counters to its snapshot.  Nil disables
 	// instrumentation at ~0 cost.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records phase spans of the recovery pipeline
-	// for Chrome/Perfetto trace export and timeline rendering.
-	Tracer *obs.Tracer
-	// Flight, when non-nil, is the decision flight recorder: every redo
-	// decision, install-graph value resolution, ship batch outcome, and
-	// checkpoint/truncation horizon move is recorded (and
-	// optionally spilled to a crash-tolerant file) for post-hoc forensics
-	// with llinspect -explain / -forensics.  Nil disables it at ~0 cost.
+	// Flight, when non-nil, is the flight recorder: every recovery and
+	// promotion phase, redo decision, install-graph value resolution, ship
+	// batch outcome, and checkpoint/truncation horizon move is recorded
+	// (and optionally spilled to a crash-tolerant file) for timelines and
+	// post-hoc forensics with llinspect -explain / -forensics.  Nil
+	// disables it at ~0 cost.
 	Flight *flight.Recorder
 }
 
@@ -166,7 +164,6 @@ func (e *Engine) recoveryOptions() recovery.Options {
 		Test:        e.opts.RedoTest,
 		Cache:       e.opts.CacheConfig(),
 		RedoWorkers: e.opts.RedoWorkers,
-		Tracer:      e.opts.Tracer,
 		Flight:      e.opts.Flight,
 	}
 }
@@ -439,6 +436,35 @@ func (e *Engine) Recover() (*recovery.Result, error) {
 		e.gate = nil
 	}
 	res, err := recovery.Recover(e.log, e.store, e.recoveryOptions())
+	if err != nil {
+		return nil, err
+	}
+	e.mgr = res.Manager
+	return res, nil
+}
+
+// RecoverMedia resumes normal operation after a media failure, once the
+// caller has restored a backup image into the stable store
+// (internal/backup): it rebuilds the cache manager over that image, replays
+// every operation logged at or after from under the vSI test, and adopts the
+// result.  The log's dirty-table bookkeeping (checkpoints, install records)
+// describes the lost store, not the image, so there is no analysis: the
+// replay starts with an empty dirty table and each object's vSI makes it
+// exact per object.
+func (e *Engine) RecoverMedia(from op.SI) (*recovery.Result, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.gate != nil {
+		e.gate.Abort()
+		e.gate = nil
+	}
+	opts := e.recoveryOptions()
+	opts.Test = recovery.TestVSI
+	mgr, err := cache.NewManager(opts.Cache, e.log, e.store)
+	if err != nil {
+		return nil, err
+	}
+	res, err := recovery.Redo(e.log, mgr, nil, from, opts)
 	if err != nil {
 		return nil, err
 	}

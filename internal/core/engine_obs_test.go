@@ -2,22 +2,20 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	. "logicallog/internal/core"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 )
 
-// obsEng builds an engine with a metrics registry (and optionally a tracer)
-// attached.
-func obsEng(t *testing.T, tracer *obs.Tracer) (*Engine, *obs.Registry) {
+// obsEng builds an engine with a metrics registry attached.
+func obsEng(t *testing.T) (*Engine, *obs.Registry) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Obs = obs.NewRegistry()
-	opts.Tracer = tracer
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +24,7 @@ func obsEng(t *testing.T, tracer *obs.Tracer) (*Engine, *obs.Registry) {
 }
 
 func TestMetricsUnifiesStatsAndRegistry(t *testing.T) {
-	eng, _ := obsEng(t, nil)
+	eng, _ := obsEng(t)
 	if err := eng.Execute(op.NewCreate("x", []byte("hello"))); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +51,7 @@ func TestMetricsUnifiesStatsAndRegistry(t *testing.T) {
 // follow the live write graph after each executed operation, not only after
 // installs.
 func TestWriteGraphGaugesTrackEveryAddOp(t *testing.T) {
-	eng, _ := obsEng(t, nil)
+	eng, _ := obsEng(t)
 	for i, id := range []op.ObjectID{"a", "b", "a", "c"} {
 		if err := eng.Execute(op.NewCreate(id, []byte{byte(i)})); err != nil {
 			t.Fatal(err)
@@ -76,7 +74,7 @@ func TestWriteGraphGaugesTrackEveryAddOp(t *testing.T) {
 }
 
 func TestResetStatsResetsEverySource(t *testing.T) {
-	eng, reg := obsEng(t, nil)
+	eng, reg := obsEng(t)
 	if err := eng.Execute(op.NewCreate("x", []byte("v"))); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,7 @@ func TestResetStatsResetsEverySource(t *testing.T) {
 // out torn cross-source reads, and the final quiescent snapshot must balance
 // exactly.
 func TestMetricsCoherentUnderConcurrentExecute(t *testing.T) {
-	eng, _ := obsEng(t, nil)
+	eng, _ := obsEng(t)
 	const writers, opsPer = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -163,13 +161,15 @@ func TestMetricsCoherentUnderConcurrentExecute(t *testing.T) {
 }
 
 // TestRecoveryTraceSpans drives a workload, crashes, recovers with parallel
-// redo, and checks the tracer captured the pipeline: restart and analysis on
-// the recovery lane, the partition phase, and per-worker chain spans.
+// redo, and checks the flight recorder captured the pipeline's phases:
+// restart, analysis, redo scan and partition on actor "recovery", and one
+// chain phase per dependency chain on a worker's actor "redo-worker-NN", NN
+// below RedoWorkers (Recover's own goroutine is worker 00).
 func TestRecoveryTraceSpans(t *testing.T) {
-	tracer := obs.NewTracer()
+	fl := flight.NewRecorder(0)
 	opts := DefaultOptions()
 	opts.Obs = obs.NewRegistry()
-	opts.Tracer = tracer
+	opts.Flight = fl
 	opts.RedoWorkers = 4
 	eng, err := New(opts)
 	if err != nil {
@@ -189,34 +189,35 @@ func TestRecoveryTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs := tracer.Events()
-	spans := map[string]int{}
-	lanes := map[string]bool{}
-	for _, ev := range evs {
-		spans[ev.Name]++
-		lanes[ev.Lane] = true
+	phases := map[string]int{}
+	replayers := map[string]bool{}
+	for w := 0; w < opts.RedoWorkers; w++ {
+		replayers[fmt.Sprintf("redo-worker-%02d", w)] = true
 	}
-	for _, want := range []string{"restart", "analysis", "redo-scan", "redo-partition", "chain"} {
-		if spans[want] == 0 {
-			t.Errorf("missing %q span; got %v", want, spans)
+	for _, ev := range fl.Events() {
+		switch {
+		case ev.Kind != flight.KindPhase:
+		case ev.Dec == flight.DecChain:
+			if !replayers[ev.Actor] {
+				t.Errorf("chain phase on actor %q", ev.Actor)
+			}
+			phases["chain"]++
+		case ev.Actor == "recovery":
+			phases[ev.Dec.String()]++
+		default:
+			t.Errorf("phase %s on actor %q", ev.Dec, ev.Actor)
 		}
 	}
-	if !lanes["recovery"] {
-		t.Errorf("missing recovery lane; lanes = %v", lanes)
-	}
-	workerLanes := 0
-	for name := range lanes {
-		if strings.HasPrefix(name, "redo-worker-") {
-			workerLanes++
+	for _, want := range []string{"restart", "analysis", "redo-scan", "redo-partition"} {
+		if phases[want] != 1 {
+			t.Errorf("%q phases = %d, want 1; got %v", want, phases[want], phases)
 		}
 	}
-	if workerLanes == 0 {
-		t.Errorf("no per-worker lanes; lanes = %v", lanes)
-	}
-	// The partitioner's metrics landed in the registry.
+	// The partitioner's metrics landed in the registry, and each chain
+	// recorded exactly one phase.
 	m := eng.Metrics()
-	if m.Gauges["recovery.redo.chains"] == 0 {
-		t.Errorf("recovery.redo.chains gauge = %d", m.Gauges["recovery.redo.chains"])
+	if chains := m.Gauges["recovery.redo.chains"]; chains == 0 || int64(phases["chain"]) != chains {
+		t.Errorf("%d chain phases for %d chains", phases["chain"], chains)
 	}
 	if m.Histograms["recovery.redo.chain_ops"].Count == 0 {
 		t.Error("recovery.redo.chain_ops histogram empty")

@@ -109,9 +109,8 @@ func TestMetricsGolden(t *testing.T) {
 	for _, strat := range []cache.FlushStrategy{cache.StrategyIdentityWrite, cache.StrategyFlushTxn, cache.StrategyShadow} {
 		lines = append(lines, metricsLines(t, strat)...)
 	}
-	// Every record type, every batch mode the cache manager uses (it never
-	// chooses ModeUnsafe) and every flush-mechanism counter must be reached,
-	// or the golden pins less than it claims.
+	// Every record type, every batch mode and every flush-mechanism counter
+	// must be reached, or the golden pins less than it claims.
 	for _, key := range []string{
 		"wal.records.op", "wal.records.install", "wal.records.flush", "wal.records.checkpoint",
 		"stable.batches.single", "stable.batches.shadow", "stable.batches.flushtxn",

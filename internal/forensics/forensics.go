@@ -218,53 +218,51 @@ func Dump(events []flight.Event, max int) string {
 	return b.String()
 }
 
-// MergeTimeline converts flight events to instant timeline events (one lane
-// per actor) and merges them with tracer events so obs.RenderTimeline shows
-// decisions inline with the recovery phases that made them.  Flight lanes
-// get TIDs above the tracer's so the two sets never collide.
+// MergeTimeline converts flight events to timeline events and merges them
+// with trace events (nil when the flight events are the whole record), so
+// obs.RenderTimeline shows decisions inline with the phases that made them.
+// A phase event becomes an "X" span [At − N, At] on its actor's row; every
+// other event is an instant on the actor's "flight/" row.  A row named like
+// a trace lane shares it; new rows get TIDs above the trace's.
 func MergeTimeline(fl []flight.Event, trace []obs.Event) []obs.Event {
 	out := make([]obs.Event, 0, len(trace)+len(fl))
 	out = append(out, trace...)
 	var maxTID int64
-	for _, ev := range trace {
-		if ev.TID > maxTID {
-			maxTID = ev.TID
-		}
-	}
 	laneTID := make(map[string]int64)
+	for _, ev := range trace {
+		maxTID = max(maxTID, ev.TID)
+		laneTID[ev.Lane] = ev.TID
+	}
 	for _, ev := range fl {
-		lane := "flight/" + ev.Actor
-		tid, ok := laneTID[lane]
+		te := obs.Event{Lane: "flight/" + ev.Actor, Phase: "i", Start: ev.At,
+			Name: ev.Kind.String(), Args: map[string]any{"seq": ev.Seq}}
+		if ev.Kind == flight.KindPhase {
+			te.Lane, te.Phase, te.Name = ev.Actor, "X", ev.Dec.String()
+			te.Dur = time.Duration(ev.N)
+			te.Start -= te.Dur
+		} else if ev.Dec != flight.DecNone {
+			te.Name += " " + ev.Dec.String()
+		}
+		tid, ok := laneTID[te.Lane]
 		if !ok {
 			maxTID++
 			tid = maxTID
-			laneTID[lane] = tid
+			laneTID[te.Lane] = tid
 		}
-		name := ev.Kind.String()
-		if ev.Dec != flight.DecNone {
-			name += " " + ev.Dec.String()
-		}
-		args := map[string]any{"seq": ev.Seq}
+		te.TID = tid
 		if ev.LSN != op.NilSI {
-			args["lsn"] = uint64(ev.LSN)
+			te.Args["lsn"] = uint64(ev.LSN)
 		}
 		if ev.Ref != op.NilSI {
-			args["ref"] = uint64(ev.Ref)
+			te.Args["ref"] = uint64(ev.Ref)
 		}
 		if ev.Object != "" {
-			args["obj"] = string(ev.Object)
+			te.Args["obj"] = string(ev.Object)
 		}
-		if ev.N != 0 {
-			args["n"] = ev.N
+		if ev.N != 0 && ev.Kind != flight.KindPhase {
+			te.Args["n"] = ev.N
 		}
-		out = append(out, obs.Event{
-			Name:  name,
-			Lane:  lane,
-			TID:   tid,
-			Phase: "i",
-			Start: ev.At,
-			Args:  args,
-		})
+		out = append(out, te)
 	}
 	return out
 }

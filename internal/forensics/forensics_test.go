@@ -246,6 +246,39 @@ func TestMergeTimelineLanesAndInstants(t *testing.T) {
 	}
 }
 
+// TestMergeTimelinePhaseSpans: a phase event becomes an "X" span ending at
+// its At and lasting N on its actor's own row (shared with a trace lane of
+// that name), while a decision of the same actor stays an instant on its
+// "flight/" row.
+func TestMergeTimelinePhaseSpans(t *testing.T) {
+	const ms = time.Millisecond
+	trace := []obs.Event{{Name: "setup", Lane: "recovery", TID: 4, Phase: "X", Dur: ms}}
+	fl := []flight.Event{
+		{Seq: 0, At: 3 * ms, Kind: flight.KindPhase, Dec: flight.DecAnalysis, LSN: 1, Ref: 40, N: int64(2 * ms), Actor: "recovery"},
+		{Seq: 1, At: 5 * ms, Kind: flight.KindRedoDecision, Dec: flight.DecRedo, LSN: 7, Actor: "recovery"},
+		{Seq: 2, At: 6 * ms, Kind: flight.KindPhase, Dec: flight.DecChain, LSN: 7, Ref: 9, N: int64(ms), Actor: "redo-worker-00"},
+	}
+	merged := forensics.MergeTimeline(fl, trace)
+	if len(merged) != 4 {
+		t.Fatalf("merged %d events, want 4", len(merged))
+	}
+	analysis, decision, chain := merged[1], merged[2], merged[3]
+	if analysis.Name != "analysis" || analysis.Phase != "X" || analysis.Lane != "recovery" || analysis.TID != 4 ||
+		analysis.Start != ms || analysis.Dur != 2*ms || analysis.Args["lsn"] != uint64(1) || analysis.Args["ref"] != uint64(40) {
+		t.Errorf("analysis phase = %+v", analysis)
+	}
+	if decision.Phase != "i" || decision.Lane != "flight/recovery" || decision.TID <= 4 {
+		t.Errorf("decision = %+v", decision)
+	}
+	if chain.Name != "chain" || chain.Phase != "X" || chain.Lane != "redo-worker-00" || chain.Start != 5*ms || chain.Dur != ms ||
+		chain.TID <= 4 || chain.TID == decision.TID {
+		t.Errorf("chain phase = %+v", chain)
+	}
+	if _, ok := chain.Args["n"]; ok {
+		t.Errorf("a phase's N is its duration, not an arg: %v", chain.Args)
+	}
+}
+
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestForensicTimelineGolden pins the rendered forensic timeline — tracer

@@ -1,11 +1,11 @@
-// Package lint hosts lllint, a suite of six static analyzers that
+// Package lint hosts lllint, a suite of five static analyzers that
 // mechanically enforce the recovery-critical invariants this engine's
 // correctness rests on: deterministic redo replay (bit-identical at any
 // worker count; map-iteration order never leaking into installation-graph
 // edge order or flush-set construction), the engine/cache/stable/wal lock
 // order, WAL/stable force errors always observed, counters accessed
-// atomically everywhere or nowhere, decoded log records treated as
-// immutable snapshots, and obs spans always ended.  Every analyzer looks at
+// atomically everywhere or nowhere, and decoded log records treated as
+// immutable snapshots.  Every analyzer looks at
 // one package at a time.  The write-ahead rule is not a lint: the cache
 // manager's installation step, the one writer of the stable store, forces
 // the log itself before it writes.
@@ -88,7 +88,6 @@ func Analyzers() []*Analyzer {
 		ForceCheck,
 		AtomicMix,
 		LogRecPurity,
-		SpanEnd,
 	}
 }
 

@@ -90,7 +90,6 @@ func TestLockOrderFixture(t *testing.T)    { runFixture(t, LockOrder, "lockorder
 func TestForceCheckFixture(t *testing.T)   { runFixture(t, ForceCheck, "forcecheck") }
 func TestAtomicMixFixture(t *testing.T)    { runFixture(t, AtomicMix, "atomicmix") }
 func TestLogRecPurityFixture(t *testing.T) { runFixture(t, LogRecPurity, "logrecpurity") }
-func TestSpanEndFixture(t *testing.T)      { runFixture(t, SpanEnd, "spanend") }
 
 // TestStaleDirective checks that an ignore suppressing nothing is itself
 // reported once its analyzer has run, and that one naming an unknown
@@ -140,7 +139,7 @@ func TestMalformedDirective(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	names := []string{
 		"replaydeterminism", "lockorder", "forcecheck", "atomicmix",
-		"logrecpurity", "spanend",
+		"logrecpurity",
 	}
 	as := Analyzers()
 	if len(as) != len(names) {

@@ -1,8 +1,9 @@
 // Package flight is the recovery flight recorder: a lock-free, bounded
-// ring of structured decision events recording *why* the engine did what
-// it did — redo apply/skip with the dirty-table reason, install-graph
-// ValueAfter resolutions, ship batch send/Lost/rewind and standby
-// accept/dup/gap, and checkpoint / truncation horizon moves.
+// ring of structured events recording *what* the engine did and *why* —
+// the recovery and promotion phases with their durations, redo apply/skip
+// with the dirty-table reason, install-graph ValueAfter resolutions, ship
+// batch send/Lost/rewind and standby accept/dup/gap, and checkpoint /
+// truncation horizon moves.
 //
 // Like the rest of internal/obs, every handle is nil-safe: methods on a
 // nil *Recorder are no-ops, so instrumented code pays one pointer test
@@ -60,6 +61,10 @@ const (
 	// KindTruncate is the truncation horizon moving: records below LSN
 	// are dropped.
 	KindTruncate
+	// KindPhase is one recovery or promotion phase ending on Actor's row:
+	// Dec names the phase, N is its duration in ns (it began at At − N),
+	// and LSN/Ref bound the log range it covered (NilSI when none).
+	KindPhase
 )
 
 func (k Kind) String() string {
@@ -76,6 +81,8 @@ func (k Kind) String() string {
 		return "checkpoint"
 	case KindTruncate:
 		return "truncate"
+	case KindPhase:
+		return "phase"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -98,6 +105,17 @@ const (
 	DecAccept
 	DecDup
 	DecGap
+	// Recovery phases (KindPhase), in the order a restart runs them.
+	DecRestart
+	DecFlushTxnRepair
+	DecAnalysis
+	DecRedoScan
+	DecRedoPartition
+	DecChain
+	// Promotion phases (KindPhase), in the order Promote runs them.
+	DecForceTail
+	DecPurgeCache
+	DecRecover
 )
 
 func (d Decision) String() string {
@@ -124,14 +142,31 @@ func (d Decision) String() string {
 		return "dup"
 	case DecGap:
 		return "gap"
+	case DecRestart:
+		return "restart"
+	case DecFlushTxnRepair:
+		return "flush-txn-repair"
+	case DecAnalysis:
+		return "analysis"
+	case DecRedoScan:
+		return "redo-scan"
+	case DecRedoPartition:
+		return "redo-partition"
+	case DecChain:
+		return "chain"
+	case DecForceTail:
+		return "force-tail"
+	case DecPurgeCache:
+		return "purge-cache"
+	case DecRecover:
+		return "recover"
 	}
 	return fmt.Sprintf("dec(%d)", uint8(d))
 }
 
-// Event is one recorded decision.  Field meaning depends on Kind (see the
-// Kind constants); Seq is the global emission order and At the offset
-// from the recorder's start, comparable with obs.Tracer timestamps taken
-// in the same process.
+// Event is one recorded decision or phase.  Field meaning depends on Kind
+// (see the Kind constants); Seq is the global emission order and At the
+// offset from the recorder's start.
 type Event struct {
 	Seq    uint64
 	At     time.Duration
@@ -208,19 +243,24 @@ func NewRecorder(size int) *Recorder {
 	}
 }
 
-// emit stamps and publishes one event.  Lock-free on the ring; when a
-// spill file is attached the encoded frame is buffered under spillMu
-// (still safe under foreign mutexes — spillMu is a leaf lock).  The
-// event is copied to the heap only after the nil check, so a nil
-// recorder allocates nothing.
+// emit stamps an event with the current offset and publishes it.  The
+// event is copied to the heap only after the nil check, so a nil recorder
+// allocates nothing.
 func (r *Recorder) emit(ev Event) {
 	if r == nil {
 		return
 	}
+	ev.At = r.clock()
+	r.publish(ev)
+}
+
+// publish sequences one stamped event into the ring.  Lock-free on the
+// ring; when a spill file is attached the encoded frame is buffered under
+// spillMu (still safe under foreign mutexes — spillMu is a leaf lock).
+func (r *Recorder) publish(ev Event) {
 	p := new(Event)
 	*p = ev
 	p.Seq = r.seq.Add(1) - 1
-	p.At = r.clock()
 	if old := r.slots[p.Seq&r.mask].Swap(p); old != nil {
 		r.drops.Add(1)
 	}
@@ -252,6 +292,26 @@ func (r *Recorder) Counters() (events, ringDrops, spillBytes int64) {
 		return 0, 0, 0
 	}
 	return r.events.Load(), r.drops.Load(), r.spillBytes.Load()
+}
+
+// Clock returns the recorder's current offset: the start to hand to Phase
+// when the phase ends.  A nil recorder returns 0 without reading the clock.
+func (r *Recorder) Clock() time.Duration {
+	if r == nil {
+		return 0
+	}
+	return r.clock()
+}
+
+// Phase records the phase dec ending now on actor's row; start is the
+// Clock reading taken when it began, and lsn/ref bound the log range it
+// covered (op.NilSI when it covers none).
+func (r *Recorder) Phase(actor string, dec Decision, start time.Duration, lsn, ref op.SI) {
+	if r == nil {
+		return
+	}
+	at := r.clock()
+	r.publish(Event{At: at, Kind: KindPhase, Dec: dec, LSN: lsn, Ref: ref, N: int64(at - start), Actor: actor})
 }
 
 // RedoDecision records one DecideRedo outcome.  For skip-installed,

@@ -1,11 +1,13 @@
 // Package obs is the system's zero-dependency observability layer: a
 // concurrency-safe metrics registry (counters, gauges, log-bucketed
-// histograms) and a lightweight span tracer with Chrome/Perfetto
-// trace_event export.
+// histograms) and the timeline kit — Event, Chrome/Perfetto trace_event
+// export and import, and a text renderer.  The timelines' events come from
+// the flight recorder (obs/flight, whose recovery phases and decisions
+// forensics.MergeTimeline converts) or from the bench harness's own spans.
 //
 // Everything is built for hot-path use.  Metric handles are resolved once at
 // setup time and then updated with single atomic operations; a nil *Registry
-// (and hence nil metric handles and a nil *Tracer) disables instrumentation
+// (and hence nil metric handles) disables instrumentation
 // entirely — every method is nil-safe and compiles down to a pointer test,
 // so the disabled cost is ~0 and there is no build-tag or global flag to
 // thread through the system.

@@ -11,7 +11,7 @@ import (
 
 func TestRenderTimeline(t *testing.T) {
 	var buf bytes.Buffer
-	RenderTimeline(&buf, goldenTrace().Events())
+	RenderTimeline(&buf, goldenEvents())
 	out := buf.String()
 	for _, want := range []string{
 		"timeline: 4 events",

@@ -11,7 +11,45 @@ import (
 // Chrome trace_event export/import.  The produced file loads directly in
 // chrome://tracing and https://ui.perfetto.dev: one process, one Chrome
 // "thread" per lane, "X" complete events for spans and "i" instants for
-// markers, timestamps in microseconds from tracer start.
+// markers, timestamps in microseconds from the recording's start.
+
+// Event is one timeline event: a span or an instant on a lane (one row
+// per actor).  Start/Dur are offsets from the recording's start.
+type Event struct {
+	// Name is the span or instant name.
+	Name string
+	// Lane is the owning lane's name.
+	Lane string
+	// TID is the lane id (maps to the Chrome trace tid).
+	TID int64
+	// Phase is "X" for a complete span, "i" for an instant event.
+	Phase string
+	// Depth is the span's nesting depth within its lane (0 = top level).
+	Depth int
+	// Start is the offset from the recording's start.
+	Start time.Duration
+	// Dur is the span duration (0 for instants).
+	Dur time.Duration
+	// Args carries event annotations (counts, decisions).
+	Args map[string]any
+}
+
+// End returns the event's end offset.
+func (e Event) End() time.Duration { return e.Start + e.Dur }
+
+// sortEvents orders events by start offset, ties broken by lane id, then
+// name, so concurrent lanes export deterministically.
+func sortEvents(evs []Event) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Start != evs[j].Start {
+			return evs[i].Start < evs[j].Start
+		}
+		if evs[i].TID != evs[j].TID {
+			return evs[i].TID < evs[j].TID
+		}
+		return evs[i].Name < evs[j].Name
+	})
+}
 
 // tracePID is the constant pid stamped on every event (one process).
 const tracePID = 1
@@ -31,12 +69,6 @@ type chromeEvent struct {
 type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	TraceEvents     []chromeEvent `json:"traceEvents"`
-}
-
-// WriteChromeTrace writes the tracer's finished events; see
-// WriteChromeTraceEvents.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraceEvents(w, t.Events())
 }
 
 // WriteChromeTraceEvents encodes events as a Chrome trace_event JSON file.

@@ -11,26 +11,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenTrace builds a small deterministic recovery-shaped trace: a
-// coordinator lane with nested phases and one worker lane, driven by the
-// step clock so offsets are stable across runs.
-func goldenTrace() *Tracer {
-	tr := stepTracer()
-	rec := tr.Lane("recovery")
-	restart := rec.Begin("restart")
-	restart.End()
-	analysis := rec.Begin("analysis").Arg("analyzed_records", 18).Arg("dirty_objects", 5)
-	analysis.End()
-	w := tr.Lane("redo-worker-00")
-	chain := w.Begin("chain").Arg("ops", 4)
-	w.Instant("redo-decision", map[string]any{"lsn": 7})
-	chain.End()
-	return tr
+// goldenEvents is a small deterministic recovery-shaped trace: a
+// coordinator lane with two phases and one worker lane whose chain span
+// holds a decision instant, at fixed microsecond offsets.
+func goldenEvents() []Event {
+	const us = time.Microsecond
+	return []Event{
+		{Name: "restart", Lane: "recovery", TID: 1, Phase: "X", Start: 1 * us, Dur: us},
+		{Name: "analysis", Lane: "recovery", TID: 1, Phase: "X", Start: 3 * us, Dur: us,
+			Args: map[string]any{"analyzed_records": 18, "dirty_objects": 5}},
+		{Name: "chain", Lane: "redo-worker-00", TID: 2, Phase: "X", Start: 5 * us, Dur: 2 * us,
+			Args: map[string]any{"ops": 4}},
+		{Name: "redo-decision", Lane: "redo-worker-00", TID: 2, Phase: "i", Depth: 1, Start: 6 * us,
+			Args: map[string]any{"lsn": 7}},
+	}
 }
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenTrace().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraceEvents(&buf, goldenEvents()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "chrome_trace.golden")
@@ -50,15 +49,14 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := goldenTrace()
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	want := goldenEvents()
+	if err := WriteChromeTraceEvents(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadChromeTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Events()
 	if len(got) != len(want) {
 		t.Fatalf("round-trip: %d events, want %d", len(got), len(want))
 	}

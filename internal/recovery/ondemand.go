@@ -37,6 +37,7 @@ import (
 
 	"logicallog/internal/cache"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/stable"
 	"logicallog/internal/wal"
@@ -65,7 +66,7 @@ var ErrAborted = errors.New("recovery: on-demand redo aborted")
 // goroutine (demand has priority — it never queues behind background work).
 type OnDemand struct {
 	step   *Step
-	tracer *obs.Tracer
+	flight *flight.Recorder
 
 	mu            sync.Mutex
 	res           *Result
@@ -80,8 +81,6 @@ type OnDemand struct {
 	drained       chan struct{}
 	drainedClosed bool
 	aborted       bool
-	idleLanes     []*obs.Lane // span lanes no goroutine is replaying on
-	lanes         int         // span lanes allocated so far
 
 	stop     atomic.Bool // tells runChain to bail between operations
 	doneFlag atomic.Bool // fast path: drain complete and clean
@@ -106,31 +105,30 @@ type OnDemand struct {
 // and returns the full recovery Result, counter-identical to Recover's.
 func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, error) {
 	res := &Result{}
-	lane := opts.Tracer.Lane("recovery")
-	dot, ops, err := recoverPrologue(log, store, opts, res, lane)
+	dot, ops, err := recoverPrologue(log, store, opts, res)
 	if err != nil {
 		return nil, err
 	}
-	return startRedo(opts, res, dot, ops, lane, resolveWorkers(opts.RedoWorkers)), nil
+	return startRedo(opts, res, dot, ops, 0), nil
 }
 
 // startRedo partitions the redo suffix ops (the operations logged from
 // res.RedoStart, in LSN order) and starts the scheduler replaying them
-// against res.Manager with `background` goroutines of its own.  Redo
-// counters accumulate in res.
-func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, lane *obs.Lane, background int) *OnDemand {
+// against res.Manager on background goroutines of its own, actors
+// "redo-worker-NN" for NN from firstWorker up to the resolved RedoWorkers,
+// at most one per chain.  Redo counters accumulate in res.
+func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, firstWorker int) *OnDemand {
 	res.ScannedOps = len(ops)
-	sp := lane.Begin("redo-partition")
+	t := opts.Flight.Clock()
 	chains := partitionChains(ops)
-	if background > len(chains) {
-		background = len(chains)
-	}
-	sp.Arg("chains", len(chains)).Arg("background", background).End()
+	workers := resolveWorkers(opts.RedoWorkers)
+	first, last := bounds(ops)
+	opts.Flight.Phase(actorRecovery, flight.DecRedoPartition, t, first, last)
 
 	reg := opts.Cache.Obs
 	od := &OnDemand{
-		step:      NewStep(opts, "recovery", res.Manager, dot),
-		tracer:    opts.Tracer,
+		step:      NewStep(opts, actorRecovery, res.Manager, dot),
+		flight:    opts.Flight,
 		res:       res,
 		chains:    chains,
 		state:     make([]ChainState, len(chains)),
@@ -162,7 +160,7 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, l
 	}
 	if reg != nil {
 		reg.Gauge("recovery.redo.chains").Set(int64(len(chains)))
-		reg.Gauge("recovery.redo.workers").Set(int64(resolveWorkers(opts.RedoWorkers)))
+		reg.Gauge("recovery.redo.workers").Set(int64(workers))
 		h := reg.Histogram("recovery.redo.chain_ops")
 		for _, chain := range chains {
 			h.Observe(int64(len(chain)))
@@ -176,12 +174,12 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, l
 		od.signalDrained()
 		od.mu.Unlock()
 	}
-	for w := 0; w < background; w++ {
+	for w := firstWorker; w < min(workers, firstWorker+len(chains)); w++ {
 		od.bg.Add(1)
-		go func() {
+		go func(actor string) {
 			defer od.bg.Done()
-			od.drain()
-		}()
+			od.drain(actor)
+		}(fmt.Sprintf("redo-worker-%02d", w))
 	}
 	return od
 }
@@ -334,9 +332,7 @@ func (od *OnDemand) requireChain(ci int) error {
 	default:
 		od.state[ci] = ChainInFlight
 		od.mu.Unlock()
-		lane := od.borrowLane()
-		od.runChain(ci, lane, true)
-		od.returnLane(lane)
+		od.runChain(ci, "demand", true)
 	}
 	od.mu.Lock()
 	err := od.failure
@@ -345,47 +341,18 @@ func (od *OnDemand) requireChain(ci int) error {
 }
 
 // drain claims pending chains in partition order and replays them on the
-// calling goroutine until none remain: the background workers' and Wait's
-// loop.  Demand callers never wait for it to reach their chain — they claim
-// it directly; the only demand wait is for a chain already mid-replay.
-func (od *OnDemand) drain() {
-	lane := od.borrowLane()
-	defer od.returnLane(lane)
+// calling goroutine, recording them as actor's, until none remain: the
+// background workers' and Wait's loop.  Demand callers never wait for it to
+// reach their chain — they claim it directly; the only demand wait is for a
+// chain already mid-replay.
+func (od *OnDemand) drain(actor string) {
 	for {
 		ci := od.claimNext()
 		if ci < 0 {
 			return
 		}
-		od.runChain(ci, lane, false)
+		od.runChain(ci, actor, false)
 	}
-}
-
-// borrowLane hands the calling goroutine a span lane no other goroutine is
-// using (an obs.Lane is single-owner), allocating "redo-worker-NN" lanes as
-// concurrent replayers appear.  Nil when tracing is off.
-func (od *OnDemand) borrowLane() *obs.Lane {
-	if od.tracer == nil {
-		return nil
-	}
-	od.mu.Lock()
-	defer od.mu.Unlock()
-	if n := len(od.idleLanes); n > 0 {
-		lane := od.idleLanes[n-1]
-		od.idleLanes = od.idleLanes[:n-1]
-		return lane
-	}
-	od.lanes++
-	return od.tracer.Lane(fmt.Sprintf("redo-worker-%02d", od.lanes-1))
-}
-
-// returnLane makes a borrowed lane available to the next replayer.
-func (od *OnDemand) returnLane(lane *obs.Lane) {
-	if lane == nil {
-		return
-	}
-	od.mu.Lock()
-	od.idleLanes = append(od.idleLanes, lane)
-	od.mu.Unlock()
 }
 
 // claimNext claims the next pending chain for a background worker, or -1
@@ -408,13 +375,14 @@ func (od *OnDemand) claimNext() int {
 }
 
 // runChain replays one claimed chain serially in log order and retires it in
-// the state table.  stop is checked between operations so one chain's
-// failure (or an Abort) ends the others promptly.
-func (od *OnDemand) runChain(ci int, lane *obs.Lane, demand bool) {
+// the state table, recording its chain phase as actor's.  stop is checked
+// between operations so one chain's failure (or an Abort) ends the others
+// promptly.
+func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 	chain := od.chains[ci]
 	var c Result
 	var err error
-	sp := lane.Begin("chain")
+	t := od.flight.Clock()
 	for _, o := range chain {
 		if od.stop.Load() {
 			break
@@ -425,8 +393,7 @@ func (od *OnDemand) runChain(ci int, lane *obs.Lane, demand bool) {
 		}
 		c.Count(out)
 	}
-	sp.Arg("ops", len(chain)).Arg("first_lsn", int64(chain[0].LSN)).
-		Arg("redone", c.Redone).Arg("voided", c.Voided).Arg("demand", demand).End()
+	od.flight.Phase(actor, flight.DecChain, t, chain[0].LSN, chain[len(chain)-1].LSN)
 	if demand {
 		od.mDemandChains.Inc()
 	} else {
@@ -471,7 +438,7 @@ func (od *OnDemand) signalDrained() {
 // per-operation decisions depend only on intra-chain state, so the totals
 // are independent of how demand, background, and Wait interleaved.
 func (od *OnDemand) Wait() (*Result, error) {
-	od.drain()
+	od.drain("redo-wait")
 	<-od.drained
 	od.bg.Wait()
 	od.mu.Lock()

@@ -5,20 +5,22 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
-	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
 )
 
-// TestOnDemandConcurrentDemandTraced is the regression test for the shared
-// demand-lane race: Require* is documented safe for concurrent use, and with
-// a Tracer set every goroutine that replays a chain opens its span on a lane
-// it alone owns.  Four goroutines demand distinct single-key chains while a
-// background worker and then Wait drain the rest; under -race a shared lane
-// trips the detector, and in any mode no lane may carry overlapping spans.
+// TestOnDemandConcurrentDemandTraced: Require* is documented safe for
+// concurrent use, and with a flight recorder set every replayed chain
+// records one chain phase on its replayer's actor.  Four goroutines demand
+// distinct single-key chains (actor "demand") while a background worker
+// ("redo-worker-00") and then Wait ("redo-wait") drain the rest.  Each of
+// those two is one goroutine replaying one chain at a time, so neither
+// actor may carry overlapping chain phases.
 func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 	const keys, demanders = 800, 4
 	opts := core.DefaultOptions()
@@ -37,7 +39,7 @@ func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 	}
 	eng.Crash()
 
-	tracer := obs.NewTracer()
+	fl := flight.NewRecorder(1 << 13)
 	od, err := recovery.StartOnDemand(eng.Log(), eng.Store(), recovery.Options{
 		Test: opts.RedoTest,
 		Cache: cache.Config{
@@ -45,7 +47,7 @@ func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 			LogInstalls: opts.LogInstalls, Registry: eng.Registry(),
 		},
 		RedoWorkers: 1,
-		Tracer:      tracer,
+		Flight:      fl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,22 +79,33 @@ func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 		t.Errorf("redone = %d, want %d", res.Redone, keys)
 	}
 
-	byLane := map[string][]obs.Event{}
+	if _, drops, _ := fl.Counters(); drops != 0 {
+		t.Fatalf("flight ring dropped %d events", drops)
+	}
+	byActor := map[string][]flight.Event{}
 	chains := 0
-	for _, ev := range tracer.Events() {
-		if ev.Name == "chain" {
+	for _, ev := range fl.Events() {
+		if ev.Kind == flight.KindPhase && ev.Dec == flight.DecChain {
 			chains++
-			byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+			byActor[ev.Actor] = append(byActor[ev.Actor], ev)
 		}
 	}
 	if chains != keys {
-		t.Errorf("chain spans = %d, want %d", chains, keys)
+		t.Errorf("chain phases = %d, want %d", chains, keys)
 	}
-	for lane, evs := range byLane {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
+	for actor, evs := range byActor {
+		switch actor {
+		case "demand": // four goroutines share it
+			continue
+		case "redo-worker-00", "redo-wait":
+		default:
+			t.Errorf("chain phase on actor %q", actor)
+		}
+		start := func(ev flight.Event) time.Duration { return ev.At - time.Duration(ev.N) }
+		sort.Slice(evs, func(i, j int) bool { return start(evs[i]) < start(evs[j]) })
 		for i := 1; i < len(evs); i++ {
-			if evs[i].Start < evs[i-1].End() {
-				t.Fatalf("lane %s carries overlapping chain spans: two goroutines shared it", lane)
+			if start(evs[i]) < evs[i-1].At {
+				t.Fatalf("actor %s carries overlapping chain phases", actor)
 			}
 		}
 	}

@@ -234,11 +234,11 @@ var workerCounts = []int{1, 2, 4, 8}
 
 // checkScenario recovers one crash image every way the scheduler can be
 // driven — Recover at every worker count, StartOnDemand with racing demand
-// at every worker count, and Recover with a metrics registry, span tracer
-// and flight recorder attached — and requires identical counters, stable
-// snapshots, and recovered object values against the workers=1 Recover.
-// The instrumented run's decision counters must also equal the Result's
-// tallies, and its recorder and tracer must have seen the run.
+// at every worker count, and Recover with a metrics registry and flight
+// recorder attached — and requires identical counters, stable snapshots,
+// and recovered object values against the workers=1 Recover.  The
+// instrumented run's decision counters must also equal the Result's
+// tallies, and its recorder must have seen the run's decisions and phases.
 func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 	t.Helper()
 	img, universe := capture(t, opts, sc)
@@ -261,10 +261,10 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 		requireSame(t, fmt.Sprintf("seed %d workers=%d demand-interleaved", sc.Seed, w), got, base)
 	}
 
-	reg, tracer := obs.NewRegistry(), obs.NewTracer()
+	reg := obs.NewRegistry()
 	fl := flight.NewRecorder(flight.DefaultRingSize)
 	inst := ropts(workerCounts[len(workerCounts)-1])
-	inst.Cache.Obs, inst.Tracer, inst.Flight = reg, tracer, fl
+	inst.Cache.Obs, inst.Flight = reg, fl
 	label := fmt.Sprintf("seed %d instrumented", sc.Seed)
 	requireSame(t, label, recoverImage(t, img, inst, universe, 0), base)
 	c := reg.Snapshot().Counters
@@ -274,8 +274,14 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 		c["recovery.decide.voided"] != int64(base.c.Voided) {
 		t.Errorf("%s: decide counters %v disagree with %+v", label, c, base.c)
 	}
-	if events, _, _ := fl.Counters(); base.c.Scanned > 0 && (events == 0 || len(tracer.Events()) == 0) {
-		t.Errorf("%s: %d flight events, %d trace events", label, events, len(tracer.Events()))
+	phases := 0
+	for _, ev := range fl.Events() {
+		if ev.Kind == flight.KindPhase {
+			phases++
+		}
+	}
+	if events, _, _ := fl.Counters(); base.c.Scanned > 0 && (events == 0 || phases == 0) {
+		t.Errorf("%s: %d flight events, %d phases", label, events, phases)
 	}
 }
 
@@ -332,54 +338,52 @@ func TestParallelRedoWideUniverse(t *testing.T) {
 
 // TestMediaRecoverDriverEquivalence is the matrix's media-recovery row: a
 // backup taken mid-workload, the stable store lost, and backup.MediaRecover
-// run at every worker count must agree with its workers=1 run — it hands its
-// own prologue's state to the same scheduler.
+// run by an engine at every worker count must agree with its workers=1 run
+// — it hands its own prologue's state to the same scheduler.  The engine
+// takes its recovery options from itself, so each worker count replays the
+// seeded workload on its own engine.
 func TestMediaRecoverDriverEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		eng, err := core.New(core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := sim.DefaultScenario(seed)
-		sc.Objects = 12
-		sc.Steps = 160
-		var b *backup.Backup
-		sc.StepHook = func(step int) error {
-			if step != 50 {
-				return nil
-			}
-			var err error
-			if b, err = backup.Take(eng, nil); err == nil {
-				b.RegisterRetention(eng.Log())
-			}
-			return err
-		}
-		if err := sim.DriveWorkload(eng, sc); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Log().Force(); err != nil {
-			t.Fatal(err)
-		}
-		eng.Crash()
-		universe := make([]op.ObjectID, sc.Objects)
-		for i := range universe {
-			universe[i] = op.ObjectID(fmt.Sprintf("obj%02d", i))
-		}
 		var base recovered
 		for _, w := range workerCounts {
+			opts := core.DefaultOptions()
+			opts.RedoWorkers = w
+			eng, err := core.New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := sim.DefaultScenario(seed)
+			sc.Objects = 12
+			sc.Steps = 160
+			var b *backup.Backup
+			sc.StepHook = func(step int) error {
+				if step != 50 {
+					return nil
+				}
+				var err error
+				if b, err = backup.Take(eng, nil); err == nil {
+					b.RegisterRetention(eng.Log())
+				}
+				return err
+			}
+			if err := sim.DriveWorkload(eng, sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Log().Force(); err != nil {
+				t.Fatal(err)
+			}
+			eng.Crash()
 			eng.Store().Restore(nil) // the media failure
-			res, err := backup.MediaRecover(eng, b, recovery.Options{
-				Cache: cache.Config{
-					Policy: writegraph.PolicyRW, Strategy: cache.StrategyIdentityWrite,
-					LogInstalls: true, Registry: eng.Registry(),
-				},
-				RedoWorkers: w,
-			})
+			res, err := backup.MediaRecover(eng, b)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, w, err)
 			}
 			if res.Redone == 0 {
 				t.Fatalf("seed %d: media recovery redid nothing; the row is vacuous", seed)
+			}
+			universe := make([]op.ObjectID, sc.Objects)
+			for i := range universe {
+				universe[i] = op.ObjectID(fmt.Sprintf("obj%02d", i))
 			}
 			got := collect(t, res, eng.Store(), universe)
 			if w == workerCounts[0] {

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"logicallog/internal/cache"
-	"logicallog/internal/obs"
 	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/stable"
@@ -79,16 +78,16 @@ type Options struct {
 	// "skip-installed", "skip-unexposed", "voided") as it is made.  Debug
 	// and inspection use only.
 	Trace func(o *op.Operation, decision string)
-	// Tracer, when non-nil, records the recovery pipeline's phase spans —
-	// restart, flush-txn repair, analysis, redo scan and chain partitioning
-	// on the "recovery" lane, and one "redo-worker-NN" lane per replaying
-	// goroutine with a span per replayed dependency chain.
-	// Timing is observational only: it never feeds replay ordering, so
-	// traced runs recover bit-identical state.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, records every redo decision (with its witness
 	// or dirty-table reason) in the flight recorder for post-hoc forensics
-	// (llinspect -explain).  Observational only; never feeds replay.
+	// (llinspect -explain), and the pipeline's phases: restart, flush-txn
+	// repair, analysis, redo scan and chain partitioning on actor
+	// "recovery", and one chain phase per replayed dependency chain on its
+	// replayer's actor: "redo-worker-NN" for worker NN (Recover's caller is
+	// worker 00), "redo-wait" for a caller of OnDemand.Wait, "demand" for a
+	// Require* caller.
+	// Observational only: timing never feeds replay ordering, so recorded
+	// runs recover bit-identical state.
 	Flight *flight.Recorder
 }
 
@@ -135,27 +134,38 @@ type dirtyTable map[op.ObjectID]op.SI
 // state (history is repeated, not undone).
 func Recover(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
 	res := &Result{}
-	lane := opts.Tracer.Lane("recovery")
-	dot, ops, err := recoverPrologue(log, store, opts, res, lane)
+	dot, ops, err := recoverPrologue(log, store, opts, res)
 	if err != nil {
 		return nil, err
 	}
-	return redo(opts, res, dot, ops, lane)
+	return redo(opts, res, dot, ops)
 }
+
+// actorRecovery is the flight actor of the phases before redo, and of the
+// redo step's decisions.
+const actorRecovery = "recovery"
 
 // Redo runs the redo pass alone, for a caller with its own prologue
 // (backup.MediaRecover): it replays the operations logged at or after from
 // against mgr, deciding each with opts.Test and the dirty object table dot.
 func Redo(log *wal.Log, mgr *cache.Manager, dot map[op.ObjectID]op.SI, from op.SI, opts Options) (*Result, error) {
 	res := &Result{Manager: mgr, RedoStart: from}
-	lane := opts.Tracer.Lane("recovery")
-	sp := lane.Begin("redo-scan")
+	t := opts.Flight.Clock()
 	ops, err := scanOps(log, from)
-	sp.Arg("ops", len(ops)).End()
 	if err != nil {
 		return nil, err
 	}
-	return redo(opts, res, dot, ops, lane)
+	first, last := bounds(ops)
+	opts.Flight.Phase(actorRecovery, flight.DecRedoScan, t, first, last)
+	return redo(opts, res, dot, ops)
+}
+
+// bounds returns the LSNs of the first and last of ops (NilSI for none).
+func bounds(ops []*op.Operation) (first, last op.SI) {
+	if len(ops) == 0 {
+		return op.NilSI, op.NilSI
+	}
+	return ops[0].LSN, ops[len(ops)-1].LSN
 }
 
 // scanOps decodes the operation records logged at or after from, in LSN
@@ -180,10 +190,13 @@ func scanOps(log *wal.Log, from op.SI) ([]*op.Operation, error) {
 	}
 }
 
-// redo drains the redo suffix ops on the calling goroutine plus
-// opts.RedoWorkers-1 others, filling res's redo counters.
-func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, lane *obs.Lane) (*Result, error) {
-	return startRedo(opts, res, dot, ops, lane, resolveWorkers(opts.RedoWorkers)-1).Wait()
+// redo drains the redo suffix ops on the calling goroutine, worker
+// "redo-worker-00", plus opts.RedoWorkers-1 others, filling res's redo
+// counters.
+func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation) (*Result, error) {
+	od := startRedo(opts, res, dot, ops, 1)
+	od.drain("redo-worker-00")
+	return od.Wait()
 }
 
 // recoverPrologue runs the recovery phases that precede redo: the log
@@ -193,25 +206,25 @@ func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, lane *
 // RedoStart, PendingFlushTxnRepaired); the returned dirty table and redo
 // suffix (the operations logged from RedoStart on) drive the redo pass,
 // whether Recover waits for it or StartOnDemand returns first.
-func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Result, lane *obs.Lane) (dirtyTable, []*op.Operation, error) {
+func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Result) (dirtyTable, []*op.Operation, error) {
+	fl := opts.Flight
 	// Restart the log over its device first, as a process restart would:
 	// trim the untrustworthy debris of a torn, bit-flipped, or reordered
 	// final append, and re-derive the LSN horizon from the durable log so
 	// post-recovery appends keep it gap-free (see wal.Log.Restart).
-	sp := lane.Begin("restart")
+	t := fl.Clock()
 	if err := log.Restart(); err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	sp.End()
+	fl.Phase(actorRecovery, flight.DecRestart, t, log.FirstLSN(), log.StableLSN())
 
 	// Step 0: finish any committed-but-interrupted flush transaction, as
 	// restart processing replays the flush-transaction log.
 	if store.HasPending() {
-		sp = lane.Begin("flush-txn-repair")
+		t = fl.Clock()
 		store.RecoverPending()
 		res.PendingFlushTxnRepaired = true
-		sp.End()
+		fl.Phase(actorRecovery, flight.DecFlushTxnRepair, t, op.NilSI, op.NilSI)
 	}
 
 	mgr, err := cache.NewManager(opts.Cache, log, store)
@@ -221,16 +234,12 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	res.Manager = mgr
 
 	// Analysis pass.
-	sp = lane.Begin("analysis")
+	t = fl.Clock()
 	dot, ops, err := analyze(log, res, opts.Test)
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	sp.Arg("analyzed_records", res.AnalyzedRecords).
-		Arg("dirty_objects", len(dot)).
-		Arg("checkpoint_lsn", int64(res.CheckpointLSN)).
-		End()
+	fl.Phase(actorRecovery, flight.DecAnalysis, t, log.FirstLSN(), log.StableLSN())
 
 	// Redo scan start point: the minimum rSI over the reconstructed dirty
 	// object table.  With an empty table nothing needs redo, but scanning
@@ -246,10 +255,11 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 
 	// The redo suffix is a tail of the operations analysis decoded, so the
 	// log is not scanned again.
-	sp = lane.Begin("redo-scan")
-	i := sort.Search(len(ops), func(i int) bool { return ops[i].LSN >= redoStart })
-	sp.Arg("ops", len(ops)-i).End()
-	return dot, ops[i:], nil
+	t = fl.Clock()
+	ops = ops[sort.Search(len(ops), func(i int) bool { return ops[i].LSN >= redoStart }):]
+	first, last := bounds(ops)
+	fl.Phase(actorRecovery, flight.DecRedoScan, t, first, last)
+	return dot, ops, nil
 }
 
 // analyze reconstructs the dirty object table in one scan of the durable

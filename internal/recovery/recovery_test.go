@@ -2,12 +2,16 @@ package recovery_test
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	. "logicallog/internal/recovery"
 	"logicallog/internal/stable"
@@ -532,5 +536,81 @@ func TestRecoverReadsLogTwice(t *testing.T) {
 	}
 	if res.Redone != 2 {
 		t.Errorf("Redone = %d, want 2", res.Redone)
+	}
+}
+
+// TestRecoverPhasesSurviveInSpill recovers with a flight recorder whose ring
+// is far smaller than the run, spilling to a file, and reads the file back:
+// the restart, analysis, redo-scan and redo-partition phases are there on
+// actor "recovery", each chain recorded exactly one chain phase, and every
+// phase's LSN bounds are ordered.
+func TestRecoverPhasesSurviveInSpill(t *testing.T) {
+	opts := core.DefaultOptions()
+	eng := newEngine(t, opts)
+	for i := 0; i < 120; i++ {
+		id := op.ObjectID(fmt.Sprintf("k%02d", i%30))
+		if err := eng.Execute(op.NewCreate(id, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Crash()
+
+	path := filepath.Join(t.TempDir(), "recover.spill")
+	fl, _, err := flight.OpenSpill(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := Recover(eng.Log(), eng.Store(), Options{
+		Test: opts.RedoTest,
+		Cache: cache.Config{
+			Policy: opts.Policy, Strategy: opts.Strategy,
+			LogInstalls: opts.LogInstalls, Registry: eng.Registry(), Obs: reg,
+		},
+		RedoWorkers: 3,
+		Flight:      fl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, drops, _ := fl.Counters(); drops == 0 {
+		t.Fatal("the ring kept every event; the spill proves nothing")
+	}
+	events, err := flight.ReadSpill(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	phases := map[flight.Decision]int{}
+	chains := 0
+	for _, ev := range events {
+		if ev.Kind != flight.KindPhase {
+			continue
+		}
+		if ev.LSN > ev.Ref || ev.N < 0 {
+			t.Errorf("phase %v: bounds [%d, %d], duration %d", ev.Dec, ev.LSN, ev.Ref, ev.N)
+		}
+		if ev.Dec == flight.DecChain {
+			chains++
+		} else if ev.Actor == "recovery" {
+			phases[ev.Dec]++
+		}
+	}
+	for _, d := range []flight.Decision{flight.DecRestart, flight.DecAnalysis, flight.DecRedoScan, flight.DecRedoPartition} {
+		if phases[d] != 1 {
+			t.Errorf("%s phases on actor recovery = %d, want 1", d, phases[d])
+		}
+	}
+	if want := reg.Snapshot().Gauges["recovery.redo.chains"]; want != 30 || int64(chains) != want {
+		t.Errorf("%d chain phases for %d chains (want 30)", chains, want)
+	}
+	if res.Redone != 120 {
+		t.Errorf("redone = %d, want 120", res.Redone)
 	}
 }

@@ -85,8 +85,6 @@ type SenderConfig struct {
 	// Obs, when non-nil, receives the shipping metrics: replication lag in
 	// LSNs and unshipped records (gauges), batch counts and sizes, resyncs.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records a span per pumped batch.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, records batch outcomes (sent/lost/rewind) in
 	// the decision flight recorder for post-hoc forensics.
 	Flight *flight.Recorder
@@ -107,7 +105,6 @@ type Sender struct {
 	resyncs int64
 
 	unregister func()
-	lane       *obs.Lane
 
 	lagLSN      *obs.Gauge
 	lagRecords  *obs.Gauge
@@ -146,7 +143,6 @@ func NewSender(log *wal.Log, tr Transport, startLSN op.SI, cfg SenderConfig) *Se
 	s.resyncCount = cfg.Obs.Counter("ship.resyncs")
 	s.batchRecs = cfg.Obs.Histogram("ship.batch.records")
 	s.batchBytes = cfg.Obs.Histogram("ship.batch.bytes")
-	s.lane = cfg.Tracer.Lane("ship-sender")
 	s.unregister = log.RegisterRetention(s.retainHorizon)
 	return s
 }
@@ -266,11 +262,6 @@ func (s *Sender) send(b *Batch) error {
 	s.seq++
 	b.Seq = s.seq
 	s.mu.Unlock()
-	sp := s.lane.Begin("batch").
-		Arg("seq", int64(b.Seq)).Arg("first", int64(b.FirstLSN)).
-		Arg("count", b.Count)
-	defer sp.End()
-
 	var ack Ack
 	err := wal.RetryTransient(func() (err error) {
 		ack, err = s.tr.Send(b)
@@ -301,7 +292,6 @@ func (s *Sender) send(b *Batch) error {
 	}
 	if ack.Lost {
 		s.batchesLost.Inc()
-		sp.Arg("lost", true)
 		s.cfg.Flight.ShipBatch(flight.DecLost, b.FirstLSN, b.LastLSN, int64(b.Count))
 		return nil
 	}
@@ -318,7 +308,6 @@ func (s *Sender) send(b *Batch) error {
 		s.cursor = ack.Want
 		s.resyncs++
 		s.resyncCount.Inc()
-		sp.Arg("resync_to", int64(ack.Want))
 		// A rewind's Ref is the standby's Want cursor the sender backed
 		// up to.
 		s.cfg.Flight.ShipBatch(flight.DecRewind, b.FirstLSN, ack.Want, int64(b.Count))

@@ -13,6 +13,7 @@ import (
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/ship"
 	"logicallog/internal/sim"
@@ -640,10 +641,10 @@ func TestShipRetentionProtectsLaggingStandby(t *testing.T) {
 // their presence in the promoted engine's merged Metrics() snapshot.
 func TestShipMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer()
+	fl := flight.NewRecorder(1 << 14)
 	opts := core.DefaultOptions()
 	opts.Obs = reg
-	opts.Tracer = tr
+	opts.Flight = fl
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +654,7 @@ func TestShipMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1,
-		ship.SenderConfig{BatchRecords: 4, Obs: reg, Tracer: tr})
+		ship.SenderConfig{BatchRecords: 4, Obs: reg, Flight: fl})
 	defer s.Close()
 
 	w := newWorkload(3, 5)
@@ -690,7 +691,22 @@ func TestShipMetrics(t *testing.T) {
 			t.Errorf("histogram %s missing or empty in promoted Metrics()", name)
 		}
 	}
-	if len(tr.Events()) == 0 {
-		t.Error("tracer recorded no ship spans")
+	// Every batch and every record is stamped, and Promote's phases are
+	// on their actor.
+	seen := map[string]int{}
+	for _, ev := range fl.Events() {
+		switch ev.Kind {
+		case flight.KindShipBatch, flight.KindShipApply:
+			seen[ev.Kind.String()]++
+		case flight.KindPhase:
+			if ev.Actor == "promotion" {
+				seen[ev.Dec.String()]++
+			}
+		}
+	}
+	for _, want := range []string{"ship-batch", "ship-apply", "force-tail", "recover"} {
+		if seen[want] == 0 {
+			t.Errorf("no %s event recorded; got %v", want, seen)
+		}
 	}
 }

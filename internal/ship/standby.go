@@ -24,7 +24,7 @@ type StandbyConfig struct {
 	// Opts is the engine configuration the standby mirrors and, at
 	// promotion, comes up as.  It must match the primary's policy, strategy,
 	// and REDO test; Registry must resolve every shipped operation kind.
-	// Obs/Tracer instrument the apply pipeline and the promoted engine;
+	// Obs/Flight instrument the apply pipeline and the promoted engine;
 	// InstallTrace observes every mirrored install (and, being part of the
 	// options, the promoted engine's).
 	Opts core.Options
@@ -81,7 +81,6 @@ type Standby struct {
 	promoted bool
 	stats    StandbyStats
 
-	lane        *obs.Lane
 	applyNs     *obs.Histogram
 	promotionNs *obs.Histogram
 	appliedC    *obs.Counter
@@ -149,11 +148,13 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	s.gapsC = r.Counter("ship.gaps")
 	s.installsC = r.Counter("ship.installs_mirrored")
 	s.promotionsC = r.Counter("ship.promotions")
-	s.lane = cfg.Opts.Tracer.Lane("ship-standby")
 	return s, nil
 }
 
-// flight is the standby's decision flight recorder handle (nil-safe).
+// actorPromotion is the flight actor of Promote's phases.
+const actorPromotion = "promotion"
+
+// flight is the standby's flight recorder handle (nil-safe).
 func (s *Standby) flight() *flight.Recorder { return s.cfg.Opts.Flight }
 
 // Log exposes the standby's write-ahead log (a prefix copy of the primary's).
@@ -201,9 +202,6 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 	if s.promoted {
 		return Ack{Lost: true}, fmt.Errorf("ship: standby was promoted; it is a primary now")
 	}
-	sp := s.lane.Begin("apply-batch").
-		Arg("seq", int64(b.Seq)).Arg("count", b.Count).Arg("first", int64(b.FirstLSN))
-	defer sp.End()
 	s.stats.Batches++
 	data := b.Frames
 	for len(data) > 0 {
@@ -451,39 +449,34 @@ func (s *Standby) Promote() (*core.Engine, *recovery.Result, error) {
 	if s.promoted {
 		return nil, nil, fmt.Errorf("ship: standby already promoted")
 	}
-	lane := s.cfg.Opts.Tracer.Lane("promotion")
+	fl := s.flight()
 	var start time.Time
 	if s.promotionNs.Enabled() {
 		start = time.Now()
 	}
-	sp := lane.Begin("force-tail")
+	t := fl.Clock()
 	if err := s.log.Force(); err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	sp.End()
+	fl.Phase(actorPromotion, flight.DecForceTail, t, op.NilSI, s.log.StableLSN())
 	if !s.cfg.Opts.LogInstalls {
 		// No install records were shipped, so the shipped checkpoints' redo
 		// horizons describe the primary's stable state, not this store.
 		// Flushing all cached state first stamps every object's vSI at its
 		// last writer, and the recovery redo pass's vSI witness then skips
 		// exactly what is flushed — the checkpoint horizon becomes harmless.
-		sp = lane.Begin("purge-cache")
-		err := s.mgr.PurgeAll()
-		sp.End()
-		if err != nil {
+		t = fl.Clock()
+		if err := s.mgr.PurgeAll(); err != nil {
 			return nil, nil, err
 		}
+		fl.Phase(actorPromotion, flight.DecPurgeCache, t, op.NilSI, op.NilSI)
 	}
-	sp = lane.Begin("recover")
+	t = fl.Clock()
 	eng, res, err := core.Adopt(s.cfg.Opts, s.log, s.store)
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	sp.Arg("redo_start", int64(res.RedoStart)).
-		Arg("scanned", res.ScannedOps).Arg("redone", res.Redone).
-		Arg("skipped_installed", res.SkippedInstalled).End()
+	fl.Phase(actorPromotion, flight.DecRecover, t, res.RedoStart, s.log.StableLSN())
 	if s.promotionNs.Enabled() {
 		s.promotionNs.Since(start)
 	}

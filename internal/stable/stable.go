@@ -8,13 +8,12 @@
 //   - multi-object batch writes under the atomicity mechanisms Section 4
 //     compares — shadowing (System R style: write copies, then one atomic
 //     pointer swing) and flush transactions (log the values, commit, then
-//     update in place) — plus the unsafe in-place mode that demonstrates why
-//     a mechanism is needed at all;
+//     update in place);
 //   - I/O and byte accounting (object writes, pointer swings, flush-
 //     transaction log traffic) that experiments E4/E5 report;
-//   - crash injection in the middle of a batch, leaving old state (shadow),
-//     recoverable state (committed flush transaction), or torn state
-//     (unsafe), matching each mechanism's real behaviour.
+//   - crash injection in the middle of a batch, leaving old state (shadow)
+//     or recoverable state (committed flush transaction), matching each
+//     mechanism's real behaviour.
 //
 // The store itself survives Crash; it is the cache and log tail that a crash
 // destroys.  Failure injection here models crashes *during* a flush.
@@ -46,10 +45,6 @@ const (
 	// the objects are then updated in place.  A crash after commit is
 	// repaired by RecoverPending; before commit the old state survives.
 	ModeFlushTxn
-	// ModeUnsafe writes the objects in place sequentially with no
-	// atomicity mechanism.  A crash mid-batch leaves a torn multi-object
-	// state — the failure the write-graph discipline exists to prevent.
-	ModeUnsafe
 
 	numBatchModes = iota
 )
@@ -62,8 +57,6 @@ func (m BatchMode) String() string {
 		return "shadow"
 	case ModeFlushTxn:
 		return "flushtxn"
-	case ModeUnsafe:
-		return "unsafe"
 	}
 	return fmt.Sprintf("BatchMode(%d)", uint8(m))
 }
@@ -236,9 +229,8 @@ func (s *Store) probeErr() error {
 //
 // ModeSingle requires exactly one entry.  Under injected failure the store
 // is left in the state the real mechanism would leave: unchanged (shadow
-// before swing, flush transaction before commit), torn (unsafe), or fully
-// old with a pending repair (flush transaction after commit — see
-// RecoverPending).
+// before swing, flush transaction before commit) or fully old with a
+// pending repair (flush transaction after commit — see RecoverPending).
 func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
@@ -258,16 +250,6 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 			return fmt.Errorf("stable: single write: %w", err)
 		}
 		s.applyEntry(entries[0])
-		return nil
-
-	case ModeUnsafe:
-		for i, e := range entries {
-			if err := s.probeErr(); err != nil {
-				// Torn: the first i entries are already applied.
-				return fmt.Errorf("stable: unsafe write %d: %w", i, err)
-			}
-			s.applyEntry(e)
-		}
 		return nil
 
 	case ModeShadow:

@@ -28,7 +28,7 @@ func crashAt(s *Store, idx int) *fault.Plan {
 
 func TestModeString(t *testing.T) {
 	if ModeSingle.String() != "single" || ModeShadow.String() != "shadow" ||
-		ModeFlushTxn.String() != "flushtxn" || ModeUnsafe.String() != "unsafe" ||
+		ModeFlushTxn.String() != "flushtxn" ||
 		BatchMode(9).String() == "" {
 		t.Error("BatchMode.String wrong")
 	}
@@ -190,25 +190,6 @@ func TestFlushTxnCosts(t *testing.T) {
 	}
 	if st.ObjectWrites != 2 || st.ObjectWriteBytes != 200 {
 		t.Errorf("ObjectWrites = %d (%d bytes)", st.ObjectWrites, st.ObjectWriteBytes)
-	}
-}
-
-func TestUnsafeTornWrite(t *testing.T) {
-	s := NewStore()
-	mustWrite(t, s, []Entry{{ID: "X", Val: []byte("old")}}, ModeSingle)
-	mustWrite(t, s, []Entry{{ID: "Y", Val: []byte("old")}}, ModeSingle)
-	crashAt(s, 1)
-	err := s.WriteBatch([]Entry{
-		{ID: "X", Val: []byte("new")},
-		{ID: "Y", Val: []byte("new")},
-	}, ModeUnsafe)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatal(err)
-	}
-	x, _ := s.Read("X")
-	y, _ := s.Read("Y")
-	if string(x.Val) != "new" || string(y.Val) != "old" {
-		t.Errorf("unsafe crash must tear: X=%q Y=%q", x.Val, y.Val)
 	}
 }
 
