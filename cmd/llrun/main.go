@@ -155,6 +155,10 @@ func main() {
 	}
 	sc := sim.DefaultScenario(*seed)
 	sc.Steps = *steps
+	// Spread the flat workload over enough objects that its redo suffix
+	// splits into several dependency chains, so -redo-workers has chains
+	// to replay in parallel.
+	sc.Objects = 512
 
 	var (
 		sb     *ship.Standby

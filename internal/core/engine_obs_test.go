@@ -222,4 +222,13 @@ func TestRecoveryTraceSpans(t *testing.T) {
 	if m.Histograms["recovery.redo.chain_ops"].Count == 0 {
 		t.Error("recovery.redo.chain_ops histogram empty")
 	}
+	// Metrics reports the recorder's whole counter family.
+	events, drops, spilled := fl.Counters()
+	for name, want := range map[string]int64{
+		"flight.events": events, "flight.ring_drops": drops, "flight.spill_bytes": spilled,
+	} {
+		if got, ok := m.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (reported %v), want %d", name, got, ok, want)
+		}
+	}
 }

@@ -22,10 +22,10 @@ import (
 )
 
 // TestExplainEndToEnd is the acceptance test for -explain: crash a workload
-// via a fault plan, recover with both the Trace oracle and the flight
-// recorder (spilling to disk), then assert that Explain names the same
-// decision — with a concrete reason — that the recovery pass actually made
-// for every operation record.
+// via a fault plan, recover with the flight recorder spilling to disk, then
+// assert that Explain names the decision — with a concrete reason — that the
+// recovery pass recorded for every operation record, and that those
+// decisions tally to the counts Recover returned.
 func TestExplainEndToEnd(t *testing.T) {
 	spillPath := filepath.Join(t.TempDir(), "flight.bin")
 	rec, recovered, err := flight.OpenSpill(spillPath, 64)
@@ -94,11 +94,8 @@ func TestExplainEndToEnd(t *testing.T) {
 	eng.Crash()
 	plan.Heal()
 
-	// Recover with the Trace oracle feeding one map and the flight
-	// recorder feeding the spill.  Serial redo keeps the oracle ordering
-	// trivial; parallel redo is decision-identical by construction.
-	oracle := make(map[op.SI]string)
-	if _, err := recovery.Recover(eng.Log(), eng.Store(), recovery.Options{
+	// Recover with the flight recorder feeding the spill.
+	res, err := recovery.Recover(eng.Log(), eng.Store(), recovery.Options{
 		Test: recovery.TestRSI,
 		Cache: cache.Config{
 			Policy:      writegraph.PolicyRW,
@@ -107,9 +104,9 @@ func TestExplainEndToEnd(t *testing.T) {
 			Registry:    eng.Registry(),
 		},
 		RedoWorkers: 1,
-		Trace:       func(o *op.Operation, decision string) { oracle[o.LSN] = decision },
 		Flight:      rec,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	if err := rec.Sync(); err != nil {
@@ -128,28 +125,48 @@ func TestExplainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The spill's redo-decision events are the oracle: one per operation
+	// record, tallying to the decision counts Recover returned.
+	oracle := make(map[op.SI]flight.Decision)
+	var tally recovery.Result
+	for _, ev := range events {
+		if ev.Kind != flight.KindRedoDecision {
+			continue
+		}
+		if _, dup := oracle[ev.LSN]; dup {
+			t.Fatalf("lsn=%d decided twice", ev.LSN)
+		}
+		oracle[ev.LSN] = ev.Dec
+		switch ev.Dec {
+		case flight.DecRedo:
+			tally.Redone++
+		case flight.DecSkipInstalled:
+			tally.SkippedInstalled++
+		case flight.DecSkipUnexposed:
+			tally.SkippedUnexposed++
+		case flight.DecVoided:
+			tally.Voided++
+		default:
+			t.Fatalf("lsn=%d: unknown redo decision %s", ev.LSN, ev.Dec)
+		}
+	}
 	if len(oracle) == 0 {
-		t.Fatal("oracle saw no redo decisions")
+		t.Fatal("spill holds no redo decisions")
+	}
+	if tally.Redone != res.Redone || tally.SkippedInstalled != res.SkippedInstalled ||
+		tally.SkippedUnexposed != res.SkippedUnexposed || tally.Voided != res.Voided {
+		t.Errorf("spilled decisions %+v disagree with Recover's counts %+v", tally, res)
 	}
 
-	wantDec := map[string]flight.Decision{
-		"redo":           flight.DecRedo,
-		"skip-installed": flight.DecSkipInstalled,
-		"skip-unexposed": flight.DecSkipUnexposed,
-		"voided":         flight.DecVoided,
-	}
-	seen := make(map[string]int)
-	for lsn, decision := range oracle {
+	seen := make(map[flight.Decision]int)
+	for lsn, want := range oracle {
 		x, err := forensics.Explain(recs, events, lsn)
 		if err != nil {
 			t.Fatalf("explain lsn=%d: %v", lsn, err)
 		}
-		want, ok := wantDec[decision]
-		if !ok {
-			t.Fatalf("oracle produced unknown decision %q", decision)
-		}
 		if x.Decision != want {
-			t.Errorf("lsn=%d: explain decision %s, oracle says %s\n%s", lsn, x.Decision, decision, x)
+			t.Errorf("lsn=%d: explain decision %s, recovery decided %s\n%s", lsn, x.Decision, want, x)
 		}
 		out := x.String()
 		switch want {
@@ -166,14 +183,14 @@ func TestExplainEndToEnd(t *testing.T) {
 				t.Errorf("lsn=%d: skip-unexposed explanation lacks the reason:\n%s", lsn, out)
 			}
 		}
-		seen[decision]++
+		seen[want]++
 	}
 	// The workload is built to exercise both main branches; if either is
 	// missing the test has stopped testing what it claims to.
-	if seen["skip-installed"] == 0 {
+	if seen[flight.DecSkipInstalled] == 0 {
 		t.Error("workload produced no skip-installed decisions")
 	}
-	if seen["redo"] == 0 {
+	if seen[flight.DecRedo] == 0 {
 		t.Error("workload produced no redo decisions")
 	}
 }

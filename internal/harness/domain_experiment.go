@@ -125,7 +125,6 @@ func E13DomainMixes() (*Table, error) {
 	}
 	physio := core.DefaultOptions()
 	physio.Physiological = true
-	var totalOps, totalLogical, totalPhysio int64
 	for _, mixName := range e13Mixes() {
 		for _, domain := range []string{"btree", "lsm"} {
 			lb, _, redone, keys, err := e13Run(core.DefaultOptions(), mixName, domain)
@@ -137,15 +136,7 @@ func E13DomainMixes() (*Table, error) {
 				return nil, err
 			}
 			t.AddRow(mixName, domain, lb, pb, float64(pb)/float64(lb), redone, keys)
-			totalOps += e13Steps
-			totalLogical += lb
-			totalPhysio += pb
 		}
-	}
-	if DefaultObs != nil {
-		DefaultObs.Counter("domain.ops").Add(totalOps)
-		DefaultObs.Counter("domain.logical_bytes").Add(totalLogical)
-		DefaultObs.Counter("domain.physio_bytes").Add(totalPhysio)
 	}
 	t.Notes = append(t.Notes,
 		"identical operation streams: each row's logical and physiological runs replay the same seeded mix",

@@ -23,9 +23,6 @@ func newEngine(opts core.Options) (*core.Engine, error) {
 	if opts.RedoWorkers == 0 {
 		opts.RedoWorkers = DefaultRedoWorkers
 	}
-	if opts.Obs == nil {
-		opts.Obs = DefaultObs
-	}
 	return core.New(opts)
 }
 

@@ -287,6 +287,21 @@ func TestE11Shape(t *testing.T) {
 	}
 }
 
+// TestE13Shape checks the domain claim: summed over every scenario mix and
+// both domains, logical logging writes fewer bytes than the physiological
+// baseline on identical operation streams.
+func TestE13Shape(t *testing.T) {
+	tbl := runExp(t, "E13")
+	var logical, physio int64
+	for i := range tbl.Rows {
+		logical += cellInt(t, tbl, i, 2)
+		physio += cellInt(t, tbl, i, 3)
+	}
+	if logical >= physio {
+		t.Errorf("logical log bytes (%d) not below the physiological baseline (%d)", logical, physio)
+	}
+}
+
 func TestA1Shape(t *testing.T) {
 	tbl := runExp(t, "A1")
 	if len(tbl.Rows) != 2 {

@@ -25,9 +25,6 @@ func E11ShipLag() (*Table, error) {
 		if opts.RedoWorkers == 0 {
 			opts.RedoWorkers = DefaultRedoWorkers
 		}
-		if opts.Obs == nil {
-			opts.Obs = DefaultObs
-		}
 		eng, err := newEngine(opts)
 		if err != nil {
 			return nil, err
@@ -36,10 +33,7 @@ func E11ShipLag() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1, ship.SenderConfig{
-			BatchRecords: batch,
-			Obs:          DefaultObs,
-		})
+		s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1, ship.SenderConfig{BatchRecords: batch})
 
 		spec := workload.DefaultSpec(77)
 		spec.Steps = 400

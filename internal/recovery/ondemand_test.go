@@ -9,6 +9,7 @@ import (
 
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
+	"logicallog/internal/obs"
 	"logicallog/internal/obs/flight"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
@@ -40,11 +41,12 @@ func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 	eng.Crash()
 
 	fl := flight.NewRecorder(1 << 13)
+	reg := obs.NewRegistry()
 	od, err := recovery.StartOnDemand(eng.Log(), eng.Store(), recovery.Options{
 		Test: opts.RedoTest,
 		Cache: cache.Config{
 			Policy: opts.Policy, Strategy: opts.Strategy,
-			LogInstalls: opts.LogInstalls, Registry: eng.Registry(),
+			LogInstalls: opts.LogInstalls, Registry: eng.Registry(), Obs: reg,
 		},
 		RedoWorkers: 1,
 		Flight:      fl,
@@ -92,6 +94,20 @@ func TestOnDemandConcurrentDemandTraced(t *testing.T) {
 	}
 	if chains != keys {
 		t.Errorf("chain phases = %d, want %d", chains, keys)
+	}
+	// The scheduler's counters split the same chains by who replayed them,
+	// and each demand-replayed chain was asked for by a Require call.
+	c := reg.Snapshot().Counters
+	demand := int64(len(byActor["demand"]))
+	if c["recovery.ondemand.demand_chains"] != demand || c["recovery.ondemand.background_chains"] != keys-demand {
+		t.Errorf("demand_chains = %d, background_chains = %d; chain phases say %d and %d",
+			c["recovery.ondemand.demand_chains"], c["recovery.ondemand.background_chains"], demand, keys-demand)
+	}
+	if c["recovery.ondemand.requires"] < demand {
+		t.Errorf("requires = %d, below the %d demand-replayed chains", c["recovery.ondemand.requires"], demand)
+	}
+	if _, ok := c["recovery.ondemand.demand_waits"]; !ok {
+		t.Error("recovery.ondemand.demand_waits not reported")
 	}
 	for actor, evs := range byActor {
 		switch actor {

@@ -74,10 +74,6 @@ type Options struct {
 	// StartOnDemand's caller leaves, so all run in the background.  Any
 	// value yields bit-identical recovered state and counters (parallel.go).
 	RedoWorkers int
-	// Trace, when non-nil, receives each redo-pass decision ("redo",
-	// "skip-installed", "skip-unexposed", "voided") as it is made.  Debug
-	// and inspection use only.
-	Trace func(o *op.Operation, decision string)
 	// Flight, when non-nil, records every redo decision (with its witness
 	// or dirty-table reason) in the flight recorder for post-hoc forensics
 	// (llinspect -explain), and the pipeline's phases: restart, flush-txn

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"sync"
 
 	"logicallog/internal/cache"
 	"logicallog/internal/obs"
@@ -21,8 +20,8 @@ const (
 	numOutcomes
 )
 
-// outcomes maps each Outcome to its flight decision (whose name is also the
-// Trace string) and its recovery.decide.* counter.
+// outcomes maps each Outcome to its flight decision and its
+// recovery.decide.* counter.
 var outcomes = [numOutcomes]struct {
 	dec    flight.Decision
 	metric string
@@ -33,7 +32,7 @@ var outcomes = [numOutcomes]struct {
 	SkippedUnexposed: {flight.DecSkipUnexposed, "recovery.decide.skip_unexposed"},
 }
 
-// String returns the decision name Options.Trace receives: "redo", "voided",
+// String returns the outcome's flight decision name: "redo", "voided",
 // "skip-installed" or "skip-unexposed".
 func (o Outcome) String() string { return outcomes[o].dec.String() }
 
@@ -63,17 +62,14 @@ type Step struct {
 	actor    string
 	flight   *flight.Recorder
 	counters [numOutcomes]*obs.Counter
-
-	traceMu sync.Mutex
-	trace   func(o *op.Operation, decision string)
 }
 
 // NewStep builds the redo step over mgr and the dirty object table dot (read
 // at each Apply, so a standby may keep updating it between calls).  Of opts
-// it uses Test, Cache.Obs, Flight and Trace; actor names the replayer in flight
+// it uses Test, Cache.Obs and Flight; actor names the replayer in flight
 // events ("recovery", "standby").
 func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI) *Step {
-	s := &Step{test: opts.Test, mgr: mgr, dot: dot, actor: actor, flight: opts.Flight, trace: opts.Trace}
+	s := &Step{test: opts.Test, mgr: mgr, dot: dot, actor: actor, flight: opts.Flight}
 	for out := range s.counters {
 		s.counters[out] = opts.Cache.Obs.Counter(outcomes[out].metric)
 	}
@@ -81,8 +77,8 @@ func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID
 }
 
 // Apply runs one logged operation through the REDO test and, if it says so,
-// the trial execution, then records the outcome in every sink: counter,
-// flight event (with the witness or dirty-table entry as evidence), Trace.
+// the trial execution, then records the outcome in every sink: counter and
+// flight event (with the witness or dirty-table entry as evidence).
 // o is replayed as decoded, without a copy: nothing on the replay path
 // writes to an operation, and transforms treat params as read-only, so a
 // record aliasing the log scanner's immutable snapshot stays intact.
@@ -106,10 +102,5 @@ func (s *Step) Apply(o *op.Operation) (Outcome, error) {
 	}
 	s.counters[out].Inc()
 	s.flight.RedoDecision(s.actor, o.LSN, outcomes[out].dec, obj, ref)
-	if s.trace != nil {
-		s.traceMu.Lock()
-		s.trace(o, out.String())
-		s.traceMu.Unlock()
-	}
 	return out, nil
 }

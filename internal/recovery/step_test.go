@@ -89,8 +89,7 @@ func stepCases() []stepCase {
 // TestStepOutcomeSinksAgree runs every REDO test over every recovering state
 // and requires the one outcome Apply returns to be what every sink saw: the
 // Result counter, the recovery.decide.* counter, the flight event (with its
-// witness or dirty-table evidence and the replayer's actor), and the Trace
-// string.
+// witness or dirty-table evidence and the replayer's actor).
 func TestStepOutcomeSinksAgree(t *testing.T) {
 	decide := map[recovery.Outcome]string{
 		recovery.Redone:           "recovery.decide.redo",
@@ -118,12 +117,8 @@ func TestStepOutcomeSinksAgree(t *testing.T) {
 					}
 					reg := obs.NewRegistry()
 					fl := flight.NewRecorder(16)
-					var traced []string
 					step := recovery.NewStep(recovery.Options{
 						Test: test, Cache: cache.Config{Obs: reg}, Flight: fl,
-						Trace: func(o *op.Operation, decision string) {
-							traced = append(traced, fmt.Sprintf("%d:%s", o.LSN, decision))
-						},
 					}, actor, mgr, tc.dot)
 
 					out, err := step.Apply(tc.op)
@@ -172,10 +167,6 @@ func TestStepOutcomeSinksAgree(t *testing.T) {
 						ev.Dec.String() != out.String() || ev.Object != wantObj || ev.Ref != wantRef {
 						t.Errorf("flight event = %+v, want %s by %s at lsn %d with evidence (%q, %d)",
 							ev, out, actor, stepLSN, wantObj, wantRef)
-					}
-
-					if wantTrace := fmt.Sprintf("%d:%s", stepLSN, out); len(traced) != 1 || traced[0] != wantTrace {
-						t.Errorf("Trace saw %v, want [%s]", traced, wantTrace)
 					}
 
 					_, getErr := mgr.Get(tc.op.WriteSet[0])

@@ -244,4 +244,10 @@ func TestServeDuringRedoToCompletion(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Errorf("Serve: %v", err)
 	}
+	// Every admitted request was answered before Shutdown returned.
+	c := reg.Snapshot().Counters
+	if c["server.requests"] == 0 || c["server.responses"] != c["server.requests"] {
+		t.Errorf("server.requests = %d, server.responses = %d; want equal and non-zero",
+			c["server.requests"], c["server.responses"])
+	}
 }
