@@ -22,7 +22,11 @@ import (
 	"logicallog/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so that its
+// deferred profile flush runs before the process exits.
+func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains in recovery-heavy experiments (0 = GOMAXPROCS, 1 = one replaying goroutine)")
@@ -37,7 +41,7 @@ func main() {
 			name = strings.TrimSpace(name)
 			if _, err := workload.ParseMix(name); err != nil {
 				fmt.Fprintf(os.Stderr, "llbench: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			harness.DefaultMixes = append(harness.DefaultMixes, name)
 		}
@@ -47,12 +51,13 @@ func main() {
 		for _, e := range harness.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Name)
 		}
-		return
+		return 0
 	}
 
 	prof, err := obs.StartProfiles(*cpuProfile, *memProfile, *runtimeTrace)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "llbench: %v\n", err)
+		return 1
 	}
 	defer func() {
 		if err := prof.Stop(); err != nil {
@@ -68,7 +73,7 @@ func main() {
 			e, ok := harness.Find(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "llbench: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, e)
 		}
@@ -79,13 +84,9 @@ func main() {
 		tbl, err := e.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "llbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		tbl.Render(os.Stdout)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "llbench: %v\n", err)
-	os.Exit(1)
+	return 0
 }

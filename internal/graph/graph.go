@@ -1,8 +1,7 @@
 // Package graph provides the batch directed-graph kit: successor/predecessor
-// tracking, Tarjan strongly-connected components, collapse-by-partition
-// (used twice by the paper's WriteGraph construction, Figure 3), topological
-// ordering, minimal (predecessor-free) node enumeration, and union-find over
-// dense indices.  The installation graph and the batch write graph BuildW are
+// tracking, Tarjan strongly-connected components, topological ordering,
+// minimal (predecessor-free) node enumeration, and union-find over dense
+// indices.  The installation graph and the batch write graph BuildW are
 // built with it, and the incremental write graph's Validate rebuilds its
 // edges as a Digraph to check them; the incremental write graph itself keeps
 // its edges on its own nodes.
@@ -227,75 +226,6 @@ func (g *Digraph) TopoOrder() ([]NodeID, error) {
 		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), len(g.succ))
 	}
 	return order, nil
-}
-
-// Collapse collapses g with respect to a partition of its nodes, exactly as
-// in Figure 3 of the paper: the result has one node per partition class, and
-// an edge between classes v and w iff some edge of g connects a member of v
-// to a member of w.  Self-edges created by intra-class edges are dropped
-// (they carry no flush-ordering information once the class flushes
-// atomically).
-//
-// partition maps every node of g to its class id; nodes sharing a class id
-// collapse together.  Class ids become the node ids of the result.
-func (g *Digraph) Collapse(partition map[NodeID]NodeID) (*Digraph, error) {
-	out := New()
-	//lint:ignore replaydeterminism set construction; first missing-partition error is the only order effect and any violation fails
-	for n := range g.succ {
-		c, ok := partition[n]
-		if !ok {
-			return nil, fmt.Errorf("graph: node %d missing from partition", n)
-		}
-		out.AddNode(c)
-	}
-	//lint:ignore replaydeterminism edge-set construction; resulting maps identical in any order
-	for u, s := range g.succ {
-		cu := partition[u]
-		for _, v := range s {
-			cv := partition[v]
-			if cu != cv {
-				out.AddEdge(cu, cv)
-			}
-		}
-	}
-	return out, nil
-}
-
-// CondensationPartition returns a partition mapping each node to the
-// smallest node id of its strongly connected component.  Feeding this to
-// Collapse yields the condensation of g, which is acyclic — the second
-// collapse of Figure 3 ("collapsing V made W acyclic").
-func (g *Digraph) CondensationPartition() map[NodeID]NodeID {
-	part := make(map[NodeID]NodeID, len(g.succ))
-	for _, comp := range g.SCC() {
-		rep := comp[0] // components are sorted ascending
-		for _, n := range comp {
-			part[n] = rep
-		}
-	}
-	return part
-}
-
-// TransitiveClosurePartition computes the partition induced by the
-// transitive closure of a symmetric "related" relation over nodes — the
-// first collapse of Figure 3, where O ~ P iff writeset(O) ∩ writeset(P) ≠ ∅.
-// It is implemented as union-find over the nodes' positions, so each class
-// is represented by its first member in nodes.  Every related pair must name
-// members of nodes.
-func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]NodeID {
-	index := make(map[NodeID]int, len(nodes))
-	for i, n := range nodes {
-		index[n] = i
-	}
-	uf := NewUnionFind(len(nodes))
-	for _, pair := range related {
-		uf.Union(index[pair[0]], index[pair[1]])
-	}
-	part := make(map[NodeID]NodeID, len(nodes))
-	for i, n := range nodes {
-		part[n] = nodes[uf.Find(i)]
-	}
-	return part
 }
 
 // Validate checks structural invariants: pred/succ symmetry, absence of

@@ -139,84 +139,6 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
-func TestCollapse(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(1, 3)
-	// Collapse {1,2} together.
-	part := map[NodeID]NodeID{1: 10, 2: 10, 3: 30}
-	c, err := g.Collapse(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("collapsed Len = %d", c.Len())
-	}
-	if !c.HasEdge(10, 30) {
-		t.Error("collapsed edge missing")
-	}
-	if c.HasEdge(10, 10) {
-		t.Error("intra-class edge must be dropped")
-	}
-	// Missing partition entry errors.
-	if _, err := g.Collapse(map[NodeID]NodeID{1: 1}); err == nil {
-		t.Error("Collapse with incomplete partition must error")
-	}
-}
-
-func TestCondensationMakesAcyclic(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 3)
-	cond, err := g.Collapse(g.CondensationPartition())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cond.HasCycle() {
-		t.Error("condensation must be acyclic")
-	}
-	if cond.Len() != 2 {
-		t.Errorf("condensation Len = %d, want 2", cond.Len())
-	}
-	if !cond.HasEdge(1, 3) {
-		t.Error("condensation lost inter-component edge")
-	}
-}
-
-func TestCondensationRandomProperty(t *testing.T) {
-	// Property: for random graphs, the condensation is always acyclic and
-	// node count equals the SCC count.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		g := New()
-		n := 2 + rng.Intn(30)
-		for i := 0; i < n; i++ {
-			g.AddNode(NodeID(i))
-		}
-		edges := rng.Intn(3 * n)
-		for i := 0; i < edges; i++ {
-			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-		}
-		cond, err := g.Collapse(g.CondensationPartition())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cond.HasCycle() {
-			t.Fatalf("trial %d: condensation cyclic", trial)
-		}
-		if cond.Len() != len(g.SCC()) {
-			t.Fatalf("trial %d: condensation Len %d != SCC count %d", trial, cond.Len(), len(g.SCC()))
-		}
-		if _, err := cond.TopoOrder(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2)
@@ -227,21 +149,6 @@ func TestClone(t *testing.T) {
 	}
 	if !c.HasEdge(1, 2) || !c.HasEdge(2, 3) {
 		t.Error("Clone incomplete")
-	}
-}
-
-func TestTransitiveClosurePartition(t *testing.T) {
-	nodes := []NodeID{1, 2, 3, 4, 5}
-	related := [][2]NodeID{{1, 2}, {2, 3}, {4, 5}}
-	part := TransitiveClosurePartition(nodes, related)
-	if part[1] != part[2] || part[2] != part[3] {
-		t.Error("1,2,3 must share a class")
-	}
-	if part[4] != part[5] {
-		t.Error("4,5 must share a class")
-	}
-	if part[1] == part[4] {
-		t.Error("distinct classes merged")
 	}
 }
 

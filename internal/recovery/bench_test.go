@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"logicallog/internal/cache"
@@ -78,5 +79,66 @@ func BenchmarkRedo(b *testing.B) {
 			}
 			b.ReportMetric(float64(base.Redone)*float64(b.N)/b.Elapsed().Seconds(), "redoops/s")
 		})
+	}
+}
+
+// BenchmarkRecoverInstalledLog times a restart shaped like the kv-commit
+// workload's: a file WAL of 8 192 physical writes over 1 024 keys, each
+// forced and installed before the next, so the log holds one operation and
+// one installation record per write and redo has nothing to replay.  Each
+// iteration crashes the log and recovers it, so the prologue (device read,
+// torn-tail walk, decode, analysis) is the whole cost.  Run with -benchmem.
+func BenchmarkRecoverInstalledLog(b *testing.B) {
+	const (
+		writes  = 8192
+		keys    = 1024
+		valSize = 128
+	)
+	dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dev.Close()
+	log, err := wal.New(dev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := stable.NewStore()
+	cfg := cache.Config{
+		Policy:      writegraph.PolicyRW,
+		Strategy:    cache.StrategyIdentityWrite,
+		LogInstalls: true,
+		Registry:    op.NewRegistry(),
+	}
+	mgr, err := cache.NewManager(cfg, log, store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < writes; i++ {
+		val := make([]byte, valSize)
+		val[0], val[1] = byte(i), byte(i>>8)
+		if err := mgr.Execute(op.NewPhysicalWrite(op.ObjectID(fmt.Sprintf("key%04d", i%keys)), val)); err != nil {
+			b.Fatal(err)
+		}
+		if err := log.Force(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.InstallMinimal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := log.Force(); err != nil { // the last installation record
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		log.Crash()
+		res, err := recovery.Recover(log, store, recovery.Options{Test: recovery.TestRSI, Cache: cfg, RedoWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.AnalyzedRecords != 2*writes || res.Redone != 0 {
+			b.Fatalf("analyzed %d records and redid %d ops, want %d and 0", res.AnalyzedRecords, res.Redone, 2*writes)
+		}
 	}
 }

@@ -207,9 +207,11 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	// Restart the log over its device first, as a process restart would:
 	// trim the untrustworthy debris of a torn, bit-flipped, or reordered
 	// final append, and re-derive the LSN horizon from the durable log so
-	// post-recovery appends keep it gap-free (see wal.Log.Restart).
+	// post-recovery appends keep it gap-free (see wal.Log.Restart).  Its
+	// walk returns the durable records, decoded, for analysis to fold.
 	t := fl.Clock()
-	if err := log.Restart(); err != nil {
+	recs, err := log.Restart()
+	if err != nil {
 		return nil, nil, err
 	}
 	fl.Phase(actorRecovery, flight.DecRestart, t, log.FirstLSN(), log.StableLSN())
@@ -231,10 +233,7 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 
 	// Analysis pass.
 	t = fl.Clock()
-	dot, ops, err := analyze(log, res, opts.Test)
-	if err != nil {
-		return nil, nil, err
-	}
+	dot, ops := analyze(recs, res, opts.Test)
 	fl.Phase(actorRecovery, flight.DecAnalysis, t, log.FirstLSN(), log.StableLSN())
 
 	// Redo scan start point: the minimum rSI over the reconstructed dirty
@@ -258,33 +257,22 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	return dot, ops, nil
 }
 
-// analyze reconstructs the dirty object table in one scan of the durable
-// log, applying the Section 5 update rules: operation records dirty their
-// written objects; flush records clean their object; installation records
-// clean flushed objects and — only under the generalized TestRSI — advance
-// rSIs of unflushed (unexposed) objects; a checkpoint record restates the
-// whole table, so the result is the last checkpoint's table rolled forward,
-// and CheckpointLSN and AnalyzedRecords count from that checkpoint.  A
-// traditional vSI recovery has no notion of installed-without-flushing, so
-// under TestVSI/TestRedoAll those objects stay dirty at their first-update
-// rSI and the redo scan is correspondingly longer.  analyze also returns
-// every operation record it decoded, in LSN order, so that the redo pass
-// can take its suffix without decoding the log a second time.
-func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, []*op.Operation, error) {
+// analyze reconstructs the dirty object table by folding the durable
+// log's records, in LSN order, through the Section 5 update rules:
+// operation records dirty their written objects; flush records clean their
+// object; installation records clean flushed objects and — only under the
+// generalized TestRSI — advance rSIs of unflushed (unexposed) objects; a
+// checkpoint record restates the whole table, so the result is the last
+// checkpoint's table rolled forward, and CheckpointLSN and AnalyzedRecords
+// count from that checkpoint.  A traditional vSI recovery has no notion of
+// installed-without-flushing, so under TestVSI/TestRedoAll those objects
+// stay dirty at their first-update rSI and the redo scan is correspondingly
+// longer.  analyze also returns every operation record, in LSN order, so
+// that the redo pass can take its suffix without decoding the log again.
+func analyze(recs []*wal.Record, res *Result, test RedoTest) (dirtyTable, []*op.Operation) {
 	dot := make(dirtyTable)
-	sc, err := log.Scan(log.FirstLSN())
-	if err != nil {
-		return nil, nil, err
-	}
 	var ops []*op.Operation
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			return dot, ops, nil
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, rec := range recs {
 		switch rec.Type {
 		case wal.RecOperation:
 			ops = append(ops, rec.Op)
@@ -295,6 +283,7 @@ func analyze(log *wal.Log, res *Result, test RedoTest) (dirtyTable, []*op.Operat
 		res.AnalyzedRecords++
 		UpdateDirtyTable(dot, rec, test)
 	}
+	return dot, ops
 }
 
 // UpdateDirtyTable applies one log record's Section 5 analysis rule to the

@@ -498,44 +498,57 @@ func (d *countingDevice) ReadAll() ([]byte, error) {
 	return d.Device.ReadAll()
 }
 
-// TestRecoverReadsLogTwice: a restart reads the device once to trim its
-// torn tail and learn the LSN range, and once for analysis, which keeps the
-// operation records it decodes so the redo pass takes its suffix from them
-// instead of scanning again.
-func TestRecoverReadsLogTwice(t *testing.T) {
-	dev := &countingDevice{Device: wal.NewMemDevice()}
-	log, err := wal.New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []*op.Operation{
-		op.NewCreate("X", []byte("x")),
-		op.NewPhysioWrite("X", op.FuncAppend, []byte("+")),
-	} {
-		if _, err := log.AppendOp(o); err != nil {
+// TestRecoverReadsLogOnce: a restart reads the device once.  Restart's
+// torn-tail walk decodes the durable records and hands them to analysis,
+// which keeps the operation records so the redo pass takes its suffix from
+// them; neither reads the device again.  A torn final append is trimmed by
+// that walk and never reaches analysis.
+func TestRecoverReadsLogOnce(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		dev := &countingDevice{Device: wal.NewMemDevice()}
+		log, err := wal.New(dev)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := log.Append(wal.NewCheckpointRecord([]wal.DirtyEntry{{ID: "X", RSI: 1}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Force(); err != nil {
-		t.Fatal(err)
-	}
-	log.Crash()
-	dev.reads = 0
-	res, err := Recover(log, stable.NewStore(), Options{
-		Test:  TestRSI,
-		Cache: cache.Config{Policy: writegraph.PolicyRW, Registry: op.NewRegistry(), LogInstalls: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.reads != 2 {
-		t.Errorf("Recover read the device %d times, want 2", dev.reads)
-	}
-	if res.Redone != 2 {
-		t.Errorf("Redone = %d, want 2", res.Redone)
+		for _, o := range []*op.Operation{
+			op.NewCreate("X", []byte("x")),
+			op.NewPhysioWrite("X", op.FuncAppend, []byte("+")),
+		} {
+			if _, err := log.AppendOp(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := log.Append(wal.NewCheckpointRecord([]wal.DirtyEntry{{ID: "X", RSI: 1}})); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Force(); err != nil {
+			t.Fatal(err)
+		}
+		if torn {
+			// The final append lands all but the last byte of its frame.
+			o := op.NewPhysioWrite("X", op.FuncAppend, []byte("!"))
+			o.LSN = 4
+			frame := wal.AppendFrame(nil, &wal.Record{Type: wal.RecOperation, LSN: 4, Op: o})
+			if err := dev.Append(frame[:len(frame)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.Crash()
+		dev.reads = 0
+		res, err := Recover(log, stable.NewStore(), Options{
+			Test:  TestRSI,
+			Cache: cache.Config{Policy: writegraph.PolicyRW, Registry: op.NewRegistry(), LogInstalls: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dev.reads != 1 {
+			t.Errorf("torn=%v: Recover read the device %d times, want 1", torn, dev.reads)
+		}
+		if res.CheckpointLSN != 3 || res.AnalyzedRecords != 1 || res.Redone != 2 {
+			t.Errorf("torn=%v: CheckpointLSN %d, AnalyzedRecords %d, Redone %d; want 3, 1, 2",
+				torn, res.CheckpointLSN, res.AnalyzedRecords, res.Redone)
+		}
 	}
 }
 

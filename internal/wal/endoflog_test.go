@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"logicallog/internal/frame"
@@ -48,9 +49,10 @@ func sixRecordImage(t *testing.T) (img []byte, ends []int) {
 // TestReadersAgreeOnEndOfLog: every reader of a device decides where the
 // durable log ends by the same rule.  On the image of a 6-record log cut at
 // every length, with every bit of frame 3 flipped, and with frame 3 dropped,
-// New's horizon, a full scan, Restart, TrimTornTail and Truncate(2) all keep
-// exactly the first k records, where k counts the whole frames before the
-// damage.
+// New's horizon, a full scan, Restart (with and without a crash first) and
+// Truncate(2) all keep exactly the first k records, where k counts the whole
+// frames before the damage; the records Restart returns are those k, as a
+// scan of the trimmed log yields them.
 func TestReadersAgreeOnEndOfLog(t *testing.T) {
 	img, ends := sixRecordImage(t)
 	start := func(i int) int { // offset of frame i (1-based)
@@ -108,25 +110,31 @@ func TestReadersAgreeOnEndOfLog(t *testing.T) {
 			t.Fatalf("%s (%d bytes): Scan yields %d records, want %d", c.name, len(c.data), len(recs), c.k)
 		}
 
+		// Restart straight after New (nothing buffered) and after a crash
+		// keep the same prefix, and return exactly the records a scan of
+		// the trimmed log yields.
+		for _, crash := range []bool{false, true} {
+			l, dev := open()
+			if crash {
+				l.Crash()
+			}
+			recs, err := l.Restart()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := dev.ReadAll(); !bytes.Equal(got, prefix) || (c.k > 0 && int(l.NextLSN())-1 != c.k) {
+				t.Fatalf("%s (%d bytes), crash=%v: Restart kept %d bytes and resumes after %d, want %d and %d",
+					c.name, len(c.data), crash, len(got), l.NextLSN()-1, len(prefix), c.k)
+			}
+			sc, _ := l.Scan(l.FirstLSN())
+			after, _ := sc.All()
+			if len(recs) != c.k || !reflect.DeepEqual(recs, after) {
+				t.Fatalf("%s (%d bytes), crash=%v: Restart returned %d records, a scan after it %d, want %d of each",
+					c.name, len(c.data), crash, len(recs), len(after), c.k)
+			}
+		}
+
 		l, dev := open()
-		if _, err := l.TrimTornTail(); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := dev.ReadAll(); !bytes.Equal(got, prefix) {
-			t.Fatalf("%s (%d bytes): TrimTornTail kept %d bytes, want %d", c.name, len(c.data), len(got), len(prefix))
-		}
-
-		l, dev = open()
-		l.Crash()
-		if err := l.Restart(); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := dev.ReadAll(); !bytes.Equal(got, prefix) || (c.k > 0 && int(l.NextLSN())-1 != c.k) {
-			t.Fatalf("%s (%d bytes): Restart kept %d bytes and resumes after %d, want %d and %d",
-				c.name, len(c.data), len(got), l.NextLSN()-1, len(prefix), c.k)
-		}
-
-		l, dev = open()
 		if err := l.Truncate(2); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +187,7 @@ func TestRestartReadsDeviceOnce(t *testing.T) {
 		}
 		l.Crash()
 		dev.reads = 0
-		if err := l.Restart(); err != nil {
+		if _, err := l.Restart(); err != nil {
 			t.Fatal(err)
 		}
 		if dev.reads != 1 {

@@ -75,7 +75,7 @@ func TestTornTailEveryLength(t *testing.T) {
 
 		// In-process restart trims the debris and reuses the lost LSN.
 		l.Crash()
-		if err := l.Restart(); err != nil {
+		if _, err := l.Restart(); err != nil {
 			t.Fatalf("cut %d: restart: %v", cut, err)
 		}
 		lsn := mustAppendRec(t, l, wal.NewFlushRecord("B", 3))
@@ -118,7 +118,7 @@ func TestTornTailFullAppendLosesOnlyAck(t *testing.T) {
 	}
 	plan.Heal()
 	l.Crash()
-	if err := l.Restart(); err != nil {
+	if _, err := l.Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if l.StableLSN() != 2 {
@@ -161,7 +161,7 @@ func TestBitFlipStopsScan(t *testing.T) {
 		t.Fatalf("scan past flipped frame: %v", recs)
 	}
 	l.Crash()
-	if err := l.Restart(); err != nil {
+	if _, err := l.Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if l.StableLSN() != 1 {
@@ -205,7 +205,7 @@ func TestReorderedBatchTrimsAtGap(t *testing.T) {
 		t.Fatalf("scan across LSN gap: %v", recs)
 	}
 	l.Crash()
-	if err := l.Restart(); err != nil {
+	if _, err := l.Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.StableLSN(); got != 2 {
@@ -232,8 +232,12 @@ func TestReorderedFirstAppendWipesDevice(t *testing.T) {
 	}
 	plan.Heal()
 	l.Crash()
-	if err := l.Restart(); err != nil {
+	recs, err := l.Restart()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Errorf("Restart returned %d records, want none (orphaned suffix must not reach analysis)", len(recs))
 	}
 	if got := l.StableLSN(); got != 0 {
 		t.Errorf("StableLSN = %d, want 0 (orphaned suffix must be wiped)", got)

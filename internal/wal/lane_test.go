@@ -196,7 +196,7 @@ func TestStreamConcurrentAppendsStayDense(t *testing.T) {
 			t.Fatalf("LSN %d holds %+v, want the write of %v to %q", rec.LSN, rec, w.val, w.key)
 		}
 	}
-	if err := l.Restart(); err != nil {
+	if _, err := l.Restart(); err != nil {
 		t.Fatal(err)
 	}
 	// The lost LSNs are reused — unless the forcer never got to run before

@@ -529,32 +529,40 @@ func (l *Log) Crash() int {
 	return n
 }
 
-// TrimTornTail rewrites the device down to its trustworthy prefix and
-// returns the bytes discarded.  That prefix is the durable log as
-// Scanner.step defines it, with one more rule: if its first record lies
-// beyond the acked horizon (stableLSN), it must start exactly where the log
-// would have appended.  Everything from the first violation on is the debris
-// of a torn, bit-flipped, or reordered final append.
-func (l *Log) TrimTornTail() (int, error) {
+// Restart re-synchronizes the log with its device at recovery time, as a
+// process restart's New would, and returns the records of the surviving
+// durable prefix in LSN order, decoded once by its own walk so that
+// recovery's analysis need not read the device again.  The records alias
+// the walk's immutable device snapshot: read-only.
+//
+// Restart waits out any in-flight force, then rewrites the device down to
+// its trustworthy prefix.  That prefix is the durable log as Scanner.step
+// defines it, with one more rule: if its first record lies beyond the acked
+// horizon (stableLSN), it must start exactly where the log would have
+// appended.  Everything from the first violation on is the debris of a
+// torn, bit-flipped, or reordered final append.  When the volatile buffers
+// are empty, i.e. the caller crashed first, Restart also rewinds the LSN
+// horizon to the durable log so the LSNs of lost records are reused and the
+// durable log stays gap-free.  With volatile records still buffered
+// (recovery without a crash) the horizon is left alone: the buffers still
+// own their LSNs.  An empty device also leaves the horizon alone, because
+// checkpoint truncation legitimately erases records whose LSNs must not be
+// reassigned.
+func (l *Log) Restart() ([]*Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.forcing {
 		l.forceDone.Wait()
 	}
-	trimmed, _, _, err := l.trimTornTailLocked()
-	return trimmed, err
-}
-
-// trimTornTailLocked is TrimTornTail under l.mu; it also returns the first
-// and last LSN of the surviving prefix (0, 0 when the device is left empty).
-func (l *Log) trimTornTailLocked() (trimmed int, first, last op.SI, err error) {
 	sc, err := l.Scan(0)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, fmt.Errorf("wal: restart: %w", err)
 	}
+	var recs []*Record
+	var last op.SI
 	good := 0
 	for rec := sc.step(); rec != nil; rec = sc.step() {
-		if first == 0 && rec.LSN > l.stableLSN {
+		if recs == nil && rec.LSN > l.stableLSN {
 			// The device's very first record was never acked, so nothing
 			// vouches for it unless it sits exactly where the next append
 			// would have landed: after the acked horizon, or at the log's
@@ -568,62 +576,32 @@ func (l *Log) trimTornTailLocked() (trimmed int, first, last op.SI, err error) {
 				break
 			}
 		}
-		if first == 0 {
-			first = rec.LSN
+		recs = append(recs, rec)
+		last, good = rec.LSN, sc.off
+	}
+	if good < len(sc.data) {
+		if err := l.dev.Rewrite(sc.data[:good]); err != nil {
+			return nil, fmt.Errorf("wal: restart: %w", err)
 		}
-		last = rec.LSN
-		good = sc.off
-	}
-	if good == len(sc.data) {
-		return 0, first, last, nil
-	}
-	if err := l.dev.Rewrite(sc.data[:good]); err != nil {
-		return 0, 0, 0, err
-	}
-	if last < l.stableLSN {
-		// Only possible outside the crash model (acked data lost); keep
-		// the horizon consistent with the device regardless.
-		l.stableLSN = last
-	}
-	return len(sc.data) - good, first, last, nil
-}
-
-// Restart re-synchronizes the log with its device at recovery time, as a
-// process restart's New would: it waits out any in-flight force, trims the
-// untrustworthy tail a mid-append crash left behind (see TrimTornTail), and
-// — when the volatile buffers are empty, i.e. the caller crashed first —
-// rewinds the LSN horizon to the durable log so the LSNs of lost records
-// are reused and the durable log stays gap-free.  With volatile records
-// still buffered (recovery without a crash) the horizon is left alone: the
-// buffers still own their LSNs.  An empty device also leaves the horizon
-// alone, because checkpoint truncation legitimately erases records whose
-// LSNs must not be reassigned.
-func (l *Log) Restart() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.forcing {
-		l.forceDone.Wait()
-	}
-	_, first, last, err := l.trimTornTailLocked()
-	if err != nil {
-		return fmt.Errorf("wal: restart: %w", err)
+		if last < l.stableLSN {
+			// Only possible outside the crash model (acked data lost); keep
+			// the horizon consistent with the device regardless.
+			l.stableLSN = last
+		}
 	}
 	l.laneMu.Lock()
 	defer l.laneMu.Unlock()
-	if len(l.ends) != 0 {
-		return nil
+	if len(l.ends) != 0 || recs == nil {
+		return recs, nil // buffered records or an empty device: keep the horizon
 	}
-	if last == 0 {
-		return nil // empty device: keep the horizon (see doc comment)
-	}
-	l.firstLSN = first
+	l.firstLSN = recs[0].LSN
 	if last > l.stableLSN {
 		// A torn append can land every frame and lose only the ack; the
 		// records are durable, so the horizon advances over them.
 		l.stableLSN = last
 	}
 	l.nextLSN.Store(uint64(l.stableLSN) + 1)
-	return nil
+	return recs, nil
 }
 
 // RegisterRetention registers a truncation horizon: Truncate will never
@@ -712,9 +690,9 @@ func (l *Log) Truncate(before op.SI) error {
 //
 // Returned records' byte fields (operation params and values) alias the
 // scanner's private snapshot of the device, which is immutable; callers must
-// treat them as read-only.  Recovery replays the operations its analysis
-// scan decoded, without copying them, so the redo pass neither decodes the
-// log again nor copies a record's payload.
+// treat them as read-only.  Recovery analyzes and replays the records
+// Restart's walk decoded, without copying them, so neither analysis nor the
+// redo pass decodes the log again or copies a record's payload.
 type Scanner struct {
 	data  []byte // the device snapshot
 	off   int    // offset of the next frame in data
@@ -736,7 +714,7 @@ func (l *Log) Scan(from op.SI) (*Scanner, error) {
 
 // step accepts the record at the scanner's offset if it extends the durable
 // log, and returns nil where the log ends.  This is the end-of-log rule, and
-// every reader of the device — New, Restart's trim, Truncate, Next — applies
+// every reader of the device — New, Restart, Truncate, Next — applies
 // it through here: the frame is whole and its checksum matches, its payload
 // decodes, and its LSN is the previous record's plus one.  A torn or
 // bit-flipped final append fails the first two; a reordered batch whose
