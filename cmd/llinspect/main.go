@@ -148,10 +148,8 @@ func printRecord(rec *wal.Record) {
 		extra := ""
 		if len(o.Values) > 0 {
 			var sizes []string
-			for _, x := range o.WriteSet {
-				if v, ok := o.Values[x]; ok {
-					sizes = append(sizes, fmt.Sprintf("%s=%dB", x, len(v)))
-				}
+			for i, v := range o.Values {
+				sizes = append(sizes, fmt.Sprintf("%s=%dB", o.WriteSet[i], len(v)))
 			}
 			extra = " values{" + strings.Join(sizes, " ") + "}"
 		}

@@ -80,14 +80,11 @@ func Register(reg *op.Registry) {
 // execStep: A <- Ex(A).  Params carry the step's salt.  The accumulator
 // absorbs the input buffer (xor-folded with the salt), the output buffer
 // becomes a transform of the accumulator, and the input buffer is consumed.
-func execStep(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
-	id, raw, err := soleEntry(reads)
-	if err != nil {
-		return nil, err
-	}
+func execStep(params []byte, a *op.Args) error {
+	id, raw := a.Sole()
 	st, err := DecodeState(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	acc := append([]byte(nil), st.Acc...)
 	for i, b := range st.Input {
@@ -110,67 +107,50 @@ func execStep(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]by
 		Output: append([]byte(nil), acc...),
 		Steps:  st.Steps + 1,
 	}
-	return map[op.ObjectID][]byte{id: out.Encode()}, nil
+	a.Write(id, out.Encode())
+	return nil
 }
 
 // readStep: A <- R(A,X).  Params name the application object so the
 // transformation can tell its two inputs apart.
-func readStep(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func readStep(params []byte, a *op.Args) error {
 	appID := op.ObjectID(params)
-	raw, ok := reads[appID]
-	if !ok {
-		return nil, fmt.Errorf("apprec: read step missing application state %q", appID)
+	rs := a.ReadSet()
+	if len(rs) != 2 {
+		return fmt.Errorf("apprec: read step wants the application and one source, got %v", rs)
 	}
-	var data []byte
-	found := false
-	for id, v := range reads {
-		if id != appID {
-			data = v
-			found = true
-		}
+	src := rs[0]
+	if src == appID {
+		src = rs[1]
 	}
-	if !found {
-		return nil, fmt.Errorf("apprec: read step missing source object")
-	}
-	st, err := DecodeState(raw)
+	st, err := DecodeState(a.Read(appID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out := &State{
-		Input:  append(append([]byte(nil), st.Input...), data...),
+		Input:  append(append([]byte(nil), st.Input...), a.Read(src)...),
 		Acc:    st.Acc,
 		Output: st.Output,
 		Steps:  st.Steps,
 	}
-	return map[op.ObjectID][]byte{appID: out.Encode()}, nil
+	a.Write(appID, out.Encode())
+	return nil
 }
 
 // writeStep: X <- W_L(A,X).  Params name the target object.  The new value
 // of X is the application's output buffer — read from A at replay time,
 // never logged.
-func writeStep(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
-	_, raw, err := soleEntry(reads)
-	if err != nil {
-		return nil, err
-	}
+func writeStep(params []byte, a *op.Args) error {
+	_, raw := a.Sole()
 	st, err := DecodeState(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(params) == 0 {
-		return nil, fmt.Errorf("apprec: write step missing target")
+		return fmt.Errorf("apprec: write step missing target")
 	}
-	return map[op.ObjectID][]byte{op.ObjectID(params): append([]byte(nil), st.Output...)}, nil
-}
-
-func soleEntry(reads map[op.ObjectID][]byte) (op.ObjectID, []byte, error) {
-	if len(reads) != 1 {
-		return "", nil, fmt.Errorf("apprec: expected 1 read, got %d", len(reads))
-	}
-	for id, v := range reads {
-		return id, v, nil
-	}
-	panic("unreachable")
+	a.Write(op.ObjectID(params), append([]byte(nil), st.Output...))
+	return nil
 }
 
 // App drives one recoverable application over an engine.

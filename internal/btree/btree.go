@@ -84,45 +84,41 @@ func decodeMeta(v []byte) (*meta, error) {
 // --- registered transformations --------------------------------------------
 
 // fnInsertLeaf params: EncodeParams(key, val).
-func fnInsertLeaf(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnInsertLeaf(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 2 {
-		return nil, fmt.Errorf("btree: insertleaf wants (key, val)")
+		return fmt.Errorf("btree: insertleaf wants (key, val)")
 	}
-	id, raw, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+	id, raw := a.Sole()
 	p, err := decodePage(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if p.kind != leafPage {
-		return nil, fmt.Errorf("btree: insertleaf on non-leaf %q", id)
+		return fmt.Errorf("btree: insertleaf on non-leaf %q", id)
 	}
 	p.insertLeaf(fields[0], fields[1])
-	return map[op.ObjectID][]byte{id: encodePage(p)}, nil
+	a.Write(id, encodePage(p))
+	return nil
 }
 
 // fnDeleteLeaf params: EncodeParams(key).
-func fnDeleteLeaf(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnDeleteLeaf(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 1 {
-		return nil, fmt.Errorf("btree: deleteleaf wants (key)")
+		return fmt.Errorf("btree: deleteleaf wants (key)")
 	}
-	id, raw, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+	id, raw := a.Sole()
 	p, err := decodePage(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if p.kind != leafPage {
-		return nil, fmt.Errorf("btree: deleteleaf on non-leaf %q", id)
+		return fmt.Errorf("btree: deleteleaf on non-leaf %q", id)
 	}
 	p.deleteLeaf(fields[0])
-	return map[op.ObjectID][]byte{id: encodePage(p)}, nil
+	a.Write(id, encodePage(p))
+	return nil
 }
 
 // fnSplitChild params: EncodeParams(parentID, childID, newChildID).
@@ -130,30 +126,22 @@ func fnDeleteLeaf(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID]
 // contents come entirely from the old child — nothing but ids on the log.
 // Splitting a leaf threads the chain: the new right leaf inherits the old
 // next pointer and the split leaf points at the new one.
-func fnSplitChild(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnSplitChild(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 3 {
-		return nil, fmt.Errorf("btree: splitchild wants (parent, child, newChild)")
+		return fmt.Errorf("btree: splitchild wants (parent, child, newChild)")
 	}
 	parentID, childID, newID := op.ObjectID(fields[0]), op.ObjectID(fields[1]), op.ObjectID(fields[2])
-	parentRaw, ok := reads[parentID]
-	if !ok {
-		return nil, fmt.Errorf("btree: splitchild missing parent %q", parentID)
-	}
-	childRaw, ok := reads[childID]
-	if !ok {
-		return nil, fmt.Errorf("btree: splitchild missing child %q", childID)
-	}
-	parent, err := decodePage(parentRaw)
+	parent, err := decodePage(a.Read(parentID))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	child, err := decodePage(childRaw)
+	child, err := decodePage(a.Read(childID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if parent.kind != internalPage {
-		return nil, fmt.Errorf("btree: splitchild parent %q is not internal", parentID)
+		return fmt.Errorf("btree: splitchild parent %q is not internal", parentID)
 	}
 	right, sep := child.splitRight()
 	if child.kind == leafPage {
@@ -161,39 +149,30 @@ func fnSplitChild(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID]
 		child.next = newID
 	}
 	if err := parent.insertChild(sep, childID, newID); err != nil {
-		return nil, err
+		return err
 	}
-	return map[op.ObjectID][]byte{
-		parentID: encodePage(parent),
-		childID:  encodePage(child),
-		newID:    encodePage(right),
-	}, nil
+	a.Write(parentID, encodePage(parent))
+	a.Write(childID, encodePage(child))
+	a.Write(newID, encodePage(right))
+	return nil
 }
 
 // fnSplitRoot params: EncodeParams(metaID, rootID, newChildID, newRootID).
 // Reads meta and the old root; writes meta, old root, new child, new root.
-func fnSplitRoot(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnSplitRoot(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 4 {
-		return nil, fmt.Errorf("btree: splitroot wants (meta, root, newChild, newRoot)")
+		return fmt.Errorf("btree: splitroot wants (meta, root, newChild, newRoot)")
 	}
 	metaID, rootID := op.ObjectID(fields[0]), op.ObjectID(fields[1])
 	newChildID, newRootID := op.ObjectID(fields[2]), op.ObjectID(fields[3])
-	metaRaw, ok := reads[metaID]
-	if !ok {
-		return nil, fmt.Errorf("btree: splitroot missing meta")
-	}
-	rootRaw, ok := reads[rootID]
-	if !ok {
-		return nil, fmt.Errorf("btree: splitroot missing root")
-	}
-	m, err := decodeMeta(metaRaw)
+	m, err := decodeMeta(a.Read(metaID))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	root, err := decodePage(rootRaw)
+	root, err := decodePage(a.Read(rootID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	right, sep := root.splitRight()
 	if root.kind == leafPage {
@@ -207,125 +186,103 @@ func fnSplitRoot(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][
 	}
 	m.root = newRootID
 	m.height++
-	return map[op.ObjectID][]byte{
-		metaID:     encodeMeta(m),
-		rootID:     encodePage(root),
-		newChildID: encodePage(right),
-		newRootID:  encodePage(newRoot),
-	}, nil
+	a.Write(metaID, encodeMeta(m))
+	a.Write(rootID, encodePage(root))
+	a.Write(newChildID, encodePage(right))
+	a.Write(newRootID, encodePage(newRoot))
+	return nil
 }
 
 // fnMergeChild params: EncodeParams(parentID, leftID, rightID).
 // Reads all three pages; writes parent and left.  The right sibling is
 // absorbed into the left (separator pulled down for internal pages, leaf
 // chain re-threaded for leaves) and becomes an orphan the driver deletes.
-func fnMergeChild(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnMergeChild(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 3 {
-		return nil, fmt.Errorf("btree: mergechild wants (parent, left, right)")
+		return fmt.Errorf("btree: mergechild wants (parent, left, right)")
 	}
 	parentID, leftID, rightID := op.ObjectID(fields[0]), op.ObjectID(fields[1]), op.ObjectID(fields[2])
-	parent, left, right, slot, err := siblingPages(reads, parentID, leftID, rightID)
+	parent, left, right, slot, err := siblingPages(a, parentID, leftID, rightID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	parent.mergeRight(slot, left, right)
-	return map[op.ObjectID][]byte{
-		parentID: encodePage(parent),
-		leftID:   encodePage(left),
-	}, nil
+	a.Write(parentID, encodePage(parent))
+	a.Write(leftID, encodePage(left))
+	return nil
 }
 
 // fnRebalance params: EncodeParams(parentID, leftID, rightID, [dir]).
 // Reads and writes all three pages.  dir selects the donor: borrowLeft
 // moves the left sibling's last entry right, borrowRight moves the right
 // sibling's first entry left; the parent separator follows.
-func fnRebalance(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnRebalance(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 4 || len(fields[3]) != 1 {
-		return nil, fmt.Errorf("btree: rebalance wants (parent, left, right, dir)")
+		return fmt.Errorf("btree: rebalance wants (parent, left, right, dir)")
 	}
 	parentID, leftID, rightID := op.ObjectID(fields[0]), op.ObjectID(fields[1]), op.ObjectID(fields[2])
-	parent, left, right, slot, err := siblingPages(reads, parentID, leftID, rightID)
+	parent, left, right, slot, err := siblingPages(a, parentID, leftID, rightID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch fields[3][0] {
 	case borrowLeft:
 		if len(left.keys) == 0 {
-			return nil, fmt.Errorf("btree: rebalance from empty left %q", leftID)
+			return fmt.Errorf("btree: rebalance from empty left %q", leftID)
 		}
 		parent.borrowFromLeft(slot, left, right)
 	case borrowRight:
 		if len(right.keys) < 2 {
-			return nil, fmt.Errorf("btree: rebalance would empty right %q", rightID)
+			return fmt.Errorf("btree: rebalance would empty right %q", rightID)
 		}
 		parent.borrowFromRight(slot, left, right)
 	default:
-		return nil, fmt.Errorf("btree: rebalance direction %q", fields[3])
+		return fmt.Errorf("btree: rebalance direction %q", fields[3])
 	}
-	return map[op.ObjectID][]byte{
-		parentID: encodePage(parent),
-		leftID:   encodePage(left),
-		rightID:  encodePage(right),
-	}, nil
+	a.Write(parentID, encodePage(parent))
+	a.Write(leftID, encodePage(left))
+	a.Write(rightID, encodePage(right))
+	return nil
 }
 
 // fnCollapseRoot params: EncodeParams(metaID, rootID).
 // Reads the meta and the keyless internal root; writes only the meta, which
 // now points at the root's sole child.  The driver deletes the old root.
-func fnCollapseRoot(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnCollapseRoot(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 2 {
-		return nil, fmt.Errorf("btree: collapseroot wants (meta, root)")
+		return fmt.Errorf("btree: collapseroot wants (meta, root)")
 	}
 	metaID, rootID := op.ObjectID(fields[0]), op.ObjectID(fields[1])
-	metaRaw, ok := reads[metaID]
-	if !ok {
-		return nil, fmt.Errorf("btree: collapseroot missing meta")
-	}
-	rootRaw, ok := reads[rootID]
-	if !ok {
-		return nil, fmt.Errorf("btree: collapseroot missing root")
-	}
-	m, err := decodeMeta(metaRaw)
+	m, err := decodeMeta(a.Read(metaID))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	root, err := decodePage(rootRaw)
+	root, err := decodePage(a.Read(rootID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if root.kind != internalPage || len(root.keys) != 0 || len(root.children) != 1 {
-		return nil, fmt.Errorf("btree: collapseroot on non-collapsible root %q", rootID)
+		return fmt.Errorf("btree: collapseroot on non-collapsible root %q", rootID)
 	}
 	m.root = root.children[0]
 	m.height--
-	return map[op.ObjectID][]byte{metaID: encodeMeta(m)}, nil
+	a.Write(metaID, encodeMeta(m))
+	return nil
 }
 
 // siblingPages decodes a parent and two adjacent siblings out of a read set
 // and locates the left sibling's slot.
-func siblingPages(reads map[op.ObjectID][]byte, parentID, leftID, rightID op.ObjectID) (parent, left, right *page, slot int, err error) {
-	parentRaw, ok := reads[parentID]
-	if !ok {
-		return nil, nil, nil, 0, fmt.Errorf("btree: missing parent %q", parentID)
-	}
-	leftRaw, ok := reads[leftID]
-	if !ok {
-		return nil, nil, nil, 0, fmt.Errorf("btree: missing left sibling %q", leftID)
-	}
-	rightRaw, ok := reads[rightID]
-	if !ok {
-		return nil, nil, nil, 0, fmt.Errorf("btree: missing right sibling %q", rightID)
-	}
-	if parent, err = decodePage(parentRaw); err != nil {
+func siblingPages(a *op.Args, parentID, leftID, rightID op.ObjectID) (parent, left, right *page, slot int, err error) {
+	if parent, err = decodePage(a.Read(parentID)); err != nil {
 		return nil, nil, nil, 0, err
 	}
-	if left, err = decodePage(leftRaw); err != nil {
+	if left, err = decodePage(a.Read(leftID)); err != nil {
 		return nil, nil, nil, 0, err
 	}
-	if right, err = decodePage(rightRaw); err != nil {
+	if right, err = decodePage(a.Read(rightID)); err != nil {
 		return nil, nil, nil, 0, err
 	}
 	if parent.kind != internalPage {
@@ -339,16 +296,6 @@ func siblingPages(reads map[op.ObjectID][]byte, parentID, leftID, rightID op.Obj
 		return nil, nil, nil, 0, fmt.Errorf("btree: %q and %q are not adjacent under %q", leftID, rightID, parentID)
 	}
 	return parent, left, right, slot, nil
-}
-
-func soleRead(reads map[op.ObjectID][]byte) (op.ObjectID, []byte, error) {
-	if len(reads) != 1 {
-		return "", nil, fmt.Errorf("btree: expected 1 read, got %d", len(reads))
-	}
-	for id, v := range reads {
-		return id, v, nil
-	}
-	panic("unreachable")
 }
 
 // --- tree driver ------------------------------------------------------------

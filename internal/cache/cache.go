@@ -402,7 +402,7 @@ func (m *Manager) Execute(o *op.Operation) error {
 	if o.LSN != op.NilSI {
 		return fmt.Errorf("cache: operation %s already logged", o)
 	}
-	writes, err := m.computeWrites(o)
+	writes, err := m.ComputeWrites(o)
 	if err != nil {
 		return err
 	}
@@ -420,7 +420,7 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 	if o.LSN == op.NilSI {
 		return false, fmt.Errorf("cache: TryApplyLogged requires a logged operation")
 	}
-	writes, cerr := m.computeWrites(o)
+	writes, cerr := m.ComputeWrites(o)
 	if errors.Is(cerr, op.ErrUnknownFunc) {
 		// Not inapplicable state: the registry lacks the operation's
 		// domain, and voiding would silently drop its writes.
@@ -434,22 +434,24 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 	return false, m.applyLogged(o, writes)
 }
 
-// computeWrites runs o's transformation over borrowed reads: the
-// TransformFunc contract makes them read-only, so no read is copied.
-func (m *Manager) computeWrites(o *op.Operation) (map[op.ObjectID][]byte, error) {
-	reads := make(map[op.ObjectID][]byte, len(o.ReadSet))
-	for _, x := range o.ReadSet {
+// ComputeWrites runs o's transformation against the cached state and
+// returns its writes in WriteSet order, changing nothing.  The reads are
+// borrowed: the TransformFunc contract makes them read-only, so no read is
+// copied.
+func (m *Manager) ComputeWrites(o *op.Operation) ([][]byte, error) {
+	reads := make([][]byte, len(o.ReadSet))
+	for i, x := range o.ReadSet {
 		v, err := m.Borrow(x)
 		if err != nil {
 			return nil, fmt.Errorf("cache: %s reads %q: %w", o, x, err)
 		}
-		reads[x] = v
+		reads[i] = v
 	}
 	return m.cfg.Registry.Apply(o, reads)
 }
 
-func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) error {
-	for _, x := range o.WriteSet {
+func (m *Manager) applyLogged(o *op.Operation, writes [][]byte) error {
+	for i, x := range o.WriteSet {
 		e, ok := m.lookup(x)
 		if !ok {
 			// A blind write may create the object; fault in the stable
@@ -462,13 +464,12 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 			}
 			e = m.insert(x, e)
 		}
-		v := writes[x]
-		if o.Kind == op.KindDelete || (v == nil && containsObj(o.Deletes, x)) {
+		if o.Kind == op.KindDelete {
 			e.exists = false
 			e.val = nil
 		} else {
 			e.exists = true
-			e.val = v
+			e.val = writes[i]
 		}
 		e.vsi = o.LSN
 		e.pending = append(e.pending, o.LSN)
@@ -884,13 +885,4 @@ func prunePending(pending []op.SI, installed map[op.SI]bool) []op.SI {
 		}
 	}
 	return out
-}
-
-func containsObj(ids []op.ObjectID, x op.ObjectID) bool {
-	for _, id := range ids {
-		if id == x {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -148,7 +149,7 @@ func figure7(t *testing.T, m *Manager) {
 	a := &op.Operation{
 		Kind:     op.KindPhysicalWrite,
 		WriteSet: []op.ObjectID{"X", "Y"},
-		Values:   map[op.ObjectID][]byte{"X": []byte("xA"), "Y": []byte("yA")},
+		Values:   [][]byte{[]byte("xA"), []byte("yA")},
 	}
 	mustExec(t, m, a)
 	mustExec(t, m, op.NewLogical(op.FuncCopy, []byte("Z"), []op.ObjectID{"X"}, []op.ObjectID{"Z"}))
@@ -336,7 +337,7 @@ func TestIdentityBreakupRequiresRW(t *testing.T) {
 	a := &op.Operation{
 		Kind:     op.KindPhysicalWrite,
 		WriteSet: []op.ObjectID{"X", "Y"},
-		Values:   map[op.ObjectID][]byte{"X": []byte("x"), "Y": []byte("y")},
+		Values:   [][]byte{[]byte("x"), []byte("y")},
 	}
 	mustExec(t, m, a)
 	if _, err := m.InstallMinimal(); err == nil {
@@ -457,6 +458,90 @@ func TestTryApplyLoggedVoidsBadRedo(t *testing.T) {
 	}
 }
 
+// TestContractBreachVoids: a transform that breaks its operation's
+// contract voids a redo trial without touching the cache or the write
+// graph, and fails Execute before the operation reaches the log.  Each
+// breach is one registered transform over an operation that reads and
+// writes {X, Y}.
+func TestContractBreachVoids(t *testing.T) {
+	breaches := []struct {
+		name string
+		fn   op.TransformFunc
+	}{
+		{"read outside readset", func(_ []byte, a *op.Args) error {
+			a.Read("Z")
+			a.Write("X", []byte("x'"))
+			a.Write("Y", []byte("y'"))
+			return nil
+		}},
+		{"sole of two reads", func(_ []byte, a *op.Args) error {
+			_, v := a.Sole()
+			a.Write("X", append([]byte(nil), v...))
+			a.Write("Y", []byte("y'"))
+			return nil
+		}},
+		{"write outside writeset", func(_ []byte, a *op.Args) error {
+			a.Write("X", []byte("x'"))
+			a.Write("Y", []byte("y'"))
+			a.Write("Z", []byte("z'"))
+			return nil
+		}},
+		{"double write", func(_ []byte, a *op.Args) error {
+			a.Write("X", []byte("x'"))
+			a.Write("Y", []byte("y'"))
+			a.Write("X", []byte("x''"))
+			return nil
+		}},
+		{"unwritten slot", func(_ []byte, a *op.Args) error {
+			a.Write("X", []byte("x'"))
+			return nil
+		}},
+	}
+	reg := op.NewRegistry()
+	for i, b := range breaches {
+		reg.Register(op.FuncID(fmt.Sprintf("test.breach%d", i)), b.fn)
+	}
+	for i, b := range breaches {
+		t.Run(b.name, func(t *testing.T) {
+			cfg := rwIdentityCfg()
+			cfg.Registry = reg
+			m, log, _ := newTestManager(t, cfg)
+			mustExec(t, m, op.NewCreate("X", []byte("x")))
+			mustExec(t, m, op.NewCreate("Y", []byte("y")))
+			state := func() string {
+				x, xerr := m.Get("X")
+				y, yerr := m.Get("Y")
+				xv, _ := m.VSI("X")
+				yv, _ := m.VSI("Y")
+				g := m.WriteGraph()
+				return fmt.Sprintf("X=%q %v @%d, Y=%q %v @%d, graph %d nodes %d ops, dirty %d, next LSN %d",
+					x, xerr, xv, y, yerr, yv, g.Len(), g.OpCount(), m.DirtyCount(), log.NextLSN())
+			}
+			xy := []op.ObjectID{"X", "Y"}
+			before := state()
+
+			o := op.NewLogical(op.FuncID(fmt.Sprintf("test.breach%d", i)), nil, xy, xy)
+			o.LSN = log.NextLSN()
+			voided, err := m.TryApplyLogged(o)
+			if err != nil || !voided {
+				t.Errorf("TryApplyLogged = voided %v, %v; want voided", voided, err)
+			}
+			if after := state(); after != before {
+				t.Errorf("voided trial changed state:\n before %s\n after  %s", before, after)
+			}
+
+			o = op.NewLogical(op.FuncID(fmt.Sprintf("test.breach%d", i)), nil, xy, xy)
+			var ce *op.ContractError
+			if err := m.Execute(o); !errors.As(err, &ce) {
+				t.Errorf("Execute = %v, want a *op.ContractError", err)
+			}
+			if after := state(); after != before {
+				t.Errorf("failed Execute changed state or logged:\n before %s\n after  %s", before, after)
+			}
+		})
+	}
+}
+
 // TestBorrowedReadsAreCapped: transforms receive the cached value itself,
 // not a copy, so the borrowed slice must be capped at its length.  X is
 // given spare capacity; two operations then each write append(X, b) for
@@ -464,17 +549,19 @@ func TestTryApplyLoggedVoidsBadRedo(t *testing.T) {
 // and the first result would end in the second's byte.
 func TestBorrowedReadsAreCapped(t *testing.T) {
 	reg := op.NewRegistry()
-	reg.Register("test.spare", func(_ []byte, _ map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+	reg.Register("test.spare", func(_ []byte, a *op.Args) error {
 		v := make([]byte, 3, 64)
 		copy(v, "abc")
-		return map[op.ObjectID][]byte{"X": v}, nil
+		a.Write("X", v)
+		return nil
 	})
-	reg.Register("test.append", func(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+	reg.Register("test.append", func(params []byte, a *op.Args) error {
 		fields, err := op.DecodeParams(params)
 		if err != nil || len(fields) != 2 {
-			return nil, errors.New("test.append: want (target, byte) params")
+			return errors.New("test.append: want (target, byte) params")
 		}
-		return map[op.ObjectID][]byte{op.ObjectID(fields[0]): append(reads["X"], fields[1]...)}, nil
+		a.Write(op.ObjectID(fields[0]), append(a.Read("X"), fields[1]...))
+		return nil
 	})
 	cfg := rwIdentityCfg()
 	cfg.Registry = reg
@@ -522,16 +609,16 @@ func TestRandomWorkloadMatchesOracle(t *testing.T) {
 				}
 				o := randomWorkloadOp(rng, objects)
 				// Oracle replay first (Execute mutates op LSN only).
-				reads := map[op.ObjectID][]byte{}
-				for _, x := range o.ReadSet {
-					reads[x] = oracle[x]
+				reads := make([][]byte, len(o.ReadSet))
+				for i, x := range o.ReadSet {
+					reads[i] = oracle[x]
 				}
 				writes, err := reg.Apply(o, reads)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for x, v := range writes {
-					oracle[x] = v
+				for i, x := range o.WriteSet {
+					oracle[x] = writes[i]
 				}
 				mustExec(t, m, o)
 			}

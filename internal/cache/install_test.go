@@ -144,12 +144,14 @@ func (r *installRig) follow(t *testing.T, primary *wal.Log, next *op.SI) {
 // differ.
 func TestInstallStepEquivalence(t *testing.T) {
 	multi := func(vals map[op.ObjectID]string) *op.Operation {
-		o := &op.Operation{Kind: op.KindPhysicalWrite, Values: map[op.ObjectID][]byte{}}
-		for x, v := range vals {
+		o := &op.Operation{Kind: op.KindPhysicalWrite}
+		for x := range vals {
 			o.WriteSet = append(o.WriteSet, x)
-			o.Values[x] = []byte(v)
 		}
 		o.WriteSet = op.Canonicalize(o.WriteSet)
+		for _, x := range o.WriteSet {
+			o.Values = append(o.Values, []byte(vals[x]))
+		}
 		return o
 	}
 	shapes := []struct {
@@ -397,7 +399,7 @@ func TestInstallForcesTheLog(t *testing.T) {
 			mustExec(t, primary.m, op.NewCreate("A", []byte("a")))
 			mustExec(t, primary.m, op.NewPhysioWrite("A", op.FuncAppend, []byte("+")))
 			xyz := &op.Operation{Kind: op.KindPhysicalWrite, WriteSet: []op.ObjectID{"X", "Y", "Z"},
-				Values: map[op.ObjectID][]byte{"X": []byte("x"), "Y": []byte("y"), "Z": []byte("z")}}
+				Values: [][]byte{[]byte("x"), []byte("y"), []byte("z")}}
 			mustExec(t, primary.m, xyz)
 			mustExec(t, primary.m, op.NewPhysicalWrite("X", []byte("x2"))) // blind: X joins Notx
 			if err := primary.m.PurgeAll(); err != nil {
@@ -464,16 +466,16 @@ func TestInstallForcesTheLog(t *testing.T) {
 func TestInstallRecordMatchesRemovedNode(t *testing.T) {
 	objects := []op.ObjectID{"o0", "o1", "o2", "o3", "o4"}
 	multi := func(rng *rand.Rand) *op.Operation {
-		o := &op.Operation{Kind: op.KindPhysicalWrite, Values: map[op.ObjectID][]byte{}}
+		o := &op.Operation{Kind: op.KindPhysicalWrite}
 		for _, x := range objects {
 			if rng.Intn(2) == 0 {
 				o.WriteSet = append(o.WriteSet, x)
-				o.Values[x] = []byte{byte(rng.Intn(256))}
+				o.Values = append(o.Values, []byte{byte(rng.Intn(256))})
 			}
 		}
 		if len(o.WriteSet) < 2 {
 			o.WriteSet = objects[:2]
-			o.Values = map[op.ObjectID][]byte{objects[0]: {1}, objects[1]: {2}}
+			o.Values = [][]byte{{1}, {2}}
 		}
 		return o
 	}
@@ -578,7 +580,7 @@ func TestInstallRecordMatchesRemovedNode(t *testing.T) {
 				// the o0 that node wrote, and the inverse write-read edge
 				// the identity write adds defers the node behind it.
 				mustExec(t, m, &op.Operation{Kind: op.KindPhysicalWrite, WriteSet: objects[:2],
-					Values: map[op.ObjectID][]byte{objects[0]: {1}, objects[1]: {2}}})
+					Values: [][]byte{{1}, {2}}})
 				mustExec(t, m, op.NewLogical(op.FuncCopy, []byte(objects[2]), objects[:1], objects[2:3]))
 				mustExec(t, m, op.NewPhysioWrite(objects[1], op.FuncAppend, []byte{3}))
 				install()

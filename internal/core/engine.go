@@ -5,7 +5,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -279,16 +278,7 @@ func (e *Engine) lowerPhysiological(o *op.Operation) (*op.Operation, error) {
 		return o, nil
 	}
 	// Compute the writes against current state and log them physically.
-	// The reads are borrowed, as in the cache's own transform calls.
-	reads := make(map[op.ObjectID][]byte, len(o.ReadSet))
-	for _, x := range o.ReadSet {
-		v, err := e.mgr.Borrow(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: lowering %s: %w", o, err)
-		}
-		reads[x] = v
-	}
-	writes, err := e.reg.Apply(o, reads)
+	writes, err := e.mgr.ComputeWrites(o)
 	if err != nil {
 		return nil, err
 	}

@@ -69,8 +69,8 @@ func TestPhysiologicalLowering(t *testing.T) {
 	if last.Kind != op.KindPhysicalWrite {
 		t.Errorf("lowered kind = %v", last.Kind)
 	}
-	if string(last.Values["dst"]) != "data" {
-		t.Errorf("lowered value = %q", last.Values["dst"])
+	if len(last.Values) != 1 || string(last.Values[0]) != "data" {
+		t.Errorf("lowered values = %q", last.Values)
 	}
 	// Physiological self-transforms pass through unchanged.
 	if err := eng.Execute(op.NewPhysioWrite("dst", op.FuncAppend, []byte("!"))); err != nil {

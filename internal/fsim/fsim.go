@@ -36,61 +36,41 @@ func Register(reg *op.Registry) {
 	reg.Register(FuncConcatFiles, concatFn)
 }
 
-func truncateFn(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
-	id, v, err := sole(reads)
-	if err != nil {
-		return nil, err
-	}
+func truncateFn(params []byte, a *op.Args) error {
+	id, v := a.Sole()
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 1 || len(fields[0]) != 8 {
-		return nil, fmt.Errorf("fsim: truncate wants an 8-byte length param")
+		return fmt.Errorf("fsim: truncate wants an 8-byte length param")
 	}
 	n := int(beUint64(fields[0]))
 	if n > len(v) {
 		n = len(v)
 	}
-	return map[op.ObjectID][]byte{id: append([]byte(nil), v[:n]...)}, nil
+	a.Write(id, append([]byte(nil), v[:n]...))
+	return nil
 }
 
-func appendFn(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
-	id, v, err := sole(reads)
-	if err != nil {
-		return nil, err
-	}
+func appendFn(params []byte, a *op.Args) error {
+	id, v := a.Sole()
 	out := make([]byte, 0, len(v)+len(params))
 	out = append(out, v...)
 	out = append(out, params...)
-	return map[op.ObjectID][]byte{id: out}, nil
+	a.Write(id, out)
+	return nil
 }
 
 // concatFn params: EncodeParams(target, first, second).
-func concatFn(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func concatFn(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 3 {
-		return nil, fmt.Errorf("fsim: concat wants (target, first, second) params")
+		return fmt.Errorf("fsim: concat wants (target, first, second) params")
 	}
-	a, ok := reads[op.ObjectID(fields[1])]
-	if !ok {
-		return nil, fmt.Errorf("fsim: concat missing %q", fields[1])
-	}
-	b, ok := reads[op.ObjectID(fields[2])]
-	if !ok {
-		return nil, fmt.Errorf("fsim: concat missing %q", fields[2])
-	}
-	out := make([]byte, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return map[op.ObjectID][]byte{op.ObjectID(fields[0]): out}, nil
-}
-
-func sole(reads map[op.ObjectID][]byte) (op.ObjectID, []byte, error) {
-	if len(reads) != 1 {
-		return "", nil, fmt.Errorf("fsim: expected 1 read, got %d", len(reads))
-	}
-	for id, v := range reads {
-		return id, v, nil
-	}
-	panic("unreachable")
+	first, second := a.Read(op.ObjectID(fields[1])), a.Read(op.ObjectID(fields[2]))
+	out := make([]byte, 0, len(first)+len(second))
+	out = append(out, first...)
+	out = append(out, second...)
+	a.Write(op.ObjectID(fields[0]), out)
+	return nil
 }
 
 func beUint64(b []byte) uint64 {

@@ -220,7 +220,7 @@ func E4Refinement() (*Table, error) {
 		}},
 		{"Fig7: A writes {X,Y}; B reads X; C blind-writes X", []*op.Operation{
 			{Kind: op.KindPhysicalWrite, WriteSet: []op.ObjectID{"X", "Y"},
-				Values: map[op.ObjectID][]byte{"X": {1}, "Y": {2}}},
+				Values: [][]byte{{1}, {2}}},
 			op.NewLogical(op.FuncCopy, []byte("Z"), []op.ObjectID{"X"}, []op.ObjectID{"Z"}),
 			op.NewPhysicalWrite("X", []byte{3}),
 		}},

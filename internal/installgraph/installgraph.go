@@ -250,16 +250,16 @@ func (ig *Graph) ValueAfter(reg *op.Registry, I PrefixSet, initial map[op.Object
 	}
 	for _, l := range ig.order {
 		o := ig.ops[l]
-		reads := make(map[op.ObjectID][]byte, len(o.ReadSet))
-		for _, x := range o.ReadSet {
-			reads[x] = state[x]
+		reads := make([][]byte, len(o.ReadSet))
+		for i, x := range o.ReadSet {
+			reads[i] = state[x]
 		}
 		writes, err := reg.Apply(o, reads)
 		if err != nil {
 			return nil, fmt.Errorf("installgraph: replaying %s: %w", o, err)
 		}
-		//lint:ignore replaydeterminism one operation's writes have distinct keys; apply order cannot matter
-		for x, v := range writes {
+		for i, x := range o.WriteSet {
+			v := writes[i]
 			state[x] = v
 			if I[l] {
 				result[x] = v

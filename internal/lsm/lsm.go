@@ -145,22 +145,15 @@ func findEntry(es []entry, key []byte) (int, bool) {
 
 // fnMemPut params: EncodeParams(key, tag, val).  Upserts into the sorted
 // memtable; a tombstone tag records a delete that masks older tables.
-func fnMemPut(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnMemPut(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 3 || len(fields[1]) != 1 {
-		return nil, fmt.Errorf("lsm: memput wants (key, tag, val)")
+		return fmt.Errorf("lsm: memput wants (key, tag, val)")
 	}
-	if len(reads) != 1 {
-		return nil, fmt.Errorf("lsm: memput expected 1 read, got %d", len(reads))
-	}
-	var id op.ObjectID
-	var raw []byte
-	for i, v := range reads {
-		id, raw = i, v
-	}
+	id, raw := a.Sole()
 	es, err := decodeTable(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e := entry{key: fields[0], tag: fields[1][0], val: fields[2]}
 	i, found := findEntry(es, e.key)
@@ -171,48 +164,41 @@ func fnMemPut(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]by
 		copy(es[i+1:], es[i:])
 		es[i] = e
 	}
-	return map[op.ObjectID][]byte{id: encodeTable(es)}, nil
+	a.Write(id, encodeTable(es))
+	return nil
 }
 
 // fnFlush params: EncodeParams(manifestID, memID, newSSTID).  The new
 // table's id must match the manifest's allocation counter, so replaying the
 // flush against the same pre-state re-derives the same object — nothing but
 // ids on the log.
-func fnFlush(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnFlush(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) != 3 {
-		return nil, fmt.Errorf("lsm: flush wants (manifest, mem, newSST)")
+		return fmt.Errorf("lsm: flush wants (manifest, mem, newSST)")
 	}
 	manID, memID, sstID := op.ObjectID(fields[0]), op.ObjectID(fields[1]), op.ObjectID(fields[2])
-	manRaw, ok := reads[manID]
-	if !ok {
-		return nil, fmt.Errorf("lsm: flush missing manifest %q", manID)
-	}
-	memRaw, ok := reads[memID]
-	if !ok {
-		return nil, fmt.Errorf("lsm: flush missing memtable %q", memID)
-	}
-	man, err := decodeManifest(manRaw)
+	memRaw := a.Read(memID)
+	man, err := decodeManifest(a.Read(manID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	es, err := decodeTable(memRaw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(es) == 0 {
-		return nil, fmt.Errorf("lsm: flush of empty memtable")
+		return fmt.Errorf("lsm: flush of empty memtable")
 	}
 	if want := tableID(manID, man.next); want != sstID {
-		return nil, fmt.Errorf("lsm: flush table id %q, manifest allocates %q", sstID, want)
+		return fmt.Errorf("lsm: flush table id %q, manifest allocates %q", sstID, want)
 	}
 	man.next++
 	man.tables = append([]op.ObjectID{sstID}, man.tables...)
-	return map[op.ObjectID][]byte{
-		manID: encodeManifest(man),
-		memID: encodeTable(nil),
-		sstID: append([]byte(nil), memRaw...), // outputs never alias reads
-	}, nil
+	a.Write(manID, encodeManifest(man))
+	a.Write(memID, encodeTable(nil))
+	a.Write(sstID, append([]byte(nil), memRaw...)) // outputs never alias reads
+	return nil
 }
 
 // fnCompact params: EncodeParams(manifestID, outID, inputIDs...) with the
@@ -220,35 +206,31 @@ func fnFlush(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byt
 // of the manifest's table list; the merged output keeps the newest entry per
 // key and, because the suffix reaches the oldest table, drops tombstones for
 // good.  The output id must match the manifest's allocation counter.
-func fnCompact(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func fnCompact(params []byte, a *op.Args) error {
 	fields, err := op.DecodeParams(params)
 	if err != nil || len(fields) < 4 {
-		return nil, fmt.Errorf("lsm: compact wants (manifest, out, inputs...)")
+		return fmt.Errorf("lsm: compact wants (manifest, out, inputs...)")
 	}
 	manID, outID := op.ObjectID(fields[0]), op.ObjectID(fields[1])
-	manRaw, ok := reads[manID]
-	if !ok {
-		return nil, fmt.Errorf("lsm: compact missing manifest %q", manID)
-	}
-	man, err := decodeManifest(manRaw)
+	man, err := decodeManifest(a.Read(manID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	inputs := make([]op.ObjectID, 0, len(fields)-2)
 	for _, f := range fields[2:] {
 		inputs = append(inputs, op.ObjectID(f))
 	}
 	if len(inputs) > len(man.tables) {
-		return nil, fmt.Errorf("lsm: compacting %d of %d tables", len(inputs), len(man.tables))
+		return fmt.Errorf("lsm: compacting %d of %d tables", len(inputs), len(man.tables))
 	}
 	keep := len(man.tables) - len(inputs)
 	for i, id := range inputs {
 		if man.tables[keep+i] != id {
-			return nil, fmt.Errorf("lsm: compact inputs are not the manifest's oldest tables")
+			return fmt.Errorf("lsm: compact inputs are not the manifest's oldest tables")
 		}
 	}
 	if want := tableID(manID, man.next); want != outID {
-		return nil, fmt.Errorf("lsm: compact output id %q, manifest allocates %q", outID, want)
+		return fmt.Errorf("lsm: compact output id %q, manifest allocates %q", outID, want)
 	}
 	// Merge newest-precedence: walk inputs newest-first, first sighting of a
 	// key wins.  The map is membership-only; ordering comes from sorting the
@@ -256,13 +238,9 @@ func fnCompact(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]b
 	merged := make(map[string]entry, 64)
 	var keys []string
 	for _, id := range inputs {
-		raw, ok := reads[id]
-		if !ok {
-			return nil, fmt.Errorf("lsm: compact missing input %q", id)
-		}
-		es, err := decodeTable(raw)
+		es, err := decodeTable(a.Read(id))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, e := range es {
 			if _, seen := merged[string(e.key)]; !seen {
@@ -283,10 +261,9 @@ func fnCompact(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]b
 	}
 	man.next++
 	man.tables = append(man.tables[:keep:keep], outID)
-	return map[op.ObjectID][]byte{
-		manID: encodeManifest(man),
-		outID: encodeTable(out),
-	}, nil
+	a.Write(manID, encodeManifest(man))
+	a.Write(outID, encodeTable(out))
+	return nil
 }
 
 // tableID derives the SSTable object id for table number n of the tree whose

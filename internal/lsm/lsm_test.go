@@ -456,32 +456,42 @@ func TestCompactRejectsNonSuffixInputs(t *testing.T) {
 	// Directly exercise the transform's guardrails: inputs that are not the
 	// manifest's oldest suffix, or a wrong output id, must fail loudly.
 	man := &manifest{next: 3, tables: []op.ObjectID{"lsm/t/s00000002", "lsm/t/s00000001", "lsm/t/s00000000"}}
-	reads := map[op.ObjectID][]byte{
+	vals := map[op.ObjectID][]byte{
 		"lsm/t/manifest":  encodeManifest(man),
 		"lsm/t/s00000002": encodeTable(nil),
 		"lsm/t/s00000001": encodeTable(nil),
 		"lsm/t/s00000000": encodeTable(nil),
 	}
+	reg := op.NewRegistry()
+	Register(reg)
+	compact := func(out string, inputs ...string) ([][]byte, error) {
+		fields := [][]byte{[]byte("lsm/t/manifest"), []byte(out)}
+		rs := []op.ObjectID{"lsm/t/manifest"}
+		for _, in := range inputs {
+			fields = append(fields, []byte(in))
+			rs = append(rs, op.ObjectID(in))
+		}
+		o := op.NewLogical(FuncCompact, op.EncodeParams(fields...), rs, []op.ObjectID{"lsm/t/manifest", op.ObjectID(out)})
+		reads := make([][]byte, len(o.ReadSet))
+		for i, x := range o.ReadSet {
+			reads[i] = vals[x]
+		}
+		return reg.Apply(o, reads)
+	}
 	// Newest two tables are not an oldest suffix.
-	params := op.EncodeParams([]byte("lsm/t/manifest"), []byte("lsm/t/s00000003"),
-		[]byte("lsm/t/s00000002"), []byte("lsm/t/s00000001"))
-	if _, err := fnCompact(params, reads); err == nil {
+	if _, err := compact("lsm/t/s00000003", "lsm/t/s00000002", "lsm/t/s00000001"); err == nil {
 		t.Error("non-suffix compaction accepted")
 	}
 	// Wrong output id.
-	params = op.EncodeParams([]byte("lsm/t/manifest"), []byte("lsm/t/s00000009"),
-		[]byte("lsm/t/s00000001"), []byte("lsm/t/s00000000"))
-	if _, err := fnCompact(params, reads); err == nil {
+	if _, err := compact("lsm/t/s00000009", "lsm/t/s00000001", "lsm/t/s00000000"); err == nil {
 		t.Error("wrong output id accepted")
 	}
 	// Correct oldest suffix works and drops nothing (keep > 0 keeps tombstones).
-	params = op.EncodeParams([]byte("lsm/t/manifest"), []byte("lsm/t/s00000003"),
-		[]byte("lsm/t/s00000001"), []byte("lsm/t/s00000000"))
-	writes, err := fnCompact(params, reads)
+	writes, err := compact("lsm/t/s00000003", "lsm/t/s00000001", "lsm/t/s00000000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMan, err := decodeManifest(writes["lsm/t/manifest"])
+	gotMan, err := decodeManifest(writes[0]) // the manifest sorts first in the writeset
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,161 +56,123 @@ func registerBuiltins(r *Registry) {
 	r.Register(FuncLowerHalf, builtinLowerHalf)
 }
 
-func soleRead(reads map[ObjectID][]byte) (ObjectID, []byte, error) {
-	if len(reads) != 1 {
-		return "", nil, fmt.Errorf("expected exactly 1 read object, got %d", len(reads))
-	}
-	for id, v := range reads {
-		return id, v, nil
-	}
-	panic("unreachable")
-}
-
-func builtinIdentity(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	id, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinIdentity(params []byte, a *Args) error {
+	id, v := a.Sole()
 	target := ObjectID(params)
 	if target == "" {
 		target = id
 	}
-	return map[ObjectID][]byte{target: append([]byte(nil), v...)}, nil
+	a.Write(target, append([]byte(nil), v...))
+	return nil
 }
 
 // builtinConst params encoding: EncodeParams(target, value).
-func builtinConst(params []byte, _ map[ObjectID][]byte) (map[ObjectID][]byte, error) {
+func builtinConst(params []byte, a *Args) error {
 	fields, err := DecodeParams(params)
 	if err != nil || len(fields) != 2 {
-		return nil, fmt.Errorf("const: want (target, value) params: %v", err)
+		return fmt.Errorf("const: want (target, value) params: %v", err)
 	}
-	return map[ObjectID][]byte{ObjectID(fields[0]): append([]byte(nil), fields[1]...)}, nil
+	a.Write(ObjectID(fields[0]), append([]byte(nil), fields[1]...))
+	return nil
 }
 
 // builtinCopy params: the target object id.  X <- copy(Y).
-func builtinCopy(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	_, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinCopy(params []byte, a *Args) error {
+	_, v := a.Sole()
 	if len(params) == 0 {
-		return nil, fmt.Errorf("copy: params must name the target object")
+		return fmt.Errorf("copy: params must name the target object")
 	}
-	return map[ObjectID][]byte{ObjectID(params): append([]byte(nil), v...)}, nil
+	a.Write(ObjectID(params), append([]byte(nil), v...))
+	return nil
 }
 
 // builtinConcat params: EncodeParams(selfID, otherID).  self <- self || other.
-func builtinConcat(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
+func builtinConcat(params []byte, a *Args) error {
 	fields, err := DecodeParams(params)
 	if err != nil || len(fields) != 2 {
-		return nil, fmt.Errorf("concat: want (self, other) params: %v", err)
+		return fmt.Errorf("concat: want (self, other) params: %v", err)
 	}
-	self, other := ObjectID(fields[0]), ObjectID(fields[1])
-	sv, ok := reads[self]
-	if !ok {
-		return nil, fmt.Errorf("concat: missing self %q", self)
-	}
-	ov, ok := reads[other]
-	if !ok {
-		return nil, fmt.Errorf("concat: missing other %q", other)
-	}
+	self := ObjectID(fields[0])
+	sv, ov := a.Read(self), a.Read(ObjectID(fields[1]))
 	out := make([]byte, 0, len(sv)+len(ov))
 	out = append(out, sv...)
 	out = append(out, ov...)
-	return map[ObjectID][]byte{self: out}, nil
+	a.Write(self, out)
+	return nil
 }
 
 // builtinSort params: the target object id.  Y <- sort(X), byte-wise.
-func builtinSort(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	_, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinSort(params []byte, a *Args) error {
+	_, v := a.Sole()
 	if len(params) == 0 {
-		return nil, fmt.Errorf("sort: params must name the target object")
+		return fmt.Errorf("sort: params must name the target object")
 	}
 	out := append([]byte(nil), v...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return map[ObjectID][]byte{ObjectID(params): out}, nil
+	a.Write(ObjectID(params), out)
+	return nil
 }
 
 // builtinXor params: EncodeParams(selfID, otherID).  self <- self XOR other
 // (other repeated cyclically over self's length; empty other is a no-op).
-func builtinXor(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
+func builtinXor(params []byte, a *Args) error {
 	fields, err := DecodeParams(params)
 	if err != nil || len(fields) != 2 {
-		return nil, fmt.Errorf("xor: want (self, other) params: %v", err)
+		return fmt.Errorf("xor: want (self, other) params: %v", err)
 	}
-	self, other := ObjectID(fields[0]), ObjectID(fields[1])
-	sv, ok := reads[self]
-	if !ok {
-		return nil, fmt.Errorf("xor: missing self %q", self)
-	}
-	ov, ok := reads[other]
-	if !ok {
-		return nil, fmt.Errorf("xor: missing other %q", other)
-	}
-	out := append([]byte(nil), sv...)
-	if len(ov) > 0 {
+	self := ObjectID(fields[0])
+	out := append([]byte(nil), a.Read(self)...)
+	if ov := a.Read(ObjectID(fields[1])); len(ov) > 0 {
 		// One word-wide XOR per repetition of other; the last may be short.
 		for i := 0; i < len(out); i += len(ov) {
 			subtle.XORBytes(out[i:], out[i:], ov)
 		}
 	}
-	return map[ObjectID][]byte{self: out}, nil
+	a.Write(self, out)
+	return nil
 }
 
-func builtinAppend(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	id, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinAppend(params []byte, a *Args) error {
+	id, v := a.Sole()
 	out := make([]byte, 0, len(v)+len(params))
 	out = append(out, v...)
 	out = append(out, params...)
-	return map[ObjectID][]byte{id: out}, nil
+	a.Write(id, out)
+	return nil
 }
 
-func builtinCounterAdd(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	id, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinCounterAdd(params []byte, a *Args) error {
+	id, v := a.Sole()
 	delta, n := binary.Uvarint(params)
 	if n <= 0 {
-		return nil, fmt.Errorf("counter.add: bad delta")
+		return fmt.Errorf("counter.add: bad delta")
 	}
 	var cur uint64
 	if len(v) == 8 {
 		cur = binary.BigEndian.Uint64(v)
 	} else if len(v) != 0 {
-		return nil, fmt.Errorf("counter.add: value is not a counter (len %d)", len(v))
+		return fmt.Errorf("counter.add: value is not a counter (len %d)", len(v))
 	}
 	out := make([]byte, 8)
 	binary.BigEndian.PutUint64(out, cur+delta)
-	return map[ObjectID][]byte{id: out}, nil
+	a.Write(id, out)
+	return nil
 }
 
 // builtinUpperHalf params: the target (new) object id.  Y <- X[len/2:].
-func builtinUpperHalf(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	_, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
+func builtinUpperHalf(params []byte, a *Args) error {
+	_, v := a.Sole()
 	if len(params) == 0 {
-		return nil, fmt.Errorf("upperhalf: params must name the target object")
+		return fmt.Errorf("upperhalf: params must name the target object")
 	}
-	half := v[len(v)/2:]
-	return map[ObjectID][]byte{ObjectID(params): append([]byte(nil), half...)}, nil
+	a.Write(ObjectID(params), append([]byte(nil), v[len(v)/2:]...))
+	return nil
 }
 
-func builtinLowerHalf(_ []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-	id, v, err := soleRead(reads)
-	if err != nil {
-		return nil, err
-	}
-	half := v[:len(v)/2]
-	return map[ObjectID][]byte{id: append([]byte(nil), half...)}, nil
+func builtinLowerHalf(_ []byte, a *Args) error {
+	id, v := a.Sole()
+	a.Write(id, append([]byte(nil), v[:len(v)/2]...))
+	return nil
 }
 
 // Equal reports whether two values are byte-equal (nil == empty).

@@ -9,3 +9,9 @@ func (r *Registry) WrapAll(wrap func(FuncID, TransformFunc) TransformFunc) {
 		r.funcs[id] = wrap(id, fn)
 	}
 }
+
+// Inputs returns the read values a holds, in ReadSet order.
+func (a *Args) Inputs() [][]byte { return a.reads }
+
+// Outputs returns the writeset and the slots filled so far, in its order.
+func (a *Args) Outputs() ([]ObjectID, [][]byte) { return a.o.WriteSet, a.writes }

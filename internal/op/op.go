@@ -24,6 +24,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -153,11 +154,12 @@ type Operation struct {
 	// WriteSet lists the objects the operation writes, canonical order.
 	WriteSet []ObjectID
 	// Values carries logged data values for physical kinds (W_P, W_IP,
-	// Create): the value written per object.  Nil for logical and
-	// physiological kinds — again, that is the point of the paper.
-	Values map[ObjectID][]byte
+	// Create): the value written to WriteSet[i] is Values[i].  Nil for
+	// logical and physiological kinds — again, that is the point of the
+	// paper.
+	Values [][]byte
 	// Deletes lists objects whose lifetime this operation terminates.
-	// For KindDelete it equals WriteSet.
+	// It equals WriteSet on KindDelete and is empty on every other kind.
 	Deletes []ObjectID
 }
 
@@ -184,10 +186,8 @@ func (o *Operation) Validate() error {
 		if len(o.ReadSet) != 0 {
 			return fmt.Errorf("op %s: physical kinds must have empty readset", o.Kind)
 		}
-		for _, x := range o.WriteSet {
-			if _, ok := o.Values[x]; !ok {
-				return fmt.Errorf("op %s: missing logged value for %q", o.Kind, x)
-			}
+		if len(o.Values) != len(o.WriteSet) {
+			return fmt.Errorf("op %s: %d logged values for %d written objects", o.Kind, len(o.Values), len(o.WriteSet))
 		}
 	case KindPhysioWrite, KindExecute:
 		if len(o.WriteSet) != 1 {
@@ -201,6 +201,9 @@ func (o *Operation) Validate() error {
 		}
 	case KindDelete:
 		// Deletes carry no function and no values.
+		if !slices.Equal(o.Deletes, o.WriteSet) {
+			return fmt.Errorf("op %s: deletes %v differ from writeset %v", o.Kind, o.Deletes, o.WriteSet)
+		}
 	default:
 		if o.Func == "" {
 			return fmt.Errorf("op %s: missing transformation function", o.Kind)
@@ -208,6 +211,9 @@ func (o *Operation) Validate() error {
 	}
 	if o.Kind != KindPhysicalWrite && o.Kind != KindIdentityWrite && o.Kind != KindCreate && len(o.Values) != 0 {
 		return fmt.Errorf("op %s: logical/physiological operations must not log values", o.Kind)
+	}
+	if o.Kind != KindDelete && len(o.Deletes) != 0 {
+		return fmt.Errorf("op %s: only deletes may terminate objects", o.Kind)
 	}
 	return nil
 }
@@ -306,9 +312,9 @@ func (o *Operation) Clone() *Operation {
 	c.WriteSet = append([]ObjectID(nil), o.WriteSet...)
 	c.Deletes = append([]ObjectID(nil), o.Deletes...)
 	if o.Values != nil {
-		c.Values = make(map[ObjectID][]byte, len(o.Values))
-		for k, v := range o.Values {
-			c.Values[k] = append([]byte(nil), v...)
+		c.Values = make([][]byte, len(o.Values))
+		for i, v := range o.Values {
+			c.Values[i] = append([]byte(nil), v...)
 		}
 	}
 	return c
@@ -338,7 +344,12 @@ func isCanonical(ids []ObjectID) bool {
 }
 
 func containsID(ids []ObjectID, x ObjectID) bool {
-	// Sets are canonical (sorted); binary search.
+	_, ok := indexOf(ids, x)
+	return ok
+}
+
+// indexOf returns x's position in the canonical (sorted) set ids.
+func indexOf(ids []ObjectID, x ObjectID) (int, bool) {
 	lo, hi := 0, len(ids)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -348,5 +359,5 @@ func containsID(ids []ObjectID, x ObjectID) bool {
 			hi = mid
 		}
 	}
-	return lo < len(ids) && ids[lo] == x
+	return lo, lo < len(ids) && ids[lo] == x
 }

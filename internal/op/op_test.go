@@ -116,14 +116,18 @@ func TestValidate(t *testing.T) {
 	invalid := []*Operation{
 		nil,
 		{Kind: KindInvalid, WriteSet: []ObjectID{"X"}},
-		{Kind: KindLogical, Func: FuncCopy},                                                                   // empty writeset
-		{Kind: KindLogical, Func: FuncCopy, WriteSet: []ObjectID{"b", "a"}},                                   // non-canonical
-		{Kind: KindLogical, WriteSet: []ObjectID{"X"}},                                                        // missing func
-		{Kind: KindPhysicalWrite, WriteSet: []ObjectID{"X"}},                                                  // missing value
-		{Kind: KindPhysicalWrite, ReadSet: []ObjectID{"Y"}, WriteSet: []ObjectID{"X"}},                        // physical with readset
-		{Kind: KindPhysioWrite, Func: FuncAppend, ReadSet: []ObjectID{"Y"}, WriteSet: []ObjectID{"X"}},        // physio read≠write
-		{Kind: KindExecute, Func: FuncAppend, ReadSet: []ObjectID{"A"}, WriteSet: []ObjectID{"A", "B"}},       // physio multi-write
-		{Kind: KindLogical, Func: FuncCopy, WriteSet: []ObjectID{"X"}, Values: map[ObjectID][]byte{"X": nil}}, // logical with values
+		{Kind: KindLogical, Func: FuncCopy},                                                             // empty writeset
+		{Kind: KindLogical, Func: FuncCopy, WriteSet: []ObjectID{"b", "a"}},                             // non-canonical
+		{Kind: KindLogical, WriteSet: []ObjectID{"X"}},                                                  // missing func
+		{Kind: KindPhysicalWrite, WriteSet: []ObjectID{"X"}},                                            // missing value
+		{Kind: KindPhysicalWrite, ReadSet: []ObjectID{"Y"}, WriteSet: []ObjectID{"X"}},                  // physical with readset
+		{Kind: KindPhysioWrite, Func: FuncAppend, ReadSet: []ObjectID{"Y"}, WriteSet: []ObjectID{"X"}},  // physio read≠write
+		{Kind: KindExecute, Func: FuncAppend, ReadSet: []ObjectID{"A"}, WriteSet: []ObjectID{"A", "B"}}, // physio multi-write
+		{Kind: KindLogical, Func: FuncCopy, WriteSet: []ObjectID{"X"}, Values: [][]byte{nil}},           // logical with values
+		{Kind: KindPhysicalWrite, WriteSet: []ObjectID{"X", "Y"}, Values: [][]byte{{1}}},                // one value short
+		{Kind: KindLogical, Func: FuncCopy, WriteSet: []ObjectID{"X"}, Deletes: []ObjectID{"X"}},        // logical delete
+		{Kind: KindCreate, WriteSet: []ObjectID{"X"}, Values: [][]byte{nil}, Deletes: []ObjectID{"X"}},  // physical delete
+		{Kind: KindDelete, WriteSet: []ObjectID{"X", "Y"}, Deletes: []ObjectID{"X"}},                    // deletes ≠ writeset
 	}
 	for i, o := range invalid {
 		if err := o.Validate(); err == nil {
@@ -150,10 +154,10 @@ func TestCloneIsDeep(t *testing.T) {
 	o.LSN = 7
 	o.Params = []byte("p")
 	c := o.Clone()
-	c.Values["X"][0] = 'z'
+	c.Values[0][0] = 'z'
 	c.Params[0] = 'q'
 	c.WriteSet[0] = "Y"
-	if string(o.Values["X"]) != "abc" || string(o.Params) != "p" || o.WriteSet[0] != "X" {
+	if string(o.Values[0]) != "abc" || string(o.Params) != "p" || o.WriteSet[0] != "X" {
 		t.Error("Clone aliased underlying storage")
 	}
 	if c.LSN != 7 || c.Kind != KindPhysicalWrite {
@@ -180,12 +184,12 @@ func TestRegistryApplyPhysicalAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out["X"]) != "v1" {
-		t.Errorf("physical apply = %q", out["X"])
+	if string(out[0]) != "v1" {
+		t.Errorf("physical apply = %q", out[0])
 	}
 	// Returned value must be a copy.
-	out["X"][0] = 'z'
-	if string(w.Values["X"]) != "v1" {
+	out[0][0] = 'z'
+	if string(w.Values[0]) != "v1" {
 		t.Error("Apply aliased logged value")
 	}
 
@@ -194,67 +198,98 @@ func TestRegistryApplyPhysicalAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := out["X"]; !ok || v != nil {
-		t.Errorf("delete apply X = %v, %v", v, ok)
-	}
-	if v, ok := out["Y"]; !ok || v != nil {
-		t.Errorf("delete apply Y = %v, %v", v, ok)
+	if len(out) != 2 || out[0] != nil || out[1] != nil {
+		t.Errorf("delete apply = %v, want two nil slots", out)
 	}
 }
 
 func TestRegistryApplyLogical(t *testing.T) {
 	r := NewRegistry()
 	b := NewLogical(FuncCopy, []byte("X"), []ObjectID{"Y"}, []ObjectID{"X"})
-	out, err := r.Apply(b, map[ObjectID][]byte{"Y": []byte("hello")})
+	out, err := r.Apply(b, [][]byte{[]byte("hello")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out["X"]) != "hello" {
-		t.Errorf("copy = %q", out["X"])
+	if string(out[0]) != "hello" {
+		t.Errorf("copy = %q", out[0])
 	}
 	// Missing read value.
-	if _, err := r.Apply(b, map[ObjectID][]byte{}); err == nil {
+	if _, err := r.Apply(b, nil); err == nil {
 		t.Error("expected error for missing read value")
 	}
 	// Unknown func.
 	u := NewLogical("no.such.func", nil, []ObjectID{"Y"}, []ObjectID{"X"})
-	if _, err := r.Apply(u, map[ObjectID][]byte{"Y": nil}); !errors.Is(err, ErrUnknownFunc) {
+	if _, err := r.Apply(u, [][]byte{nil}); !errors.Is(err, ErrUnknownFunc) {
 		t.Errorf("unknown FuncID: err = %v, want ErrUnknownFunc", err)
 	}
 }
 
+// TestRegistryWritesetViolation: every breach of the Args contract — a read
+// outside the readset, Sole on a two-object readset, a write outside the
+// writeset, a second write to one slot, a slot left unwritten — is a
+// *ContractError, and it is reported in preference to the transform's own
+// error.
 func TestRegistryWritesetViolation(t *testing.T) {
+	errOwn := errors.New("own error")
+	// Each transform serves an operation that reads and writes {X, Y}.
+	breaches := []struct {
+		name string
+		fn   TransformFunc
+	}{
+		{"read-outside", func(_ []byte, a *Args) error {
+			a.Read("Z")
+			a.Write("X", nil)
+			a.Write("Y", nil)
+			return nil
+		}},
+		{"sole", func(_ []byte, a *Args) error {
+			a.Sole()
+			a.Write("X", nil)
+			a.Write("Y", nil)
+			return nil
+		}},
+		{"write-outside", func(_ []byte, a *Args) error {
+			a.Write("X", nil)
+			a.Write("Y", nil)
+			a.Write("Z", nil)
+			return nil
+		}},
+		{"write-twice", func(_ []byte, a *Args) error {
+			a.Write("X", nil)
+			a.Write("Y", nil)
+			a.Write("X", nil)
+			return nil
+		}},
+		{"unwritten", func(_ []byte, a *Args) error {
+			a.Write("X", append([]byte(nil), a.Read("X")...))
+			return nil
+		}},
+		{"breach-then-fail", func(_ []byte, a *Args) error {
+			a.Write("OTHER", []byte("x"))
+			return errOwn
+		}},
+	}
 	r := NewRegistry()
-	r.Register("test.rogue", func(_ []byte, _ map[ObjectID][]byte) (map[ObjectID][]byte, error) {
-		return map[ObjectID][]byte{"OTHER": []byte("x")}, nil
-	})
-	o := NewLogical("test.rogue", nil, nil, []ObjectID{"X"})
-	_, err := r.Apply(o, nil)
-	var wv *WritesetViolationError
-	if err == nil {
-		t.Fatal("expected writeset violation")
-	}
-	if !asWritesetViolation(err, &wv) {
-		t.Fatalf("expected WritesetViolationError, got %T: %v", err, err)
-	}
-	if wv.Error() == "" {
-		t.Error("empty error message")
-	}
-}
-
-func asWritesetViolation(err error, target **WritesetViolationError) bool {
-	for err != nil {
-		if v, ok := err.(*WritesetViolationError); ok {
-			*target = v
-			return true
+	for _, b := range breaches {
+		r.Register(FuncID("test."+b.name), b.fn)
+		o := NewLogical(FuncID("test."+b.name), nil, []ObjectID{"X", "Y"}, []ObjectID{"X", "Y"})
+		_, err := r.Apply(o, [][]byte{[]byte("x"), []byte("y")})
+		var ce *ContractError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: err = %v, want a *ContractError", b.name, err)
+			continue
 		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
+		if ce.Op != o || ce.Error() == "" {
+			t.Errorf("%s: ContractError %+v", b.name, ce)
 		}
-		err = u.Unwrap()
 	}
-	return false
+	// A transform that fails without breaching the contract reports its
+	// own error, although it filled no slot.
+	r.Register("test.own", func(_ []byte, _ *Args) error { return errOwn })
+	o := NewLogical("test.own", nil, nil, []ObjectID{"X"})
+	if _, err := r.Apply(o, nil); !errors.Is(err, errOwn) {
+		t.Errorf("own error: err = %v", err)
+	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
@@ -284,37 +319,37 @@ func TestBuiltinConcatXorSortHalves(t *testing.T) {
 	r := NewRegistry()
 
 	concat := NewLogical(FuncConcat, EncodeParams([]byte("A"), []byte("X")), []ObjectID{"A", "X"}, []ObjectID{"A"})
-	out, err := r.Apply(concat, map[ObjectID][]byte{"A": []byte("ab"), "X": []byte("cd")})
-	if err != nil || string(out["A"]) != "abcd" {
-		t.Errorf("concat = %q, %v", out["A"], err)
+	out, err := r.Apply(concat, [][]byte{[]byte("ab"), []byte("cd")})
+	if err != nil || string(out[0]) != "abcd" {
+		t.Errorf("concat = %q, %v", out, err)
 	}
 
 	xor := NewLogical(FuncXor, EncodeParams([]byte("Y"), []byte("X")), []ObjectID{"X", "Y"}, []ObjectID{"Y"})
-	out, err = r.Apply(xor, map[ObjectID][]byte{"Y": []byte{1, 2, 3}, "X": []byte{1}})
-	if err != nil || !Equal(out["Y"], []byte{0, 3, 2}) {
-		t.Errorf("xor = %v, %v", out["Y"], err)
+	out, err = r.Apply(xor, [][]byte{{1}, {1, 2, 3}})
+	if err != nil || !Equal(out[0], []byte{0, 3, 2}) {
+		t.Errorf("xor = %v, %v", out, err)
 	}
 	// XOR twice restores the original.
-	out2, err := r.Apply(xor, map[ObjectID][]byte{"Y": out["Y"], "X": []byte{1}})
-	if err != nil || !Equal(out2["Y"], []byte{1, 2, 3}) {
-		t.Errorf("xor∘xor = %v, %v", out2["Y"], err)
+	out2, err := r.Apply(xor, [][]byte{{1}, out[0]})
+	if err != nil || !Equal(out2[0], []byte{1, 2, 3}) {
+		t.Errorf("xor∘xor = %v, %v", out2, err)
 	}
 
 	srt := NewLogical(FuncSort, []byte("Y"), []ObjectID{"X"}, []ObjectID{"Y"})
-	out, err = r.Apply(srt, map[ObjectID][]byte{"X": []byte("dcba")})
-	if err != nil || string(out["Y"]) != "abcd" {
-		t.Errorf("sort = %q, %v", out["Y"], err)
+	out, err = r.Apply(srt, [][]byte{[]byte("dcba")})
+	if err != nil || string(out[0]) != "abcd" {
+		t.Errorf("sort = %q, %v", out, err)
 	}
 
 	up := NewLogical(FuncUpperHalf, []byte("Y"), []ObjectID{"X"}, []ObjectID{"Y"})
-	out, err = r.Apply(up, map[ObjectID][]byte{"X": []byte("abcd")})
-	if err != nil || string(out["Y"]) != "cd" {
-		t.Errorf("upperhalf = %q, %v", out["Y"], err)
+	out, err = r.Apply(up, [][]byte{[]byte("abcd")})
+	if err != nil || string(out[0]) != "cd" {
+		t.Errorf("upperhalf = %q, %v", out, err)
 	}
 	lo := NewPhysioWrite("X", FuncLowerHalf, nil)
-	out, err = r.Apply(lo, map[ObjectID][]byte{"X": []byte("abcd")})
-	if err != nil || string(out["X"]) != "ab" {
-		t.Errorf("lowerhalf = %q, %v", out["X"], err)
+	out, err = r.Apply(lo, [][]byte{[]byte("abcd")})
+	if err != nil || string(out[0]) != "ab" {
+		t.Errorf("lowerhalf = %q, %v", out, err)
 	}
 }
 
@@ -323,18 +358,18 @@ func TestBuiltinCounter(t *testing.T) {
 	params := make([]byte, 10)
 	n := putUvarint(params, 5)
 	add := NewPhysioWrite("C", FuncCounterAdd, params[:n])
-	out, err := r.Apply(add, map[ObjectID][]byte{"C": nil})
+	out, err := r.Apply(add, [][]byte{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = r.Apply(add, map[ObjectID][]byte{"C": out["C"]})
+	out, err = r.Apply(add, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := beUint64(out["C"]); got != 10 {
+	if got := beUint64(out[0]); got != 10 {
 		t.Errorf("counter = %d, want 10", got)
 	}
-	if _, err := r.Apply(add, map[ObjectID][]byte{"C": []byte("bad")}); err == nil {
+	if _, err := r.Apply(add, [][]byte{[]byte("bad")}); err == nil {
 		t.Error("expected error for malformed counter")
 	}
 }
@@ -342,14 +377,14 @@ func TestBuiltinCounter(t *testing.T) {
 func TestBuiltinIdentityAndConst(t *testing.T) {
 	r := NewRegistry()
 	id := NewLogical(FuncIdentity, []byte("Y"), []ObjectID{"X"}, []ObjectID{"Y"})
-	out, err := r.Apply(id, map[ObjectID][]byte{"X": []byte("v")})
-	if err != nil || string(out["Y"]) != "v" {
-		t.Errorf("identity = %q, %v", out["Y"], err)
+	out, err := r.Apply(id, [][]byte{[]byte("v")})
+	if err != nil || string(out[0]) != "v" {
+		t.Errorf("identity = %q, %v", out, err)
 	}
 	cst := NewLogical(FuncConst, EncodeParams([]byte("X"), []byte("42")), nil, []ObjectID{"X"})
 	out, err = r.Apply(cst, nil)
-	if err != nil || string(out["X"]) != "42" {
-		t.Errorf("const = %q, %v", out["X"], err)
+	if err != nil || string(out[0]) != "42" {
+		t.Errorf("const = %q, %v", out, err)
 	}
 }
 
@@ -378,7 +413,7 @@ func TestApplyDeterminism(t *testing.T) {
 	r := NewRegistry()
 	f := func(self, other []byte) bool {
 		o := NewLogical(FuncXor, EncodeParams([]byte("Y"), []byte("X")), []ObjectID{"X", "Y"}, []ObjectID{"Y"})
-		in := map[ObjectID][]byte{"Y": self, "X": other}
+		in := [][]byte{other, self}
 		o1, err1 := r.Apply(o, in)
 		o2, err2 := r.Apply(o, in)
 		if (err1 == nil) != (err2 == nil) {
@@ -387,7 +422,7 @@ func TestApplyDeterminism(t *testing.T) {
 		if err1 != nil {
 			return true
 		}
-		return Equal(o1["Y"], o2["Y"])
+		return Equal(o1[0], o2[0])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -396,12 +431,12 @@ func TestApplyDeterminism(t *testing.T) {
 
 func TestApplyDoesNotMutateInputs(t *testing.T) {
 	r := NewRegistry()
-	in := map[ObjectID][]byte{"X": []byte{9}, "Y": []byte{1, 2, 3}}
+	in := [][]byte{{9}, {1, 2, 3}}
 	o := NewLogical(FuncXor, EncodeParams([]byte("Y"), []byte("X")), []ObjectID{"X", "Y"}, []ObjectID{"Y"})
 	if _, err := r.Apply(o, in); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(in["Y"], []byte{1, 2, 3}) || !Equal(in["X"], []byte{9}) {
+	if !Equal(in[1], []byte{1, 2, 3}) || !Equal(in[0], []byte{9}) {
 		t.Error("Apply mutated its inputs")
 	}
 }

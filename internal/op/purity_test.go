@@ -34,38 +34,37 @@ func TestTransformsLeaveInputsUntouched(t *testing.T) {
 	var mu sync.Mutex
 	calls := make(map[op.FuncID]int)
 	reg.WrapAll(func(id op.FuncID, fn op.TransformFunc) op.TransformFunc {
-		return func(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+		return func(params []byte, a *op.Args) error {
 			before := bytes.Clone(params)
-			readsBefore := make(map[op.ObjectID][]byte, len(reads))
-			for x, v := range reads {
-				readsBefore[x] = bytes.Clone(v)
+			reads := a.Inputs()
+			readsBefore := make([][]byte, len(reads))
+			for i, v := range reads {
+				readsBefore[i] = bytes.Clone(v)
 			}
-			out, err := fn(params, reads)
+			err := fn(params, a)
 			if !bytes.Equal(params, before) {
 				t.Errorf("%s changed its params", id)
 			}
-			if len(reads) != len(readsBefore) {
-				t.Errorf("%s changed its read set: %d -> %d objects", id, len(readsBefore), len(reads))
-			}
-			for x, v := range readsBefore {
-				if !bytes.Equal(reads[x], v) {
-					t.Errorf("%s changed its read of %s", id, x)
+			for i, v := range readsBefore {
+				if !bytes.Equal(reads[i], v) {
+					t.Errorf("%s changed its read of %s", id, a.ReadSet()[i])
 				}
 			}
-			for y, w := range out {
+			ws, out := a.Outputs()
+			for j, w := range out {
 				if sharesMemory(w, params) {
-					t.Errorf("%s output %s aliases its params", id, y)
+					t.Errorf("%s output %s aliases its params", id, ws[j])
 				}
-				for x, v := range reads {
+				for i, v := range reads {
 					if sharesMemory(w, v) {
-						t.Errorf("%s output %s aliases its read of %s", id, y, x)
+						t.Errorf("%s output %s aliases its read of %s", id, ws[j], a.ReadSet()[i])
 					}
 				}
 			}
 			mu.Lock()
 			calls[id]++
 			mu.Unlock()
-			return out, err
+			return err
 		}
 	})
 

@@ -17,16 +17,79 @@ import (
 type FuncID string
 
 // TransformFunc is a deterministic transformation.  It receives the logged
-// parameters and the current values of the operation's readset and must
-// return the new values for the operation's writeset.  It must be a pure
-// function of (params, reads) — replay correctness depends on it.
+// parameters and the operation's arguments: the current values of its
+// readset and one slot per object of its writeset.  It reads inputs by name
+// with a.Read (or a.Sole when it reads one object) and fills every slot
+// with a.Write.  It must be a pure function of (params, reads) — replay
+// correctness depends on it.
 //
 // The inputs are borrowed, not copied: params may alias the log, and each
 // read value is the cache's own slice, capped at its length so an append
 // reallocates instead of writing into another value's spare capacity.  Both
-// are read-only.  The returned values become cached state, so they must be
+// are read-only.  The written values become cached state, so they must be
 // freshly allocated, never the input slices themselves.
-type TransformFunc func(params []byte, reads map[ObjectID][]byte) (map[ObjectID][]byte, error)
+type TransformFunc func(params []byte, a *Args) error
+
+// Args carries one application's inputs and outputs by position: the read
+// values in ReadSet order and the write slots in WriteSet order.  The
+// transform names objects; Args resolves each name to its position.
+//
+// Args records the first breach of the operation's contract: a read outside
+// the readset, Sole on an operation that does not read exactly one object,
+// a write outside the writeset, or a second write to one slot.  A breached
+// read returns nil and a breached write is dropped, so a transform need not
+// check each call; Registry.Apply reports the breach instead of whatever
+// the transform went on to return.
+type Args struct {
+	o       *Operation
+	reads   [][]byte
+	writes  [][]byte
+	written []bool
+	err     string
+}
+
+// Read returns the value of x, which must be in the readset.
+func (a *Args) Read(x ObjectID) []byte {
+	i, ok := indexOf(a.o.ReadSet, x)
+	if !ok {
+		a.violate(fmt.Sprintf("read %q outside readset %v", x, a.o.ReadSet))
+		return nil
+	}
+	return a.reads[i]
+}
+
+// Sole returns the only object the operation reads and its value.
+func (a *Args) Sole() (ObjectID, []byte) {
+	if len(a.reads) != 1 {
+		a.violate(fmt.Sprintf("expected exactly 1 read object, got %d", len(a.reads)))
+		return "", nil
+	}
+	return a.o.ReadSet[0], a.reads[0]
+}
+
+// ReadSet returns the objects the operation reads, in canonical order.  The
+// slice is the operation's own and is read-only.
+func (a *Args) ReadSet() []ObjectID { return a.o.ReadSet }
+
+// Write fills x's slot with v.  x must be in the writeset and written once.
+func (a *Args) Write(x ObjectID, v []byte) {
+	i, ok := indexOf(a.o.WriteSet, x)
+	switch {
+	case !ok:
+		a.violate(fmt.Sprintf("wrote %q outside writeset %v", x, a.o.WriteSet))
+	case a.written[i]:
+		a.violate(fmt.Sprintf("wrote %q twice", x))
+	default:
+		a.writes[i] = v
+		a.written[i] = true
+	}
+}
+
+func (a *Args) violate(msg string) {
+	if a.err == "" {
+		a.err = msg
+	}
+}
 
 // ErrUnknownFunc reports an operation whose FuncID no registered function
 // answers to.  Unlike a transform failing against inapplicable state, it
@@ -89,80 +152,72 @@ func (r *Registry) IDs() []FuncID {
 	return ids
 }
 
-// Apply executes operation o against the supplied read values and returns
-// the values o writes.  For physical kinds the logged values are returned
-// directly.  For deletes, every written object maps to nil (terminated).
+// Apply executes operation o against the read values (in ReadSet order) and
+// returns the values o writes (in WriteSet order).  For physical kinds the
+// logged values are returned as copies.  For deletes, every slot is nil
+// (terminated).
 //
-// Apply enforces the operation contract: the function may only read objects
-// in readset(o) (others are simply absent from reads) and the returned map
-// must write exactly writeset(o).  A violation is reported as an error; the
-// recovery process uses this to "void" trial executions (Section 5 of the
-// paper: a re-execution that attempts to update more than the original
-// writeset is detected and terminated).
-func (r *Registry) Apply(o *Operation, reads map[ObjectID][]byte) (map[ObjectID][]byte, error) {
+// Apply enforces the operation contract: the function may read only
+// readset(o) and must write each object of writeset(o) exactly once.  A
+// breach recorded in Args, or a slot left unwritten by a function that
+// returned no error, is reported as a *ContractError in preference to the
+// function's own error; the recovery process uses either to "void" trial
+// executions (Section 5 of the paper: a re-execution that attempts to update
+// more than the original writeset is detected and terminated).
+func (r *Registry) Apply(o *Operation, reads [][]byte) ([][]byte, error) {
 	switch o.Kind {
 	case KindPhysicalWrite, KindIdentityWrite, KindCreate:
-		out := make(map[ObjectID][]byte, len(o.WriteSet))
-		for _, x := range o.WriteSet {
-			v, ok := o.Values[x]
-			if !ok {
-				return nil, fmt.Errorf("op: %s lacks logged value for %q", o, x)
-			}
-			out[x] = append([]byte(nil), v...)
+		if len(o.Values) != len(o.WriteSet) {
+			return nil, fmt.Errorf("op: %s logs %d values for %d objects", o, len(o.Values), len(o.WriteSet))
+		}
+		out := make([][]byte, len(o.Values))
+		for i, v := range o.Values {
+			out[i] = append([]byte(nil), v...)
 		}
 		return out, nil
 	case KindDelete:
-		out := make(map[ObjectID][]byte, len(o.WriteSet))
-		for _, x := range o.WriteSet {
-			out[x] = nil
-		}
-		return out, nil
+		return make([][]byte, len(o.WriteSet)), nil
 	}
 	fn, ok := r.Lookup(o.Func)
 	if !ok {
 		return nil, fmt.Errorf("%w %q in %s", ErrUnknownFunc, o.Func, o)
 	}
-	in := make(map[ObjectID][]byte, len(o.ReadSet))
-	for _, x := range o.ReadSet {
-		v, ok := reads[x]
-		if !ok {
-			return nil, fmt.Errorf("op: missing read value for %q in %s", x, o)
-		}
-		in[x] = v
+	if len(reads) != len(o.ReadSet) {
+		return nil, fmt.Errorf("op: %s given %d read values for %d objects", o, len(reads), len(o.ReadSet))
 	}
-	out, err := fn(o.Params, in)
+	a := &Args{
+		o:       o,
+		reads:   reads,
+		writes:  make([][]byte, len(o.WriteSet)),
+		written: make([]bool, len(o.WriteSet)),
+	}
+	err := fn(o.Params, a)
+	if a.err != "" {
+		return nil, &ContractError{Op: o, Reason: a.err}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("op: %s: %w", o, err)
 	}
-	if len(out) != len(o.WriteSet) {
-		return nil, &WritesetViolationError{Op: o, Got: keysOf(out)}
-	}
-	for x := range out {
-		if !o.Writes(x) {
-			return nil, &WritesetViolationError{Op: o, Got: keysOf(out)}
+	for i, w := range a.written {
+		if !w {
+			return nil, &ContractError{Op: o, Reason: fmt.Sprintf("left %q unwritten", o.WriteSet[i])}
 		}
 	}
-	return out, nil
+	return a.writes, nil
 }
 
-// WritesetViolationError reports a transformation that attempted to update
-// objects outside the operation's logged writeset.  During recovery's trial
-// execution this voids the redo (Section 5, case 2b).
-type WritesetViolationError struct {
-	Op  *Operation
-	Got []ObjectID
+// ContractError reports a transformation that broke its operation's
+// contract: it read outside the readset, called Sole on an operation that
+// does not read exactly one object, wrote outside the writeset, wrote one
+// object twice or left one unwritten.  During recovery's trial execution
+// this voids the redo (Section 5, case 2b).
+type ContractError struct {
+	Op     *Operation
+	Reason string
 }
 
-func (e *WritesetViolationError) Error() string {
-	return fmt.Sprintf("op: %s wrote %v, outside writeset %v", e.Op, e.Got, e.Op.WriteSet)
-}
-
-func keysOf(m map[ObjectID][]byte) []ObjectID {
-	ids := make([]ObjectID, 0, len(m))
-	for k := range m {
-		ids = append(ids, k)
-	}
-	return Canonicalize(ids)
+func (e *ContractError) Error() string {
+	return fmt.Sprintf("op: %s %s", e.Op, e.Reason)
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +280,7 @@ func NewPhysicalWrite(x ObjectID, v []byte) *Operation {
 	return &Operation{
 		Kind:     KindPhysicalWrite,
 		WriteSet: []ObjectID{x},
-		Values:   map[ObjectID][]byte{x: append([]byte(nil), v...)},
+		Values:   [][]byte{append([]byte(nil), v...)},
 	}
 }
 
@@ -247,7 +302,7 @@ func NewIdentityWrite(x ObjectID, val []byte) *Operation {
 	return &Operation{
 		Kind:     KindIdentityWrite,
 		WriteSet: []ObjectID{x},
-		Values:   map[ObjectID][]byte{x: append([]byte(nil), val...)},
+		Values:   [][]byte{append([]byte(nil), val...)},
 	}
 }
 
@@ -256,7 +311,7 @@ func NewCreate(x ObjectID, v []byte) *Operation {
 	return &Operation{
 		Kind:     KindCreate,
 		WriteSet: []ObjectID{x},
-		Values:   map[ObjectID][]byte{x: append([]byte(nil), v...)},
+		Values:   [][]byte{append([]byte(nil), v...)},
 	}
 }
 

@@ -18,17 +18,20 @@ func xorReference(sv, ov []byte) []byte {
 	return out
 }
 
+// xorOp is S <- S XOR O.
+var xorOp = NewLogical(FuncXor, EncodeParams([]byte("S"), []byte("O")), []ObjectID{"O", "S"}, []ObjectID{"S"})
+
 // checkXor runs builtinXor on (self, other), compares its output with
 // xorReference and requires both inputs unchanged.
 func checkXor(t *testing.T, sv, ov []byte) {
 	t.Helper()
 	svBefore, ovBefore := bytes.Clone(sv), bytes.Clone(ov)
-	out, err := builtinXor(EncodeParams([]byte("S"), []byte("O")), map[ObjectID][]byte{"S": sv, "O": ov})
+	out, err := NewRegistry().Apply(xorOp, [][]byte{ov, sv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := xorReference(svBefore, ovBefore); !bytes.Equal(out["S"], want) {
-		t.Errorf("xor(len %d, len %d) = %x, want %x", len(sv), len(ov), out["S"], want)
+	if want := xorReference(svBefore, ovBefore); !bytes.Equal(out[0], want) {
+		t.Errorf("xor(len %d, len %d) = %x, want %x", len(sv), len(ov), out[0], want)
 	}
 	if !bytes.Equal(sv, svBefore) || !bytes.Equal(ov, ovBefore) {
 		t.Errorf("xor(len %d, len %d) changed its inputs", len(sv), len(ov))
@@ -63,12 +66,13 @@ func TestXorMatchesReference(t *testing.T) {
 	}
 	// Self and other may be the same object: one read, XORed with itself.
 	v := pattern(50, 9)
-	out, err := builtinXor(EncodeParams([]byte("S"), []byte("S")), map[ObjectID][]byte{"S": v})
+	self := NewLogical(FuncXor, EncodeParams([]byte("S"), []byte("S")), []ObjectID{"S"}, []ObjectID{"S"})
+	out, err := NewRegistry().Apply(self, [][]byte{v})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out["S"], make([]byte, 50)) || !bytes.Equal(v, pattern(50, 9)) {
-		t.Errorf("self XOR self = %x (input now %x), want zeros and the input unchanged", out["S"], v)
+	if !bytes.Equal(out[0], make([]byte, 50)) || !bytes.Equal(v, pattern(50, 9)) {
+		t.Errorf("self XOR self = %x (input now %x), want zeros and the input unchanged", out[0], v)
 	}
 }
 

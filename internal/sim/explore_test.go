@@ -106,16 +106,15 @@ func buggyRogue(step int, eng *core.Engine) error {
 // its engine's registry, which recovery and both oracles share.
 const funcRogueSwap op.FuncID = "sim.rogue.swap"
 
-func rogueSwap(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
+func rogueSwap(params []byte, args *op.Args) error {
 	ids, err := op.DecodeParams(params)
 	if err != nil || len(ids) != 2 {
-		return nil, fmt.Errorf("rogue swap: want (a, b) params: %v", err)
+		return fmt.Errorf("rogue swap: want (a, b) params: %v", err)
 	}
 	a, b := op.ObjectID(ids[0]), op.ObjectID(ids[1])
-	return map[op.ObjectID][]byte{
-		a: append([]byte(nil), reads[b]...),
-		b: append([]byte(nil), reads[a]...),
-	}, nil
+	args.Write(a, append([]byte(nil), args.Read(b)...))
+	args.Write(b, append([]byte(nil), args.Read(a)...))
+	return nil
 }
 
 // identityWriteRogue misuses Section 4's identity write at step 60.  On two

@@ -35,24 +35,24 @@ func NewOracle(reg *op.Registry) *Oracle {
 
 // Apply replays one operation.
 func (o *Oracle) Apply(x *op.Operation) error {
-	reads := make(map[op.ObjectID][]byte, len(x.ReadSet))
-	for _, r := range x.ReadSet {
+	reads := make([][]byte, len(x.ReadSet))
+	for i, r := range x.ReadSet {
 		if !o.live[r] {
 			return fmt.Errorf("sim: oracle: %s reads dead object %q", x, r)
 		}
-		reads[r] = o.state[r]
+		reads[i] = o.state[r]
 	}
 	writes, err := o.reg.Apply(x, reads)
 	if err != nil {
 		return err
 	}
-	for w, v := range writes {
+	for i, w := range x.WriteSet {
 		if x.Kind == op.KindDelete {
 			delete(o.state, w)
 			o.live[w] = false
 			continue
 		}
-		o.state[w] = v
+		o.state[w] = writes[i]
 		o.live[w] = true
 	}
 	return nil

@@ -167,11 +167,9 @@ func encodePayload(e *encoder, r *Record) {
 		e.ids(o.WriteSet)
 		e.ids(o.Deletes)
 		e.uvarint(uint64(len(o.Values)))
-		for _, x := range o.WriteSet { // deterministic order
-			if v, ok := o.Values[x]; ok {
-				e.str(string(x))
-				e.bytes(v)
-			}
+		for i, v := range o.Values { // each value repeats its object's name
+			e.str(string(o.WriteSet[i]))
+			e.bytes(v)
 		}
 	case RecInstall:
 		e.rsis(r.Install.Flushed)
@@ -262,24 +260,24 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nv > uint64(len(d.buf)) { // each value costs ≥2 bytes; reject absurd counts
+		// The encoder logs no values or one per writeset object, in
+		// writeset order.
+		if nv != 0 && nv != uint64(len(o.WriteSet)) {
 			return nil, errCorrupt
 		}
 		if nv > 0 {
-			o.Values = make(map[op.ObjectID][]byte, nv)
-			for i := uint64(0); i < nv; i++ {
-				x, err := d.str()
+			o.Values = make([][]byte, nv)
+			for i, x := range o.WriteSet {
+				name, err := d.str()
 				if err != nil {
 					return nil, err
 				}
-				if !o.Writes(op.ObjectID(x)) { // the encoder logs values of writeset objects only
+				if op.ObjectID(name) != x {
 					return nil, errCorrupt
 				}
-				v, err := d.bytes()
-				if err != nil {
+				if o.Values[i], err = d.bytes(); err != nil {
 					return nil, err
 				}
-				o.Values[op.ObjectID(x)] = v
 			}
 		}
 		r.Op = o

@@ -192,7 +192,7 @@ func TestStreamConcurrentAppendsStayDense(t *testing.T) {
 			t.Fatalf("record %d has LSN %d: durable log is not dense", i, rec.LSN)
 		}
 		w := written[rec.LSN]
-		if rec.Type != RecOperation || rec.Op.WriteSet[0] != w.key || !op.Equal(rec.Op.Values[w.key], w.val) {
+		if rec.Type != RecOperation || rec.Op.WriteSet[0] != w.key || !op.Equal(rec.Op.Values[0], w.val) {
 			t.Fatalf("LSN %d holds %+v, want the write of %v to %q", rec.LSN, rec, w.val, w.key)
 		}
 	}

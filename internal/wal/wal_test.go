@@ -183,6 +183,67 @@ func TestDecodeRejectsValueOutsideWriteSet(t *testing.T) {
 	}
 }
 
+// valuePayload encodes a physical write of writeset whose value section
+// claims count values and carries one per name, each named as given.
+func valuePayload(writeset []op.ObjectID, count int, names ...op.ObjectID) []byte {
+	e := &encoder{}
+	e.u8(uint8(RecOperation))
+	e.uvarint(1)
+	e.u8(uint8(op.KindPhysicalWrite))
+	e.str("")
+	e.bytes(nil)
+	e.ids(nil)
+	e.ids(writeset)
+	e.ids(nil)
+	e.uvarint(uint64(count))
+	for _, x := range names {
+		e.str(string(x))
+		e.bytes([]byte("v"))
+	}
+	return e.buf
+}
+
+// misplacedValues are value sections the encoder never writes: it logs no
+// value or one per writeset object, in writeset order.
+var misplacedValues = []struct {
+	name    string
+	payload []byte
+}{
+	{"out of writeset order", valuePayload([]op.ObjectID{"X", "Y"}, 2, "Y", "X")},
+	{"duplicated name", valuePayload([]op.ObjectID{"X", "Y"}, 2, "X", "X")},
+	{"name outside writeset", valuePayload([]op.ObjectID{"X", "Y"}, 2, "X", "Z")},
+	{"short count", valuePayload([]op.ObjectID{"X", "Y"}, 1, "X")},
+}
+
+func TestDecodeRejectsMisplacedValues(t *testing.T) {
+	for _, c := range misplacedValues {
+		if rec, err := DecodeRecord(c.payload); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: decoded %+v, err %v; want errCorrupt", c.name, rec, err)
+		}
+	}
+	if _, err := DecodeRecord(valuePayload([]op.ObjectID{"X", "Y"}, 2, "X", "Y")); err != nil {
+		t.Errorf("values in writeset order: %v", err)
+	}
+}
+
+// TestLogicalDeletesRejected: only a delete terminates objects, so a
+// logical operation that carries Deletes is refused when it is encoded and
+// when a payload carrying one is decoded.
+func TestLogicalDeletesRejected(t *testing.T) {
+	o := op.NewLogical(op.FuncCopy, []byte("X"), []op.ObjectID{"Y"}, []op.ObjectID{"X"})
+	o.Deletes = []op.ObjectID{"X"}
+	o.LSN = 1
+	rec := &Record{Type: RecOperation, LSN: 1, Op: o}
+	if _, err := EncodeRecord(rec); err == nil {
+		t.Error("encoded a logical operation carrying Deletes")
+	}
+	e := &encoder{}
+	encodePayload(e, rec)
+	if got, err := DecodeRecord(e.buf); err == nil {
+		t.Errorf("decoded a logical operation carrying Deletes: %s", got.Op)
+	}
+}
+
 // FuzzDecodeRecord feeds arbitrary payloads to the record decoder the redo
 // scan and the standby both run on untrusted bytes.  Property: it never
 // panics, and an accepted record re-encodes to bytes that decode equal.
@@ -205,6 +266,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(payload)
+	}
+	for _, c := range misplacedValues {
+		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
@@ -523,7 +587,7 @@ func TestCodecQuickOpRecords(t *testing.T) {
 		return got.LSN == rec.LSN &&
 			got.Op.Kind == op.KindPhysicalWrite &&
 			got.Op.WriteSet[0] == op.ObjectID(name) &&
-			op.Equal(got.Op.Values[op.ObjectID(name)], value)
+			op.Equal(got.Op.Values[0], value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

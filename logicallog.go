@@ -193,20 +193,22 @@ func (db *DB) Engine() *core.Engine { return db.eng }
 // RegisterFunc installs a named deterministic transformation for use with
 // Update and ApplyLogical.  Registering the same name twice panics.
 func (db *DB) RegisterFunc(name string, fn Transform) {
-	db.eng.Registry().Register(op.FuncID(name), func(params []byte, reads map[op.ObjectID][]byte) (map[op.ObjectID][]byte, error) {
-		in := make(map[string][]byte, len(reads))
-		for k, v := range reads {
-			in[string(k)] = v
+	db.eng.Registry().Register(op.FuncID(name), func(params []byte, a *op.Args) error {
+		rs := a.ReadSet()
+		in := make(map[string][]byte, len(rs))
+		for _, x := range rs {
+			in[string(x)] = a.Read(x)
 		}
 		out, err := fn(params, in)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		conv := make(map[op.ObjectID][]byte, len(out))
+		// Each key fills its own slot, so the order is immaterial; a key
+		// outside the write set voids the operation whichever comes first.
 		for k, v := range out {
-			conv[op.ObjectID(k)] = v
+			a.Write(op.ObjectID(k), v)
 		}
-		return conv, nil
+		return nil
 	})
 }
 
