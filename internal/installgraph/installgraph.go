@@ -23,6 +23,7 @@ package installgraph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"logicallog/internal/graph"
@@ -370,10 +371,7 @@ func (ig *Graph) MinimalUninstalled(I PrefixSet) []op.SI {
 // result would not be a prefix set, which signals a harness bug.
 func (ig *Graph) Extend(I PrefixSet, lsn op.SI) PrefixSet {
 	out := make(PrefixSet, len(I)+1)
-	//lint:ignore replaydeterminism set copy; resulting map identical in any order
-	for l := range I {
-		out[l] = true
-	}
+	maps.Copy(out, I)
 	out[lsn] = true
 	if !ig.IsPrefixSet(out) {
 		panic(fmt.Sprintf("installgraph: extend(I, %d) is not a prefix set", lsn))

@@ -19,9 +19,7 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"logicallog/internal/cache"
@@ -144,13 +142,15 @@ const actorRecovery = "recovery"
 // Redo runs the redo pass alone, for a caller with its own prologue
 // (backup.MediaRecover): it replays the operations logged at or after from
 // against mgr, deciding each with opts.Test and the dirty object table dot.
+// Like the prologue, it takes the operations from the log's Restart walk.
 func Redo(log *wal.Log, mgr *cache.Manager, dot map[op.ObjectID]op.SI, from op.SI, opts Options) (*Result, error) {
 	res := &Result{Manager: mgr, RedoStart: from}
 	t := opts.Flight.Clock()
-	ops, err := scanOps(log, from)
+	recs, err := log.Restart()
 	if err != nil {
 		return nil, err
 	}
+	ops := redoSuffix(recs, from)
 	first, last := bounds(ops)
 	opts.Flight.Phase(actorRecovery, flight.DecRedoScan, t, first, last)
 	return redo(opts, res, dot, ops)
@@ -164,26 +164,17 @@ func bounds(ops []*op.Operation) (first, last op.SI) {
 	return ops[0].LSN, ops[len(ops)-1].LSN
 }
 
-// scanOps decodes the operation records logged at or after from, in LSN
-// order.
-func scanOps(log *wal.Log, from op.SI) ([]*op.Operation, error) {
-	sc, err := log.Scan(from)
-	if err != nil {
-		return nil, err
-	}
+// redoSuffix returns the operations among recs, the records of Restart's
+// walk in LSN order, logged at or after from: the redo pass's input, taken
+// without reading the log again.
+func redoSuffix(recs []*wal.Record, from op.SI) []*op.Operation {
 	var ops []*op.Operation
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			return ops, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	for _, rec := range recs[sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= from }):] {
 		if rec.Type == wal.RecOperation {
 			ops = append(ops, rec.Op)
 		}
 	}
+	return ops
 }
 
 // redo drains the redo suffix ops on the calling goroutine, worker
@@ -208,7 +199,8 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	// trim the untrustworthy debris of a torn, bit-flipped, or reordered
 	// final append, and re-derive the LSN horizon from the durable log so
 	// post-recovery appends keep it gap-free (see wal.Log.Restart).  Its
-	// walk returns the durable records, decoded, for analysis to fold.
+	// walk returns the durable records, decoded, for analysis to fold and
+	// the redo pass to take its suffix from.
 	t := fl.Clock()
 	recs, err := log.Restart()
 	if err != nil {
@@ -233,7 +225,7 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 
 	// Analysis pass.
 	t = fl.Clock()
-	dot, ops := analyze(recs, res, opts.Test)
+	dot := analyze(recs, res, opts.Test)
 	fl.Phase(actorRecovery, flight.DecAnalysis, t, log.FirstLSN(), log.StableLSN())
 
 	// Redo scan start point: the minimum rSI over the reconstructed dirty
@@ -248,10 +240,8 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 	}
 	res.RedoStart = redoStart
 
-	// The redo suffix is a tail of the operations analysis decoded, so the
-	// log is not scanned again.
 	t = fl.Clock()
-	ops = ops[sort.Search(len(ops), func(i int) bool { return ops[i].LSN >= redoStart }):]
+	ops := redoSuffix(recs, redoStart)
 	first, last := bounds(ops)
 	fl.Phase(actorRecovery, flight.DecRedoScan, t, first, last)
 	return dot, ops, nil
@@ -267,23 +257,18 @@ func recoverPrologue(log *wal.Log, store *stable.Store, opts Options, res *Resul
 // count from that checkpoint.  A traditional vSI recovery has no notion of
 // installed-without-flushing, so under TestVSI/TestRedoAll those objects
 // stay dirty at their first-update rSI and the redo scan is correspondingly
-// longer.  analyze also returns every operation record, in LSN order, so
-// that the redo pass can take its suffix without decoding the log again.
-func analyze(recs []*wal.Record, res *Result, test RedoTest) (dirtyTable, []*op.Operation) {
+// longer.
+func analyze(recs []*wal.Record, res *Result, test RedoTest) dirtyTable {
 	dot := make(dirtyTable)
-	var ops []*op.Operation
 	for _, rec := range recs {
-		switch rec.Type {
-		case wal.RecOperation:
-			ops = append(ops, rec.Op)
-		case wal.RecCheckpoint:
+		if rec.Type == wal.RecCheckpoint {
 			res.CheckpointLSN = rec.LSN
 			res.AnalyzedRecords = 0
 		}
 		res.AnalyzedRecords++
 		UpdateDirtyTable(dot, rec, test)
 	}
-	return dot, ops
+	return dot
 }
 
 // UpdateDirtyTable applies one log record's Section 5 analysis rule to the
@@ -324,10 +309,7 @@ func UpdateDirtyTable(dot map[op.ObjectID]op.SI, rec *wal.Record, test RedoTest)
 	case wal.RecCheckpoint:
 		// A later checkpoint restates the table.  Cleared in place so
 		// callers holding the map see the restatement.
-		//lint:ignore replaydeterminism order-free map clear
-		for x := range dot {
-			delete(dot, x)
-		}
+		clear(dot)
 		for _, d := range rec.Checkpoint.Dirty {
 			dot[d.ID] = d.RSI
 		}

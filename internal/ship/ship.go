@@ -229,7 +229,7 @@ func (s *Sender) Pump() (bool, error) {
 }
 
 // buildBatch copies up to BatchRecords durable records starting at cursor,
-// each as the frame that lies on the device.
+// each as the frame that lies on the device; no record is decoded.
 func (s *Sender) buildBatch(cursor, stable op.SI) (*Batch, error) {
 	sc, err := s.log.Scan(cursor)
 	if err != nil {
@@ -237,16 +237,16 @@ func (s *Sender) buildBatch(cursor, stable op.SI) (*Batch, error) {
 	}
 	b := &Batch{FirstLSN: cursor}
 	for b.Count < s.cfg.BatchRecords {
-		rec, err := sc.Next()
-		if err != nil || rec.LSN > stable {
-			break // io.EOF: end of the durable log
+		lsn, fr, ok := sc.NextFrame()
+		if !ok || lsn > stable {
+			break // end of the durable log
 		}
 		want := cursor + op.SI(b.Count)
-		if rec.LSN != want {
-			return nil, fmt.Errorf("ship: log gap at LSN %d (scan yielded %d)", want, rec.LSN)
+		if lsn != want {
+			return nil, fmt.Errorf("ship: log gap at LSN %d (scan yielded %d)", want, lsn)
 		}
-		b.Frames = append(b.Frames, sc.Frame()...)
-		b.LastLSN = rec.LSN
+		b.Frames = append(b.Frames, fr...)
+		b.LastLSN = lsn
 		b.Count++
 	}
 	if b.Count == 0 {

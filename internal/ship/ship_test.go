@@ -163,12 +163,10 @@ func durableFrames(t *testing.T, log *wal.Log, from op.SI) []byte {
 		t.Fatal(err)
 	}
 	var out []byte
-	for {
-		if _, err := sc.Next(); err != nil {
-			return out
-		}
-		out = append(out, sc.Frame()...)
+	for _, fr, ok := sc.NextFrame(); ok; _, fr, ok = sc.NextFrame() {
+		out = append(out, fr...)
 	}
+	return out
 }
 
 func newPair(t *testing.T, opts core.Options, plan *fault.Plan, batch int) (*core.Engine, *ship.Standby, *ship.Sender) {
@@ -390,6 +388,67 @@ func TestShipStandbyCrashRestart(t *testing.T) {
 			finishAndPromote(t, eng, s, sb)
 		})
 	}
+}
+
+// TestShipStandbyRestartTrimsTornTail tears the standby's third log append
+// after 5 bytes, which takes it down.  Healed and restarted, it must trim
+// that debris: its later forces would otherwise land behind it, where no
+// reader's end of the log reaches, and the next restart would lose every
+// record it had acknowledged as durable since.
+func TestShipStandbyRestartTrimsTornTail(t *testing.T) {
+	opts := core.DefaultOptions()
+	eng, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.NewPlan(fault.Point{Chan: fault.ChanWAL, Index: 2, Kind: fault.KindTorn, Arg: 5})
+	sopts := opts
+	sopts.LogDevice = plan.WrapDevice(wal.NewMemDevice())
+	sb, err := ship.NewStandby(ship.StandbyConfig{Opts: sopts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1, ship.SenderConfig{BatchRecords: 4})
+	defer s.Close()
+	w := newWorkload(61, 6)
+	torn := false
+	drive(t, eng, w, 60, func(step int) {
+		err := s.PumpAll()
+		if err == nil {
+			return
+		}
+		if torn || !errors.Is(err, ship.ErrDown) {
+			t.Fatalf("pump at step %d: %v", step, err)
+		}
+		torn = true
+		plan.Heal()
+		if err := sb.Restart(); err != nil {
+			t.Fatalf("restart after the torn append: %v", err)
+		}
+	})
+	if !torn {
+		t.Fatal("the standby's third log append never ran")
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	durable := sb.Log().StableLSN()
+	sb.Crash()
+	if err := sb.Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if got := sb.Log().StableLSN(); got < durable {
+		t.Fatalf("the standby acknowledged LSN %d as durable, but holds only %d after a restart", durable, got)
+	}
+	drive(t, eng, w, 10, func(step int) {
+		if err := s.PumpAll(); err != nil {
+			t.Fatalf("pump after restart at step %d: %v", step, err)
+		}
+	})
+	finishAndPromote(t, eng, s, sb)
 }
 
 // TestShipFailedMirroredInstallTakesStandbyDown fails the standby's stable

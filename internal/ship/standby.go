@@ -3,7 +3,6 @@ package ship
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -346,12 +345,26 @@ func (s *Standby) crashLocked() {
 	s.down = true
 }
 
-// Restart recovers a crashed standby over its own log and store — with the
-// normal crash-recovery machinery when install records are shipped, or by
-// replaying the continuous-apply loop when they are not (see
-// replayLogLocked) — rebuilds the incremental dirty table, and re-arms the
-// apply horizon at the durable log's end; the sender's next ack-driven
+// Restart recovers a crashed standby over its own log and store and re-arms
+// the apply horizon at the durable log's end; the sender's next ack-driven
 // rewind resends whatever the crash lost.
+//
+// Recovery deterministically re-runs the continuous-apply loop over the
+// durable log, as the log's restart walk returns it — not recovery.Recover.
+// The distinction matters for two reasons.  First, a restarted standby must
+// keep mirroring the primary's install records, which requires its write
+// graph to regrow with exactly the node groupings continuous apply had; an
+// analysis/redo pass rebuilds a fresh graph whose groupings can differ.
+// Replaying the same record sequence through the same per-record body
+// (replayRecord) is deterministic, so the rebuilt state is precisely what
+// the apply loop had produced for the durable prefix.  Second, when no
+// install records are shipped the standby's store lags the shipped
+// checkpoints' dirty tables (they describe the *primary's* stable state), so
+// those checkpoints cannot seed an analysis pass — the same reason
+// backup.MediaRecover distrusts them.  The vSI witness in the REDO test makes
+// the replay skip exactly the operations the store already reflects, and
+// MirrorInstall/MirrorFlush treat the witnessed-away operations as bootstrap
+// skips.
 func (s *Standby) Restart() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -359,17 +372,31 @@ func (s *Standby) Restart() error {
 		return fmt.Errorf("ship: Restart of a standby that is not down")
 	}
 	// Re-derive the log horizon purely from the device, as a process
-	// restart would.  In particular a bootstrapped standby that crashed
-	// before forcing anything comes back with an empty, fresh log whose
-	// first shipped record re-adopts the stream origin.
+	// restart would, and trim the debris of a torn final append, which a
+	// later force would otherwise land behind, beyond every reader's end of
+	// the log.  In particular a bootstrapped standby that crashed before
+	// forcing anything comes back with an empty, fresh log whose first
+	// shipped record re-adopts the stream origin.
 	log, err := wal.New(s.cfg.Opts.LogDevice)
 	if err != nil {
 		return err
 	}
 	s.log = log
 	s.log.SetObs(s.cfg.Opts.Obs)
-	if err := s.replayLogLocked(); err != nil {
+	recs, err := s.log.Restart()
+	if err != nil {
 		return err
+	}
+	if err := s.resetVolatileLocked(); err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		// Re-flushing is idempotent: a mirrored install flushes the replayed
+		// cached value, which replay determinism makes equal to what was
+		// flushed before the crash.
+		if _, err := s.replayRecord(rec); err != nil {
+			return err
+		}
 	}
 	s.want = s.log.StableLSN() + 1
 	if s.want < s.origin {
@@ -378,46 +405,6 @@ func (s *Standby) Restart() error {
 	s.applied = s.want - 1
 	s.down = false
 	return nil
-}
-
-// replayLogLocked recovers the standby by deterministically re-running the
-// continuous-apply loop over the durable log — not by recovery.Recover.  The
-// distinction matters for two reasons.  First, a restarted standby must keep
-// mirroring the primary's install records, which requires its write graph to
-// regrow with exactly the node groupings continuous apply had; an
-// analysis/redo pass rebuilds a fresh graph whose groupings can differ.
-// Replaying the same record sequence through the same per-record body
-// (replayRecord) is deterministic, so the rebuilt state is precisely what the
-// apply loop had produced for the durable prefix.  Second, when no install records are
-// shipped the standby's store lags the shipped checkpoints' dirty tables
-// (they describe the *primary's* stable state), so those checkpoints cannot
-// seed an analysis pass — the same reason backup.MediaRecover distrusts
-// them.  The vSI witness in the REDO test makes the replay skip exactly the
-// operations the store already reflects, and MirrorInstall/MirrorFlush treat
-// the witnessed-away operations as bootstrap skips.
-func (s *Standby) replayLogLocked() error {
-	if err := s.resetVolatileLocked(); err != nil {
-		return err
-	}
-	sc, err := s.log.Scan(s.log.FirstLSN())
-	if err != nil {
-		return err
-	}
-	for {
-		rec, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		// Re-flushing is idempotent: a mirrored install flushes the replayed
-		// cached value, which replay determinism makes equal to what was
-		// flushed before the crash.
-		if _, err := s.replayRecord(rec); err != nil {
-			return err
-		}
-	}
 }
 
 // resetVolatileLocked gives the standby an empty cache manager and dirty

@@ -11,7 +11,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -695,15 +694,12 @@ func checkExplainableState(eng *core.Engine, rec *runRecorder, fl *flight.Record
 	if err != nil {
 		return fmt.Errorf("explainability scan: %w", err)
 	}
+	recs, err := sc.All()
+	if err != nil {
+		return fmt.Errorf("explainability scan: %w", err)
+	}
 	var history []*op.Operation
-	for {
-		r, err := sc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("explainability scan: %w", err)
-		}
+	for _, r := range recs {
 		if r.Type == wal.RecOperation {
 			history = append(history, r.Op)
 		}

@@ -14,7 +14,8 @@ import (
 //	lsn    uvarint
 //	body   (per type)
 //
-// Scanner.step decides where the durable log ends.
+// The frame and this header (recordHeader) decide where the durable log
+// ends (Scanner.step); the body is decoded only for a record a reader keeps.
 
 // MaxRecordHeader bounds the bytes of a frame before any record body: the
 // framing plus the payload's type byte and worst-case LSN varint.  A torn
@@ -211,23 +212,29 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	return decodeRecord(payload, false)
 }
 
-// decodeRecordAliased parses a record whose byte fields alias payload.  The
-// caller must guarantee payload is immutable for the record's lifetime.
-func decodeRecordAliased(payload []byte) (*Record, error) {
-	return decodeRecord(payload, true)
+// recordHeader parses the type byte and LSN that open every record payload
+// and returns the offset of the body; ok is false unless the type is known
+// and the LSN varint is whole.
+func recordHeader(payload []byte) (t RecordType, lsn op.SI, body int, ok bool) {
+	if len(payload) == 0 {
+		return 0, 0, 0, false
+	}
+	t = RecordType(payload[0])
+	v, n := binary.Uvarint(payload[1:])
+	return t, op.SI(v), 1 + n, t != RecInvalid && t < numRecordTypes && n > 0
 }
 
+// decodeRecord parses a record payload.  With alias set, the record's byte
+// fields alias payload, which the caller must keep immutable for the
+// record's lifetime.
 func decodeRecord(payload []byte, alias bool) (*Record, error) {
-	d := &decoder{buf: payload, alias: alias}
-	t, err := d.u8()
-	if err != nil {
-		return nil, err
+	t, lsn, body, ok := recordHeader(payload)
+	if !ok {
+		return nil, errCorrupt
 	}
-	lsn, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	r := &Record{LSN: op.SI(lsn), Type: RecordType(t)}
+	d := &decoder{buf: payload[body:], alias: alias}
+	r := &Record{LSN: lsn, Type: t}
+	var err error
 	switch r.Type {
 	case RecOperation:
 		o := &op.Operation{LSN: r.LSN}
@@ -335,8 +342,6 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 			cr.Dirty = append(cr.Dirty, DirtyEntry{ID: op.ObjectID(x), RSI: op.SI(rsi)})
 		}
 		r.Checkpoint = cr
-	default:
-		return nil, fmt.Errorf("wal: unknown record type %d", t)
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes after record", len(d.buf))

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 // sixRecordImage returns the device bytes of a log holding LSNs 1..6 of
 // mixed record types, and the offset at which each frame ends.
-func sixRecordImage(t *testing.T) (img []byte, ends []int) {
+func sixRecordImage(t testing.TB) (img []byte, ends []int) {
 	t.Helper()
 	dev := NewMemDevice()
 	l, err := New(dev)
@@ -197,4 +199,187 @@ func TestRestartReadsDeviceOnce(t *testing.T) {
 			t.Errorf("torn=%v: after Restart first %d stable %d next %d", torn, l.FirstLSN(), l.StableLSN(), l.NextLSN())
 		}
 	}
+}
+
+// undecodableThird returns the six-record image with frame 3 replaced by a
+// whole, checksummed frame whose header is the original's (a flush record,
+// LSN 3) but whose body carries a trailing byte, so it does not decode.
+func undecodableThird(t testing.TB) []byte {
+	img, ends := sixRecordImage(t)
+	payload, _, _ := frame.Next(img[ends[1]:])
+	bad := frame.Append(append([]byte(nil), img[:ends[1]]...), append(append([]byte(nil), payload...), 0))
+	return append(bad, img[ends[2]:]...)
+}
+
+// TestUndecodableBodyIsAnError: a checksummed frame whose header extends
+// the log but whose body does not decode is corruption inside the durable
+// log, not its end.  Restart and a scan through it return an error, and
+// Restart leaves the device as it was instead of trimming that record and
+// every acked record after it.  The readers that decode no body see the
+// whole log: New resumes after LSN 6, a scan from LSN 4 yields 4..6, and
+// Truncate(2) keeps frames 2..6.
+func TestUndecodableBodyIsAnError(t *testing.T) {
+	img := undecodableThird(t)
+	open := func() (*Log, *MemDevice) {
+		dev := NewMemDevice()
+		if err := dev.Rewrite(img); err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, dev
+	}
+	for _, crash := range []bool{false, true} {
+		l, dev := open()
+		if l.NextLSN() != 7 {
+			t.Fatalf("New resumes at LSN %d, want 7", l.NextLSN())
+		}
+		if crash {
+			l.Crash()
+		}
+		if recs, err := l.Restart(); !errors.Is(err, errUndecodable) {
+			t.Fatalf("crash=%v: Restart returned %d records, err %v; want errUndecodable", crash, len(recs), err)
+		}
+		if got, _ := dev.ReadAll(); !bytes.Equal(got, img) {
+			t.Fatalf("crash=%v: Restart rewrote the device to %d bytes, want it untouched (%d)", crash, len(got), len(img))
+		}
+	}
+	l, dev := open()
+	sc, _ := l.Scan(0)
+	if _, err := sc.All(); !errors.Is(err, errUndecodable) {
+		t.Fatalf("Scan(0) = %v, want errUndecodable", err)
+	}
+	sc, _ = l.Scan(4)
+	if recs, err := sc.All(); err != nil || len(recs) != 3 || recs[0].LSN != 4 {
+		t.Fatalf("Scan(4) returned %d records, err %v; want LSNs 4..6", len(recs), err)
+	}
+	if err := l.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	_, n, _ := frame.Next(img)
+	if got, _ := dev.ReadAll(); !bytes.Equal(got, img[n:]) {
+		t.Fatalf("Truncate(2) kept %d bytes, want %d", len(got), len(img)-n)
+	}
+}
+
+// TestNewDecodesNoBody: New learns the LSN horizon from frames and record
+// headers alone, so opening an 8 192-record device decodes no record and
+// allocates nothing per record: no more than opening a one-record device.
+func TestNewDecodesNoBody(t *testing.T) {
+	device := func(n int) *MemDevice {
+		dev := NewMemDevice()
+		l, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			mustAppend(t, l, NewOpRecord(op.NewPhysicalWrite(op.ObjectID(fmt.Sprintf("obj%04d", i%64)), []byte("value"))))
+		}
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	allocs := func(dev *MemDevice) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(dev); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := device(1), device(8192)
+	before := bodyDecodes.Load()
+	l, err := New(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bodyDecodes.Load() - before; n != 0 || l.NextLSN() != 8193 {
+		t.Fatalf("New decoded %d bodies and resumes at %d, want 0 and 8193", n, l.NextLSN())
+	}
+	// One allocation per record would add 8 191; the slack only absorbs
+	// the runtime's own stray allocations during a run.
+	if a, b := allocs(small), allocs(big); b > a+16 {
+		t.Fatalf("New allocates %.0f times over 8 192 records, %.0f over one", b, a)
+	}
+}
+
+// FuzzDeviceImage feeds arbitrary device bytes to New, Scan, Restart and
+// Truncate.  None may panic, and all four keep the same trusted prefix (the
+// frames and headers step accepts), unless a body in it does not decode:
+// then Scan(0) and Restart both report it and Restart leaves the device
+// untouched.
+func FuzzDeviceImage(f *testing.F) {
+	img, ends := sixRecordImage(f)
+	f.Add(img)
+	f.Add(img[:ends[2]+3])
+	f.Add(undecodableThird(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		trusted := &Scanner{data: data}
+		var lsns []op.SI
+		var starts []int // offset of each trusted frame
+		for off := 0; trusted.step(); off = trusted.off {
+			lsns = append(lsns, trusted.last)
+			starts = append(starts, off)
+		}
+		prefix := data[:trusted.off]
+		open := func() (*Log, *MemDevice) {
+			dev := NewMemDevice()
+			if err := dev.Rewrite(data); err != nil {
+				t.Fatal(err)
+			}
+			l, err := New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l, dev
+		}
+
+		l, _ := open()
+		if len(lsns) > 0 && (l.FirstLSN() != lsns[0] || l.StableLSN() != lsns[len(lsns)-1]) {
+			t.Fatalf("New holds LSNs %d..%d, want %d..%d", l.FirstLSN(), l.StableLSN(), lsns[0], lsns[len(lsns)-1])
+		}
+		sc, _ := l.Scan(0)
+		scanned, scanErr := sc.All()
+
+		l, dev := open()
+		recs, restartErr := l.Restart()
+		got, _ := dev.ReadAll()
+		if (scanErr == nil) != (restartErr == nil) {
+			t.Fatalf("Scan(0) err %v, Restart err %v: want both or neither", scanErr, restartErr)
+		}
+		if restartErr != nil {
+			if !errors.Is(scanErr, errUndecodable) || !errors.Is(restartErr, errUndecodable) || !bytes.Equal(got, data) {
+				t.Fatalf("on a body that does not decode: Scan(0) %v, Restart %v, device %d bytes of %d",
+					scanErr, restartErr, len(got), len(data))
+			}
+		} else {
+			if len(scanned) != len(lsns) || len(recs) != len(lsns) || !bytes.Equal(got, prefix) {
+				t.Fatalf("Scan(0) kept %d records, Restart %d and %d bytes; the trusted prefix is %d records, %d bytes",
+					len(scanned), len(recs), len(got), len(lsns), len(prefix))
+			}
+			for i, rec := range recs {
+				if rec.LSN != lsns[i] || scanned[i].LSN != lsns[i] {
+					t.Fatalf("record %d: Restart LSN %d, Scan LSN %d, want %d", i, rec.LSN, scanned[i].LSN, lsns[i])
+				}
+			}
+		}
+
+		l, dev = open()
+		before := l.FirstLSN() + 1
+		if err := l.Truncate(before); err != nil {
+			t.Fatal(err)
+		}
+		var kept []byte
+		for i, lsn := range lsns {
+			if lsn >= before {
+				kept = prefix[starts[i]:]
+				break
+			}
+		}
+		if got, _ := dev.ReadAll(); !bytes.Equal(got, kept) {
+			t.Fatalf("Truncate kept %d bytes, want %d", len(got), len(kept))
+		}
+	})
 }

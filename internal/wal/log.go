@@ -251,20 +251,20 @@ func (s Stats) TotalOpPayloadBytes() int64 {
 
 // New creates a Log over dev.  If dev already holds records (restart after
 // crash), the log resumes LSN assignment after the highest durable record.
+// New only reads the device, and decodes no record body (see Scanner.step).
 func New(dev Device) (*Log, error) {
 	l := &Log{dev: dev, firstLSN: 1}
 	l.nextLSN.Store(1)
 	l.forceDone = sync.NewCond(&l.mu)
-	// Recover the LSN horizon from the durable prefix.
 	sc, err := l.Scan(0)
 	if err != nil {
 		return nil, err
 	}
-	for rec := sc.step(); rec != nil; rec = sc.step() {
+	for sc.step() {
 		if l.stableLSN == 0 {
-			l.firstLSN = rec.LSN
+			l.firstLSN = sc.last
 		}
-		l.stableLSN = rec.LSN
+		l.stableLSN = sc.last
 	}
 	l.nextLSN.Store(uint64(l.stableLSN) + 1)
 	return l, nil
@@ -531,9 +531,10 @@ func (l *Log) Crash() int {
 
 // Restart re-synchronizes the log with its device at recovery time, as a
 // process restart's New would, and returns the records of the surviving
-// durable prefix in LSN order, decoded once by its own walk so that
-// recovery's analysis need not read the device again.  The records alias
-// the walk's immutable device snapshot: read-only.
+// durable prefix in LSN order, decoded once by its own walk, from which every
+// replay of the durable log takes its records.  The records alias the walk's
+// immutable device snapshot: read-only.  A kept record whose body does not
+// decode is an error, and the device is then left as it was.
 //
 // Restart waits out any in-flight force, then rewrites the device down to
 // its trustworthy prefix.  That prefix is the durable log as Scanner.step
@@ -561,8 +562,8 @@ func (l *Log) Restart() ([]*Record, error) {
 	var recs []*Record
 	var last op.SI
 	good := 0
-	for rec := sc.step(); rec != nil; rec = sc.step() {
-		if recs == nil && rec.LSN > l.stableLSN {
+	for sc.step() {
+		if recs == nil && sc.last > l.stableLSN {
 			// The device's very first record was never acked, so nothing
 			// vouches for it unless it sits exactly where the next append
 			// would have landed: after the acked horizon, or at the log's
@@ -572,9 +573,13 @@ func (l *Log) Restart() ([]*Record, error) {
 			if l.stableLSN == 0 {
 				want = l.firstLSN
 			}
-			if rec.LSN != want {
+			if sc.last != want {
 				break
 			}
+		}
+		rec, err := sc.decode()
+		if err != nil {
+			return nil, fmt.Errorf("wal: restart: %w", err)
 		}
 		recs = append(recs, rec)
 		last, good = rec.LSN, sc.off
@@ -665,17 +670,17 @@ func (l *Log) Truncate(before op.SI) error {
 		l.forceDone.Wait()
 	}
 	// Keep the durable log from the first record at or after before: one
-	// slice of the snapshot, already framed.
+	// slice of the snapshot, already framed, found without decoding.
 	sc, err := l.Scan(before)
 	if err != nil {
 		return err
 	}
 	var keep []byte
 	newFirst := before
-	if rec, err := sc.Next(); err == nil {
-		newFirst = rec.LSN
-		cut := sc.off - len(sc.frame)
-		for sc.step() != nil { // to the end of the durable log
+	if lsn, fr, ok := sc.NextFrame(); ok {
+		newFirst = lsn
+		cut := sc.off - len(fr)
+		for sc.step() { // to the end of the durable log
 		}
 		keep = sc.data[cut:sc.off]
 	}
@@ -697,8 +702,8 @@ type Scanner struct {
 	data  []byte // the device snapshot
 	off   int    // offset of the next frame in data
 	from  op.SI
-	last  op.SI  // LSN of the last record accepted
-	frame []byte // the last accepted record's frame, aliasing data
+	last  op.SI  // LSN of the last record stepped over
+	frame []byte // the last stepped-over record's frame, aliasing data
 }
 
 // Scan returns a Scanner positioned at the first durable record with
@@ -712,56 +717,79 @@ func (l *Log) Scan(from op.SI) (*Scanner, error) {
 	return &Scanner{data: data, from: from}, nil
 }
 
-// step accepts the record at the scanner's offset if it extends the durable
-// log, and returns nil where the log ends.  This is the end-of-log rule, and
-// every reader of the device — New, Restart, Truncate, Next — applies
-// it through here: the frame is whole and its checksum matches, its payload
-// decodes, and its LSN is the previous record's plus one.  A torn or
+// step steps over the record at the scanner's offset if it extends the
+// durable log, and reports false where the log ends.  This is the end-of-log
+// rule, and every reader of the device — New, Restart, Truncate, NextFrame
+// and Next — applies it through here: the frame is whole and its checksum matches, and
+// the record header names a known type and an LSN that is the previous
+// record's plus one (or, first on the device, any LSN from 1).  A torn or
 // bit-flipped final append fails the first two; a reordered batch whose
-// middle frame never landed fails the third.
-func (s *Scanner) step() *Record {
+// middle frame never landed fails the third.  step reads no record body.
+func (s *Scanner) step() bool {
 	payload, n, ok := frame.Next(s.data[s.off:])
 	if !ok {
-		return nil
+		return false
 	}
-	rec, err := decodeRecordAliased(payload)
-	if err != nil || (s.last != 0 && rec.LSN != s.last+1) {
-		return nil
+	_, lsn, _, ok := recordHeader(payload)
+	if !ok || lsn == 0 || (s.last != 0 && lsn != s.last+1) {
+		return false
 	}
 	s.frame = s.data[s.off : s.off+n : s.off+n]
 	s.off += n
-	s.last = rec.LSN
-	return rec
+	s.last = lsn
+	return true
 }
 
-// Next returns the next record with LSN >= from, or io.EOF at the end of the
-// durable log (see step).
-func (s *Scanner) Next() (*Record, error) {
-	for rec := s.step(); rec != nil; rec = s.step() {
-		if rec.LSN >= s.from {
-			return rec, nil
+// errUndecodable marks a checksummed record whose body does not decode.  No
+// crash leaves one behind, so it is corruption inside the log, not its end.
+var errUndecodable = errors.New("wal: checksummed record does not decode")
+
+// decode decodes the body of the record step last stepped over.
+func (s *Scanner) decode() (*Record, error) {
+	bodyDecodes.Add(1)
+	rec, err := decodeRecord(s.frame[frame.Overhead:], true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: LSN %d: %v", errUndecodable, s.last, err)
+	}
+	return rec, nil
+}
+
+// bodyDecodes counts the record bodies scanners decoded (tests pin it).
+var bodyDecodes atomic.Int64
+
+// NextFrame steps to the next record with LSN >= from without decoding it,
+// and returns its LSN and its frame exactly as it lies on the device
+// (aliasing the snapshot: read-only); ok is false at the end of the durable
+// log (see step).
+func (s *Scanner) NextFrame() (lsn op.SI, fr []byte, ok bool) {
+	for s.step() {
+		if s.last >= s.from {
+			return s.last, s.frame, true
 		}
 	}
-	return nil, io.EOF
+	return 0, nil, false
 }
 
-// Frame returns the frame of the record Next last returned, exactly as it
-// lies on the device.  It aliases the snapshot: read-only.
-func (s *Scanner) Frame() []byte { return s.frame }
+// Next returns the next record with LSN >= from, decoded, or io.EOF at the
+// end of the durable log (see step).  Records before from are not decoded.
+func (s *Scanner) Next() (*Record, error) {
+	if _, _, ok := s.NextFrame(); !ok {
+		return nil, io.EOF
+	}
+	return s.decode()
+}
 
 // All drains the scanner into a slice.
 func (s *Scanner) All() ([]*Record, error) {
 	var out []*Record
-	for {
-		rec, err := s.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
+	for _, _, ok := s.NextFrame(); ok; _, _, ok = s.NextFrame() {
+		rec, err := s.decode()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, rec)
 	}
+	return out, nil
 }
 
 // Stats returns a snapshot of the logging statistics.

@@ -14,7 +14,7 @@ import (
 	"logicallog/internal/op"
 )
 
-func mustAppend(t *testing.T, l *Log, rec *Record) op.SI {
+func mustAppend(t testing.TB, l *Log, rec *Record) op.SI {
 	t.Helper()
 	lsn, err := l.Append(rec)
 	if err != nil {

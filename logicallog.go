@@ -27,6 +27,7 @@
 package logicallog
 
 import (
+	"bytes"
 	"fmt"
 
 	"logicallog/internal/cache"
@@ -110,7 +111,9 @@ func DefaultOptions() Options {
 // Transform is a deterministic user transformation: given the logged
 // parameters and the current values of the operation's read set, it returns
 // the new values of the write set.  It must be pure — recovery re-executes
-// it against recovering state.
+// it against recovering state — and must not modify reads.  The engine owns
+// the returned values: it copies each before caching it, so an output may
+// be a read itself or a buffer the transform reuses.
 type Transform func(params []byte, reads map[string][]byte) (map[string][]byte, error)
 
 // DB is a recoverable object store.  DB methods are not safe for concurrent
@@ -206,7 +209,7 @@ func (db *DB) RegisterFunc(name string, fn Transform) {
 		// Each key fills its own slot, so the order is immaterial; a key
 		// outside the write set voids the operation whichever comes first.
 		for k, v := range out {
-			a.Write(op.ObjectID(k), v)
+			a.Write(op.ObjectID(k), bytes.Clone(v))
 		}
 		return nil
 	})

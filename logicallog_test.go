@@ -248,3 +248,30 @@ func TestEngineEscapeHatch(t *testing.T) {
 		t.Error("Close on memory-backed DB must be nil")
 	}
 }
+
+// TestTransformOutputsAreCopied: the engine owns a Transform's outputs, so
+// one that returns a read as an output does not leave the written object
+// cached sharing the read object's bytes.
+func TestTransformOutputsAreCopied(t *testing.T) {
+	db := openDefault(t)
+	if err := db.Create("big", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	db.RegisterFunc("dup", func(_ []byte, reads map[string][]byte) (map[string][]byte, error) {
+		return map[string][]byte{"copy": reads["big"]}, nil
+	})
+	if err := db.ApplyLogical("dup", nil, []string{"big"}, []string{"copy"}); err != nil {
+		t.Fatal(err)
+	}
+	big, err := db.eng.Cache().Borrow("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := db.eng.Cache().Borrow("copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(cp) != "payload" || &cp[0] == &big[0] {
+		t.Fatalf("copy = %q, sharing big's bytes: %v", cp, &cp[0] == &big[0])
+	}
+}
