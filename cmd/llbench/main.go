@@ -29,13 +29,11 @@ func main() { os.Exit(run()) }
 func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains in recovery-heavy experiments (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	mixes := flag.String("mix", "", "comma-separated scenario mixes for the domain experiment E13 (default: all built-ins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path at exit")
 	runtimeTrace := flag.String("runtime-trace", "", "write a Go runtime execution trace to this path")
 	flag.Parse()
-	harness.DefaultRedoWorkers = *redoWorkers
 	if *mixes != "" {
 		for _, name := range strings.Split(*mixes, ",") {
 			name = strings.TrimSpace(name)

@@ -43,7 +43,6 @@ func main() {
 	physio := flag.Bool("physio", false, "use the physiological baseline configuration")
 	classicW := flag.Bool("w", false, "use the classic write graph W instead of rW")
 	vsi := flag.Bool("vsi", false, "use the classic vSI REDO test instead of generalized rSIs")
-	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	faults := flag.String("faults", "", `fault plan token, e.g. "wal@17:torn=3+stable@4:eio" (see internal/fault)`)
 	standby := flag.Bool("standby", false, "ship the log to a warm standby during the run and promote it after the crash (llship is the full demo)")
 	shipBatch := flag.Int("ship-batch", 16, "ship batch size in records (with -standby)")
@@ -97,7 +96,6 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Physiological = *physio
-	opts.RedoWorkers = *redoWorkers
 	opts.Obs = reg
 	if *classicW {
 		opts.Policy = writegraph.PolicyW
@@ -156,8 +154,8 @@ func main() {
 	sc := sim.DefaultScenario(*seed)
 	sc.Steps = *steps
 	// Spread the flat workload over enough objects that its redo suffix
-	// splits into several dependency chains, so -redo-workers has chains
-	// to replay in parallel.
+	// splits into several dependency chains, each a chain phase in the
+	// recovery trace.
 	sc.Objects = 512
 
 	var (

@@ -1,12 +1,13 @@
 // Command llserve runs the network front-end over a recoverable engine and
 // demonstrates open-for-business-during-redo: on restart after a crash the
 // listener opens as soon as log analysis finishes, demand requests redo just
-// the dependency chains they touch, and background workers drain the rest.
+// the dependency chains they touch, and one background replayer drains the
+// rest.
 //
 // Usage:
 //
 //	llserve [-addr host:port] [-backend kv|btree|lsm] [-wal path]
-//	        [-inflight N] [-redo-workers N]
+//	        [-inflight N]
 //	        [-debug-addr host:port] [-metrics]
 package main
 
@@ -32,17 +33,16 @@ func main() {
 	backend := flag.String("backend", "kv", "backend domain: kv, btree, or lsm")
 	walPath := flag.String("wal", "llserve.wal", "WAL file path (opened or created)")
 	inflight := flag.Int("inflight", 0, "max in-flight operations (0 = server default)")
-	redoWorkers := flag.Int("redo-workers", 0, "goroutines replaying redo chains (0 = GOMAXPROCS, 1 = one replaying goroutine)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, and /metrics on this address")
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot at exit")
 	flag.Parse()
 
-	if err := serve(*addr, *backend, *walPath, *inflight, *redoWorkers, *debugAddr, *metrics); err != nil {
+	if err := serve(*addr, *backend, *walPath, *inflight, *debugAddr, *metrics); err != nil {
 		fatal(err)
 	}
 }
 
-func serve(addr, backend, walPath string, inflight, redoWorkers int, debugAddr string, metrics bool) error {
+func serve(addr, backend, walPath string, inflight int, debugAddr string, metrics bool) error {
 	// A log that already has bytes means a prior incarnation: recover it.
 	// A fresh (or absent) file means a new store: create the backend.
 	fresh := true
@@ -58,7 +58,6 @@ func serve(addr, backend, walPath string, inflight, redoWorkers int, debugAddr s
 	reg := obs.NewRegistry()
 	opts := core.DefaultOptions()
 	opts.LogDevice = dev
-	opts.RedoWorkers = redoWorkers
 	opts.Obs = reg
 	eng, err := core.New(opts)
 	if err != nil {

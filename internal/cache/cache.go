@@ -125,8 +125,6 @@ type Stats struct {
 	ObjectsFlushed int64
 	// InstalledNotFlushed counts objects installed via Notx (no flush).
 	InstalledNotFlushed int64
-	// Evictions counts clean-entry evictions.
-	Evictions int64
 	// Checkpoints counts checkpoint records written.
 	Checkpoints int64
 }
@@ -139,7 +137,6 @@ func (s Stats) AddTo(c map[string]int64) {
 	c["cache.multi_object_flushes"] = s.MultiObjectFlushes
 	c["cache.objects_flushed"] = s.ObjectsFlushed
 	c["cache.installed_not_flushed"] = s.InstalledNotFlushed
-	c["cache.evictions"] = s.Evictions
 	c["cache.checkpoints"] = s.Checkpoints
 }
 
@@ -173,7 +170,8 @@ func (e *entry) rsi() op.SI {
 // Normal operation is engine-serialized (the paper's concerns are recovery
 // ordering, not latching).  The replay path — Get, CurrentVSI,
 // TryApplyLogged — is additionally safe for concurrent use by recovery's
-// parallel redo workers under one invariant the redo scheduler guarantees:
+// replaying goroutines (demand callers, the background replayer, Wait) under
+// one invariant the redo scheduler guarantees:
 // two operations that conflict (one writes an object the other reads or
 // writes) are never replayed concurrently.  tableMu protects only the
 // dirty object table's map structure; entry *contents* need no lock because
@@ -183,12 +181,12 @@ type Manager struct {
 	log   *wal.Log
 	store *stable.Store
 	wg    *writegraph.Graph
-	wgMu  sync.Mutex // guards wg.AddOp from concurrent redo workers
+	wgMu  sync.Mutex // guards wg.AddOp from concurrent redo replayers
 
 	tableMu sync.RWMutex
 	table   map[op.ObjectID]*entry
 
-	// Counters behind Stats, updated atomically because redo workers
+	// Counters behind Stats, updated atomically because redo replayers
 	// apply operations concurrently.
 	opsExecuted         atomic.Int64
 	installs            atomic.Int64
@@ -196,7 +194,6 @@ type Manager struct {
 	multiObjectFlushes  atomic.Int64
 	objectsFlushed      atomic.Int64
 	installedNotFlushed atomic.Int64
-	evictions           atomic.Int64
 	checkpoints         atomic.Int64
 
 	obs cacheObs
@@ -285,7 +282,6 @@ func (m *Manager) Stats() Stats {
 		MultiObjectFlushes:  m.multiObjectFlushes.Load(),
 		ObjectsFlushed:      m.objectsFlushed.Load(),
 		InstalledNotFlushed: m.installedNotFlushed.Load(),
-		Evictions:           m.evictions.Load(),
 		Checkpoints:         m.checkpoints.Load(),
 	}
 }
@@ -300,7 +296,6 @@ func (m *Manager) ResetStats() {
 	m.multiObjectFlushes.Store(0)
 	m.objectsFlushed.Store(0)
 	m.installedNotFlushed.Store(0)
-	m.evictions.Store(0)
 	m.checkpoints.Store(0)
 }
 
@@ -804,22 +799,6 @@ func (m *Manager) PurgeAll() error {
 			return err
 		}
 	}
-}
-
-// EvictClean drops the clean object x from the cache; dirty objects cannot
-// be evicted ("we continue to require that an object be clean before it can
-// be dropped from the cache", Section 4).
-func (m *Manager) EvictClean(x op.ObjectID) error {
-	e, ok := m.lookup(x)
-	if !ok {
-		return nil
-	}
-	if e.dirty() {
-		return fmt.Errorf("cache: cannot evict dirty object %q (rSI %d)", x, e.rsi())
-	}
-	m.remove(x)
-	m.evictions.Add(1)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -86,12 +86,10 @@ func TestExecuteGetInstallEvictRoundTrip(t *testing.T) {
 		t.Errorf("StableLSN = %d, WAL violated", log.StableLSN())
 	}
 
-	// Evict and fault back in.
-	if err := m.EvictClean("X"); err != nil {
-		t.Fatal(err)
-	}
+	// Drop the volatile state and fault X back in from the stable store.
+	m.Crash()
 	if _, ok := m.VSI("X"); ok {
-		t.Error("entry survived eviction")
+		t.Error("entry survived the crash")
 	}
 	v, err = m.Get("X")
 	if err != nil || string(v) != "v0+1" {
@@ -99,17 +97,6 @@ func TestExecuteGetInstallEvictRoundTrip(t *testing.T) {
 	}
 	if vsi, _ := m.VSI("X"); vsi != 2 {
 		t.Errorf("faulted vSI = %d", vsi)
-	}
-}
-
-func TestEvictDirtyRejected(t *testing.T) {
-	m, _, _ := newTestManager(t, rwIdentityCfg())
-	mustExec(t, m, op.NewCreate("X", []byte("v")))
-	if err := m.EvictClean("X"); err == nil {
-		t.Error("evicting a dirty object must fail")
-	}
-	if err := m.EvictClean("missing"); err != nil {
-		t.Errorf("evicting an uncached object = %v", err)
 	}
 }
 
@@ -238,9 +225,6 @@ func TestFigure7RSIAdvancement(t *testing.T) {
 	// X is installed-but-not-flushed: still dirty.
 	if m.DirtyCount() != 1 {
 		t.Errorf("DirtyCount = %d, want 1 (X)", m.DirtyCount())
-	}
-	if err := m.EvictClean("X"); err == nil {
-		t.Error("X must not be evictable while dirty")
 	}
 }
 

@@ -44,11 +44,6 @@ type Options struct {
 	// InstallTrace, when non-nil, observes every write-graph node install
 	// (debug and inspection use only).
 	InstallTrace func(view *writegraph.NodeView)
-	// RedoWorkers is the number of goroutines replaying dependency chains
-	// during recovery.  0 defaults to runtime.GOMAXPROCS(0); 1 is one
-	// replaying goroutine (Recover's caller, or RecoverOnDemand's single
-	// background worker).
-	RedoWorkers int
 	// Obs, when non-nil, receives hot-path metrics from every layer (WAL
 	// append/force latency, group-commit batch sizes, flush-set sizes,
 	// write-graph gauges, redo-chain distributions).  Engine.Metrics()
@@ -160,10 +155,9 @@ func Adopt(opts Options, log *wal.Log, store *stable.Store) (*Engine, *recovery.
 // recoveryOptions is the one place the engine's options become recovery's.
 func (e *Engine) recoveryOptions() recovery.Options {
 	return recovery.Options{
-		Test:        e.opts.RedoTest,
-		Cache:       e.opts.CacheConfig(),
-		RedoWorkers: e.opts.RedoWorkers,
-		Flight:      e.opts.Flight,
+		Test:   e.opts.RedoTest,
+		Cache:  e.opts.CacheConfig(),
+		Flight: e.opts.Flight,
 	}
 }
 
@@ -203,8 +197,8 @@ func (e *Engine) gateFor() *recovery.OnDemand {
 }
 
 // gateRead drains the chains a read of ids needs (no-op when no on-demand
-// drain is running).  Callers hold e.mu; the drain's background workers
-// never take it, so blocking here cannot deadlock.
+// drain is running).  Callers hold e.mu; the drain's background replayer
+// never takes it, so blocking here cannot deadlock.
 func (e *Engine) gateRead(ids ...op.ObjectID) error {
 	if g := e.gateFor(); g != nil {
 		return g.RequireRead(ids...)
@@ -406,7 +400,7 @@ func (e *Engine) checkpointLocked() (op.SI, error) {
 func (e *Engine) Crash() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Stop any on-demand drain first: its background workers mutate the
+	// Stop any on-demand drain first: its background replayer mutates the
 	// cache manager being discarded, and the volatile state is lost anyway.
 	if e.gate != nil {
 		e.gate.Abort()
@@ -463,11 +457,11 @@ func (e *Engine) RecoverMedia(from op.SI) (*recovery.Result, error) {
 }
 
 // RecoverOnDemand starts instant recovery: analysis runs now, the redo
-// suffix is partitioned into dependency chains, background workers begin
-// draining them, and the engine resumes serving immediately — every access
-// path first drains exactly the chains its objects need (Require* gating),
-// so each request observes the same state a completed full redo would have
-// produced.  The returned scheduler exposes drain progress (ChainCounts,
+// suffix is partitioned into dependency chains, one background replayer
+// begins draining them, and the engine resumes serving immediately — every
+// access path first drains exactly the chains its objects need (Require*
+// gating), so each request observes the same state a completed full redo
+// would have produced.  The returned scheduler exposes drain progress (ChainCounts,
 // Done) and completion (Wait); the engine clears the gate itself once the
 // drain finishes cleanly.
 func (e *Engine) RecoverOnDemand() (*recovery.OnDemand, error) {
@@ -509,7 +503,7 @@ type Stats struct {
 
 // Stats returns a snapshot of all counters, read under e.mu.  Every engine
 // mutator holds e.mu, so the snapshot is one cut of their work.  An on-demand
-// drain's background workers (RecoverOnDemand) count cache work and store
+// drain's background replayer (RecoverOnDemand) counts cache work and store
 // reads without e.mu, so while a drain runs those counters may move between
 // the reads.
 func (e *Engine) Stats() Stats {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	. "logicallog/internal/core"
 	"logicallog/internal/obs"
@@ -160,17 +161,17 @@ func TestMetricsCoherentUnderConcurrentExecute(t *testing.T) {
 	}
 }
 
-// TestRecoveryTraceSpans drives a workload, crashes, recovers with parallel
-// redo, and checks the flight recorder captured the pipeline's phases:
-// restart, analysis, redo scan and partition on actor "recovery", and one
-// chain phase per dependency chain on a worker's actor "redo-worker-NN", NN
-// below RedoWorkers (Recover's own goroutine is worker 00).
+// TestRecoveryTraceSpans drives a workload, crashes, recovers, and checks
+// the flight recorder captured the pipeline's phases: restart, analysis,
+// redo scan and partition on actor "recovery", and one chain phase per
+// dependency chain on actor "redo-worker-00", Recover's own goroutine.  That
+// one goroutine replays the chains one after another, so their phases never
+// overlap.
 func TestRecoveryTraceSpans(t *testing.T) {
 	fl := flight.NewRecorder(0)
 	opts := DefaultOptions()
 	opts.Obs = obs.NewRegistry()
 	opts.Flight = fl
-	opts.RedoWorkers = 4
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -190,17 +191,18 @@ func TestRecoveryTraceSpans(t *testing.T) {
 	}
 
 	phases := map[string]int{}
-	replayers := map[string]bool{}
-	for w := 0; w < opts.RedoWorkers; w++ {
-		replayers[fmt.Sprintf("redo-worker-%02d", w)] = true
-	}
+	var prevEnd time.Duration
 	for _, ev := range fl.Events() {
 		switch {
 		case ev.Kind != flight.KindPhase:
 		case ev.Dec == flight.DecChain:
-			if !replayers[ev.Actor] {
+			if ev.Actor != "redo-worker-00" {
 				t.Errorf("chain phase on actor %q", ev.Actor)
 			}
+			if start := ev.At - time.Duration(ev.N); start < prevEnd {
+				t.Errorf("chain phase [%d, %d] starts before the previous one ended", ev.LSN, ev.Ref)
+			}
+			prevEnd = ev.At
 			phases["chain"]++
 		case ev.Actor == "recovery":
 			phases[ev.Dec.String()]++

@@ -80,7 +80,6 @@ func metricsLines(t *testing.T, strat cache.FlushStrategy) []string {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Strategy = strat
-	opts.RedoWorkers = 1
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

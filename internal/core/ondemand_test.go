@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"sync"
 	"testing"
 
 	. "logicallog/internal/core"
@@ -95,15 +96,14 @@ func compareResults(t *testing.T, fullRes, odRes *recovery.Result) {
 }
 
 // TestOnDemandByteIdentity is the tentpole acceptance check: an on-demand
-// drain — with demand reads racing the background workers — ends in exactly
-// the state (and with exactly the per-decision counters) of a full-redo
-// restart of the same crashed image.
+// drain — with 1 or 4 goroutines' demand reads racing the background
+// replayer — ends in exactly the state (and with exactly the per-decision
+// counters) of a full-redo restart of the same crashed image.
 func TestOnDemandByteIdentity(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, demanders := range []int{1, 4} {
+		t.Run(fmt.Sprintf("demanders=%d", demanders), func(t *testing.T) {
 			seed := *ondemandSeed
 			opts := DefaultOptions()
-			opts.RedoWorkers = workers
 
 			full := newEng(t, opts)
 			crashWorkload(t, full, seed)
@@ -122,26 +122,29 @@ func TestOnDemandByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Demand reads while background workers are still draining:
-			// served values must already match full-redo state.
-			for i := 0; i < 24; i += 3 {
-				x := op.ObjectID(fmt.Sprintf("w%03d", i))
-				dv, err := demand.Get(x)
-				if err != nil {
-					fv, ferr := full.Get(x)
-					if ferr == nil {
-						t.Fatalf("demand Get(%s) failed (%v) but full redo has %d bytes", x, err, len(fv))
+			// Demand reads while the background replayer is still
+			// draining: served values must already match full-redo state.
+			var wg sync.WaitGroup
+			for g := 0; g < demanders; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 3 * g; i < 24; i += 3 * demanders {
+						x := op.ObjectID(fmt.Sprintf("w%03d", i))
+						dv, derr := demand.Get(x)
+						fv, ferr := full.Get(x)
+						switch {
+						case derr != nil && ferr == nil:
+							t.Errorf("demand Get(%s) failed (%v) but full redo has %d bytes", x, derr, len(fv))
+						case derr == nil && ferr != nil:
+							t.Errorf("demand served %s but full redo says %v", x, ferr)
+						case derr == nil && !bytes.Equal(fv, dv):
+							t.Errorf("object %s served mid-drain diverges from full redo", x)
+						}
 					}
-					continue // deleted in both; fine
-				}
-				fv, err := full.Get(x)
-				if err != nil {
-					t.Fatalf("demand served %s but full redo says %v", x, err)
-				}
-				if !bytes.Equal(fv, dv) {
-					t.Errorf("object %s served mid-drain diverges from full redo", x)
-				}
+				}(g)
 			}
+			wg.Wait()
 			odRes, err := od.Wait()
 			if err != nil {
 				t.Fatal(err)
@@ -155,13 +158,11 @@ func TestOnDemandByteIdentity(t *testing.T) {
 	}
 }
 
-// TestOnDemandServesBeforeDrain checks the instant-recovery property: with a
-// single background worker and many chains, a demand read returns before the
+// TestOnDemandServesBeforeDrain checks the instant-recovery property: with
+// the one background replayer and many chains, a demand read returns before the
 // drain completes (the requester replays just its own chain).
 func TestOnDemandServesBeforeDrain(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RedoWorkers = 1
-	eng := newEng(t, opts)
+	eng := newEng(t, DefaultOptions())
 	// Many independent single-object chains.
 	for i := 0; i < 200; i++ {
 		x := op.ObjectID(fmt.Sprintf("c%03d", i))
@@ -189,7 +190,7 @@ func TestOnDemandServesBeforeDrain(t *testing.T) {
 	}
 	_, inFlight, done := od.ChainCounts()
 	if done+inFlight >= od.Chains() {
-		// The lone worker outran us — legal, just not informative.
+		// The background replayer outran us — legal, just not informative.
 		t.Logf("drain finished before the demand read returned (done=%d)", done)
 	} else {
 		t.Logf("served with %d/%d chains drained", done, od.Chains())

@@ -103,8 +103,7 @@ func TestExplainEndToEnd(t *testing.T) {
 			LogInstalls: true,
 			Registry:    eng.Registry(),
 		},
-		RedoWorkers: 1,
-		Flight:      rec,
+		Flight: rec,
 	})
 	if err != nil {
 		t.Fatalf("recover: %v", err)

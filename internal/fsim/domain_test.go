@@ -70,7 +70,6 @@ func TestDomainServesDuringRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	opts.RedoWorkers = 1
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func e13Run(opts core.Options, mixName, domain string) (logBytes, valueBytes, re
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	eng, err := newEngine(opts)
+	eng, err := core.New(opts)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}

@@ -15,17 +15,6 @@ import (
 	"logicallog/internal/writegraph"
 )
 
-// DefaultRedoWorkers, when non-zero, overrides Options.RedoWorkers for every
-// engine the harness builds (cmd/llbench's -redo-workers flag).
-var DefaultRedoWorkers int
-
-func newEngine(opts core.Options) (*core.Engine, error) {
-	if opts.RedoWorkers == 0 {
-		opts.RedoWorkers = DefaultRedoWorkers
-	}
-	return core.New(opts)
-}
-
 func logicalOpts() core.Options { return core.DefaultOptions() }
 
 func physioOpts() core.Options {
@@ -64,7 +53,7 @@ func E1LogBytes() (*Table, error) {
 }
 
 func e1Pair(opts core.Options, size int) (int64, error) {
-	eng, err := newEngine(opts)
+	eng, err := core.New(opts)
 	if err != nil {
 		return 0, err
 	}
@@ -126,9 +115,6 @@ func E2Recovery() (*Table, error) {
 	for _, cfg := range configs {
 		const crashes = 40
 		ok := 0
-		if cfg.opts.RedoWorkers == 0 {
-			cfg.opts.RedoWorkers = DefaultRedoWorkers
-		}
 		for seed := int64(1); seed <= crashes; seed++ {
 			if err := sim.CrashTest(cfg.opts, sim.DefaultScenario(seed)); err != nil {
 				return nil, fmt.Errorf("E2 %s seed %d: %w", cfg.name, seed, err)
@@ -272,7 +258,7 @@ func E5FlushMechanisms() (*Table, error) {
 		for _, strat := range []cache.FlushStrategy{cache.StrategyIdentityWrite, cache.StrategyFlushTxn, cache.StrategyShadow} {
 			opts := logicalOpts()
 			opts.Strategy = strat
-			eng, err := newEngine(opts)
+			eng, err := core.New(opts)
 			if err != nil {
 				return nil, err
 			}
@@ -341,7 +327,7 @@ func E6RedoTests() (*Table, error) {
 		for _, test := range []recovery.RedoTest{recovery.TestVSI, recovery.TestRSI} {
 			opts := logicalOpts()
 			opts.RedoTest = test
-			eng, err := newEngine(opts)
+			eng, err := core.New(opts)
 			if err != nil {
 				return nil, err
 			}
@@ -413,7 +399,7 @@ func E7AppRecovery() (*Table, error) {
 }
 
 func e7Run(opts core.Options, bufSize int, physicalWrites bool) (int64, error) {
-	eng, err := newEngine(opts)
+	eng, err := core.New(opts)
 	if err != nil {
 		return 0, err
 	}
@@ -472,7 +458,7 @@ func E8FileOps() (*Table, error) {
 }
 
 func e8Run(size int, physical bool) (int64, error) {
-	eng, err := newEngine(logicalOpts())
+	eng, err := core.New(logicalOpts())
 	if err != nil {
 		return 0, err
 	}
@@ -542,7 +528,7 @@ const e9Inserts = 256
 func e9Key(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 
 func e9Run(opts core.Options, valSize int) (int64, int, int, error) {
-	eng, err := newEngine(opts)
+	eng, err := core.New(opts)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -617,7 +603,7 @@ func E10ScanLength() (*Table, error) {
 	}
 	for _, rg := range []regime{{0, false}, {100, false}, {25, false}, {25, true}} {
 		interval := rg.interval
-		eng, err := newEngine(logicalOpts())
+		eng, err := core.New(logicalOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -684,7 +670,7 @@ func A1InstallLogging() (*Table, error) {
 	for _, logInstalls := range []bool{true, false} {
 		opts := logicalOpts()
 		opts.LogInstalls = logInstalls
-		eng, err := newEngine(opts)
+		eng, err := core.New(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -730,7 +716,7 @@ func A2PolicyAblation() (*Table, error) {
 		if policy == writegraph.PolicyW {
 			opts.Strategy = cache.StrategyShadow // W cannot use identity breakup
 		}
-		eng, err := newEngine(opts)
+		eng, err := core.New(opts)
 		if err != nil {
 			return nil, err
 		}

@@ -21,39 +21,34 @@ const (
 	e14Attempts = 3
 )
 
-// e14Config is one sweep point: a redo-suffix length and a background
-// worker count.  Only large rows are held to the strict first-serve <
-// full-redo bar: on a short log the fixed cost of opening the listener and
-// the loopback round trip rivals the whole redo pass, and showing that
-// crossover honestly is part of the experiment.
+// e14Config is one sweep point: a redo-suffix length.  Only large rows are
+// held to the strict first-serve < full-redo bar: on a short log the fixed
+// cost of opening the listener and the loopback round trip rivals the whole
+// redo pass, and showing that crossover honestly is part of the experiment.
 type e14Config struct {
-	steps   int
-	workers int
-	large   bool
+	steps int
+	large bool
 }
 
 func e14Configs() []e14Config {
 	return []e14Config{
-		{steps: 1000, workers: 1, large: false},
-		{steps: 1000, workers: 4, large: false},
-		{steps: 4000, workers: 1, large: true},
-		{steps: 4000, workers: 4, large: true},
-		{steps: 8000, workers: 4, large: true},
+		{steps: 1000, large: false},
+		{steps: 4000, large: true},
+		{steps: 8000, large: true},
 	}
 }
 
 func e14Key(i int) []byte { return []byte(fmt.Sprintf("s%05d", i)) }
 
 // e14Build drives the deterministic flat-KV history into a fresh engine and
-// crashes it with a long durable redo suffix.  Same (steps, workers) always
-// yields the same crashed image, so two builds are twins.  Each carries its
-// own metrics registry: both timed restarts pay the same metric cost, and
-// the on-demand twin's demand-chain count can be read back.
-func e14Build(steps, workers int) (*core.Engine, *server.KV, error) {
+// crashes it with a long durable redo suffix.  Same steps always yields the
+// same crashed image, so two builds are twins.  Each carries its own metrics
+// registry: both timed restarts pay the same metric cost, and the on-demand
+// twin's demand-chain count can be read back.
+func e14Build(steps int) (*core.Engine, *server.KV, error) {
 	opts := core.DefaultOptions()
-	opts.RedoWorkers = workers
 	opts.Obs = obs.NewRegistry()
-	eng, err := newEngine(opts)
+	eng, err := core.New(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,7 +112,7 @@ type e14Point struct {
 // background drain finishes, twin 2's state and recovery counters must be
 // byte-identical to the full-redo restart.
 func e14Measure(cfg e14Config) (p e14Point, err error) {
-	full, fullKV, err := e14Build(cfg.steps, cfg.workers)
+	full, fullKV, err := e14Build(cfg.steps)
 	if err != nil {
 		return p, err
 	}
@@ -132,7 +127,7 @@ func e14Measure(cfg e14Config) (p e14Point, err error) {
 		return p, err
 	}
 
-	eng, kv, err := e14Build(cfg.steps, cfg.workers)
+	eng, kv, err := e14Build(cfg.steps)
 	if err != nil {
 		return p, err
 	}
@@ -204,10 +199,9 @@ func e14Measure(cfg e14Config) (p e14Point, err error) {
 // E14InstantRecovery measures open-for-business-during-redo: time to the
 // first served client request (analysis + one demand chain + a network
 // round trip) against the full-redo wall time on a twin crashed image,
-// across redo-suffix lengths and background worker counts.  Every sweep
-// point also re-verifies the headline invariant: after the drain, on-demand
-// recovery's state and decision counters are byte-identical to a full-redo
-// restart.  The experiment fails when a large sweep point still serves its
+// across redo-suffix lengths.  Every sweep point also re-verifies the
+// headline invariant: after the drain, on-demand recovery's state and
+// decision counters are byte-identical to a full-redo restart.  The experiment fails when a large sweep point still serves its
 // first request no faster than full redo after e14Attempts tries, or when
 // no sweep point redid a chain on demand.
 func E14InstantRecovery() (*Table, error) {
@@ -215,7 +209,7 @@ func E14InstantRecovery() (*Table, error) {
 		ID:      "E14",
 		Title:   "instant recovery: time to first served request vs full redo",
 		Paper:   "Section 5 REDO; instant-recovery scheduling (Sauer & Härder) over dependency chains",
-		Columns: []string{"redo ops", "workers", "chains", "full redo", "first request", "speedup"},
+		Columns: []string{"redo ops", "chains", "full redo", "first request", "speedup"},
 	}
 	var demandChains int64
 	for _, cfg := range e14Configs() {
@@ -235,10 +229,10 @@ func E14InstantRecovery() (*Table, error) {
 			}
 		}
 		if cfg.large && p.firstServe >= p.fullRedo {
-			return nil, fmt.Errorf("harness: E14: %d redo ops, %d workers: first request served after %v, full redo took %v (%d attempts)",
-				p.redone, cfg.workers, p.firstServe, p.fullRedo, e14Attempts)
+			return nil, fmt.Errorf("harness: E14: %d redo ops: first request served after %v, full redo took %v (%d attempts)",
+				p.redone, p.firstServe, p.fullRedo, e14Attempts)
 		}
-		t.AddRow(p.redone, cfg.workers, p.chains,
+		t.AddRow(p.redone, p.chains,
 			p.fullRedo.Round(time.Microsecond).String(),
 			p.firstServe.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1fx", float64(p.fullRedo)/float64(p.firstServe)))

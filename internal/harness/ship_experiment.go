@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"logicallog/internal/core"
 	"logicallog/internal/ship"
 	"logicallog/internal/workload"
 )
@@ -22,10 +23,7 @@ func E11ShipLag() (*Table, error) {
 	}
 	for _, batch := range []int{1, 4, 16, 64} {
 		opts := logicalOpts()
-		if opts.RedoWorkers == 0 {
-			opts.RedoWorkers = DefaultRedoWorkers
-		}
-		eng, err := newEngine(opts)
+		eng, err := core.New(opts)
 		if err != nil {
 			return nil, err
 		}

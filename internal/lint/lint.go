@@ -1,7 +1,7 @@
 // Package lint hosts lllint, a suite of five static analyzers that
 // mechanically enforce the recovery-critical invariants this engine's
-// correctness rests on: deterministic redo replay (bit-identical at any
-// worker count; map-iteration order never leaking into installation-graph
+// correctness rests on: deterministic redo replay (bit-identical whoever
+// replays each chain; map-iteration order never leaking into installation-graph
 // edge order or flush-set construction), the engine/cache/stable/wal lock
 // order, WAL/stable force errors always observed, counters accessed
 // atomically everywhere or nowhere, and decoded log records treated as

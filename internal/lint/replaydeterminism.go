@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// ReplayDeterminism guards PR 1's bit-identical parallel redo: recovery,
+// ReplayDeterminism guards bit-identical concurrent redo: recovery,
 // write-graph, installation-graph, and digraph code must not let map
 // iteration order, wall-clock time, or an unseeded global RNG feed replay
 // ordering, chain partitioning, edge insertion, or flush-set construction.
@@ -15,7 +15,7 @@ import (
 var ReplayDeterminism = &Analyzer{
 	Name: "replaydeterminism",
 	Doc: "flags nondeterminism sources (map range, time.Now, global math/rand) " +
-		"in replay-ordering code; redo replay must be bit-identical at any worker count",
+		"in replay-ordering code; redo replay must be bit-identical whoever replays each chain",
 	Match: matchSuffix(
 		"internal/recovery",
 		"internal/writegraph",

@@ -18,8 +18,8 @@ import (
 // (10 240 ops), appended round-robin so the chains interleave in log order
 // the way concurrent writers leave them.  The store is in memory and reads
 // at memory speed, so the benchmark measures the redo step's CPU and
-// allocations only.  Each worker count must reproduce the one-worker Result
-// counters.  Run with -benchmem; redoops/s is the headline.
+// allocations only.  Every run must redo every op.  Run with -benchmem;
+// redoops/s is the headline.
 func BenchmarkRedo(b *testing.B) {
 	const (
 		chains   = 512
@@ -48,38 +48,26 @@ func BenchmarkRedo(b *testing.B) {
 	}
 	store := stable.NewStore()
 	store.Restore(snap) // redo never writes the store, so one instance serves every run
-	recoverOnce := func(workers int) counters {
-		res, err := recovery.Recover(log, store, recovery.Options{
-			Test: recovery.TestRSI,
-			Cache: cache.Config{
-				Policy:      writegraph.PolicyRW,
-				Strategy:    cache.StrategyIdentityWrite,
-				LogInstalls: true,
-				Registry:    op.NewRegistry(),
-			},
-			RedoWorkers: workers,
-		})
+	opts := recovery.Options{
+		Test: recovery.TestRSI,
+		Cache: cache.Config{
+			Policy:      writegraph.PolicyRW,
+			Strategy:    cache.StrategyIdentityWrite,
+			LogInstalls: true,
+			Registry:    op.NewRegistry(),
+		},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := recovery.Recover(log, store, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return countersOf(res)
+		if res.Redone != chains*perChain {
+			b.Fatalf("redid %d ops, want %d", res.Redone, chains*perChain)
+		}
 	}
-	base := recoverOnce(1)
-	if base.Redone != chains*perChain {
-		b.Fatalf("one worker redid %d ops, want %d", base.Redone, chains*perChain)
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if got := recoverOnce(workers); got != base {
-				b.Fatalf("counters diverged from one worker:\n got %+v\nwant %+v", got, base)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recoverOnce(workers)
-			}
-			b.ReportMetric(float64(base.Redone)*float64(b.N)/b.Elapsed().Seconds(), "redoops/s")
-		})
-	}
+	b.ReportMetric(float64(chains*perChain)*float64(b.N)/b.Elapsed().Seconds(), "redoops/s")
 }
 
 // BenchmarkRecoverInstalledLog times a restart shaped like the kv-commit
@@ -133,7 +121,7 @@ func BenchmarkRecoverInstalledLog(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		log.Crash()
-		res, err := recovery.Recover(log, store, recovery.Options{Test: recovery.TestRSI, Cache: cfg, RedoWorkers: 1})
+		res, err := recovery.Recover(log, store, recovery.Options{Test: recovery.TestRSI, Cache: cfg})
 		if err != nil {
 			b.Fatal(err)
 		}

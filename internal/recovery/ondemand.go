@@ -3,17 +3,17 @@
 // partitioned into conflict-disjoint dependency chains (parallel.go); a
 // per-chain state table (pending / in-flight / done) lets any goroutine claim
 // a chain and replay it through the redo step (step.go).  Recover and Redo
-// start the scheduler and Wait: ordinary restart is instant restart with no
-// demand (Sauer & Härder, PAPERS.md).  StartOnDemand returns once analysis is
-// done: a caller about to serve a request drains exactly the chains owning
-// the objects the request touches (Require*), and background workers drain
-// the remainder at lower priority.  Because every operation touching a
-// written object lives in the same chain as all of that object's writers,
-// replaying a chain to completion makes its objects' recovered values final —
-// so serving an object after its chain is done observes exactly the state a
-// finished redo would have produced, and the fully drained state is
-// byte-identical regardless of the order demand, background, and Wait replays
-// interleave.
+// drain every chain on the caller's goroutine: ordinary restart is instant
+// restart with no demand (Sauer & Härder, PAPERS.md).  StartOnDemand returns
+// once analysis is done: a caller about to serve a request drains exactly the
+// chains owning the objects the request touches (Require*), and one
+// background replayer drains the remainder opportunistically.  Because every
+// operation touching a written object lives in the same chain as all of that
+// object's writers, replaying a chain to completion makes its objects'
+// recovered values final — so serving an object after its chain is done
+// observes exactly the state a finished redo would have produced, and the
+// fully drained state is byte-identical regardless of the order demand,
+// background, and Wait replays interleave.
 //
 // Gating rules (what a request must wait for):
 //
@@ -29,7 +29,6 @@ package recovery
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,8 +48,8 @@ type ChainState uint8
 const (
 	// ChainPending: not yet claimed by anyone.
 	ChainPending ChainState = iota
-	// ChainInFlight: claimed and replaying (by a demand caller or a
-	// background worker).
+	// ChainInFlight: claimed and replaying (by a demand caller, the
+	// background replayer, or Wait).
 	ChainInFlight
 	// ChainDone: fully replayed; its objects' recovered values are final.
 	ChainDone
@@ -64,6 +63,7 @@ var ErrAborted = errors.New("recovery: on-demand redo aborted")
 // Require* methods are safe for concurrent use; each blocks only until the
 // chains the request needs are done, replaying pending ones on the calling
 // goroutine (demand has priority — it never queues behind background work).
+// At most one background goroutine replays beside them.
 type OnDemand struct {
 	step   *Step
 	flight *flight.Recorder
@@ -99,29 +99,38 @@ type OnDemand struct {
 // StartOnDemand begins instant recovery over the durable log and stable
 // store: restart, flush-txn repair, and analysis run now (they are cheap and
 // proportional to the log suffix, not the redo work); the redo suffix is
-// partitioned into dependency chains; opts.RedoWorkers background workers
-// start draining them; and the scheduler returns so the caller can serve
-// requests immediately, gating each on Require*.  Wait drains to completion
-// and returns the full recovery Result, counter-identical to Recover's.
+// partitioned into dependency chains; one background replayer, actor
+// "redo-worker-00", starts draining them; and the scheduler returns so the
+// caller can serve requests immediately, gating each on Require*.  Wait
+// drains to completion and returns the full recovery Result,
+// counter-identical to Recover's.
 func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, error) {
 	res := &Result{}
 	dot, ops, err := recoverPrologue(log, store, opts, res)
 	if err != nil {
 		return nil, err
 	}
-	return startRedo(opts, res, dot, ops, 0), nil
+	od := newOnDemand(opts, res, dot, ops)
+	od.bg.Add(1)
+	go func() {
+		defer od.bg.Done()
+		od.drain(actorReplayer)
+	}()
+	return od, nil
 }
 
-// startRedo partitions the redo suffix ops (the operations logged from
-// res.RedoStart, in LSN order) and starts the scheduler replaying them
-// against res.Manager on background goroutines of its own, actors
-// "redo-worker-NN" for NN from firstWorker up to the resolved RedoWorkers,
-// at most one per chain.  Redo counters accumulate in res.
-func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, firstWorker int) *OnDemand {
+// actorReplayer is the flight actor of the chains Recover's and Redo's caller,
+// or StartOnDemand's background goroutine, replays.
+const actorReplayer = "redo-worker-00"
+
+// newOnDemand partitions the redo suffix ops (the operations logged from
+// res.RedoStart, in LSN order) into the scheduler's chain table, replaying
+// against res.Manager.  It starts no goroutine.  Redo counters accumulate in
+// res.
+func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation) *OnDemand {
 	res.ScannedOps = len(ops)
 	t := opts.Flight.Clock()
 	chains := partitionChains(ops)
-	workers := resolveWorkers(opts.RedoWorkers)
 	first, last := bounds(ops)
 	opts.Flight.Phase(actorRecovery, flight.DecRedoPartition, t, first, last)
 
@@ -160,7 +169,6 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, f
 	}
 	if reg != nil {
 		reg.Gauge("recovery.redo.chains").Set(int64(len(chains)))
-		reg.Gauge("recovery.redo.workers").Set(int64(workers))
 		h := reg.Histogram("recovery.redo.chain_ops")
 		for _, chain := range chains {
 			h.Observe(int64(len(chain)))
@@ -173,13 +181,6 @@ func startRedo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation, f
 		od.mu.Lock()
 		od.signalDrained()
 		od.mu.Unlock()
-	}
-	for w := firstWorker; w < min(workers, firstWorker+len(chains)); w++ {
-		od.bg.Add(1)
-		go func(actor string) {
-			defer od.bg.Done()
-			od.drain(actor)
-		}(fmt.Sprintf("redo-worker-%02d", w))
 	}
 	return od
 }
@@ -341,10 +342,10 @@ func (od *OnDemand) requireChain(ci int) error {
 }
 
 // drain claims pending chains in partition order and replays them on the
-// calling goroutine, recording them as actor's, until none remain: the
-// background workers' and Wait's loop.  Demand callers never wait for it to
-// reach their chain — they claim it directly; the only demand wait is for a
-// chain already mid-replay.
+// calling goroutine, recording them as actor's, until none remain: the loop
+// of Recover's caller, the background replayer, and Wait.  Demand callers
+// never wait for it to reach their chain — they claim it directly; the only
+// demand wait is for a chain already mid-replay.
 func (od *OnDemand) drain(actor string) {
 	for {
 		ci := od.claimNext()
@@ -355,8 +356,8 @@ func (od *OnDemand) drain(actor string) {
 	}
 }
 
-// claimNext claims the next pending chain for a background worker, or -1
-// when none remain (all claimed/done, a failure, or an abort).
+// claimNext claims the next pending chain for drain, or -1 when none remain
+// (all claimed/done, a failure, or an abort).
 func (od *OnDemand) claimNext() int {
 	od.mu.Lock()
 	defer od.mu.Unlock()
@@ -433,7 +434,7 @@ func (od *OnDemand) signalDrained() {
 }
 
 // Wait drains the table to completion — claiming pending chains on the
-// calling goroutine alongside the background workers — and returns the final
+// calling goroutine alongside the background replayer — and returns the final
 // recovery Result.  Every counter matches what Recover would have reported:
 // per-operation decisions depend only on intra-chain state, so the totals
 // are independent of how demand, background, and Wait interleaved.
@@ -447,11 +448,11 @@ func (od *OnDemand) Wait() (*Result, error) {
 }
 
 // Abort stops the drain: in-flight replays bail at the next operation
-// boundary, background workers exit, and every subsequent Require*/Wait
+// boundary, the background replayer exits, and every subsequent Require*/Wait
 // returns ErrAborted.  Used when the recovering engine crashes (the volatile
 // state is being discarded, so finishing the drain is wasted work) or when
-// another recovery supersedes this one.  Blocks until the workers
-// have exited, so the caller may discard the cache manager immediately after.
+// another recovery supersedes this one.  Blocks until the replayer has
+// exited, so the caller may discard the cache manager immediately after.
 func (od *OnDemand) Abort() {
 	od.mu.Lock()
 	od.aborted = true

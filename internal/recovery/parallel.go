@@ -1,6 +1,7 @@
 // Dependency-chain partitioning: the redo stream is partitioned into
-// conflict-disjoint dependency chains, and the chain scheduler (ondemand.go)
-// replays independent chains concurrently.
+// conflict-disjoint dependency chains, so the chain scheduler (ondemand.go)
+// can gate a request on the chains owning its objects while demand callers
+// and the background replayer replay other chains concurrently.
 //
 // Operation B depends on operation A (earlier in the log) iff B reads or
 // writes an object A wrote.  Taking the symmetric closure — connected
@@ -10,24 +11,14 @@
 // chain serially in log order therefore preserves per-object replay order
 // exactly, and cross-chain object sharing is read-only (objects no chain
 // writes), so chains commute: the recovered state and every Result counter
-// are bit-identical to a log-order replay regardless of worker count or
-// scheduling.  (DESIGN.md, "Dependency-chain partitioning".)
+// are bit-identical to a log-order replay regardless of which goroutine
+// replays which chain, or when.  (DESIGN.md, "Dependency-chain partitioning".)
 package recovery
 
 import (
-	"runtime"
-
 	"logicallog/internal/graph"
 	"logicallog/internal/op"
 )
-
-// resolveWorkers maps the Options.RedoWorkers knob to a concrete goroutine count.
-func resolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // partitionChains splits the scanned operation stream into dependency
 // chains.  Two operations land in the same chain iff they are connected by

@@ -1,9 +1,10 @@
 // Driver-equivalence tests: every crash/recover scenario must yield
 // bit-identical recovered state and Result counters however the chain
-// scheduler is driven — at every worker count, with demand calls racing the
-// background workers, and from backup.MediaRecover's own prologue.  The test
-// lives in an external package so it can drive full engine workloads (core +
-// sim) against recovery directly.
+// scheduler is driven — serially by Recover, with 1, 2 or 4 goroutines'
+// demand calls racing the background replayer and a Wait caller, and from
+// backup.MediaRecover's own prologue.  The test lives in an external package
+// so it can drive full engine workloads (core + sim) against recovery
+// directly.
 package recovery_test
 
 import (
@@ -129,12 +130,12 @@ func requireSame(t *testing.T, label string, got, base recovered) {
 }
 
 // recoverImage recovers an independent copy of the crash image under opts.
-// With demandSeed != 0 it goes through StartOnDemand and races random
-// RequireRead/RequireOp/RequireRange calls against the background workers
-// before Wait.
-func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe []op.ObjectID, demandSeed int64) recovered {
+// With demanders == 0 it runs the serial Recover.  Otherwise it goes through
+// StartOnDemand: demanders goroutines, seeded from demandSeed, issue random
+// RequireRead/RequireOp/RequireRange calls while the background replayer
+// drains and the calling goroutine Waits.
+func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe []op.ObjectID, demanders int, demandSeed int64) recovered {
 	t.Helper()
-	workers := opts.RedoWorkers
 	dev := wal.NewMemDevice()
 	if err := dev.Append(img.logBytes); err != nil {
 		t.Fatal(err)
@@ -145,19 +146,19 @@ func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe 
 	}
 	store := stable.NewStore()
 	store.Restore(img.snap)
-	if demandSeed == 0 {
+	if demanders == 0 {
 		res, err := recovery.Recover(log, store, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		return collect(t, res, store, universe)
 	}
 	od, err := recovery.StartOnDemand(log, store, opts)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("demanders=%d: %v", demanders, err)
 	}
 	var wg sync.WaitGroup
-	for g := int64(0); g < 3; g++ {
+	for g := int64(0); g < int64(demanders); g++ {
 		wg.Add(1)
 		go func(rng *rand.Rand) {
 			defer wg.Done()
@@ -177,15 +178,15 @@ func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe 
 					err = od.RequireRange(lo, hi)
 				}
 				if err != nil {
-					t.Errorf("workers=%d: demand: %v", workers, err)
+					t.Errorf("demanders=%d: demand: %v", demanders, err)
 				}
 			}
 		}(rand.New(rand.NewSource(demandSeed + g)))
 	}
+	res, err := od.Wait() // races the demanders, as llserve's drain does
 	wg.Wait()
-	res, err := od.Wait()
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("demanders=%d: %v", demanders, err)
 	}
 	return collect(t, res, store, universe)
 }
@@ -230,43 +231,44 @@ func parallelConfigs() map[string]core.Options {
 	}
 }
 
-var workerCounts = []int{1, 2, 4, 8}
-
-// checkScenario recovers one crash image every way the scheduler can be
-// driven — Recover at every worker count, StartOnDemand with racing demand
-// at every worker count, and Recover with a metrics registry and flight
-// recorder attached — and requires identical counters, stable snapshots,
-// and recovered object values against the workers=1 Recover.  The
-// instrumented run's decision counters must also equal the Result's
-// tallies, and its recorder must have seen the run's decisions and phases.
-func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
-	t.Helper()
-	img, universe := capture(t, opts, sc)
-	cfg := cache.Config{
+// recoveryOptions is recovery's view of an engine configuration, with a
+// fresh registry of builtin transforms.
+func recoveryOptions(opts core.Options) recovery.Options {
+	return recovery.Options{Test: opts.RedoTest, Cache: cache.Config{
 		Policy:      opts.Policy,
 		Strategy:    opts.Strategy,
 		LogInstalls: opts.LogInstalls,
 		Registry:    op.NewRegistry(),
-	}
-	ropts := func(workers int) recovery.Options {
-		return recovery.Options{Test: opts.RedoTest, Cache: cfg, RedoWorkers: workers}
-	}
-	base := recoverImage(t, img, ropts(workerCounts[0]), universe, 0)
-	for _, w := range workerCounts {
-		if w != workerCounts[0] {
-			got := recoverImage(t, img, ropts(w), universe, 0)
-			requireSame(t, fmt.Sprintf("seed %d workers=%d", sc.Seed, w), got, base)
-		}
-		got := recoverImage(t, img, ropts(w), universe, sc.Seed*131+int64(w))
-		requireSame(t, fmt.Sprintf("seed %d workers=%d demand-interleaved", sc.Seed, w), got, base)
+	}}
+}
+
+// demanderCounts is the demand-concurrency axis: how many goroutines issue
+// Require* calls against the background replayer and a Wait caller.
+var demanderCounts = []int{1, 2, 4}
+
+// checkScenario recovers one crash image every way the scheduler can be
+// driven — the serial Recover, StartOnDemand with each count of racing
+// demanders, and Recover with a metrics registry and flight recorder
+// attached — and requires identical counters, stable snapshots, and
+// recovered object values against the plain Recover.  The instrumented
+// run's decision counters must also equal the Result's tallies, and its
+// recorder must have seen the run's decisions and phases.
+func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
+	t.Helper()
+	img, universe := capture(t, opts, sc)
+	ropts := recoveryOptions(opts)
+	base := recoverImage(t, img, ropts, universe, 0, 0)
+	for _, n := range demanderCounts {
+		got := recoverImage(t, img, ropts, universe, n, sc.Seed*131+int64(n))
+		requireSame(t, fmt.Sprintf("seed %d demanders=%d", sc.Seed, n), got, base)
 	}
 
 	reg := obs.NewRegistry()
 	fl := flight.NewRecorder(flight.DefaultRingSize)
-	inst := ropts(workerCounts[len(workerCounts)-1])
+	inst := ropts
 	inst.Cache.Obs, inst.Flight = reg, fl
 	label := fmt.Sprintf("seed %d instrumented", sc.Seed)
-	requireSame(t, label, recoverImage(t, img, inst, universe, 0), base)
+	requireSame(t, label, recoverImage(t, img, inst, universe, 0, 0), base)
 	c := reg.Snapshot().Counters
 	if c["recovery.decide.redo"] != int64(base.c.Redone) ||
 		c["recovery.decide.skip_installed"] != int64(base.c.SkippedInstalled) ||
@@ -286,7 +288,7 @@ func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
 }
 
 // TestParallelRedoMatrix runs the full configuration matrix over randomized
-// scenarios at worker counts {1, 2, 4, 8}, plain and demand-interleaved.
+// scenarios, serially and with 1, 2 and 4 racing demanders.
 func TestParallelRedoMatrix(t *testing.T) {
 	for name, opts := range parallelConfigs() {
 		opts := opts
@@ -338,59 +340,92 @@ func TestParallelRedoWideUniverse(t *testing.T) {
 
 // TestMediaRecoverDriverEquivalence is the matrix's media-recovery row: a
 // backup taken mid-workload, the stable store lost, and backup.MediaRecover
-// run by an engine at every worker count must agree with its workers=1 run
-// — it hands its own prologue's state to the same scheduler.  The engine
-// takes its recovery options from itself, so each worker count replays the
-// seeded workload on its own engine.
+// run by the engine.  Its recovered values must equal those of the serial
+// Recover of the same crash image with the store intact, which the
+// demand-interleaved drains must match in full; and its counters and values
+// must equal a serial recovery.Redo of an independent copy of the log over
+// the backup image, the scheduler MediaRecover hands its own prologue's
+// state to.
 func TestMediaRecoverDriverEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		var base recovered
-		for _, w := range workerCounts {
-			opts := core.DefaultOptions()
-			opts.RedoWorkers = w
-			eng, err := core.New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := sim.DefaultScenario(seed)
-			sc.Objects = 12
-			sc.Steps = 160
-			var b *backup.Backup
-			sc.StepHook = func(step int) error {
-				if step != 50 {
-					return nil
-				}
-				var err error
-				if b, err = backup.Take(eng, nil); err == nil {
-					b.RegisterRetention(eng.Log())
-				}
-				return err
-			}
-			if err := sim.DriveWorkload(eng, sc); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Log().Force(); err != nil {
-				t.Fatal(err)
-			}
-			eng.Crash()
-			eng.Store().Restore(nil) // the media failure
-			res, err := backup.MediaRecover(eng, b)
-			if err != nil {
-				t.Fatalf("seed %d workers=%d: %v", seed, w, err)
-			}
-			if res.Redone == 0 {
-				t.Fatalf("seed %d: media recovery redid nothing; the row is vacuous", seed)
-			}
-			universe := make([]op.ObjectID, sc.Objects)
-			for i := range universe {
-				universe[i] = op.ObjectID(fmt.Sprintf("obj%02d", i))
-			}
-			got := collect(t, res, eng.Store(), universe)
-			if w == workerCounts[0] {
-				base = got
-				continue
-			}
-			requireSame(t, fmt.Sprintf("seed %d media workers=%d", seed, w), got, base)
+		opts := core.DefaultOptions()
+		dev := wal.NewMemDevice()
+		opts.LogDevice = dev
+		eng, err := core.New(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sc := sim.DefaultScenario(seed)
+		sc.Objects = 12
+		sc.Steps = 160
+		var b *backup.Backup
+		sc.StepHook = func(step int) error {
+			if step != 50 {
+				return nil
+			}
+			var err error
+			if b, err = backup.Take(eng, nil); err == nil {
+				b.RegisterRetention(eng.Log())
+			}
+			return err
+		}
+		if err := sim.DriveWorkload(eng, sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Log().Force(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Crash()
+		logBytes, err := dev.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := crashImage{logBytes: logBytes, snap: eng.Store().Snapshot()}
+		universe := make([]op.ObjectID, sc.Objects)
+		for i := range universe {
+			universe[i] = op.ObjectID(fmt.Sprintf("obj%02d", i))
+		}
+		ropts := recoveryOptions(opts)
+		crash := recoverImage(t, img, ropts, universe, 0, 0)
+		for _, n := range demanderCounts {
+			got := recoverImage(t, img, ropts, universe, n, seed*131+int64(n))
+			requireSame(t, fmt.Sprintf("seed %d crash demanders=%d", seed, n), got, crash)
+		}
+
+		eng.Store().Restore(nil) // the media failure
+		res, err := backup.MediaRecover(eng, b)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Redone == 0 {
+			t.Fatalf("seed %d: media recovery redid nothing; the row is vacuous", seed)
+		}
+		media := collect(t, res, eng.Store(), universe)
+		for x, want := range crash.vals {
+			if media.vals[x] != want {
+				t.Errorf("seed %d: media recovery's %s = %q, crash recovery's %q", seed, x, media.vals[x], want)
+			}
+		}
+
+		copyDev := wal.NewMemDevice()
+		if err := copyDev.Append(logBytes); err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.New(copyDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := stable.NewStore()
+		store.Restore(b.Objects)
+		ropts.Test = recovery.TestVSI
+		mgr, err := cache.NewManager(ropts.Cache, log, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := recovery.Redo(log, mgr, nil, b.StartLSN, ropts)
+		if err != nil {
+			t.Fatalf("seed %d: serial redo: %v", seed, err)
+		}
+		requireSame(t, fmt.Sprintf("seed %d media", seed), media, collect(t, serial, store, universe))
 	}
 }

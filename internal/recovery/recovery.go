@@ -66,20 +66,14 @@ type Options struct {
 	// the scheduler's recovery.ondemand.* family, and the recovery.decide.*
 	// decision family.
 	Cache cache.Config
-	// RedoWorkers is the number of goroutines replaying dependency chains;
-	// 0 (the default) resolves to runtime.GOMAXPROCS(0).  Recover's caller
-	// is one of them (1 = everything on the calling goroutine);
-	// StartOnDemand's caller leaves, so all run in the background.  Any
-	// value yields bit-identical recovered state and counters (parallel.go).
-	RedoWorkers int
 	// Flight, when non-nil, records every redo decision (with its witness
 	// or dirty-table reason) in the flight recorder for post-hoc forensics
 	// (llinspect -explain), and the pipeline's phases: restart, flush-txn
 	// repair, analysis, redo scan and chain partitioning on actor
 	// "recovery", and one chain phase per replayed dependency chain on its
-	// replayer's actor: "redo-worker-NN" for worker NN (Recover's caller is
-	// worker 00), "redo-wait" for a caller of OnDemand.Wait, "demand" for a
-	// Require* caller.
+	// replayer's actor: "redo-worker-00" for Recover's and Redo's caller or
+	// StartOnDemand's background replayer, "redo-wait" for a caller of
+	// OnDemand.Wait, "demand" for a Require* caller.
 	// Observational only: timing never feeds replay ordering, so recorded
 	// runs recover bit-identical state.
 	Flight *flight.Recorder
@@ -121,7 +115,7 @@ type dirtyTable map[op.ObjectID]op.SI
 
 // Recover performs full crash recovery over the durable log and stable
 // store and returns the rebuilt volatile state: the prologue, then the chain
-// scheduler drained with the caller as one of its replaying goroutines.  It
+// scheduler drained on the caller's goroutine, which starts no other.  It
 // is idempotent: crashing during recovery and recovering again yields the
 // same stable state, because recovery itself follows the same WAL and
 // write-graph disciplines as normal operation and never resets installed
@@ -177,12 +171,11 @@ func redoSuffix(recs []*wal.Record, from op.SI) []*op.Operation {
 	return ops
 }
 
-// redo drains the redo suffix ops on the calling goroutine, worker
-// "redo-worker-00", plus opts.RedoWorkers-1 others, filling res's redo
-// counters.
+// redo drains the redo suffix ops on the calling goroutine, actor
+// "redo-worker-00", filling res's redo counters.
 func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation) (*Result, error) {
-	od := startRedo(opts, res, dot, ops, 1)
-	od.drain("redo-worker-00")
+	od := newOnDemand(opts, res, dot, ops)
+	od.drain(actorReplayer)
 	return od.Wait()
 }
 

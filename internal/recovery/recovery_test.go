@@ -583,8 +583,7 @@ func TestRecoverPhasesSurviveInSpill(t *testing.T) {
 			Policy: opts.Policy, Strategy: opts.Strategy,
 			LogInstalls: opts.LogInstalls, Registry: eng.Registry(), Obs: reg,
 		},
-		RedoWorkers: 3,
-		Flight:      fl,
+		Flight: fl,
 	})
 	if err != nil {
 		t.Fatal(err)

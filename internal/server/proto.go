@@ -5,7 +5,7 @@
 // shutdown, and — the headline — instant recovery: after a crash the
 // listener opens while redo is still running, each request drains exactly
 // the dependency chains its objects need (Engine gating over
-// recovery.OnDemand), and background workers finish the rest.
+// recovery.OnDemand), and one background replayer finishes the rest.
 package server
 
 import (

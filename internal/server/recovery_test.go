@@ -22,7 +22,6 @@ var serverSeed = flag.Int64("server-seed", 11, "seed for the server recovery kil
 func buildCrashedKV(t *testing.T, seed int64) (*core.Engine, *KV) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.RedoWorkers = 1 // slow drain: keep chains pending under traffic
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,9 @@ type Batch struct {
 type Ack struct {
 	// Applied is the highest LSN the standby has applied.
 	Applied op.SI
-	// Durable is the standby's own durable log horizon (its forced prefix).
+	// Durable is the standby's own durable log horizon (its forced prefix,
+	// or the record before its origin while a bootstrapped standby has
+	// forced nothing).
 	// The sender's retention hook pins the primary's truncation floor at
 	// Durable+1, so a lagging standby can always re-fetch what it lost.
 	Durable op.SI
@@ -99,9 +101,10 @@ type Sender struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	cursor  op.SI // next LSN to ship
-	acked   op.SI // highest LSN the standby acked as applied
-	durable op.SI // highest standby durable horizon seen
+	cursor  op.SI  // next LSN to ship
+	acked   op.SI  // the standby's applied horizon, as its last ack said
+	durable op.SI  // the standby's durable horizon, as its last ack said
+	acks    uint64 // real (not Lost) acks received
 	resyncs int64
 
 	unregister func()
@@ -170,7 +173,7 @@ func (s *Sender) Cursor() op.SI {
 	return s.cursor
 }
 
-// Acked returns the highest LSN the standby has acked as applied.
+// Acked returns the standby's applied horizon as its last ack said.
 func (s *Sender) Acked() op.SI {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -186,19 +189,13 @@ func (s *Sender) Resyncs() int64 {
 
 // Lag returns the replication lag as LSN distance (durable horizon minus
 // standby-applied horizon) and as unshipped record count.
-func (s *Sender) Lag() (lsns, records int64) {
-	stable := s.log.StableLSN()
+func (s *Sender) Lag() (lsns, records int64) { return s.lag(s.log.StableLSN()) }
+
+// lag is Lag against the primary's durable horizon stable.
+func (s *Sender) lag(stable op.SI) (lsns, records int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lsns = int64(stable) - int64(s.acked)
-	records = int64(stable) - int64(s.cursor) + 1
-	if lsns < 0 {
-		lsns = 0
-	}
-	if records < 0 {
-		records = 0
-	}
-	return lsns, records
+	return max(int64(stable)-int64(s.acked), 0), max(int64(stable)-int64(s.cursor)+1, 0)
 }
 
 // Pump ships one batch of durable records at the cursor.  It returns whether
@@ -255,8 +252,9 @@ func (s *Sender) buildBatch(cursor, stable op.SI) (*Batch, error) {
 	return b, nil
 }
 
-// send delivers one batch (or probe) with transient retry and folds the ack
-// into the sender's horizons.
+// send delivers one batch (or probe) with transient retry.  A real ack
+// replaces the sender's horizons: they are the standby's current ones, which
+// a standby restart can move back.
 func (s *Sender) send(b *Batch) error {
 	s.mu.Lock()
 	s.seq++
@@ -295,12 +293,8 @@ func (s *Sender) send(b *Batch) error {
 		s.cfg.Flight.ShipBatch(flight.DecLost, b.FirstLSN, b.LastLSN, int64(b.Count))
 		return nil
 	}
-	if ack.Applied > s.acked {
-		s.acked = ack.Applied
-	}
-	if ack.Durable > s.durable {
-		s.durable = ack.Durable
-	}
+	s.acked, s.durable = ack.Applied, ack.Durable
+	s.acks++
 	if b.Count > 0 {
 		s.cfg.Flight.ShipBatch(flight.DecSent, b.FirstLSN, b.LastLSN, int64(b.Count))
 	}
@@ -320,19 +314,9 @@ func (s *Sender) observeLag(stable op.SI) {
 	if s.lagLSN == nil {
 		return
 	}
-	s.mu.Lock()
-	acked, cursor := s.acked, s.cursor
-	s.mu.Unlock()
-	lag := int64(stable) - int64(acked)
-	if lag < 0 {
-		lag = 0
-	}
-	unshipped := int64(stable) - int64(cursor) + 1
-	if unshipped < 0 {
-		unshipped = 0
-	}
-	s.lagLSN.Set(lag)
-	s.lagRecords.Set(unshipped)
+	lsns, records := s.lag(stable)
+	s.lagLSN.Set(lsns)
+	s.lagRecords.Set(records)
 }
 
 // PumpAll pumps until every durable record has been shipped once.  It does
@@ -351,18 +335,24 @@ func (s *Sender) PumpAll() error {
 
 // Sync drives the ship loop until the standby has applied every record up to
 // the primary's durable horizon, resending what was lost along the way.  It
-// sends probe batches when everything has been shipped but the ack horizon
-// lags (the "lost final batch" case).  A transport that stops making
-// progress — a severed link — fails after a bounded number of attempts.
+// trusts the horizons only once an ack has arrived during the call: a
+// standby that restarted since its last ack may have lost applied records.
+// It sends probe batches when everything has been shipped but no fresh ack
+// shows it applied (the "lost final batch" case).  A transport that stops
+// making progress — a severed link — fails after a bounded number of
+// attempts.
 func (s *Sender) Sync() error {
 	const maxStalls = 8
 	stalls := 0
+	s.mu.Lock()
+	acks := s.acks
+	s.mu.Unlock()
 	for {
 		stable := s.log.StableLSN()
 		s.mu.Lock()
-		acked, cursor := s.acked, s.cursor
+		acked, cursor, fresh := s.acked, s.cursor, s.acks > acks
 		s.mu.Unlock()
-		if acked >= stable && cursor > stable {
+		if fresh && acked >= stable && cursor > stable {
 			s.observeLag(stable)
 			return nil
 		}
@@ -371,9 +361,9 @@ func (s *Sender) Sync() error {
 				return err
 			}
 		} else {
-			// Everything shipped, not everything acked: probe for the
-			// standby's horizons (its Want rewinds the cursor if a batch
-			// was lost in flight).
+			// Everything shipped, not everything freshly acked: probe
+			// for the standby's horizons (its Want rewinds the cursor if
+			// a batch was lost in flight or a restart lost its tail).
 			if err := s.send(&Batch{FirstLSN: cursor, LastLSN: cursor - 1}); err != nil {
 				return err
 			}

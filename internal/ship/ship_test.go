@@ -451,6 +451,37 @@ func TestShipStandbyRestartTrimsTornTail(t *testing.T) {
 	finishAndPromote(t, eng, s, sb)
 }
 
+// TestShipSyncAfterStandbyRestart crashes and restarts the standby right
+// after a Sync.  The crash loses the applied records the standby had not
+// forced, so the horizons the sender cached from its last ack are stale: the
+// next Sync must probe the standby, rewind to what it lost and resend it
+// before it returns, and the promoted standby must hold the primary's whole
+// durable history.
+func TestShipSyncAfterStandbyRestart(t *testing.T) {
+	eng, sb, s := newPair(t, core.DefaultOptions(), nil, 4)
+	defer s.Close()
+	w := newWorkload(61, 6)
+	drive(t, eng, w, 60, func(int) {
+		if err := s.PumpAll(); err != nil {
+			t.Fatalf("pump: %v", err)
+		}
+	})
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if sb.Log().StableLSN() >= sb.Applied() {
+		t.Fatalf("the standby forced everything it applied (LSN %d); the crash loses nothing", sb.Applied())
+	}
+	sb.Crash()
+	if err := sb.Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	finishAndPromote(t, eng, s, sb)
+}
+
 // TestShipFailedMirroredInstallTakesStandbyDown fails the standby's stable
 // store permanently under a mirrored install.  The shipped record is already
 // in the standby's log by then, so the apply horizon can never take a resend;
@@ -628,6 +659,60 @@ func TestShipBootstrappedStandbyCrashBeforeForce(t *testing.T) {
 		t.Fatalf("restarted standby wants %d; origin %d", got, b.StartLSN)
 	}
 	drive(t, eng, w, 30, func(step int) {
+		if err := s.PumpAll(); err != nil {
+			t.Fatalf("pump: %v", err)
+		}
+	})
+	finishAndPromote(t, eng, s, sb)
+}
+
+// TestShipBootstrapRetainsFromOrigin: a bootstrapped standby that has
+// applied operations but forced nothing still holds every record below its
+// origin in its image, so the sender's retention hook lets the primary
+// truncate its log up to that origin.
+func TestShipBootstrapRetainsFromOrigin(t *testing.T) {
+	opts := core.DefaultOptions()
+	eng, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorkload(53, 5)
+	drive(t, eng, w, 30, nil)
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := backup.Take(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := ship.Bootstrap(ship.StandbyConfig{Opts: opts}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), b.StartLSN, ship.SenderConfig{BatchRecords: 64})
+	defer s.Close()
+	for i := 0; i < 5; i++ {
+		w.execute(t, eng) // operations only: nothing the standby must force
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PumpAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.Log().StableLSN(); got != 0 {
+		t.Fatalf("the standby forced its log through %d", got)
+	}
+	if err := eng.Log().Truncate(b.StartLSN); err != nil {
+		t.Fatal(err)
+	}
+	if first := eng.Log().FirstLSN(); first != b.StartLSN {
+		t.Fatalf("primary log truncated to %d, want the standby's origin %d", first, b.StartLSN)
+	}
+	drive(t, eng, w, 30, func(int) {
 		if err := s.PumpAll(); err != nil {
 			t.Fatalf("pump: %v", err)
 		}

@@ -74,8 +74,7 @@ type Standby struct {
 	dot      map[op.ObjectID]op.SI
 	step     *recovery.Step
 	origin   op.SI // first LSN ever shipped here (backup StartLSN, or 1)
-	want     op.SI // next LSN to apply
-	applied  op.SI // highest LSN applied
+	want     op.SI // next LSN to apply; every LSN below it is applied
 	down     bool  // crashed, awaiting Restart
 	promoted bool
 	stats    StandbyStats
@@ -125,12 +124,11 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 		return nil, err
 	}
 	s := &Standby{
-		cfg:     cfg,
-		log:     log,
-		store:   stable.NewStore(),
-		origin:  origin,
-		want:    origin,
-		applied: origin - 1,
+		cfg:    cfg,
+		log:    log,
+		store:  stable.NewStore(),
+		origin: origin,
+		want:   origin,
 	}
 	s.log.SetObs(s.cfg.Opts.Obs)
 	if image != nil {
@@ -177,7 +175,7 @@ func (s *Standby) Want() op.SI {
 func (s *Standby) Applied() op.SI {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applied
+	return s.want - 1
 }
 
 // Stats returns a snapshot of the standby's counters.
@@ -229,7 +227,6 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 			return s.ackLocked(), err
 		}
 		s.flight().ShipApply(flight.DecAccept, rec.LSN, s.want)
-		s.applied = rec.LSN
 		s.want = rec.LSN + 1
 	}
 	return s.ackLocked(), nil
@@ -239,7 +236,8 @@ func (s *Standby) ackLocked() Ack {
 	if s.down {
 		return Ack{Lost: true} // horizons of discarded state mean nothing
 	}
-	return Ack{Applied: s.applied, Durable: s.log.StableLSN(), Want: s.want}
+	// A bootstrapped standby's image holds every record below its origin.
+	return Ack{Applied: s.want - 1, Durable: max(s.log.StableLSN(), s.origin-1), Want: s.want}
 }
 
 // applyLocked runs one shipped record through the continuous-redo pipeline:
@@ -402,7 +400,6 @@ func (s *Standby) Restart() error {
 	if s.want < s.origin {
 		s.want = s.origin
 	}
-	s.applied = s.want - 1
 	s.down = false
 	return nil
 }

@@ -430,9 +430,6 @@ func runCrash(tg Target, plan *fault.Plan) (n Boundaries, err error) {
 	opts := tg.options()
 	opts.LogDevice = plan.WrapDevice(wal.NewMemDevice())
 	opts.Flight = fl
-	// Deterministic per-schedule worker count: vary parallel redo across
-	// the schedule space without a nondeterministic seed.
-	opts.RedoWorkers = 1 + len(token)%4
 	rec := &runRecorder{}
 	opts.InstallTrace = rec.trace
 	eng, err := core.New(opts)

@@ -82,7 +82,6 @@ func runShip(tg Target, sched schedule) (n Boundaries, err error) {
 	base := tg.options()
 	popts := base
 	popts.LogDevice = wal.NewMemDevice()
-	popts.RedoWorkers = 1 + (sched.boundary+len(sched.token))%4
 	popts.Flight = fl
 	rec := &runRecorder{}
 	eng, err := core.New(popts)
@@ -91,7 +90,6 @@ func runShip(tg Target, sched schedule) (n Boundaries, err error) {
 	}
 
 	sopts := base
-	sopts.RedoWorkers = popts.RedoWorkers
 	sopts.Flight = fl
 	if base.LogInstalls {
 		// The Theorem 3 recorder watches the standby's mirrored installs: they

@@ -122,13 +122,6 @@ func DefaultScenario(seed int64) Scenario {
 // replay of the durable history.  It returns a descriptive error on any
 // divergence.
 func CrashTest(opts core.Options, sc Scenario) error {
-	if opts.RedoWorkers == 0 {
-		// Exercise one and several replaying goroutines alike.  A separate rng keeps the
-		// workload stream (and thus every pinned-seed regression scenario)
-		// byte-identical to what it was before worker randomization existed.
-		workerRNG := rand.New(rand.NewSource(sc.Seed ^ 0x5ed0c0de))
-		opts.RedoWorkers = []int{1, 2, 4, 8}[workerRNG.Intn(4)]
-	}
 	eng, err := core.New(opts)
 	if err != nil {
 		return err

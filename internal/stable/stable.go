@@ -121,8 +121,8 @@ func (s IOStats) AddTo(c map[string]int64) {
 var ErrNotFound = errors.New("stable: object not found")
 
 // Store is the simulated stable database.  Safe for concurrent use: reads
-// take mu's read lock plus atomic counters, so parallel redo workers fault
-// objects in side by side; batch writes (and their crash-injection state)
+// take mu's read lock plus atomic counters, so concurrent redo replayers
+// fault objects in side by side; batch writes (and their crash-injection state)
 // serialize on batchMu, preserving the single-writer atomicity semantics each
 // flush mechanism models, and take mu only to install each entry.
 type Store struct {
