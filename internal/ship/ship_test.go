@@ -626,6 +626,14 @@ func TestShipBootstrappedStandbyCrashBeforeForce(t *testing.T) {
 	}
 	w := newWorkload(53, 5)
 	drive(t, eng, w, 30, nil)
+	// Install everything first, so the backup's origin is past every
+	// install and checkpoint record and the stream starts with operations.
+	if err := eng.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Log().Force(); err != nil {
+		t.Fatal(err)
+	}
 	b, err := backup.Take(eng, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -643,19 +651,28 @@ func TestShipBootstrappedStandbyCrashBeforeForce(t *testing.T) {
 	s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), b.StartLSN, ship.SenderConfig{BatchRecords: 64})
 	defer s.Close()
 
-	// Ship a little (no install/flush/checkpoint records in flight means
-	// nothing forced the standby's log), then crash it.
+	// Ship operations only (no install/flush/checkpoint record, so nothing
+	// forces the standby's log), then crash it.
+	for i := 0; i < 5; i++ {
+		w.execute(t, eng)
+	}
 	if err := eng.Log().Force(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PumpAll(); err != nil {
 		t.Fatal(err)
 	}
+	if got := sb.Want(); got <= b.StartLSN {
+		t.Fatalf("standby applied nothing: wants %d, origin %d", got, b.StartLSN)
+	}
+	if got := sb.Log().StableLSN(); got != 0 {
+		t.Fatalf("the standby forced its log through %d before the crash (origin %d)", got, b.StartLSN)
+	}
 	sb.Crash()
 	if err := sb.Restart(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if got := sb.Want(); got != b.StartLSN && got != sb.Log().StableLSN()+1 {
+	if got := sb.Want(); got != b.StartLSN {
 		t.Fatalf("restarted standby wants %d; origin %d", got, b.StartLSN)
 	}
 	drive(t, eng, w, 30, func(step int) {
