@@ -65,14 +65,16 @@ func Next(data []byte) (payload []byte, n int, ok bool) {
 	return payload, n, true
 }
 
-// Write writes the frame of payload to w in one Write call, so concurrent
-// writers sharing a connection never interleave inside a frame.  A payload
-// longer than max is refused with ErrTooLarge.
-func Write(w io.Writer, payload []byte, max int) error {
-	if len(payload) > max {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+// Write completes the frame built in buf — Overhead reserved bytes, then the
+// payload, as Seal expects with start 0 — and writes it to w in one Write
+// call, so concurrent writers sharing a connection never interleave inside a
+// frame.  A payload longer than max is refused with ErrTooLarge.
+func Write(w io.Writer, buf []byte, max int) error {
+	if n := len(buf) - Overhead; n > max {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	_, err := w.Write(Append(make([]byte, 0, Overhead+len(payload)), payload))
+	Seal(buf, 0)
+	_, err := w.Write(buf)
 	return err
 }
 

@@ -82,14 +82,14 @@ func TestFrame(t *testing.T) {
 			}
 		})
 	}
-	// Back to back, one Write call per frame (so writers sharing a
-	// connection cannot interleave inside one), read back in order, then
-	// io.EOF at the boundary.
+	// Back to back, each frame built in place and sealed by one Write call
+	// (so writers sharing a connection cannot interleave inside one), read
+	// back in order, then io.EOF at the boundary.
 	t.Run("stream", func(t *testing.T) {
 		payloads := [][]byte{nil, []byte("x"), bytes.Repeat([]byte("abc"), 1000), make([]byte, testMax)}
 		w := &countingWriter{}
 		for _, p := range payloads {
-			if err := Write(w, p, testMax); err != nil {
+			if err := Write(w, append(make([]byte, Overhead), p...), testMax); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,7 +119,7 @@ func TestFrame(t *testing.T) {
 	// The bound holds in both directions, and a hostile length prefix is
 	// refused before anything is allocated for it.
 	t.Run("too large", func(t *testing.T) {
-		if err := Write(io.Discard, make([]byte, testMax+1), testMax); !errors.Is(err, ErrTooLarge) {
+		if err := Write(io.Discard, make([]byte, Overhead+testMax+1), testMax); !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("Write oversized: %v", err)
 		}
 		raw := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
