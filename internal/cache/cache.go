@@ -169,19 +169,20 @@ func (e *entry) rsi() op.SI {
 //
 // Normal operation is engine-serialized (the paper's concerns are recovery
 // ordering, not latching).  The replay path — Get, CurrentVSI,
-// TryApplyLogged — is additionally safe for concurrent use by recovery's
-// replaying goroutines (demand callers, the background replayer, Wait) under
-// one invariant the redo scheduler guarantees:
+// TryApplyLogged, AddToGraph — is additionally safe for concurrent use by
+// recovery's goroutines (demand callers, the background replayer, Wait, and
+// the write-graph stage) under one invariant the redo scheduler guarantees:
 // two operations that conflict (one writes an object the other reads or
-// writes) are never replayed concurrently.  tableMu protects only the
-// dirty object table's map structure; entry *contents* need no lock because
-// every entry is only ever mutated by the single chain that owns its object.
+// writes) are never replayed concurrently, nor added to the write graph out
+// of log order.  tableMu protects only the dirty object table's map
+// structure; entry *contents* need no lock because every entry is only ever
+// mutated by the single chain that owns its object.
 type Manager struct {
 	cfg   Config
 	log   *wal.Log
 	store *stable.Store
 	wg    *writegraph.Graph
-	wgMu  sync.Mutex // guards wg.AddOp from concurrent redo replayers
+	wgMu  sync.Mutex // guards wg.AddOp from concurrent redo goroutines
 
 	tableMu sync.RWMutex
 	table   map[op.ObjectID]*entry
@@ -410,7 +411,9 @@ func (m *Manager) Execute(o *op.Operation) error {
 // TryApplyLogged performs the trial execution of Section 5: it computes the
 // operation's writes and voids the redo (returning voided=true, no state
 // change) if the transformation fails against inapplicable state or
-// attempts to write outside its logged writeset.
+// attempts to write outside its logged writeset.  It applies the values
+// only: the caller threads a non-voided o into the write graph with
+// AddToGraph, in log order per object.
 func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 	if o.LSN == op.NilSI {
 		return false, fmt.Errorf("cache: TryApplyLogged requires a logged operation")
@@ -426,7 +429,8 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 		// exception against inapplicable state voids the redo.
 		return true, nil
 	}
-	return false, m.applyLogged(o, writes)
+	m.applyValues(o, writes)
+	return false, nil
 }
 
 // ComputeWrites runs o's transformation against the cached state and
@@ -445,7 +449,16 @@ func (m *Manager) ComputeWrites(o *op.Operation) ([][]byte, error) {
 	return m.cfg.Registry.Apply(o, reads)
 }
 
+// applyLogged applies logged operation o's writes to the cache and threads
+// o into the write graph.
 func (m *Manager) applyLogged(o *op.Operation, writes [][]byte) error {
+	m.applyValues(o, writes)
+	return m.AddToGraph(o)
+}
+
+// applyValues sets the cached value, vSI and pending list of each object o
+// writes, the write half of applyLogged.
+func (m *Manager) applyValues(o *op.Operation, writes [][]byte) {
 	for i, x := range o.WriteSet {
 		e, ok := m.lookup(x)
 		if !ok {
@@ -469,17 +482,24 @@ func (m *Manager) applyLogged(o *op.Operation, writes [][]byte) error {
 		e.vsi = o.LSN
 		e.pending = append(e.pending, o.LSN)
 	}
+	m.opsExecuted.Add(1)
+}
+
+// AddToGraph threads logged operation o, whose writes are already applied,
+// into the write graph: the graph half of applyLogged, which redo runs
+// apart from the values (TryApplyLogged).  The graph reads only o's read
+// set, write set and LSN, never a value, but it requires each object's
+// operations in log order.
+func (m *Manager) AddToGraph(o *op.Operation) error {
 	m.wgMu.Lock()
-	_, err := m.wg.AddOp(o)
-	if err == nil && m.obs.wgNodes != nil {
+	defer m.wgMu.Unlock()
+	if _, err := m.wg.AddOp(o); err != nil {
+		return err
+	}
+	if m.obs.wgNodes != nil {
 		m.obs.wgNodes.Set(int64(m.wg.Len()))
 		m.obs.wgOps.Set(int64(m.wg.OpCount()))
 	}
-	m.wgMu.Unlock()
-	if err != nil {
-		return err
-	}
-	m.opsExecuted.Add(1)
 	return nil
 }
 

@@ -69,6 +69,9 @@ func TestConcurrentReplayOnOneTable(t *testing.T) {
 		if voided, err := serial.TryApplyLogged(o); err != nil || voided {
 			t.Fatalf("serial TryApplyLogged(%s) = voided %v, %v", o, voided, err)
 		}
+		if err := serial.AddToGraph(o); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for round := 0; round < 20; round++ {
@@ -85,6 +88,9 @@ func TestConcurrentReplayOnOneTable(t *testing.T) {
 					voided, err := m.TryApplyLogged(o)
 					if err == nil && voided {
 						err = fmt.Errorf("redo of %s voided", o)
+					}
+					if err == nil {
+						err = m.AddToGraph(o)
 					}
 					if err != nil {
 						errs[c] = err

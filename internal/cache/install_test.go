@@ -117,7 +117,10 @@ func (r *installRig) mirror(rec *wal.Record) error {
 		if err == nil && voided {
 			err = fmt.Errorf("replay of %s voided", rec.Op)
 		}
-		return err
+		if err != nil {
+			return err
+		}
+		return r.m.AddToGraph(rec.Op)
 	case wal.RecInstall:
 		return r.m.MirrorInstall(rec.Install)
 	case wal.RecFlush:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -319,5 +320,58 @@ func TestOnDemandObjectsEnumeration(t *testing.T) {
 	}
 	if _, err := eng.Store().Read("e2"); err == nil {
 		t.Error("deleted object e2 still in stable store after drain+flush")
+	}
+}
+
+// TestOnDemandInstallAfterGateRelease: once the drain reports Done, the
+// engine stops gating and may install straight away, so every redone
+// operation must already be in the write graph — the write-graph stage
+// drains before Done flips, not when the values are replayed.  The first
+// install then works on the whole rebuilt graph, and FlushAll leaves
+// nothing behind for a stage still adding.
+func TestOnDemandInstallAfterGateRelease(t *testing.T) {
+	const keys = 3000
+	for round := 0; round < 3; round++ {
+		eng := newEng(t, DefaultOptions())
+		for i := 0; i < keys; i++ {
+			x := op.ObjectID(fmt.Sprintf("g%04d", i))
+			if err := eng.Execute(op.NewCreate(x, []byte{byte(i)})); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Execute(op.NewPhysicalWrite(x, []byte{byte(i), 1})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Log().Force(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Crash()
+		od, err := eng.RecoverOnDemand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !od.Done() {
+			runtime.Gosched()
+		}
+		// Done happens after the stage's last AddOp, so the graph may be
+		// read without the engine mutex.
+		if got := eng.Cache().WriteGraph().OpCount(); got != 2*keys {
+			t.Fatalf("round %d: write graph holds %d operations when the gate releases, want all %d redone", round, got, 2*keys)
+		}
+		if err := eng.InstallOne(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if g := eng.Cache().WriteGraph(); g.Len() != 0 || g.OpCount() != 0 {
+			t.Fatalf("round %d: FlushAll after the gate released left %d nodes, %d operations", round, g.Len(), g.OpCount())
+		}
+		for i := 0; i < keys; i += 997 {
+			x := op.ObjectID(fmt.Sprintf("g%04d", i))
+			if v, err := eng.Store().Read(x); err != nil || !bytes.Equal(v.Val, []byte{byte(i), 1}) {
+				t.Fatalf("round %d: stable %s = %v, %v after FlushAll", round, x, v.Val, err)
+			}
+		}
 	}
 }

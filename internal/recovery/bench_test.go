@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"logicallog/internal/cache"
+	"logicallog/internal/core"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
 	"logicallog/internal/stable"
 	"logicallog/internal/wal"
+	"logicallog/internal/workload"
 	"logicallog/internal/writegraph"
 )
 
@@ -127,6 +129,78 @@ func BenchmarkRecoverInstalledLog(b *testing.B) {
 		}
 		if res.AnalyzedRecords != 2*writes || res.Redone != 0 {
 			b.Fatalf("analyzed %d records and redid %d ops, want %d and 0", res.AnalyzedRecords, res.Redone, 2*writes)
+		}
+	}
+}
+
+// BenchmarkRecoverLogicalMix times one restart shaped like the recover-mix
+// workload's: the logical mix's bootstrap installed and checkpointed, then
+// 8 000 uninstalled steps of the same workload.Spec (multi-object logical
+// operations, physiological writes, deletes) and a force, on a memory WAL.
+// Each iteration recovers a fresh copy of that image, so the prologue, the
+// value replay and the write-graph rebuild are the whole cost; the copy is
+// not timed.  Run with -benchmem.
+func BenchmarkRecoverLogicalMix(b *testing.B) {
+	const steps = 8000
+	g, err := workload.NewGenerator(workload.Spec{Seed: 1, Objects: 256, ObjectSize: 4096,
+		LogicalAPct: 30, LogicalBPct: 30, PhysioPct: 20, DeletePct: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := wal.NewMemDevice()
+	opts := core.DefaultOptions()
+	opts.LogDevice = dev
+	eng, err := core.New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, o := range g.Bootstrap() {
+		if err := eng.Execute(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.FlushAll(); err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.CheckpointOnly(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if err := eng.Execute(g.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Log().Force(); err != nil {
+		b.Fatal(err)
+	}
+	image, err := dev.ReadAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := eng.Store().Snapshot()
+	ropts := recovery.Options{Test: opts.RedoTest, Cache: opts.CacheConfig()}
+	ropts.Cache.Registry = eng.Registry()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dev := wal.NewMemDevice()
+		if err := dev.Append(image); err != nil {
+			b.Fatal(err)
+		}
+		log, err := wal.New(dev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store := stable.NewStore()
+		store.Restore(snap)
+		b.StartTimer()
+		res, err := recovery.Recover(log, store, ropts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.ScannedOps != steps || res.Redone == 0 {
+			b.Fatalf("scanned %d ops and redid %d, want %d scanned", res.ScannedOps, res.Redone, steps)
 		}
 	}
 }

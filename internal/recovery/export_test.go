@@ -1,0 +1,29 @@
+package recovery
+
+import (
+	"logicallog/internal/stable"
+	"logicallog/internal/wal"
+)
+
+// ReplaySerially is Recover without the chain scheduler and its graph
+// stage: the prologue, then every operation of the redo suffix, in log
+// order on the caller's goroutine, through a redo step whose write-graph
+// sink is the synchronous cache.Manager.AddToGraph.  It is the reference
+// the scheduler's write graph is held to.
+func ReplaySerially(log *wal.Log, store *stable.Store, opts Options) (*Result, error) {
+	res := &Result{}
+	dot, ops, err := recoverPrologue(log, store, opts, res)
+	if err != nil {
+		return nil, err
+	}
+	res.ScannedOps = len(ops)
+	step := NewStep(opts, actorReplayer, res.Manager, dot)
+	for _, o := range ops {
+		out, err := step.Apply(o)
+		if err != nil {
+			return nil, err
+		}
+		res.Count(out)
+	}
+	return res, nil
+}

@@ -15,20 +15,36 @@
 // fully drained state is byte-identical regardless of the order demand,
 // background, and Wait replays interleave.
 //
+// Redo is two pipeline stages.  The replayers (demand callers, the
+// background replayer, Wait, or Recover's caller) run the REDO test and the
+// trial execution, and they alone change cached values.  One write-graph
+// stage goroutine per pass threads each redone operation into the write
+// graph (cache.Manager.AddToGraph); the replayers hand it the operations in
+// replay order, in batches of graphBatch.  Each chain's operations reach the
+// graph in its log order, so the graph has the nodes, flush sets and edges a
+// synchronous redo builds.
+//
 // Gating rules (what a request must wait for):
 //
 //   - reading object x: the chain that writes x (if any).  Chains that only
-//     read x cannot change it.
-//   - writing object x: every chain that touches x.  A pending chain reading
-//     x must observe x's pre-crash value, exactly as it would have during a
-//     full redo that finishes before new writes are admitted.
+//     read x cannot change it.  Values only: a read never waits for the
+//     write-graph stage.
+//   - writing object x: every chain that touches x, and every operation of
+//     those chains in the write graph, since the caller adds its own write of
+//     x next and the graph takes each object's operations in log order.  A
+//     pending chain reading x must observe x's pre-crash value, exactly as it
+//     would have during a full redo that finishes before new writes are
+//     admitted.
 //   - enumerating a key range (catalog scans): every chain writing an object
 //     in the range, so creations and deletions in the redo suffix are
-//     visible before the scan runs.
+//     visible before the scan runs.  Values only, as for a read.
+//   - anything else (installs, checkpoints): the whole drain, write-graph
+//     stage included (Wait, Done).
 package recovery
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,9 +79,11 @@ var ErrAborted = errors.New("recovery: on-demand redo aborted")
 // Require* methods are safe for concurrent use; each blocks only until the
 // chains the request needs are done, replaying pending ones on the calling
 // goroutine (demand has priority — it never queues behind background work).
-// At most one background goroutine replays beside them.
+// At most one background goroutine replays beside them, and one write-graph
+// stage goroutine takes their redone operations into the write graph.
 type OnDemand struct {
 	step   *Step
+	graph  *graphStage
 	flight *flight.Recorder
 
 	mu            sync.Mutex
@@ -73,6 +91,7 @@ type OnDemand struct {
 	chains        [][]*op.Operation
 	state         []ChainState
 	chainDone     []chan struct{}
+	graphMark     []uint64              // chain -> operations put to the graph stage when it finished
 	writer        map[op.ObjectID]int   // object -> the chain writing it
 	touch         map[op.ObjectID][]int // object -> every chain touching it
 	cursor        int                   // background claim scan position
@@ -83,9 +102,9 @@ type OnDemand struct {
 	aborted       bool
 
 	stop     atomic.Bool // tells runChain to bail between operations
-	doneFlag atomic.Bool // fast path: drain complete and clean
+	doneFlag atomic.Bool // fast path: drain complete and clean, graph stage included
 
-	bg sync.WaitGroup
+	bg sync.WaitGroup // the background replayer and the graph stage
 
 	mDemandChains *obs.Counter
 	mBgChains     *obs.Counter
@@ -100,10 +119,10 @@ type OnDemand struct {
 // store: restart, flush-txn repair, and analysis run now (they are cheap and
 // proportional to the log suffix, not the redo work); the redo suffix is
 // partitioned into dependency chains; one background replayer, actor
-// "redo-worker-00", starts draining them; and the scheduler returns so the
-// caller can serve requests immediately, gating each on Require*.  Wait
-// drains to completion and returns the full recovery Result,
-// counter-identical to Recover's.
+// "redo-worker-00", starts draining them beside the write-graph stage; and
+// the scheduler returns so the caller can serve requests immediately,
+// gating each on Require*.  Wait drains to completion and returns the full
+// recovery Result, counter-identical to Recover's.
 func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, error) {
 	res := &Result{}
 	dot, ops, err := recoverPrologue(log, store, opts, res)
@@ -125,8 +144,8 @@ const actorReplayer = "redo-worker-00"
 
 // newOnDemand partitions the redo suffix ops (the operations logged from
 // res.RedoStart, in LSN order) into the scheduler's chain table, replaying
-// against res.Manager.  It starts no goroutine.  Redo counters accumulate in
-// res.
+// against res.Manager, and starts the pass's write-graph stage goroutine,
+// its only one.  Redo counters accumulate in res.
 func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation) *OnDemand {
 	res.ScannedOps = len(ops)
 	t := opts.Flight.Clock()
@@ -135,13 +154,16 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 	opts.Flight.Phase(actorRecovery, flight.DecRedoPartition, t, first, last)
 
 	reg := opts.Cache.Obs
+	graph := newGraphStage(res.Manager)
 	od := &OnDemand{
-		step:      NewStep(opts, actorRecovery, res.Manager, dot),
+		step:      newStep(opts, actorRecovery, res.Manager, dot, graph.add),
+		graph:     graph,
 		flight:    opts.Flight,
 		res:       res,
 		chains:    chains,
 		state:     make([]ChainState, len(chains)),
 		chainDone: make([]chan struct{}, len(chains)),
+		graphMark: make([]uint64, len(chains)),
 		writer:    make(map[op.ObjectID]int),
 		touch:     make(map[op.ObjectID][]int),
 		remaining: len(chains),
@@ -177,6 +199,11 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 	od.gPending.Set(int64(len(chains)))
 	od.gDone.Set(0)
 
+	od.bg.Add(1)
+	go func() {
+		defer od.bg.Done()
+		od.runGraph()
+	}()
 	if len(chains) == 0 {
 		od.mu.Lock()
 		od.signalDrained()
@@ -221,13 +248,14 @@ func (od *OnDemand) ChainCounts() (pending, inFlight, done int) {
 	return
 }
 
-// Done reports whether the drain completed cleanly: every chain replayed, no
-// failure.  Once true, Require* calls are free and the caller may stop
-// gating entirely.
+// Done reports whether the drain completed cleanly: every chain replayed and
+// every redone operation in the write graph, no failure.  Once true,
+// Require* calls are free and the caller may stop gating entirely.
 func (od *OnDemand) Done() bool { return od.doneFlag.Load() }
 
 // RequireRead blocks until every chain writing one of the given objects has
-// been replayed, so reading them observes full-redo state.
+// been replayed, so reading them observes full-redo state.  It does not wait
+// for the write-graph stage.
 func (od *OnDemand) RequireRead(ids ...op.ObjectID) error {
 	if od.doneFlag.Load() {
 		return nil
@@ -248,9 +276,10 @@ func (od *OnDemand) RequireRead(ids ...op.ObjectID) error {
 }
 
 // RequireOp blocks until o can execute with full-redo-equivalent semantics:
-// the chains writing o's read set are done (o observes recovered values) and
+// the chains writing o's read set are done (o observes recovered values),
 // every chain touching o's write set is done (no pending replay may still
-// read the pre-crash value o is about to overwrite).
+// read the pre-crash value o is about to overwrite), and every operation of
+// those chains is in the write graph, where o goes next.
 func (od *OnDemand) RequireOp(o *op.Operation) error {
 	if od.doneFlag.Load() {
 		return nil
@@ -267,12 +296,27 @@ func (od *OnDemand) RequireOp(o *op.Operation) error {
 		need = append(need, od.touch[x]...)
 	}
 	od.mu.Unlock()
-	return od.requireChains(need)
+	if err := od.requireChains(need); err != nil {
+		return err
+	}
+	var mark uint64
+	od.mu.Lock()
+	for _, ci := range need {
+		mark = max(mark, od.graphMark[ci])
+	}
+	od.mu.Unlock()
+	if err := od.graph.waitFor(mark); err != nil {
+		return err
+	}
+	od.mu.Lock()
+	defer od.mu.Unlock()
+	return od.failure
 }
 
 // RequireRange blocks until every chain writing an object id in [lo, hi)
 // has been replayed (hi == "" means unbounded), so an enumeration of the
-// range sees every creation and deletion the redo suffix holds.
+// range sees every creation and deletion the redo suffix holds.  It does not
+// wait for the write-graph stage.
 func (od *OnDemand) RequireRange(lo, hi op.ObjectID) error {
 	if od.doneFlag.Load() {
 		return nil
@@ -376,9 +420,9 @@ func (od *OnDemand) claimNext() int {
 }
 
 // runChain replays one claimed chain serially in log order and retires it in
-// the state table, recording its chain phase as actor's.  stop is checked
-// between operations so one chain's failure (or an Abort) ends the others
-// promptly.
+// the state table, with the graph stage's mark of its last redone operation,
+// recording its chain phase as actor's.  stop is checked between operations
+// so one chain's failure (or an Abort) ends the others promptly.
 func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 	chain := od.chains[ci]
 	var c Result
@@ -395,6 +439,10 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 		c.Count(out)
 	}
 	od.flight.Phase(actor, flight.DecChain, t, chain[0].LSN, chain[len(chain)-1].LSN)
+	var mark uint64
+	if c.Redone > 0 {
+		mark = od.graph.mark()
+	}
 	if demand {
 		od.mDemandChains.Inc()
 	} else {
@@ -405,6 +453,7 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 	od.res.SkippedInstalled += c.SkippedInstalled
 	od.res.SkippedUnexposed += c.SkippedUnexposed
 	od.res.Voided += c.Voided
+	od.graphMark[ci] = mark
 	od.state[ci] = ChainDone
 	close(od.chainDone[ci])
 	od.remaining--
@@ -419,7 +468,8 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 }
 
 // signalDrained (mu held) closes the drain barrier when the table empties or
-// the drain dies, and flips the clean-completion fast path.
+// the drain dies, and ends the graph stage with it: closed once every chain
+// is replayed, so it adds what it holds and exits, stopped on a failure.
 func (od *OnDemand) signalDrained() {
 	if od.drainedClosed {
 		return
@@ -427,14 +477,34 @@ func (od *OnDemand) signalDrained() {
 	if od.remaining == 0 || od.failure != nil {
 		close(od.drained)
 		od.drainedClosed = true
-		if od.remaining == 0 && od.failure == nil {
-			od.doneFlag.Store(true)
+		if od.failure == nil {
+			od.graph.close()
+		} else {
+			od.graph.stop()
 		}
 	}
 }
 
+// runGraph is the write-graph stage goroutine.  When the stage has exited
+// after a clean drain, it flips the clean-completion fast path; an AddToGraph
+// failure fails the drain.
+func (od *OnDemand) runGraph() {
+	err := od.graph.run()
+	od.mu.Lock()
+	defer od.mu.Unlock()
+	if err != nil && od.failure == nil {
+		od.failure = err
+		od.stop.Store(true)
+	}
+	od.signalDrained()
+	if od.remaining == 0 && od.failure == nil {
+		od.doneFlag.Store(true)
+	}
+}
+
 // Wait drains the table to completion — claiming pending chains on the
-// calling goroutine alongside the background replayer — and returns the final
+// calling goroutine alongside the background replayer — waits for the
+// write-graph stage to add every redone operation, and returns the final
 // recovery Result.  Every counter matches what Recover would have reported:
 // per-operation decisions depend only on intra-chain state, so the totals
 // are independent of how demand, background, and Wait interleaved.
@@ -451,8 +521,9 @@ func (od *OnDemand) Wait() (*Result, error) {
 // boundary, the background replayer exits, and every subsequent Require*/Wait
 // returns ErrAborted.  Used when the recovering engine crashes (the volatile
 // state is being discarded, so finishing the drain is wasted work) or when
-// another recovery supersedes this one.  Blocks until the replayer has
-// exited, so the caller may discard the cache manager immediately after.
+// another recovery supersedes this one.  Blocks until the replayer and the
+// graph stage have exited, so the caller may discard the cache manager
+// immediately after.
 func (od *OnDemand) Abort() {
 	od.mu.Lock()
 	od.aborted = true
@@ -463,5 +534,138 @@ func (od *OnDemand) Abort() {
 	od.signalDrained()
 	od.mu.Unlock()
 	od.stop.Store(true)
+	od.graph.stop()
 	od.bg.Wait()
+}
+
+// graphBatch is how many redone operations the replayers hand the
+// write-graph stage at once.
+const graphBatch = 256
+
+// graphStage is the redo pass's write-graph half: one goroutine (run) adds
+// the operations the replayers redo to the write graph while they go on
+// applying values.  A replayer puts each redone operation into the open
+// batch (add), and a full batch joins the queue the stage takes in order, so
+// the stage adds the operations in the order they were put.  Operations are
+// numbered by that order: once added reaches n, the first n are in the
+// graph.  A caller that needs them (waitFor) queues the open batch itself,
+// so a partial batch never holds it up.
+type graphStage struct {
+	mgr *cache.Manager
+
+	mu      sync.Mutex
+	cond    sync.Cond         // on mu: a batch queued, a batch added, close, stop, failure
+	open    []*op.Operation   // the batch being filled
+	queue   [][]*op.Operation // full batches waiting for the stage, oldest first
+	put     uint64            // operations put so far, the open batch's included
+	added   uint64            // operations the stage has added to the graph
+	closed  bool              // no operation will be put any more
+	err     error             // the stage's AddToGraph failure
+	stopped atomic.Bool       // drop the rest: the drain failed or was aborted
+}
+
+func newGraphStage(mgr *cache.Manager) *graphStage {
+	g := &graphStage{mgr: mgr, open: make([]*op.Operation, 0, graphBatch)}
+	g.cond.L = &g.mu
+	return g
+}
+
+// add is the replayers' write-graph sink: it puts o into the open batch,
+// queueing the batch once it is full.
+func (g *graphStage) add(o *op.Operation) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.open = append(g.open, o)
+	g.put++
+	if len(g.open) == graphBatch {
+		g.handOver()
+	}
+	return nil
+}
+
+// handOver (mu held) queues the open batch for the stage.
+func (g *graphStage) handOver() {
+	if len(g.open) == 0 {
+		return
+	}
+	g.queue = append(g.queue, g.open)
+	g.open = make([]*op.Operation, 0, graphBatch)
+	g.cond.Broadcast()
+}
+
+// mark returns how many operations have been put: waitFor(mark()) returns
+// once every operation the caller put before it is in the graph.
+func (g *graphStage) mark() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.put
+}
+
+// waitFor blocks until the first n operations put are in the write graph,
+// or the stage has stopped or failed; it returns the stage's failure.
+func (g *graphStage) waitFor(n uint64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.put-uint64(len(g.open)) < n {
+		g.handOver()
+	}
+	for g.added < n && g.err == nil && !g.stopped.Load() {
+		g.cond.Wait()
+	}
+	return g.err
+}
+
+// close tells the stage that every operation has been put: it adds what it
+// holds, then exits.
+func (g *graphStage) close() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.handOver()
+	g.closed = true
+	g.cond.Broadcast()
+}
+
+// stop tells the stage to exit without adding what it still holds.
+func (g *graphStage) stop() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.stopped.Store(true)
+	g.cond.Broadcast()
+}
+
+// run is the stage goroutine: it adds the queued batches to the write graph
+// in order until the stage is closed and empty, or stopped.  It returns the
+// first AddToGraph failure.
+func (g *graphStage) run() error {
+	for {
+		g.mu.Lock()
+		for len(g.queue) == 0 && !g.closed && !g.stopped.Load() {
+			g.cond.Wait()
+		}
+		if g.stopped.Load() || len(g.queue) == 0 {
+			g.mu.Unlock()
+			return nil
+		}
+		batch := g.queue[0]
+		g.queue[0] = nil
+		g.queue = g.queue[1:]
+		g.mu.Unlock()
+		for _, o := range batch {
+			if g.stopped.Load() {
+				return nil
+			}
+			if err := g.mgr.AddToGraph(o); err != nil {
+				err = fmt.Errorf("recovery: redo of %s: %w", o, err)
+				g.mu.Lock()
+				g.err = err
+				g.cond.Broadcast()
+				g.mu.Unlock()
+				return err
+			}
+		}
+		g.mu.Lock()
+		g.added += uint64(len(batch))
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,33 +144,37 @@ func recoveryGoroutines() []string {
 	return out
 }
 
-// TestRedoReplayerGoroutines pins who replays: Recover, and Redo under
-// backup.MediaRecover, replay every chain on the caller's goroutine and
-// start none, and StartOnDemand (through Engine.RecoverOnDemand) starts
-// exactly one background replayer.  A transform registered for the test
-// looks at the goroutines running recovery code while it is being redone.
-func TestRedoReplayerGoroutines(t *testing.T) {
-	const objects = 16
-	var hook func()
+// inRecovery counts the stacks among gs that contain sub.
+func inRecovery(gs []string, sub string) int {
+	n := 0
+	for _, g := range gs {
+		if strings.Contains(g, sub) {
+			n++
+		}
+	}
+	return n
+}
+
+// probeRegistry returns a registry of the builtin transforms plus "probe",
+// which appends its params to its one object and, while *hook is set, calls
+// it first: a test looks from inside a redone operation at who redoes it.
+func probeRegistry(hook *func()) *op.Registry {
 	reg := op.NewRegistry()
 	reg.Register("probe", func(params []byte, a *op.Args) error {
-		if hook != nil {
-			hook()
+		if *hook != nil {
+			(*hook)()
 		}
 		x, v := a.Sole()
 		a.Write(x, append(append([]byte(nil), v...), params...))
 		return nil
 	})
-	opts := core.DefaultOptions()
-	opts.Registry = reg
-	eng, err := core.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := backup.Take(eng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return reg
+}
+
+// crashProbes creates objects p00, p01, ..., probes each once, forces the
+// log and crashes eng: a redo suffix of one two-operation chain per object.
+func crashProbes(t *testing.T, eng *core.Engine, objects int) {
+	t.Helper()
 	for i := 0; i < objects; i++ {
 		x := op.ObjectID(fmt.Sprintf("p%02d", i))
 		if err := eng.Execute(op.NewCreate(x, []byte{byte(i)})); err != nil {
@@ -183,23 +188,65 @@ func TestRedoReplayerGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Crash()
+}
 
-	// serial checks that each redone probe runs on the test's goroutine and
-	// that it is the only one in recovery code.
+// stageGoroutine marks the stack of a write-graph stage goroutine, started
+// or not.
+const stageGoroutine = "created by logicallog/internal/recovery.newOnDemand"
+
+// TestRedoReplayerGoroutines pins who replays.  Recover, and Redo under
+// backup.MediaRecover, replay every value on the caller's goroutine and
+// start exactly one other, the write-graph stage, which has left the
+// recovery code by the time they return.  StartOnDemand (through
+// Engine.RecoverOnDemand) runs one background replayer beside one stage.  A
+// transform registered for the test looks at the goroutines running
+// recovery code while it is being redone.
+func TestRedoReplayerGoroutines(t *testing.T) {
+	const objects = 16
+	var hook func()
+	opts := core.DefaultOptions()
+	opts.Registry = probeRegistry(&hook)
+	eng, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := backup.Take(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashProbes(t, eng, objects)
+
+	// serial checks that each redone probe runs on the test's goroutine
+	// and that the only other goroutine in recovery code is the stage.
 	calls := 0
 	serial := func(path string) func() {
 		calls = 0
 		return func() {
 			calls++
-			if gs := recoveryGoroutines(); len(gs) != 1 || !strings.Contains(gs[0], "TestRedoReplayerGoroutines") {
-				t.Errorf("%s: %d goroutines in recovery code, want only the caller:\n%s", path, len(gs), strings.Join(gs, "\n\n"))
+			gs := recoveryGoroutines()
+			caller := 0
+			for _, g := range gs {
+				if strings.Contains(g, "[running]") && strings.Contains(g, "TestRedoReplayerGoroutines") {
+					caller++
+				}
 			}
+			if len(gs) != 2 || caller != 1 || inRecovery(gs, stageGoroutine) != 1 {
+				t.Errorf("%s: %d goroutines in recovery code, want the caller and one graph stage:\n%s", path, len(gs), strings.Join(gs, "\n\n"))
+			}
+		}
+	}
+	// stageGone checks, once a recovery has returned, that its stage has
+	// finished: at most the stage goroutine's exit is left.
+	stageGone := func(path string) {
+		if gs := recoveryGoroutines(); inRecovery(gs, "graphStage") != 0 || inRecovery(gs, "runGraph") != 0 {
+			t.Errorf("%s returned with its graph stage still running:\n%s", path, strings.Join(gs, "\n\n"))
 		}
 	}
 	hook = serial("Recover")
 	if _, err := eng.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	stageGone("Recover")
 	if calls != objects {
 		t.Errorf("Recover redid %d probes, want %d", calls, objects)
 	}
@@ -220,13 +267,14 @@ func TestRedoReplayerGoroutines(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no background replayer redid a probe")
 	}
-	if gs := recoveryGoroutines(); len(gs) != 1 || !strings.Contains(gs[0], "(*OnDemand).drain") {
-		t.Errorf("StartOnDemand: %d goroutines in recovery code, want one background replayer:\n%s", len(gs), strings.Join(gs, "\n\n"))
+	if gs := recoveryGoroutines(); len(gs) != 2 || inRecovery(gs, "(*OnDemand).drain") != 1 || inRecovery(gs, stageGoroutine) != 1 {
+		t.Errorf("StartOnDemand: %d goroutines in recovery code, want one background replayer and one graph stage:\n%s", len(gs), strings.Join(gs, "\n\n"))
 	}
 	close(release)
 	if _, err := od.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	stageGone("Wait")
 	hook = nil
 	eng.Crash()
 
@@ -235,7 +283,77 @@ func TestRedoReplayerGoroutines(t *testing.T) {
 	if _, err := backup.MediaRecover(eng, b); err != nil {
 		t.Fatal(err)
 	}
+	stageGone("MediaRecover")
 	if calls != objects {
 		t.Errorf("MediaRecover redid %d probes, want %d", calls, objects)
+	}
+}
+
+// TestRequireOpWaitsForGraphStage: a caller of RequireOp adds its own write
+// to the write graph next, so RequireOp returns only once every operation of
+// the chains it needs is in the graph — and a partial batch the stage has
+// not been handed yet must not hold it up.  The background replayer is held
+// inside its first chain, so the demanded chain's operations sit in an open
+// batch far below graphBatch when RequireOp replays it.
+func TestRequireOpWaitsForGraphStage(t *testing.T) {
+	const objects = 16
+	var hook func()
+	opts := core.DefaultOptions()
+	opts.Registry = probeRegistry(&hook)
+	eng, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashProbes(t, eng, objects)
+
+	// Only the first probe blocks; the demanded chain's must not (sync.Once
+	// would hold it until the first returned).
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	hook = func() {
+		if first.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	od, err := recovery.StartOnDemand(eng.Log(), eng.Store(), recovery.Options{
+		Test:  opts.RedoTest,
+		Cache: opts.CacheConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(release)
+		if _, err := od.Wait(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no background replayer redid a probe")
+	}
+
+	last := op.ObjectID(fmt.Sprintf("p%02d", objects-1))
+	done := make(chan error, 1)
+	go func() { done <- od.RequireOp(op.NewPhysicalWrite(last, []byte("new"))) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RequireOp did not return: a partial batch held it up")
+	}
+	// The stage is idle (the replayer is held and nothing else is put), and
+	// RequireOp's return follows its last AddOp, so the graph may be read.
+	wg := od.Manager().WriteGraph()
+	id, ok := wg.NodeOf(last)
+	if !ok {
+		t.Fatalf("RequireOp(write %s) returned before its chain reached the write graph", last)
+	}
+	if nv := wg.Node(id); len(nv.Ops) != 2 {
+		t.Fatalf("%s's node holds %d operations, want its chain's 2", last, len(nv.Ops))
 	}
 }

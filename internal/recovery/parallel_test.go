@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,12 +72,13 @@ type counters struct {
 }
 
 // recovered is everything a recovery run is held to: the counters, the
-// post-recovery stable snapshot, and each universe object's recovered
-// (cached) value ("" marks absent).
+// post-recovery stable snapshot, each universe object's recovered (cached)
+// value ("" marks absent), and the rebuilt write graph's shape.
 type recovered struct {
-	c    counters
-	snap map[op.ObjectID]stable.Versioned
-	vals map[op.ObjectID]string
+	c     counters
+	snap  map[op.ObjectID]stable.Versioned
+	vals  map[op.ObjectID]string
+	graph []string
 }
 
 func countersOf(res *recovery.Result) counters {
@@ -95,9 +98,10 @@ func countersOf(res *recovery.Result) counters {
 func collect(t *testing.T, res *recovery.Result, store *stable.Store, universe []op.ObjectID) recovered {
 	t.Helper()
 	r := recovered{
-		c:    countersOf(res),
-		snap: store.Snapshot(),
-		vals: make(map[op.ObjectID]string, len(universe)),
+		c:     countersOf(res),
+		snap:  store.Snapshot(),
+		vals:  make(map[op.ObjectID]string, len(universe)),
+		graph: graphShape(res.Manager.WriteGraph()),
 	}
 	for _, x := range universe {
 		v, err := res.Manager.Get(x)
@@ -127,6 +131,38 @@ func requireSame(t *testing.T, label string, got, base recovered) {
 			t.Errorf("%s: object %s diverged: got %q want %q", label, x, got.vals[x], want)
 		}
 	}
+	if !slices.Equal(got.graph, base.graph) {
+		t.Errorf("%s: write graph diverged:\n got %s\nwant %s", label,
+			strings.Join(got.graph, "\n     "), strings.Join(base.graph, "\n     "))
+	}
+}
+
+// graphShape describes a write graph independently of its node ids, which
+// depend on the order operations arrived in: one line per node, naming it
+// by its operations' LSNs, with its vars and Notx sets, and one line per
+// edge between two nodes so named.  Lines are sorted.
+func graphShape(wg *writegraph.Graph) []string {
+	nodes := wg.Nodes()
+	names := make([]string, len(nodes))
+	var out []string
+	for i, nv := range nodes {
+		lsns := make([]op.SI, len(nv.Ops))
+		for k, o := range nv.Ops {
+			lsns[k] = o.LSN
+		}
+		slices.Sort(lsns)
+		names[i] = fmt.Sprint(lsns)
+		out = append(out, fmt.Sprintf("node %s vars %v notx %v", names[i], nv.Vars, nv.Notx))
+	}
+	for i, u := range nodes {
+		for j, v := range nodes {
+			if wg.HasEdge(u.ID, v.ID) {
+				out = append(out, fmt.Sprintf("edge %s -> %s", names[i], names[j]))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // recoverImage recovers an independent copy of the crash image under opts.
@@ -136,16 +172,7 @@ func requireSame(t *testing.T, label string, got, base recovered) {
 // drains and the calling goroutine Waits.
 func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe []op.ObjectID, demanders int, demandSeed int64) recovered {
 	t.Helper()
-	dev := wal.NewMemDevice()
-	if err := dev.Append(img.logBytes); err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := stable.NewStore()
-	store.Restore(img.snap)
+	log, store := openImage(t, img)
 	if demanders == 0 {
 		res, err := recovery.Recover(log, store, opts)
 		if err != nil {
@@ -189,6 +216,22 @@ func recoverImage(t *testing.T, img crashImage, opts recovery.Options, universe 
 		t.Fatalf("demanders=%d: %v", demanders, err)
 	}
 	return collect(t, res, store, universe)
+}
+
+// openImage returns an independent copy of the crash image's log and store.
+func openImage(t *testing.T, img crashImage) (*wal.Log, *stable.Store) {
+	t.Helper()
+	dev := wal.NewMemDevice()
+	if err := dev.Append(img.logBytes); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := stable.NewStore()
+	store.Restore(img.snap)
+	return log, store
 }
 
 func sameSnap(a, b map[op.ObjectID]stable.Versioned) bool {
@@ -295,6 +338,40 @@ func TestParallelRedoMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 10; seed++ {
 				checkScenario(t, opts, sim.DefaultScenario(seed))
+			}
+		})
+	}
+}
+
+// TestRedoGraphEquivalence holds the write graph the chain scheduler and its
+// graph stage rebuild — Recover's, and StartOnDemand's after Wait with 1, 2
+// and 4 racing demanders — to the one a serial replay of the same redo
+// suffix builds through the synchronous sink (cache.Manager.AddToGraph),
+// over the configuration matrix: the same nodes by operation LSN, the same
+// vars and Notx sets, the same edges.  Values and counters must match too.
+func TestRedoGraphEquivalence(t *testing.T) {
+	for name, opts := range parallelConfigs() {
+		opts := opts
+		t.Run(name, func(t *testing.T) {
+			ops := 0
+			for seed := int64(1); seed <= 10; seed++ {
+				img, universe := capture(t, opts, sim.DefaultScenario(seed))
+				ropts := recoveryOptions(opts)
+				log, store := openImage(t, img)
+				res, err := recovery.ReplaySerially(log, store, ropts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := collect(t, res, store, universe)
+				ops += res.Manager.WriteGraph().OpCount()
+				requireSame(t, fmt.Sprintf("seed %d Recover", seed), recoverImage(t, img, ropts, universe, 0, 0), ref)
+				for _, n := range demanderCounts {
+					got := recoverImage(t, img, ropts, universe, n, seed*977+int64(n))
+					requireSame(t, fmt.Sprintf("seed %d demanders=%d", seed, n), got, ref)
+				}
+			}
+			if ops == 0 {
+				t.Fatal("no scenario left a redone operation in the write graph; the comparison is vacuous")
 			}
 		})
 	}

@@ -115,7 +115,8 @@ type dirtyTable map[op.ObjectID]op.SI
 
 // Recover performs full crash recovery over the durable log and stable
 // store and returns the rebuilt volatile state: the prologue, then the chain
-// scheduler drained on the caller's goroutine, which starts no other.  It
+// scheduler drained on the caller's goroutine beside the pass's write-graph
+// stage, which has exited by the time Recover returns.  It
 // is idempotent: crashing during recovery and recovering again yields the
 // same stable state, because recovery itself follows the same WAL and
 // write-graph disciplines as normal operation and never resets installed
@@ -172,7 +173,8 @@ func redoSuffix(recs []*wal.Record, from op.SI) []*op.Operation {
 }
 
 // redo drains the redo suffix ops on the calling goroutine, actor
-// "redo-worker-00", filling res's redo counters.
+// "redo-worker-00", and waits for the write-graph stage, filling res's redo
+// counters.
 func redo(opts Options, res *Result, dot dirtyTable, ops []*op.Operation) (*Result, error) {
 	od := newOnDemand(opts, res, dot, ops)
 	od.drain(actorReplayer)

@@ -59,6 +59,7 @@ type Step struct {
 	test     RedoTest
 	mgr      *cache.Manager
 	dot      map[op.ObjectID]op.SI
+	graph    func(*op.Operation) error // takes each redone operation into the write graph
 	actor    string
 	flight   *flight.Recorder
 	counters [numOutcomes]*obs.Counter
@@ -67,9 +68,18 @@ type Step struct {
 // NewStep builds the redo step over mgr and the dirty object table dot (read
 // at each Apply, so a standby may keep updating it between calls).  Of opts
 // it uses Test, Cache.Obs and Flight; actor names the replayer in flight
-// events ("recovery", "standby").
+// events ("recovery", "standby").  Each redone operation is added to the
+// write graph before Apply returns, as a standby needs: it mirrors the
+// primary's installs from the graph straight after each apply.
 func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI) *Step {
-	s := &Step{test: opts.Test, mgr: mgr, dot: dot, actor: actor, flight: opts.Flight}
+	return newStep(opts, actor, mgr, dot, mgr.AddToGraph)
+}
+
+// newStep is NewStep with the write-graph sink given: the chain scheduler
+// passes its graph stage, which adds the operations on another goroutine.
+// graph receives each redone, non-voided operation, in replay order.
+func newStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI, graph func(*op.Operation) error) *Step {
+	s := &Step{test: opts.Test, mgr: mgr, dot: dot, graph: graph, actor: actor, flight: opts.Flight}
 	for out := range s.counters {
 		s.counters[out] = opts.Cache.Obs.Counter(outcomes[out].metric)
 	}
@@ -77,8 +87,9 @@ func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID
 }
 
 // Apply runs one logged operation through the REDO test and, if it says so,
-// the trial execution, then records the outcome in every sink: counter and
-// flight event (with the witness or dirty-table entry as evidence).
+// the trial execution — the values, then the operation handed to the
+// step's write-graph sink — and records the outcome in every sink: counter
+// and flight event (with the witness or dirty-table entry as evidence).
 // o is replayed as decoded, without a copy: nothing on the replay path
 // writes to an operation, and transforms treat params as read-only, so a
 // record aliasing the log scanner's immutable snapshot stays intact.
@@ -94,6 +105,8 @@ func (s *Step) Apply(o *op.Operation) (Outcome, error) {
 		}
 		if voided {
 			out = Voided
+		} else if err := s.graph(o); err != nil {
+			return 0, fmt.Errorf("recovery: redo of %s: %w", o, err)
 		}
 	case ex.InstalledWitness:
 		out, obj, ref = SkippedInstalled, ex.WitnessObject, ex.WitnessVSI

@@ -20,12 +20,21 @@ import (
 type Client struct {
 	conn net.Conn
 
-	writeMu sync.Mutex // frames must not interleave
+	writeMu sync.Mutex // frames must not interleave; guards wbuf
+	wbuf    []byte     // the request frame being built, reused call to call
 	mu      sync.Mutex // id counter + waiter table + terminal error
 	nextID  uint64
 	waiters map[uint64]chan response
 	closed  error
 }
+
+// maxKeptWriteBuf bounds the request buffer a Client keeps between calls,
+// so one large Put does not pin its frame for the connection's life.
+const maxKeptWriteBuf = 64 << 10
+
+// replyChans holds idle reply channels.  A call takes one, and puts it
+// back once it has received the channel's one response, so it is empty.
+var replyChans = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // response is one demuxed reply.
 type response struct {
@@ -107,23 +116,22 @@ func (c *Client) call(req *Request) (response, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	ch := make(chan response, 1)
+	ch := replyChans.Get().(chan response)
 	c.waiters[req.ID] = ch
 	c.mu.Unlock()
 
-	buf, err := appendRequest(make([]byte, frame.Overhead, frame.Overhead+16+len(req.Key)+len(req.Val)), req)
-	if err == nil {
-		c.writeMu.Lock()
-		err = frame.Write(c.conn, buf, MaxFrame)
-		c.writeMu.Unlock()
-	}
-	if err != nil {
+	if err := c.send(req); err != nil {
 		c.mu.Lock()
+		_, waiting := c.waiters[req.ID]
 		delete(c.waiters, req.ID)
 		c.mu.Unlock()
+		if waiting { // else fail or demux took the waiter and fills ch
+			replyChans.Put(ch)
+		}
 		return response{}, err
 	}
 	resp := <-ch
+	replyChans.Put(ch)
 	if resp.status == StatusShutdown {
 		return resp, errShutdown
 	}
@@ -131,6 +139,23 @@ func (c *Client) call(req *Request) (response, error) {
 		return resp, fmt.Errorf("server: %s", resp.body)
 	}
 	return resp, nil
+}
+
+// send builds req's frame in the client's buffer and writes it.
+func (c *Client) send(req *Request) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, frame.Overhead, 64)
+	}
+	buf, err := appendRequest(c.wbuf[:frame.Overhead], req)
+	if err != nil {
+		return err
+	}
+	if cap(buf) <= maxKeptWriteBuf {
+		c.wbuf = buf
+	}
+	return frame.Write(c.conn, buf, MaxFrame)
 }
 
 // Ping round-trips an empty request.
