@@ -22,9 +22,6 @@ func (p *Plan) WrapDevice(d wal.Device) *Device {
 	return &Device{plan: p, inner: d}
 }
 
-// Inner returns the wrapped device.
-func (d *Device) Inner() wal.Device { return d.inner }
-
 func deadErr() error {
 	return fmt.Errorf("fault: device stopped by earlier %w", ErrInjected)
 }

@@ -156,7 +156,9 @@ func e14Measure(cfg e14Config) (p e14Point, err error) {
 	}
 	defer cl.Close()
 
-	probe := e14Key(cfg.steps / 16)
+	// The preload writes key i as the i-th operation of the redo suffix, so
+	// key i is chain i: probe the chain the background replayer claims last.
+	probe := e14Key(cfg.steps/8 - 1)
 	v, found, err := cl.Get(probe)
 	if err != nil {
 		return p, fmt.Errorf("harness: E14: first request: %w", err)

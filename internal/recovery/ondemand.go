@@ -18,11 +18,13 @@
 // Redo is two pipeline stages.  The replayers (demand callers, the
 // background replayer, Wait, or Recover's caller) run the REDO test and the
 // trial execution, and they alone change cached values.  One write-graph
-// stage goroutine per pass threads each redone operation into the write
-// graph (cache.Manager.AddToGraph); the replayers hand it the operations in
-// replay order, in batches of graphBatch.  Each chain's operations reach the
-// graph in its log order, so the graph has the nodes, flush sets and edges a
-// synchronous redo builds.
+// stage goroutine per pass (runGraph) threads each redone operation into the
+// write graph (cache.Manager.AddToGraph).  Each replayer collects its redone
+// operations in a buffer of its own and puts them into the scheduler's open
+// batch, under mu, every graphBatch operations and when it retires a chain;
+// full batches queue for the stage in put order.  Each chain's operations
+// reach the graph in its log order, so the graph has the nodes, flush sets
+// and edges a synchronous redo builds.
 //
 // Gating rules (what a request must wait for):
 //
@@ -83,7 +85,6 @@ var ErrAborted = errors.New("recovery: on-demand redo aborted")
 // stage goroutine takes their redone operations into the write graph.
 type OnDemand struct {
 	step   *Step
-	graph  *graphStage
 	flight *flight.Recorder
 
 	mu            sync.Mutex
@@ -96,12 +97,20 @@ type OnDemand struct {
 	touch         map[op.ObjectID][]int // object -> every chain touching it
 	cursor        int                   // background claim scan position
 	remaining     int
-	failure       error
+	failure       error // the drain's failure, or ErrAborted: the stage stops too
 	drained       chan struct{}
 	drainedClosed bool
 	aborted       bool
 
-	stop     atomic.Bool // tells runChain to bail between operations
+	// The write-graph stage's queue.  Redone operations are numbered in the
+	// order they are put: once added reaches n, the first n are in the graph.
+	open   []*op.Operation   // the batch being filled
+	queue  [][]*op.Operation // full batches waiting for the stage, oldest first
+	put    uint64            // operations put so far, the open batch's included
+	added  uint64            // operations the stage has added to the graph (while failure is nil)
+	staged sync.Cond         // on mu: a batch queued or added, the drain ended or failed
+
+	stop     atomic.Bool // tells runChain and the stage to bail between operations
 	doneFlag atomic.Bool // fast path: drain complete and clean, graph stage included
 
 	bg sync.WaitGroup // the background replayer and the graph stage
@@ -154,10 +163,8 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 	opts.Flight.Phase(actorRecovery, flight.DecRedoPartition, t, first, last)
 
 	reg := opts.Cache.Obs
-	graph := newGraphStage(res.Manager)
 	od := &OnDemand{
-		step:      newStep(opts, actorRecovery, res.Manager, dot, graph.add),
-		graph:     graph,
+		step:      NewStep(opts, actorRecovery, res.Manager, dot),
 		flight:    opts.Flight,
 		res:       res,
 		chains:    chains,
@@ -168,6 +175,7 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 		touch:     make(map[op.ObjectID][]int),
 		remaining: len(chains),
 		drained:   make(chan struct{}),
+		open:      make([]*op.Operation, 0, graphBatch),
 
 		mDemandChains: reg.Counter("recovery.ondemand.demand_chains"),
 		mBgChains:     reg.Counter("recovery.ondemand.background_chains"),
@@ -177,6 +185,7 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 		gPending:      reg.Gauge("recovery.ondemand.chains_pending"),
 		gDone:         reg.Gauge("recovery.ondemand.chains_done"),
 	}
+	od.staged.L = &od.mu
 	for ci, chain := range chains {
 		od.chainDone[ci] = make(chan struct{})
 		for _, o := range chain {
@@ -261,6 +270,7 @@ func (od *OnDemand) RequireRead(ids ...op.ObjectID) error {
 		return nil
 	}
 	od.mRequires.Inc()
+	var redone []*op.Operation
 	for _, x := range ids {
 		od.mu.Lock()
 		ci, ok := od.writer[x]
@@ -268,7 +278,7 @@ func (od *OnDemand) RequireRead(ids ...op.ObjectID) error {
 		if !ok {
 			continue
 		}
-		if err := od.requireChain(ci); err != nil {
+		if err := od.requireChain(ci, &redone); err != nil {
 			return err
 		}
 	}
@@ -299,17 +309,19 @@ func (od *OnDemand) RequireOp(o *op.Operation) error {
 	if err := od.requireChains(need); err != nil {
 		return err
 	}
-	var mark uint64
 	od.mu.Lock()
+	defer od.mu.Unlock()
+	var mark uint64
 	for _, ci := range need {
 		mark = max(mark, od.graphMark[ci])
 	}
-	od.mu.Unlock()
-	if err := od.graph.waitFor(mark); err != nil {
-		return err
+	// A partial batch would hold the wait up until more is put: queue it.
+	if od.put-uint64(len(od.open)) < mark {
+		od.handOver()
 	}
-	od.mu.Lock()
-	defer od.mu.Unlock()
+	for od.added < mark && od.failure == nil {
+		od.staged.Wait()
+	}
 	return od.failure
 }
 
@@ -342,12 +354,13 @@ func (od *OnDemand) requireChains(need []int) error {
 	}
 	sort.Ints(need)
 	prev := -1
+	var redone []*op.Operation
 	for _, ci := range need {
 		if ci == prev {
 			continue
 		}
 		prev = ci
-		if err := od.requireChain(ci); err != nil {
+		if err := od.requireChain(ci, &redone); err != nil {
 			return err
 		}
 	}
@@ -355,8 +368,9 @@ func (od *OnDemand) requireChains(need []int) error {
 }
 
 // requireChain makes chain ci done: replaying it on the calling goroutine if
-// pending (demand priority), waiting for the in-flight replayer otherwise.
-func (od *OnDemand) requireChain(ci int) error {
+// pending (demand priority), with redone as the caller's buffer, waiting for
+// the in-flight replayer otherwise.
+func (od *OnDemand) requireChain(ci int, redone *[]*op.Operation) error {
 	od.mu.Lock()
 	switch od.state[ci] {
 	case ChainDone:
@@ -377,7 +391,7 @@ func (od *OnDemand) requireChain(ci int) error {
 	default:
 		od.state[ci] = ChainInFlight
 		od.mu.Unlock()
-		od.runChain(ci, "demand", true)
+		od.runChain(ci, "demand", true, redone)
 	}
 	od.mu.Lock()
 	err := od.failure
@@ -391,12 +405,16 @@ func (od *OnDemand) requireChain(ci int) error {
 // never wait for it to reach their chain — they claim it directly; the only
 // demand wait is for a chain already mid-replay.
 func (od *OnDemand) drain(actor string) {
+	var redone []*op.Operation
 	for {
 		ci := od.claimNext()
 		if ci < 0 {
 			return
 		}
-		od.runChain(ci, actor, false)
+		if redone == nil {
+			redone = make([]*op.Operation, 0, graphBatch)
+		}
+		od.runChain(ci, actor, false, &redone)
 	}
 }
 
@@ -420,10 +438,12 @@ func (od *OnDemand) claimNext() int {
 }
 
 // runChain replays one claimed chain serially in log order and retires it in
-// the state table, with the graph stage's mark of its last redone operation,
-// recording its chain phase as actor's.  stop is checked between operations
-// so one chain's failure (or an Abort) ends the others promptly.
-func (od *OnDemand) runChain(ci int, actor string, demand bool) {
+// the state table, recording its chain phase as actor's.  Its redone
+// operations collect in the replayer's buffer *redone, which is put to the
+// graph stage every graphBatch operations and when the chain retires; the
+// chain's mark is the put count after its last one.  stop is checked between
+// operations so one chain's failure (or an Abort) ends the others promptly.
+func (od *OnDemand) runChain(ci int, actor string, demand bool, redone *[]*op.Operation) {
 	chain := od.chains[ci]
 	var c Result
 	var err error
@@ -437,12 +457,15 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 			break
 		}
 		c.Count(out)
+		if out == Redone {
+			if *redone = append(*redone, o); len(*redone) == graphBatch {
+				od.mu.Lock()
+				od.putGraph(redone)
+				od.mu.Unlock()
+			}
+		}
 	}
 	od.flight.Phase(actor, flight.DecChain, t, chain[0].LSN, chain[len(chain)-1].LSN)
-	var mark uint64
-	if c.Redone > 0 {
-		mark = od.graph.mark()
-	}
 	if demand {
 		od.mDemandChains.Inc()
 	} else {
@@ -453,7 +476,10 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 	od.res.SkippedInstalled += c.SkippedInstalled
 	od.res.SkippedUnexposed += c.SkippedUnexposed
 	od.res.Voided += c.Voided
-	od.graphMark[ci] = mark
+	if c.Redone > 0 {
+		od.putGraph(redone)
+		od.graphMark[ci] = od.put
+	}
 	od.state[ci] = ChainDone
 	close(od.chainDone[ci])
 	od.remaining--
@@ -467,39 +493,99 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool) {
 	od.mu.Unlock()
 }
 
-// signalDrained (mu held) closes the drain barrier when the table empties or
-// the drain dies, and ends the graph stage with it: closed once every chain
-// is replayed, so it adds what it holds and exits, stopped on a failure.
+// signalDrained (mu held) ends the drain when the table empties or the drain
+// dies: it closes the drain barrier, queues the open batch, and wakes the
+// graph stage, which then adds what is queued and exits (every chain
+// replayed) or exits at once (a failure or an abort), and RequireOp's graph
+// waits, which return on a failure.
 func (od *OnDemand) signalDrained() {
-	if od.drainedClosed {
+	if od.remaining > 0 && od.failure == nil {
 		return
 	}
-	if od.remaining == 0 || od.failure != nil {
+	if !od.drainedClosed {
 		close(od.drained)
 		od.drainedClosed = true
-		if od.failure == nil {
-			od.graph.close()
-		} else {
-			od.graph.stop()
+	}
+	od.handOver()
+	od.staged.Broadcast()
+}
+
+// graphBatch is how many redone operations the replayers hand the
+// write-graph stage at once.
+const graphBatch = 256
+
+// putGraph (mu held) puts a replayer's redone operations into the open batch
+// in order, queueing the batch once it is full, and empties the buffer.
+func (od *OnDemand) putGraph(redone *[]*op.Operation) {
+	ops := *redone
+	if len(od.open)+len(ops) > graphBatch {
+		od.handOver()
+	}
+	od.open = append(od.open, ops...)
+	od.put += uint64(len(ops))
+	if len(od.open) == graphBatch {
+		od.handOver()
+	}
+	*redone = ops[:0]
+}
+
+// handOver (mu held) queues the open batch for the stage.
+func (od *OnDemand) handOver() {
+	if len(od.open) == 0 {
+		return
+	}
+	od.queue = append(od.queue, od.open)
+	od.open = make([]*op.Operation, 0, graphBatch)
+	od.staged.Broadcast()
+}
+
+// runGraph is the write-graph stage goroutine: it adds the queued batches to
+// the write graph in order until every chain is replayed and the queue is
+// empty, then flips the clean-completion fast path.  It exits without adding
+// the rest once the drain has failed or been aborted; an AddToGraph failure
+// fails the drain.
+func (od *OnDemand) runGraph() {
+	od.mu.Lock()
+	defer od.mu.Unlock()
+	for {
+		for len(od.queue) == 0 && od.remaining > 0 && od.failure == nil {
+			od.staged.Wait()
 		}
+		if od.failure != nil {
+			return
+		}
+		if len(od.queue) == 0 {
+			od.doneFlag.Store(true)
+			return
+		}
+		batch := od.queue[0]
+		od.queue[0] = nil
+		od.queue = od.queue[1:]
+		od.mu.Unlock()
+		err := od.addBatch(batch)
+		od.mu.Lock()
+		if err != nil && od.failure == nil {
+			od.failure = err
+			od.stop.Store(true)
+			od.signalDrained()
+		}
+		od.added += uint64(len(batch))
+		od.staged.Broadcast()
 	}
 }
 
-// runGraph is the write-graph stage goroutine.  When the stage has exited
-// after a clean drain, it flips the clean-completion fast path; an AddToGraph
-// failure fails the drain.
-func (od *OnDemand) runGraph() {
-	err := od.graph.run()
-	od.mu.Lock()
-	defer od.mu.Unlock()
-	if err != nil && od.failure == nil {
-		od.failure = err
-		od.stop.Store(true)
+// addBatch threads one batch into the write graph in order, stopping early
+// if the drain has been stopped.
+func (od *OnDemand) addBatch(batch []*op.Operation) error {
+	for _, o := range batch {
+		if od.stop.Load() {
+			return nil
+		}
+		if err := od.res.Manager.AddToGraph(o); err != nil {
+			return fmt.Errorf("recovery: redo of %s: %w", o, err)
+		}
 	}
-	od.signalDrained()
-	if od.remaining == 0 && od.failure == nil {
-		od.doneFlag.Store(true)
-	}
+	return nil
 }
 
 // Wait drains the table to completion — claiming pending chains on the
@@ -531,141 +617,8 @@ func (od *OnDemand) Abort() {
 		od.failure = ErrAborted
 	}
 	od.doneFlag.Store(false)
+	od.stop.Store(true)
 	od.signalDrained()
 	od.mu.Unlock()
-	od.stop.Store(true)
-	od.graph.stop()
 	od.bg.Wait()
-}
-
-// graphBatch is how many redone operations the replayers hand the
-// write-graph stage at once.
-const graphBatch = 256
-
-// graphStage is the redo pass's write-graph half: one goroutine (run) adds
-// the operations the replayers redo to the write graph while they go on
-// applying values.  A replayer puts each redone operation into the open
-// batch (add), and a full batch joins the queue the stage takes in order, so
-// the stage adds the operations in the order they were put.  Operations are
-// numbered by that order: once added reaches n, the first n are in the
-// graph.  A caller that needs them (waitFor) queues the open batch itself,
-// so a partial batch never holds it up.
-type graphStage struct {
-	mgr *cache.Manager
-
-	mu      sync.Mutex
-	cond    sync.Cond         // on mu: a batch queued, a batch added, close, stop, failure
-	open    []*op.Operation   // the batch being filled
-	queue   [][]*op.Operation // full batches waiting for the stage, oldest first
-	put     uint64            // operations put so far, the open batch's included
-	added   uint64            // operations the stage has added to the graph
-	closed  bool              // no operation will be put any more
-	err     error             // the stage's AddToGraph failure
-	stopped atomic.Bool       // drop the rest: the drain failed or was aborted
-}
-
-func newGraphStage(mgr *cache.Manager) *graphStage {
-	g := &graphStage{mgr: mgr, open: make([]*op.Operation, 0, graphBatch)}
-	g.cond.L = &g.mu
-	return g
-}
-
-// add is the replayers' write-graph sink: it puts o into the open batch,
-// queueing the batch once it is full.
-func (g *graphStage) add(o *op.Operation) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.open = append(g.open, o)
-	g.put++
-	if len(g.open) == graphBatch {
-		g.handOver()
-	}
-	return nil
-}
-
-// handOver (mu held) queues the open batch for the stage.
-func (g *graphStage) handOver() {
-	if len(g.open) == 0 {
-		return
-	}
-	g.queue = append(g.queue, g.open)
-	g.open = make([]*op.Operation, 0, graphBatch)
-	g.cond.Broadcast()
-}
-
-// mark returns how many operations have been put: waitFor(mark()) returns
-// once every operation the caller put before it is in the graph.
-func (g *graphStage) mark() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.put
-}
-
-// waitFor blocks until the first n operations put are in the write graph,
-// or the stage has stopped or failed; it returns the stage's failure.
-func (g *graphStage) waitFor(n uint64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.put-uint64(len(g.open)) < n {
-		g.handOver()
-	}
-	for g.added < n && g.err == nil && !g.stopped.Load() {
-		g.cond.Wait()
-	}
-	return g.err
-}
-
-// close tells the stage that every operation has been put: it adds what it
-// holds, then exits.
-func (g *graphStage) close() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.handOver()
-	g.closed = true
-	g.cond.Broadcast()
-}
-
-// stop tells the stage to exit without adding what it still holds.
-func (g *graphStage) stop() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.stopped.Store(true)
-	g.cond.Broadcast()
-}
-
-// run is the stage goroutine: it adds the queued batches to the write graph
-// in order until the stage is closed and empty, or stopped.  It returns the
-// first AddToGraph failure.
-func (g *graphStage) run() error {
-	for {
-		g.mu.Lock()
-		for len(g.queue) == 0 && !g.closed && !g.stopped.Load() {
-			g.cond.Wait()
-		}
-		if g.stopped.Load() || len(g.queue) == 0 {
-			g.mu.Unlock()
-			return nil
-		}
-		batch := g.queue[0]
-		g.queue[0] = nil
-		g.queue = g.queue[1:]
-		g.mu.Unlock()
-		for _, o := range batch {
-			if g.stopped.Load() {
-				return nil
-			}
-			if err := g.mgr.AddToGraph(o); err != nil {
-				err = fmt.Errorf("recovery: redo of %s: %w", o, err)
-				g.mu.Lock()
-				g.err = err
-				g.cond.Broadcast()
-				g.mu.Unlock()
-				return err
-			}
-		}
-		g.mu.Lock()
-		g.added += uint64(len(batch))
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
 }

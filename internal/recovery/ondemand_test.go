@@ -194,6 +194,9 @@ func crashProbes(t *testing.T, eng *core.Engine, objects int) {
 // or not.
 const stageGoroutine = "created by logicallog/internal/recovery.newOnDemand"
 
+// stageFunc marks a stack inside the write-graph stage's own function.
+const stageFunc = "logicallog/internal/recovery.(*OnDemand).runGraph"
+
 // TestRedoReplayerGoroutines pins who replays.  Recover, and Redo under
 // backup.MediaRecover, replay every value on the caller's goroutine and
 // start exactly one other, the write-graph stage, which has left the
@@ -238,7 +241,7 @@ func TestRedoReplayerGoroutines(t *testing.T) {
 	// stageGone checks, once a recovery has returned, that its stage has
 	// finished: at most the stage goroutine's exit is left.
 	stageGone := func(path string) {
-		if gs := recoveryGoroutines(); inRecovery(gs, "graphStage") != 0 || inRecovery(gs, "runGraph") != 0 {
+		if gs := recoveryGoroutines(); inRecovery(gs, stageFunc) != 0 {
 			t.Errorf("%s returned with its graph stage still running:\n%s", path, strings.Join(gs, "\n\n"))
 		}
 	}

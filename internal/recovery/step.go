@@ -54,12 +54,13 @@ func (r *Result) Count(out Outcome) {
 // record of what was decided — shared by every replayer: the chain scheduler
 // and the warm standby's continuous apply.  Built once per recovery, so the
 // metric handles are resolved once.  Apply is safe for concurrent use on
-// operations of different dependency chains.
+// operations of different dependency chains.  The step does not build the
+// write graph: each replayer using it (the chain scheduler, the standby)
+// threads the operations it redoes into the graph itself.
 type Step struct {
 	test     RedoTest
 	mgr      *cache.Manager
 	dot      map[op.ObjectID]op.SI
-	graph    func(*op.Operation) error // takes each redone operation into the write graph
 	actor    string
 	flight   *flight.Recorder
 	counters [numOutcomes]*obs.Counter
@@ -68,18 +69,9 @@ type Step struct {
 // NewStep builds the redo step over mgr and the dirty object table dot (read
 // at each Apply, so a standby may keep updating it between calls).  Of opts
 // it uses Test, Cache.Obs and Flight; actor names the replayer in flight
-// events ("recovery", "standby").  Each redone operation is added to the
-// write graph before Apply returns, as a standby needs: it mirrors the
-// primary's installs from the graph straight after each apply.
+// events ("recovery", "standby").
 func NewStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI) *Step {
-	return newStep(opts, actor, mgr, dot, mgr.AddToGraph)
-}
-
-// newStep is NewStep with the write-graph sink given: the chain scheduler
-// passes its graph stage, which adds the operations on another goroutine.
-// graph receives each redone, non-voided operation, in replay order.
-func newStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID]op.SI, graph func(*op.Operation) error) *Step {
-	s := &Step{test: opts.Test, mgr: mgr, dot: dot, graph: graph, actor: actor, flight: opts.Flight}
+	s := &Step{test: opts.Test, mgr: mgr, dot: dot, actor: actor, flight: opts.Flight}
 	for out := range s.counters {
 		s.counters[out] = opts.Cache.Obs.Counter(outcomes[out].metric)
 	}
@@ -87,12 +79,12 @@ func newStep(opts Options, actor string, mgr *cache.Manager, dot map[op.ObjectID
 }
 
 // Apply runs one logged operation through the REDO test and, if it says so,
-// the trial execution — the values, then the operation handed to the
-// step's write-graph sink — and records the outcome in every sink: counter
-// and flight event (with the witness or dirty-table entry as evidence).
-// o is replayed as decoded, without a copy: nothing on the replay path
-// writes to an operation, and transforms treat params as read-only, so a
-// record aliasing the log scanner's immutable snapshot stays intact.
+// the trial execution, and records the outcome in every sink: counter and
+// flight event (with the witness or dirty-table entry as evidence).  A
+// Redone operation's values are in the cache, but it is not yet in the write
+// graph.  o is replayed as decoded, without a copy: nothing on the replay
+// path writes to an operation, and transforms treat params as read-only, so
+// a record aliasing the log scanner's immutable snapshot stays intact.
 func (s *Step) Apply(o *op.Operation) (Outcome, error) {
 	ex := DecideRedoExplain(s.test, s.mgr, s.dot, o)
 	var out Outcome
@@ -105,8 +97,6 @@ func (s *Step) Apply(o *op.Operation) (Outcome, error) {
 		}
 		if voided {
 			out = Voided
-		} else if err := s.graph(o); err != nil {
-			return 0, fmt.Errorf("recovery: redo of %s: %w", o, err)
 		}
 	case ex.InstalledWitness:
 		out, obj, ref = SkippedInstalled, ex.WitnessObject, ex.WitnessVSI

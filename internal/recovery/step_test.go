@@ -89,7 +89,8 @@ func stepCases() []stepCase {
 // TestStepOutcomeSinksAgree runs every REDO test over every recovering state
 // and requires the one outcome Apply returns to be what every sink saw: the
 // Result counter, the recovery.decide.* counter, the flight event (with its
-// witness or dirty-table evidence and the replayer's actor).
+// witness or dirty-table evidence and the replayer's actor).  The write
+// graph is not a sink: it stays empty.
 func TestStepOutcomeSinksAgree(t *testing.T) {
 	decide := map[recovery.Outcome]string{
 		recovery.Redone:           "recovery.decide.redo",
@@ -172,6 +173,11 @@ func TestStepOutcomeSinksAgree(t *testing.T) {
 					_, getErr := mgr.Get(tc.op.WriteSet[0])
 					if applied := getErr == nil && mgr.CurrentVSI(tc.op.WriteSet[0]) == stepLSN; applied != (out == recovery.Redone) {
 						t.Errorf("outcome %s but cache applied=%v", out, applied)
+					}
+					// The step leaves the write graph to its caller, even for
+					// an operation it redoes.
+					if n := mgr.WriteGraph().OpCount(); n != 0 {
+						t.Errorf("outcome %s but the step put %d operations into the write graph", out, n)
 					}
 				})
 			}

@@ -166,20 +166,6 @@ func (s *Sender) Close() {
 	}
 }
 
-// Cursor returns the next LSN the sender will ship.
-func (s *Sender) Cursor() op.SI {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cursor
-}
-
-// Acked returns the standby's applied horizon as its last ack said.
-func (s *Sender) Acked() op.SI {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
-}
-
 // Resyncs returns how many times an ack rewound the cursor.
 func (s *Sender) Resyncs() int64 {
 	s.mu.Lock()

@@ -312,12 +312,15 @@ func (s *Standby) applyAppendedLocked(rec *wal.Record) error {
 // manager's installation step.  It returns the operation's outcome.  Records
 // go through in strict log order, never through the chain scheduler: the
 // standby's write graph must regrow with the primary's node groupings for
-// the next install record to find its node.
+// the next install record to find its node, so a redone operation joins the
+// graph straight after its apply.
 func (s *Standby) replayRecord(rec *wal.Record) (out recovery.Outcome, err error) {
 	recovery.UpdateDirtyTable(s.dot, rec, s.cfg.Opts.RedoTest)
 	switch rec.Type {
 	case wal.RecOperation:
-		out, err = s.step.Apply(rec.Op)
+		if out, err = s.step.Apply(rec.Op); err == nil && out == recovery.Redone {
+			err = s.mgr.AddToGraph(rec.Op)
+		}
 	case wal.RecInstall:
 		err = s.mgr.MirrorInstall(rec.Install)
 	case wal.RecFlush:

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,9 @@ func TestScanThroughCorruptMiddle(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := dev.ReadAll()
+	// ReadAll lends the device's bytes: flip a byte of a copy.
+	lent, _ := dev.ReadAll()
+	data := bytes.Clone(lent)
 	// Flip a byte roughly in the middle (inside record 3's frame).
 	data[len(data)/2] ^= 0xFF
 	dev.Rewrite(data)

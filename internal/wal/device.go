@@ -15,7 +15,9 @@ type Device interface {
 	// which the Log compacts once Append returns: an implementation must
 	// not keep p, or any slice of it, after the call.
 	Append(p []byte) error
-	// ReadAll returns the device's full contents.
+	// ReadAll returns the device's full contents.  The result is read-only:
+	// a device may lend its own bytes rather than copy them (MemDevice
+	// does), and the records a scan decodes alias them.
 	ReadAll() ([]byte, error)
 	// Size returns the current length in bytes.
 	Size() (int64, error)
@@ -29,6 +31,13 @@ type Device interface {
 // MemDevice is an in-memory Device, the default for simulations and tests.
 // Fault injection (torn appends, bit flips, reordered batches) lives in
 // internal/fault, whose Plan.WrapDevice decorates any Device.
+//
+// ReadAll lends the device's bytes instead of copying them, and a lent slice
+// stays byte-identical for as long as anyone holds it.  Its capacity is its
+// length, so an append by its holder moves to a new array; Append writes only
+// past the current length, which is past the end of every lent slice; and
+// Rewrite replaces the backing array rather than writing into it.  The
+// holder must not write into it.
 type MemDevice struct {
 	mu   sync.Mutex
 	data []byte
@@ -45,11 +54,12 @@ func (m *MemDevice) Append(p []byte) error {
 	return nil
 }
 
-// ReadAll implements Device.
+// ReadAll implements Device.  It lends the device's bytes (see MemDevice).
 func (m *MemDevice) ReadAll() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.data...), nil
+	n := len(m.data)
+	return m.data[:n:n], nil
 }
 
 // Size implements Device.
@@ -59,7 +69,8 @@ func (m *MemDevice) Size() (int64, error) {
 	return int64(len(m.data)), nil
 }
 
-// Rewrite implements Device.
+// Rewrite implements Device.  It copies p into a new array, leaving every
+// lent slice as it was.
 func (m *MemDevice) Rewrite(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

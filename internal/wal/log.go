@@ -694,8 +694,9 @@ func (l *Log) Truncate(before op.SI) error {
 // Scanner iterates durable records in LSN order.
 //
 // Returned records' byte fields (operation params and values) alias the
-// scanner's private snapshot of the device, which is immutable; callers must
-// treat them as read-only.  Recovery analyzes and replays the records
+// scanner's snapshot of the device: ReadAll's result, which a MemDevice
+// lends rather than copies, and which no one writes.  Callers must treat
+// them as read-only.  Recovery analyzes and replays the records
 // Restart's walk decoded, without copying them, so neither analysis nor the
 // redo pass decodes the log again or copies a record's payload.
 type Scanner struct {

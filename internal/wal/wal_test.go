@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -645,4 +647,63 @@ func TestRandomCrashRestartConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRestartRecordsOutliveDeviceChanges: a memory device lends its bytes to
+// every scan, and the records Restart returns alias them.  A Truncate,
+// appends and a Rewrite after the Restart must leave every returned record
+// byte-identical.
+func TestRestartRecordsOutliveDeviceChanges(t *testing.T) {
+	dev := NewMemDevice()
+	l, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(i int, fill byte) {
+		mustAppend(t, l, NewOpRecord(op.NewPhysicalWrite(op.ObjectID(fmt.Sprintf("x%d", i)), bytes.Repeat([]byte{fill}, 32))))
+	}
+	for i := 0; i < 8; i++ {
+		write(i, byte('a'+i))
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Restart()
+	if err != nil || len(recs) != 8 {
+		t.Fatalf("Restart = %d records, %v", len(recs), err)
+	}
+	want := make([][]byte, len(recs))
+	for i, rec := range recs {
+		if want[i], err = EncodeRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(after string) {
+		t.Helper()
+		for i, rec := range recs {
+			if got, err := EncodeRecord(rec); err != nil || !bytes.Equal(got, want[i]) {
+				t.Fatalf("after %s, record %d reads %x (%v), want %x", after, rec.LSN, got, err, want[i])
+			}
+		}
+	}
+
+	if err := l.Truncate(5); err != nil {
+		t.Fatal(err)
+	}
+	check("Truncate")
+	for i := 0; i < 8; i++ {
+		write(i, 'z')
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	check("appends")
+	size, err := dev.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Rewrite(bytes.Repeat([]byte{0xff}, int(size))); err != nil {
+		t.Fatal(err)
+	}
+	check("Rewrite")
 }
