@@ -8,6 +8,12 @@
 // A frame counts only when all of it is present and its checksum matches.
 // Readers stop at the first frame that does not: after a crash that is the
 // torn tail of the last write, and it carries no information.
+//
+// The package is also the module's one field codec (field.go): the byte,
+// uvarint, varint and length-prefixed fields that WAL record payloads, the
+// flight spill's events and op params are made of, written by the Append*
+// functions and read by a Reader.  The server protocol's fixed-width fields
+// are its own layout and do not use it.
 package frame
 
 import (

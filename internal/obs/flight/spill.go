@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -11,9 +10,9 @@ import (
 	"logicallog/internal/op"
 )
 
-// Spill-file format: a sequence of internal/frame frames, each payload a
-// varint encoding of one Event (seq, at-ns, kind, dec, lsn, ref, object,
-// n, actor).  A reopen applies the WAL's torn-tail rule: scan frames from
+// Spill-file format: a sequence of internal/frame frames, each payload one
+// Event in frame's field codec (seq, at-ns, kind, dec, lsn, ref, object, n,
+// actor).  A reopen applies the WAL's torn-tail rule: scan frames from
 // the start, stop at the first incomplete frame, checksum mismatch, or
 // undecodable payload, and truncate the file back to the last good frame.
 // Everything before the torn tail survives the crash.
@@ -40,79 +39,41 @@ type file interface {
 	Close() error
 }
 
+// appendSpillFrame appends ev's frame to dst, encoding the payload in place.
 func appendSpillFrame(dst []byte, ev *Event) []byte {
-	var p []byte
-	p = binary.AppendUvarint(p, ev.Seq)
-	p = binary.AppendUvarint(p, uint64(ev.At))
-	p = append(p, byte(ev.Kind), byte(ev.Dec))
-	p = binary.AppendUvarint(p, uint64(ev.LSN))
-	p = binary.AppendUvarint(p, uint64(ev.Ref))
-	p = binary.AppendUvarint(p, uint64(len(ev.Object)))
-	p = append(p, ev.Object...)
-	p = binary.AppendVarint(p, ev.N)
-	p = binary.AppendUvarint(p, uint64(len(ev.Actor)))
-	p = append(p, ev.Actor...)
-	return frame.Append(dst, p)
+	start := len(dst)
+	var hdr [frame.Overhead]byte
+	p := frame.AppendUvarint(append(dst, hdr[:]...), ev.Seq)
+	p = frame.AppendUvarint(p, uint64(ev.At))
+	p = frame.AppendByte(p, byte(ev.Kind))
+	p = frame.AppendByte(p, byte(ev.Dec))
+	p = frame.AppendUvarint(p, uint64(ev.LSN))
+	p = frame.AppendUvarint(p, uint64(ev.Ref))
+	p = frame.AppendString(p, string(ev.Object))
+	p = frame.AppendVarint(p, ev.N)
+	p = frame.AppendString(p, ev.Actor)
+	frame.Seal(p, start)
+	return p
 }
 
 // decodeSpillEvent decodes one frame payload; any leftover or truncated
 // field is an error (the caller treats it as a torn tail).
 func decodeSpillEvent(p []byte) (Event, error) {
-	var ev Event
-	u := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("flight: spill varint truncated")
-		}
-		p = p[n:]
-		return v, nil
+	d := frame.NewReader(p)
+	ev := Event{
+		Seq:    d.Uvarint(),
+		At:     time.Duration(d.Uvarint()),
+		Kind:   Kind(d.Byte()),
+		Dec:    Decision(d.Byte()),
+		LSN:    op.SI(d.Uvarint()),
+		Ref:    op.SI(d.Uvarint()),
+		Object: op.ObjectID(d.Str()),
+		N:      d.Varint(),
+		Actor:  d.Str(),
 	}
-	seq, err := u()
-	if err != nil {
-		return ev, err
+	if err := d.Done(); err != nil {
+		return Event{}, fmt.Errorf("flight: spill event: %w", err)
 	}
-	at, err := u()
-	if err != nil {
-		return ev, err
-	}
-	if len(p) < 2 {
-		return ev, fmt.Errorf("flight: spill kind/dec truncated")
-	}
-	ev.Seq, ev.At = seq, time.Duration(at)
-	ev.Kind, ev.Dec = Kind(p[0]), Decision(p[1])
-	p = p[2:]
-	lsn, err := u()
-	if err != nil {
-		return ev, err
-	}
-	ref, err := u()
-	if err != nil {
-		return ev, err
-	}
-	ev.LSN, ev.Ref = op.SI(lsn), op.SI(ref)
-	olen, err := u()
-	if err != nil {
-		return ev, err
-	}
-	if uint64(len(p)) < olen {
-		return ev, fmt.Errorf("flight: spill object truncated")
-	}
-	ev.Object = op.ObjectID(p[:olen])
-	p = p[olen:]
-	n, w := binary.Varint(p)
-	if w <= 0 {
-		return ev, fmt.Errorf("flight: spill n truncated")
-	}
-	ev.N = n
-	p = p[w:]
-	alen, err := u()
-	if err != nil {
-		return ev, err
-	}
-	if uint64(len(p)) != alen {
-		return ev, fmt.Errorf("flight: spill actor length mismatch")
-	}
-	ev.Actor = string(p)
 	return ev, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"logicallog/internal/frame"
 )
 
 // Builtin FuncIDs.  These cover the transformation shapes used by the paper's
@@ -143,8 +145,9 @@ func builtinAppend(params []byte, a *Args) error {
 
 func builtinCounterAdd(params []byte, a *Args) error {
 	id, v := a.Sole()
-	delta, n := binary.Uvarint(params)
-	if n <= 0 {
+	d := frame.NewReader(params) // bytes after the delta are ignored
+	delta := d.Uvarint()
+	if d.Err() != nil {
 		return fmt.Errorf("counter.add: bad delta")
 	}
 	var cur uint64

@@ -408,6 +408,41 @@ func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeParams feeds arbitrary blobs to the params decoder every logical
+// transform parses its params with.  Properties: it never panics; an
+// accepted blob's fields re-encode to a blob that decodes to the same fields;
+// and appending to a returned field never writes into the next one (nor
+// anywhere else in the blob).
+func FuzzDecodeParams(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeParams([]byte("obj0012"), []byte("obj0007")))
+	f.Add(EncodeParams(nil, []byte("a"), nil))
+	f.Add([]byte{0xff})
+	f.Add([]byte{10, 'a'})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		fields, err := DecodeParams(p)
+		if err != nil {
+			return
+		}
+		back, err := DecodeParams(EncodeParams(fields...))
+		if err != nil || len(back) != len(fields) {
+			t.Fatalf("re-encoded %d fields decode to %d, err %v", len(fields), len(back), err)
+		}
+		for i := range fields {
+			if !Equal(back[i], fields[i]) {
+				t.Fatalf("field %d: re-encoded %q, decoded %q", i, fields[i], back[i])
+			}
+		}
+		blob := append([]byte(nil), p...)
+		for _, fld := range fields {
+			_ = append(fld, 0xaa)
+		}
+		if !Equal(p, blob) {
+			t.Fatalf("appending to a field wrote into the blob: %x, was %x", p, blob)
+		}
+	})
+}
+
 func TestApplyDeterminism(t *testing.T) {
 	// Property: Apply is a pure function — same inputs, same outputs.
 	r := NewRegistry()

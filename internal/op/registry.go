@@ -1,12 +1,12 @@
 package op
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+
+	"logicallog/internal/frame"
 )
 
 // FuncID identifies a registered, deterministic transformation function.
@@ -329,33 +329,33 @@ func NewDelete(objs ...ObjectID) *Operation {
 // Parameter encoding helpers shared by substrates.
 // ---------------------------------------------------------------------------
 
-// EncodeParams packs byte-slice fields into a single params blob
-// (uvarint-length-prefixed).  The inverse is DecodeParams.
+// EncodeParams packs byte-slice fields into a single params blob, each a
+// bytes field of frame's field codec.  The inverse is DecodeParams.
 func EncodeParams(fields ...[]byte) []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	for _, f := range fields {
-		n := binary.PutUvarint(tmp[:], uint64(len(f)))
-		buf.Write(tmp[:n])
-		buf.Write(f)
+	var out []byte
+	if len(fields) > 0 {
+		n := 0
+		for _, f := range fields {
+			n += frame.MaxVarintLen + len(f)
+		}
+		out = make([]byte, 0, n)
 	}
-	return buf.Bytes()
+	for _, f := range fields {
+		out = frame.AppendBytes(out, f)
+	}
+	return out
 }
 
-// DecodeParams unpacks a blob produced by EncodeParams.
+// DecodeParams unpacks a blob produced by EncodeParams.  The fields alias p
+// with their capacity capped, so appending to one never writes into the next.
 func DecodeParams(p []byte) ([][]byte, error) {
 	var out [][]byte
-	for len(p) > 0 {
-		l, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, fmt.Errorf("op: corrupt params")
-		}
-		p = p[n:]
-		if uint64(len(p)) < l {
-			return nil, fmt.Errorf("op: truncated params")
-		}
-		out = append(out, p[:l:l])
-		p = p[l:]
+	d := frame.NewReader(p)
+	for d.Len() > 0 {
+		out = append(out, d.Bytes())
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("op: corrupt params: %w", err)
 	}
 	return out, nil
 }

@@ -87,20 +87,17 @@ type OnDemand struct {
 	step   *Step
 	flight *flight.Recorder
 
-	mu            sync.Mutex
-	res           *Result
-	chains        [][]*op.Operation
-	state         []ChainState
-	chainDone     []chan struct{}
-	graphMark     []uint64              // chain -> operations put to the graph stage when it finished
-	writer        map[op.ObjectID]int   // object -> the chain writing it
-	touch         map[op.ObjectID][]int // object -> every chain touching it
-	cursor        int                   // background claim scan position
-	remaining     int
-	failure       error // the drain's failure, or ErrAborted: the stage stops too
-	drained       chan struct{}
-	drainedClosed bool
-	aborted       bool
+	mu        sync.Mutex
+	res       *Result
+	chains    [][]*op.Operation
+	state     []ChainState
+	chainDone []chan struct{}
+	graphMark []uint64              // chain -> operations put to the graph stage when it finished
+	writer    map[op.ObjectID]int   // object -> the chain writing it
+	touch     map[op.ObjectID][]int // object -> every chain touching it
+	cursor    int                   // background claim scan position
+	remaining int
+	failure   error // the drain's failure, or ErrAborted: the stage stops too
 
 	// The write-graph stage's queue.  Redone operations are numbered in the
 	// order they are put: once added reaches n, the first n are in the graph.
@@ -174,7 +171,6 @@ func newOnDemand(opts Options, res *Result, dot dirtyTable, ops []*op.Operation)
 		writer:    make(map[op.ObjectID]int),
 		touch:     make(map[op.ObjectID][]int),
 		remaining: len(chains),
-		drained:   make(chan struct{}),
 		open:      make([]*op.Operation, 0, graphBatch),
 
 		mDemandChains: reg.Counter("recovery.ondemand.demand_chains"),
@@ -334,15 +330,18 @@ func (od *OnDemand) RequireRange(lo, hi op.ObjectID) error {
 		return nil
 	}
 	od.mRequires.Inc()
-	od.mu.Lock()
 	var need []int
-	//lint:ignore replaydeterminism membership filter is order-independent; requireChains sorts and dedups
-	for x, ci := range od.writer {
-		if x >= lo && (hi == "" || x < hi) {
-			need = append(need, ci)
+	for ci, chain := range od.chains { // immutable: no lock
+	scan:
+		for _, o := range chain {
+			for _, x := range o.WriteSet {
+				if x >= lo && (hi == "" || x < hi) {
+					need = append(need, ci)
+					break scan
+				}
+			}
 		}
 	}
-	od.mu.Unlock()
 	return od.requireChains(need)
 }
 
@@ -423,7 +422,7 @@ func (od *OnDemand) drain(actor string) {
 func (od *OnDemand) claimNext() int {
 	od.mu.Lock()
 	defer od.mu.Unlock()
-	if od.aborted || od.failure != nil {
+	if od.failure != nil {
 		return -1
 	}
 	for od.cursor < len(od.state) && od.state[od.cursor] != ChainPending {
@@ -494,17 +493,13 @@ func (od *OnDemand) runChain(ci int, actor string, demand bool, redone *[]*op.Op
 }
 
 // signalDrained (mu held) ends the drain when the table empties or the drain
-// dies: it closes the drain barrier, queues the open batch, and wakes the
-// graph stage, which then adds what is queued and exits (every chain
-// replayed) or exits at once (a failure or an abort), and RequireOp's graph
-// waits, which return on a failure.
+// dies: it queues the open batch and wakes everything waiting on staged —
+// Wait; the graph stage, which then adds what is queued and exits (every
+// chain replayed) or exits at once (a failure or an abort); and RequireOp's
+// graph waits, which return on a failure.
 func (od *OnDemand) signalDrained() {
 	if od.remaining > 0 && od.failure == nil {
 		return
-	}
-	if !od.drainedClosed {
-		close(od.drained)
-		od.drainedClosed = true
 	}
 	od.handOver()
 	od.staged.Broadcast()
@@ -596,7 +591,11 @@ func (od *OnDemand) addBatch(batch []*op.Operation) error {
 // are independent of how demand, background, and Wait interleaved.
 func (od *OnDemand) Wait() (*Result, error) {
 	od.drain("redo-wait")
-	<-od.drained
+	od.mu.Lock()
+	for od.remaining > 0 && od.failure == nil {
+		od.staged.Wait()
+	}
+	od.mu.Unlock()
 	od.bg.Wait()
 	od.mu.Lock()
 	defer od.mu.Unlock()
@@ -612,7 +611,6 @@ func (od *OnDemand) Wait() (*Result, error) {
 // immediately after.
 func (od *OnDemand) Abort() {
 	od.mu.Lock()
-	od.aborted = true
 	if od.failure == nil {
 		od.failure = ErrAborted
 	}

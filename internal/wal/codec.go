@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"logicallog/internal/frame"
@@ -21,124 +20,51 @@ import (
 // framing plus the payload's type byte and worst-case LSN varint.  A torn
 // append of fewer than MaxRecordHeader bytes can cut anywhere inside this
 // prefix; the exhaustive torn-tail tests cover every such length.
-const MaxRecordHeader = frame.Overhead + 1 + binary.MaxVarintLen64
+const MaxRecordHeader = frame.Overhead + 1 + frame.MaxVarintLen
 
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
-func (e *encoder) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf = append(e.buf, tmp[:n]...)
-}
-func (e *encoder) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *encoder) str(s string) { e.bytes([]byte(s)) }
-func (e *encoder) ids(ids []op.ObjectID) {
-	e.uvarint(uint64(len(ids)))
+func appendIDs(dst []byte, ids []op.ObjectID) []byte {
+	dst = frame.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		e.str(string(id))
+		dst = frame.AppendString(dst, string(id))
 	}
-}
-func (e *encoder) rsis(s []ObjectRSI) {
-	e.uvarint(uint64(len(s)))
-	for _, r := range s {
-		e.str(string(r.ID))
-		e.uvarint(uint64(r.RSI))
-	}
+	return dst
 }
 
-type decoder struct {
-	buf []byte
-	// alias, when set, makes bytes() return subslices of buf instead of
-	// copies.  Safe only when buf is immutable and outlives the record
-	// (the Scanner's snapshot qualifies); it removes the dominant
-	// per-record allocation of the redo scan.
-	alias bool
+func appendRSIs(dst []byte, s []ObjectRSI) []byte {
+	dst = frame.AppendUvarint(dst, uint64(len(s)))
+	for _, r := range s {
+		dst = frame.AppendString(dst, string(r.ID))
+		dst = frame.AppendUvarint(dst, uint64(r.RSI))
+	}
+	return dst
 }
 
 var errCorrupt = fmt.Errorf("wal: corrupt record payload")
 
-func (d *decoder) u8() (uint8, error) {
-	if len(d.buf) < 1 {
-		return 0, errCorrupt
+func readIDs(d *frame.Reader) []op.ObjectID {
+	out := make([]op.ObjectID, d.Count())
+	for i := range out {
+		out[i] = op.ObjectID(d.Str())
 	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v, nil
+	return out
 }
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, errCorrupt
+
+func readRSIs(d *frame.Reader) []ObjectRSI {
+	out := make([]ObjectRSI, d.Count())
+	for i := range out {
+		out[i] = ObjectRSI{ID: op.ObjectID(d.Str()), RSI: op.SI(d.Uvarint())}
 	}
-	d.buf = d.buf[n:]
-	return v, nil
+	return out
 }
-func (d *decoder) bytes() ([]byte, error) {
-	l, err := d.uvarint()
-	if err != nil {
-		return nil, err
+
+// readBytes reads a bytes field: with alias set it aliases d's input, else
+// it is a copy (nil when empty).
+func readBytes(d *frame.Reader, alias bool) []byte {
+	b := d.Bytes()
+	if alias {
+		return b
 	}
-	if uint64(len(d.buf)) < l {
-		return nil, errCorrupt
-	}
-	var out []byte
-	if d.alias {
-		out = d.buf[:l:l]
-	} else {
-		out = append([]byte(nil), d.buf[:l]...)
-	}
-	d.buf = d.buf[l:]
-	return out, nil
-}
-func (d *decoder) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
-}
-func (d *decoder) ids() ([]op.ObjectID, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)) { // each id costs ≥1 byte; reject absurd counts
-		return nil, errCorrupt
-	}
-	out := make([]op.ObjectID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, op.ObjectID(s))
-	}
-	return out, nil
-}
-func (d *decoder) rsis() ([]ObjectRSI, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)) {
-		return nil, errCorrupt
-	}
-	out := make([]ObjectRSI, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ObjectRSI{ID: op.ObjectID(s), RSI: op.SI(r)})
-	}
-	return out, nil
+	return append([]byte(nil), b...)
 }
 
 // EncodeRecord serializes a record payload (without framing).
@@ -146,49 +72,48 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	e := &encoder{}
-	encodePayload(e, r)
-	return e.buf, nil
+	return appendPayload(nil, r), nil
 }
 
-// encodePayload serializes a validated record into e.  It is the single
-// source of the payload byte layout: EncodeRecord and the framed encoder the
-// log's tail uses (AppendFrame) both route through it, so the durable format
-// is byte-identical no matter which encoder produced it.
-func encodePayload(e *encoder, r *Record) {
-	e.u8(uint8(r.Type))
-	e.uvarint(uint64(r.LSN))
+// appendPayload appends the payload of a validated record to dst.  It is the
+// single source of the payload byte layout: EncodeRecord and the framed
+// encoder the log's tail uses (AppendFrame) both route through it, so the
+// durable format is byte-identical no matter which encoder produced it.
+func appendPayload(dst []byte, r *Record) []byte {
+	dst = frame.AppendByte(dst, uint8(r.Type))
+	dst = frame.AppendUvarint(dst, uint64(r.LSN))
 	switch r.Type {
 	case RecOperation:
 		o := r.Op
-		e.u8(uint8(o.Kind))
-		e.str(string(o.Func))
-		e.bytes(o.Params)
-		e.ids(o.ReadSet)
-		e.ids(o.WriteSet)
-		e.ids(o.Deletes)
-		e.uvarint(uint64(len(o.Values)))
+		dst = frame.AppendByte(dst, uint8(o.Kind))
+		dst = frame.AppendString(dst, string(o.Func))
+		dst = frame.AppendBytes(dst, o.Params)
+		dst = appendIDs(dst, o.ReadSet)
+		dst = appendIDs(dst, o.WriteSet)
+		dst = appendIDs(dst, o.Deletes)
+		dst = frame.AppendUvarint(dst, uint64(len(o.Values)))
 		for i, v := range o.Values { // each value repeats its object's name
-			e.str(string(o.WriteSet[i]))
-			e.bytes(v)
+			dst = frame.AppendString(dst, string(o.WriteSet[i]))
+			dst = frame.AppendBytes(dst, v)
 		}
 	case RecInstall:
-		e.rsis(r.Install.Flushed)
-		e.rsis(r.Install.Unflushed)
-		e.uvarint(uint64(len(r.Install.Ops)))
+		dst = appendRSIs(dst, r.Install.Flushed)
+		dst = appendRSIs(dst, r.Install.Unflushed)
+		dst = frame.AppendUvarint(dst, uint64(len(r.Install.Ops)))
 		for _, l := range r.Install.Ops {
-			e.uvarint(uint64(l))
+			dst = frame.AppendUvarint(dst, uint64(l))
 		}
 	case RecFlush:
-		e.str(string(r.Flush.Object))
-		e.uvarint(uint64(r.Flush.VSI))
+		dst = frame.AppendString(dst, string(r.Flush.Object))
+		dst = frame.AppendUvarint(dst, uint64(r.Flush.VSI))
 	case RecCheckpoint:
-		e.uvarint(uint64(len(r.Checkpoint.Dirty)))
+		dst = frame.AppendUvarint(dst, uint64(len(r.Checkpoint.Dirty)))
 		for _, d := range r.Checkpoint.Dirty {
-			e.str(string(d.ID))
-			e.uvarint(uint64(d.RSI))
+			dst = frame.AppendString(dst, string(d.ID))
+			dst = frame.AppendUvarint(dst, uint64(d.RSI))
 		}
 	}
+	return dst
 }
 
 // AppendFrame appends the framed encoding of a validated record to buf and
@@ -200,10 +125,9 @@ func encodePayload(e *encoder, r *Record) {
 func AppendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
 	var hdr [frame.Overhead]byte
-	e := &encoder{buf: append(buf, hdr[:]...)}
-	encodePayload(e, r)
-	frame.Seal(e.buf, start)
-	return e.buf
+	buf = appendPayload(append(buf, hdr[:]...), r)
+	frame.Seal(buf, start)
+	return buf
 }
 
 // DecodeRecord parses a record payload produced by EncodeRecord.  The
@@ -212,139 +136,73 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	return decodeRecord(payload, false)
 }
 
-// recordHeader parses the type byte and LSN that open every record payload
-// and returns the offset of the body; ok is false unless the type is known
-// and the LSN varint is whole.
-func recordHeader(payload []byte) (t RecordType, lsn op.SI, body int, ok bool) {
-	if len(payload) == 0 {
-		return 0, 0, 0, false
-	}
-	t = RecordType(payload[0])
-	v, n := binary.Uvarint(payload[1:])
-	return t, op.SI(v), 1 + n, t != RecInvalid && t < numRecordTypes && n > 0
+// recordHeader reads the type byte and LSN that open every record payload;
+// ok is false unless the type is known and the LSN varint is whole.
+func recordHeader(d *frame.Reader) (t RecordType, lsn op.SI, ok bool) {
+	t = RecordType(d.Byte())
+	lsn = op.SI(d.Uvarint())
+	return t, lsn, d.Err() == nil && t != RecInvalid && t < numRecordTypes
 }
 
 // decodeRecord parses a record payload.  With alias set, the record's byte
 // fields alias payload, which the caller must keep immutable for the
-// record's lifetime.
+// record's lifetime (the Scanner's snapshot qualifies); it removes the
+// dominant per-record allocation of the redo scan.
 func decodeRecord(payload []byte, alias bool) (*Record, error) {
-	t, lsn, body, ok := recordHeader(payload)
+	d := frame.NewReader(payload)
+	t, lsn, ok := recordHeader(&d)
 	if !ok {
 		return nil, errCorrupt
 	}
-	d := &decoder{buf: payload[body:], alias: alias}
 	r := &Record{LSN: lsn, Type: t}
-	var err error
 	switch r.Type {
 	case RecOperation:
-		o := &op.Operation{LSN: r.LSN}
-		k, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		o.Kind = op.Kind(k)
-		fn, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		o.Func = op.FuncID(fn)
-		if o.Params, err = d.bytes(); err != nil {
-			return nil, err
-		}
-		if len(o.Params) == 0 {
+		o := &op.Operation{LSN: r.LSN, Kind: op.Kind(d.Byte()), Func: op.FuncID(d.Str())}
+		if o.Params = readBytes(&d, alias); len(o.Params) == 0 {
 			o.Params = nil
 		}
-		if o.ReadSet, err = d.ids(); err != nil {
-			return nil, err
-		}
-		if o.WriteSet, err = d.ids(); err != nil {
-			return nil, err
-		}
-		if o.Deletes, err = d.ids(); err != nil {
-			return nil, err
-		}
-		nv, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		o.ReadSet = readIDs(&d)
+		o.WriteSet = readIDs(&d)
+		o.Deletes = readIDs(&d)
 		// The encoder logs no values or one per writeset object, in
 		// writeset order.
+		nv := d.Uvarint()
 		if nv != 0 && nv != uint64(len(o.WriteSet)) {
 			return nil, errCorrupt
 		}
 		if nv > 0 {
 			o.Values = make([][]byte, nv)
 			for i, x := range o.WriteSet {
-				name, err := d.str()
-				if err != nil {
-					return nil, err
-				}
-				if op.ObjectID(name) != x {
+				if op.ObjectID(d.Str()) != x {
 					return nil, errCorrupt
 				}
-				if o.Values[i], err = d.bytes(); err != nil {
-					return nil, err
-				}
+				o.Values[i] = readBytes(&d, alias)
 			}
 		}
 		r.Op = o
 	case RecInstall:
-		ir := &InstallRecord{}
-		if ir.Flushed, err = d.rsis(); err != nil {
-			return nil, err
-		}
-		if ir.Unflushed, err = d.rsis(); err != nil {
-			return nil, err
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(d.buf))+1 {
-			return nil, errCorrupt
-		}
-		for i := uint64(0); i < n; i++ {
-			l, err := d.uvarint()
-			if err != nil {
-				return nil, err
+		ir := &InstallRecord{Flushed: readRSIs(&d), Unflushed: readRSIs(&d)}
+		if n := d.Count(); n > 0 {
+			ir.Ops = make([]op.SI, n)
+			for i := range ir.Ops {
+				ir.Ops[i] = op.SI(d.Uvarint())
 			}
-			ir.Ops = append(ir.Ops, op.SI(l))
 		}
 		r.Install = ir
 	case RecFlush:
-		x, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Flush = &FlushRecord{Object: op.ObjectID(x), VSI: op.SI(v)}
+		r.Flush = &FlushRecord{Object: op.ObjectID(d.Str()), VSI: op.SI(d.Uvarint())}
 	case RecCheckpoint:
 		cr := &CheckpointRecord{}
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(d.buf))+1 {
-			return nil, errCorrupt
-		}
-		for i := uint64(0); i < n; i++ {
-			x, err := d.str()
-			if err != nil {
-				return nil, err
+		if n := d.Count(); n > 0 {
+			cr.Dirty = make([]DirtyEntry, n)
+			for i := range cr.Dirty {
+				cr.Dirty[i] = DirtyEntry{ID: op.ObjectID(d.Str()), RSI: op.SI(d.Uvarint())}
 			}
-			rsi, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			cr.Dirty = append(cr.Dirty, DirtyEntry{ID: op.ObjectID(x), RSI: op.SI(rsi)})
 		}
 		r.Checkpoint = cr
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after record", len(d.buf))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err

@@ -731,7 +731,8 @@ func (s *Scanner) step() bool {
 	if !ok {
 		return false
 	}
-	_, lsn, _, ok := recordHeader(payload)
+	d := frame.NewReader(payload)
+	_, lsn, ok := recordHeader(&d)
 	if !ok || lsn == 0 || (s.last != 0 && lsn != s.last+1) {
 		return false
 	}

@@ -144,19 +144,8 @@ func TestDecodeRejectsAbsurdValueCount(t *testing.T) {
 	// A payload claiming 2^27 logged values must be rejected before the
 	// decoder sizes a map for them (a few bytes would otherwise reserve
 	// gigabytes).
-	e := &encoder{}
-	e.u8(uint8(RecOperation))
-	e.uvarint(1)
-	e.u8(uint8(op.KindPhysicalWrite))
-	e.str("")
-	e.bytes(nil)
-	e.ids(nil)
-	e.ids([]op.ObjectID{"X"})
-	e.ids(nil)
-	e.uvarint(1 << 27)
-	e.str("X")
-	e.bytes([]byte("v"))
-	if _, err := DecodeRecord(e.buf); err == nil {
+	p := valuePayload([]op.ObjectID{"X"}, 1<<27, "X")
+	if _, err := DecodeRecord(p); err == nil {
 		t.Fatal("decoded a record claiming 2^27 values")
 	}
 }
@@ -166,21 +155,8 @@ func TestDecodeRejectsValueOutsideWriteSet(t *testing.T) {
 	// another object's value is corrupt.  Accepting it would let a standby
 	// re-encode the record into a frame whose value count no longer matches
 	// its entries.
-	e := &encoder{}
-	e.u8(uint8(RecOperation))
-	e.uvarint(1)
-	e.u8(uint8(op.KindPhysicalWrite))
-	e.str("")
-	e.bytes(nil)
-	e.ids(nil)
-	e.ids([]op.ObjectID{"X"})
-	e.ids(nil)
-	e.uvarint(2)
-	e.str("X")
-	e.bytes([]byte("v"))
-	e.str("Y")
-	e.bytes([]byte("w"))
-	if _, err := DecodeRecord(e.buf); err == nil {
+	p := valuePayload([]op.ObjectID{"X"}, 2, "X", "Y")
+	if _, err := DecodeRecord(p); err == nil {
 		t.Fatal("decoded a value for an object outside the writeset")
 	}
 }
@@ -188,21 +164,20 @@ func TestDecodeRejectsValueOutsideWriteSet(t *testing.T) {
 // valuePayload encodes a physical write of writeset whose value section
 // claims count values and carries one per name, each named as given.
 func valuePayload(writeset []op.ObjectID, count int, names ...op.ObjectID) []byte {
-	e := &encoder{}
-	e.u8(uint8(RecOperation))
-	e.uvarint(1)
-	e.u8(uint8(op.KindPhysicalWrite))
-	e.str("")
-	e.bytes(nil)
-	e.ids(nil)
-	e.ids(writeset)
-	e.ids(nil)
-	e.uvarint(uint64(count))
+	p := frame.AppendByte(nil, uint8(RecOperation))
+	p = frame.AppendUvarint(p, 1)
+	p = frame.AppendByte(p, uint8(op.KindPhysicalWrite))
+	p = frame.AppendString(p, "")
+	p = frame.AppendBytes(p, nil)
+	p = appendIDs(p, nil)
+	p = appendIDs(p, writeset)
+	p = appendIDs(p, nil)
+	p = frame.AppendUvarint(p, uint64(count))
 	for _, x := range names {
-		e.str(string(x))
-		e.bytes([]byte("v"))
+		p = frame.AppendString(p, string(x))
+		p = frame.AppendBytes(p, []byte("v"))
 	}
-	return e.buf
+	return p
 }
 
 // misplacedValues are value sections the encoder never writes: it logs no
@@ -239,9 +214,7 @@ func TestLogicalDeletesRejected(t *testing.T) {
 	if _, err := EncodeRecord(rec); err == nil {
 		t.Error("encoded a logical operation carrying Deletes")
 	}
-	e := &encoder{}
-	encodePayload(e, rec)
-	if got, err := DecodeRecord(e.buf); err == nil {
+	if got, err := DecodeRecord(appendPayload(nil, rec)); err == nil {
 		t.Errorf("decoded a logical operation carrying Deletes: %s", got.Op)
 	}
 }
