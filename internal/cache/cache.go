@@ -358,8 +358,8 @@ func (m *Manager) CurrentVSI(x op.ObjectID) op.SI {
 	if e, ok := m.lookup(x); ok {
 		return e.vsi
 	}
-	if v, err := m.store.Read(x); err == nil {
-		return v.VSI
+	if vsi, ok := m.store.ReadVSI(x); ok {
+		return vsi
 	}
 	return op.NilSI
 }
@@ -438,15 +438,13 @@ func (m *Manager) TryApplyLogged(o *op.Operation) (voided bool, err error) {
 // borrowed: the TransformFunc contract makes them read-only, so no read is
 // copied.
 func (m *Manager) ComputeWrites(o *op.Operation) ([][]byte, error) {
-	reads := make([][]byte, len(o.ReadSet))
-	for i, x := range o.ReadSet {
-		v, err := m.Borrow(x)
+	return m.cfg.Registry.ApplyFrom(o, func(i int) ([]byte, error) {
+		v, err := m.Borrow(o.ReadSet[i])
 		if err != nil {
-			return nil, fmt.Errorf("cache: %s reads %q: %w", o, x, err)
+			return nil, fmt.Errorf("cache: %s reads %q: %w", o, o.ReadSet[i], err)
 		}
-		reads[i] = v
-	}
-	return m.cfg.Registry.Apply(o, reads)
+		return v, nil
+	})
 }
 
 // applyLogged applies logged operation o's writes to the cache and threads
@@ -463,10 +461,11 @@ func (m *Manager) applyValues(o *op.Operation, writes [][]byte) {
 		e, ok := m.lookup(x)
 		if !ok {
 			// A blind write may create the object; fault in the stable
-			// version if present so the vSI baseline is right, otherwise
-			// start fresh.
-			if v, err := m.store.Read(x); err == nil {
-				e = &entry{val: v.Val, exists: true, vsi: v.VSI}
+			// version's vSI if present so the vSI baseline is right,
+			// otherwise start fresh.  The write replaces the value, so
+			// none is read.
+			if vsi, ok := m.store.ReadVSI(x); ok {
+				e = &entry{exists: true, vsi: vsi}
 			} else {
 				e = &entry{}
 			}

@@ -128,6 +128,54 @@ func (r *Reader) Bytes() []byte {
 // Str reads a string field.
 func (r *Reader) Str() string { return string(r.Bytes()) }
 
+// Names is an intern table for Reader.Name: each distinct string read
+// through one table is allocated once, and every later read of it returns
+// that same string, until the table holds maxNames strings.  The zero value
+// is an empty table.
+type Names struct {
+	m map[string]string
+	// full is set, and m dropped, when a string beyond maxNames arrives.
+	full bool
+	// last is the string Name returned last.  Records tend to name one
+	// object twice in a row (a read-modify-write, or an operation and its
+	// flush), and comparing with last is cheaper than a map lookup.
+	last string
+}
+
+// maxNames bounds an intern table.  Interning pays only while the table
+// stays in cache: on a restart that names 10 000 keys, a lookup cost more
+// than the small allocation it saved.  Past the bound Name allocates each
+// string as Str does, sharing only with the last one.
+const maxNames = 1024
+
+// Name reads a string field and returns names' copy of it, adding the
+// string on first sight.  Looking up a known name does not allocate.  With
+// a nil table Name is Str.
+func (r *Reader) Name(names *Names) string {
+	b := r.Bytes()
+	if names == nil || len(b) == 0 {
+		return string(b)
+	}
+	if string(b) == names.last {
+		return names.last
+	}
+	s, ok := names.m[string(b)]
+	if !ok {
+		s = string(b)
+		switch {
+		case names.full:
+		case len(names.m) == maxNames:
+			names.m, names.full = nil, true
+		case names.m == nil:
+			names.m = map[string]string{s: s}
+		default:
+			names.m[s] = s
+		}
+	}
+	names.last = s
+	return s
+}
+
 // Len returns the bytes left unread.
 func (r *Reader) Len() int { return len(r.buf) }
 

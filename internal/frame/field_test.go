@@ -3,7 +3,9 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // TestFieldRoundTrip: every field kind reads back as appended, a bytes field
@@ -73,5 +75,54 @@ func TestReaderKeepsFirstFailure(t *testing.T) {
 	d := NewReader([]byte{2, 'a', 'b'})
 	if n := d.Count(); n != 2 || d.Err() != nil {
 		t.Fatalf("Count = %d, %v; want 2 (the bytes left)", n, d.Err())
+	}
+}
+
+// TestNameInterns: Name returns one string per distinct name read through a
+// table, allocating none for a name it already holds; a nil table reads as
+// Str; and once the table would pass maxNames, later names are fresh
+// strings, each shared only with an immediate repeat.
+func TestNameInterns(t *testing.T) {
+	var p []byte
+	for _, s := range []string{"xx", "yy", "xx", "yy", ""} {
+		p = AppendString(p, s)
+	}
+	read := func(names *Names) []string {
+		d := NewReader(p)
+		out := make([]string, 5)
+		for i := range out {
+			out[i] = d.Name(names)
+		}
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var names Names
+	got := read(&names)
+	if got[0] != "xx" || got[1] != "yy" || got[4] != "" ||
+		unsafe.StringData(got[0]) != unsafe.StringData(got[2]) || unsafe.StringData(got[1]) != unsafe.StringData(got[3]) {
+		t.Fatalf("Name read %q without sharing repeats", got)
+	}
+	if again := read(&names); unsafe.StringData(again[0]) != unsafe.StringData(got[0]) {
+		t.Fatal("a second read through the table copied a name it holds")
+	}
+	if a := testing.AllocsPerRun(10, func() { read(&names) }); a != 1 { // the result slice
+		t.Fatalf("reading known names allocates %.0f times, want 1", a)
+	}
+	if plain := read(nil); plain[0] != "xx" || unsafe.StringData(plain[0]) == unsafe.StringData(plain[2]) {
+		t.Fatalf("a nil table shared %q", plain)
+	}
+
+	full := Names{}
+	for i := 0; i <= maxNames; i++ {
+		d := NewReader(AppendString(nil, fmt.Sprint(i)))
+		d.Name(&full)
+	}
+	if !full.full || full.m != nil {
+		t.Fatalf("after %d names the table holds %d and full=%v", maxNames+1, len(full.m), full.full)
+	}
+	if got := read(&full); got[0] != "xx" || unsafe.StringData(got[0]) == unsafe.StringData(got[2]) {
+		t.Fatalf("a full table still interned %q", got)
 	}
 }

@@ -56,6 +56,20 @@ func Seal(buf []byte, start int) {
 // aliasing data, and the frame's length; ok is false when data does not
 // begin with a whole frame whose checksum matches.
 func Next(data []byte) (payload []byte, n int, ok bool) {
+	payload, n, ok = NextTrusted(data)
+	if !ok {
+		return nil, 0, false
+	}
+	if crc32.Checksum(payload, table) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0, false
+	}
+	return payload, n, true
+}
+
+// NextTrusted is Next without the checksum, for a reader walking bytes that
+// Next already accepted frame by frame and that nothing has written since.
+// It checks only that data begins with a whole frame.
+func NextTrusted(data []byte) (payload []byte, n int, ok bool) {
 	if len(data) < Overhead {
 		return nil, 0, false
 	}
@@ -64,11 +78,7 @@ func Next(data []byte) (payload []byte, n int, ok bool) {
 		return nil, 0, false
 	}
 	n = Overhead + int(l)
-	payload = data[Overhead:n:n]
-	if crc32.Checksum(payload, table) != binary.LittleEndian.Uint32(data[4:]) {
-		return nil, 0, false
-	}
-	return payload, n, true
+	return data[Overhead:n:n], n, true
 }
 
 // Write completes the frame built in buf — Overhead reserved bytes, then the

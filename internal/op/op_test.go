@@ -292,6 +292,33 @@ func TestRegistryWritesetViolation(t *testing.T) {
 	}
 }
 
+// TestApplyAllocatesOnce: Apply of a two-object logical operation, which
+// reads and writes X and Y, allocates once beyond the transform's own two
+// outputs: Args, its read and write slots and its written flags share one
+// allocation.
+func TestApplyAllocatesOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Register("test.swap", func(_ []byte, a *Args) error {
+		a.Write("X", append([]byte(nil), a.Read("Y")...))
+		a.Write("Y", append([]byte(nil), a.Read("X")...))
+		return nil
+	})
+	o := NewLogical("test.swap", nil, []ObjectID{"X", "Y"}, []ObjectID{"X", "Y"})
+	reads := [][]byte{[]byte("x"), []byte("y")}
+	out, err := r.Apply(o, reads)
+	if err != nil || string(out[0]) != "y" || string(out[1]) != "x" {
+		t.Fatalf("Apply = %q, %v", out, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Apply(o, reads); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("Apply allocates %.0f times, want 3: one for the application, two for the outputs", allocs)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	defer func() {

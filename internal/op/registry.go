@@ -46,6 +46,28 @@ type Args struct {
 	writes  [][]byte
 	written []bool
 	err     string
+	// slots backs reads and writes, and flags backs written, for an
+	// operation that reads and writes at most argSlots objects in all, so
+	// one allocation holds the whole application (newArgs).
+	slots [argSlots][]byte
+	flags [argSlots]bool
+}
+
+// argSlots covers every operation the workloads log: a two-object logical
+// operation reads and writes four objects in all.
+const argSlots = 4
+
+// newArgs returns o's arguments with empty read and write slots, in one
+// allocation when o names at most argSlots objects in all.
+func newArgs(o *Operation) *Args {
+	a := &Args{o: o}
+	nr, nw := len(o.ReadSet), len(o.WriteSet)
+	slots, flags := a.slots[:], a.flags[:]
+	if nr+nw > argSlots {
+		slots, flags = make([][]byte, nr+nw), make([]bool, nw)
+	}
+	a.reads, a.writes, a.written = slots[:nr:nr], slots[nr:nr+nw:nr+nw], flags[:nw:nw]
+	return a
 }
 
 // Read returns the value of x, which must be in the readset.
@@ -165,6 +187,18 @@ func (r *Registry) IDs() []FuncID {
 // executions (Section 5 of the paper: a re-execution that attempts to update
 // more than the original writeset is detected and terminated).
 func (r *Registry) Apply(o *Operation, reads [][]byte) ([][]byte, error) {
+	if len(reads) != len(o.ReadSet) && !o.Kind.Physical() {
+		return nil, fmt.Errorf("op: %s given %d read values for %d objects", o, len(reads), len(o.ReadSet))
+	}
+	return r.ApplyFrom(o, func(i int) ([]byte, error) { return reads[i], nil })
+}
+
+// ApplyFrom is Apply with the read values fetched by read, which is called
+// once for each readset object, by its index in ReadSet, before the
+// transform runs; its first error is returned as is.  The values, the write
+// slots and Args share one allocation (see newArgs), so a logical
+// application allocates once beyond the transform's own outputs.
+func (r *Registry) ApplyFrom(o *Operation, read func(i int) ([]byte, error)) ([][]byte, error) {
 	switch o.Kind {
 	case KindPhysicalWrite, KindIdentityWrite, KindCreate:
 		if len(o.Values) != len(o.WriteSet) {
@@ -175,21 +209,21 @@ func (r *Registry) Apply(o *Operation, reads [][]byte) ([][]byte, error) {
 			out[i] = append([]byte(nil), v...)
 		}
 		return out, nil
-	case KindDelete:
-		return make([][]byte, len(o.WriteSet)), nil
+	}
+	a := newArgs(o)
+	for i := range a.reads {
+		v, err := read(i)
+		if err != nil {
+			return nil, err
+		}
+		a.reads[i] = v
+	}
+	if o.Kind == KindDelete {
+		return a.writes, nil
 	}
 	fn, ok := r.Lookup(o.Func)
 	if !ok {
 		return nil, fmt.Errorf("%w %q in %s", ErrUnknownFunc, o.Func, o)
-	}
-	if len(reads) != len(o.ReadSet) {
-		return nil, fmt.Errorf("op: %s given %d read values for %d objects", o, len(reads), len(o.ReadSet))
-	}
-	a := &Args{
-		o:       o,
-		reads:   reads,
-		writes:  make([][]byte, len(o.WriteSet)),
-		written: make([]bool, len(o.WriteSet)),
 	}
 	err := fn(o.Params, a)
 	if a.err != "" {

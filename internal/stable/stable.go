@@ -174,6 +174,19 @@ func (s *Store) Read(x op.ObjectID) (Versioned, error) {
 	return Versioned{Val: val, VSI: v.VSI}, nil
 }
 
+// ReadVSI fetches only an object's vSI, for a caller that needs no value;
+// ok is false for an absent object.  A found object counts one object read,
+// as Read does.
+func (s *Store) ReadVSI(x op.ObjectID) (vsi op.SI, ok bool) {
+	s.mu.RLock()
+	v, ok := s.objects[x]
+	s.mu.RUnlock()
+	if ok {
+		s.objectReads.Add(1)
+	}
+	return v.VSI, ok
+}
+
 // Contains reports whether x exists without counting an I/O.
 func (s *Store) Contains(x op.ObjectID) bool {
 	s.mu.RLock()

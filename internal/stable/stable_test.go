@@ -63,6 +63,24 @@ func TestReadWriteSingle(t *testing.T) {
 	}
 }
 
+// TestReadVSICountsOneRead: ReadVSI returns a stored object's vSI and counts
+// one object read, as Read does; an absent object is not found and counts
+// nothing.
+func TestReadVSICountsOneRead(t *testing.T) {
+	s := NewStore()
+	mustWrite(t, s, []Entry{{ID: "X", Val: []byte("v1"), VSI: 3}}, ModeSingle)
+	s.ResetStats()
+	if vsi, ok := s.ReadVSI("X"); !ok || vsi != 3 {
+		t.Errorf("ReadVSI(X) = %d, %v; want 3, true", vsi, ok)
+	}
+	if _, ok := s.ReadVSI("Y"); ok {
+		t.Error("ReadVSI(Y) found an absent object")
+	}
+	if n := s.Stats().ObjectReads; n != 1 {
+		t.Errorf("ReadVSI counted %d object reads, want 1", n)
+	}
+}
+
 func TestDelete(t *testing.T) {
 	s := NewStore()
 	mustWrite(t, s, []Entry{{ID: "X", Val: []byte("v")}}, ModeSingle)

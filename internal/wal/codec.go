@@ -41,18 +41,45 @@ func appendRSIs(dst []byte, s []ObjectRSI) []byte {
 
 var errCorrupt = fmt.Errorf("wal: corrupt record payload")
 
-func readIDs(d *frame.Reader) []op.ObjectID {
-	out := make([]op.ObjectID, d.Count())
-	for i := range out {
-		out[i] = op.ObjectID(d.Str())
+// readIDs reads an operation's three id lists (readset, writeset, deletes)
+// into one backing array, each list capped at its length so an append to
+// one never writes into the next.  The array is buf when the lists fit in
+// it, else one allocation: a first pass over a copy of d sizes it.  names
+// interns every id (see frame.Reader.Name).
+func readIDs(d *frame.Reader, names *frame.Names, buf []op.ObjectID) (rs, ws, del []op.ObjectID) {
+	peek := *d
+	total := 0
+	for range 3 {
+		n := peek.Count()
+		for range n {
+			peek.Bytes()
+		}
+		total += n
 	}
-	return out
+	ids := buf
+	if buf == nil || total > len(buf) {
+		ids = make([]op.ObjectID, total)
+	}
+	ids = ids[:total:total]
+	list := func() []op.ObjectID {
+		n := min(d.Count(), len(ids)) // d reads what peek read
+		l := ids[:n:n]
+		for i := range l {
+			l[i] = op.ObjectID(d.Name(names))
+		}
+		ids = ids[n:]
+		return l
+	}
+	rs = list()
+	ws = list()
+	del = list()
+	return rs, ws, del
 }
 
-func readRSIs(d *frame.Reader) []ObjectRSI {
+func readRSIs(d *frame.Reader, names *frame.Names) []ObjectRSI {
 	out := make([]ObjectRSI, d.Count())
 	for i := range out {
-		out[i] = ObjectRSI{ID: op.ObjectID(d.Str()), RSI: op.SI(d.Uvarint())}
+		out[i] = ObjectRSI{ID: op.ObjectID(d.Name(names)), RSI: op.SI(d.Uvarint())}
 	}
 	return out
 }
@@ -133,7 +160,7 @@ func AppendFrame(buf []byte, r *Record) []byte {
 // DecodeRecord parses a record payload produced by EncodeRecord.  The
 // returned record owns its memory (payload may be reused by the caller).
 func DecodeRecord(payload []byte) (*Record, error) {
-	return decodeRecord(payload, false)
+	return decodeRecord(payload, false, nil)
 }
 
 // recordHeader reads the type byte and LSN that open every record payload;
@@ -144,26 +171,55 @@ func recordHeader(d *frame.Reader) (t RecordType, lsn op.SI, ok bool) {
 	return t, lsn, d.Err() == nil && t != RecInvalid && t < numRecordTypes
 }
 
+// A decoded record and its payload share one allocation.  An operation
+// record's also holds the backing arrays of the id lists and the value list
+// of an operation that names at most two objects in all and logs at most
+// one value.  That covers the single-object kinds, blind copies and
+// deletes, and fills the 256-byte size class exactly.
+type (
+	opRecord struct {
+		rec  Record
+		op   op.Operation
+		ids  [2]op.ObjectID
+		vals [1][]byte
+	}
+	installRecord struct {
+		rec     Record
+		install InstallRecord
+	}
+	flushRecord struct {
+		rec   Record
+		flush FlushRecord
+	}
+	checkpointRecord struct {
+		rec        Record
+		checkpoint CheckpointRecord
+	}
+)
+
 // decodeRecord parses a record payload.  With alias set, the record's byte
 // fields alias payload, which the caller must keep immutable for the
 // record's lifetime (the Scanner's snapshot qualifies); it removes the
-// dominant per-record allocation of the redo scan.
-func decodeRecord(payload []byte, alias bool) (*Record, error) {
+// dominant per-record allocation of the redo scan.  Names are interned in
+// names, which may be nil (see frame.Reader.Name).
+func decodeRecord(payload []byte, alias bool, names *frame.Names) (*Record, error) {
 	d := frame.NewReader(payload)
 	t, lsn, ok := recordHeader(&d)
 	if !ok {
 		return nil, errCorrupt
 	}
-	r := &Record{LSN: lsn, Type: t}
-	switch r.Type {
+	var r *Record
+	switch t {
 	case RecOperation:
-		o := &op.Operation{LSN: r.LSN, Kind: op.Kind(d.Byte()), Func: op.FuncID(d.Str())}
+		x := &opRecord{}
+		r = &x.rec
+		r.Op = &x.op
+		o := r.Op
+		o.LSN, o.Kind, o.Func = lsn, op.Kind(d.Byte()), op.FuncID(d.Name(names))
 		if o.Params = readBytes(&d, alias); len(o.Params) == 0 {
 			o.Params = nil
 		}
-		o.ReadSet = readIDs(&d)
-		o.WriteSet = readIDs(&d)
-		o.Deletes = readIDs(&d)
+		o.ReadSet, o.WriteSet, o.Deletes = readIDs(&d, names, x.ids[:])
 		// The encoder logs no values or one per writeset object, in
 		// writeset order.
 		nv := d.Uvarint()
@@ -171,36 +227,45 @@ func decodeRecord(payload []byte, alias bool) (*Record, error) {
 			return nil, errCorrupt
 		}
 		if nv > 0 {
-			o.Values = make([][]byte, nv)
-			for i, x := range o.WriteSet {
-				if op.ObjectID(d.Str()) != x {
+			if o.Values = x.vals[:]; nv > 1 {
+				o.Values = make([][]byte, nv)
+			}
+			for i, id := range o.WriteSet {
+				if string(d.Bytes()) != string(id) {
 					return nil, errCorrupt
 				}
 				o.Values[i] = readBytes(&d, alias)
 			}
 		}
-		r.Op = o
 	case RecInstall:
-		ir := &InstallRecord{Flushed: readRSIs(&d), Unflushed: readRSIs(&d)}
+		x := &installRecord{}
+		r = &x.rec
+		r.Install = &x.install
+		ir := r.Install
+		ir.Flushed, ir.Unflushed = readRSIs(&d, names), readRSIs(&d, names)
 		if n := d.Count(); n > 0 {
 			ir.Ops = make([]op.SI, n)
 			for i := range ir.Ops {
 				ir.Ops[i] = op.SI(d.Uvarint())
 			}
 		}
-		r.Install = ir
 	case RecFlush:
-		r.Flush = &FlushRecord{Object: op.ObjectID(d.Str()), VSI: op.SI(d.Uvarint())}
+		x := &flushRecord{}
+		r = &x.rec
+		r.Flush = &x.flush
+		r.Flush.Object, r.Flush.VSI = op.ObjectID(d.Name(names)), op.SI(d.Uvarint())
 	case RecCheckpoint:
-		cr := &CheckpointRecord{}
+		x := &checkpointRecord{}
+		r = &x.rec
+		r.Checkpoint = &x.checkpoint
 		if n := d.Count(); n > 0 {
-			cr.Dirty = make([]DirtyEntry, n)
-			for i := range cr.Dirty {
-				cr.Dirty[i] = DirtyEntry{ID: op.ObjectID(d.Str()), RSI: op.SI(d.Uvarint())}
+			r.Checkpoint.Dirty = make([]DirtyEntry, n)
+			for i := range r.Checkpoint.Dirty {
+				r.Checkpoint.Dirty[i] = DirtyEntry{ID: op.ObjectID(d.Name(names)), RSI: op.SI(d.Uvarint())}
 			}
 		}
-		r.Checkpoint = cr
 	}
+	r.LSN, r.Type = lsn, t
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}

@@ -70,11 +70,12 @@ func (m *MemDevice) Size() (int64, error) {
 }
 
 // Rewrite implements Device.  It copies p into a new array, leaving every
-// lent slice as it was.
+// lent slice as it was.  The new array keeps the old one's capacity, so a
+// device that truncation cuts back does not regrow by doubling.
 func (m *MemDevice) Rewrite(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data = append([]byte(nil), p...)
+	m.data = append(make([]byte, 0, max(len(p), cap(m.data))), p...)
 	return nil
 }
 

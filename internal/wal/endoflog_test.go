@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"logicallog/internal/frame"
 	"logicallog/internal/op"
@@ -201,6 +202,116 @@ func TestRestartReadsDeviceOnce(t *testing.T) {
 	}
 }
 
+// TestRestartReadsAfreshOnceTouched: the first Restart after New walks the
+// bytes New read and leaves the device unread, unless the log was touched
+// in between.  After an append, a shipped append, a force, a truncation or
+// a crash, Restart reads the device and checks every frame afresh: a bit
+// flipped in the last frame on the device after the touch is trimmed.
+func TestRestartReadsAfreshOnceTouched(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		touch func(*Log) error
+	}{
+		{"untouched", nil},
+		{"append", func(l *Log) error { _, err := l.Append(NewFlushRecord("Y", 1)); return err }},
+		{"shipped append", func(l *Log) error {
+			rec := NewFlushRecord("Y", 1)
+			rec.LSN = l.NextLSN()
+			return l.AppendShipped(rec)
+		}},
+		{"force", func(l *Log) error { return l.Force() }},
+		{"truncate", func(l *Log) error { return l.Truncate(1) }},
+		{"crash", func(l *Log) error { l.Crash(); return nil }},
+	} {
+		dev := &countingDevice{Device: NewMemDevice()}
+		w, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			mustAppend(t, w, NewFlushRecord("X", op.SI(i+1)))
+		}
+		if err := w.Force(); err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReads, wantRecs := 0, 4
+		if c.touch != nil {
+			if err := c.touch(l); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			lent, _ := dev.ReadAll()
+			img := bytes.Clone(lent)
+			img[len(img)-1] ^= 1
+			if err := dev.Rewrite(img); err != nil {
+				t.Fatal(err)
+			}
+			wantReads, wantRecs = 1, 3
+		}
+		dev.reads = 0
+		recs, err := l.Restart()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if dev.reads != wantReads || len(recs) != wantRecs {
+			t.Errorf("%s: Restart read the device %d times and returned %d records, want %d and %d",
+				c.name, dev.reads, len(recs), wantReads, wantRecs)
+		}
+	}
+}
+
+// TestRestartInternsNames: Restart's walk allocates each distinct name once.
+// Over records that repeat four object names and one function name, every
+// record naming an object shares one string for it, and a Restart allocates
+// no string per record: the record, its operation and its id lists take one
+// allocation, and the walk adds only a bounded number of its own.
+func TestRestartInternsNames(t *testing.T) {
+	const n = 1024
+	dev := NewMemDevice()
+	l, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		x := op.ObjectID(fmt.Sprintf("object-%d", i%4))
+		mustAppend(t, l, NewOpRecord(op.NewPhysioWrite(x, op.FuncAppend, []byte{byte(i)})))
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Restart()
+	if err != nil || len(recs) != n {
+		t.Fatalf("Restart = %d records, %v", len(recs), err)
+	}
+	first := map[string]*byte{}
+	for _, rec := range recs {
+		o := rec.Op
+		for _, s := range []string{string(o.Func), string(o.ReadSet[0]), string(o.WriteSet[0])} {
+			if p, ok := first[s]; !ok {
+				first[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("LSN %d: %q is a second copy of the name", rec.LSN, s)
+			}
+		}
+	}
+	if len(first) != 5 {
+		t.Fatalf("records name %d distinct strings, want 5", len(first))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := l.Restart(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The walk's own: the scanner, the name table and its five strings, and
+	// the growth of the record slice (about log2(n) times).
+	if allocs > n+64 {
+		t.Fatalf("Restart over %d records allocates %.0f times, want at most one per record and 64 more", n, allocs)
+	}
+}
+
 // undecodableThird returns the six-record image with frame 3 replaced by a
 // whole, checksummed frame whose header is the original's (a flush record,
 // LSN 3) but whose body carries a trailing byte, so it does not decode.
@@ -309,7 +420,9 @@ func TestNewDecodesNoBody(t *testing.T) {
 // Truncate.  None may panic, and all four keep the same trusted prefix (the
 // frames and headers step accepts), unless a body in it does not decode:
 // then Scan(0) and Restart both report it and Restart leaves the device
-// untouched.
+// untouched.  A Restart that walks New's bytes and one that reads the
+// device afresh after a crash return the same records, rewrite, horizons
+// and error.
 func FuzzDeviceImage(f *testing.F) {
 	img, ends := sixRecordImage(f)
 	f.Add(img)
@@ -346,6 +459,20 @@ func FuzzDeviceImage(f *testing.F) {
 		l, dev := open()
 		recs, restartErr := l.Restart()
 		got, _ := dev.ReadAll()
+		// The Restart straight after New walked New's bytes.  A second log
+		// over the same bytes, crashed first, reads and checks them afresh,
+		// and must come to the same end.
+		fresh, freshDev := open()
+		fresh.Crash()
+		freshRecs, freshErr := fresh.Restart()
+		freshGot, _ := freshDev.ReadAll()
+		if fmt.Sprint(restartErr) != fmt.Sprint(freshErr) || !reflect.DeepEqual(recs, freshRecs) || !bytes.Equal(got, freshGot) ||
+			l.FirstLSN() != fresh.FirstLSN() || l.StableLSN() != fresh.StableLSN() || l.NextLSN() != fresh.NextLSN() {
+			t.Fatalf("Restart on New's bytes: %d records, %d bytes, LSNs %d..%d next %d, err %v; "+
+				"afresh: %d records, %d bytes, LSNs %d..%d next %d, err %v",
+				len(recs), len(got), l.FirstLSN(), l.StableLSN(), l.NextLSN(), restartErr,
+				len(freshRecs), len(freshGot), fresh.FirstLSN(), fresh.StableLSN(), fresh.NextLSN(), freshErr)
+		}
 		if (scanErr == nil) != (restartErr == nil) {
 			t.Fatalf("Scan(0) err %v, Restart err %v: want both or neither", scanErr, restartErr)
 		}

@@ -72,6 +72,12 @@ type Log struct {
 	// read it.
 	obs logObs
 
+	// opened scans the bytes New read, trusting the prefix New checked,
+	// for the first Restart to walk instead of reading the device again.
+	// Every call that touches the log after New drops it: Append,
+	// AppendShipped, Force, ForceThrough, Truncate and Crash.
+	opened atomic.Pointer[Scanner]
+
 	// Retention hooks, under their own mutex so hook queries never nest
 	// inside l.mu (see RegisterRetention).
 	retainMu  sync.Mutex
@@ -252,6 +258,8 @@ func (s Stats) TotalOpPayloadBytes() int64 {
 // New creates a Log over dev.  If dev already holds records (restart after
 // crash), the log resumes LSN assignment after the highest durable record.
 // New only reads the device, and decodes no record body (see Scanner.step).
+// It keeps the bytes it read, and where the durable log ends in them, for
+// the first Restart (see opened).
 func New(dev Device) (*Log, error) {
 	l := &Log{dev: dev, firstLSN: 1}
 	l.nextLSN.Store(1)
@@ -267,6 +275,7 @@ func New(dev Device) (*Log, error) {
 		l.stableLSN = sc.last
 	}
 	l.nextLSN.Store(uint64(l.stableLSN) + 1)
+	l.opened.Store(&Scanner{data: sc.data, trusted: sc.off})
 	return l, nil
 }
 
@@ -338,6 +347,7 @@ func (l *Log) AppendShipped(rec *Record) error {
 // bufferLocked encodes rec (validated, LSN assigned) onto the tail and
 // updates the append statistics.  Caller holds laneMu.
 func (l *Log) bufferLocked(rec *Record) {
+	l.dropOpened()
 	start := len(l.tail)
 	l.tail = AppendFrame(l.tail, rec)
 	l.ends = append(l.ends, len(l.tail))
@@ -354,8 +364,16 @@ func (l *Log) bufferLocked(rec *Record) {
 	}
 }
 
+// dropOpened forgets New's snapshot (see opened).
+func (l *Log) dropOpened() {
+	if l.opened.Load() != nil {
+		l.opened.Store(nil)
+	}
+}
+
 // Force makes every appended record durable.
 func (l *Log) Force() error {
+	l.dropOpened()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.forceLocked(op.SI(l.nextLSN.Load()) - 1)
@@ -364,6 +382,7 @@ func (l *Log) Force() error {
 // ForceThrough makes records up to and including lsn durable (WAL protocol:
 // called before installing an operation's effects).
 func (l *Log) ForceThrough(lsn op.SI) error {
+	l.dropOpened()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.forceLocked(lsn)
@@ -513,6 +532,7 @@ func (l *Log) FirstLSN() op.SI {
 // leader may still be writing), simulating a crash; it returns the number of
 // records lost.  The device (stable log) is untouched.
 func (l *Log) Crash() int {
+	l.dropOpened()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.laneMu.Lock()
@@ -536,6 +556,12 @@ func (l *Log) Crash() int {
 // immutable device snapshot: read-only.  A kept record whose body does not
 // decode is an error, and the device is then left as it was.
 //
+// The first Restart after New, when nothing has touched the log since,
+// walks the bytes New read instead of reading the device again, and takes
+// the frames New checked by their lengths alone; any other Restart reads
+// the device and checks every frame.  The walk interns the ObjectIDs and
+// FuncIDs of the records it returns (see frame.Names).
+//
 // Restart waits out any in-flight force, then rewrites the device down to
 // its trustworthy prefix.  That prefix is the durable log as Scanner.step
 // defines it, with one more rule: if its first record lies beyond the acked
@@ -555,9 +581,12 @@ func (l *Log) Restart() ([]*Record, error) {
 	for l.forcing {
 		l.forceDone.Wait()
 	}
-	sc, err := l.Scan(0)
-	if err != nil {
-		return nil, fmt.Errorf("wal: restart: %w", err)
+	sc := l.opened.Swap(nil)
+	if sc == nil {
+		var err error
+		if sc, err = l.Scan(0); err != nil {
+			return nil, fmt.Errorf("wal: restart: %w", err)
+		}
 	}
 	var recs []*Record
 	var last op.SI
@@ -654,6 +683,7 @@ func (l *Log) retentionFloor() op.SI {
 // lagging standbys) clamp the cut point further so no dependent replica is
 // stranded.  Truncation rewrites the device.
 func (l *Log) Truncate(before op.SI) error {
+	l.dropOpened()
 	clamped := false
 	if floor := l.retentionFloor(); floor != 0 && floor < before {
 		before = floor
@@ -700,11 +730,15 @@ func (l *Log) Truncate(before op.SI) error {
 // Restart's walk decoded, without copying them, so neither analysis nor the
 // redo pass decodes the log again or copies a record's payload.
 type Scanner struct {
-	data  []byte // the device snapshot
-	off   int    // offset of the next frame in data
-	from  op.SI
-	last  op.SI  // LSN of the last record stepped over
-	frame []byte // the last stepped-over record's frame, aliasing data
+	data    []byte // the device snapshot
+	off     int    // offset of the next frame in data
+	trusted int    // data[:trusted] holds frames step already accepted
+	from    op.SI
+	last    op.SI  // LSN of the last record stepped over
+	frame   []byte // the last stepped-over record's frame, aliasing data
+	// names interns the names of the records decode returns: one table
+	// per walk, so it lives as long as the walk's records do.
+	names frame.Names
 }
 
 // Scan returns a Scanner positioned at the first durable record with
@@ -726,8 +760,14 @@ func (l *Log) Scan(from op.SI) (*Scanner, error) {
 // record's plus one (or, first on the device, any LSN from 1).  A torn or
 // bit-flipped final append fails the first two; a reordered batch whose
 // middle frame never landed fails the third.  step reads no record body.
+// Below the scanner's trusted offset, frames an earlier step over the same
+// immutable bytes accepted (New's, see Log.opened), it skips the checksum.
 func (s *Scanner) step() bool {
-	payload, n, ok := frame.Next(s.data[s.off:])
+	next := frame.Next
+	if s.off < s.trusted {
+		next = frame.NextTrusted
+	}
+	payload, n, ok := next(s.data[s.off:])
 	if !ok {
 		return false
 	}
@@ -749,7 +789,7 @@ var errUndecodable = errors.New("wal: checksummed record does not decode")
 // decode decodes the body of the record step last stepped over.
 func (s *Scanner) decode() (*Record, error) {
 	bodyDecodes.Add(1)
-	rec, err := decodeRecord(s.frame[frame.Overhead:], true)
+	rec, err := decodeRecord(s.frame[frame.Overhead:], true, &s.names)
 	if err != nil {
 		return nil, fmt.Errorf("%w: LSN %d: %v", errUndecodable, s.last, err)
 	}

@@ -680,3 +680,26 @@ func TestRestartRecordsOutliveDeviceChanges(t *testing.T) {
 	}
 	check("Rewrite")
 }
+
+// TestMemDeviceRewriteKeepsCapacity: Rewrite copies into a new array with
+// the old one's capacity, so a device that truncation cut back does not
+// regrow by doubling, and a slice lent before the Rewrite keeps its bytes.
+func TestMemDeviceRewriteKeepsCapacity(t *testing.T) {
+	dev := NewMemDevice()
+	if err := dev.Append(bytes.Repeat([]byte{'a'}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	lent, _ := dev.ReadAll()
+	if err := dev.Rewrite([]byte("bb")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Append([]byte("cc")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dev.ReadAll(); string(got) != "bbcc" || cap(dev.data) < 4096 {
+		t.Fatalf("after Rewrite and Append the device holds %q with capacity %d, want \"bbcc\" and at least 4096", got, cap(dev.data))
+	}
+	if !bytes.Equal(lent, bytes.Repeat([]byte{'a'}, 4096)) {
+		t.Fatal("Rewrite wrote into a lent slice")
+	}
+}
