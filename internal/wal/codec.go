@@ -57,7 +57,7 @@ func readIDs(d *frame.Reader, names *frame.Names, buf []op.ObjectID) (rs, ws, de
 		total += n
 	}
 	ids := buf
-	if buf == nil || total > len(buf) {
+	if total > len(buf) {
 		ids = make([]op.ObjectID, total)
 	}
 	ids = ids[:total:total]
